@@ -38,8 +38,8 @@ def test_fig13_real_throughput(benchmark, real_like_datasets, results_dir):
         # sanity only: every index answered the workload.  The paper's
         # ordering (HINT^m about an order of magnitude ahead) is a statement
         # about cache-resident C++ scans; at interpreter scale the relative
-        # gaps are compressed and are discussed in EXPERIMENTS.md rather than
-        # asserted here.
+        # gaps are compressed and are discussed in e2e_bench/README.md rather
+        # than asserted here.
         for name in index_names:
             assert all(value > 0 for value in series[name]), (dataset, name)
     save_report(results_dir, "fig13_real_throughput", "\n\n".join(report))

@@ -1,10 +1,9 @@
 """Ingest/maintenance benchmark for the maintenance subsystem.
 
 Not a paper figure: it measures (1) interleaved insert/delete throughput on
-a K-shard hybrid under the buffered ingest journal against the eager
-``np.insert`` count-column path -- with multi-shard counts asserted against
-the brute-force oracle before and after a forced maintenance pass -- and
-(2) the snapshot-refresh cycle that restores process-executor fan-out after
+a K-shard hybrid under the buffered ingest journal -- with multi-shard
+counts asserted against the brute-force oracle before and after a forced
+maintenance pass -- and (2) the snapshot-refresh cycle that restores process-executor fan-out after
 updates, recorded via residency-token generations.
 
 Run with the rest of the suite::
@@ -24,8 +23,7 @@ def test_ingest_maintenance(results_dir):
         num_updates=max(200, BENCH_CARDINALITY // 10),
         repeats=2,
     )
-    by_mode = {r["mode"]: r for r in result["ingest"]}
-    assert set(by_mode) == {"eager", "journal"}
+    assert result["ingest"]
     assert all(r["ops_per_s"] > 0 for r in result["ingest"])
     # count-oracle equality is asserted inside the driver before timing
     assert all(r["counts_exact"] for r in result["ingest"])

@@ -49,7 +49,7 @@ def test_table10_updates(benchmark, books_taxis_datasets, results_dir):
         # The paper's ordering (both HINT^m settings ahead of the baselines by
         # a wide margin) relies on workload sizes where per-operation constant
         # costs amortise; the measured ordering at this scale is recorded in
-        # the report and discussed in EXPERIMENTS.md.
+        # the report under benchmark_results/.
         assert all(row["total_seconds"] > 0 for row in rows)
         assert all(row["insert_throughput"] > 0 for row in rows)
         assert all(row["delete_throughput"] > 0 for row in rows)

@@ -3,7 +3,7 @@
 Every benchmark regenerates one table or figure of the paper's Section 5 at
 an interpreter-friendly scale and writes the resulting rows/series to
 ``benchmark_results/`` as plain text, so the numbers survive the run and can
-be diffed against ``EXPERIMENTS.md``.
+be diffed against the committed copies there.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ def _print_span(node, depth=0):
 
 def main() -> None:
     # ------------------------------------------------------------------ #
-    # 1. a replicated sharded store behind the query server; threshold 0
+    # 1. a sharded store behind the query server (for replica failover
+    #    metrics see examples/cluster_quickstart.py); threshold 0
     #    so *every* request lands in the slow-query log for the demo
     # ------------------------------------------------------------------ #
     rng = np.random.default_rng(7)
@@ -45,9 +46,7 @@ def main() -> None:
     collection = IntervalCollection.from_pairs(
         [(int(s), int(e)) for s, e in zip(starts, ends)]
     )
-    store = IntervalStore.open(
-        collection, "hintm_hybrid", num_shards=2, replication_factor=2
-    )
+    store = IntervalStore.open(collection, "hintm_hybrid", num_shards=2)
     handle = start_server_thread(store, cache=128, slow_threshold=0.0)
     client = ServeClient(port=handle.port)
     print(f"serving {len(store)} intervals on {handle.address}")

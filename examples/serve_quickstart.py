@@ -1,4 +1,4 @@
-"""Serving quickstart: the query server, cache, replication and failover.
+"""Serving quickstart: the query server, its cache and online maintenance.
 
 Run with::
 
@@ -6,15 +6,18 @@ Run with::
 
 Covers the serving subsystem end to end:
 
-* opening a replicated sharded store and serving it over JSON-over-HTTP
+* opening a sharded store and serving it over JSON-over-HTTP
   with :func:`~repro.start_server_thread` (the ``repro serve`` CLI wraps
   the same server),
 * hot queries hitting the generation-keyed result cache,
 * updates through the server invalidating cached answers *by construction*
   (the content generation moves; no invalidation protocol exists),
-* killing a shard replica mid-traffic and watching routing fail over,
-* a maintenance pass healing the failed replica,
-* the serving/epoch/replica state surfaced by ``GET /stats``.
+* a maintenance pass through the server, under live traffic,
+* the serving/epoch state surfaced by ``GET /stats``.
+
+A shard here is one index in one process.  Copies for availability --
+replica failover, WAL-shipped followers, promotion -- are whole processes
+behind the cluster router: see ``examples/cluster_quickstart.py``.
 """
 
 import numpy as np
@@ -26,7 +29,7 @@ from repro.core.interval import IntervalCollection
 def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. a store worth serving: 20k bookings over a ~100-day horizon
-    #    (minutes since epoch), K=2 shards, 2 replicas per shard
+    #    (minutes since epoch), K=2 shards
     # ------------------------------------------------------------------ #
     rng = np.random.default_rng(42)
     starts = rng.integers(0, 150_000, 20_000)
@@ -34,9 +37,7 @@ def main() -> None:
     bookings = IntervalCollection.from_pairs(
         [(int(s), int(e)) for s, e in zip(starts, ends)]
     )
-    store = IntervalStore.open(
-        bookings, "hintm_hybrid", num_shards=2, replication_factor=2
-    )
+    store = IntervalStore.open(bookings, "hintm_hybrid", num_shards=2)
 
     # ------------------------------------------------------------------ #
     # 2. serve it: admission-controlled asyncio server on a free port
@@ -70,30 +71,19 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ #
-    # 5. failover: kill one replica of shard 0 under traffic -- answers
-    #    come from the surviving replica, nothing changes for clients.
-    #    (A *fresh* query range, so the probe really hits the shard rather
-    #    than the result cache.)
+    # 5. maintenance under traffic: a forced pass folds the ingest journal
+    #    and merges the insert's delta into its shard; a *fresh* query
+    #    range (so the probe really hits the shards, not the result cache)
+    #    answers exactly what the store itself says
     # ------------------------------------------------------------------ #
-    survivors = store.index.kill_replica(0, replica_id=0)
-    after_kill = client.query(10_000, 35_000)
-    direct = store.query().overlapping(10_000, 35_000).count()
-    assert after_kill["count"] == direct
-    print(
-        f"killed replica 0 of shard 0 ({survivors} left); fresh query still "
-        f"answers {after_kill['count']} bookings; "
-        f"failed replicas: {client.stats()['failed_replicas']}"
-    )
-
-    # ------------------------------------------------------------------ #
-    # 6. maintenance heals: the failed slot is rebuilt from the live set
-    # ------------------------------------------------------------------ #
-    report = client.maintain()
+    report = client.maintain(force=True)
+    after = client.query(10_000, 35_000)
+    assert after["count"] == store.query().overlapping(10_000, 35_000).count()
     print(f"maintenance: {report['summary']}")
-    print(f"replica health: {client.stats()['replica_health']}")
+    print(f"fresh query: {after['count']} bookings, epoch {client.stats()['epoch']}")
 
     # ------------------------------------------------------------------ #
-    # 7. graceful drain: in-flight requests finish, then the port closes
+    # 6. graceful drain: in-flight requests finish, then the port closes
     # ------------------------------------------------------------------ #
     client.close()
     handle.stop()

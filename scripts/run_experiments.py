@@ -3,8 +3,8 @@
 
 This is the non-pytest entry point to the experiment drivers: it runs each of
 them at a configurable scale, prints the paper-shaped tables/series, and
-writes them under ``benchmark_results/``.  ``EXPERIMENTS.md`` records one such
-run next to the paper's reported numbers.
+writes them under ``benchmark_results/`` (the gated end-to-end numbers live
+in ``e2e_bench/``; see ``e2e_bench/README.md``).
 
 Usage::
 

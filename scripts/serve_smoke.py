@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Serving smoke: concurrent clients against the query server, oracle-checked.
 
-The CI job runs this under a timeout guard: a replicated sharded hybrid
-store goes up behind the query server, then rounds of
+The CI job runs this under a timeout guard: a sharded hybrid store goes up
+behind the query server, then rounds of
 
 * **concurrent reads** -- client threads fire a skewed mix of hot (cache
   hit) and cold (cache miss) range/count queries over keep-alive
@@ -10,8 +10,7 @@ store goes up behind the query server, then rounds of
   live set;
 * **updates mid-stream** -- inserts and deletes applied through the server
   between read phases (so cached answers must invalidate via the generation
-  key), with a forced maintenance pass and a replica kill thrown in on
-  alternating rounds;
+  key), with a forced maintenance pass thrown in on alternating rounds;
 * **metrics smoke** -- every round scrapes ``GET /metrics``, asserts the
   exposition stays strictly Prometheus-parseable, that every ``_total``
   counter is monotone across scrapes, and that the server's query counter
@@ -19,9 +18,8 @@ store goes up behind the query server, then rounds of
   attempts -- the server counts a query before admission rejects it);
 
 run until the round budget is spent.  Any divergence -- ids, counts, cache
-serving a stale answer, failover dropping results -- raises, failing the
-job.  Admission-control 503s are retried (they are backpressure, not
-errors) and counted.
+serving a stale answer -- raises, failing the job.  Admission-control 503s
+are retried (they are backpressure, not errors) and counted.
 
 Usage::
 
@@ -106,7 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--queries-per-client", type=int, default=40)
     parser.add_argument("--updates-per-round", type=int, default=30)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--replication", type=int, default=2)
     parser.add_argument("--cache-size", type=int, default=256)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
@@ -123,11 +120,7 @@ def main(argv=None) -> int:
     next_id = int(collection.ids.max()) + 1
 
     store = IntervalStore.open(
-        collection,
-        "hintm_hybrid",
-        num_shards=args.shards,
-        replication_factor=args.replication,
-        num_bits=8,
+        collection, "hintm_hybrid", num_shards=args.shards, num_bits=8
     )
     handle = start_server_thread(
         store, cache=args.cache_size, max_pending=2 * args.clients
@@ -202,23 +195,13 @@ def main(argv=None) -> int:
 
             if round_no % 2 == 0:
                 admin.maintain(force=True)
-            else:
-                shard = int(rng.integers(0, store.index.num_shards))
-                replica = int(rng.integers(0, args.replication))
-                survivors = store.index.kill_replica(shard, replica)
-                print(
-                    f"# round {round_no}: killed replica {replica} of shard "
-                    f"{shard} ({survivors} left)",
-                    flush=True,
-                )
 
             stats = admin.stats()
             print(
                 f"# round {round_no}: served {len(counters)} "
                 f"(hit rate {stats['cache']['hit_rate']:.2f}, "
                 f"invalidated {stats['cache']['invalidated']}, "
-                f"epoch {stats.get('epoch')}, "
-                f"failed replicas {stats.get('failed_replicas')})",
+                f"epoch {stats.get('epoch')})",
                 flush=True,
             )
 

@@ -2,17 +2,16 @@
 """Standing-query smoke: concurrent subscribers against the query server,
 oracle-checked.
 
-The CI job runs this under a timeout guard: a replicated sharded hybrid
-store goes up behind the query server with streaming enabled, a handful of
-subscribers attach standing queries (plain ranges, a duration-filtered one,
-and one consuming the chunked streaming transport), then rounds of
+The CI job runs this under a timeout guard: a sharded hybrid store goes up
+behind the query server with streaming enabled, a handful of subscribers
+attach standing queries (plain ranges, a duration-filtered one, and one
+consuming the chunked streaming transport), then rounds of
 
 * **updates mid-stream** -- inserts and deletes applied through the server
   while every subscriber concurrently folds its delta stream (long-poll or
   chunked streaming) onto its subscribe-time snapshot;
-* **disruptions** -- a forced maintenance pass and a replica kill on
-  alternating rounds, neither of which may corrupt a delta stream
-  (maintenance must emit no deltas, failover must not drop any);
+* **disruptions** -- a forced maintenance pass on alternating rounds, which
+  may not corrupt a delta stream (maintenance must emit no deltas);
 
 run until the round budget is spent.  After each round the main thread
 waits for every subscriber to fold past the store's generation and asserts
@@ -105,7 +104,6 @@ def main(argv=None) -> int:
     parser.add_argument("--subscribers", type=int, default=5)
     parser.add_argument("--updates-per-round", type=int, default=40)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--replication", type=int, default=2)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
@@ -121,11 +119,7 @@ def main(argv=None) -> int:
     next_id = int(collection.ids.max()) + 1
 
     store = IntervalStore.open(
-        collection,
-        "hintm_hybrid",
-        num_shards=args.shards,
-        replication_factor=args.replication,
-        num_bits=8,
+        collection, "hintm_hybrid", num_shards=args.shards, num_bits=8
     )
     handle = start_server_thread(store, cache=128, streaming=True)
     admin = ServeClient(port=handle.port)
@@ -165,15 +159,6 @@ def main(argv=None) -> int:
 
             if round_no % 2 == 0:
                 admin.maintain(force=True)  # must emit no deltas
-            else:
-                shard = int(rng.integers(0, store.index.num_shards))
-                replica = int(rng.integers(0, args.replication))
-                survivors = store.index.kill_replica(shard, replica)
-                print(
-                    f"# round {round_no}: killed replica {replica} of shard "
-                    f"{shard} ({survivors} left)",
-                    flush=True,
-                )
 
             # barrier: every subscriber folds past the store's generation,
             # then its folded set must equal the brute-force oracle

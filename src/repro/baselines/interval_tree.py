@@ -73,7 +73,7 @@ class IntervalTree(IntervalIndex):
             self._size += 1
 
     @classmethod
-    def build(cls, collection: IntervalCollection, **kwargs) -> "IntervalTree":
+    def build(cls, collection: IntervalCollection) -> "IntervalTree":
         return cls(collection)
 
     # ------------------------------------------------------------------ #

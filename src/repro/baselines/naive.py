@@ -36,7 +36,7 @@ class NaiveIndex(IntervalIndex):
         self._live = np.ones(len(self._ids), dtype=bool)
 
     @classmethod
-    def build(cls, collection: IntervalCollection, **kwargs) -> "NaiveIndex":
+    def build(cls, collection: IntervalCollection) -> "NaiveIndex":
         return cls(collection)
 
     # ------------------------------------------------------------------ #

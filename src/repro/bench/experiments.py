@@ -2,8 +2,8 @@
 
 Each driver takes interval collections (and scale parameters) and returns
 plain dictionaries/lists that the ``benchmarks/`` suite renders with
-:mod:`repro.bench.reporting` and that ``scripts/run_experiments.py`` uses to
-regenerate ``EXPERIMENTS.md``.
+:mod:`repro.bench.reporting` and that ``scripts/run_experiments.py`` writes
+under ``benchmark_results/``.
 
 The drivers deliberately measure the same quantities as the paper (query
 throughput, index size, build time, replication factors, compared partitions)
@@ -883,15 +883,12 @@ def ingest_maintenance(
 ) -> Dict[str, List[dict]]:
     """The maintenance subsystem's two headline measurements.
 
-    **Buffered ingest** (``"ingest"`` rows): interleaved insert/delete
-    throughput on the same K-shard hybrid index under the two count-column
-    ingest modes.  ``eager`` reallocates each shard's sorted start/end
-    columns with ``np.insert``/``np.delete`` on every operation (the
-    pre-maintenance behaviour, O(shard size) per op); ``journal`` appends to
-    per-shard pending buffers (O(1) per op) and folds them lazily on the
-    next multi-shard count.  Before timing, and again after a forced
-    :meth:`~repro.engine.maintenance.MaintenanceCoordinator.maintain` pass,
-    every broad multi-shard ``query_count`` is asserted identical to the
+    **Buffered ingest** (the ``"ingest"`` row): interleaved insert/delete
+    throughput on a K-shard hybrid index, whose count-column journal
+    appends to per-shard pending buffers (O(1) per op) and folds them
+    lazily on the next multi-shard count.  After timing, and again after a
+    forced :meth:`~repro.engine.maintenance.MaintenanceCoordinator.maintain`
+    pass, every broad multi-shard ``query_count`` is asserted identical to the
     brute-force oracle over the live intervals -- the journal buys
     throughput, never exactness.
 
@@ -921,56 +918,44 @@ def ingest_maintenance(
             )
             if got != want:  # explicit: must survive python -O
                 raise RuntimeError(
-                    f"{index.ingest_mode} multi-shard count diverged from the "
-                    f"oracle on {query}: {got} != {want}"
+                    f"multi-shard count diverged from the oracle on {query}: "
+                    f"{got} != {want}"
                 )
 
     broad = _query_workload(collection, count_queries, count_extent_fraction, seed=seed + 1)
-    ingest_rows: List[dict] = []
-    throughput_by_mode: Dict[str, float] = {}
-    for mode in ("eager", "journal"):
-        index = ShardedIndex(
-            collection,
-            backend=backend,
-            num_shards=num_shards,
-            num_bits=num_bits,
-            ingest=mode,
-        )
-        best = 0.0
-        for repeat in range(max(1, repeats)):
-            stream = _interleaved_update_stream(collection, num_updates, seed=repeat)
-            start = time.perf_counter()
-            for kind, payload in stream:
-                if kind == "insert":
-                    index.insert(payload)
-                else:
-                    index.delete(payload)
-            elapsed = time.perf_counter() - start
-            if elapsed > 0:
-                best = max(best, len(stream) / elapsed)
-        # correctness brackets the timing: exact before and after maintain().
-        # The coordinator is created only now -- its activity tracking adds a
-        # clock read to every update, which must stay out of the timed loop.
-        oracle_counts(index, broad)
-        coordinator = MaintenanceCoordinator(index)
-        report = coordinator.maintain(force=True)
-        oracle_counts(index, broad)
-        throughput_by_mode[mode] = best
-        ingest_rows.append(
-            {
-                "mode": mode,
-                "backend": backend,
-                "num_shards": index.num_shards,
-                "ops": num_updates * max(1, repeats),
-                "ops_per_s": best,
-                "maintain_ms": report.seconds * 1000.0,
-                "counts_exact": True,
-            }
-        )
-        index.close()
-    eager = throughput_by_mode.get("eager", 0.0)
-    for row in ingest_rows:
-        row["speedup"] = row["ops_per_s"] / eager if eager else 0.0
+    index = ShardedIndex(
+        collection, backend=backend, num_shards=num_shards, num_bits=num_bits
+    )
+    best = 0.0
+    for repeat in range(max(1, repeats)):
+        stream = _interleaved_update_stream(collection, num_updates, seed=repeat)
+        start = time.perf_counter()
+        for kind, payload in stream:
+            if kind == "insert":
+                index.insert(payload)
+            else:
+                index.delete(payload)
+        elapsed = time.perf_counter() - start
+        if elapsed > 0:
+            best = max(best, len(stream) / elapsed)
+    # correctness brackets the timing: exact before and after maintain().
+    # The coordinator is created only now -- its activity tracking adds a
+    # clock read to every update, which must stay out of the timed loop.
+    oracle_counts(index, broad)
+    coordinator = MaintenanceCoordinator(index)
+    report = coordinator.maintain(force=True)
+    oracle_counts(index, broad)
+    ingest_rows = [
+        {
+            "backend": backend,
+            "num_shards": index.num_shards,
+            "ops": num_updates * max(1, repeats),
+            "ops_per_s": best,
+            "maintain_ms": report.seconds * 1000.0,
+            "counts_exact": True,
+        }
+    ]
+    index.close()
 
     refresh_rows: List[dict] = []
     if HAS_SHARED_MEMORY:
@@ -1215,8 +1200,8 @@ def table10_updates(
 
 
 # --------------------------------------------------------------------------- #
-# Serving throughput -- the query server's cache, admission control and
-# replica failover under a skewed concurrent workload
+# Serving throughput -- the query server's cache and admission control
+# under a skewed concurrent workload
 # --------------------------------------------------------------------------- #
 def _serve_workloads(
     collection: IntervalCollection,
@@ -1308,30 +1293,20 @@ def serving_throughput(
     extent_fraction: float = 0.05,
     num_clients: int = 4,
     num_shards: int = 4,
-    replication: int = 2,
     cache_capacity: int = 512,
     backend: str = "hintm_hybrid",
     seed: int = 7,
-) -> Dict[str, List[dict]]:
-    """The serving subsystem's two headline measurements.
+) -> List[dict]:
+    """Cached vs uncached serving, one row per mode.
 
-    **Cached vs uncached serving** (``"serving"`` rows): the same skewed
-    concurrent workload (``distinct`` broad hot queries, Zipf-weighted,
-    ``num_clients`` keep-alive connections) driven through the query server
-    twice -- once with the generation-keyed result cache, once with caching
+    The same skewed concurrent workload (``distinct`` broad hot queries,
+    Zipf-weighted, ``num_clients`` keep-alive connections) is driven through
+    the query server twice -- once with the generation-keyed result cache, once with caching
     disabled (capacity 0).  Every request round-trips real HTTP through the
     admission-controlled batching path; the cached leg answers repeats with
     pre-encoded bodies, which is where the >= 5x acceptance bar comes from.
     Before timing, one hot query's server answer is asserted identical to
     the store's direct evaluation.
-
-    **Replica failover** (``"failover"`` rows): the same workload against a
-    replication-factor ``replication`` store, killing one replica of the
-    busiest shard halfway through.  The row records throughput and that
-    every response stayed correct -- the kill degrades capacity, never
-    answers.
-
-    Returns ``{"serving": [...], "failover": [...]}`` row dicts.
     """
     from repro.engine.store import IntervalStore
     from repro.serve.client import ServeClient
@@ -1383,57 +1358,7 @@ def serving_throughput(
                 "p99_ms": quantiles["p99"] * 1000.0,
             }
         )
-
-    failover_rows: List[dict] = []
-    store = IntervalStore.open(
-        collection, backend, num_shards=num_shards, replication_factor=replication
-    )
-    handle = start_server_thread(store, cache=0)  # every request probes replicas
-    try:
-        probe = ServeClient(port=handle.port)
-        expected = {
-            (q.start, q.end): sorted(
-                store.query().overlapping(q.start, q.end).ids()
-            )
-            for q in hot
-        }
-        halves = [
-            (stream[: len(stream) // 2], stream[len(stream) // 2 :])
-            for stream in streams
-        ]
-        first_seconds, first_requests, _ = _drive_clients(
-            handle.port, [first for first, _ in halves]
-        )
-        # kill one replica of the busiest shard mid-workload
-        victim_shard = store.index.plan.shard_of(hot[0].start)
-        survivors = store.index.kill_replica(victim_shard, replica_id=0)
-        second_seconds, second_requests, _ = _drive_clients(
-            handle.port, [second for _, second in halves]
-        )
-        correct = all(
-            sorted(probe.query(q.start, q.end)["ids"]) == expected[(q.start, q.end)]
-            for q in hot
-        )
-        health = store.index.replica_health()
-        probe.close()
-    finally:
-        handle.stop()
-        store.close()
-    for stage, seconds, requests in (
-        ("all replicas", first_seconds, first_requests),
-        ("one replica killed", second_seconds, second_requests),
-    ):
-        failover_rows.append(
-            {
-                "stage": stage,
-                "qps": requests / seconds if seconds else 0.0,
-                "survivors": survivors,
-                "victim_shard": victim_shard,
-                "correct": correct,
-                "replica_health": health,
-            }
-        )
-    return {"serving": serving_rows, "failover": failover_rows}
+    return serving_rows
 
 
 # --------------------------------------------------------------------------- #

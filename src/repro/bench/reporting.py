@@ -133,18 +133,16 @@ def render_ingest_maintenance(result: Mapping[str, Sequence[Mapping]]) -> str:
     """
     ingest = format_table(
         "Buffered ingest -- insert/delete throughput on a K-shard hybrid "
-        "(speedup vs eager np.insert count columns)",
-        ["mode", "backend", "K", "ops", "ops/s", "maintain [ms]", "counts exact", "speedup"],
+        "(journaled count columns, folded lazily)",
+        ["backend", "K", "ops", "ops/s", "maintain [ms]", "counts exact"],
         [
             [
-                r["mode"],
                 r["backend"],
                 r["num_shards"],
                 r["ops"],
                 r["ops_per_s"],
                 r["maintain_ms"],
                 r["counts_exact"],
-                r["speedup"],
             ]
             for r in result["ingest"]
         ],
@@ -189,14 +187,14 @@ def render_durable_ingest(rows: Sequence[Mapping]) -> str:
     )
 
 
-def render_serving_throughput(result: Mapping[str, Sequence[Mapping]]) -> str:
-    """Render :func:`repro.bench.experiments.serving_throughput`'s two tables.
+def render_serving_throughput(rows: Sequence[Mapping]) -> str:
+    """Render :func:`repro.bench.experiments.serving_throughput`'s table.
 
     Shared by ``scripts/run_experiments.py`` and
     ``benchmarks/bench_serving.py`` so the CI report and the saved benchmark
     report cannot drift apart.
     """
-    serving = format_table(
+    return format_table(
         "Serving throughput -- skewed workload through the query server "
         "(speedup of the generation-keyed cache vs uncached; latency "
         "quantiles are client-observed per-request wall times in ms)",
@@ -205,19 +203,9 @@ def render_serving_throughput(result: Mapping[str, Sequence[Mapping]]) -> str:
         [
             [r["mode"], r["requests"], r["qps"], r["hit_rate"], r["speedup"],
              r.get("p50_ms", 0.0), r.get("p95_ms", 0.0), r.get("p99_ms", 0.0)]
-            for r in result["serving"]
+            for r in rows
         ],
     )
-    failover = format_table(
-        "Replica failover -- killing one replica of the busiest shard "
-        "mid-workload (correctness asserted against the store)",
-        ["stage", "req/s", "victim shard", "survivors", "correct"],
-        [
-            [r["stage"], r["qps"], r["victim_shard"], r["survivors"], r["correct"]]
-            for r in result["failover"]
-        ],
-    )
-    return serving + "\n\n" + failover
 
 
 def render_cluster_routing(result: Mapping[str, Sequence[Mapping]]) -> str:

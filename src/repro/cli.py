@@ -26,9 +26,9 @@ Examples::
     # model-recommended shard count per execution strategy (no updates run)
     python -m repro maintain data.csv --recommend-only
 
-    # serve the collection over JSON-over-HTTP (epoch snapshots, replicated
-    # shards, admission control, invalidation-aware result cache)
-    python -m repro serve data.csv --port 8080 --shards 4 --replication 2
+    # serve the collection over JSON-over-HTTP (epoch snapshots, admission
+    # control, invalidation-aware result cache)
+    python -m repro serve data.csv --port 8080 --shards 4
 
     # register a standing query on a running server and follow its deltas
     python -m repro subscribe --port 8080 --start 100 --end 200
@@ -74,7 +74,6 @@ from repro.engine import IntervalStore, available_backends, backend_specs, get_s
 from repro.engine._procworker import KERNEL_KINDS
 from repro.engine.executor import EXECUTOR_KINDS, available_cores
 from repro.engine.maintenance import MAINTENANCE_POLICIES, recommend_shard_count
-from repro.engine.replication import ROUTING_POLICIES
 from repro.engine.sharding import PARTITION_STRATEGIES
 from repro.durability.wal import FSYNC_POLICIES
 from repro.hint.model import DatasetStatistics, estimate_m_opt, replication_factor
@@ -102,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     policy_names = [name for name, _ in MAINTENANCE_POLICIES]
     policy_help = "; ".join(f"{name}: {blurb}" for name, blurb in MAINTENANCE_POLICIES)
 
-    routing_names = [name for name, _ in ROUTING_POLICIES]
-    routing_help = "; ".join(f"{name}: {blurb}" for name, blurb in ROUTING_POLICIES)
-
     def add_execution_args(sub: argparse.ArgumentParser) -> None:
         """--shards/--workers/--executor/..., shared by query/batch/bench/serve."""
         sub.add_argument("--shards", type=int, default=1, metavar="K",
@@ -118,12 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--shard-strategy", choices=PARTITION_STRATEGIES,
                          default="equi_width",
                          help="how shard boundaries are chosen (default: %(default)s)")
-        sub.add_argument("--replication", type=int, default=1, metavar="R",
-                         help="replicas per shard; probes route across healthy "
-                              "replicas and fail over transparently (default: 1)")
-        sub.add_argument("--routing", choices=routing_names, default="round_robin",
-                         help=f"replica routing policy -- {routing_help} "
-                              "(default: %(default)s)")
 
     def add_durability_args(sub: argparse.ArgumentParser) -> None:
         """--wal-dir/--fsync, shared by maintain/serve (the update paths)."""
@@ -199,11 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"execution strategy for the parallel rows -- {executor_help}")
     bench.add_argument("--shard-strategy", choices=PARTITION_STRATEGIES,
                        default="equi_width")
-    bench.add_argument("--replication", type=int, default=1, metavar="R",
-                       help="replicas per shard for every swept row (default: 1)")
-    bench.add_argument("--routing", choices=routing_names, default="round_robin",
-                       help=f"replica routing policy -- {routing_help} "
-                            "(default: %(default)s)")
     add_maintenance_arg(bench)
 
     maintain = subparsers.add_parser(
@@ -471,14 +456,12 @@ def _open_store(
     workers: Optional[int] = None,
     executor: Optional[str] = None,
     shard_strategy: str = "equi_width",
-    replication: int = 1,
-    routing: str = "round_robin",
     wal_dir: Optional[Path] = None,
     fsync: str = "interval",
 ) -> IntervalStore:
     """Build an :class:`IntervalStore`, auto-tuning ``m`` when not given.
 
-    ``shards > 1`` (or ``replication > 1``) yields a
+    ``shards > 1`` yields a
     :class:`repro.engine.ShardedStore` over ``name``; ``executor`` names the
     execution strategy (serial/threads/processes), sized by ``workers``; a
     bare ``workers`` count means a thread pool.
@@ -504,8 +487,6 @@ def _open_store(
         strategy=shard_strategy,
         workers=workers,
         executor=executor,
-        replication_factor=replication,
-        routing=routing,
         wal_dir=str(wal_dir) if wal_dir is not None else None,
         fsync=fsync,
         **opts,
@@ -531,8 +512,6 @@ def _command_query(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         shard_strategy=args.shard_strategy,
-        replication=args.replication,
-        routing=args.routing,
     )
     build_seconds = time.perf_counter() - build_start
 
@@ -581,8 +560,6 @@ def _command_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         shard_strategy=args.shard_strategy,
-        replication=args.replication,
-        routing=args.routing,
     )
     batch = store.run_batch(queries, count_only=args.count_only)
     maintenance_line = _run_maintenance(store, args.maintenance)
@@ -646,8 +623,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             workers=args.workers if parallel else None,
             executor=args.executor if parallel else None,
             shard_strategy=args.shard_strategy,
-            replication=args.replication,
-            routing=args.routing,
         )
         build_seconds = time.perf_counter() - build_start
         throughput = measure_throughput(store.index, queries, repeats=args.repeats)
@@ -713,8 +688,6 @@ def _command_maintain(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         shard_strategy=args.shard_strategy,
-        replication=args.replication,
-        routing=args.routing,
         wal_dir=args.wal_dir,
         fsync=args.fsync,
     )
@@ -757,7 +730,6 @@ def _command_maintain(args: argparse.Namespace) -> int:
 
 def _print_maintenance_state(label: str, state: dict) -> None:
     interesting = (
-        "ingest_mode",
         "pending_per_shard",
         "delta_per_shard",
         "copies_per_shard",
@@ -791,8 +763,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         executor=args.executor,
         shard_strategy=args.shard_strategy,
-        replication=args.replication,
-        routing=args.routing,
         wal_dir=args.wal_dir,
         fsync=args.fsync,
     )
@@ -828,8 +798,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         stream=store.restored_stream,
     )
     print(
-        f"# serving {len(store)} intervals ({_describe_store(store)}, "
-        f"replication={args.replication}) -- Ctrl-C to drain and stop"
+        f"# serving {len(store)} intervals ({_describe_store(store)}) "
+        f"-- Ctrl-C to drain and stop"
     )
     try:
         # run() drains on Ctrl-C: admitted requests finish, then the
@@ -1102,7 +1072,7 @@ def _command_list_backends(args: argparse.Namespace) -> int:
         print(f"  {name:<10s} {blurb}")
     print()
     print("batch kernels (process executor; worker-resident, delta-shipped, "
-          "replica-aware retry + per-worker healing):")
+          "retry + per-worker healing):")
     for name, blurb in KERNEL_KINDS:
         print(f"  {name:<12s} {blurb}")
     print()
@@ -1111,9 +1081,7 @@ def _command_list_backends(args: argparse.Namespace) -> int:
     for name, blurb in MAINTENANCE_POLICIES:
         print(f"  {name:<10s} {blurb}")
     print()
-    print("serving (repro serve; replica routing via --replication/--routing):")
-    for name, blurb in ROUTING_POLICIES:
-        print(f"  {name:<12s} {blurb}")
+    print("serving (repro serve):")
     print("  cache        LRU keyed on query + content generation; updates and "
           "maintenance invalidate by construction")
     print("  admission    bounded in-flight queue; overload answers 503 + "

@@ -24,6 +24,7 @@ from repro.cluster.router import (
     ClusterRouter,
     ClusterUpdateError,
     NoHealthyReplicaError,
+    ReplicaFailure,
 )
 from repro.cluster.shard_server import (
     SHARD_BATCH_KINDS,
@@ -46,6 +47,7 @@ __all__ = [
     "ClusterUpdateError",
     "Endpoint",
     "NoHealthyReplicaError",
+    "ReplicaFailure",
     "ShardServer",
     "TopologyError",
     "start_shard_server_thread",

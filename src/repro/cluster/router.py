@@ -16,9 +16,8 @@ A :class:`ClusterRouter` gives clients the single-store query API over a
   (``start >= cuts[j-1]``), so the per-shard counts sum exactly;
 * **failover** -- replicas of one shard are interchangeable.  Probes
   rotate round-robin; a connect failure, 503 or 5xx marks the replica
-  failed for a cooldown (recorded as a
-  :class:`~repro.engine.replication.ReplicaFailure` row, the same contract
-  as in-process replica sets) and the probe moves to the next replica.
+  failed for a cooldown (recorded as a :class:`ReplicaFailure` row) and
+  the probe moves to the next replica.
   Once every replica of a shard has failed, :class:`NoHealthyReplicaError`
   carries the per-replica record;
 * **distributed result cache** -- answers are cached keyed on
@@ -47,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlsplit
 
 from repro.core.errors import ReproError
-from repro.engine.replication import ReplicaFailure
 from repro.engine.results import merge_unique_ids
 from repro.cluster.topology import ClusterTopology, Endpoint
 from repro.obs import MetricsRegistry, SlowQueryLog, global_registry, tracing
@@ -63,8 +61,18 @@ __all__ = [
     "ClusterRouter",
     "ClusterUpdateError",
     "NoHealthyReplicaError",
+    "ReplicaFailure",
     "RouterAdminHandle",
 ]
+
+
+@dataclasses.dataclass(frozen=True)
+class ReplicaFailure:
+    """One replica endpoint that failed to answer a probe or an update."""
+
+    shard_id: int
+    replica_id: int
+    error: str
 
 
 class NoHealthyReplicaError(ReproError, ConnectionError):

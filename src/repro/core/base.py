@@ -80,7 +80,6 @@ class QueryStats:
             "ingest_pending",
             "snapshot_generation",
             "epoch",
-            "replicas_failed",
             "cache_hits",
             "cache_size",
             "cache_stale_served",

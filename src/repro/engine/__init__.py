@@ -17,9 +17,6 @@
   shared-memory columns (:mod:`repro.engine._procworker`),
 * :mod:`repro.engine.sharding` -- the domain partitioner
   (:class:`ShardPlan`, equi-width and balanced strategies),
-* :mod:`repro.engine.replication` -- per-shard replica sets
-  (:class:`ShardReplicaSet`): routed probes across R copies of each shard
-  with transparent failover and maintenance-driven healing,
 * :mod:`repro.engine.sharded` -- :class:`ShardedIndex`/:class:`ShardedStore`,
   K time-range shards over any registered backend, with epoch-based read
   snapshots (:class:`Epoch`): queries pin one immutable generation of the
@@ -64,7 +61,6 @@ from repro.engine.registry import (
     register_backend,
     resolve_backend,
 )
-from repro.engine.replication import ROUTING_POLICIES, ReplicaFailure, ShardReplicaSet
 from repro.engine.results import MergedResultSet, ResultSet
 from repro.engine.sharded import Epoch, ShardedIndex, ShardedStore
 from repro.engine.sharding import PARTITION_STRATEGIES, ShardPlan, partition_collection
@@ -88,14 +84,11 @@ __all__ = [
     "PARTITION_STRATEGIES",
     "ProcessExecutor",
     "QueryBuilder",
-    "ROUTING_POLICIES",
     "RebuildPolicy",
-    "ReplicaFailure",
     "ResultSet",
     "SerialExecutor",
     "ShardHealth",
     "ShardPlan",
-    "ShardReplicaSet",
     "ShardedIndex",
     "ShardedStore",
     "ThreadedExecutor",

@@ -18,8 +18,7 @@ This module is the missing layer.  Four pieces compose:
   (O(1) per op) and are folded into the sorted start/end count columns
   *lazily*, on the next multi-shard count or an explicit
   :meth:`IngestJournal.fold` -- one vectorised merge instead of one
-  reallocation per operation.  ``eager=True`` keeps the old
-  per-op-``np.insert`` behaviour for comparison benchmarks.  Fold
+  reallocation per operation.  Fold
   ownership is split by execution path: these parent-side columns serve
   the in-process counting path, while batched counts over a process
   executor fold *in the workers* -- each counting kernel ships the
@@ -84,9 +83,6 @@ __all__ = [
     "resolve_policy",
 ]
 
-#: ingest modes accepted by :class:`IngestJournal` and ``ShardedIndex``
-INGEST_MODES: Tuple[str, ...] = ("journal", "eager")
-
 #: backends whose per-query cost scales with the amount of data scanned --
 #: shard pruning alone buys ~K on these, even serially.  Everything else is
 #: treated as traversal-/result-bound (the HINT family, the interval tree):
@@ -103,12 +99,10 @@ class CountColumns:
 
     The sorted columns answer the home-shard counting bisections
     (``ends >= q.start`` in the query's first shard, ``start in
-    [cut, q.end]`` in later ones).  In ``journal`` mode an update appends the
-    affected values to pending add/remove buffers -- O(1) -- and
-    :meth:`fold` merges all of them into the sorted columns in one
-    vectorised pass; the counting accessors fold first, so counts are always
-    exact.  In ``eager`` mode every update reallocates the columns
-    immediately (the pre-maintenance behaviour, kept for benchmarks).
+    [cut, q.end]`` in later ones).  An update appends the affected values to
+    pending add/remove buffers -- O(1) -- and :meth:`fold` merges all of
+    them into the sorted columns in one vectorised pass; the counting
+    accessors fold first, so counts are always exact.
 
     Every mutation (recording, folding, and the fold step of the counting
     accessors) serialises on a per-column lock: count-only batches fan
@@ -121,7 +115,6 @@ class CountColumns:
     __slots__ = (
         "starts",
         "ends",
-        "eager",
         "_lock",
         "_add_starts",
         "_add_ends",
@@ -133,11 +126,9 @@ class CountColumns:
         self,
         starts: "Sequence[int] | np.ndarray",
         ends: "Sequence[int] | np.ndarray",
-        eager: bool = False,
     ) -> None:
         self.starts = np.sort(np.asarray(starts, dtype=np.int64))
         self.ends = np.sort(np.asarray(ends, dtype=np.int64))
-        self.eager = eager
         self._lock = threading.Lock()
         self._add_starts: List[int] = []
         self._add_ends: List[int] = []
@@ -171,27 +162,11 @@ class CountColumns:
     # ------------------------------------------------------------------ #
     def record_insert(self, start: int, end: int) -> None:
         with self._lock:
-            if self.eager:
-                self.starts = np.insert(
-                    self.starts, int(np.searchsorted(self.starts, start)), start
-                )
-                self.ends = np.insert(
-                    self.ends, int(np.searchsorted(self.ends, end)), end
-                )
-                return
             self._add_starts.append(start)
             self._add_ends.append(end)
 
     def record_delete(self, start: int, end: int) -> None:
         with self._lock:
-            if self.eager:
-                self.starts = np.delete(
-                    self.starts, int(np.searchsorted(self.starts, start, side="left"))
-                )
-                self.ends = np.delete(
-                    self.ends, int(np.searchsorted(self.ends, end, side="left"))
-                )
-                return
             self._del_starts.append(start)
             self._del_ends.append(end)
 
@@ -257,8 +232,6 @@ class IngestJournal:
     Args:
         pieces: the partitioned sub-collections, in shard order (each shard's
             columns start from its copies' endpoints).
-        eager: propagate per-op reallocation mode to every column (benchmark
-            comparison only).
         fold_threshold: optional bound on any shard's pending-buffer depth;
             exceeding it folds that shard immediately, keeping worst-case
             buffer memory in check on very long ingest bursts.
@@ -267,21 +240,14 @@ class IngestJournal:
     def __init__(
         self,
         pieces: Sequence[IntervalCollection],
-        eager: bool = False,
         fold_threshold: Optional[int] = None,
     ) -> None:
         if fold_threshold is not None and fold_threshold < 1:
             raise ValueError(f"fold_threshold must be >= 1, got {fold_threshold}")
-        self._columns = [CountColumns(p.starts, p.ends, eager=eager) for p in pieces]
+        self._columns = [CountColumns(p.starts, p.ends) for p in pieces]
         self._fold_threshold = fold_threshold
-        self.eager = eager
 
     # ------------------------------------------------------------------ #
-    @property
-    def mode(self) -> str:
-        """``"eager"`` or ``"journal"``."""
-        return "eager" if self.eager else "journal"
-
     @property
     def num_shards(self) -> int:
         return len(self._columns)
@@ -581,9 +547,6 @@ class MaintenanceConfig:
             and configure a :class:`CostModelRebuildPolicy` with them, so
             the amortisation argument uses measured rather than default
             costs.  A no-op for policies without ``beta_cmp``.
-        rebuild_replicas: heal failed shard replicas during each pass
-            (fresh builds from the live collection; see
-            :meth:`repro.engine.sharded.ShardedIndex.rebuild_failed_replicas`).
         repartition: allow cut re-balancing when skew drifts.
         skew_threshold: trigger re-partitioning when the largest shard holds
             more than this multiple of the mean shard size *and* updates
@@ -601,7 +564,6 @@ class MaintenanceConfig:
 
     policy: Union[RebuildPolicy, str, None] = None
     calibrate: bool = False
-    rebuild_replicas: bool = True
     repartition: bool = True
     skew_threshold: float = 1.5
     refresh_snapshot: bool = True
@@ -618,8 +580,6 @@ class MaintenanceReport:
         folded_ops: journal operations folded into the count columns.
         rebuilt_shards: shard ids whose hybrid delta was merged into a fresh
             main index.
-        replicas_rebuilt: ``(shard_id, replica_id)`` pairs of failed shard
-            replicas healed with fresh builds from the live collection.
         repartitioned: True when cut skew triggered a re-balance.
         cuts: the (possibly new) interior cut points after the pass.
         skew: measured shard-size skew (max/mean) before the pass.
@@ -640,7 +600,6 @@ class MaintenanceReport:
 
     folded_ops: int = 0
     rebuilt_shards: List[int] = field(default_factory=list)
-    replicas_rebuilt: List[Tuple[int, int]] = field(default_factory=list)
     repartitioned: bool = False
     cuts: Tuple[int, ...] = ()
     skew: float = 0.0
@@ -658,7 +617,6 @@ class MaintenanceReport:
         return (
             (1 if self.folded_ops else 0)
             + len(self.rebuilt_shards)
-            + len(self.replicas_rebuilt)
             + (1 if self.repartitioned else 0)
             + (1 if self.snapshot_refreshed else 0)
             + (1 if self.checkpointed else 0)
@@ -669,8 +627,6 @@ class MaintenanceReport:
         parts = [f"folded {self.folded_ops} ops"]
         if self.rebuilt_shards:
             parts.append(f"rebuilt shards {self.rebuilt_shards}")
-        if self.replicas_rebuilt:
-            parts.append(f"healed replicas {self.replicas_rebuilt}")
         if self.repartitioned:
             parts.append(f"re-partitioned (skew {self.skew:.2f}, cuts {list(self.cuts)})")
         if self.snapshot_refreshed:
@@ -904,7 +860,7 @@ class MaintenanceCoordinator:
     def _emit_maintained(self) -> None:
         """Tell update listeners a pass finished (a ``sync``, never a delta).
 
-        Journal folds, replica heals and snapshot refreshes reorganise
+        Journal folds, shard rebuilds and snapshot refreshes reorganise
         state without changing the queryable contents; standing-query
         clients long-polling the serving tier still want the wakeup so
         their acked generation can advance past any epoch publications the
@@ -920,14 +876,6 @@ class MaintenanceCoordinator:
         if generation is None:
             return
         emit("maintained", None, int(generation))
-
-    def _built_replicas(self, shard_id: int) -> List:
-        """Every built replica of one shard (just the primary when unreplicated)."""
-        built = getattr(self._index, "built_replicas", None)
-        if built is not None:
-            return built(shard_id)
-        shard = self._index.built_shards[shard_id]
-        return [shard] if shard is not None else []
 
     def _maintain_plain(self, report: MaintenanceReport, force: bool) -> None:
         index = self._index
@@ -976,21 +924,10 @@ class MaintenanceCoordinator:
                     self._last_rebuild = {
                         shard: time.time() for shard in range(index.num_shards)
                     }
-        # heal failed replicas with fresh builds from the live collection.
-        # Skipped after a repartition: the fresh epoch's replica sets come
-        # back fully healthy anyway.
-        if (
-            not report.repartitioned
-            and config.rebuild_replicas
-            and hasattr(index, "rebuild_failed_replicas")
-        ):
-            report.replicas_rebuilt = index.rebuild_failed_replicas()
         # rebuild hybrid shards the policy flags (only shards already built
         # in this process -- worker-resident copies rebuild from the next
-        # snapshot publication instead).  Every built replica of a flagged
-        # shard rebuilds, so routed probes stay delta-free on all copies.
-        # Skipped after a repartition: the fresh shard builds have empty
-        # deltas.
+        # snapshot publication instead).  Skipped after a repartition: the
+        # fresh shard builds have empty deltas.
         if not report.repartitioned:
             for health in self.shard_health():
                 shard = index.built_shards[health.shard_id]
@@ -999,9 +936,7 @@ class MaintenanceCoordinator:
                 if (force and health.delta) or (
                     not force and self._policy.should_rebuild(health)
                 ):
-                    for replica in self._built_replicas(health.shard_id):
-                        if hasattr(replica, "rebuild"):
-                            replica.rebuild()
+                    shard.rebuild()
                     self._last_rebuild[health.shard_id] = time.time()
                     report.rebuilt_shards.append(health.shard_id)
         report.cuts = tuple(index.plan.cuts)

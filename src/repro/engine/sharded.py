@@ -6,17 +6,17 @@
 * the **partitioner** (:mod:`repro.engine.sharding`) splits the collection
   into K time-range shards, duplicating intervals that span shard
   boundaries;
-* each shard is served by **any registered backend** (default: the optimized
-  HINT^m with per-shard model-tuned ``m``), optionally as ``R`` replicated
-  copies (:mod:`repro.engine.replication`) with round-robin or least-loaded
-  probe routing and transparent failover;
+* each shard is served by one index of **any registered backend** (default:
+  the optimized HINT^m with per-shard model-tuned ``m``) -- copies for
+  availability are whole processes behind :mod:`repro.cluster`, not
+  in-process state;
 * a pluggable **executor** (:mod:`repro.engine.executor`) fans batches out
   across worker threads or worker *processes*, with serial execution as the
   K=1 degenerate case.
 
 Queries are *planned*: only the shards overlapping the query range are
 probed, and multi-shard answers are deduplicated by id.  Updates are
-*routed*: an insert goes to every replica of every shard whose range the new
+*routed*: an insert goes to every shard whose range the new
 interval overlaps (so with ``backend="hintm_hybrid"`` it lands in the owning
 shard's delta index), and a delete probes only the shards recorded as
 holding a copy (an id -> span locator is maintained from build time).
@@ -24,7 +24,7 @@ holding a copy (an id -> span locator is maintained from build time).
 Three consistency/execution mechanisms deserve detail:
 
 **Epoch-based read snapshots.**  All partition-dependent state -- the plan,
-the per-shard replica sets, the ingest journal and the id -> span locator --
+the per-shard indexes, the ingest journal and the id -> span locator --
 lives in one :class:`Epoch` object, and the index holds a single reference
 to the current epoch.  Every query pins that reference *once* on entry and
 runs entirely against the pinned epoch, so maintenance operations that
@@ -52,11 +52,11 @@ journal folds out of the parent: counting kernels ship the pending update
 deltas accumulated since the last snapshot publication with each task, so
 an update-dirty index keeps its counting fan-out (materialising batches
 still fall back in-process until :meth:`ShardedIndex.refresh_snapshot`).
-Task routing is replica-aware: a kernel task that fails is retried against
-a respawned pool (fresh workers re-attach the snapshot and rebuild their
-residencies -- per-worker healing), and only when every worker path is
-exhausted does the task fall back to the epoch's in-process replica sets
-and the index-wide fan-out flag trip until the next refresh.
+A kernel task that fails is retried against a respawned pool (fresh
+workers re-attach the snapshot and rebuild their residencies -- per-worker
+healing), and only when every worker path is exhausted does the task fall
+back to the epoch's in-process shard indexes and the index-wide fan-out
+flag trip until the next refresh.
 
 **Home-shard counting.**  Boundary-spanning intervals are duplicated, so a
 multi-shard count used to materialise ids and deduplicate.  Instead, the
@@ -70,17 +70,15 @@ O(log n) bisections, so ``query_count`` over K shards costs O(K log n) and
 never builds an id list.  The sorted columns live in a **buffered ingest
 journal** (:class:`repro.engine.maintenance.IngestJournal`): updates append
 to per-shard pending buffers in O(1) and fold into the columns lazily, on
-the next multi-shard count (``ingest="eager"`` restores the historical
-reallocate-per-op behaviour for comparison).
+the next multi-shard count.
 
-Maintenance -- folding journals, rebuilding hybrid shard deltas and failed
-replicas, re-balancing cuts on skew and republishing the shared-memory
-snapshot so a process executor regains fan-out after updates -- is owned by
+Maintenance -- folding journals, rebuilding hybrid shard deltas,
+re-balancing cuts on skew and republishing the shared-memory snapshot so a
+process executor regains fan-out after updates -- is owned by
 :class:`repro.engine.maintenance.MaintenanceCoordinator`; the hooks it
 drives (:meth:`ShardedIndex.refresh_snapshot`,
-:meth:`ShardedIndex.repartition`,
-:meth:`ShardedIndex.rebuild_failed_replicas`,
-:attr:`ShardedIndex.ingest_journal`) live here.
+:meth:`ShardedIndex.repartition`, :attr:`ShardedIndex.ingest_journal`) live
+here.
 
 :class:`ShardedStore` is the :class:`repro.engine.store.IntervalStore`
 facade over a sharded index; its fluent queries yield
@@ -125,9 +123,8 @@ from repro.engine.executor import (
     resolve_executor,
     split_chunks,
 )
-from repro.engine.maintenance import INGEST_MODES, IngestJournal
+from repro.engine.maintenance import IngestJournal
 from repro.engine.registry import create_index, get_spec, register_backend, resolve_backend
-from repro.engine.replication import ReplicaFailure, ShardReplicaSet
 from repro.engine.results import MergedResultSet, ResultSet, merge_unique_ids
 from repro.engine.sharding import ShardPlan, partition_collection, shard_mask
 from repro.engine.store import DEFAULT_BACKEND, IntervalStore
@@ -140,12 +137,7 @@ _TOKENS = itertools.count()
 
 #: engine-wide health counters on the process-global registry -- every
 #: server's /metrics shows them via parent-chaining, and tests/operators
-#: can watch replica failures without holding a reference to any index
-_REPLICA_FAILURES = global_registry().counter(
-    "repro_replica_failures_total",
-    "replica probe/kernel failures recorded (shard/replica -1: a pool-level failure)",
-    labelnames=("shard", "replica"),
-)
+#: can watch worker-pool failures without holding a reference to any index
 _KERNEL_RETRIES = global_registry().counter(
     "repro_kernel_retries_total",
     "kernel tasks resubmitted after a worker-pool failure",
@@ -155,7 +147,7 @@ _FANOUT_TRIPS = global_registry().counter(
     "times kernel fan-out tripped off after healing was exhausted",
 )
 
-#: how many replica/worker failures the index keeps for diagnostics
+#: how many worker-pool failures the index keeps for diagnostics
 _FAILURE_HISTORY = 64
 
 #: per-shard cap on the pending-update delta log shipped with counting
@@ -168,7 +160,7 @@ class Epoch:
     """One complete, consistent generation of a sharded index's partition state.
 
     Everything a reader needs to answer a query against one version of the
-    partitioning -- the plan, the per-shard replica sets, the ingest journal
+    partitioning -- the plan, the per-shard indexes, the ingest journal
     backing home-shard counting and the id -> span locator -- travels
     together in one object.  Queries pin the owning index's current epoch
     with a single reference read and never look back at the index for
@@ -179,37 +171,42 @@ class Epoch:
     Attributes:
         epoch_id: monotonically increasing generation number (0 at build).
         plan: the :class:`~repro.engine.sharding.ShardPlan` of this epoch.
-        replica_sets: one :class:`~repro.engine.replication.ShardReplicaSet`
-            per shard, in domain order.
+        shards: one backend index per shard, in domain order.  ``None``
+            marks a shard not yet built in this process (a process executor
+            keeps shards worker-resident); :meth:`ShardedIndex._shard`
+            builds it on demand from ``source``.  An update always builds
+            the shards it touches *before* applying, so an unbuilt slot has
+            absorbed no update since the epoch was installed and the source
+            still reproduces it exactly.
         journal: the home-shard counting journal (``None`` when K == 1).
         locator: id -> ``(start, end)`` of every live interval (``None``
-            only for the unreplicated K == 1 degenerate case).
+            only for the K == 1 degenerate case).
         source: the collection this epoch's lazy shard builds draw from;
             kept content-equivalent to the build state of the epoch (updates
-            route through built replicas, and snapshot refreshes replace it
-            with the equivalent live collection).  ``None`` when every
-            primary was built eagerly and no lazy replica can exist
-            (in-process executor, R == 1) -- nothing would ever read it, and
-            pinning the build collection for the index's lifetime would be
-            dead memory.
+            route through built shards, and snapshot refreshes replace it
+            with the equivalent live collection).  ``None`` when every shard
+            was built at install (in-process executor) -- nothing would ever
+            read it, and pinning the build collection for the index's
+            lifetime would be dead memory.
     """
 
-    __slots__ = ("epoch_id", "plan", "replica_sets", "journal", "locator", "source")
+    __slots__ = ("epoch_id", "plan", "shards", "journal", "locator", "source")
 
     def __init__(
         self,
         epoch_id: int,
         plan: ShardPlan,
+        shards: List[Optional[IntervalIndex]],
         journal: Optional[IngestJournal],
         locator: Optional[Dict[int, Tuple[int, int]]],
         source: Optional[IntervalCollection],
     ) -> None:
         self.epoch_id = epoch_id
         self.plan = plan
+        self.shards = shards
         self.journal = journal
         self.locator = locator
         self.source = source
-        self.replica_sets: List[ShardReplicaSet] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Epoch(id={self.epoch_id}, K={self.plan.num_shards})"
@@ -239,18 +236,6 @@ class ShardedIndex(IntervalIndex):
             :class:`repro.engine.executor.Executor` instance).
         workers: worker count paired with a string ``executor`` spec
             (``executor="processes", workers=4``).
-        replication_factor: replicas per shard (default 1).  With R > 1,
-            in-process probes route across the healthy replicas of each
-            shard and fail over transparently when one raises; failed
-            replicas are rebuilt from the live collection by maintenance.
-            Replicas beyond the primary are built lazily, on first routing
-            selection or on the first update touching their shard.
-        routing: replica routing policy, ``"round_robin"`` (default) or
-            ``"least_loaded"`` (see :mod:`repro.engine.replication`).
-        ingest: ``"journal"`` (default) buffers count-column updates per
-            shard and folds them lazily; ``"eager"`` reallocates the sorted
-            columns on every insert/delete (the historical behaviour, kept
-            for benchmark comparison).
         fold_threshold: optional cap on any shard's pending journal depth;
             hitting it folds that shard immediately, bounding buffer memory
             on ingest bursts whose queries never take the multi-shard
@@ -268,9 +253,6 @@ class ShardedIndex(IntervalIndex):
         strategy: str = "equi_width",
         executor: "Executor | int | str | None" = None,
         workers: "int | None" = None,
-        replication_factor: int = 1,
-        routing: str = "round_robin",
-        ingest: str = "journal",
         fold_threshold: "int | None" = None,
         **opts,
     ) -> None:
@@ -278,20 +260,11 @@ class ShardedIndex(IntervalIndex):
         spec = get_spec(self._backend)
         if spec.composite:
             raise ValueError("sharded indexes cannot nest another composite backend")
-        if ingest not in INGEST_MODES:
-            raise ValueError(f"unknown ingest mode {ingest!r}; use one of {INGEST_MODES}")
-        if replication_factor < 1:
-            raise ValueError(
-                f"replication_factor must be >= 1, got {replication_factor}"
-            )
         opts = dict(opts)
         if spec.tunable and "num_bits" not in opts:
             opts["num_bits"] = "auto"
         self._opts = opts
-        self._ingest = ingest
         self._fold_threshold = fold_threshold
-        self._replication = replication_factor
-        self._routing_policy = routing
         # a caller-supplied instance (through either parameter) stays the
         # caller's to close; specs the index resolved itself are owned
         self._owns_executor = not (
@@ -346,8 +319,8 @@ class ShardedIndex(IntervalIndex):
         #: prefixes so a read torn by a concurrent update is retried
         #: instead of shipped
         self._kernel_delta_version = 0
-        #: most recent replica/worker failures (shard_id -1 = worker pool)
-        self._failures: Deque[ReplicaFailure] = deque(maxlen=_FAILURE_HISTORY)
+        #: error strings of the most recent worker-pool failures
+        self._failures: Deque[str] = deque(maxlen=_FAILURE_HISTORY)
         #: :func:`time.time` of the last snapshot publication, ``None``
         #: before the first one (surfaced by ``maintenance_state``)
         self.last_refresh: Optional[float] = None
@@ -389,9 +362,9 @@ class ShardedIndex(IntervalIndex):
         """Build a complete fresh :class:`Epoch` for ``collection`` and publish it.
 
         Shared by construction and :meth:`repartition`: the plan, the ingest
-        journal + locator bookkeeping, and the per-shard replica sets --
-        primaries eager in-process, lazy (worker-resident over a fresh
-        shared-memory snapshot) under a process executor -- are assembled
+        journal + locator bookkeeping, and the per-shard indexes -- built
+        here in-process, lazy (worker-resident over a fresh shared-memory
+        snapshot) under a process executor -- are assembled
         off to the side and installed with one atomic reference assignment,
         so concurrent readers see either the previous epoch or this one,
         never a mix.
@@ -407,55 +380,36 @@ class ShardedIndex(IntervalIndex):
         journal: Optional[IngestJournal] = None
         locator: Optional[Dict[int, Tuple[int, int]]] = None
         if plan.num_shards > 1:
-            journal = IngestJournal(
-                pieces,
-                eager=(self._ingest == "eager"),
-                fold_threshold=self._fold_threshold,
-            )
-        if plan.num_shards > 1 or self._replication > 1:
-            # replicated single-shard indexes keep the locator too: failed
-            # replicas rebuild from it without consulting a (possibly dead)
-            # sibling's interval lookup
+            journal = IngestJournal(pieces, fold_threshold=self._fold_threshold)
             locator = {
                 int(i): (int(s), int(e))
                 for i, s, e in zip(collection.ids, collection.starts, collection.ends)
             }
 
-        # --- shard construction: eager in-process, lazy for process fan-out ---
+        # --- shard construction: built here in-process, lazy for process fan-out ---
         lazy = isinstance(self._executor, ProcessExecutor)
-        epoch = Epoch(
-            epoch_id=self._epochs_installed,
-            plan=plan,
-            journal=journal,
-            locator=locator,
-            # lazy builds (process-mode primaries, R > 1 secondaries) draw
-            # from the source; an eager unreplicated install has no lazy
-            # build left, so pinning the collection would be dead memory
-            source=collection if (lazy or self._replication > 1) else None,
-        )
-        self._epochs_installed += 1
         if lazy:
             # shard indexes are built worker-resident on first task; the
             # parent keeps only a reference to the source collection (the
-            # masked pieces above are dropped) and builds a local primary
+            # masked pieces above are dropped) and builds a local index
             # lazily when a non-batch code path needs one (single queries,
             # updates, stats)
-            primaries: List[Optional[IntervalIndex]] = [None] * plan.num_shards
+            shards: List[Optional[IntervalIndex]] = [None] * plan.num_shards
         else:
-            primaries = self._executor.map(
+            shards = self._executor.map(
                 lambda piece: create_index(self._backend, piece, **self._opts), pieces
             )
-        epoch.replica_sets = [
-            ShardReplicaSet(
-                shard_id,
-                self._replication,
-                build=functools.partial(self._build_epoch_shard, epoch, shard_id),
-                routing=self._routing_policy,
-                guard=self._maintenance_lock,
-                primary=primaries[shard_id],
-            )
-            for shard_id in range(plan.num_shards)
-        ]
+        epoch = Epoch(
+            epoch_id=self._epochs_installed,
+            plan=plan,
+            shards=shards,
+            journal=journal,
+            locator=locator,
+            # lazy builds draw from the source; an in-process install has no
+            # lazy build left, so pinning the collection would be dead memory
+            source=collection if lazy else None,
+        )
+        self._epochs_installed += 1
         # the publish: one reference assignment -- in-flight readers keep
         # the epoch they pinned, new readers get this one, nobody sees a mix
         self._epoch = epoch
@@ -468,31 +422,27 @@ class ShardedIndex(IntervalIndex):
         if lazy:
             self._republish_snapshot(collection)
 
-    def _build_shard_from(
-        self, collection: IntervalCollection, plan: ShardPlan, shard_id: int
-    ) -> IntervalIndex:
-        """Build one shard's backend index over its slice of ``collection``.
+    def _shard(self, epoch: Epoch, shard_id: int) -> IntervalIndex:
+        """One shard's index of ``epoch``, built from the source if still lazy.
 
-        The single source of shard-piece extraction on the parent side --
-        lazy epoch builds and failed-replica heals both slice through here,
-        so their replicas cannot drift row-wise.
+        Only a process executor leaves shards unbuilt in the parent.  The
+        build runs under the maintenance lock so it serialises against
+        whole update operations -- a half-applied insert can neither be
+        missed nor double-counted by the fresh index -- and updates build
+        the shards they touch before applying (see :class:`Epoch`), so the
+        source still equals the live contents of any shard built here.
         """
-        if plan.num_shards == 1:
-            piece = collection
-        else:
-            piece = collection.take(shard_mask(collection, plan.cuts, shard_id))
-        return create_index(self._backend, piece, **self._opts)
-
-    def _build_epoch_shard(self, epoch: Epoch, shard_id: int) -> IntervalIndex:
-        """Build one shard's index from an epoch's source collection.
-
-        Used for lazy primary builds (process mode) and lazy replica builds;
-        both are only reached while the shard has absorbed no updates (see
-        :mod:`repro.engine.replication`), when the epoch source still equals
-        the shard's live contents.
-        """
-        assert epoch.source is not None, "lazy shard build without a source"
-        return self._build_shard_from(epoch.source, epoch.plan, shard_id)
+        index = epoch.shards[shard_id]
+        if index is None:
+            with self._maintenance_lock:
+                index = epoch.shards[shard_id]
+                if index is None:
+                    source, plan = epoch.source, epoch.plan
+                    if plan.num_shards > 1:
+                        source = source.take(shard_mask(source, plan.cuts, shard_id))
+                    index = create_index(self._backend, source, **self._opts)
+                    epoch.shards[shard_id] = index
+        return index
 
     def _republish_snapshot(self, collection: IntervalCollection) -> None:
         """Publish ``collection`` as the shared-memory snapshot (process mode).
@@ -540,8 +490,9 @@ class ShardedIndex(IntervalIndex):
 
     @property
     def shards(self) -> List[IntervalIndex]:
-        """The per-shard primary indexes, in domain order (built on demand)."""
-        return [replica_set.primary() for replica_set in self._epoch.replica_sets]
+        """The per-shard indexes, in domain order (built on demand)."""
+        epoch = self._epoch
+        return [self._shard(epoch, shard) for shard in range(epoch.plan.num_shards)]
 
     @property
     def plan(self) -> ShardPlan:
@@ -562,16 +513,6 @@ class ShardedIndex(IntervalIndex):
     def executor(self) -> Executor:
         """The executor running shard fan-out and batches."""
         return self._executor
-
-    @property
-    def replication_factor(self) -> int:
-        """Replicas per shard (1 = unreplicated)."""
-        return self._replication
-
-    @property
-    def routing(self) -> str:
-        """Replica routing policy (``"round_robin"`` or ``"least_loaded"``)."""
-        return self._routing_policy
 
     @property
     def result_generation(self) -> int:
@@ -633,21 +574,14 @@ class ShardedIndex(IntervalIndex):
         return self._epoch.journal
 
     @property
-    def ingest_mode(self) -> str:
-        """``"journal"`` (buffered) or ``"eager"`` (reallocate per op)."""
-        return self._ingest
-
-    @property
     def built_shards(self) -> List[Optional[IntervalIndex]]:
-        """Per-shard primary indexes already built in this process (``None`` = lazy).
+        """Per-shard indexes already built in this process (``None`` = lazy).
 
         Unlike :attr:`shards` this never forces a build -- maintenance uses
         it so a process-executor index with worker-resident shards is not
         duplicated into the parent just to inspect delta sizes.
         """
-        return [
-            replica_set.primary_if_built() for replica_set in self._epoch.replica_sets
-        ]
+        return list(self._epoch.shards)
 
     @property
     def _locator(self) -> Optional[Dict[int, Tuple[int, int]]]:
@@ -670,76 +604,21 @@ class ShardedIndex(IntervalIndex):
         """True when updates since the last publication staled the snapshot."""
         return self._dirty
 
-    def _shard(self, shard_id: int) -> IntervalIndex:
-        """The current epoch's primary index of one shard (built lazily)."""
-        return self._epoch.replica_sets[shard_id].primary()
-
     def shards_for(self, query: Query) -> List[IntervalIndex]:
-        """One routed replica per shard whose domain range overlaps ``query``.
-
-        Routing applies (round-robin/least-loaded across healthy replicas)
-        but failover does not: the returned handles are plain indexes.  The
-        direct query paths (:meth:`query`, :meth:`query_count`,
-        :meth:`query_exists`, :meth:`query_batch`) add failover on top.
-        """
+        """The index of every shard whose domain range overlaps ``query``."""
         epoch = self._epoch
         first, last = epoch.plan.shard_range(query.start, query.end)
-        return [
-            epoch.replica_sets[shard].select()[1] for shard in range(first, last + 1)
-        ]
+        return [self._shard(epoch, shard) for shard in range(first, last + 1)]
 
-    def built_replicas(self, shard_id: int) -> List[IntervalIndex]:
-        """Every replica of one shard already built in this process.
-
-        Like :attr:`built_shards`, never forces a build; maintenance uses it
-        to rebuild the hybrid deltas of *all* of a flagged shard's copies.
-        """
-        return self._epoch.replica_sets[shard_id].built()
-
-    def replica_health(self) -> List[List[bool]]:
-        """Per-shard, per-replica health flags (all True when unreplicated)."""
-        return [replica_set.health() for replica_set in self._epoch.replica_sets]
-
-    def failed_replicas(self) -> List[Tuple[int, int]]:
-        """``(shard_id, replica_id)`` of every replica currently out of rotation."""
-        return [
-            (replica_set.shard_id, replica_id)
-            for replica_set in self._epoch.replica_sets
-            for replica_id in replica_set.failed_ids()
-        ]
-
-    def recent_failures(self) -> List[ReplicaFailure]:
-        """The most recent replica/worker failures (``shard_id == -1``: pool)."""
+    def recent_failures(self) -> List[str]:
+        """Error strings of the most recent worker-pool failures, oldest first."""
         return list(self._failures)
-
-    def kill_replica(self, shard_id: int, replica_id: int = 0) -> int:
-        """Take one replica out of rotation (fault injection / ops drills).
-
-        Routing skips the killed slot immediately; in-flight probes against
-        it fail over like any replica error.  The slot is healed by the next
-        maintenance pass (:meth:`rebuild_failed_replicas`) or a
-        :meth:`repartition`.  Returns the shard's surviving replica count --
-        0 means the shard is dark until maintenance heals it.
-
-        The unreplicated single-shard degenerate case (K == 1, R == 1) is
-        refused: it keeps no id -> span locator, so the killed primary would
-        be the *only* record of any absorbed updates and no rebuild source
-        would exist -- the index would be dark forever, not until healed.
-        """
-        if self._epoch.locator is None:
-            raise ValueError(
-                "cannot kill the only replica of an unreplicated single-shard "
-                "index: no locator exists to rebuild it from"
-            )
-        survivors = self._epoch.replica_sets[shard_id].mark_failed(replica_id)
-        self._record_failure(ReplicaFailure(shard_id, replica_id, "killed"))
-        return survivors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ShardedIndex(backend={self._backend!r}, K={self.num_shards}, "
             f"strategy={self.plan.strategy!r}, executor={self._executor.name!r}, "
-            f"R={self._replication}, n={self._size})"
+            f"n={self._size})"
         )
 
     # ------------------------------------------------------------------ #
@@ -748,11 +627,11 @@ class ShardedIndex(IntervalIndex):
     def live_collection(self) -> IntervalCollection:
         """The current live intervals as a fresh columnar collection.
 
-        With a locator (K > 1, or any replicated index) this is one
-        vectorised pass over the id -> span map (maintained from build time
-        and on every update); the unreplicated K = 1 degenerate case falls
-        back to the only shard's interval lookup when updates happened, and
-        to the build collection otherwise.
+        With a locator (K > 1) this is one vectorised pass over the
+        id -> span map (maintained from build time and on every update);
+        the K = 1 degenerate case falls back to the only shard's interval
+        lookup when updates happened, and to the build collection
+        otherwise.
         """
         with self._maintenance_lock:
             epoch = self._epoch
@@ -760,7 +639,7 @@ class ShardedIndex(IntervalIndex):
                 return IntervalCollection.from_spans(epoch.locator)
             if not self._dirty and epoch.source is not None:
                 return epoch.source
-            lookup = epoch.replica_sets[0].primary()._interval_lookup()
+            lookup = self._shard(epoch, 0)._interval_lookup()
             return IntervalCollection.from_intervals(lookup.values())
 
     def refresh_snapshot(self) -> bool:
@@ -797,15 +676,14 @@ class ShardedIndex(IntervalIndex):
         strategy -- pass ``strategy="balanced"`` to rebalance skew), then
         builds a complete fresh epoch from it: every shard, the ingest
         journal and the locator.  Hybrid deltas are folded into the fresh
-        shard builds, failed replicas come back healthy, and under a process
-        executor a new snapshot generation is published.  The new epoch is
-        installed with one atomic reference assignment, so concurrent
-        queries see either the old partition state or the new one -- never a
-        half-installed plan.  False when the fresh plan matches the current
-        cuts (nothing to do) -- which also resets the drift counter, so a
-        stably-skewed index does not pay this live-collection
-        materialisation on every maintenance pass.  Updates serialise
-        against the install through the maintenance lock.
+        shard builds, and under a process executor a new snapshot generation
+        is published.  The new epoch is installed with one atomic reference
+        assignment, so concurrent queries see either the old partition state
+        or the new one -- never a half-installed plan.  False when the fresh
+        plan matches the current cuts (nothing to do) -- which also resets
+        the drift counter, so a stably-skewed index does not pay this
+        live-collection materialisation on every maintenance pass.  Updates
+        serialise against the install through the maintenance lock.
         """
         with self._maintenance_lock:
             live = self.live_collection()
@@ -820,31 +698,6 @@ class ShardedIndex(IntervalIndex):
             self._install_partition(live, plan)
             self._dirty = False
             return True
-
-    def rebuild_failed_replicas(self) -> List[Tuple[int, int]]:
-        """Rebuild every failed replica slot from the live collection.
-
-        Driven by the :class:`~repro.engine.maintenance.MaintenanceCoordinator`'s
-        pass (and callable directly).  Each failed slot gets a fresh backend
-        index over the live intervals of its shard range and returns to the
-        routing rotation.  Returns the ``(shard_id, replica_id)`` pairs
-        healed, in shard order.
-        """
-        with self._maintenance_lock:
-            epoch = self._epoch
-            failed = [
-                (replica_set.shard_id, replica_id)
-                for replica_set in epoch.replica_sets
-                for replica_id in replica_set.failed_ids()
-            ]
-            if not failed:
-                return []
-            live = self.live_collection()
-            for shard_id, replica_id in failed:
-                epoch.replica_sets[shard_id].install(
-                    replica_id, self._build_shard_from(live, epoch.plan, shard_id)
-                )
-            return failed
 
     def maintenance_state(self) -> Dict[str, object]:
         """Ingest/maintenance snapshot: pending depths, deltas, generations."""
@@ -861,7 +714,6 @@ class ShardedIndex(IntervalIndex):
         return {
             "num_shards": epoch.plan.num_shards,
             "cuts": tuple(epoch.plan.cuts),
-            "ingest_mode": self._ingest,
             "pending_per_shard": journal.pending_depths() if journal else [],
             "copies_per_shard": journal.live_sizes() if journal else [len(self)],
             "delta_per_shard": [
@@ -869,12 +721,6 @@ class ShardedIndex(IntervalIndex):
                 for shard in self.built_shards
             ],
             "epoch": epoch.epoch_id,
-            "replication_factor": self._replication,
-            "routing": self._routing_policy,
-            "replica_health": [
-                replica_set.health() for replica_set in epoch.replica_sets
-            ],
-            "failed_replicas": self.failed_replicas(),
             "result_generation": self._mutations,
             "snapshot_generation": self._generation,
             "snapshot_published": self._shared is not None,
@@ -926,34 +772,6 @@ class ShardedIndex(IntervalIndex):
         if self.activity_tracking:
             self.last_activity = time.monotonic()
 
-    def _probe(self, epoch: Epoch, shard_id: int, op):
-        """Run ``op`` against one healthy replica of a shard, with failover.
-
-        The unreplicated case (R == 1) is a straight call with no routing
-        bookkeeping -- exactly the pre-replication hot path.  With R > 1 the
-        probe routes per the replica set's policy; a replica that raises is
-        marked failed (recorded for the maintenance pass to rebuild) and the
-        probe retries transparently on the next healthy replica.  Semantic
-        errors (:class:`repro.core.errors.ReproError`) are the query's
-        fault, not the replica's: they propagate without touching health.
-        The loop itself lives on :meth:`ShardReplicaSet.probe`, where the
-        kernel dispatcher's task-fallback path shares it.
-        """
-        return epoch.replica_sets[shard_id].probe(
-            op,
-            on_failure=lambda replica_id, exc: self._record_failure(
-                ReplicaFailure(shard_id, replica_id, f"{type(exc).__name__}: {exc}")
-            ),
-            semantic=(ReproError,),
-        )
-
-    def _record_failure(self, failure: ReplicaFailure) -> None:
-        """Keep the diagnostic ring AND count the failure on the registry."""
-        self._failures.append(failure)
-        _REPLICA_FAILURES.labels(
-            shard=failure.shard_id, replica=failure.replica_id
-        ).inc()
-
     def query(self, query: Query) -> List[int]:
         self._touch()
         return self._query_epoch(self._epoch, query)
@@ -961,9 +779,9 @@ class ShardedIndex(IntervalIndex):
     def _query_epoch(self, epoch: Epoch, query: Query) -> List[int]:
         first, last = epoch.plan.shard_range(query.start, query.end)
         if first == last:
-            return self._probe(epoch, first, lambda index: index.query(query))
+            return self._shard(epoch, first).query(query)
         return merge_unique_ids(
-            self._probe(epoch, shard, lambda index: index.query(query))
+            self._shard(epoch, shard).query(query)
             for shard in range(first, last + 1)
         )
 
@@ -976,7 +794,7 @@ class ShardedIndex(IntervalIndex):
         if first == last:
             # single-shard plans keep the backend's counting fast path
             self.count_ops["single_shard"] += 1
-            return self._probe(epoch, first, lambda index: index.query_count(query))
+            return self._shard(epoch, first).query_count(query)
         # home-shard counting: every duplicated interval is counted exactly
         # once, in the first probed shard it is "at home" in -- no id list is
         # materialised and no dedup set is built (see the module docstring).
@@ -1014,7 +832,7 @@ class ShardedIndex(IntervalIndex):
     def _query_exists_epoch(self, epoch: Epoch, query: Query) -> bool:
         first, last = epoch.plan.shard_range(query.start, query.end)
         return any(
-            self._probe(epoch, shard, lambda index: index.query_exists(query))
+            self._shard(epoch, shard).query_exists(query)
             for shard in range(first, last + 1)
         )
 
@@ -1196,7 +1014,7 @@ class ShardedIndex(IntervalIndex):
         our submits fail -- we skip the redundant shutdown and just retry
         on the fresh pool, so sharing indexes heal each other instead of
         tripping each other's kill-switches.  Callers answer the
-        still-failed tasks against the epoch's in-process replica sets,
+        still-failed tasks against the epoch's in-process shard indexes,
         so a mid-batch worker kill degrades per worker, never to a wrong
         or missing answer.
         """
@@ -1260,9 +1078,7 @@ class ShardedIndex(IntervalIndex):
                             results[index] = result[:3]
                 if not failed:
                     return results, []
-                self._record_failure(
-                    ReplicaFailure(-1, -1, error or "worker kernel task failed")
-                )
+                self._failures.append(error or "worker kernel task failed")
                 pending = failed
                 if attempt == 0:
                     self.kernel_retries += len(failed)
@@ -1287,7 +1103,7 @@ class ShardedIndex(IntervalIndex):
         a kernel batch, ``query()``, or the in-process fallback -- and
         converted to Python ints once at the edge.  Tasks that exhaust
         every worker path (see :meth:`_dispatch_kernel_tasks`) fall back
-        per (query, shard) to the epoch's in-process replica sets: the
+        per (query, shard) to the epoch's in-process shard indexes: the
         batch still answers, degraded only where the pool failed.
         """
         starts = np.fromiter((q.start for q in workload), dtype=np.int64, count=len(workload))
@@ -1327,12 +1143,10 @@ class ShardedIndex(IntervalIndex):
                 per_query[int(position)].append((shard, ids))
         for task_index in failed:
             # every worker path was exhausted for this slice: answer its
-            # (query, shard) pairs against the epoch's replica sets, which
-            # keep their own failover
+            # (query, shard) pairs against the epoch's in-process shards
             _, _, shard, positions, piece_starts, piece_ends, _, _ = tasks[task_index]
             for position, q_start, q_end in zip(positions, piece_starts, piece_ends):
-                probe = Query(int(q_start), int(q_end))
-                ids = self._probe(epoch, shard, lambda index: index.query(probe))
+                ids = self._shard(epoch, shard).query(Query(int(q_start), int(q_end)))
                 per_query[int(position)].append(
                     (shard, np.asarray(ids, dtype=np.int64))
                 )
@@ -1343,7 +1157,7 @@ class ShardedIndex(IntervalIndex):
             else:
                 # shard-ordered first-seen dedup, matching merge_unique_ids
                 # on the serial paths (parts arrive out of shard order when
-                # a failed task degraded to the replica-set fallback)
+                # a failed task degraded to the in-process fallback)
                 parts.sort(key=lambda part: part[0])
                 merged = np.concatenate([ids for _, ids in parts])
                 _, first_seen = np.unique(merged, return_index=True)
@@ -1503,12 +1317,10 @@ class ShardedIndex(IntervalIndex):
         epoch = self._epoch
         first, last = epoch.plan.shard_range(query.start, query.end)
         if first == last:
-            results, stats = self._probe(
-                epoch, first, lambda index: index.query_with_stats(query)
-            )
+            results, stats = self._shard(epoch, first).query_with_stats(query)
             return results, self._annotate_stats(epoch, stats)
         answers = [
-            self._probe(epoch, shard, lambda index: index.query_with_stats(query))
+            self._shard(epoch, shard).query_with_stats(query)
             for shard in range(first, last + 1)
         ]
         stats = QueryStats()
@@ -1525,9 +1337,6 @@ class ShardedIndex(IntervalIndex):
         )
         stats.extra["snapshot_generation"] = float(self._generation)
         stats.extra["epoch"] = float(epoch.epoch_id)
-        stats.extra["replicas_failed"] = float(
-            sum(len(replica_set.failed_ids()) for replica_set in epoch.replica_sets)
-        )
         stats.extra["fanout_disabled"] = float(self._fanout_disabled)
         stats.extra["kernel_retries"] = float(self.kernel_retries)
         if self.stats_extras:
@@ -1535,7 +1344,7 @@ class ShardedIndex(IntervalIndex):
         return stats
 
     # ------------------------------------------------------------------ #
-    # updates (routed to every replica of the owning shards)
+    # updates (routed to the owning shards)
     # ------------------------------------------------------------------ #
     def _record_kernel_delta(
         self, op: str, first: int, last: int, start: int, end: int
@@ -1576,13 +1385,13 @@ class ShardedIndex(IntervalIndex):
         self._kernel_delta_version += 1
 
     def insert(self, interval: Interval) -> None:
-        """Insert into every replica of every shard the interval overlaps.
+        """Insert into every shard the interval overlaps.
 
         With a hybrid backend each copy lands in the owning shard's delta
         index; static backends raise ``NotImplementedError`` as usual.
-        Unbuilt replicas of the owning shards are built first (from the
-        epoch source, which still equals their live contents), so every
-        healthy replica absorbs every update.  Count-column bookkeeping is
+        A still-lazy owning shard is built first (from the epoch source,
+        which still equals its live contents), so no shard is ever built
+        after an update it should hold.  Count-column bookkeeping is
         journaled (O(1) appends, folded lazily) and is only committed --
         together with the locator entry -- after every owning shard accepted
         the copy, so a failing shard leaves the bookkeeping untouched.
@@ -1593,8 +1402,7 @@ class ShardedIndex(IntervalIndex):
             epoch = self._epoch
             first, last = epoch.plan.shard_range(interval.start, interval.end)
             for shard in range(first, last + 1):
-                for replica in epoch.replica_sets[shard].ensure_all():
-                    replica.insert(interval)
+                self._shard(epoch, shard).insert(interval)
             # bookkeeping only after *all* owning shards took the copy: a
             # raise above (static backend, bad interval) must not desync the
             # locator or the count columns from the shard contents
@@ -1617,23 +1425,21 @@ class ShardedIndex(IntervalIndex):
         The id -> span locator (maintained from build time and on every
         insert) bounds the probe to the owning shards instead of all K;
         an id the index never saw returns False without touching any shard.
-        Every replica of each owning shard is probed, so replicas stay
-        content-identical.  The locator entry and the count-column journal
-        are only mutated after every owning shard was probed, so a shard
-        raising mid-delete leaves the bookkeeping consistent and the delete
-        retryable.  True when any copy was live.
+        The locator entry and the count-column journal are only mutated
+        after every owning shard was probed, so a shard raising mid-delete
+        leaves the bookkeeping consistent and the delete retryable.  True
+        when any copy was live.
         """
         with self._maintenance_lock:
             epoch = self._epoch
-            if epoch.locator is None:  # K == 1, R == 1: delegate to the only shard
+            if epoch.locator is None:  # K == 1: delegate to the only shard
+                only = self._shard(epoch, 0)
                 victim: Optional[Interval] = None
                 if self._update_listeners or self._kernel_deltas is not None:
                     # listeners and the kernel delta log need the deleted
                     # span; without a locator the only source is the shard
-                    victim = (
-                        epoch.replica_sets[0].primary()._resolve_interval(interval_id)
-                    )
-                found = epoch.replica_sets[0].primary().delete(interval_id)
+                    victim = only._resolve_interval(interval_id)
+                found = only.delete(interval_id)
                 if found:
                     if victim is not None:
                         self._record_kernel_delta(
@@ -1661,8 +1467,7 @@ class ShardedIndex(IntervalIndex):
             first, last = epoch.plan.shard_range(*span)
             found = False
             for shard in range(first, last + 1):
-                for replica in epoch.replica_sets[shard].ensure_all():
-                    found = replica.delete(interval_id) or found
+                found = self._shard(epoch, shard).delete(interval_id) or found
             if found:
                 del epoch.locator[interval_id]
                 if epoch.journal is not None:
@@ -1687,14 +1492,11 @@ class ShardedIndex(IntervalIndex):
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
-        # one id-memo across all shards and replicas: anything they share is
-        # counted once
+        # one id-memo across all shards: anything they share is counted once
         memo = _memo if _memo is not None else set()
         epoch = self._epoch
         total = sum(
-            replica.memory_bytes(memo)
-            for replica_set in epoch.replica_sets
-            for replica in replica_set.built()
+            shard.memory_bytes(memo) for shard in epoch.shards if shard is not None
         )
         if epoch.journal is not None:  # count columns + pending buffers
             total += epoch.journal.nbytes
@@ -1713,7 +1515,7 @@ class ShardedIndex(IntervalIndex):
         if epoch.locator is not None:
             span = epoch.locator.get(interval_id)
             return None if span is None else Interval(interval_id, span[0], span[1])
-        return epoch.replica_sets[0].primary()._resolve_interval(interval_id)
+        return self._shard(epoch, 0)._resolve_interval(interval_id)
 
 
 class ShardedStore(IntervalStore):
@@ -1745,8 +1547,6 @@ class ShardedStore(IntervalStore):
         strategy: str = "equi_width",
         workers: "Executor | int | str | None" = None,
         executor: "Executor | int | str | None" = None,
-        replication_factor: int = 1,
-        routing: str = "round_robin",
         **opts,
     ) -> "ShardedStore":
         """Shard ``collection`` into ``num_shards`` time ranges of ``backend``.
@@ -1754,8 +1554,7 @@ class ShardedStore(IntervalStore):
         ``executor`` selects the execution strategy by name
         (``"serial"``/``"threads"``/``"processes"``) or instance, sized by
         ``workers``; a bare ``workers`` count keeps the legacy thread-pool
-        meaning.  ``replication_factor``/``routing`` configure per-shard
-        replication (see :mod:`repro.engine.replication`).
+        meaning.
         """
         index = ShardedIndex(
             collection,
@@ -1764,8 +1563,6 @@ class ShardedStore(IntervalStore):
             strategy=strategy,
             executor=executor,
             workers=workers,
-            replication_factor=replication_factor,
-            routing=routing,
             **opts,
         )
         return cls(index)
@@ -1802,8 +1599,8 @@ class ShardedStore(IntervalStore):
         Materialising batches parallelise inside
         :meth:`ShardedIndex.query_batch`.  Count-only batches go through
         :meth:`ShardedIndex.query_count_batch`: with a process executor
-        that rides the worker-resident counting kernels (delta-shipped,
-        replica-aware -- chunking in the parent would bypass them), while
+        that rides the worker-resident counting kernels (delta-shipped --
+        chunking in the parent would bypass them), while
         in-process executors still chunk the workload across threads to
         parallelise the single-shard backend fast paths.
         """

@@ -175,8 +175,6 @@ class IntervalStore:
         strategy: str = "equi_width",
         workers: "Executor | int | str | None" = None,
         executor: "Executor | int | str | None" = None,
-        replication_factor: int = 1,
-        routing: str = "round_robin",
         wal_dir: "str | None" = None,
         fsync: str = "interval",
         **opts,
@@ -206,12 +204,6 @@ class IntervalStore:
         whole pickled index per batch chunk, which is usually slower than
         serial -- prefer sharding when asking for processes.
 
-        ``replication_factor > 1`` serves each shard from R replicated
-        copies with routed probes and transparent failover (see
-        :mod:`repro.engine.replication`); it forces the sharded execution
-        architecture even at ``num_shards=1``, since replication lives in
-        the sharded layer.
-
         ``wal_dir`` makes the store *durable*: every insert/delete is
         appended to a checksummed write-ahead log in that directory before
         it mutates the index, and an existing directory is **recovered** --
@@ -235,8 +227,6 @@ class IntervalStore:
                     strategy=strategy,
                     workers=workers,
                     executor=executor,
-                    replication_factor=replication_factor,
-                    routing=routing,
                     **opts,
                 ),
             )
@@ -253,11 +243,7 @@ class IntervalStore:
             raise ValueError(
                 f"num_shards must be an int or 'auto', got {num_shards!r}"
             )
-        if replication_factor < 1:
-            raise ValueError(
-                f"replication_factor must be >= 1, got {replication_factor}"
-            )
-        if num_shards > 1 or replication_factor > 1:
+        if num_shards > 1:
             from repro.engine.sharded import ShardedStore
 
             return ShardedStore.open(
@@ -267,8 +253,6 @@ class IntervalStore:
                 strategy=strategy,
                 workers=workers,
                 executor=executor,
-                replication_factor=replication_factor,
-                routing=routing,
                 **opts,
             )
         spec = get_spec(backend)

@@ -82,7 +82,7 @@ class ComparisonFreeHINT(IntervalIndex):
 
     @classmethod
     def build(
-        cls, collection: IntervalCollection, num_bits: int = 16, sparse: bool = True, **kwargs
+        cls, collection: IntervalCollection, num_bits: int = 16, sparse: bool = True
     ) -> "ComparisonFreeHINT":
         return cls(collection, num_bits=num_bits, sparse=sparse)
 

@@ -1,9 +1,9 @@
 """Thread-safe metrics: counters, gauges, histograms, Prometheus exposition.
 
 One :class:`MetricsRegistry` per scope.  A single process-global registry
-(:func:`global_registry`) collects engine-level counters -- replica
-failures, kernel retries, pool respawns, WAL records, maintenance passes --
-that have no natural per-server owner; each server (``QueryServer``,
+(:func:`global_registry`) collects engine-level counters -- kernel
+retries, pool respawns, WAL records, maintenance passes -- that have no
+natural per-server owner; each server (``QueryServer``,
 ``ShardServer``, ``ClusterRouter``) builds its own registry with the global
 one as ``parent``, so scraping any server's ``/metrics`` shows its private
 serving counters *and* the process-wide engine state in one page.

@@ -1,14 +1,12 @@
 """The serving subsystem: the layers between clients and the index.
 
-Four cooperating parts turn the engine into something that can hold up
+These cooperating parts turn the engine into something that can hold up
 under concurrent traffic (see the README's "Serving" section):
 
 * **epoch-based read snapshots** -- queries pin one immutable
   ``(plan, shards, journal)`` generation, so maintenance publishes new
   partition state atomically instead of mutating under readers
   (:class:`repro.engine.sharded.Epoch`);
-* **replicated shards** -- per-shard replica sets with routed probes and
-  transparent failover (:mod:`repro.engine.replication`);
 * an **admission-controlled asyncio query server** -- JSON-over-HTTP with a
   bounded in-flight queue (503 backpressure), request batching into
   ``store.run_batch`` and graceful drain (:mod:`repro.serve.server`);

@@ -49,8 +49,8 @@ Endpoints (all JSON):
                              generation, ``timeout`` seconds; ``stream``
                              switches to the chunked variant when the
                              server enables it)
-``GET /stats``               serving counters, cache stats, epoch + replica
-                             health, subscription gauges, latency quantiles
+``GET /stats``               serving counters, cache stats, epoch + kernel
+                             fan-out health, subscription gauges, latency quantiles
                              (every number sourced from the metrics registry)
 ``GET /metrics``             the same registry in Prometheus text format
 ``GET /slow-queries``        the slow-query log: span trees of completed
@@ -374,11 +374,6 @@ class QueryServer:
             lambda: int(self._store.index.kernel_delta_depth())
             if hasattr(self._store.index, "kernel_delta_depth") else 0,
         )
-        metrics.gauge_function(
-            "repro_failed_replicas", "replicas currently marked failed",
-            lambda: len(self._store.index.failed_replicas())
-            if hasattr(self._store.index, "failed_replicas") else 0,
-        )
 
     def _stream_gauge_samples(self) -> Dict[tuple, float]:
         if self._stream is None:
@@ -493,9 +488,6 @@ class QueryServer:
         index = self._store.index
         if hasattr(index, "epoch"):
             state["epoch"] = index.epoch
-        if hasattr(index, "replica_health"):
-            state["replica_health"] = index.replica_health()
-            state["failed_replicas"] = index.failed_replicas()
         if hasattr(index, "kernel_retries"):
             # batch-kernel fan-out health (sharded indexes over a pool)
             state["fanout_disabled"] = bool(index._fanout_disabled)

@@ -195,7 +195,7 @@ class TestCountingKernelEquivalence:
     def test_unresolvable_delete_drops_delta_log(
         self, synthetic_collection, rng, pool, monkeypatch
     ):
-        """K == 1, R == 1: no locator, so the deleted span comes from the
+        """K == 1: no locator, so the deleted span comes from the
         shard's interval lookup.  When that lookup fails but the delete
         succeeds, the delta log can no longer patch the worker-resident
         columns -- it must be dropped so counting batches fall back to the
@@ -206,8 +206,8 @@ class TestCountingKernelEquivalence:
         try:
             assert index._epoch.locator is None
             assert index._kernel_deltas is not None
-            primary = index._epoch.replica_sets[0].primary()
-            monkeypatch.setattr(primary, "_resolve_interval", lambda interval_id: None)
+            only = index.shards[0]
+            monkeypatch.setattr(only, "_resolve_interval", lambda interval_id: None)
             victim = int(synthetic_collection.ids[0])
             assert index.delete(victim)
             assert index._kernel_deltas is None
@@ -343,7 +343,61 @@ class TestPerWorkerHealing:
             assert index.kernel_retries > 0
             assert index._fanout_disabled
             failures = index.recent_failures()
-            assert failures and failures[-1].shard_id == -1
+            assert failures and "worker died mid-batch" in failures[-1]
+        finally:
+            index.close()
+            executor.close()
+
+    def test_broken_pool_fails_over_in_process(self, synthetic_collection, rng):
+        """The materialising path over a permanently dead pool: heal once,
+        answer in-process, stop retrying, recover on a snapshot refresh."""
+
+        class _BrokenPool(ProcessExecutor):
+            """A process executor whose pooled submits always die -- even
+            after a respawn, so every worker path is exhausted."""
+
+            def __init__(self):
+                super().__init__(workers=2)
+                self.broken_submits = 0
+                self.respawns = 0
+
+            def submit(self, fn, item):
+                self.broken_submits += 1
+                raise BrokenPipeError("worker died mid-batch")
+
+            def respawn(self, token=None):
+                self.respawns += 1
+                super().respawn(token)
+
+        executor = _BrokenPool()
+        index = ShardedIndex(
+            synthetic_collection, backend="hintm_opt", num_shards=4, executor=executor
+        )
+        try:
+            queries = _count_workload(synthetic_collection, rng, count=8)
+            assert index._process_fanout_ready()
+            answers = index.query_batch(queries)
+            # the batch answered correctly despite the dead pool...
+            for query, ids in zip(queries, answers):
+                assert sorted(ids) == sorted(
+                    synthetic_collection.query_ids(query).tolist()
+                )
+            assert executor.broken_submits > 0
+            # ...per-worker healing respawned the pool and retried first...
+            assert executor.respawns == 1
+            assert index.kernel_retries > 0
+            # ...the failure is recorded as a pool-level failure...
+            failures = index.recent_failures()
+            assert failures and "worker died" in failures[-1]
+            # ...and only once the retry round died too is fan-out disabled
+            # (no retry storm on a permanently dead pool)
+            assert not index._process_fanout_ready()
+            submits = executor.broken_submits
+            index.query_batch(queries)
+            assert executor.broken_submits == submits
+            # a snapshot refresh heals fan-out (fresh pool, fresh residency)
+            assert index.refresh_snapshot()
+            assert index._process_fanout_ready()
         finally:
             index.close()
             executor.close()

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.naive import NaiveIndex
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore, ShardedIndex, ShardedStore
 from repro.engine.maintenance import (
@@ -104,18 +105,38 @@ class TestCountColumns:
         assert column.pending_ops == 0
         assert column.count_starts_in(4, 5) == 2
 
-    def test_eager_mode_matches_journal_mode(self, rng):
+    def test_journaled_ops_reallocate_nothing_until_one_fold(self, rng, monkeypatch):
+        """The O(1)-per-op property, structurally: N recorded updates leave
+        the sorted columns the very same arrays, and one fold replaces each
+        column exactly once -- whatever the wall clock says."""
         values = rng.integers(0, 1_000, size=50)
-        eager = CountColumns(values, values + 2, eager=True)
-        journal = CountColumns(values, values + 2)
+        column = CountColumns(values, values + 2)
+        starts, ends = column.starts, column.ends
+        live = [(int(v), int(v) + 2) for v in values]
         for _ in range(40):
             start = int(rng.integers(0, 1_000))
-            eager.record_insert(start, start + 1)
-            journal.record_insert(start, start + 1)
-        journal.fold()
-        assert eager.starts.tolist() == journal.starts.tolist()
-        assert eager.ends.tolist() == journal.ends.tolist()
-        assert eager.pending_ops == 0  # eager never buffers
+            column.record_insert(start, start + 1)
+            live.append((start, start + 1))
+        for _ in range(10):
+            column.record_delete(*live.pop(int(rng.integers(0, len(live)))))
+        assert column.starts is starts and column.ends is ends
+        assert column.pending_ops == 50
+
+        folded = []
+        fold_column = CountColumns._fold_column
+
+        def spy(column_array, adds, removes):
+            folded.append(column_array)
+            return fold_column(column_array, adds, removes)
+
+        monkeypatch.setattr(CountColumns, "_fold_column", staticmethod(spy))
+        assert column.fold() == 50
+        assert len(folded) == 2 and folded[0] is starts and folded[1] is ends
+        assert column.starts is not starts and column.ends is not ends
+        assert column.pending_ops == 0
+        # ... and the fold lands on the brute-force reference
+        assert column.starts.tolist() == sorted(s for s, _ in live)
+        assert column.ends.tolist() == sorted(e for _, e in live)
 
     def test_fold_threshold_bounds_buffers(self):
         collection = IntervalCollection.from_pairs([(0, 10), (20, 30), (40, 50)])
@@ -158,14 +179,14 @@ class TestShardedJournal:
         # the first multi-shard count folded every probed shard's buffer
         assert sum(index.ingest_journal.pending_depths()) == 0
 
-    def test_journal_and_eager_indexes_answer_identically(self, synthetic_collection, rng):
+    def test_journaled_index_answers_like_the_naive_reference(
+        self, synthetic_collection, rng
+    ):
         journal = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
                                num_shards=4, num_bits=7)
-        eager = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=4, num_bits=7, ingest="eager")
-        stream = _random_updates(synthetic_collection, rng)
-        for kind, payload in stream:
-            for index in (journal, eager):
+        reference = NaiveIndex(synthetic_collection)
+        for kind, payload in _random_updates(synthetic_collection, rng):
+            for index in (journal, reference):
                 if kind == "insert":
                     index.insert(payload)
                 else:
@@ -175,8 +196,8 @@ class TestShardedJournal:
             a = int(rng.integers(lo, hi))
             b = a + int(rng.integers(0, (hi - lo) // 2))
             query = Query(a, b)
-            assert journal.query_count(query) == eager.query_count(query)
-            assert sorted(journal.query(query)) == sorted(eager.query(query))
+            assert journal.query_count(query) == reference.query_count(query)
+            assert sorted(journal.query(query)) == sorted(reference.query(query))
 
     def test_concurrent_folds_and_records_lose_nothing(self):
         """Counting folds race recording updates across threads; the journal
@@ -216,10 +237,6 @@ class TestShardedJournal:
         assert len(column.starts) == expected
         assert len(column.ends) == expected
         assert column.starts.tolist() == sorted(column.starts.tolist())
-
-    def test_invalid_ingest_mode_rejected(self, tiny_collection):
-        with pytest.raises(ValueError, match="ingest mode"):
-            ShardedIndex(tiny_collection, backend="naive", num_shards=2, ingest="nope")
 
     def test_fold_threshold_wired_through_index(self, synthetic_collection, rng):
         """Without multi-shard counts, the threshold alone bounds the buffers."""
@@ -585,7 +602,6 @@ class TestQueryStatsSurface:
                              num_shards=4, num_bits=7)
         state = index.maintenance_state()
         assert state["num_shards"] == 4
-        assert state["ingest_mode"] == "journal"
         assert len(state["pending_per_shard"]) == 4
         assert len(state["delta_per_shard"]) == 4
         assert state["snapshot_generation"] == 0

@@ -145,6 +145,34 @@ class TestProcessShardedEquivalence:
             want = sorted(s.id for s in live.values() if s.overlaps(query))
             assert sorted(ids) == want
 
+    def test_insert_into_unbuilt_parent_shard_builds_before_applying(
+        self, synthetic_collection, pool
+    ):
+        """Parent shards stay lazy under a process executor; an update must
+        build the shard it touches from the epoch source *first*, or the
+        late build would either miss the insert or lose the old rows."""
+        index = ShardedIndex(
+            synthetic_collection, backend="hintm_hybrid", num_shards=4,
+            executor=pool, num_bits=7,
+        )
+        try:
+            assert index.built_shards == [None] * 4
+            cuts = index.plan.cuts
+            inside_shard_2 = (cuts[1] + cuts[2]) // 2
+            index.insert(Interval(9_999_998, inside_shard_2, inside_shard_2 + 3))
+            # only the touched shard was built in the parent
+            assert [s is not None for s in index.built_shards] == [
+                False, False, True, False,
+            ]
+            query = Query(inside_shard_2 - 200, inside_shard_2 + 200)
+            assert index.plan.shard_range(query.start, query.end) == (2, 2)
+            want = sorted(synthetic_collection.query_ids(query).tolist() + [9_999_998])
+            assert len(want) > 1, "the probe must also cover pre-existing rows"
+            assert sorted(index.query(query)) == want
+            assert index.query_count(query) == len(want)
+        finally:
+            index.close()
+
     def test_unsharded_store_accepts_processes(self, synthetic_collection, rng):
         """The generic executor path: no shards, index shipped to the pool."""
         with IntervalStore.open(

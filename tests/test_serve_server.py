@@ -33,9 +33,7 @@ def _oracle(collection, start, end):
 @pytest.fixture()
 def served():
     collection = _collection()
-    store = IntervalStore.open(
-        collection, "hintm_hybrid", num_shards=2, replication_factor=2
-    )
+    store = IntervalStore.open(collection, "hintm_hybrid", num_shards=2)
     handle = start_server_thread(store, cache=128)
     client = ServeClient(port=handle.port)
     yield collection, store, client
@@ -89,7 +87,6 @@ class TestEndpoints:
         assert stats["backend"] == "sharded"
         assert stats["intervals"] == len(store)
         assert stats["epoch"] == store.index.epoch
-        assert stats["replica_health"] == store.index.replica_health()
         assert stats["cache"]["capacity"] == 128
 
     def test_unknown_endpoint_404(self, served):

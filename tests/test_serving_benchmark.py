@@ -10,9 +10,7 @@ JSON-over-HTTP with concurrent keep-alive clients:
   request;
 * cached results stay oracle-correct across interleaved inserts, deletes
   and maintenance passes (generation-keyed invalidation, asserted against a
-  live-set oracle -- no explicit invalidation protocol exists to get wrong);
-* killing one replica of a shard mid-workload degrades capacity but never
-  correctness.
+  live-set oracle -- no explicit invalidation protocol exists to get wrong).
 """
 
 import numpy as np
@@ -45,7 +43,7 @@ def result():
 
 
 def test_cached_serving_beats_uncached_5x(result):
-    rows = {r["mode"]: r for r in result["serving"]}
+    rows = {r["mode"]: r for r in result}
     cached, uncached = rows["cached"], rows["uncached"]
     assert cached["hit_rate"] > 0.5, (
         f"the skewed workload should mostly hit the cache, got "
@@ -57,20 +55,6 @@ def test_cached_serving_beats_uncached_5x(result):
         f"({cached['qps']:,.0f} vs {uncached['qps']:,.0f} req/s on the "
         f"{BACKEND} backend)"
     )
-
-
-def test_replica_kill_mid_workload_never_breaks_correctness(result):
-    stages = {r["stage"]: r for r in result["failover"]}
-    assert set(stages) == {"all replicas", "one replica killed"}
-    for row in stages.values():
-        assert row["qps"] > 0
-        assert row["correct"], "answers diverged from the store after the kill"
-    killed = stages["one replica killed"]
-    assert killed["survivors"] >= 1, "the kill left the shard dark"
-    # the victim shard runs on its surviving replica
-    health = killed["replica_health"]
-    assert not all(health[killed["victim_shard"]])
-    assert any(health[killed["victim_shard"]])
 
 
 def test_cached_results_stay_oracle_correct_across_updates_and_maintenance():

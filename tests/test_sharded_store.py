@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.allen import AllenRelation
 from repro.core.base import QueryStats
+from repro.core.errors import InvalidQueryError
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import (
     IntervalStore,
@@ -315,6 +316,71 @@ class TestShardRoutedUpdates:
                 assert got == want, (step, q)
 
 
+class TestShardFailureIsolation:
+    """A shard is one index: a raising probe fails that call, nothing else."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [ValueError, InvalidQueryError],
+        ids=["poison-ValueError", "semantic-InvalidQueryError"],
+    )
+    def test_raising_query_fails_only_that_call(
+        self, synthetic_collection, monkeypatch, error
+    ):
+        index = ShardedIndex(synthetic_collection, backend="naive", num_shards=2)
+        cut = index.plan.cuts[0]
+        poison = Query(cut + 10, cut + 20)  # confined to shard 1
+        shard = index.shards[1]
+        original = shard.query
+
+        def query(q):
+            if q == poison:
+                raise error("injected")
+            return original(q)
+
+        monkeypatch.setattr(shard, "query", query)
+        with pytest.raises(error, match="injected"):
+            index.query(poison)
+        # the same shard keeps answering every other query, oracle-equal
+        neighbour = Query(cut + 10, cut + 21)
+        assert index.plan.shard_range(neighbour.start, neighbour.end) == (1, 1)
+        assert sorted(index.query(neighbour)) == sorted(
+            synthetic_collection.query_ids(neighbour).tolist()
+        )
+        spanning = Query(cut - 50, cut + 50)
+        assert sorted(index.query(spanning)) == sorted(
+            synthetic_collection.query_ids(spanning).tolist()
+        )
+        assert index.recent_failures() == []  # pool-level records only
+
+
+class TestResultGeneration:
+    def test_result_generation_moves_on_updates_and_epochs(self, synthetic_collection):
+        store = IntervalStore.open(
+            synthetic_collection, "hintm_hybrid", num_shards=2, num_bits=7
+        )
+        before = store.result_generation()
+        store.insert(Interval(10_000_200, 10, 20))
+        after_insert = store.result_generation()
+        assert after_insert > before
+        store.delete(10_000_200)
+        after_delete = store.result_generation()
+        assert after_delete > after_insert
+        if store.index.repartition(strategy="balanced"):
+            assert store.result_generation() > after_delete
+        store.close()
+
+    def test_plain_store_generation_tracks_store_updates(self):
+        store = IntervalStore.from_pairs([(1, 5), (3, 9)], backend="hintm_hybrid")
+        before = store.result_generation()
+        store.insert(Interval(7, 2, 4))
+        assert store.result_generation() == before + 1
+        assert store.delete(7)
+        assert store.result_generation() == before + 2
+        assert not store.delete(12345)  # a miss does not move the generation
+        assert store.result_generation() == before + 2
+
+
 class TestShardedStatsAndMemory:
     def test_query_stats_merge_across_shards(self, synthetic_collection):
         store = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
@@ -408,6 +474,27 @@ class TestShardedRegistryIntegration:
         for query in _random_workload(synthetic_collection, rng, count=15):
             assert sorted(sharded.query().overlapping(query.start, query.end).ids()) == sorted(
                 plain.query().overlapping(query.start, query.end).ids()
+            )
+
+    def test_in_process_install_drops_the_source(self, synthetic_collection):
+        # every shard is built at install, so nothing can lazily build;
+        # pinning the build collection for the index's lifetime would be
+        # dead memory
+        index = ShardedIndex(synthetic_collection, num_shards=4)
+        assert index._epoch.source is None
+        assert all(shard is not None for shard in index.built_shards)
+        index.close()
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_unknown_option_raises_on_every_backend(
+        self, synthetic_collection, backend, num_shards
+    ):
+        # a removed or misspelt option must fail loudly, never be swallowed
+        # by a lenient build signature
+        with pytest.raises(TypeError, match="bogus_knob"):
+            IntervalStore.open(
+                synthetic_collection, backend, num_shards=num_shards, bogus_knob=2
             )
 
     def test_empty_collection(self):

@@ -48,11 +48,6 @@ CONFIGS = [
         {"num_shards": 4, "executor": "processes", "workers": 2},
         id="sharded-K4-processes",
     ),
-    pytest.param(
-        "hintm_hybrid",
-        {"num_shards": 4, "replication_factor": 2},
-        id="sharded-K4-replicated",
-    ),
 ]
 
 

@@ -31,9 +31,7 @@ def _oracle(store, start, end):
 
 @pytest.fixture()
 def served():
-    store = IntervalStore.open(
-        _collection(), "hintm_hybrid", num_shards=2, replication_factor=2
-    )
+    store = IntervalStore.open(_collection(), "hintm_hybrid", num_shards=2)
     handle = start_server_thread(store, cache=128, streaming=True)
     client = ServeClient(port=handle.port)
     yield store, handle, client

@@ -1,11 +1,11 @@
 """Process-scaling benchmark for the process-parallel sharded execution layer.
 
 Not a paper figure: it measures (1) batch-query throughput of the same
-K-shard index under the serial, thread-pool and process-pool executors --
-the process executor runs worker-resident shards over shared-memory columns,
-the only configuration that sidesteps the GIL for the pure-Python HINT^m
-family -- and (2) multi-shard ``query_count`` via home-shard sums against
-the old materialise-and-dedup evaluation.
+K-shard index under the serial and process-pool executors -- the process
+executor runs worker-resident shards over shared-memory columns, the only
+configuration that sidesteps the GIL for the pure-Python HINT^m family --
+and (2) multi-shard ``query_count`` via home-shard sums against the old
+materialise-and-dedup evaluation.
 
 Run with the rest of the suite::
 

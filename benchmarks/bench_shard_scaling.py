@@ -1,10 +1,9 @@
-"""Shard-scaling benchmark for the sharded parallel execution layer.
+"""Shard-scaling benchmark for the sharded execution layer.
 
-Not a paper figure: it measures how batch-query throughput scales as the
-collection is split into K time-range shards (equi-width and balanced
-strategies) and driven by the serial vs the thread-pool executor.  Query
-planning prunes shards outside the query range, so small-extent workloads
-touch ~1/K of the data per query.
+Not a paper figure: it measures how serial batch-query throughput scales as
+the collection is split into K time-range shards (equi-width and balanced
+strategies).  Query planning prunes shards outside the query range, so
+small-extent workloads touch ~1/K of the data per query.
 
 Run with the rest of the suite::
 
@@ -29,13 +28,12 @@ def test_shard_scaling(results_dir):
     assert all(r["throughput"] > 0 for r in rows)
     text = format_table(
         "Shard scaling -- throughput and speedup vs K=1 serial",
-        ["backend", "K", "strategy", "executor", "build [s]", "queries/s", "speedup"],
+        ["backend", "K", "strategy", "build [s]", "queries/s", "speedup"],
         [
             [
                 r["backend"],
                 r["num_shards"],
                 r["strategy"],
-                r["executor"],
                 r["build_s"],
                 r["throughput"],
                 r["speedup"],

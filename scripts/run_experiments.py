@@ -24,7 +24,6 @@ from repro.bench import experiments
 from repro.bench.reporting import (
     format_series,
     format_table,
-    render_batch_kernels,
     render_cluster_routing,
     render_durable_ingest,
     render_ingest_maintenance,
@@ -119,14 +118,13 @@ def _render_extent_sweep(result, title, x_label):
 
 def _render_shard_scaling(rows):
     return format_table(
-        "Shard scaling -- sharded parallel execution layer (speedup vs K=1 serial)",
-        ["backend", "K", "strategy", "executor", "build [s]", "queries/s", "speedup"],
+        "Shard scaling -- serial batches over K time-range shards (speedup vs K=1)",
+        ["backend", "K", "strategy", "build [s]", "queries/s", "speedup"],
         [
             [
                 r["backend"],
                 r["num_shards"],
                 r["strategy"],
-                r["executor"],
                 r["build_s"],
                 r["throughput"],
                 r["speedup"],
@@ -219,15 +217,6 @@ def main(argv=None) -> int:
         "process_scaling": lambda: render_process_scaling(
             experiments.process_scaling(
                 cardinality=args.cardinality, num_queries=n_queries
-            )
-        ),
-        "batch_kernels": lambda: render_batch_kernels(
-            experiments.batch_kernels(
-                cardinality=args.cardinality,
-                num_queries=n_queries,
-                # the update stream's stride-partitioned delete victims need
-                # cardinality/8 >= num_updates/2, so scale with the data
-                num_updates=max(2, min(400, args.cardinality // 100)),
             )
         ),
         "ingest_maintenance": lambda: render_ingest_maintenance(

@@ -8,11 +8,12 @@ every round cross-checks a sample of queries and counts against the oracle,
 and a maintenance pass (normal or forced, alternating) runs between rounds.
 Any divergence -- ids, counts, or index size -- raises, failing the job.
 
-A second phase soaks the batch kernels' per-worker healing: a
-process-executor store with pending updates answers batched counts while a
-killer thread SIGKILLs pool workers mid-batch; every batch must stay
-oracle-equal, retries must be recorded, and the index-wide fan-out
-kill-switch must never trip (``--kill-rounds 0`` skips the phase).
+A second phase soaks the process pool's per-worker healing: a
+process-executor store absorbs updates, refreshes its snapshot and answers
+id batches (the one thing that runs in workers) while a killer thread
+SIGKILLs pool workers mid-batch; every batch must stay oracle-equal,
+retries must be recorded, and the index-wide fan-out kill-switch must never
+trip (``--kill-rounds 0`` skips the phase).
 
 Usage::
 
@@ -45,7 +46,7 @@ def _oracle_query(live: dict, query: Query) -> set:
 
 
 def _worker_kill_soak(args) -> None:
-    """Batched counts under SIGKILLed pool workers: exact answers, no trip."""
+    """Id batches under SIGKILLed pool workers: exact answers, no trip."""
     if not HAS_SHARED_MEMORY:
         print("worker-kill soak: skipped (no multiprocessing.shared_memory)")
         return
@@ -63,8 +64,7 @@ def _worker_kill_soak(args) -> None:
         int(i): (int(s), int(e))
         for i, s, e in zip(collection.ids, collection.starts, collection.ends)
     }
-    # pending updates first, so the kernels being killed are the delta-folding
-    # path, not the clean-snapshot fast case
+    # updates first: the workers being killed serve a *refreshed* snapshot
     next_id = int(collection.ids.max()) + 1
     for op in range(args.ops_per_round):
         if op % 2 == 0:
@@ -81,9 +81,17 @@ def _worker_kill_soak(args) -> None:
     for _ in range(50):
         a = int(rng.integers(lo, hi))
         queries.append(Query(a, a + int(rng.integers(0, hi - lo))))
-    expected = [len(_oracle_query(live, q)) for q in queries]
-    if store.count_batch(queries) != expected:  # warm the pool, check baseline
-        raise SystemExit("worker-kill soak: counts diverged before any kill")
+    expected = [_oracle_query(live, q) for q in queries]
+    if store.count_batch(queries) != [len(ids) for ids in expected]:
+        raise SystemExit("worker-kill soak: journal counts diverged with updates pending")
+    if not index.refresh_snapshot():
+        raise SystemExit("worker-kill soak: snapshot refresh published nothing")
+
+    def answers():
+        return [set(ids) for ids in store.run_batch(queries).ids]
+
+    if answers() != expected:  # warm the pool, check baseline
+        raise SystemExit("worker-kill soak: ids diverged before any kill")
 
     batches = 0
     for round_no in range(args.kill_rounds):
@@ -96,9 +104,9 @@ def _worker_kill_soak(args) -> None:
         deadline = time.perf_counter() + 0.5
         while killer.is_alive() or time.perf_counter() < deadline:
             batches += 1
-            if store.count_batch(queries) != expected:
+            if answers() != expected:
                 raise SystemExit(
-                    f"kill round {round_no}: counts diverged after killing "
+                    f"kill round {round_no}: ids diverged after killing "
                     f"worker {victim_pid}"
                 )
         killer.join()
@@ -109,7 +117,7 @@ def _worker_kill_soak(args) -> None:
             )
     if not index.kernel_retries:
         raise SystemExit("worker-kill soak: no retry was ever recorded")
-    if not index._process_fanout_ready(counting=True):
+    if not index._process_fanout_ready():
         raise SystemExit("worker-kill soak: kernel fan-out not ready at the end")
     print(
         f"worker-kill soak ok: {args.kill_rounds} kills across {batches} "

@@ -48,7 +48,6 @@ from repro.engine import (
     ShardPlan,
     ShardedIndex,
     ShardedStore,
-    ThreadedExecutor,
     available_backends,
     backend_specs,
     create_index,
@@ -156,7 +155,6 @@ __all__ = [
     "Subscription",
     "SubscriptionRegistry",
     "SyntheticConfig",
-    "ThreadedExecutor",
     "TimelineIndex",
     "UnknownBackendError",
     "UnsupportedQueryError",

@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.bench.harness import measure_throughput
 from repro.core.base import IntervalIndex
 from repro.core.interval import HAS_SHARED_MEMORY, Interval, IntervalCollection, Query
-from repro.engine.executor import ProcessExecutor, SerialExecutor, ThreadedExecutor
+from repro.engine.executor import ProcessExecutor, SerialExecutor
 from repro.engine.maintenance import MaintenanceCoordinator
 from repro.engine.registry import create_index
 from repro.engine.sharded import ShardedIndex
@@ -55,7 +55,6 @@ __all__ = [
     "table10_updates",
     "shard_scaling",
     "process_scaling",
-    "batch_kernels",
     "ingest_maintenance",
     "durable_ingest",
     "serving_throughput",
@@ -512,84 +511,68 @@ def shard_scaling(
     shard_counts: Sequence[int] = (1, 2, 4),
     backends: Sequence[str] = ("naive", "grid1d", "hintm_opt"),
     strategies: Sequence[str] = ("equi_width", "balanced"),
-    workers: int = 4,
     extent_fraction: float = 0.001,
     repeats: int = 2,
     seed: int = 7,
 ) -> List[dict]:
-    """Batch-query throughput of :class:`ShardedIndex` as K and executors vary.
+    """Batch-query throughput of a serially driven :class:`ShardedIndex` as K varies.
 
-    For every backend the baseline row is the unsharded (K=1) index driven
-    serially; each further row shards the same collection into K time ranges
-    (per strategy) and runs the same workload with the serial and the
-    thread-pool executor.  ``speedup`` is relative to that backend's K=1
-    serial baseline.  Query planning prunes non-overlapping shards, so small
-    queries touch ~1/K of the data -- the source of the scaling on
+    For every backend the baseline row is the unsharded (K=1) index; each
+    further row shards the same collection into K time ranges (per
+    strategy) and runs the same workload.  ``speedup`` is relative to that
+    backend's K=1 baseline.  Query planning prunes non-overlapping shards,
+    so small queries touch ~1/K of the data -- the source of the scaling on
     scan-bound backends.  The default dataset is the TAXIS stand-in
     (short intervals, so per-query cost is scan-bound rather than
     result-bound, which is where sharding is designed to pay off).
 
     Returns one dict per row:
-    ``{"backend", "num_shards", "strategy", "executor", "build_s",
-    "throughput", "speedup"}``.
+    ``{"backend", "num_shards", "strategy", "build_s", "throughput",
+    "speedup"}``.
     """
     if collection is None:
         collection = generate_real_like(
             REAL_DATASET_PROFILES["TAXIS"], cardinality=cardinality, seed=seed
         )
     queries = _query_workload(collection, num_queries, extent_fraction, seed=seed)
-    serial = SerialExecutor()
-    threads = ThreadedExecutor(workers)
     rows: List[dict] = []
-    try:
-        for backend in backends:
-            backend_rows: List[dict] = []
-            for num_shards in shard_counts:
-                shard_strategies = strategies if num_shards > 1 else (strategies[0],)
-                for strategy in shard_strategies:
-                    executors = (serial, threads) if num_shards > 1 else (serial,)
-                    for executor in executors:
-                        start = time.perf_counter()
-                        index = ShardedIndex(
-                            collection,
-                            backend=backend,
-                            num_shards=num_shards,
-                            strategy=strategy,
-                            executor=executor,
-                        )
-                        build_seconds = time.perf_counter() - start
-                        backend_rows.append(
-                            {
-                                "backend": backend,
-                                "num_shards": index.num_shards,
-                                "strategy": strategy,
-                                "executor": executor.name,
-                                "build_s": build_seconds,
-                                "throughput": measure_throughput(
-                                    index, queries, repeats=repeats
-                                ),
-                            }
-                        )
-            baseline = _serial_unsharded_baseline(backend_rows)
-            for row in backend_rows:
-                row["speedup"] = row["throughput"] / baseline if baseline else 0.0
-            rows.extend(backend_rows)
-    finally:
-        threads.close()
+    for backend in backends:
+        backend_rows: List[dict] = []
+        for num_shards in shard_counts:
+            shard_strategies = strategies if num_shards > 1 else (strategies[0],)
+            for strategy in shard_strategies:
+                start = time.perf_counter()
+                index = ShardedIndex(
+                    collection, backend=backend, num_shards=num_shards, strategy=strategy
+                )
+                build_seconds = time.perf_counter() - start
+                backend_rows.append(
+                    {
+                        "backend": backend,
+                        "num_shards": index.num_shards,
+                        "strategy": strategy,
+                        "build_s": build_seconds,
+                        "throughput": measure_throughput(index, queries, repeats=repeats),
+                    }
+                )
+        baseline = _unsharded_baseline(backend_rows)
+        for row in backend_rows:
+            row["speedup"] = row["throughput"] / baseline if baseline else 0.0
+        rows.extend(backend_rows)
     return rows
 
 
-def _serial_unsharded_baseline(rows: Sequence[dict]) -> float:
-    """The K=1/serial throughput (falling back to the first row measured)."""
+def _unsharded_baseline(rows: Sequence[dict]) -> float:
+    """The K=1 (serial) throughput, falling back to the first row measured."""
     for row in rows:
-        if row["num_shards"] == 1 and row["executor"] == "serial":
+        if row["num_shards"] == 1:
             return row["throughput"]
     return rows[0]["throughput"] if rows else 0.0
 
 
 # --------------------------------------------------------------------------- #
-# Process scaling -- worker-resident shards vs threads vs serial, plus
-# home-shard counting vs materialise-and-dedup
+# Process scaling -- worker-resident shards vs serial, plus home-shard
+# counting vs materialise-and-dedup
 # --------------------------------------------------------------------------- #
 def process_scaling(
     collection: Optional[IntervalCollection] = None,
@@ -607,8 +590,8 @@ def process_scaling(
     """The process-parallel execution layer's two headline measurements.
 
     **Batch fan-out** (``"batch"`` rows): the same K-shard index driven by
-    the serial, thread-pool and process-pool executors, per backend, with
-    the unsharded serial index as the baseline.  The process rows use
+    the serial and process-pool executors, per backend, with the unsharded
+    serial index as the baseline.  The process rows use
     worker-resident shards over shared-memory columns
     (:mod:`repro.engine._procworker`): the parent never builds its shard
     indexes, workers build theirs during the first measured pass (hidden by
@@ -639,15 +622,12 @@ def process_scaling(
 
         workers = max(2, min(os.cpu_count() or 1, num_shards))
     serial = SerialExecutor()
-    threads = ThreadedExecutor(workers)
     processes = ProcessExecutor(workers)
     batch_rows: List[dict] = []
     count_rows: List[dict] = []
     try:
         for backend in backends:
-            configs = [(1, serial)] + [
-                (num_shards, executor) for executor in (serial, threads, processes)
-            ]
+            configs = [(1, serial), (num_shards, serial), (num_shards, processes)]
             backend_rows: List[dict] = []
             for shards, executor in configs:
                 start = time.perf_counter()
@@ -669,7 +649,7 @@ def process_scaling(
                     }
                 )
                 index.close()
-            baseline = _serial_unsharded_baseline(backend_rows)
+            baseline = _unsharded_baseline(backend_rows)
             for row in backend_rows:
                 row["speedup"] = row["throughput"] / baseline if baseline else 0.0
             batch_rows.extend(backend_rows)
@@ -720,7 +700,6 @@ def process_scaling(
                 )
             index.close()
     finally:
-        threads.close()
         processes.close()
     return {"batch": batch_rows, "count": count_rows}
 
@@ -758,113 +737,6 @@ def _interleaved_update_stream(
         else:
             stream.append(("delete", int(victims[i // 2])))
     return stream
-
-
-def _measure_batch_qps(run, num_queries: int, repeats: int) -> float:
-    """Best-of-``repeats`` throughput of one whole-batch callable."""
-    best = float("inf")
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        run()
-        best = min(best, time.perf_counter() - begin)
-    return num_queries / best if best > 0 else 0.0
-
-
-def batch_kernels(
-    collection: Optional[IntervalCollection] = None,
-    *,
-    cardinality: int = 100_000,
-    num_queries: int = 400,
-    num_shards: int = 4,
-    backends: Sequence[str] = ("hintm",),
-    workers: Optional[int] = None,
-    extent_fraction: float = 0.02,
-    num_updates: int = 400,
-    repeats: int = 3,
-    seed: int = 7,
-) -> Dict[str, List[dict]]:
-    """Worker-side counting kernels vs the parent-side home-shard path.
-
-    Both contenders answer the same batched ``query_count`` workload over
-    the same K-shard index contents **with pending updates applied** (the
-    regime the kernels were built for): the parent-side rows run the
-    per-query home-shard sums in the calling process -- folding the ingest
-    journal there -- while the kernel rows fan ``count_batch`` tasks out to
-    the process pool, shipping each task the since-publication delta log so
-    the workers fold and bisect over *their* resident columns.  Answers
-    are asserted equal before timing; the kernel path is asserted to have
-    actually run (``count_ops["kernel_batch"]``), and its fan-out health
-    (delta depth, retries, disabled flag) rides along in the rows.
-
-    Returns ``{"count": [...]}`` row dicts (``path`` is ``"parent"`` or
-    ``"kernels"``; ``speedup`` is relative to the backend's parent row).
-    """
-    if collection is None:
-        collection = generate_real_like(
-            REAL_DATASET_PROFILES["TAXIS"], cardinality=cardinality, seed=seed
-        )
-    queries = _query_workload(collection, num_queries, extent_fraction, seed=seed)
-    if workers is None:
-        import os
-
-        workers = max(2, min(os.cpu_count() or 1, num_shards))
-    rows: List[dict] = []
-    for backend in backends:
-        processes = ProcessExecutor(workers)
-        parent = ShardedIndex(
-            collection, backend=backend, num_shards=num_shards, executor=SerialExecutor()
-        )
-        kernel = ShardedIndex(
-            collection, backend=backend, num_shards=num_shards, executor=processes
-        )
-        try:
-            for op, payload in _interleaved_update_stream(collection, num_updates, seed):
-                for index in (parent, kernel):
-                    if op == "insert":
-                        index.insert(payload)  # type: ignore[arg-type]
-                    else:
-                        index.delete(payload)  # type: ignore[arg-type]
-            # one untimed pass warms the pool: workers attach the snapshot,
-            # build their count columns and cache the delta fold
-            kernel.query_count_batch(queries)
-            expected = parent.query_count_batch(queries)
-            got = kernel.query_count_batch(queries)
-            if got != expected:  # explicit: must survive python -O
-                diverged = sum(1 for a, b in zip(got, expected) if a != b)
-                raise RuntimeError(
-                    f"kernel counts diverged from the parent path on "
-                    f"{diverged}/{len(queries)} queries ({backend})"
-                )
-            if not kernel.count_ops["kernel_batch"]:
-                raise RuntimeError("the counting-kernel path never ran")
-            parent_qps = _measure_batch_qps(
-                lambda: parent.query_count_batch(queries), len(queries), repeats
-            )
-            kernel_qps = _measure_batch_qps(
-                lambda: kernel.query_count_batch(queries), len(queries), repeats
-            )
-            state = kernel.maintenance_state()
-            for path, qps in (("parent", parent_qps), ("kernels", kernel_qps)):
-                rows.append(
-                    {
-                        "backend": backend,
-                        "num_shards": kernel.num_shards,
-                        "path": path,
-                        "workers": workers if path == "kernels" else 1,
-                        "throughput": qps,
-                        "speedup": qps / parent_qps if parent_qps else 0.0,
-                        "delta_ops": state["kernel_delta_depth"] if path == "kernels" else 0,
-                        "kernel_retries": state["kernel_retries"] if path == "kernels" else 0,
-                        "fanout_disabled": bool(state["fanout_disabled"])
-                        if path == "kernels"
-                        else False,
-                    }
-                )
-        finally:
-            parent.close()
-            kernel.close()
-            processes.close()
-    return {"count": rows}
 
 
 def ingest_maintenance(

@@ -102,8 +102,8 @@ def measure_throughput(
     genuinely batched evaluation are measured through it.  A parallel
     ``executor`` splits the workload into per-worker chunks, mirroring how
     :func:`repro.engine.batch.execute_batch` runs it in production; sharded
-    indexes already parallelise internally (threads or worker-resident
-    processes, per their own executor) and need no executor here.  A
+    indexes already parallelise internally (worker-resident processes,
+    per their own executor) and need no executor here.  A
     :class:`repro.engine.executor.ProcessExecutor` passed for an unsharded
     index ships the index to the pool once per chunk -- prefer measuring a
     sharded index, whose process transport is shared-memory based.

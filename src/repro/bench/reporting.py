@@ -7,7 +7,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Union
 __all__ = [
     "format_table",
     "format_series",
-    "render_batch_kernels",
     "render_cluster_routing",
     "render_durable_ingest",
     "render_ingest_maintenance",
@@ -84,44 +83,6 @@ def render_process_scaling(result: Mapping[str, Sequence[Mapping]]) -> str:
         ],
     )
     return batch + "\n\n" + count
-
-
-def render_batch_kernels(result: Mapping[str, Sequence[Mapping]]) -> str:
-    """Render :func:`repro.bench.experiments.batch_kernels`'s table.
-
-    Shared by ``scripts/run_experiments.py`` and
-    ``tests/test_batch_kernels_benchmark.py`` so the CI report and the
-    saved benchmark report cannot drift apart.
-    """
-    return format_table(
-        "Batch kernels -- batched query_count with pending updates "
-        "(speedup vs the parent-side home-shard path)",
-        [
-            "backend",
-            "K",
-            "path",
-            "workers",
-            "counts/s",
-            "speedup",
-            "delta ops",
-            "retries",
-            "fanout off",
-        ],
-        [
-            [
-                r["backend"],
-                r["num_shards"],
-                r["path"],
-                r["workers"],
-                r["throughput"],
-                r["speedup"],
-                r["delta_ops"],
-                r["kernel_retries"],
-                str(r["fanout_disabled"]),
-            ]
-            for r in result["count"]
-        ],
-    )
 
 
 def render_ingest_maintenance(result: Mapping[str, Sequence[Mapping]]) -> str:

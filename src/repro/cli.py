@@ -11,14 +11,15 @@ Examples::
     # run a whole query workload (start,end rows) through batch execution
     python -m repro batch data.csv queries.csv --count-only
 
-    # shard the collection into 4 time ranges, fan out over 4 threads
-    python -m repro batch data.csv queries.csv --shards 4 --workers 4
+    # shard the collection into 4 time ranges (queries probe only the
+    # shards they overlap)
+    python -m repro batch data.csv queries.csv --shards 4
 
-    # same, but over 4 worker processes (real multi-core for pure-Python indexes)
+    # same, with id batches fanned out over 4 worker processes
     python -m repro batch data.csv queries.csv --shards 4 --executor processes --workers 4
 
     # shard-scaling micro-benchmark over a CSV (throughput per K)
-    python -m repro bench data.csv --num-queries 500 --shards 1 2 4 --workers 4
+    python -m repro bench data.csv --num-queries 500 --shards 1 2 4
 
     # apply an update stream to a sharded hybrid, then run index maintenance
     python -m repro maintain data.csv --shards 4 --inserts 1000 --deletes 500
@@ -71,7 +72,6 @@ from repro.datasets.io import load_intervals_csv, save_intervals_csv
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine import IntervalStore, available_backends, backend_specs, get_spec
-from repro.engine._procworker import KERNEL_KINDS
 from repro.engine.executor import EXECUTOR_KINDS, available_cores
 from repro.engine.maintenance import MAINTENANCE_POLICIES, recommend_shard_count
 from repro.engine.sharding import PARTITION_STRATEGIES
@@ -106,11 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--shards", type=int, default=1, metavar="K",
                          help="split the data into K time-range shards (default: 1)")
         sub.add_argument("--workers", type=int, default=None, metavar="W",
-                         help="pool size for parallel execution (default: serial, "
-                              "or the executor's default when --executor is given)")
+                         help="size of the process pool; needs --executor "
+                              "processes (default: the executor's own default)")
         sub.add_argument("--executor", choices=executor_names, default=None,
                          help=f"execution strategy -- {executor_help} "
-                              "(default: serial, or threads when --workers is given)")
+                              "(default: serial)")
         sub.add_argument("--shard-strategy", choices=PARTITION_STRATEGIES,
                          default="equi_width",
                          help="how shard boundaries are chosen (default: %(default)s)")
@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4], metavar="K",
                        help="shard counts to sweep (default: 1 2 4)")
     bench.add_argument("--workers", type=int, default=None, metavar="W",
-                       help="pool size for the parallel rows (default: serial only)")
+                       help="process-pool size for the parallel rows; needs "
+                            "--executor processes")
     bench.add_argument("--executor", choices=executor_names, default=None,
                        help=f"execution strategy for the parallel rows -- {executor_help}")
     bench.add_argument("--shard-strategy", choices=PARTITION_STRATEGIES,
@@ -463,8 +464,8 @@ def _open_store(
 
     ``shards > 1`` yields a
     :class:`repro.engine.ShardedStore` over ``name``; ``executor`` names the
-    execution strategy (serial/threads/processes), sized by ``workers``; a
-    bare ``workers`` count means a thread pool.
+    execution strategy (serial/processes) and ``workers`` sizes the process
+    pool.
     """
     opts = {}
     spec = get_spec(name)
@@ -1071,11 +1072,6 @@ def _command_list_backends(args: argparse.Namespace) -> int:
     for name, blurb in EXECUTOR_KINDS:
         print(f"  {name:<10s} {blurb}")
     print()
-    print("batch kernels (process executor; worker-resident, delta-shipped, "
-          "retry + per-worker healing):")
-    for name, blurb in KERNEL_KINDS:
-        print(f"  {name:<12s} {blurb}")
-    print()
     print("maintenance rebuild policies (repro maintain --policy, "
           "--maintenance on batch/bench):")
     for name, blurb in MAINTENANCE_POLICIES:
@@ -1166,6 +1162,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    workers = getattr(args, "workers", None)
+    if workers not in (None, 1) and getattr(args, "executor", None) != "processes":
+        parser.error(
+            f"--workers {workers} sizes the process pool: add --executor processes"
+        )
     handler = _COMMANDS.get(args.command)
     if handler is None:  # pragma: no cover
         parser.error(f"unknown command {args.command!r}")

@@ -183,7 +183,7 @@ class IntervalIndex(abc.ABC):
 
         The default evaluates :meth:`query_count` one by one; composite
         indexes override with genuinely batched evaluation (the sharded
-        index fans counting kernels out to its worker pool).
+        index answers with one vectorised pass over its ingest journal).
         """
         return [self.query_count(query) for query in queries]
 

@@ -11,10 +11,10 @@
 * :mod:`repro.engine.batch` -- whole-workload execution
   (:func:`execute_batch`, :class:`BatchResult`),
 * :mod:`repro.engine.executor` -- pluggable executors
-  (:class:`SerialExecutor`, :class:`ThreadedExecutor`,
-  :class:`ProcessExecutor`) that every execution entry point routes
-  through; the process executor pairs with worker-resident shards and
-  shared-memory columns (:mod:`repro.engine._procworker`),
+  (:class:`SerialExecutor`, :class:`ProcessExecutor`) that every
+  execution entry point routes through; the process executor pairs with
+  worker-resident shards and shared-memory columns
+  (:mod:`repro.engine._procworker`),
 * :mod:`repro.engine.sharding` -- the domain partitioner
   (:class:`ShardPlan`, equi-width and balanced strategies),
 * :mod:`repro.engine.sharded` -- :class:`ShardedIndex`/:class:`ShardedStore`,
@@ -33,7 +33,6 @@ from repro.engine.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     available_cores,
     resolve_executor,
     split_chunks,
@@ -91,7 +90,6 @@ __all__ = [
     "ShardPlan",
     "ShardedIndex",
     "ShardedStore",
-    "ThreadedExecutor",
     "ThresholdRebuildPolicy",
     "available_backends",
     "available_cores",

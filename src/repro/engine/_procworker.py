@@ -2,23 +2,21 @@
 
 The sharded layer's process fan-out keeps the expensive state **resident in
 the workers**: each worker process attaches to the collection's
-shared-memory columns once, builds the shard indexes *and* the per-shard
-sorted count columns it is asked about once, and caches everything for the
-lifetime of the pool.  A task is one :data:`KERNEL_KINDS` batch kernel
+shared-memory columns once, builds the shard indexes it is asked about
+once, and caches them for the lifetime of the pool.  A task is one shard's
+slice of a materialising batch
 
-    ``(spec, kind, shard_id, positions, a, b, modes, deltas)``
+    ``(spec, shard_id, positions, query_starts, query_ends)``
 
 where ``spec`` is a ~100-byte :class:`ShardResidencySpec` (a shared-memory
 handle plus the shard plan and backend configuration) and the arrays
-describe the queries routed to that shard.  ``ids_batch`` answers each
-routed query against the worker-built shard index; ``count_batch`` and
-``exists_batch`` run the home-shard counting bisections as *one vectorised
-pass* over the worker-resident sorted columns -- first folding any pending
-update ``deltas`` the parent shipped with the task, so counting kernels
-stay exact (and fan-out stays enabled) between snapshot publications.
-Results travel back as compact ``int64`` arrays -- no
-:class:`~repro.core.interval.Interval` objects, no index structures, no
-re-pickled collections ever cross the process boundary.
+describe the queries routed to that shard; each is answered against the
+worker-built shard index.  Results travel back as compact ``int64`` id
+arrays -- no :class:`~repro.core.interval.Interval` objects, no index
+structures, no re-pickled collections ever cross the process boundary.
+Counts are not a worker's business: the parent reads them off its ingest
+journal (:meth:`repro.engine.maintenance.IngestJournal.count_overlaps`),
+so workers hold no count columns and nothing here depends on updates.
 
 Everything here is module-level so that it imports cleanly under the
 ``spawn`` start method (workers re-import this module instead of inheriting
@@ -31,7 +29,7 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -39,37 +37,16 @@ from repro.core.interval import Query, SharedCollectionHandle, attach_shared_col
 from repro.obs import tracing
 
 __all__ = [
-    "KERNEL_KINDS",
-    "MODE_ENDS_GE",
-    "MODE_OVERLAP",
-    "MODE_STARTS_IN",
     "ShardResidencySpec",
     "resident_summary",
     "resident_tokens",
     "run_kernel_task",
-    "run_shard_task",
 ]
 
 #: worker-global cache of residencies, keyed by the owning index's token;
 #: bounded so a long-lived pool serving many stores cannot grow unboundedly
 _RESIDENTS: "OrderedDict[str, _Residency]" = OrderedDict()
 _MAX_RESIDENTS = 4
-
-#: ``(name, one-line description)`` of every batch kernel a worker executes,
-#: in the order the CLI help and ``list-backends`` present them
-KERNEL_KINDS: Tuple[Tuple[str, str], ...] = (
-    ("ids_batch", "per-query result ids from the worker-built shard index"),
-    ("count_batch", "home-shard counts: fold shipped deltas, then vectorised bisect"),
-    ("exists_batch", "count_batch clamped to 0/1 per shard contribution"),
-)
-
-#: counting-kernel modes, one per position of a count/exists task.  The
-#: parent assigns them from the query's shard plan (see the home-shard
-#: counting description in :mod:`repro.engine.sharded`):
-MODE_OVERLAP = 0  #: single-shard plan: ``count(start <= b) - count(end < a)``
-MODE_ENDS_GE = 1  #: first shard of a multi-shard plan: ``count(end >= a)``
-MODE_STARTS_IN = 2  #: later shard of a multi-shard plan: ``count(a <= start <= b)``
-
 
 @dataclass(frozen=True)
 class ShardResidencySpec:
@@ -103,32 +80,8 @@ class ShardResidencySpec:
     generation: int = 0
 
 
-def _fold_column(
-    column: np.ndarray, adds: np.ndarray, removes: np.ndarray
-) -> np.ndarray:
-    """One sorted column with ``adds`` inserted and ``removes`` deleted.
-
-    The worker-side mirror of
-    :meth:`repro.engine.maintenance.CountColumns._fold_column` (adds before
-    removes, so a value inserted and deleted between publications cancels;
-    duplicate removes offset by their rank within the equal-value group).
-    No lock: each worker process is single-threaded.
-    """
-    if len(adds):
-        values = np.sort(adds)
-        column = np.insert(column, np.searchsorted(column, values), values)
-    if len(removes):
-        values = np.sort(removes)
-        first = np.searchsorted(column, values, side="left")
-        rank = np.arange(len(values)) - np.searchsorted(values, values, side="left")
-        column = np.delete(column, first + rank)
-    return column
-
-
 class _Residency:
-    """One index's worker-resident state: attached columns, cached shard
-    indexes, and per-shard sorted count columns plus their pending-delta
-    folds (keyed by the delta-shape pair the parent shipped)."""
+    """One index's worker-resident state: attached columns, cached shard indexes."""
 
     def __init__(self, spec: ShardResidencySpec) -> None:
         self._collection, self._shm = attach_shared_collection(spec.handle)
@@ -136,71 +89,26 @@ class _Residency:
         self._backend = spec.backend
         self._opts = dict(spec.opts)
         self._shards: Dict[int, object] = {}
-        #: per-shard base count columns ``(sorted starts, sorted ends)``,
-        #: built once from the snapshot collection
-        self._columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: per-shard folded columns ``(delta_key, starts, ends)`` -- the base
-        #: columns with the parent's since-publication deltas applied.  The
-        #: parent ships the *full* delta set each task keyed by its
-        #: ``(adds, dels)`` length pair, so one cached fold per key answers
-        #: every task at that delta depth.
-        self._folded: Dict[int, Tuple[Tuple[int, int], np.ndarray, np.ndarray]] = {}
         self.uid = spec.uid
         self.generation = spec.generation
-
-    def _shard_piece(self, shard_id: int):
-        # local import keeps module import light for spawn start-up
-        from repro.engine.sharding import shard_mask
-
-        if len(self._cuts) == 0:
-            return self._collection
-        return self._collection.take(
-            shard_mask(self._collection, self._cuts, shard_id)
-        )
 
     def shard_index(self, shard_id: int):
         """Build (once) and return the backend index for one shard."""
         index = self._shards.get(shard_id)
         if index is None:
+            # local imports keep module import light for spawn start-up
             from repro.engine.registry import create_index
+            from repro.engine.sharding import shard_mask
 
-            index = create_index(self._backend, self._shard_piece(shard_id), **self._opts)
+            piece = self._collection
+            if len(self._cuts):
+                piece = piece.take(shard_mask(piece, self._cuts, shard_id))
+            index = create_index(self._backend, piece, **self._opts)
             self._shards[shard_id] = index
         return index
 
-    def count_columns(
-        self, shard_id: int, deltas: Optional[Tuple]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One shard's sorted ``(starts, ends)`` with pending deltas folded.
-
-        ``deltas`` is ``None`` (clean snapshot) or
-        ``(key, add_starts, add_ends, del_starts, del_ends)`` -- every
-        update the parent absorbed since publication, shipped with the
-        task.  ``key`` is the parent's ``(len(adds), len(dels))`` pair
-        (a *pair*, not a sum: ``(n+1, m)`` and ``(n, m+1)`` are different
-        folds); the fold is cached per key, so a burst of tasks at the
-        same delta depth folds once.
-        """
-        base = self._columns.get(shard_id)
-        if base is None:
-            piece = self._shard_piece(shard_id)
-            base = (np.sort(piece.starts), np.sort(piece.ends))
-            self._columns[shard_id] = base
-        if deltas is None:
-            return base
-        key, add_starts, add_ends, del_starts, del_ends = deltas
-        cached = self._folded.get(shard_id)
-        if cached is not None and cached[0] == key:
-            return cached[1], cached[2]
-        starts = _fold_column(base[0], add_starts, del_starts)
-        ends = _fold_column(base[1], add_ends, del_ends)
-        self._folded[shard_id] = (key, starts, ends)
-        return starts, ends
-
     def close(self) -> None:
         self._shards.clear()
-        self._columns.clear()
-        self._folded.clear()
         self._collection = None
         if self._shm is not None:
             self._shm.close()
@@ -252,90 +160,35 @@ def resident_summary(_: object = None) -> Tuple[int, Tuple[str, ...]]:
     return os.getpid(), tuple(_RESIDENTS.keys())
 
 
-def run_shard_task(
-    task: Tuple[ShardResidencySpec, int, np.ndarray, np.ndarray, np.ndarray],
-) -> Tuple[int, np.ndarray, List[np.ndarray]]:
+def run_kernel_task(task: Tuple) -> Tuple:
     """Answer one shard's slice of a materialising batch inside a worker.
 
-    The original (pre-kernel) task shape, kept as the ``ids_batch``
-    entry point: ``(spec, shard_id, positions, query_starts, query_ends)``;
-    ``positions`` are the batch positions of the routed queries.
+    ``task`` is ``(spec, shard_id, positions, query_starts, query_ends)``;
+    ``positions`` are the batch positions of the routed queries.  Returns
+    ``(shard_id, positions, id_arrays)`` with one compact ``int64`` array of
+    result ids per routed query, from the worker-built shard index (the
+    parent never routes a batch here while the snapshot is update-dirty).
 
-    Returns:
-        ``(shard_id, positions, id_arrays)`` with one compact ``int64``
-        array of result ids per routed query.
+    A traced task carries an optional 6th element ``(trace_id,
+    parent_span_id)``; the worker then returns ``(shard_id, positions,
+    id_arrays, span_record)`` -- the span is built locally and shipped back
+    in the result, so fork and spawn pools trace identically.
     """
-    spec, shard_id, positions, query_starts, query_ends = task
+    spec, shard_id, positions, query_starts, query_ends = task[:5]
+    trace_ctx = task[5] if len(task) > 5 else None
+    started = time.perf_counter()
     index = _residency_for(spec).shard_index(shard_id)
     answers = [
         np.asarray(index.query(Query(int(start), int(end))), dtype=np.int64)
         for start, end in zip(query_starts, query_ends)
     ]
-    return shard_id, positions, answers
-
-
-def run_kernel_task(task: Tuple) -> Tuple[int, np.ndarray, object]:
-    """Execute one batch kernel against this worker's resident shard state.
-
-    ``task`` is ``(spec, kind, shard_id, positions, a, b, modes, deltas)``:
-
-    * ``kind == "ids_batch"``: ``a``/``b`` are the query starts/ends;
-      ``modes``/``deltas`` are unused.  Returns per-query id arrays from
-      the worker-built shard index (requires a clean snapshot -- the
-      parent never routes a materialising batch here while dirty).
-    * ``kind == "count_batch"`` / ``"exists_batch"``: each position
-      carries a counting primitive (``modes``) and its bounds ``a``/``b``;
-      the kernel folds the shipped pending-update ``deltas`` into the
-      shard's sorted count columns (cached per delta sequence), then
-      answers every position with vectorised ``searchsorted`` bisections
-      -- one compact ``int64`` array back, no per-query Python.
-      ``exists_batch`` clamps each per-shard contribution to 0/1 (the
-      parent ORs contributions across shards).
-
-    A traced task carries an optional 9th element ``(trace_id,
-    parent_span_id)``; the worker then returns ``(shard_id, positions,
-    answers, span_record)`` -- the span is built locally and shipped back
-    in the result, so fork and spawn pools trace identically.  Untraced
-    tasks return the plain 3-tuple.
-    """
-    spec, kind, shard_id, positions, a, b, modes, deltas = task[:8]
-    trace_ctx = task[8] if len(task) > 8 else None
-    started = time.perf_counter()
-    residency = _residency_for(spec)
-    if kind == "ids_batch":
-        index = residency.shard_index(shard_id)
-        answers: object = [
-            np.asarray(index.query(Query(int(start), int(end))), dtype=np.int64)
-            for start, end in zip(a, b)
-        ]
-    elif kind not in ("count_batch", "exists_batch"):
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    else:
-        starts, ends = residency.count_columns(shard_id, deltas)
-        counts = np.zeros(len(positions), dtype=np.int64)
-        mask = modes == MODE_OVERLAP
-        if mask.any():
-            counts[mask] = np.searchsorted(
-                starts, b[mask], side="right"
-            ) - np.searchsorted(ends, a[mask], side="left")
-        mask = modes == MODE_ENDS_GE
-        if mask.any():
-            counts[mask] = len(ends) - np.searchsorted(ends, a[mask], side="left")
-        mask = modes == MODE_STARTS_IN
-        if mask.any():
-            counts[mask] = np.searchsorted(
-                starts, b[mask], side="right"
-            ) - np.searchsorted(starts, a[mask], side="left")
-        if kind == "exists_batch":
-            counts = (counts > 0).astype(np.int64)
-        answers = counts
     if trace_ctx is None:
         return shard_id, positions, answers
     trace_id, parent_id = trace_ctx
     record = tracing.new_span_record(
         trace_id,
         parent_id,
-        f"kernel:{kind}",
+        "kernel:ids_batch",
         {"pid": os.getpid(), "shard": shard_id, "queries": len(positions)},
     )
     record["duration_ms"] = (time.perf_counter() - started) * 1000.0

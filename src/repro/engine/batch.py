@@ -8,9 +8,9 @@ with wall-clock metrics, so the benchmark harness, the CLI and library users
 all exercise the same entry point.
 
 Execution routes through a pluggable :class:`repro.engine.executor.Executor`:
-the serial executor (the default) evaluates the batch inline exactly as
-before, while a threaded executor carves the workload into per-worker chunks
-and runs them concurrently, preserving result order.
+the serial executor (the default) evaluates the batch inline, while a
+parallel executor carves the workload into per-worker chunks and runs them
+concurrently, preserving result order.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def execute_batch(
             counts = [count for chunk in counted for count in chunk]
         else:
             # the batched hook, not a per-query loop: composite indexes
-            # (sharded) answer it with worker-resident counting kernels
+            # (sharded) answer it in one vectorised pass
             counts = index.query_count_batch(workload)
     else:
         if parallel:

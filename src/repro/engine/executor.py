@@ -3,26 +3,21 @@
 Every execution entry point in the engine -- :class:`repro.engine.store.IntervalStore`
 batches, :class:`repro.engine.sharded.ShardedIndex` shard fan-out, the
 benchmark harness -- routes through an :class:`Executor`.  An executor maps a
-function over a list of work items; the three implementations are
+function over a list of work items; the two implementations are
 
 * :class:`SerialExecutor` -- runs everything inline.  The single-index,
   single-thread store is just this degenerate case, so adding parallelism
   never forks the code path.
-* :class:`ThreadedExecutor` -- a ``concurrent.futures.ThreadPoolExecutor``
-  with a bounded worker count.  Per-shard probes and batch chunks run
-  concurrently; NumPy-heavy backends release the GIL for the vectorised
-  portions of their scans, but pure-Python backends (the HINT^m family)
-  stay GIL-bound.
 * :class:`ProcessExecutor` -- a ``concurrent.futures.ProcessPoolExecutor``
-  with a lazy, reusable pool.  This is the executor that buys real
-  multi-core scaling for pure-Python backends; the sharded layer pairs it
-  with worker-resident shard indexes and shared-memory columns (see
-  :mod:`repro.engine._procworker`) so per-task payloads stay tiny.
+  with a lazy, reusable pool: the one way past the GIL for the pure-Python
+  backends.  The sharded layer pairs it with worker-resident shard indexes
+  and shared-memory columns (see :mod:`repro.engine._procworker`) so
+  per-task payloads stay tiny.
 
-:func:`resolve_executor` turns the user-facing spec (``None``, a worker
-count, ``"serial"``/``"threads"``/``"processes"``, or an :class:`Executor`
-instance) into an executor, and :func:`split_chunks` is the shared helper
-for carving a workload into per-worker chunks without reordering it.
+:func:`resolve_executor` turns the user-facing spec (``None``, ``"serial"``,
+``"processes"`` sized by ``workers``, or an :class:`Executor` instance) into
+an executor, and :func:`split_chunks` is the shared helper for carving a
+workload into per-worker chunks without reordering it.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ import os
 import threading
 from concurrent.futures import Future
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.obs import global_registry
@@ -49,7 +43,6 @@ __all__ = [
     "Executor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "available_cores",
     "resolve_executor",
     "split_chunks",
@@ -71,7 +64,6 @@ START_METHOD_ENV = "REPRO_MP_START_METHOD"
 #: CLI help and ``list-backends`` present them
 EXECUTOR_KINDS: Tuple[Tuple[str, str], ...] = (
     ("serial", "inline execution in the calling thread (the default)"),
-    ("threads", "thread pool; concurrency for GIL-releasing (NumPy) scans"),
     ("processes", "process pool; multi-core scaling via worker-resident shards"),
 )
 
@@ -186,51 +178,6 @@ class SerialExecutor(Executor):
         return [fn(item) for item in items]
 
 
-class ThreadedExecutor(Executor):
-    """A ``ThreadPoolExecutor``-backed parallel executor.
-
-    The pool is created lazily on first use and reused for the executor's
-    lifetime, so per-batch overhead is one ``map`` call, not pool churn.
-
-    Args:
-        workers: thread count; defaults to ``min(cpu_count, 8)``.
-    """
-
-    name = "threads"
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self._workers = _validated_workers(workers) or _default_workers()
-        self._pool: Optional[_ThreadPool] = None
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        work = list(items)
-        if self._workers == 1 or len(work) <= 1:
-            return [fn(item) for item in work]
-        if self._pool is None:
-            self._pool = _ThreadPool(
-                max_workers=self._workers, thread_name_prefix="repro-exec"
-            )
-        return list(self._pool.map(fn, work))
-
-    def submit(self, fn: Callable[[T], R], item: T) -> "Future[R]":
-        if self._workers == 1:
-            return super().submit(fn, item)
-        if self._pool is None:
-            self._pool = _ThreadPool(
-                max_workers=self._workers, thread_name_prefix="repro-exec"
-            )
-        return self._pool.submit(fn, item)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class ProcessExecutor(Executor):
     """A ``ProcessPoolExecutor``-backed parallel executor.
 
@@ -334,16 +281,12 @@ class ProcessExecutor(Executor):
             pool.shutdown(wait=True)
 
 
-#: string spec -> executor class, for :func:`resolve_executor` and the CLI
-_EXECUTOR_ALIASES = {
-    "serial": None,
-    "threads": ThreadedExecutor,
-    "threaded": ThreadedExecutor,
-    "thread": ThreadedExecutor,
-    "processes": ProcessExecutor,
-    "process": ProcessExecutor,
-    "procs": ProcessExecutor,
-}
+def _not_an_executor(spec: object) -> ValueError:
+    """The error for every spec that is neither serial nor the process pool."""
+    return ValueError(
+        f"unknown executor {spec!r}: an executor is 'serial' or 'processes', "
+        'and a worker pool is spelled executor="processes", workers=N'
+    )
 
 
 def resolve_executor(
@@ -352,18 +295,17 @@ def resolve_executor(
 ) -> Executor:
     """Turn a user-facing executor spec into an :class:`Executor`.
 
-    * ``None`` -> :class:`SerialExecutor` (or, when only ``workers`` is
-      given, the legacy single-argument interpretation of ``workers``);
-    * ``"serial"`` -> :class:`SerialExecutor`;
-    * ``"threads"``/``"processes"`` -> that executor kind, sized by
-      ``workers`` (default worker count when omitted);
-    * an int ``n`` -> :class:`SerialExecutor` when ``n == 1``, otherwise a
-      :class:`ThreadedExecutor` with ``n`` workers.  Worker counts below 1
-      are rejected with a clear error;
+    * ``None``/``"serial"``/``1`` -> :class:`SerialExecutor`;
+    * ``"processes"`` -> :class:`ProcessExecutor`, sized by ``workers``
+      (default worker count when omitted);
     * an :class:`Executor` instance passes through unchanged.
+
+    ``workers`` sizes the process pool and nothing else: a worker count
+    above 1 without ``executor="processes"`` is an error that names the
+    fix, as is any other executor name.
     """
     if spec is None and workers is not None:
-        # legacy form: IntervalStore.open(workers=4) / open(workers="threads")
+        # single-argument form: open(workers=pool) / open(workers="processes")
         spec, workers = workers, None
     if spec is None:
         return SerialExecutor()
@@ -381,27 +323,25 @@ def resolve_executor(
             raise ValueError(
                 f"conflicting worker counts: executor spec {spec} vs workers={workers!r}"
             )
-        count = _validated_workers(spec)
-        return SerialExecutor() if count == 1 else ThreadedExecutor(count)
+        if _validated_workers(spec) != 1:
+            raise _not_an_executor(spec)
+        return SerialExecutor()
     if isinstance(spec, str):
-        key = spec.lower()
-        if key not in _EXECUTOR_ALIASES:
-            names = ", ".join(repr(name) for name, _ in EXECUTOR_KINDS)
-            raise ValueError(f"unknown executor {spec!r}; use one of {names}")
+        if spec not in ("serial", "processes"):
+            raise _not_an_executor(spec)
         if isinstance(workers, (str, Executor)):
             raise TypeError(
                 f"workers must be an int worker count when the executor is "
                 f"named by string, got {workers!r}"
             )
         count = _validated_workers(workers)
-        cls = _EXECUTOR_ALIASES[key]
-        if cls is None:
-            if count is not None and count != 1:
-                raise ValueError(
-                    f"the serial executor is single-threaded; got workers={count}"
-                )
-            return SerialExecutor()
-        return cls(count)
+        if spec == "processes":
+            return ProcessExecutor(count)
+        if count is not None and count != 1:
+            raise ValueError(
+                f"the serial executor is single-threaded; got workers={count}"
+            )
+        return SerialExecutor()
     raise TypeError(f"executor spec must be an Executor, int, str or None, got {spec!r}")
 
 

@@ -16,15 +16,12 @@ This module is the missing layer.  Four pieces compose:
 * :class:`CountColumns` / :class:`IngestJournal` -- the **buffered ingest
   journal**.  Inserts and deletes append to tiny per-shard pending buffers
   (O(1) per op) and are folded into the sorted start/end count columns
-  *lazily*, on the next multi-shard count or an explicit
+  *lazily*, on the next count that reads them or an explicit
   :meth:`IngestJournal.fold` -- one vectorised merge instead of one
-  reallocation per operation.  Fold
-  ownership is split by execution path: these parent-side columns serve
-  the in-process counting path, while batched counts over a process
-  executor fold *in the workers* -- each counting kernel ships the
-  since-publication delta log and :func:`repro.engine._procworker._fold_column`
-  (the worker-side mirror of :meth:`CountColumns._fold_column`) applies it
-  to the worker-resident columns, cached per delta sequence.
+  reallocation per operation.  The journal is the columns' only owner:
+  single multi-shard counts and whole count/exists batches
+  (:meth:`IngestJournal.count_overlaps`) are bisections over it in the
+  calling process, whatever the executor.
 * :class:`RebuildPolicy` implementations -- **when** a hybrid shard's delta
   is merged back into its main index: :class:`ThresholdRebuildPolicy`
   (the paper's delta-fraction rule, per shard) and
@@ -56,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.interval import IntervalCollection
-from repro.engine.executor import available_cores
+from repro.engine.executor import _not_an_executor, available_cores
 from repro.engine.registry import resolve_backend
 from repro.obs import global_registry
 
@@ -105,11 +102,11 @@ class CountColumns:
     accessors fold first, so counts are always exact.
 
     Every mutation (recording, folding, and the fold step of the counting
-    accessors) serialises on a per-column lock: count-only batches fan
-    ``query_count`` across pool threads, and the background maintenance
-    thread folds concurrently with foreground updates -- an unsynchronised
-    snapshot-then-clear would lose or double-apply journaled operations.
-    The bisections themselves run on a captured array outside the lock.
+    accessors) serialises on a per-column lock: readers count from any
+    thread, and the background maintenance thread folds concurrently with
+    foreground updates -- an unsynchronised snapshot-then-clear would lose
+    or double-apply journaled operations.  The bisections themselves run on
+    captured arrays outside the lock.
     """
 
     __slots__ = (
@@ -209,18 +206,24 @@ class CountColumns:
     # ------------------------------------------------------------------ #
     # counting accessors (fold lazily, then bisect)
     # ------------------------------------------------------------------ #
-    def count_ends_ge(self, value: int) -> int:
-        """Number of copies with ``end >= value``."""
+    def folded(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sorted ``(starts, ends)`` with every pending op folded in.
+
+        A stable capture: folds replace the arrays, never mutate them, so
+        callers bisect outside the lock.
+        """
         with self._lock:
             self._fold_locked()
-            ends = self.ends  # bisect a stable capture outside the lock
+            return self.starts, self.ends
+
+    def count_ends_ge(self, value: int) -> int:
+        """Number of copies with ``end >= value``."""
+        _, ends = self.folded()
         return int(len(ends) - np.searchsorted(ends, value, side="left"))
 
     def count_starts_in(self, lo: int, hi: int) -> int:
         """Number of copies with ``lo <= start <= hi``."""
-        with self._lock:
-            self._fold_locked()
-            starts = self.starts
+        starts, _ = self.folded()
         first = int(np.searchsorted(starts, lo, side="left"))
         last = int(np.searchsorted(starts, hi, side="right"))
         return last - first
@@ -297,6 +300,43 @@ class IngestJournal:
 
     def count_starts_in(self, shard: int, lo: int, hi: int) -> int:
         return self._columns[shard].count_starts_in(lo, hi)
+
+    def count_overlaps(
+        self, cuts: Sequence[int], q_starts: np.ndarray, q_ends: np.ndarray
+    ) -> np.ndarray:
+        """Overlap counts of a whole query batch: the home-shard rule, vectorised.
+
+        ``cuts`` are the plan's interior cut points and ``q_starts`` /
+        ``q_ends`` the batch's ``int64`` bounds; the result is one ``int64``
+        count per query (existence is ``> 0``).  Every copy is counted once,
+        in the first probed shard it is at home in: in a query's *first*
+        shard ``count(start <= b) - count(end < a)`` -- which on a
+        multi-shard plan is ``count(end >= a)``, every copy there starting
+        below the shard's upper cut ``<= b`` -- and in each *later* shard
+        ``count(cut <= start <= b)`` from that shard's lower cut.  Only the
+        shards the batch touches are folded, each once, under its column
+        lock; no shard index is consulted.
+        """
+        cuts = np.asarray(cuts, dtype=np.int64)
+        first = np.searchsorted(cuts, q_starts, side="right")
+        last = np.searchsorted(cuts, q_ends, side="right")
+        totals = np.zeros(len(q_starts), dtype=np.int64)
+        for shard, column in enumerate(self._columns):
+            own = first == shard
+            later = (first < shard) & (last >= shard)
+            has_own, has_later = own.any(), later.any()
+            if not (has_own or has_later):
+                continue
+            starts, ends = column.folded()
+            if has_own:
+                totals[own] = np.searchsorted(
+                    starts, q_ends[own], side="right"
+                ) - np.searchsorted(ends, q_starts[own], side="left")
+            if has_later:
+                totals[later] += np.searchsorted(
+                    starts, q_ends[later], side="right"
+                ) - np.searchsorted(starts, cuts[shard - 1], side="left")
+        return totals
 
     def fold(self) -> int:
         """Fold every shard's pending buffer; returns operations folded."""
@@ -477,8 +517,7 @@ def recommend_shard_count(
     overheads win and the model prefers **K=1 for traversal-bound backends**.
     A process executor divides the work term by ``min(K, workers)`` (worker-
     resident shards run truly in parallel), so there the model prefers
-    **K=cores**; a thread pool only parallelises scan-bound (GIL-releasing)
-    work, at a discount.
+    **K=cores**.
 
     Returns the smallest candidate K (1, 2, 4, ... up to ``max_shards``,
     plus the worker count) with the lowest modeled cost.
@@ -488,8 +527,8 @@ def recommend_shard_count(
     if not len(collection):
         return 1
     backend = resolve_backend(backend)
-    if executor not in ("serial", "threads", "processes"):
-        raise ValueError(f"unknown executor kind {executor!r}")
+    if executor not in ("serial", "processes"):
+        raise _not_an_executor(executor)
     cores = workers if workers is not None else available_cores()
     cores = max(1, cores)
     stats = DatasetStatistics.from_collection(collection)
@@ -522,12 +561,8 @@ def recommend_shard_count(
             m = estimate_m_opt(shard_stats, shard_extent)
             work = CostModel(stats=shard_stats).query_cost(m, shard_extent)
         per_query = probed * (tau + work)
-        if num_shards > 1:
-            if executor == "processes":
-                per_query /= min(num_shards, cores)
-            elif executor == "threads" and scan_bound:
-                # NumPy scans release the GIL for part of the work only
-                per_query /= max(1.0, 0.5 * min(num_shards, cores))
+        if num_shards > 1 and executor == "processes":
+            per_query /= min(num_shards, cores)
         return per_query
 
     return min(candidates, key=lambda k: (modeled_cost(k), k))
@@ -585,10 +620,6 @@ class MaintenanceReport:
         skew: measured shard-size skew (max/mean) before the pass.
         snapshot_refreshed: True when a new shared-memory snapshot was
             published (process fan-out restored).
-        kernel_deltas_cleared: pending-update delta ops the counting
-            kernels were shipping per task, retired by this pass's
-            snapshot publication (the fresh snapshot folds them in, so
-            the per-task delta log restarts empty).
         checkpointed: True when the pass wrote a durability checkpoint.
         checkpoint_generation: the checkpointed ``result_generation``
             (meaningful only when ``checkpointed``).
@@ -604,7 +635,6 @@ class MaintenanceReport:
     cuts: Tuple[int, ...] = ()
     skew: float = 0.0
     snapshot_refreshed: bool = False
-    kernel_deltas_cleared: int = 0
     checkpointed: bool = False
     checkpoint_generation: int = -1
     wal_segments_truncated: int = 0
@@ -630,10 +660,7 @@ class MaintenanceReport:
         if self.repartitioned:
             parts.append(f"re-partitioned (skew {self.skew:.2f}, cuts {list(self.cuts)})")
         if self.snapshot_refreshed:
-            refreshed = f"snapshot refreshed (generation {self.generation}"
-            if self.kernel_deltas_cleared:
-                refreshed += f", retired {self.kernel_deltas_cleared} kernel delta ops"
-            parts.append(refreshed + ")")
+            parts.append(f"snapshot refreshed (generation {self.generation})")
         if self.checkpointed:
             parts.append(
                 f"checkpointed @ generation {self.checkpoint_generation} "
@@ -940,21 +967,11 @@ class MaintenanceCoordinator:
                     self._last_rebuild[health.shard_id] = time.time()
                     report.rebuilt_shards.append(health.shard_id)
         report.cuts = tuple(index.plan.cuts)
-        # snapshot refresh: restore the materialising process fan-out after
-        # updates.  Counting kernels never waited for this pass -- they ship
-        # the per-shard delta log with each task and fold it worker-side --
-        # so the refresh *retires* that log (the fresh snapshot includes
-        # every logged op) rather than re-enabling anything for them.
+        # snapshot refresh: restore the process fan-out of id batches after
+        # updates (counts never left the journal, so nothing waits on this)
         if config.refresh_snapshot and not report.repartitioned:
             if index.update_dirty or force:
-                pending_kernel_ops = (
-                    index.kernel_delta_depth()
-                    if hasattr(index, "kernel_delta_depth")
-                    else 0
-                )
                 report.snapshot_refreshed = index.refresh_snapshot()
-                if report.snapshot_refreshed:
-                    report.kernel_deltas_cleared = pending_kernel_ops
         elif report.repartitioned:
             # repartition republishes internally (process executors on
             # shared-memory platforms); a live snapshot after the install

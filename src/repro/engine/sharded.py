@@ -10,9 +10,8 @@
   the optimized HINT^m with per-shard model-tuned ``m``) -- copies for
   availability are whole processes behind :mod:`repro.cluster`, not
   in-process state;
-* a pluggable **executor** (:mod:`repro.engine.executor`) fans batches out
-  across worker threads or worker *processes*, with serial execution as the
-  K=1 degenerate case.
+* a pluggable **executor** (:mod:`repro.engine.executor`) runs id batches
+  inline or fans them out across worker *processes*.
 
 Queries are *planned*: only the shards overlapping the query range are
 probed, and multi-shard answers are deduplicated by id.  Updates are
@@ -37,27 +36,6 @@ new one, both complete.  In-place updates (insert/delete) mutate the current
 epoch under the maintenance lock; a reader pinned to that epoch sees them
 with the usual single-object update visibility, exactly as before.
 
-**Process fan-out: batch kernels.**  With a
-:class:`~repro.engine.executor.ProcessExecutor` the shard indexes *and* the
-per-shard sorted count columns live inside the worker processes
-(:mod:`repro.engine._procworker`): the collection's columns are published
-once through ``multiprocessing.shared_memory``, each worker attaches and
-builds the state it is asked about on first use, and per-task payloads are
-one batch kernel -- ``ids_batch`` (per-query id arrays from the
-worker-built shard index), or ``count_batch``/``exists_batch`` (home-shard
-counting as vectorised bisections over the worker-resident columns).  This
-sidesteps the GIL for pure-Python backends (the HINT^m family) where the
-thread pool cannot, and it moves the per-query counting Python *and* the
-journal folds out of the parent: counting kernels ship the pending update
-deltas accumulated since the last snapshot publication with each task, so
-an update-dirty index keeps its counting fan-out (materialising batches
-still fall back in-process until :meth:`ShardedIndex.refresh_snapshot`).
-A kernel task that fails is retried against a respawned pool (fresh
-workers re-attach the snapshot and rebuild their residencies -- per-worker
-healing), and only when every worker path is exhausted does the task fall
-back to the epoch's in-process shard indexes and the index-wide fan-out
-flag trip until the next refresh.
-
 **Home-shard counting.**  Boundary-spanning intervals are duplicated, so a
 multi-shard count used to materialise ids and deduplicate.  Instead, the
 index keeps each shard's copy *starts* and *ends* sorted and applies the
@@ -68,9 +46,27 @@ boundary, hence ``q.end``), and in every later shard ``j`` exactly the
 copies whose start lies in ``[cut[j-1], q.end]`` are home there.  Both are
 O(log n) bisections, so ``query_count`` over K shards costs O(K log n) and
 never builds an id list.  The sorted columns live in a **buffered ingest
-journal** (:class:`repro.engine.maintenance.IngestJournal`): updates append
-to per-shard pending buffers in O(1) and fold into the columns lazily, on
-the next multi-shard count.
+journal** (:class:`repro.engine.maintenance.IngestJournal`), their one
+owner: updates append to per-shard pending buffers in O(1) and fold into
+the columns lazily, on the next count that reads them.  Count and exists
+*batches* are that same rule as one vectorised pass over the pinned
+epoch's journal (:meth:`IngestJournal.count_overlaps`) in the calling
+process, under any executor -- they touch neither a shard index nor the
+pool.
+
+**Process fan-out: id batches.**  With a
+:class:`~repro.engine.executor.ProcessExecutor` the shard indexes live
+inside the worker processes (:mod:`repro.engine._procworker`): the
+collection's columns are published once through
+``multiprocessing.shared_memory``, each worker attaches and builds the
+shards it is asked about on first use, and a task is one shard's slice of
+a materialising batch, answered with compact id arrays.  Updates stale the
+worker-resident indexes, so an update-dirty index answers id batches
+in-process until :meth:`ShardedIndex.refresh_snapshot`.  A task that fails
+is retried against a respawned pool (fresh workers re-attach the snapshot
+and rebuild their residencies -- per-worker healing), and only when every
+worker path is exhausted does the task fall back to the epoch's in-process
+shard indexes and the index-wide fan-out flag trip until the next refresh.
 
 Maintenance -- folding journals, rebuilding hybrid shard deltas,
 re-balancing cuts on skew and republishing the shared-memory snapshot so a
@@ -88,7 +84,6 @@ shard.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import threading
@@ -109,20 +104,11 @@ from repro.core.interval import (
     SharedCollectionBuffer,
 )
 from repro.engine._procworker import (
-    MODE_ENDS_GE,
-    MODE_OVERLAP,
-    MODE_STARTS_IN,
     ShardResidencySpec,
     resident_summary,
     run_kernel_task,
 )
-from repro.engine.batch import BatchResult, execute_batch
-from repro.engine.executor import (
-    Executor,
-    ProcessExecutor,
-    resolve_executor,
-    split_chunks,
-)
+from repro.engine.executor import Executor, ProcessExecutor, resolve_executor
 from repro.engine.maintenance import IngestJournal
 from repro.engine.registry import create_index, get_spec, register_backend, resolve_backend
 from repro.engine.results import MergedResultSet, ResultSet, merge_unique_ids
@@ -150,10 +136,13 @@ _FANOUT_TRIPS = global_registry().counter(
 #: how many worker-pool failures the index keeps for diagnostics
 _FAILURE_HISTORY = 64
 
-#: per-shard cap on the pending-update delta log shipped with counting
-#: kernels; past it the log is dropped and counting batches run the parent
-#: path until the next snapshot publication (which folds everything anyway)
-_KERNEL_DELTA_CAP = 4096
+
+def _query_bounds(workload: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
+    """A batch's ``(starts, ends)`` as ``int64`` columns."""
+    total = len(workload)
+    starts = np.fromiter((q.start for q in workload), dtype=np.int64, count=total)
+    ends = np.fromiter((q.end for q in workload), dtype=np.int64, count=total)
+    return starts, ends
 
 
 class Epoch:
@@ -230,12 +219,11 @@ class ShardedIndex(IntervalIndex):
         num_shards: requested shard count K; degenerate domains may yield
             fewer (see :meth:`ShardPlan.for_collection`).
         strategy: ``"equi_width"`` or ``"balanced"`` cut selection.
-        executor: executor spec for building shards and running batches
-            (``None`` -> serial, int -> that many threads,
-            ``"serial"``/``"threads"``/``"processes"``, or an
+        executor: executor spec for building shards and running id batches
+            (``None``/``"serial"``, ``"processes"``, or an
             :class:`repro.engine.executor.Executor` instance).
-        workers: worker count paired with a string ``executor`` spec
-            (``executor="processes", workers=4``).
+        workers: size of the process pool (``executor="processes",
+            workers=4``).
         fold_threshold: optional cap on any shard's pending journal depth;
             hitting it folds that shard immediately, bounding buffer memory
             on ingest bursts whose queries never take the multi-shard
@@ -302,23 +290,6 @@ class ShardedIndex(IntervalIndex):
         #: kernel tasks that failed once and were retried against a healed
         #: pool (cumulative; surfaced in stats extras and /stats)
         self.kernel_retries = 0
-        #: per-shard pending-update delta log since the last snapshot
-        #: publication, shipped with counting kernels so updates do not
-        #: disable the counting fan-out.  ``None`` when no snapshot is
-        #: published or the log overflowed ``_KERNEL_DELTA_CAP``; else a
-        #: list of ``(add_starts, add_ends, del_starts, del_ends)`` plain
-        #: Python lists, one per shard.  Appended under the maintenance
-        #: lock; read lock-free via consistent prefixes (appends are
-        #: atomic under the GIL and starts are appended before ends).
-        self._kernel_deltas: Optional[
-            List[Tuple[List[int], List[int], List[int], List[int]]]
-        ] = None
-        #: writer-side sequence for the delta log's seqlock: bumped (under
-        #: the maintenance lock) after every committed append, read by
-        #: :meth:`_kernel_snapshot` before and after assembling its
-        #: prefixes so a read torn by a concurrent update is retried
-        #: instead of shipped
-        self._kernel_delta_version = 0
         #: error strings of the most recent worker-pool failures
         self._failures: Deque[str] = deque(maxlen=_FAILURE_HISTORY)
         #: :func:`time.time` of the last snapshot publication, ``None``
@@ -330,13 +301,14 @@ class ShardedIndex(IntervalIndex):
         #: :func:`time.monotonic` of the last query or update (idle-window
         #: detection for background maintenance)
         self.last_activity = time.monotonic()
-        #: how ``query_count`` answered: backend fast path vs home-shard
-        #: sums.  A diagnostic, not a synchronised counter -- increments can
-        #: be lost when counts fan out across a thread pool.
+        #: how counts were answered: backend fast path vs home-shard sums
+        #: for single queries, queries answered by the journal's vectorised
+        #: pass for batches.  A diagnostic, not a synchronised counter --
+        #: increments can be lost between concurrent readers.
         self.count_ops: Dict[str, int] = {
             "single_shard": 0,
             "home_shard": 0,
-            "kernel_batch": 0,
+            "journal_batch": 0,
         }
         #: extra gauges merged into every instrumented query's stats; the
         #: query server mirrors its cache counters here so
@@ -461,13 +433,6 @@ class ShardedIndex(IntervalIndex):
         self._residency = None
         self._dirty = False
         self._fanout_disabled = False  # a fresh pool/snapshot heals dead workers
-        # the snapshot now reflects every committed update: restart the
-        # delta log counting kernels ship with their tasks
-        self._kernel_deltas = (
-            [([], [], [], []) for _ in range(self._epoch.plan.num_shards)]
-            if self._shared is not None
-            else None
-        )
         if old is not None:
             old.unlink()
 
@@ -729,7 +694,6 @@ class ShardedIndex(IntervalIndex):
             "last_refresh": self.last_refresh,
             "fanout_disabled": self._fanout_disabled,
             "kernel_retries": self.kernel_retries,
-            "kernel_delta_depth": self.kernel_delta_depth(),
         }
 
     # ------------------------------------------------------------------ #
@@ -750,7 +714,6 @@ class ShardedIndex(IntervalIndex):
                 self._shared.unlink()
                 self._shared = None
                 self._residency = None
-            self._kernel_deltas = None
 
     def __enter__(self) -> "ShardedIndex":
         return self
@@ -809,21 +772,22 @@ class ShardedIndex(IntervalIndex):
         return total
 
     def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
-        """Batched counts; rides worker kernels when process fan-out is up.
+        """Batched counts: one vectorised pass over the pinned epoch's journal.
 
-        Counting kernels ship the pending-update delta log with each task,
-        so -- unlike materialising batches -- an update-dirty index keeps
-        its fan-out.  Any kernel path failure degrades per (query, shard)
-        to the in-process home-shard path, never to a wrong answer.
+        Runs in the calling process under every executor and touches no
+        shard index (see :meth:`IngestJournal.count_overlaps`); K == 1 has
+        no journal and delegates to the only shard's own batch hook.
         """
         workload = list(queries)
         self._touch(len(workload))
         epoch = self._epoch
-        if len(workload) > 1 and self._process_fanout_ready(counting=True):
-            counts = self._count_batch_processes(epoch, workload, exists=False)
-            if counts is not None:
-                return counts
-        return [self._query_count_epoch(epoch, query) for query in workload]
+        if epoch.journal is None:
+            return self._shard(epoch, 0).query_count_batch(workload)
+        return self._journal_counts(epoch, workload).tolist()
+
+    def _journal_counts(self, epoch: Epoch, workload: List[Query]) -> np.ndarray:
+        self.count_ops["journal_batch"] += len(workload)
+        return epoch.journal.count_overlaps(epoch.plan.cuts, *_query_bounds(workload))
 
     def query_exists(self, query: Query) -> bool:
         self._touch()
@@ -837,37 +801,30 @@ class ShardedIndex(IntervalIndex):
         )
 
     def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
-        """Batched existence probes over the same kernel path as counts."""
+        """Batched existence probes: the journal's batched counts, ``> 0``."""
         workload = list(queries)
         self._touch(len(workload))
         epoch = self._epoch
-        if len(workload) > 1 and self._process_fanout_ready(counting=True):
-            answers = self._count_batch_processes(epoch, workload, exists=True)
-            if answers is not None:
-                return answers
-        return [self._query_exists_epoch(epoch, query) for query in workload]
+        if epoch.journal is None:
+            return self._shard(epoch, 0).query_exists_batch(workload)
+        return (self._journal_counts(epoch, workload) > 0).tolist()
 
-    def _process_fanout_ready(self, counting: bool = False) -> bool:
-        """True while worker-resident batches are sound.
+    def _process_fanout_ready(self) -> bool:
+        """True while worker-resident id batches are sound.
 
         Requires a process executor with real parallelism, a live
         shared-memory snapshot to hand to workers (absent on platforms
         without ``multiprocessing.shared_memory``, and gone once
         :meth:`close` unlinked it -- collections are never re-pickled per
-        task), and no unhealed worker-pool failure (healing is per-worker:
-        the flag only trips once respawn-and-retry is exhausted).
-
-        Materialising (``ids_batch``) fan-out additionally needs a clean
-        snapshot -- worker-resident shard *indexes* would be stale after an
-        update.  Counting kernels do not: they ship the since-publication
-        delta log with each task and fold it worker-side, so ``counting``
-        batches stay fanned out while dirty (until the log overflows
-        ``_KERNEL_DELTA_CAP``, which :meth:`_kernel_snapshot` detects).
+        task), a clean snapshot (worker-resident shard indexes are stale
+        after an update), and no unhealed worker-pool failure (healing is
+        per-worker: the flag only trips once respawn-and-retry is
+        exhausted).
         """
         return (
             isinstance(self._executor, ProcessExecutor)
             and self._executor.workers > 1
-            and (counting or not self._dirty)
+            and not self._dirty
             and not self._fanout_disabled
             and self._shared is not None
         )
@@ -878,27 +835,10 @@ class ShardedIndex(IntervalIndex):
         epoch = self._epoch
         if workload and self._process_fanout_ready():
             return self._query_batch_processes(epoch, workload)
-        # generic chunk fan-out for any in-process executor (threads or a
-        # custom Executor subclass); a process executor that cannot use the
-        # worker-resident path runs serially -- shipping the whole index to
-        # the pool per chunk would cost more than it buys
-        if (
-            not isinstance(self._executor, ProcessExecutor)
-            and self._executor.workers > 1
-            and len(workload) > 1
-        ):
-            chunks = split_chunks(workload, self._executor.workers)
-            return [
-                ids
-                for chunk in self._executor.map(
-                    functools.partial(self._query_chunk, epoch), chunks
-                )
-                for ids in chunk
-            ]
+        # a process executor that cannot use the worker-resident path runs
+        # in-process -- shipping the whole index to the pool per chunk would
+        # cost more than it buys
         return [self._query_epoch(epoch, query) for query in workload]
-
-    def _query_chunk(self, epoch: Epoch, chunk: List[Query]) -> List[List[int]]:
-        return [self._query_epoch(epoch, query) for query in chunk]
 
     # ------------------------------------------------------------------ #
     # process fan-out: worker-resident shards, compact id-array transport
@@ -931,71 +871,6 @@ class ShardedIndex(IntervalIndex):
             self._residency = spec
         return spec
 
-    def _kernel_snapshot(
-        self, epoch: Epoch
-    ) -> Optional[Tuple[ShardResidencySpec, List[Optional[Tuple]]]]:
-        """Consistent (residency spec, per-shard shipped deltas) pair, or None.
-
-        The delta log is appended lock-free relative to readers (updates
-        hold the maintenance lock, batches do not), so this takes a
-        seqlock-style snapshot: read the writer's version counter and the
-        generation, assemble consistent list prefixes
-        (``min(len(starts), len(ends))`` -- starts append before ends, so
-        the shorter side is always a committed pair), then re-check that
-        no committed append (version bump), publication, or log drop raced
-        the read.  The version re-check is what makes the *cross-list*
-        read sound: without it, an insert and its delete both committing
-        between the add-prefix and del-prefix reads would ship a delete
-        with no matching add, and the worker fold would remove a wrong
-        element.  Returns ``None`` when counting kernels cannot run
-        soundly: no log (overflowed past ``_KERNEL_DELTA_CAP``, or
-        snapshot gone), a repartition racing the pinned epoch, or three
-        straight torn reads.
-        """
-        for _ in range(3):
-            generation = self._generation
-            version = self._kernel_delta_version
-            log = self._kernel_deltas
-            if (
-                log is None
-                or epoch is not self._epoch
-                or self._fanout_disabled
-                or self._shared is None
-                or len(log) != epoch.plan.num_shards
-            ):
-                return None
-            shipped: List[Optional[Tuple]] = []
-            for add_starts, add_ends, del_starts, del_ends in log:
-                added = min(len(add_starts), len(add_ends))
-                removed = min(len(del_starts), len(del_ends))
-                if added + removed == 0:
-                    shipped.append(None)
-                else:
-                    shipped.append(
-                        (
-                            # the worker's fold-cache key: the (adds, dels)
-                            # *pair*, never their sum -- (n+1, m) and
-                            # (n, m+1) are different folds
-                            (added, removed),
-                            np.asarray(add_starts[:added], dtype=np.int64),
-                            np.asarray(add_ends[:added], dtype=np.int64),
-                            np.asarray(del_starts[:removed], dtype=np.int64),
-                            np.asarray(del_ends[:removed], dtype=np.int64),
-                        )
-                    )
-            try:
-                spec = self._residency_spec(epoch)
-            except AttributeError:  # lost the race with close() unlinking
-                return None
-            if (
-                spec.generation == generation
-                and self._generation == generation
-                and self._kernel_deltas is log
-                and self._kernel_delta_version == version
-            ):
-                return spec, shipped
-        return None
-
     def _dispatch_kernel_tasks(
         self, tasks: List[Tuple]
     ) -> Tuple[List[Optional[Tuple]], List[int]]:
@@ -1020,8 +895,8 @@ class ShardedIndex(IntervalIndex):
         """
         results: List[Optional[Tuple]] = [None] * len(tasks)
         pending = list(range(len(tasks)))
-        # trace context at submit time: tasks stay 8-tuples in `tasks` (the
-        # failed-task fallback unpacks them), the optional 9th element rides
+        # trace context at submit time: tasks stay 5-tuples in `tasks` (the
+        # failed-task fallback unpacks them), the optional 6th element rides
         # only on the submitted copy.  The retry round gets its own
         # "kernel_retry" parent span, so a SIGKILLed worker's resubmission
         # shows up as a distinct subtree in the query's trace.
@@ -1091,11 +966,11 @@ class ShardedIndex(IntervalIndex):
     def _query_batch_processes(
         self, epoch: Epoch, workload: List[Query]
     ) -> List[List[int]]:
-        """Fan a materialising batch out as ``ids_batch`` kernel tasks.
+        """Fan a materialising batch out as worker-resident kernel tasks.
 
         Queries are grouped by the shard they overlap; each task ships only
-        ``(spec, "ids_batch", shard_id, positions, starts, ends, None,
-        None)`` and returns compact id arrays.  Multi-shard answers are
+        ``(spec, shard_id, positions, starts, ends)`` and returns compact
+        id arrays.  Multi-shard answers are
         merged with one ``np.concatenate`` + first-occurrence
         ``np.unique`` per query, in shard order -- the same first-seen
         dedup order ``merge_unique_ids`` gives the serial paths, so a
@@ -1106,8 +981,7 @@ class ShardedIndex(IntervalIndex):
         per (query, shard) to the epoch's in-process shard indexes: the
         batch still answers, degraded only where the pool failed.
         """
-        starts = np.fromiter((q.start for q in workload), dtype=np.int64, count=len(workload))
-        ends = np.fromiter((q.end for q in workload), dtype=np.int64, count=len(workload))
+        starts, ends = _query_bounds(workload)
         per_shard: Dict[int, List[int]] = {}
         for position, query in enumerate(workload):
             first, last = epoch.plan.shard_range(query.start, query.end)
@@ -1123,9 +997,7 @@ class ShardedIndex(IntervalIndex):
             pos = np.asarray(positions, dtype=np.int64)
             for piece in np.array_split(pos, min(slices_per_shard, len(pos))):
                 if len(piece):
-                    tasks.append(
-                        (spec, "ids_batch", shard, piece, starts[piece], ends[piece], None, None)
-                    )
+                    tasks.append((spec, shard, piece, starts[piece], ends[piece]))
         if len(tasks) <= 1 and len(workload) <= 1:
             # a lone single-shard query is not worth a pool round trip; the
             # local shards answer it with no transport at all.  A lone task
@@ -1144,7 +1016,7 @@ class ShardedIndex(IntervalIndex):
         for task_index in failed:
             # every worker path was exhausted for this slice: answer its
             # (query, shard) pairs against the epoch's in-process shards
-            _, _, shard, positions, piece_starts, piece_ends, _, _ = tasks[task_index]
+            _, shard, positions, piece_starts, piece_ends = tasks[task_index]
             for position, q_start, q_end in zip(positions, piece_starts, piece_ends):
                 ids = self._shard(epoch, shard).query(Query(int(q_start), int(q_end)))
                 per_query[int(position)].append(
@@ -1163,133 +1035,6 @@ class ShardedIndex(IntervalIndex):
                 _, first_seen = np.unique(merged, return_index=True)
                 results.append(merged[np.sort(first_seen)].tolist())
         return results
-
-    def _count_batch_processes(
-        self, epoch: Epoch, workload: List[Query], exists: bool
-    ) -> Optional[List[int]]:
-        """Fan batched counts/exists out as worker-resident counting kernels.
-
-        The batch is planned with one vectorised pass: queries are grouped
-        per shard into home-shard *modes* -- a single-shard query probes
-        its only shard with ``MODE_OVERLAP`` (exact ``starts<=end`` minus
-        ``ends<start`` bisection), a multi-shard query probes its first
-        shard with ``MODE_ENDS_GE`` and every later shard with
-        ``MODE_STARTS_IN`` from that shard's cut -- so every duplicated
-        copy is counted exactly once, in the first shard it is at home in.
-        Each shard group is split across the pool and shipped with the
-        shard's pending-update deltas; workers fold the deltas into cached
-        columns and answer with one ``int64`` count vector per task, which
-        the parent merges by position with ``np.bincount``.  Failed tasks
-        (after per-worker healing) degrade per query to the in-process
-        path.  Returns ``None`` when no sound kernel snapshot exists --
-        the caller runs the parent-side path.
-        """
-        snapshot = self._kernel_snapshot(epoch)
-        if snapshot is None:
-            return None
-        spec, deltas = snapshot
-        total_queries = len(workload)
-        q_starts = np.fromiter(
-            (q.start for q in workload), dtype=np.int64, count=total_queries
-        )
-        q_ends = np.fromiter(
-            (q.end for q in workload), dtype=np.int64, count=total_queries
-        )
-        cuts = np.asarray(epoch.plan.cuts, dtype=np.int64)
-        first = np.searchsorted(cuts, q_starts, side="right")
-        last = np.searchsorted(cuts, q_ends, side="right")
-        single = first == last
-        positions = np.arange(total_queries, dtype=np.int64)
-        groups: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for shard in range(epoch.plan.num_shards):
-            parts_pos, parts_a, parts_b, parts_m = [], [], [], []
-            mask = single & (first == shard)
-            if mask.any():
-                parts_pos.append(positions[mask])
-                parts_a.append(q_starts[mask])
-                parts_b.append(q_ends[mask])
-                parts_m.append(np.full(int(mask.sum()), MODE_OVERLAP, dtype=np.uint8))
-            mask = ~single & (first == shard)
-            if mask.any():
-                parts_pos.append(positions[mask])
-                parts_a.append(q_starts[mask])
-                parts_b.append(q_ends[mask])
-                parts_m.append(np.full(int(mask.sum()), MODE_ENDS_GE, dtype=np.uint8))
-            if shard > 0:
-                mask = (first < shard) & (last >= shard)
-                if mask.any():
-                    parts_pos.append(positions[mask])
-                    parts_a.append(
-                        np.full(int(mask.sum()), cuts[shard - 1], dtype=np.int64)
-                    )
-                    parts_b.append(q_ends[mask])
-                    parts_m.append(
-                        np.full(int(mask.sum()), MODE_STARTS_IN, dtype=np.uint8)
-                    )
-            if parts_pos:
-                groups.append(
-                    (
-                        shard,
-                        np.concatenate(parts_pos),
-                        np.concatenate(parts_a),
-                        np.concatenate(parts_b),
-                        np.concatenate(parts_m),
-                    )
-                )
-        if not groups:
-            return None
-        kind = "exists_batch" if exists else "count_batch"
-        slices_per_shard = max(1, -(-self._executor.workers // len(groups)))
-        tasks: List[Tuple] = []
-        for shard, pos, lo, hi, modes in groups:
-            for piece in np.array_split(
-                np.arange(len(pos)), min(slices_per_shard, len(pos))
-            ):
-                if len(piece):
-                    tasks.append(
-                        (
-                            spec,
-                            kind,
-                            shard,
-                            pos[piece],
-                            lo[piece],
-                            hi[piece],
-                            modes[piece],
-                            deltas[shard],
-                        )
-                    )
-        mapped, failed = self._dispatch_kernel_tasks(tasks)
-        totals = np.zeros(total_queries, dtype=np.int64)
-        for result in mapped:
-            if result is None:
-                continue
-            _, pos, counts = result
-            totals[pos] += counts
-        degraded: set = set()
-        for task_index in failed:
-            degraded.update(int(p) for p in tasks[task_index][3])
-        for position in degraded:
-            # partial per-shard contributions are discarded: the serial
-            # answer below is whole-query, so overwrite, never add
-            query = workload[position]
-            if exists:
-                totals[position] = 1 if self._query_exists_epoch(epoch, query) else 0
-            else:
-                totals[position] = self._query_count_epoch(epoch, query)
-        self.count_ops["kernel_batch"] += total_queries - len(degraded)
-        if exists:
-            return [bool(value) for value in totals]
-        return [int(value) for value in totals]
-
-    def kernel_delta_depth(self) -> int:
-        """Pending delta ops shipped with counting kernels (all shards)."""
-        log = self._kernel_deltas
-        if log is None:
-            return 0
-        return sum(
-            len(add_starts) + len(del_starts)
-            for add_starts, _, del_starts, _ in log
-        )
 
     def worker_residencies(self) -> Dict[int, Tuple[str, ...]]:
         """Best-effort per-worker map of resident snapshot tokens, by pid.
@@ -1346,44 +1091,6 @@ class ShardedIndex(IntervalIndex):
     # ------------------------------------------------------------------ #
     # updates (routed to the owning shards)
     # ------------------------------------------------------------------ #
-    def _record_kernel_delta(
-        self, op: str, first: int, last: int, start: int, end: int
-    ) -> None:
-        """Append one committed update to the per-shard kernel delta log.
-
-        Called under the maintenance lock after the owning shards accepted
-        the update.  Appends are plain list appends (atomic under the GIL)
-        with starts before ends, so lock-free readers taking prefix
-        snapshots always see committed pairs; the version bump *after* the
-        appends is the seqlock's writer side -- a reader whose before/after
-        version reads differ saw a potentially torn log and retries (see
-        :meth:`_kernel_snapshot`).  Past ``_KERNEL_DELTA_CAP`` per shard
-        the whole log is dropped -- counting kernels then fall back to the
-        parent path until the next snapshot publication, which folds
-        everything and restarts the log.
-        """
-        log = self._kernel_deltas
-        if log is None:
-            return
-        if last >= len(log):  # racing a repartition: the log restarts anyway
-            self._kernel_deltas = None
-            return
-        for shard in range(first, last + 1):
-            add_starts, add_ends, del_starts, del_ends = log[shard]
-            if op == "insert":
-                if len(add_starts) >= _KERNEL_DELTA_CAP:
-                    self._kernel_deltas = None
-                    return
-                add_starts.append(int(start))
-                add_ends.append(int(end))
-            else:
-                if len(del_starts) >= _KERNEL_DELTA_CAP:
-                    self._kernel_deltas = None
-                    return
-                del_starts.append(int(start))
-                del_ends.append(int(end))
-        self._kernel_delta_version += 1
-
     def insert(self, interval: Interval) -> None:
         """Insert into every shard the interval overlaps.
 
@@ -1410,7 +1117,6 @@ class ShardedIndex(IntervalIndex):
                 epoch.locator[interval.id] = (interval.start, interval.end)
             if epoch.journal is not None:
                 epoch.journal.record_insert(first, last, interval.start, interval.end)
-            self._record_kernel_delta("insert", first, last, interval.start, interval.end)
             self._size += 1
             self._dirty = True
             self._mutations += 1
@@ -1435,24 +1141,12 @@ class ShardedIndex(IntervalIndex):
             if epoch.locator is None:  # K == 1: delegate to the only shard
                 only = self._shard(epoch, 0)
                 victim: Optional[Interval] = None
-                if self._update_listeners or self._kernel_deltas is not None:
-                    # listeners and the kernel delta log need the deleted
-                    # span; without a locator the only source is the shard
+                if self._update_listeners:
+                    # listeners need the deleted span; without a locator
+                    # the only source is the shard
                     victim = only._resolve_interval(interval_id)
                 found = only.delete(interval_id)
                 if found:
-                    if victim is not None:
-                        self._record_kernel_delta(
-                            "delete", 0, 0, victim.start, victim.end
-                        )
-                    else:
-                        # the shard dropped a copy whose span could not be
-                        # resolved: nothing can patch the worker-resident
-                        # columns, so drop the delta log -- counting
-                        # kernels fall back to the exact parent path until
-                        # the next publication instead of serving counts
-                        # that still include the deleted interval
-                        self._kernel_deltas = None
                     self._size -= 1
                     self._dirty = True
                     self._mutations += 1
@@ -1472,7 +1166,6 @@ class ShardedIndex(IntervalIndex):
                 del epoch.locator[interval_id]
                 if epoch.journal is not None:
                     epoch.journal.record_delete(first, last, span[0], span[1])
-                self._record_kernel_delta("delete", first, last, span[0], span[1])
                 self._size -= 1
                 self._dirty = True
                 self._mutations += 1
@@ -1522,9 +1215,10 @@ class ShardedStore(IntervalStore):
     """The :class:`IntervalStore` facade over a :class:`ShardedIndex`.
 
     Fluent queries return :class:`MergedResultSet` handles -- one lazy child
-    per overlapping shard -- and ``run_batch`` fans out through the index's
-    executor.  Everything else (updates, introspection) inherits the store
-    API and routes through the sharded index.
+    per overlapping shard -- and ``run_batch`` goes through the index's
+    batch hooks (id batches fan out over its executor, count batches read
+    its journal).  Everything else (updates, introspection) inherits the
+    store API and routes through the sharded index.
     """
 
     def __init__(self, index: ShardedIndex, backend: Optional[str] = None) -> None:
@@ -1551,10 +1245,8 @@ class ShardedStore(IntervalStore):
     ) -> "ShardedStore":
         """Shard ``collection`` into ``num_shards`` time ranges of ``backend``.
 
-        ``executor`` selects the execution strategy by name
-        (``"serial"``/``"threads"``/``"processes"``) or instance, sized by
-        ``workers``; a bare ``workers`` count keeps the legacy thread-pool
-        meaning.
+        ``executor`` selects the execution strategy by name (``"serial"``
+        or ``"processes"``) or instance; ``workers`` sizes the process pool.
         """
         index = ShardedIndex(
             collection,
@@ -1590,31 +1282,6 @@ class ShardedStore(IntervalStore):
             f"ShardedStore(backend={self.shard_backend!r}, K={self.num_shards}, "
             f"n={len(self)})"
         )
-
-    def run_batch(
-        self, queries: Sequence[Query], count_only: bool = False
-    ) -> BatchResult:
-        """Answer a whole workload, fanning out over the index's executor.
-
-        Materialising batches parallelise inside
-        :meth:`ShardedIndex.query_batch`.  Count-only batches go through
-        :meth:`ShardedIndex.query_count_batch`: with a process executor
-        that rides the worker-resident counting kernels (delta-shipped --
-        chunking in the parent would bypass them), while
-        in-process executors still chunk the workload across threads to
-        parallelise the single-shard backend fast paths.
-        """
-        executor = (
-            self.index.executor
-            if count_only and not isinstance(self.index.executor, ProcessExecutor)
-            else None
-        )
-        with tracing.span(
-            "run_batch", queries=len(queries), count_only=count_only
-        ):
-            return execute_batch(
-                self.index, queries, count_only=count_only, executor=executor
-            )
 
     def close(self) -> None:
         """Release the index's pooled workers and shared-memory snapshot."""

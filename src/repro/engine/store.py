@@ -119,13 +119,12 @@ class IntervalStore:
         index: a pre-built index to wrap.
         backend: registry name for display/error messages (inferred from the
             index's own ``name`` when omitted).
-        executor: how ``run_batch`` executes workloads -- ``None``/1 for
-            serial, an int worker count, ``"threads"``/``"processes"`` for a
-            pooled executor, or any :class:`repro.engine.executor.Executor`
-            instance.  An instance the caller passes in stays the caller's
-            to close; an executor the store creates is closed by
-            :meth:`close`.
-        workers: worker count paired with a string ``executor`` spec.
+        executor: how ``run_batch`` executes workloads -- ``None`` or
+            ``"serial"``, ``"processes"`` for the process pool, or any
+            :class:`repro.engine.executor.Executor` instance.  An instance
+            the caller passes in stays the caller's to close; an executor
+            the store creates is closed by :meth:`close`.
+        workers: size of the process pool (``executor="processes"``).
     """
 
     def __init__(
@@ -195,14 +194,15 @@ class IntervalStore:
         accounts for the backend's cost shape and the executor's
         parallelism -- e.g. K=1 for a serially-driven HINT^m, K=cores under
         a process executor.  ``executor`` names the execution strategy
-        (``"serial"``/``"threads"``/``"processes"``), sized by ``workers``;
-        a bare ``workers`` count keeps the legacy thread-pool meaning.
+        (``"serial"`` or ``"processes"``); ``workers`` sizes the process
+        pool and means nothing without it.
 
-        ``executor="processes"`` pays off with ``num_shards > 1``, where
+        ``executor="processes"`` is meant for ``num_shards > 1``, where id
         batches run against worker-resident shards over shared-memory
-        columns; on an unsharded store the process pool must be handed the
-        whole pickled index per batch chunk, which is usually slower than
-        serial -- prefer sharding when asking for processes.
+        columns (count batches are bisections over the parent's journal
+        under either executor); on an unsharded store the process pool must
+        be handed the whole pickled index per batch chunk, which is usually
+        slower than serial -- prefer sharding when asking for processes.
 
         ``wal_dir`` makes the store *durable*: every insert/delete is
         appended to a checksummed write-ahead log in that directory before
@@ -331,10 +331,10 @@ class IntervalStore:
     def close(self) -> None:
         """Release the store's pooled executor (a no-op for serial execution).
 
-        Long-lived applications that open many stores with ``workers > 1``
+        Long-lived applications that open many stores with a process pool
         should close them (or use the store as a context manager) so idle
-        pool threads or worker processes do not accumulate; queries after
-        ``close()`` simply spin the pool up again.  An executor *instance*
+        worker processes do not accumulate; queries after ``close()``
+        simply spin the pool up again.  An executor *instance*
         the caller passed in is left running -- whoever created it owns its
         lifecycle.
         """
@@ -390,8 +390,8 @@ class IntervalStore:
     def count_batch(self, queries: Sequence[Query]) -> List[int]:
         """Per-query overlap counts for a workload, positionally aligned.
 
-        Routes through the index's batched hook, so a sharded index over a
-        process executor answers with worker-resident counting kernels.
+        Routes through the index's batched hook, so a sharded index answers
+        with one vectorised pass over its ingest journal.
         """
         return self._index.query_count_batch(list(queries))
 

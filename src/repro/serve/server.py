@@ -369,11 +369,6 @@ class QueryServer:
             "repro_fanout_disabled", "1 when kernel fan-out tripped off",
             lambda: int(bool(getattr(self._store.index, "_fanout_disabled", False))),
         )
-        metrics.gauge_function(
-            "repro_kernel_delta_depth", "pending-update records in the kernel delta log",
-            lambda: int(self._store.index.kernel_delta_depth())
-            if hasattr(self._store.index, "kernel_delta_depth") else 0,
-        )
 
     def _stream_gauge_samples(self) -> Dict[tuple, float]:
         if self._stream is None:
@@ -492,7 +487,6 @@ class QueryServer:
             # batch-kernel fan-out health (sharded indexes over a pool)
             state["fanout_disabled"] = bool(index._fanout_disabled)
             state["kernel_retries"] = int(index.kernel_retries)
-            state["kernel_delta_depth"] = int(index.kernel_delta_depth())
         if hasattr(index, "worker_residencies"):
             # best-effort: {} while the pool is down or not a process pool
             state["worker_residencies"] = {

@@ -67,3 +67,35 @@ def synthetic_queries(synthetic_collection) -> list[Query]:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(4242)
+
+
+@pytest.fixture()
+def pending_updates(rng):
+    """``apply(index, collection)``: leave 60 inserts + 30 deletes pending on
+    ``index`` and return the brute-force count oracle over the live set."""
+
+    def apply(index, collection, inserts=60, deletes=30):
+        live = {
+            int(i): (int(s), int(e))
+            for i, s, e in zip(collection.ids, collection.starts, collection.ends)
+        }
+        lo, hi = collection.span()
+        next_id = max(live) + 1
+        for offset in range(inserts):
+            start = int(rng.integers(lo, hi))
+            interval = Interval(next_id + offset, start, start + int(rng.integers(0, 2_000)))
+            try:
+                index.insert(interval)
+            except NotImplementedError:  # delete-only backend (hintm_opt)
+                break
+            live[interval.id] = (interval.start, interval.end)
+        for victim in collection.ids[:deletes]:
+            assert index.delete(int(victim))
+            del live[int(victim)]
+        starts = np.array([span[0] for span in live.values()])
+        ends = np.array([span[1] for span in live.values()])
+        return lambda queries: [
+            int(((starts <= q.end) & (ends >= q.start)).sum()) for q in queries
+        ]
+
+    return apply

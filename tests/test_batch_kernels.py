@@ -1,19 +1,15 @@
-"""Worker-side batch kernels: equivalence, delta shipping, per-worker healing.
+"""Batched execution on a sharded index: equivalence and per-worker healing.
 
-The kernel PR's correctness matrix:
-
-* batched count/exists/ids answers equal the serial oracle across backends,
-  shard counts and both start methods -- including with pending updates,
-  which counting kernels absorb by folding the shipped delta log
-  worker-side instead of falling back to the parent;
-* a killed worker degrades *per worker*: the pool respawns, the batch
+* batched count/exists answers equal the brute-force oracle across
+  backends, shard counts, both executors and both start methods --
+  including with pending updates, which the parent's journal folds;
+* a killed worker degrades *per worker*: the pool respawns, the id batch
   retries and answers correctly, and the index-wide ``_fanout_disabled``
   flag only trips when every worker path is exhausted;
-* a batch confined to one shard still splits across the pool (the old
+* an id batch confined to one shard still splits across the pool (the old
   lone-task fallback ran it serially in the parent);
-* fan-out health (``fanout_disabled``, ``kernel_retries``, delta depth,
-  per-worker residencies) is surfaced through stats extras and
-  ``maintenance_state``.
+* fan-out health (``fanout_disabled``, ``kernel_retries``, per-worker
+  residencies) is surfaced through stats extras and ``maintenance_state``.
 """
 
 import multiprocessing
@@ -23,7 +19,7 @@ import time
 
 import pytest
 
-from repro.core.interval import HAS_SHARED_MEMORY, Interval, Query
+from repro.core.interval import HAS_SHARED_MEMORY, Query
 from repro.engine import (
     ProcessExecutor,
     ShardedIndex,
@@ -31,7 +27,6 @@ from repro.engine import (
     available_backends,
     get_spec,
 )
-from repro.engine.sharded import _KERNEL_DELTA_CAP
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="no multiprocessing.shared_memory"
@@ -68,40 +63,54 @@ def _count_workload(collection, rng, count=40):
 
 
 class TestCountingKernelEquivalence:
-    """Kernel counts/exists == the serial oracle, shard plan by shard plan."""
+    """Batched counts/exists == the brute-force oracle under either executor.
+
+    Counts are bisections over the parent's journal, so the answers must not
+    depend on the executor: every case runs serially and over the pool,
+    clean and with updates pending, for batch lengths 0, 1 and N.
+    """
+
+    @staticmethod
+    def _check_batches(index, queries, expected):
+        before = index.count_ops["journal_batch"]
+        for batch, want in (([], []), (queries[:1], expected[:1]), (queries, expected)):
+            assert index.query_count_batch(batch) == want, index.executor.name
+            assert index.query_exists_batch(batch) == [c > 0 for c in want]
+        if index.num_shards > 1:
+            assert index.count_ops["journal_batch"] == before + 2 * (1 + len(queries))
+
+    def _check(self, index, collection, queries, pending_updates):
+        self._check_batches(index, queries, [len(collection.query_ids(q)) for q in queries])
+        oracle = pending_updates(index, collection)
+        self._check_batches(index, queries, oracle(queries))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_every_backend_at_k4(self, synthetic_collection, rng, pool, backend):
+    def test_every_backend_at_k4(
+        self, synthetic_collection, rng, pool, backend, pending_updates
+    ):
         kwargs = dict(SMALL_KWARGS.get(backend, {}))
-        index = ShardedIndex(
-            synthetic_collection, backend=backend, num_shards=4, executor=pool, **kwargs
-        )
-        try:
-            queries = _count_workload(synthetic_collection, rng)
-            expected = [len(synthetic_collection.query_ids(q)) for q in queries]
-            assert index.query_count_batch(queries) == expected, backend
-            assert index.query_exists_batch(queries) == [
-                count > 0 for count in expected
-            ], backend
-            assert index.count_ops["kernel_batch"] > 0
-        finally:
-            index.close()
+        queries = _count_workload(synthetic_collection, rng)
+        for executor in ("serial", pool):
+            with ShardedIndex(
+                synthetic_collection, backend=backend, num_shards=4,
+                executor=executor, **kwargs,
+            ) as index:
+                self._check(index, synthetic_collection, queries, pending_updates)
 
     @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
-    def test_shard_counts(self, synthetic_collection, rng, pool, num_shards):
-        index = ShardedIndex(
-            synthetic_collection, backend="naive", num_shards=num_shards, executor=pool
-        )
-        try:
-            queries = _count_workload(synthetic_collection, rng)
-            assert index.query_count_batch(queries) == [
-                len(synthetic_collection.query_ids(q)) for q in queries
-            ], num_shards
-        finally:
-            index.close()
+    def test_shard_counts(self, synthetic_collection, rng, pool, num_shards, pending_updates):
+        queries = _count_workload(synthetic_collection, rng)
+        for executor in ("serial", pool):
+            with ShardedIndex(
+                synthetic_collection, backend="naive", num_shards=num_shards,
+                executor=executor,
+            ) as index:
+                self._check(index, synthetic_collection, queries, pending_updates)
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_start_methods_with_pending_updates(self, synthetic_collection, rng, method):
+    def test_start_methods_with_pending_updates(
+        self, synthetic_collection, rng, method, pending_updates
+    ):
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method!r} unavailable")
         with ProcessExecutor(2, start_method=method) as executor:
@@ -109,108 +118,30 @@ class TestCountingKernelEquivalence:
                 synthetic_collection, backend="naive", num_shards=4, executor=executor
             )
             try:
-                lo, hi = synthetic_collection.span()
-                next_id = int(synthetic_collection.ids.max()) + 1
-                for i in range(60):
-                    start = int(rng.integers(lo, hi))
-                    index.insert(Interval(next_id + i, start, start + 500))
-                for victim in synthetic_collection.ids[:30]:
-                    assert index.delete(int(victim))
-                assert index.update_dirty  # materialising fan-out is stale...
-                assert index.kernel_delta_depth() > 0  # ...kernels are not
                 queries = _count_workload(synthetic_collection, rng)
-                before = index.count_ops["kernel_batch"]
-                counts = index.query_count_batch(queries)
-                serial = [index._query_count_epoch(index._epoch, q) for q in queries]
-                assert counts == serial
-                assert index.count_ops["kernel_batch"] > before
+                index.query_batch(queries)  # workers up, so there is a pool to bypass
+                oracle = pending_updates(index, synthetic_collection)
+                assert index.update_dirty  # id fan-out is stale, counts are not
+                assert index.query_count_batch(queries) == oracle(queries)
+                assert index.query_count_batch(queries) == [
+                    index._query_count_epoch(index._epoch, q) for q in queries
+                ]
                 assert not index._fanout_disabled
             finally:
                 index.close()
 
-    def test_delta_log_overflow_falls_back_to_parent(self, synthetic_collection, rng, pool):
-        index = ShardedIndex(
-            synthetic_collection, backend="naive", num_shards=4, executor=pool
-        )
-        try:
-            # simulate a cap'd log: the snapshot refuses and the parent path
-            # answers -- correctly -- until the next publication
-            index._kernel_deltas = None
-            queries = _count_workload(synthetic_collection, rng, count=10)
-            before = index.count_ops["kernel_batch"]
-            assert index.query_count_batch(queries) == [
-                len(synthetic_collection.query_ids(q)) for q in queries
-            ]
-            assert index.count_ops["kernel_batch"] == before
-            assert index.refresh_snapshot()  # publication restarts the log
-            assert index._kernel_deltas is not None
-            index.query_count_batch(queries)
-            assert index.count_ops["kernel_batch"] > before
-        finally:
-            index.close()
-
-    def test_cap_drops_log_after_many_updates(self, synthetic_collection, pool):
-        index = ShardedIndex(
-            synthetic_collection, backend="naive", num_shards=2, executor=pool
-        )
-        try:
-            lo, hi = synthetic_collection.span()
-            next_id = int(synthetic_collection.ids.max()) + 1
-            mid = (lo + hi) // 2
-            for i in range(_KERNEL_DELTA_CAP + 1):
-                index.insert(Interval(next_id + i, mid, mid + 1))
-            assert index._kernel_deltas is None
-            assert index.kernel_delta_depth() == 0
-        finally:
-            index.close()
-
-    def test_delta_key_is_pair_and_writer_versions_appends(
-        self, synthetic_collection, pool
+    def test_k1_delete_is_excluded_from_batch_counts(
+        self, synthetic_collection, rng, pool
     ):
-        """Seqlock regression: every committed append bumps the writer-side
-        version, and the shipped fold-cache key is the (adds, dels) *pair*
-        -- a torn (n, m+1) state and a consistent (n+1, m) state must never
-        share a cache key."""
-        index = ShardedIndex(
-            synthetic_collection, backend="naive", num_shards=2, executor=pool
-        )
-        try:
-            lo, _ = synthetic_collection.span()
-            next_id = int(synthetic_collection.ids.max()) + 1
-            before = index._kernel_delta_version
-            index.insert(Interval(next_id, lo, lo + 1))
-            assert index._kernel_delta_version == before + 1
-            snap = index._kernel_snapshot(index._epoch)
-            assert snap is not None
-            keys = [deltas[0] for deltas in snap[1] if deltas is not None]
-            assert keys == [(1, 0)]
-            assert index.delete(next_id)
-            assert index._kernel_delta_version == before + 2
-            snap = index._kernel_snapshot(index._epoch)
-            keys = [deltas[0] for deltas in snap[1] if deltas is not None]
-            assert keys == [(1, 1)]
-        finally:
-            index.close()
-
-    def test_unresolvable_delete_drops_delta_log(
-        self, synthetic_collection, rng, pool, monkeypatch
-    ):
-        """K == 1: no locator, so the deleted span comes from the
-        shard's interval lookup.  When that lookup fails but the delete
-        succeeds, the delta log can no longer patch the worker-resident
-        columns -- it must be dropped so counting batches fall back to the
-        exact parent path instead of serving stale counts."""
+        """K == 1 has no journal: batches go to the only shard's own hook,
+        which sees the delete."""
         index = ShardedIndex(
             synthetic_collection, backend="naive", num_shards=1, executor=pool
         )
         try:
-            assert index._epoch.locator is None
-            assert index._kernel_deltas is not None
-            only = index.shards[0]
-            monkeypatch.setattr(only, "_resolve_interval", lambda interval_id: None)
+            assert index._epoch.journal is None
             victim = int(synthetic_collection.ids[0])
             assert index.delete(victim)
-            assert index._kernel_deltas is None
             queries = _count_workload(synthetic_collection, rng, count=10)
             assert index.query_count_batch(queries) == [
                 len(set(synthetic_collection.query_ids(q).tolist()) - {victim})
@@ -291,22 +222,22 @@ class TestPerWorkerHealing:
         index = self._index(synthetic_collection, executor)
         try:
             queries = _count_workload(synthetic_collection, rng)
-            expected = [len(synthetic_collection.query_ids(q)) for q in queries]
-            index.query_count_batch(queries)  # warm the pool
+            expected = [
+                sorted(synthetic_collection.query_ids(q).tolist()) for q in queries
+            ]
+            index.query_batch(queries)  # warm the pool
             pids = list(index.worker_residencies().keys())
             assert pids, "expected worker residencies after a warm batch"
             os.kill(pids[0], signal.SIGKILL)
             time.sleep(0.2)
-            assert index.query_count_batch(queries) == expected
+            assert [sorted(ids) for ids in index.query_batch(queries)] == expected
             assert index.kernel_retries > 0
             assert not index._fanout_disabled, (
                 "a single worker kill must heal per-worker, not trip the "
                 "index-wide fan-out flag"
             )
-            # the healed pool keeps serving both kernel families
-            answers = index.query_batch(queries)
-            for q, ids in zip(queries, answers):
-                assert sorted(ids) == sorted(synthetic_collection.query_ids(q).tolist())
+            # the healed pool keeps serving
+            assert [sorted(ids) for ids in index.query_batch(queries)] == expected
             assert not index._fanout_disabled
         finally:
             index.close()
@@ -333,9 +264,9 @@ class TestPerWorkerHealing:
         index = self._index(synthetic_collection, executor)
         try:
             queries = _count_workload(synthetic_collection, rng, count=12)
-            counts = index.query_count_batch(queries)
+            answers = index.query_batch(queries)
             # the batch still answers -- per (query, shard) fallback ...
-            assert counts == [
+            assert [len(ids) for ids in answers] == [
                 len(synthetic_collection.query_ids(q)) for q in queries
             ]
             # ... healing was attempted first, then the flag tripped
@@ -431,14 +362,13 @@ class TestKernelObservability:
             state = index.maintenance_state()
             assert state["fanout_disabled"] is False
             assert state["kernel_retries"] == 0
-            assert state["kernel_delta_depth"] == 0
-            index.query_count_batch(_count_workload(synthetic_collection, rng))
+            index.query_batch(_count_workload(synthetic_collection, rng))
             residencies = index.worker_residencies()
             assert residencies, "a warm pool should report resident tokens"
             for pid, tokens in residencies.items():
                 assert isinstance(pid, int)
             # the pool is shared across tests, so other uids may be resident
-            # too -- but at least one worker must hold *this* index's columns
+            # too -- but at least one worker must hold *this* index's shards
             assert any(
                 index._uid in token
                 for tokens in residencies.values()
@@ -448,14 +378,16 @@ class TestKernelObservability:
             index.close()
 
     def test_store_count_batches_ride_kernels(self, synthetic_collection, rng, pool):
+        """Every store-level count surface is the journal's batched pass
+        (the test keeps the name it had when that pass ran in workers)."""
         store = ShardedStore.open(
             synthetic_collection, "naive", num_shards=4, executor=pool
         )
         try:
             queries = _count_workload(synthetic_collection, rng, count=16)
-            before = store.index.count_ops["kernel_batch"]
+            before = store.index.count_ops["journal_batch"]
             batch = store.run_batch(queries, count_only=True)
-            assert store.index.count_ops["kernel_batch"] > before
+            assert store.index.count_ops["journal_batch"] == before + len(queries)
             assert batch.counts == [
                 len(synthetic_collection.query_ids(q)) for q in queries
             ]

@@ -1,11 +1,14 @@
 """Tests for the counting fast paths (``IntervalIndex.query_count``).
 
-Covers correctness of every override against the materialising path and the
+Covers correctness of every override against the materialising path, the
 acceptance requirement that ``OptimizedHINTm.query_count`` beats
 ``len(query(...))`` by at least 2x on a 100k-interval dataset (it avoids
-building any intermediate id list).
+building any intermediate id list), and the sharded index's batched counts:
+bisections over the parent's journal that touch neither a shard index nor
+the worker pool.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -14,9 +17,10 @@ import pytest
 from repro.baselines.grid1d import Grid1D
 from repro.baselines.interval_tree import IntervalTree
 from repro.baselines.naive import NaiveIndex
-from repro.core.interval import IntervalCollection, Query
+from repro.core.interval import HAS_SHARED_MEMORY, IntervalCollection, Query
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
-from repro.engine import IntervalStore
+from repro.engine import IntervalStore, ProcessExecutor, ShardedIndex
+from repro.engine.maintenance import CountColumns
 from repro.hint.optimized import OptimizedHINTm
 
 
@@ -85,6 +89,69 @@ class TestCountCorrectness:
         index = IntervalTree.build(fastpath_collection)
         for query in fastpath_queries[:20]:
             assert index.query_count(query) == len(index.query(query))
+
+
+@pytest.mark.skipif(not HAS_SHARED_MEMORY, reason="no multiprocessing.shared_memory")
+class TestShardedBatchCounts:
+    def test_count_batches_build_no_shard_in_the_parent(
+        self, fastpath_collection, fastpath_queries
+    ):
+        """A one-query batch used to take the per-query path, which builds
+        the probed shard in the parent under a process executor."""
+        expected = [len(fastpath_collection.query_ids(q)) for q in fastpath_queries]
+        with IntervalStore.open(
+            fastpath_collection, "naive", num_shards=2, executor="processes", workers=2
+        ) as store:
+            for size in (1, len(fastpath_queries)):
+                batch, want = fastpath_queries[:size], expected[:size]
+                assert store.count_batch(batch) == want
+                assert store.exists_batch(batch) == [count > 0 for count in want]
+                assert store.index.built_shards == [None, None]
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_batched_counts_touch_neither_pool_nor_shards(
+        self, fastpath_collection, fastpath_queries, pending_updates, monkeypatch, method
+    ):
+        """With 400 updates pending, count and exists batches equal the
+        brute-force oracle from the journal alone: one fold per touched
+        column, nothing submitted, no shard probed -- also once fan-out has
+        tripped and after ``close()``."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method!r} unavailable")
+
+        def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("a count batch left the journal")
+
+        folds = []
+
+        def counted_fold(column, adds, removes, fold=CountColumns._fold_column):
+            folds.append(len(column))
+            return fold(column, adds, removes)
+
+        with ProcessExecutor(2, start_method=method) as executor:
+            index = ShardedIndex(
+                fastpath_collection, backend="naive", num_shards=4, executor=executor
+            )
+            oracle = pending_updates(index, fastpath_collection, inserts=200, deletes=200)
+            expected = oracle(fastpath_queries)
+            for name in ("submit", "map"):
+                monkeypatch.setattr(ProcessExecutor, name, forbidden)
+            for name in ("query", "query_count", "query_exists"):
+                monkeypatch.setattr(NaiveIndex, name, forbidden)
+            monkeypatch.setattr(CountColumns, "_fold_column", staticmethod(counted_fold))
+
+            def check():
+                assert index.query_count_batch(fastpath_queries) == expected
+                assert index.query_exists_batch(fastpath_queries) == [
+                    count > 0 for count in expected
+                ]
+
+            check()
+            index._fanout_disabled = True
+            check()
+            index.close()
+            check()
+            assert len(folds) == 2 * index.num_shards  # starts + ends, once each
 
 
 class TestCountPerformance:

@@ -163,6 +163,14 @@ class TestReaderMaintenanceStress:
                             failures.append((query, "exists"))
                             stop.set()
                             return
+                    # the batched hooks read the pinned epoch's journal
+                    counts = store.index.query_count_batch(queries)
+                    flags = store.index.query_exists_batch(queries)
+                    for query, count, flag in zip(queries, counts, flags):
+                        if count < len(expected[query]) or (expected[query] and not flag):
+                            failures.append((query, "batch", count, flag))
+                            stop.set()
+                            return
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 failures.append(exc)
                 stop.set()
@@ -174,6 +182,7 @@ class TestReaderMaintenanceStress:
         churn_rng = np.random.default_rng(23)
         next_id = self.CHURN_BASE
         live_churn = []
+        live = dict(core)
         deadline = time.monotonic() + seconds
         try:
             while time.monotonic() < deadline and not stop.is_set():
@@ -183,9 +192,12 @@ class TestReaderMaintenanceStress:
                     end = start + int(churn_rng.integers(0, (hi - lo) // 10))
                     store.insert(Interval(next_id, start, end))
                     live_churn.append(next_id)
+                    live[next_id] = (start, end)
                     next_id += 1
                 while len(live_churn) > 100:
-                    assert store.delete(live_churn.pop(0))
+                    victim = live_churn.pop(0)
+                    assert store.delete(victim)
+                    del live[victim]
                 # ...then the full maintenance surface area under readers
                 store.maintain(force=True)
                 store.index.repartition(strategy="balanced")
@@ -195,6 +207,10 @@ class TestReaderMaintenanceStress:
             for thread in threads:
                 thread.join()
         assert not failures, f"reader diverged: {failures[:3]}"
+        # quiesced: the batched counts are exact over core + surviving churn
+        quiesced = [len(_oracle(live, query)) for query in queries]
+        assert store.index.query_count_batch(queries) == quiesced
+        assert store.index.query_exists_batch(queries) == [c > 0 for c in quiesced]
 
     def test_queries_survive_maintenance_and_repartition(self):
         collection = _collection(n=400)

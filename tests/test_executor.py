@@ -1,16 +1,15 @@
 """Tests for the pluggable executor layer (repro.engine.executor)."""
 
-import threading
-
 import pytest
 
+from repro.cli import main as cli_main
+from repro.engine import IntervalStore, ShardedStore, recommend_shard_count
 from repro.engine.batch import execute_batch
 from repro.engine.executor import (
     EXECUTOR_KINDS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadedExecutor,
     resolve_executor,
     split_chunks,
 )
@@ -40,44 +39,6 @@ class TestSerialExecutor:
 
     def test_workers_is_one(self):
         assert SerialExecutor().workers == 1
-
-
-class TestThreadedExecutor:
-    def test_map_preserves_order(self):
-        with ThreadedExecutor(4) as executor:
-            assert executor.map(lambda x: x * x, list(range(50))) == [
-                x * x for x in range(50)
-            ]
-
-    def test_actually_runs_on_worker_threads(self):
-        seen = set()
-
-        def record(_x):
-            seen.add(threading.current_thread().name)
-
-        with ThreadedExecutor(4) as executor:
-            executor.map(record, list(range(64)))
-        assert any(name.startswith("repro-exec") for name in seen)
-
-    def test_single_item_runs_inline(self):
-        executor = ThreadedExecutor(4)
-        executor.map(lambda x: x, [1])
-        assert executor._pool is None  # no pool spun up for trivial work
-        executor.close()
-
-    def test_close_is_idempotent(self):
-        executor = ThreadedExecutor(2)
-        executor.map(lambda x: x, [1, 2, 3])
-        executor.close()
-        executor.close()
-
-    def test_propagates_exceptions(self):
-        def boom(x):
-            raise ValueError(x)
-
-        with ThreadedExecutor(2) as executor:
-            with pytest.raises(ValueError):
-                executor.map(boom, [1, 2, 3, 4])
 
 
 def _square(x):
@@ -119,8 +80,8 @@ class TestProcessExecutor:
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
         assert ProcessExecutor(2).start_method == "spawn"
 
-    def test_executor_kinds_lists_all_three(self):
-        assert [name for name, _ in EXECUTOR_KINDS] == ["serial", "threads", "processes"]
+    def test_executor_kinds_lists_both(self):
+        assert [name for name, _ in EXECUTOR_KINDS] == ["serial", "processes"]
 
 
 class TestResolveExecutor:
@@ -130,12 +91,10 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor(1), SerialExecutor)
 
     def test_worker_counts(self):
-        executor = resolve_executor(3)
-        assert isinstance(executor, ThreadedExecutor)
-        assert executor.workers == 3
-
-    def test_threads_keyword(self):
-        assert isinstance(resolve_executor("threads"), ThreadedExecutor)
+        """``workers`` sizes the process pool; alone, only 1 (serial) is valid."""
+        assert isinstance(resolve_executor(None, 1), SerialExecutor)
+        assert isinstance(resolve_executor("serial", 1), SerialExecutor)
+        assert resolve_executor("processes", 3).workers == 3
 
     def test_processes_keyword(self):
         executor = resolve_executor("processes")
@@ -146,19 +105,22 @@ class TestResolveExecutor:
         assert sized.workers == 3
 
     def test_legacy_workers_argument(self):
-        assert isinstance(resolve_executor(None, 4), ThreadedExecutor)
+        """A spec passed through ``workers`` alone still resolves -- but a
+        bare count no longer means a pool."""
+        with pytest.raises(ValueError, match='executor="processes"'):
+            resolve_executor(None, 4)
         assert isinstance(resolve_executor(None, "processes"), ProcessExecutor)
         assert isinstance(resolve_executor(None, None), SerialExecutor)
 
     def test_instances_pass_through(self):
         executor = SerialExecutor()
         assert resolve_executor(executor) is executor
-        sized = ThreadedExecutor(3)
+        sized = ProcessExecutor(3)
         assert resolve_executor(sized, 3) is sized  # matching size is fine
 
     def test_rejects_conflicting_worker_counts(self):
         with pytest.raises(ValueError, match="cannot resize"):
-            resolve_executor(ThreadedExecutor(3), 8)
+            resolve_executor(ProcessExecutor(3), 8)
         with pytest.raises(ValueError, match="conflicting"):
             resolve_executor(4, 8)
 
@@ -166,8 +128,6 @@ class TestResolveExecutor:
         for bad in (0, -1):
             with pytest.raises(ValueError, match=">= 1"):
                 resolve_executor(bad)
-            with pytest.raises(ValueError, match=">= 1"):
-                resolve_executor("threads", bad)
             with pytest.raises(ValueError, match=">= 1"):
                 resolve_executor("processes", bad)
         with pytest.raises(ValueError):
@@ -191,11 +151,47 @@ class TestResolveExecutor:
         assert resolve_executor(Doubler()).name == "doubler"
 
 
+class TestRemovedSpellings:
+    """Thread pools and bare worker counts are gone: each spelling raises and
+    names the fix instead of being ignored or re-routed to a process pool."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: resolve_executor("threads"),
+            lambda c: resolve_executor("thread"),
+            lambda c: resolve_executor("procs"),
+            lambda c: resolve_executor(4),
+            lambda c: resolve_executor(None, 4),
+            lambda c: IntervalStore.open(c, "naive", workers=4),
+            lambda c: ShardedStore.open(c, "naive", num_shards=2, executor=2),
+            lambda c: recommend_shard_count(c, executor="threads"),
+        ],
+        ids=[
+            "threads", "thread", "procs", "int", "workers-alone",
+            "store-workers", "sharded-executor-int", "recommend-threads",
+        ],
+    )
+    def test_library_spellings_raise(self, synthetic_collection, call):
+        with pytest.raises(ValueError, match='executor="processes"'):
+            call(synthetic_collection)
+
+    @pytest.mark.parametrize("flags", [["--workers", "4"], ["--executor", "threads"]])
+    def test_cli_spellings_are_argparse_errors(self, tmp_path, flags):
+        data = tmp_path / "data.csv"
+        data.write_text("0,1,5\n1,3,9\n")
+        queries = tmp_path / "queries.csv"
+        queries.write_text("0,10\n")
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["batch", str(data), str(queries), *flags])
+        assert excinfo.value.code == 2
+
+
 class TestExecuteBatchWithExecutor:
     def test_parallel_matches_serial(self, synthetic_collection, synthetic_queries):
         index = create_index("hintm_opt", synthetic_collection, num_bits=8)
         serial = execute_batch(index, synthetic_queries)
-        with ThreadedExecutor(4) as executor:
+        with ProcessExecutor(2) as executor:
             parallel = execute_batch(index, synthetic_queries, executor=executor)
         assert [sorted(ids) for ids in parallel.ids] == [
             sorted(ids) for ids in serial.ids
@@ -205,7 +201,7 @@ class TestExecuteBatchWithExecutor:
     def test_parallel_count_only(self, synthetic_collection, synthetic_queries):
         index = create_index("grid1d", synthetic_collection, num_partitions=64)
         serial = execute_batch(index, synthetic_queries, count_only=True)
-        with ThreadedExecutor(3) as executor:
+        with ProcessExecutor(2) as executor:
             parallel = execute_batch(
                 index, synthetic_queries, count_only=True, executor=executor
             )

@@ -30,7 +30,6 @@ from repro.engine import (
     ProcessExecutor,
     ShardedIndex,
     ShardedStore,
-    ThreadedExecutor,
     available_backends,
     get_spec,
 )
@@ -401,42 +400,15 @@ class TestExecutorLifecycle:
         plain.close()
         assert pool._pool is not None
 
-    def test_custom_executor_subclass_still_fans_out(self, synthetic_collection, rng):
-        """query_batch chunks over any in-process Executor, not just threads."""
-        from repro.engine import Executor
-
-        class Recording(Executor):
-            name = "recording"
-
-            def __init__(self):
-                self.calls = 0
-
-            @property
-            def workers(self):
-                return 3
-
-            def map(self, fn, items):
-                self.calls += 1
-                return [fn(item) for item in items]
-
-        executor = Recording()
-        store = ShardedStore.open(
-            synthetic_collection, "naive", num_shards=2, executor=executor
-        )
-        before = executor.calls  # the shard build already used it
-        queries = _workload(synthetic_collection, rng, count=9)
-        batch = store.run_batch(queries)
-        assert executor.calls == before + 1
-        for query, ids in zip(queries, batch.ids):
-            assert sorted(ids) == sorted(synthetic_collection.query_ids(query).tolist())
-
     def test_plain_store_respects_ownership(self, synthetic_collection):
-        borrowed = ThreadedExecutor(2)
+        borrowed = ProcessExecutor(2)
         with IntervalStore.open(synthetic_collection, "naive", workers=borrowed) as store:
             store.run_batch([Query(0, 10**6), Query(5, 50)])
         assert borrowed._pool is not None
         borrowed.close()
-        owned = IntervalStore.open(synthetic_collection, "naive", workers=2)
+        owned = IntervalStore.open(
+            synthetic_collection, "naive", executor="processes", workers=2
+        )
         owned.run_batch([Query(0, 10**6), Query(5, 50)])
         executor = owned.executor
         owned.close()

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import Grid1D, IntervalTree, NaiveIndex, PeriodIndex, TimelineIndex
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.engine import ShardedIndex
 from repro.hint import ComparisonFreeHINT, HINTm, OptimizedHINTm, SubdividedHINTm
 
 # strategy: a list of intervals over a small discrete domain plus a query;
@@ -129,21 +130,28 @@ def test_period_index_matches_oracle(pairs, query, coarse, levels):
     deletions=st.lists(st.integers(0, 74), max_size=10),
     query=query_strategy,
     m=st.integers(3, 8),
+    num_shards=st.sampled_from([2, 3, 5]),
 )
-def test_update_sequences_match_oracle(pairs, extra, deletions, query, m):
-    """Random insert/delete sequences keep HINT^m equivalent to the oracle."""
+def test_update_sequences_match_oracle(pairs, extra, deletions, query, m, num_shards):
+    """Random insert/delete sequences keep HINT^m -- and a K-shard index's
+    journal-batched counts -- equivalent to the oracle."""
     collection = _collection(pairs)
     hint = SubdividedHINTm(collection, num_bits=m)
+    sharded = ShardedIndex(collection, backend="naive", num_shards=num_shards)
     oracle = NaiveIndex.build(collection)
     next_id = len(pairs)
     for start, end in extra:
         interval = Interval(next_id, start, end)
-        hint.insert(interval)
-        oracle.insert(interval)
+        for index in (hint, sharded, oracle):
+            index.insert(interval)
         next_id += 1
     for victim in deletions:
-        assert hint.delete(victim) == oracle.delete(victim)
+        assert hint.delete(victim) == sharded.delete(victim) == oracle.delete(victim)
     assert sorted(hint.query(query)) == sorted(oracle.query(query))
+    batch = [query, Query.stabbing(query.start), Query.stabbing(query.end), Query(0, DOMAIN_MAX)]
+    counts = [oracle.query_count(q) for q in batch]
+    assert sharded.query_count_batch(batch) == counts
+    assert sharded.query_exists_batch(batch) == [count > 0 for count in counts]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

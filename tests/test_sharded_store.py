@@ -15,9 +15,9 @@ from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import (
     IntervalStore,
     MergedResultSet,
+    ProcessExecutor,
     ShardedIndex,
     ShardedStore,
-    ThreadedExecutor,
     available_backends,
     create_index,
     get_spec,
@@ -119,47 +119,21 @@ class TestShardedEquivalence:
         assert got.counts == expected.counts
 
 
-class TestThreadPoolExecution:
-    def test_threaded_batch_is_deterministic(self, synthetic_collection, synthetic_queries):
-        """Same workload, twice through a 4-worker pool == serial answers."""
-        serial = ShardedStore.open(
-            synthetic_collection, "hintm_opt", num_shards=4, num_bits=8
-        )
-        threaded = ShardedStore.open(
-            synthetic_collection, "hintm_opt", num_shards=4, workers=4, num_bits=8
-        )
-        baseline = [sorted(ids) for ids in serial.run_batch(synthetic_queries).ids]
-        first = [sorted(ids) for ids in threaded.run_batch(synthetic_queries).ids]
-        second = [sorted(ids) for ids in threaded.run_batch(synthetic_queries).ids]
-        assert first == baseline
-        assert second == baseline
-
-    def test_count_only_batch_through_threads(self, synthetic_collection, synthetic_queries):
-        threaded = ShardedStore.open(
-            synthetic_collection, "naive", num_shards=4, workers=3
-        )
-        counts = threaded.run_batch(synthetic_queries, count_only=True).counts
-        expected = [
-            len(synthetic_collection.query_ids(q)) for q in synthetic_queries
-        ]
-        assert counts == expected
-        # the count path fans out on the index's pool (run_batch passes it on)
-        assert threaded.index.executor._pool is not None
-        threaded.close()
-        assert threaded.index.executor._pool is None
-
+class TestPooledExecution:
     def test_store_close_and_context_manager(self, synthetic_collection):
         with ShardedStore.open(
-            synthetic_collection, "naive", num_shards=2, workers=2
+            synthetic_collection, "naive", num_shards=2, executor="processes", workers=2
         ) as store:
             store.run_batch([Query(0, 10**6)])
         assert store.index.executor._pool is None  # closed on exit
-        with IntervalStore.open(synthetic_collection, "naive", workers=2) as plain:
+        with IntervalStore.open(
+            synthetic_collection, "naive", executor="processes", workers=2
+        ) as plain:
             plain.run_batch([Query(0, 10**6), Query(5, 50)])
         assert plain.executor._pool is None
 
     def test_executor_shared_for_build_and_query(self, synthetic_collection):
-        with ThreadedExecutor(2) as executor:
+        with ProcessExecutor(2) as executor:
             index = ShardedIndex(
                 synthetic_collection, "grid1d", num_shards=4, executor=executor,
                 num_partitions=32,

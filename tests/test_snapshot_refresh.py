@@ -28,7 +28,7 @@ from repro.engine._procworker import (
     ShardResidencySpec,
     _residency_for,
     resident_tokens,
-    run_shard_task,
+    run_kernel_task,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -193,9 +193,9 @@ class TestResidencyCacheEviction:
             positions = np.array([0], dtype=np.int64)
             starts = np.array([0], dtype=np.int64)
             ends = np.array([100], dtype=np.int64)
-            _, _, before = run_shard_task((spec_old, 0, positions, starts, ends))
+            _, _, before = run_kernel_task((spec_old, 0, positions, starts, ends))
             assert before[0].tolist() == [0]
-            _, _, after = run_shard_task((spec_new, 0, positions, starts, ends))
+            _, _, after = run_kernel_task((spec_new, 0, positions, starts, ends))
             assert sorted(after[0].tolist()) == [0, 1]
             assert set(_RESIDENTS) == {"idx-r:g1"}
         finally:

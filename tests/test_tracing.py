@@ -164,7 +164,7 @@ class TestKernelSpanPropagation:
             collection, backend="naive", num_shards=4, executor=executor
         )
         try:
-            index.query_count_batch(queries)  # warm the pool
+            index.query_batch(queries)  # warm the pool
             pids = list(index.worker_residencies().keys())
             assert pids, "expected worker residencies after a warm batch"
             os.kill(pids[0], signal.SIGKILL)

@@ -1,9 +1,8 @@
 """Worker residency cache under pressure: LRU eviction and supersession.
 
 The worker-global residency cache (``_procworker._RESIDENTS``) is what makes
-batch kernels cheap -- shard indexes and folded count columns survive between
-batches -- but a long-lived pool serves *many* stores, so the cache is
-bounded (``_MAX_RESIDENTS``) and a newer snapshot generation of the same
+id batches cheap -- shard indexes survive between batches -- but a
+long-lived pool serves *many* stores, so the cache is bounded (``_MAX_RESIDENTS``) and a newer snapshot generation of the same
 index supersedes every older one (the parent unlinked their shared blocks at
 publication time, so keeping them would pin dead memory).
 
@@ -141,7 +140,7 @@ class TestResidencyInPool:
             try:
                 expected = [len(synthetic_collection.query_ids(q)) for q in queries]
                 for index in indexes:
-                    assert index.query_count_batch(queries) == expected
+                    assert [len(ids) for ids in index.query_batch(queries)] == expected
                 per_worker = dict(
                     executor.map(resident_summary, list(range(executor.workers * 4)))
                 )
@@ -169,13 +168,13 @@ class TestResidencyInPool:
                 synthetic_collection, backend="naive", num_shards=4, executor=executor
             )
             try:
-                index.query_count_batch(queries)  # seed generation-0 residencies
+                index.query_batch(queries)  # seed generation-0 residencies
                 index.insert(Interval(10**6, lo, hi))
                 assert index.refresh_snapshot()
                 generation = index._generation
                 # serve a few batches so every worker sees the new spec
                 for _ in range(3):
-                    counts = index.query_count_batch(queries)
+                    counts = [len(ids) for ids in index.query_batch(queries)]
                 assert counts == [
                     len(synthetic_collection.query_ids(q)) + 1 for q in queries
                 ]

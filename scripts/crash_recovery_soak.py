@@ -90,23 +90,9 @@ def apply_ops(live, ops):
 
 def live_set(store):
     return {
-        int(i): (int(s), int(e))
-        for i, s, e in (
-            (interval.id, interval.start, interval.end)
-            for interval in _live_intervals(store)
-        )
+        interval.id: (interval.start, interval.end)
+        for interval in store.index.live_collection()
     }
-
-
-def _live_intervals(store):
-    index = store.index
-    if hasattr(index, "live_collection"):
-        collection = index.live_collection()
-        return [
-            Interval(int(i), int(s), int(e))
-            for i, s, e in zip(collection.ids, collection.starts, collection.ends)
-        ]
-    return list(index._interval_lookup().values())
 
 
 def _open(args, directory):

@@ -12,10 +12,11 @@ comparisons.  Because an interval may be reported in several partitions, the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
 __all__ = ["Grid1D"]
@@ -50,12 +51,10 @@ class Grid1D(IntervalIndex):
         self._width = max(1, (self._hi - self._lo + self._p) // self._p)
         # each cell holds (start, end, id) triples in insertion order
         self._cells: List[List[tuple[int, int, int]]] = [[] for _ in range(self._p)]
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
-        self._size = 0
+        self._spans = SpanTable(collection)
         self._replicas = 0
         for interval in collection:
-            self.insert(interval)
+            self._place(interval)
 
     @classmethod
     def build(cls, collection: IntervalCollection, **kwargs) -> "Grid1D":
@@ -82,31 +81,27 @@ class Grid1D(IntervalIndex):
     @property
     def replication_factor(self) -> float:
         """Average number of cells each live interval is stored in."""
-        if self._size == 0:
+        if len(self) == 0:
             return 0.0
-        return self._replicas / self._size
+        return self._replicas / len(self)
 
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
+        self._place(interval)
+        self._spans.add(interval)
+
+    def _place(self, interval: Interval) -> None:
         first = self._cell_of(interval.start)
         last = self._cell_of(interval.end)
         entry = (interval.start, interval.end, interval.id)
         for cell in range(first, last + 1):
             self._cells[cell].append(entry)
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
-        self._size += 1
         self._replicas += last - first + 1
 
     def delete(self, interval_id: int) -> bool:
-        interval = self._intervals.get(interval_id)
-        if interval is None or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -143,7 +138,7 @@ class Grid1D(IntervalIndex):
         :meth:`query`/:meth:`query_with_stats` materialise the stream;
         :meth:`query_count`/:meth:`query_exists` only consume it.
         """
-        tombstones = self._tombstones
+        tombstones = self._spans.removed
         grid_max = self._lo + self._p * self._width - 1
         first = self._cell_of(query.start)
         last = self._cell_of(query.end)
@@ -179,18 +174,8 @@ class Grid1D(IntervalIndex):
                     yield sid
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
         # 3 machine words per replicated entry plus one pointer word per cell
-        return self._replicas * 3 * 8 + self._p * 8
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }
+        return self._spans_bytes(_memo) + self._replicas * 3 * 8 + self._p * 8

@@ -17,10 +17,11 @@ sorted via binary insertion and deletes remove from them.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
 __all__ = ["IntervalTree"]
@@ -55,13 +56,12 @@ class IntervalTree(IntervalIndex):
     name = "interval-tree"
 
     def __init__(self, collection: IntervalCollection) -> None:
-        self._size = 0
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
-        #: intervals inserted after construction that fall outside the root
-        #: span; scanned linearly (the tree's domain estimate is fixed at build
-        #: time, mirroring the static structure the paper benchmarks).
-        self._overflow: Dict[int, Interval] = {}
+        self._spans = SpanTable(collection)
+        #: ``(start, end, id)`` of intervals inserted after construction that
+        #: fall outside the root span; scanned linearly (the tree's domain
+        #: estimate is fixed at build time, mirroring the static structure
+        #: the paper benchmarks).
+        self._overflow: List[tuple[int, int, int]] = []
         if len(collection):
             lo, hi = collection.span()
         else:
@@ -69,8 +69,6 @@ class IntervalTree(IntervalIndex):
         self._root = _Node(lo, max(hi, lo + 1))
         for interval in collection:
             self._insert_into_tree(interval)
-            self._intervals[interval.id] = interval
-            self._size += 1
 
     @classmethod
     def build(cls, collection: IntervalCollection) -> "IntervalTree":
@@ -97,31 +95,27 @@ class IntervalTree(IntervalIndex):
                 return
 
     def insert(self, interval: Interval) -> None:
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
-        self._size += 1
+        self._spans.add(interval)
         if interval.start < self._root.lo or interval.end > self._root.hi:
-            self._overflow[interval.id] = interval
+            self._overflow.append((interval.start, interval.end, interval.id))
             return
         self._insert_into_tree(interval)
 
     def delete(self, interval_id: int) -> bool:
-        interval = self._intervals.get(interval_id)
-        if interval is None or interval_id in self._tombstones:
+        interval = self._spans.get(interval_id)
+        if interval is None:
             return False
-        if interval_id in self._overflow:
-            del self._overflow[interval_id]
-            self._tombstones.add(interval_id)
-            self._size -= 1
+        entry = (interval.start, interval.end, interval.id)
+        if entry in self._overflow:
+            self._overflow.remove(entry)
+            self._spans.remove(interval_id)
             return True
         node: Optional[_Node] = self._root
         while node is not None:
-            entry = (interval.start, interval.end, interval.id)
             if entry in node.by_start:
                 node.by_start.remove(entry)
                 node.by_end.remove((interval.end, interval.start, interval.id))
-                self._tombstones.add(interval_id)
-                self._size -= 1
+                self._spans.remove(interval_id)
                 return True
             if interval.end < node.center:
                 node = node.left
@@ -182,22 +176,19 @@ class IntervalTree(IntervalIndex):
                         break
                     results.append(sid)
                 stack.append(node.right)
-        for interval in self._overflow.values():
+        for start, end, sid in self._overflow:
             stats.comparisons += 2
             stats.candidates += 1
-            if interval.start <= query.end and query.start <= interval.end:
-                results.append(interval.id)
+            if start <= query.end and query.start <= end:
+                results.append(sid)
         stats.results = len(results)
         return results, stats
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
-        total = len(self._overflow) * 3 * 8
+        total = self._spans_bytes(_memo) + len(self._overflow) * 3 * 8
         stack: List[Optional[_Node]] = [self._root]
         while stack:
             node = stack.pop()
@@ -208,13 +199,6 @@ class IntervalTree(IntervalIndex):
             stack.append(node.left)
             stack.append(node.right)
         return total
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }
 
     # ------------------------------------------------------------------ #
     # introspection used by tests

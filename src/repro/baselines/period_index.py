@@ -18,10 +18,11 @@ reference-value technique, like the 1D-grid.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
 __all__ = ["PeriodIndex"]
@@ -117,12 +118,10 @@ class PeriodIndex(IntervalIndex):
             )
             for i in range(self._p)
         ]
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
-        self._size = 0
+        self._spans = SpanTable(collection)
         self._replicas = 0
         for interval in collection:
-            self.insert(interval)
+            self._place(interval)
 
     @classmethod
     def build(cls, collection: IntervalCollection, **kwargs) -> "PeriodIndex":
@@ -138,14 +137,18 @@ class PeriodIndex(IntervalIndex):
     @property
     def replication_factor(self) -> float:
         """Average number of divisions each live interval is stored in."""
-        if self._size == 0:
+        if len(self) == 0:
             return 0.0
-        return self._replicas / self._size
+        return self._replicas / len(self)
 
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
+        self._place(interval)
+        self._spans.add(interval)
+
+    def _place(self, interval: Interval) -> None:
         first = self._coarse_of(interval.start)
         last = self._coarse_of(interval.end)
         entry = (interval.start, interval.end, interval.id)
@@ -155,17 +158,9 @@ class PeriodIndex(IntervalIndex):
             for division in partition.divisions_for(level, interval.start, interval.end):
                 partition.levels[level][division].append(entry)
                 self._replicas += 1
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
-        self._size += 1
 
     def delete(self, interval_id: int) -> bool:
-        interval = self._intervals.get(interval_id)
-        if interval is None or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -185,7 +180,7 @@ class PeriodIndex(IntervalIndex):
     def _query(self, query: Query, min_duration: int) -> tuple[List[int], QueryStats]:
         results: List[int] = []
         stats = QueryStats()
-        tombstones = self._tombstones
+        tombstones = self._spans.removed
         first = self._coarse_of(query.start)
         last = self._coarse_of(query.end)
         grid_max = self._lo + self._p * self._width - 1
@@ -229,9 +224,6 @@ class PeriodIndex(IntervalIndex):
         return results, stats
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
@@ -240,11 +232,4 @@ class PeriodIndex(IntervalIndex):
             for partition in self._partitions
             for level in range(self._num_levels)
         )
-        return self._replicas * 3 * 8 + division_count * 8
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }
+        return self._spans_bytes(_memo) + self._replicas * 3 * 8 + division_count * 8

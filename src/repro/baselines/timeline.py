@@ -24,10 +24,11 @@ sorted -- all carry over to this implementation.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from typing import Dict, List
+from typing import List
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
 __all__ = ["TimelineIndex"]
@@ -54,17 +55,14 @@ class TimelineIndex(IntervalIndex):
         if num_checkpoints < 1:
             raise ValueError(f"num_checkpoints must be >= 1, got {num_checkpoints}")
         self._num_checkpoints = num_checkpoints
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
+        self._spans = SpanTable(collection)
         # event list entries: (time, is_start_desc_key, id) where the sort key
         # for is_start uses 0 for starts and 1 for ends so starts sort first
         self._events: List[tuple[int, int, int]] = []
         for interval in collection:
-            self._intervals[interval.id] = interval
             self._events.append((interval.start, 0, interval.id))
             self._events.append((interval.end, 1, interval.id))
         self._events.sort()
-        self._size = len(collection)
         self._checkpoint_times: List[int] = []
         self._checkpoint_sets: List[frozenset[int]] = []
         self._checkpoint_ptrs: List[int] = []
@@ -161,7 +159,7 @@ class TimelineIndex(IntervalIndex):
             event_pos += 1
         # ends at exactly q.st remain active (closed intervals); starts at
         # q.st are picked up in step 3, so nothing else to do here.
-        tombstones = self._tombstones
+        tombstones = self._spans.removed
         results = {sid for sid in active if sid not in tombstones}
         # 3. continue scanning until past q.end, collecting newly started ids
         while event_pos < total and events[event_pos][0] <= query.end:
@@ -178,41 +176,25 @@ class TimelineIndex(IntervalIndex):
     # updates (expensive by design: the event list must stay sorted)
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
+        self._spans.add(interval)
         insort(self._events, (interval.start, 0, interval.id))
         insort(self._events, (interval.end, 1, interval.id))
-        self._size += 1
         # the checkpoint sets and pointers are invalidated by the insertion;
         # they are rebuilt lazily at the next query (the paper's point that
         # ad-hoc updates are expensive for this index stands either way)
         self._checkpoints_dirty = True
 
     def delete(self, interval_id: int) -> bool:
-        if interval_id not in self._intervals or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
         event_bytes = len(self._events) * 3 * 8
         checkpoint_bytes = sum(len(s) for s in self._checkpoint_sets) * 8
         checkpoint_bytes += len(self._checkpoint_times) * 2 * 8
-        return event_bytes + checkpoint_bytes
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }
+        return self._spans_bytes(_memo) + event_bytes + checkpoint_bytes
 
     # ------------------------------------------------------------------ #
     # introspection used by tests

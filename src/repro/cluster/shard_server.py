@@ -307,17 +307,7 @@ class ShardServer(QueryServer):
             cached_generation, cached = self._starts_cache
             if cached_generation == generation and cached is not None:
                 return cached
-        index = self._store.index
-        if hasattr(index, "live_collection"):
-            starts = np.array(index.live_collection().starts, dtype=np.int64)
-        else:
-            lookup = index._interval_lookup()
-            starts = np.fromiter(
-                (interval.start for interval in lookup.values()),
-                dtype=np.int64,
-                count=len(lookup),
-            )
-        starts.sort()
+        starts = np.sort(self._store.index.live_collection().starts)
         with self._starts_lock:
             self._starts_cache = (generation, starts)
         return starts

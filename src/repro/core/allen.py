@@ -16,6 +16,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Iterable, List
 
+import numpy as np
+
 from repro.core.interval import Interval, Query
 
 __all__ = [
@@ -49,50 +51,53 @@ class AllenRelation(enum.Enum):
     AFTER = "after"
 
 
-def _before(s: Interval, q: Query) -> bool:
-    return s.end < q.start
+# One encoding of the thirteen predicates, over raw endpoints: written with
+# ``&`` so the same function answers for two ints (a ``bool``) and for two
+# ``int64`` columns (a boolean mask) -- see :func:`relation_mask`.
+def _before(start, end, q: Query):
+    return end < q.start
 
-def _meets(s: Interval, q: Query) -> bool:
+def _meets(start, end, q: Query):
     # the "q.start < q.end" guard keeps the relations mutually exclusive when
     # the query degenerates to a point (FINISHED_BY covers that case)
-    return s.end == q.start and s.start < q.start and q.start < q.end
+    return (end == q.start) & (start < q.start) & (q.start < q.end)
 
-def _overlaps(s: Interval, q: Query) -> bool:
-    return s.start < q.start < s.end < q.end
+def _overlaps(start, end, q: Query):
+    return (start < q.start) & (q.start < end) & (end < q.end)
 
-def _starts(s: Interval, q: Query) -> bool:
-    return s.start == q.start and s.end < q.end
+def _starts(start, end, q: Query):
+    return (start == q.start) & (end < q.end)
 
-def _during(s: Interval, q: Query) -> bool:
-    return q.start < s.start and s.end < q.end
+def _during(start, end, q: Query):
+    return (q.start < start) & (end < q.end)
 
-def _finishes(s: Interval, q: Query) -> bool:
-    return s.end == q.end and s.start > q.start
+def _finishes(start, end, q: Query):
+    return (end == q.end) & (start > q.start)
 
-def _equals(s: Interval, q: Query) -> bool:
-    return s.start == q.start and s.end == q.end
+def _equals(start, end, q: Query):
+    return (start == q.start) & (end == q.end)
 
-def _finished_by(s: Interval, q: Query) -> bool:
-    return s.end == q.end and s.start < q.start
+def _finished_by(start, end, q: Query):
+    return (end == q.end) & (start < q.start)
 
-def _contains(s: Interval, q: Query) -> bool:
-    return s.start < q.start and q.end < s.end
+def _contains(start, end, q: Query):
+    return (start < q.start) & (q.end < end)
 
-def _started_by(s: Interval, q: Query) -> bool:
-    return s.start == q.start and s.end > q.end
+def _started_by(start, end, q: Query):
+    return (start == q.start) & (end > q.end)
 
-def _overlapped_by(s: Interval, q: Query) -> bool:
-    return q.start < s.start < q.end < s.end
+def _overlapped_by(start, end, q: Query):
+    return (q.start < start) & (start < q.end) & (q.end < end)
 
-def _met_by(s: Interval, q: Query) -> bool:
+def _met_by(start, end, q: Query):
     # see _meets: for a point query STARTED_BY covers this case instead
-    return s.start == q.end and s.end > q.end and q.start < q.end
+    return (start == q.end) & (end > q.end) & (q.start < q.end)
 
-def _after(s: Interval, q: Query) -> bool:
-    return s.start > q.end
+def _after(start, end, q: Query):
+    return start > q.end
 
 
-_PREDICATES: Dict[AllenRelation, Callable[[Interval, Query], bool]] = {
+_PREDICATES: Dict[AllenRelation, Callable] = {
     AllenRelation.BEFORE: _before,
     AllenRelation.MEETS: _meets,
     AllenRelation.OVERLAPS: _overlaps,
@@ -130,13 +135,20 @@ RANGE_QUERY_RELATIONS = frozenset(
 
 def satisfies_relation(interval: Interval, query: Query, relation: AllenRelation) -> bool:
     """Return True iff ``interval RELATION query`` holds."""
-    return _PREDICATES[relation](interval, query)
+    return bool(_PREDICATES[relation](interval.start, interval.end, query))
+
+
+def relation_mask(
+    relation: AllenRelation, starts: np.ndarray, ends: np.ndarray, query: Query
+) -> np.ndarray:
+    """Row-wise :func:`satisfies_relation` over two endpoint columns."""
+    return _PREDICATES[relation](starts, ends, query)
 
 
 def allen_relation(interval: Interval, query: Query) -> AllenRelation:
     """Return the unique Allen relation that holds between ``interval`` and ``query``."""
-    for relation, predicate in _PREDICATES.items():
-        if predicate(interval, query):
+    for relation in _PREDICATES:
+        if satisfies_relation(interval, query, relation):
             return relation
     raise AssertionError("Allen's relations are exhaustive; unreachable")  # pragma: no cover
 
@@ -145,5 +157,4 @@ def filter_by_relation(
     intervals: Iterable[Interval], query: Query, relation: AllenRelation
 ) -> List[Interval]:
     """Filter ``intervals`` keeping only those in ``relation`` with ``query``."""
-    predicate = _PREDICATES[relation]
-    return [s for s in intervals if predicate(s, query)]
+    return [s for s in intervals if satisfies_relation(s, query, relation)]

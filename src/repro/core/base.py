@@ -13,6 +13,8 @@ them interchangeably:
 * :meth:`IntervalIndex.query_batch` -- answer many queries in one call (the
   entry point the benchmark harness drives),
 * :meth:`IntervalIndex.insert` / :meth:`IntervalIndex.delete` -- updates,
+* :meth:`IntervalIndex.live_collection` -- the live rows, columnar (read from
+  the index's one id -> span table, :mod:`repro.core.spans`),
 * :meth:`IntervalIndex.memory_bytes` -- an estimate of the index footprint
   (used by the Table 8 experiment),
 * :meth:`IntervalIndex.query_with_stats` -- instrumented query evaluation that
@@ -25,11 +27,14 @@ from __future__ import annotations
 import abc
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.allen import AllenRelation, RANGE_QUERY_RELATIONS, satisfies_relation
+import numpy as np
+
+from repro.core.allen import AllenRelation, RANGE_QUERY_RELATIONS, relation_mask
 from repro.core.errors import UnsupportedQueryError
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 
 __all__ = ["IntervalIndex", "QueryStats", "count_once"]
 
@@ -212,29 +217,21 @@ class IntervalIndex(abc.ABC):
     def query_relation(self, query: Query, relation: AllenRelation) -> List[int]:
         """Ids of intervals in the given Allen relation with ``query``.
 
-        Relations implying overlap are answered by refining the range query's
-        candidates; BEFORE/AFTER fall back to a scan of the stored intervals
-        (those relations are unbounded and not what HINT targets).
+        Relations implying overlap refine the range query's candidates
+        through the span table's ``gather``, so they cost what the
+        candidates cost -- never a pass over the stored intervals.
+        BEFORE/AFTER are unbounded (not what HINT targets) and take one
+        vectorised scan of :meth:`live_collection`.
         """
-        if relation in RANGE_QUERY_RELATIONS:
-            candidate_ids = self.query(query)
-            lookup = self._require_interval_lookup(relation)
-            return [
-                sid
-                for sid in candidate_ids
-                if satisfies_relation(lookup[sid], query, relation)
-            ]
-        lookup = self._require_interval_lookup(relation)
-        return [
-            sid
-            for sid, interval in lookup.items()
-            if satisfies_relation(interval, query, relation)
-        ]
-
-    def _require_interval_lookup(self, relation: AllenRelation) -> Dict[int, Interval]:
-        """:meth:`_interval_lookup`, surfacing a clear error when unsupported."""
         try:
-            return self._interval_lookup()
+            if relation in RANGE_QUERY_RELATIONS:
+                ids = np.asarray(self.query(query), dtype=np.int64)
+                starts, ends, live = self._span_table().gather(ids)
+                keep = live & relation_mask(relation, starts, ends, query)
+            else:
+                rows = self.live_collection()
+                ids = rows.ids
+                keep = relation_mask(relation, rows.starts, rows.ends, query)
         except UnsupportedQueryError:
             raise
         except NotImplementedError as exc:
@@ -243,6 +240,7 @@ class IntervalIndex(abc.ABC):
                 f"full intervals, so it cannot answer "
                 f"{relation.name} relation queries"
             ) from exc
+        return ids[keep].tolist()
 
     # ------------------------------------------------------------------ #
     # updates
@@ -262,9 +260,9 @@ class IntervalIndex(abc.ABC):
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
-    @abc.abstractmethod
     def __len__(self) -> int:
-        """Number of (live) intervals indexed."""
+        """Number of (live) intervals indexed: the table's row count."""
+        return len(self._spans)
 
     def memory_bytes(self, _memo: "set[int] | None" = None) -> int:
         """Approximate memory footprint of the index structures in bytes.
@@ -292,25 +290,47 @@ class IntervalIndex(abc.ABC):
         _memo.add(id(self))
         return False
 
+    # ------------------------------------------------------------------ #
+    # id -> span: one table per index (see :mod:`repro.core.spans`)
+    # ------------------------------------------------------------------ #
+    #: the index's :class:`~repro.core.spans.SpanTable`: every backend that
+    #: retains its intervals builds it over its collection, mutates it in
+    #: ``insert``/``delete`` and reads ``_spans.removed`` as its tombstone
+    #: filter.  Composites leave it ``None`` and override :meth:`_span_table`.
+    _spans: "SpanTable | None" = None
+
+    def _span_table(self) -> SpanTable:
+        """What every id -> span read below goes through."""
+        if self._spans is not None:
+            return self._spans
+        if type(self)._interval_lookup is IntervalIndex._interval_lookup:
+            raise NotImplementedError(f"{type(self).__name__} retains no intervals")
+        # an index that keeps rows of its own (the NaiveIndex reference)
+        # overrides _interval_lookup: a throwaway table over it, O(n) like
+        # the lookup itself
+        return SpanTable(IntervalCollection.from_intervals(self._interval_lookup().values()))
+
+    def _spans_bytes(self, _memo: "set[int] | None") -> int:
+        """The table's share of :meth:`memory_bytes` (counted once per memo)."""
+        return count_once(_memo, self._spans, self._spans.nbytes)
+
+    def live_collection(self) -> IntervalCollection:
+        """The live intervals as a columnar collection (one vectorised pass)."""
+        return self._span_table().collection()
+
     def _interval_lookup(self) -> Dict[int, Interval]:
-        """Map id -> Interval for every live interval (used by Allen refinement)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not retain full intervals for relation queries"
-        )
+        """Map id -> Interval for every live interval: O(n) Python objects,
+        so nothing on a query or update path calls it."""
+        return {interval.id: interval for interval in self.live_collection()}
 
     def _resolve_interval(self, interval_id: int) -> "Interval | None":
-        """The live interval for one id, or None.
-
-        The listener-attached delete path resolves the victim's span on
-        every op, so update-capable backends override this with an O(1)
-        probe; the default materialises the full lookup."""
-        return self._interval_lookup().get(interval_id)
+        """The live interval for one id, or None (the delete paths resolve
+        the victim's span on every op: one table probe)."""
+        return self._span_table().get(interval_id)
 
 
 def _deep_sizeof(obj: object, _seen: set | None = None) -> int:
     """Best-effort recursive ``sys.getsizeof`` that handles containers and numpy arrays."""
-    import numpy as np
-
     if _seen is None:
         _seen = set()
     obj_id = id(obj)

@@ -197,21 +197,6 @@ class IntervalCollection:
         return cls(ids=ids, starts=starts, ends=ends)
 
     @classmethod
-    def from_spans(cls, spans: "dict[int, Tuple[int, int]]") -> "IntervalCollection":
-        """Build a collection from an ``id -> (start, end)`` mapping.
-
-        This is how a live collection is reconstructed from a sharded
-        index's locator when the shared-memory snapshot is republished
-        after updates: one vectorised pass over the mapping, no per-row
-        :class:`Interval` objects.
-        """
-        if not spans:
-            return cls.empty()
-        ids = np.fromiter(spans.keys(), dtype=np.int64, count=len(spans))
-        endpoints = np.array(list(spans.values()), dtype=np.int64).reshape(len(spans), 2)
-        return cls(ids=ids, starts=endpoints[:, 0], ends=endpoints[:, 1])
-
-    @classmethod
     def empty(cls) -> "IntervalCollection":
         """An empty collection."""
         return cls(ids=[], starts=[], ends=[])

@@ -37,6 +37,8 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.errors import DurabilityDegradedError, ReproError
 from repro.core.interval import Interval, IntervalCollection
 from repro.durability import faults
@@ -280,18 +282,8 @@ class DurabilityManager:
         return lock if lock is not None else contextlib.nullcontext()
 
     def _live_rows(self) -> List[List[int]]:
-        index = self._store.index
-        if hasattr(index, "live_collection"):
-            collection = index.live_collection()
-            return [
-                [int(i), int(s), int(e)]
-                for i, s, e in zip(collection.ids, collection.starts, collection.ends)
-            ]
-        lookup = index._interval_lookup()
-        return [
-            [int(v.id), int(v.start), int(v.end)]
-            for v in sorted(lookup.values(), key=lambda v: v.id)
-        ]
+        live = self._store.index.live_collection()
+        return np.column_stack((live.ids, live.starts, live.ends)).tolist()
 
     def _serialise_subscriptions(self) -> List[Dict[str, object]]:
         if self._stream is None:

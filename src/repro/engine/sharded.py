@@ -17,13 +17,13 @@ Queries are *planned*: only the shards overlapping the query range are
 probed, and multi-shard answers are deduplicated by id.  Updates are
 *routed*: an insert goes to every shard whose range the new
 interval overlaps (so with ``backend="hintm_hybrid"`` it lands in the owning
-shard's delta index), and a delete probes only the shards recorded as
-holding a copy (an id -> span locator is maintained from build time).
+shard's delta index), and a delete probes only the shards its span overlaps
+(a *locator* :class:`~repro.core.spans.SpanTable` is kept from build time).
 
 Three consistency/execution mechanisms deserve detail:
 
 **Epoch-based read snapshots.**  All partition-dependent state -- the plan,
-the per-shard indexes, the ingest journal and the id -> span locator --
+the per-shard indexes, the ingest journal and the locator table --
 lives in one :class:`Epoch` object, and the index holds a single reference
 to the current epoch.  Every query pins that reference *once* on entry and
 runs entirely against the pinned epoch, so maintenance operations that
@@ -103,6 +103,7 @@ from repro.core.interval import (
     Query,
     SharedCollectionBuffer,
 )
+from repro.core.spans import SpanTable
 from repro.engine._procworker import (
     ShardResidencySpec,
     resident_summary,
@@ -150,7 +151,7 @@ class Epoch:
 
     Everything a reader needs to answer a query against one version of the
     partitioning -- the plan, the per-shard indexes, the ingest journal
-    backing home-shard counting and the id -> span locator -- travels
+    backing home-shard counting and the locator table -- travels
     together in one object.  Queries pin the owning index's current epoch
     with a single reference read and never look back at the index for
     partition state, so maintenance replaces the whole epoch atomically
@@ -168,8 +169,8 @@ class Epoch:
             absorbed no update since the epoch was installed and the source
             still reproduces it exactly.
         journal: the home-shard counting journal (``None`` when K == 1).
-        locator: id -> ``(start, end)`` of every live interval (``None``
-            only for the K == 1 degenerate case).
+        locator: the :class:`~repro.core.spans.SpanTable` of every live
+            interval (``None`` at K == 1: the only shard's own table serves).
         source: the collection this epoch's lazy shard builds draw from;
             kept content-equivalent to the build state of the epoch (updates
             route through built shards, and snapshot refreshes replace it
@@ -187,7 +188,7 @@ class Epoch:
         plan: ShardPlan,
         shards: List[Optional[IntervalIndex]],
         journal: Optional[IngestJournal],
-        locator: Optional[Dict[int, Tuple[int, int]]],
+        locator: Optional[SpanTable],
         source: Optional[IntervalCollection],
     ) -> None:
         self.epoch_id = epoch_id
@@ -350,13 +351,10 @@ class ShardedIndex(IntervalIndex):
 
         # --- home-shard counting + bounded-delete bookkeeping ---
         journal: Optional[IngestJournal] = None
-        locator: Optional[Dict[int, Tuple[int, int]]] = None
+        locator: Optional[SpanTable] = None
         if plan.num_shards > 1:
             journal = IngestJournal(pieces, fold_threshold=self._fold_threshold)
-            locator = {
-                int(i): (int(s), int(e))
-                for i, s, e in zip(collection.ids, collection.starts, collection.ends)
-            }
+            locator = SpanTable(collection)
 
         # --- shard construction: built here in-process, lazy for process fan-out ---
         lazy = isinstance(self._executor, ProcessExecutor)
@@ -549,11 +547,6 @@ class ShardedIndex(IntervalIndex):
         return list(self._epoch.shards)
 
     @property
-    def _locator(self) -> Optional[Dict[int, Tuple[int, int]]]:
-        """The current epoch's id -> span locator (kept for introspection)."""
-        return self._epoch.locator
-
-    @property
     def snapshot_generation(self) -> int:
         """Residency-token generation of the current shared-memory snapshot.
 
@@ -590,22 +583,15 @@ class ShardedIndex(IntervalIndex):
     # maintenance hooks (driven by MaintenanceCoordinator)
     # ------------------------------------------------------------------ #
     def live_collection(self) -> IntervalCollection:
-        """The current live intervals as a fresh columnar collection.
-
-        With a locator (K > 1) this is one vectorised pass over the
-        id -> span map (maintained from build time and on every update);
-        the K = 1 degenerate case falls back to the only shard's interval
-        lookup when updates happened, and to the build collection
-        otherwise.
-        """
+        """The current live intervals: one vectorised pass over the table,
+        serialised against updates.  An update-clean K == 1 index under a
+        process executor answers from the epoch source instead of building
+        its worker-resident shard in the parent."""
         with self._maintenance_lock:
             epoch = self._epoch
-            if epoch.locator is not None:
-                return IntervalCollection.from_spans(epoch.locator)
-            if not self._dirty and epoch.source is not None:
+            if epoch.locator is None and not self._dirty and epoch.source is not None:
                 return epoch.source
-            lookup = self._shard(epoch, 0)._interval_lookup()
-            return IntervalCollection.from_intervals(lookup.values())
+            return super().live_collection()
 
     def refresh_snapshot(self) -> bool:
         """Republish the live collection so process fan-out resumes.
@@ -1114,7 +1100,7 @@ class ShardedIndex(IntervalIndex):
             # raise above (static backend, bad interval) must not desync the
             # locator or the count columns from the shard contents
             if epoch.locator is not None:
-                epoch.locator[interval.id] = (interval.start, interval.end)
+                epoch.locator.add(interval)
             if epoch.journal is not None:
                 epoch.journal.record_insert(first, last, interval.start, interval.end)
             self._size += 1
@@ -1128,52 +1114,34 @@ class ShardedIndex(IntervalIndex):
     def delete(self, interval_id: int) -> bool:
         """Tombstone ``interval_id`` in the shards holding a copy.
 
-        The id -> span locator (maintained from build time and on every
-        insert) bounds the probe to the owning shards instead of all K;
-        an id the index never saw returns False without touching any shard.
-        The locator entry and the count-column journal are only mutated
-        after every owning shard was probed, so a shard raising mid-delete
-        leaves the bookkeeping consistent and the delete retryable.  True
-        when any copy was live.
+        One table probe (the locator; at K == 1 the only shard's own table)
+        resolves the victim's span, which bounds the delete to the owning
+        shards instead of all K; an id the index never saw returns False
+        without touching any shard.  The locator entry and the count-column
+        journal are only mutated after every owning shard was probed, so a
+        shard raising mid-delete leaves the bookkeeping consistent and the
+        delete retryable.  True when any copy was live.
         """
         with self._maintenance_lock:
             epoch = self._epoch
-            if epoch.locator is None:  # K == 1: delegate to the only shard
-                only = self._shard(epoch, 0)
-                victim: Optional[Interval] = None
-                if self._update_listeners:
-                    # listeners need the deleted span; without a locator
-                    # the only source is the shard
-                    victim = only._resolve_interval(interval_id)
-                found = only.delete(interval_id)
-                if found:
-                    self._size -= 1
-                    self._dirty = True
-                    self._mutations += 1
-                    self.updates_since_partition += 1
-                    if self._update_listeners:
-                        self._emit_update("delete", victim, self._mutations)
-                    self._touch(0)
-                return found
-            span = epoch.locator.get(interval_id)
-            if span is None:
+            victim = self._resolve_interval(interval_id)
+            if victim is None:
                 return False
-            first, last = epoch.plan.shard_range(*span)
+            first, last = epoch.plan.shard_range(victim.start, victim.end)
             found = False
             for shard in range(first, last + 1):
                 found = self._shard(epoch, shard).delete(interval_id) or found
             if found:
-                del epoch.locator[interval_id]
+                if epoch.locator is not None:
+                    epoch.locator.remove(interval_id)
                 if epoch.journal is not None:
-                    epoch.journal.record_delete(first, last, span[0], span[1])
+                    epoch.journal.record_delete(first, last, victim.start, victim.end)
                 self._size -= 1
                 self._dirty = True
                 self._mutations += 1
                 self.updates_since_partition += 1
                 if self._update_listeners:
-                    self._emit_update(
-                        "delete", Interval(interval_id, span[0], span[1]), self._mutations
-                    )
+                    self._emit_update("delete", victim, self._mutations)
                 self._touch(0)
             return found
 
@@ -1193,22 +1161,18 @@ class ShardedIndex(IntervalIndex):
         )
         if epoch.journal is not None:  # count columns + pending buffers
             total += epoch.journal.nbytes
+        if epoch.locator is not None:
+            total += epoch.locator.nbytes
         if self._shared is not None:  # the published shared-memory snapshot
             total += self._shared.nbytes
         return total
 
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        lookup: Dict[int, Interval] = {}
-        for shard in self.shards:
-            lookup.update(shard._interval_lookup())
-        return lookup
-
-    def _resolve_interval(self, interval_id: int) -> Optional[Interval]:
+    def _span_table(self) -> SpanTable:
+        """K > 1 reads the locator; K == 1 delegates to the only shard."""
         epoch = self._epoch
         if epoch.locator is not None:
-            span = epoch.locator.get(interval_id)
-            return None if span is None else Interval(interval_id, span[0], span[1])
-        return self._shard(epoch, 0)._resolve_interval(interval_id)
+            return epoch.locator
+        return self._shard(epoch, 0)._span_table()
 
 
 class ShardedStore(IntervalStore):

@@ -29,6 +29,7 @@ from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.errors import DomainError
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 from repro.hint.partitioning import partition_assignments, relevant_offsets
 
@@ -66,10 +67,8 @@ class ComparisonFreeHINT(IntervalIndex):
         self._m = num_bits
         self._sparse = sparse
         self._domain = Domain.identity(num_bits)
-        self._size = 0
+        self._spans = SpanTable(collection)
         self._replicas = 0
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
         # originals[level][offset] -> list of ids; replicas likewise.
         # With sparse=True the inner mapping only holds non-empty offsets and
         # each level keeps a sorted directory of non-empty original offsets.
@@ -78,7 +77,7 @@ class ComparisonFreeHINT(IntervalIndex):
         self._original_dirs: List[List[int]] = [[] for _ in range(num_bits + 1)]
         self._dirs_dirty = False
         for interval in collection:
-            self.insert(interval)
+            self._place(interval)
 
     @classmethod
     def build(
@@ -107,9 +106,9 @@ class ComparisonFreeHINT(IntervalIndex):
     @property
     def replication_factor(self) -> float:
         """Average number of partitions each interval is stored in."""
-        if self._size == 0:
+        if len(self) == 0:
             return 0.0
-        return self._replicas / self._size
+        return self._replicas / len(self)
 
     def nonempty_partitions(self) -> int:
         """Number of non-empty (originals or replicas) partitions."""
@@ -124,6 +123,10 @@ class ComparisonFreeHINT(IntervalIndex):
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
         """Assign ``interval`` to its partitions (Algorithm 1)."""
+        self._place(interval)
+        self._spans.add(interval)
+
+    def _place(self, interval: Interval) -> None:
         if interval.start < 0 or interval.end > self._domain.max_value:
             raise DomainError(
                 f"interval [{interval.start}, {interval.end}] outside domain "
@@ -133,18 +136,11 @@ class ComparisonFreeHINT(IntervalIndex):
             target = self._originals if assignment.is_original else self._replicas_parts
             target[assignment.level].setdefault(assignment.offset, []).append(interval.id)
             self._replicas += 1
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
-        self._size += 1
         self._dirs_dirty = True
 
     def delete(self, interval_id: int) -> bool:
         """Logically delete ``interval_id`` using a tombstone (Section 3.4)."""
-        if interval_id not in self._intervals or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     def _refresh_directories(self) -> None:
         """Rebuild the per-level sorted directories of non-empty partitions."""
@@ -203,21 +199,18 @@ class ComparisonFreeHINT(IntervalIndex):
                         if originals is not None:
                             stats.candidates += len(originals)
                             results.extend(originals)
-        if self._tombstones:
-            tombstones = self._tombstones
+        tombstones = self._spans.removed
+        if tombstones:
             results = [sid for sid in results if sid not in tombstones]
         stats.results = len(results)
         return results, stats
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         """Footprint estimate: one machine word per stored id plus directory overhead."""
         if self._memo_seen(_memo):
             return 0
-        total = 0
+        total = self._spans_bytes(_memo)
         for level in range(self.num_levels):
             for ids in self._originals[level].values():
                 total += len(ids) * 8 + 8
@@ -228,10 +221,3 @@ class ComparisonFreeHINT(IntervalIndex):
             else:
                 total += (1 << level) * 8  # dense directory of partition slots
         return total
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }

@@ -39,6 +39,7 @@ from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.errors import DomainError
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 from repro.hint.partitioning import partition_assignments, relevant_offsets
 
@@ -94,15 +95,13 @@ class HINTm(IntervalIndex):
                 f"domain has {domain.num_bits} bits but the index expects {num_bits}"
             )
         self._domain = domain
-        self._size = 0
+        self._spans = SpanTable(collection)
         self._assignments = 0
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
         # originals[level][offset] / replicas[level][offset] -> list of entries
         self._originals: List[Dict[int, List[_Entry]]] = [{} for _ in range(num_bits + 1)]
         self._replicas: List[Dict[int, List[_Entry]]] = [{} for _ in range(num_bits + 1)]
         for interval in collection:
-            self.insert(interval)
+            self._place(interval)
 
     @classmethod
     def build(
@@ -140,9 +139,9 @@ class HINTm(IntervalIndex):
     @property
     def replication_factor(self) -> float:
         """Average number of partitions each interval is stored in (the ``k`` of Table 7)."""
-        if self._size == 0:
+        if len(self) == 0:
             return 0.0
-        return self._assignments / self._size
+        return self._assignments / len(self)
 
     def level_occupancy(self) -> List[int]:
         """Number of stored entries per level (originals + replicas)."""
@@ -166,6 +165,10 @@ class HINTm(IntervalIndex):
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
         """Insert ``interval``: map to the discrete domain and run Algorithm 1."""
+        self._place(interval)
+        self._spans.add(interval)
+
+    def _place(self, interval: Interval) -> None:
         mapped_start = self._domain.map_value(interval.start)
         mapped_end = self._domain.map_value(interval.end)
         entry: _Entry = (interval.start, interval.end, interval.id)
@@ -173,17 +176,10 @@ class HINTm(IntervalIndex):
             target = self._originals if assignment.is_original else self._replicas
             target[assignment.level].setdefault(assignment.offset, []).append(entry)
             self._assignments += 1
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
-        self._size += 1
 
     def delete(self, interval_id: int) -> bool:
         """Logically delete ``interval_id`` with a tombstone (Section 3.4)."""
-        if interval_id not in self._intervals or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -197,8 +193,8 @@ class HINTm(IntervalIndex):
             results, stats = self._query_bottom_up(query)
         else:
             results, stats = self._query_top_down(query)
-        if self._tombstones:
-            tombstones = self._tombstones
+        tombstones = self._spans.removed
+        if tombstones:
             results = [sid for sid in results if sid not in tombstones]
         stats.results = len(results)
         return results, stats
@@ -401,29 +397,14 @@ class HINTm(IntervalIndex):
         return comp_first, comp_last
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         """Footprint estimate: three machine words per stored entry plus directories."""
         if self._memo_seen(_memo):
             return 0
-        total = 0
+        total = self._spans_bytes(_memo)
         for level in range(self.num_levels):
             for entries in self._originals[level].values():
                 total += len(entries) * 3 * 8 + 8
             for entries in self._replicas[level].values():
                 total += len(entries) * 3 * 8 + 8
         return total
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }
-
-    def _resolve_interval(self, interval_id: int) -> Optional[Interval]:
-        if interval_id in self._tombstones:
-            return None
-        return self._intervals.get(interval_id)

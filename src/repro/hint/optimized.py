@@ -38,7 +38,8 @@ import numpy as np
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.errors import DomainError
-from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.interval import IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 from repro.hint.partitioning import partition_assignments, relevant_offsets
 
@@ -193,11 +194,8 @@ class OptimizedHINTm(IntervalIndex):
                 f"domain has {domain.num_bits} bits but the index expects {num_bits}"
             )
         self._domain = domain
-        self._size = len(collection)
+        self._spans = SpanTable(collection)
         self._assignments = 0
-        self._tombstones: set[int] = set()
-        self._interval_starts: Dict[int, int] = {}
-        self._interval_ends: Dict[int, int] = {}
         # levels[level][class_name] -> _LevelClass
         self._levels: List[Dict[str, _LevelClass]] = [{} for _ in range(num_bits + 1)]
         self._build(collection)
@@ -236,8 +234,6 @@ class OptimizedHINTm(IntervalIndex):
         for row in range(len(collection)):
             ms = int(mapped_starts[row])
             me = int(mapped_ends[row])
-            self._interval_starts[int(ids[row])] = int(starts[row])
-            self._interval_ends[int(ids[row])] = int(ends[row])
             for assignment in partition_assignments(m, ms, me):
                 level = assignment.level
                 partition_last = (assignment.offset + 1) * (1 << (m - level)) - 1
@@ -346,9 +342,9 @@ class OptimizedHINTm(IntervalIndex):
     @property
     def replication_factor(self) -> float:
         """Average number of partitions each interval is stored in (Table 7's ``k``)."""
-        if self._size == 0:
+        if len(self) == 0:
             return 0.0
-        return self._assignments / self._size
+        return self._assignments / len(self)
 
     def level_occupancy(self) -> List[int]:
         """Stored entries per level, across all four subdivision classes."""
@@ -374,11 +370,7 @@ class OptimizedHINTm(IntervalIndex):
     # ------------------------------------------------------------------ #
     def delete(self, interval_id: int) -> bool:
         """Logically delete ``interval_id`` with a tombstone."""
-        if interval_id not in self._interval_starts or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -426,7 +418,7 @@ class OptimizedHINTm(IntervalIndex):
         back to the materialising path, which is the only way to subtract
         deleted ids exactly.
         """
-        if self._tombstones:
+        if self._spans.removed:
             return len(self.query(query))
         total = 0
         q_start = query.start
@@ -464,7 +456,7 @@ class OptimizedHINTm(IntervalIndex):
         boundary partitions need a predicate, and the scan stops at the first
         segment with a match.
         """
-        if self._tombstones:
+        if self._spans.removed:
             return self.query_count(query) > 0
         q_start = query.start
         q_end = query.end
@@ -598,17 +590,17 @@ class OptimizedHINTm(IntervalIndex):
 
     # -- result assembly --------------------------------------------------- #
     def _merge_results(self, chunks: List[np.ndarray], plain: List[int]) -> List[int]:
+        tombstones = self._spans.removed
         if chunks:
             merged = np.concatenate(chunks)
-            if self._tombstones:
-                keep = ~np.isin(merged, np.fromiter(self._tombstones, dtype=np.int64))
+            if tombstones:
+                keep = ~np.isin(merged, np.fromiter(tombstones, dtype=np.int64))
                 merged = merged[keep]
             results = merged.tolist()
         else:
             results = []
         if plain:
-            if self._tombstones:
-                tombstones = self._tombstones
+            if tombstones:
                 results.extend(sid for sid in plain if sid not in tombstones)
             else:
                 results.extend(plain)
@@ -698,29 +690,11 @@ class OptimizedHINTm(IntervalIndex):
         return comp_first, comp_last
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
-        total = 0
+        total = self._spans_bytes(_memo)
         for level in range(self.num_levels):
             for name, *_ in _CLASSES:
                 total += self._levels[level][name].memory_bytes(self._columnar)
         return total
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: Interval(sid, self._interval_starts[sid], self._interval_ends[sid])
-            for sid in self._interval_starts
-            if sid not in self._tombstones
-        }
-
-    def _resolve_interval(self, interval_id: int) -> Optional[Interval]:
-        if interval_id in self._tombstones:
-            return None
-        start = self._interval_starts.get(interval_id)
-        if start is None:
-            return None
-        return Interval(interval_id, start, self._interval_ends[interval_id])

@@ -36,6 +36,7 @@ from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.errors import DomainError
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 from repro.hint.partitioning import covered_range, partition_assignments, relevant_offsets
 
@@ -152,14 +153,12 @@ class SubdividedHINTm(IntervalIndex):
                 f"domain has {domain.num_bits} bits but the index expects {num_bits}"
             )
         self._domain = domain
-        self._size = 0
+        self._spans = SpanTable(collection)
         self._assignments = 0
-        self._tombstones: set[int] = set()
-        self._intervals: Dict[int, Interval] = {}
         self._levels: List[Dict[int, _Partition]] = [{} for _ in range(num_bits + 1)]
         self._dirty = False
         for interval in collection:
-            self.insert(interval)
+            self._place(interval)
         self._ensure_sorted()
 
     @classmethod
@@ -210,9 +209,9 @@ class SubdividedHINTm(IntervalIndex):
     @property
     def replication_factor(self) -> float:
         """Average number of partitions each interval is stored in."""
-        if self._size == 0:
+        if len(self) == 0:
             return 0.0
-        return self._assignments / self._size
+        return self._assignments / len(self)
 
     def nonempty_partitions(self) -> int:
         """Number of partitions holding at least one interval."""
@@ -223,6 +222,10 @@ class SubdividedHINTm(IntervalIndex):
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
         """Insert ``interval`` (Algorithm 1 plus the subdivision bookkeeping)."""
+        self._place(interval)
+        self._spans.add(interval)
+
+    def _place(self, interval: Interval) -> None:
         mapped_start = self._domain.map_value(interval.start)
         mapped_end = self._domain.map_value(interval.end)
         for assignment in partition_assignments(self._m, mapped_start, mapped_end):
@@ -238,9 +241,6 @@ class SubdividedHINTm(IntervalIndex):
             start, end = self._columns_for(group, partition, interval)
             group.append(interval.id, start, end)
             self._assignments += 1
-        self._intervals[interval.id] = interval
-        self._tombstones.discard(interval.id)
-        self._size += 1
         self._dirty = True
 
     def _columns_for(
@@ -263,11 +263,7 @@ class SubdividedHINTm(IntervalIndex):
 
     def delete(self, interval_id: int) -> bool:
         """Logically delete ``interval_id`` with a tombstone."""
-        if interval_id not in self._intervals or interval_id in self._tombstones:
-            return False
-        self._tombstones.add(interval_id)
-        self._size -= 1
-        return True
+        return self._spans.remove(interval_id) is not None
 
     def _ensure_sorted(self) -> None:
         if not self._sort or not self._dirty:
@@ -324,8 +320,8 @@ class SubdividedHINTm(IntervalIndex):
             comp_first, comp_last = self._lower_flags(
                 level, first, last, mq_start, mq_end, comp_first, comp_last
             )
-        if self._tombstones:
-            tombstones = self._tombstones
+        tombstones = self._spans.removed
+        if tombstones:
             results = [sid for sid in results if sid not in tombstones]
         stats.results = len(results)
         return results, stats
@@ -496,29 +492,14 @@ class SubdividedHINTm(IntervalIndex):
         return comp_first, comp_last
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return self._size
-
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         """Footprint: the columns actually stored, one machine word per value."""
         if self._memo_seen(_memo):
             return 0
-        total = 0
+        total = self._spans_bytes(_memo)
         for level in self._levels:
             for partition in level.values():
                 for group in partition.subdivisions():
                     total += group.memory_bytes()
                 total += 4 * 8  # partition directory entry
         return total
-
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            sid: interval
-            for sid, interval in self._intervals.items()
-            if sid not in self._tombstones
-        }
-
-    def _resolve_interval(self, interval_id: int) -> Optional[Interval]:
-        if interval_id in self._tombstones:
-            return None
-        return self._intervals.get(interval_id)

@@ -19,11 +19,14 @@ a freshly built main index, which is what a periodic batch update does.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 from repro.hint.optimized import OptimizedHINTm
 from repro.hint.subdivided import SubdividedHINTm
@@ -202,9 +205,7 @@ class HybridHINTm(IntervalIndex):
     def rebuild(self) -> None:
         """Merge the delta into a freshly built main index (batch update)."""
         with self._update_lock:
-            live: List[Interval] = list(self._main._interval_lookup().values())
-            live.extend(self._delta._interval_lookup().values())
-            collection = IntervalCollection.from_intervals(live)
+            collection = self.live_collection()
             self._domain = Domain.for_collection(
                 collection.starts, collection.ends, self._m
             )
@@ -259,13 +260,28 @@ class HybridHINTm(IntervalIndex):
         main, delta = self._components
         return main.memory_bytes(memo) + delta.memory_bytes(memo)
 
-    def _interval_lookup(self) -> Dict[int, Interval]:
+    def _span_table(self) -> "_HybridSpans":
         main, delta = self._components
-        lookup = main._interval_lookup()
-        lookup.update(delta._interval_lookup())
-        return lookup
+        return _HybridSpans(main._spans, delta._spans)
 
-    def _resolve_interval(self, interval_id: int) -> Optional[Interval]:
-        main, delta = self._components
-        found = delta._resolve_interval(interval_id)
-        return found if found is not None else main._resolve_interval(interval_id)
+
+class _HybridSpans(NamedTuple):
+    """The (main, delta) pair's two span tables read as one, delta first."""
+
+    main: SpanTable
+    delta: SpanTable
+
+    def get(self, interval_id: int) -> Optional[Interval]:
+        found = self.delta.get(interval_id)
+        return found if found is not None else self.main.get(interval_id)
+
+    def gather(self, ids) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        starts, ends, live = self.main.gather(ids)
+        if len(self.delta):
+            delta_starts, delta_ends, recent = self.delta.gather(ids)
+            starts[recent], ends[recent] = delta_starts[recent], delta_ends[recent]
+            live |= recent
+        return starts, ends, live
+
+    def collection(self) -> IntervalCollection:
+        return self.main.collection().extend(self.delta.collection())

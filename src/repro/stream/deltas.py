@@ -380,12 +380,10 @@ class StandingQueryManager:
             or subscription.max_duration is not None
             or subscription.predicate is not None
         ):
-            lookup = self._store.index._interval_lookup()
-            ids = [
-                i
-                for i in ids
-                if (found := lookup.get(i)) is not None and subscription.matches(found)
-            ]
+            # the filters read spans: gathered for the candidates only
+            starts, ends, live = self._store.index._span_table().gather(ids)
+            spans = zip(ids, starts.tolist(), ends.tolist(), live.tolist())
+            ids = [i for i, s, e, ok in spans if ok and subscription.matches(Interval(i, s, e))]
         return generation, tuple(sorted(ids))
 
     def unsubscribe(self, subscription_id: int) -> bool:

@@ -69,7 +69,7 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(4242)
 
 
-@pytest.fixture()
+@pytest.fixture(scope="session")
 def pending_updates(rng):
     """``apply(index, collection)``: leave 60 inserts + 30 deletes pending on
     ``index`` and return the brute-force count oracle over the live set."""

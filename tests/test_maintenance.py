@@ -265,10 +265,10 @@ class TestDeleteAtomicity:
     """Satellite regression: locator mutation is atomic with per-shard deletes."""
 
     def _duplicated_interval(self, index):
-        for interval_id, span in index._locator.items():
-            first, last = index.plan.shard_range(*span)
+        for interval in index._epoch.locator.collection():
+            first, last = index.plan.shard_range(interval.start, interval.end)
             if first < last:
-                return interval_id, span
+                return interval.id, (interval.start, interval.end)
         raise AssertionError("no boundary-spanning interval in the fixture")
 
     def test_failed_shard_delete_leaves_bookkeeping_consistent(
@@ -294,13 +294,13 @@ class TestDeleteAtomicity:
             index.delete(interval_id)
         # the locator and the count columns were not touched: the id is
         # still addressable and multi-shard counts still include it
-        assert interval_id in index._locator
+        assert interval_id in index._epoch.locator
         assert index.query_count(probe) == count_before
         monkeypatch.undo()
 
         # the retry completes: every copy tombstoned, bookkeeping updated
         assert index.delete(interval_id)
-        assert interval_id not in index._locator
+        assert interval_id not in index._epoch.locator
         assert index.query_count(probe) == count_before - 1
         assert interval_id not in index.query(probe)
 

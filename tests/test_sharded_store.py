@@ -384,7 +384,7 @@ class TestShardedStatsAndMemory:
                              num_shards=4, num_bits=7)
         total = index.memory_bytes()
         assert total > 0
-        bookkeeping = index.ingest_journal.nbytes
+        bookkeeping = index.ingest_journal.nbytes + index._epoch.locator.nbytes
         assert total == sum(s.memory_bytes() for s in index.shards) + bookkeeping
         memo: set = set()
         assert index.memory_bytes(memo) == total

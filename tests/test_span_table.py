@@ -1,0 +1,139 @@
+"""The one owner of id -> span (:mod:`repro.core.spans`).
+
+* a model check of :class:`SpanTable` against a plain dict,
+* the duplicate-id pin (last row wins),
+* what an index *retains* per interval, traced -- the test that would have
+  caught ``memory_bytes()`` reporting 1/15 of the resident size.
+"""
+
+import gc
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.interval import Interval, IntervalCollection
+from repro.core.spans import SpanTable
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+from repro.engine.registry import available_backends, create_index
+
+_IDS = st.integers(min_value=0, max_value=40)
+_SPANS = st.tuples(st.integers(-50, 50), st.integers(0, 20))
+
+
+@st.composite
+def _base_rows(draw):
+    """Build rows with increasing or shuffled ids; half the draws repeat one."""
+    ids = draw(st.lists(_IDS, max_size=25, unique=True))
+    if draw(st.booleans()):
+        ids.sort()  # the no-permutation layout
+    rows = [(i, *draw(_SPANS)) for i in ids]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (rows[0][0], *draw(_SPANS)))
+    return rows
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(("add", "remove", "get")), _IDS, _SPANS), max_size=60
+)
+
+
+def _collection(rows):
+    return IntervalCollection(
+        [r[0] for r in rows], [r[1] for r in rows], [r[1] + r[2] for r in rows]
+    )
+
+
+def _assert_same(table, model):
+    assert len(table) == len(model)
+    live = table.collection()
+    assert len(live) == len(model)
+    assert {s.id: s for s in live} == model
+    probe = list(range(-1, 42))
+    starts, ends, mask = table.gather(probe)
+    for interval_id, start, end, is_live in zip(probe, starts, ends, mask):
+        assert (interval_id in table) == (interval_id in model) == bool(is_live)
+        assert table.get(interval_id) == model.get(interval_id)
+        if is_live:
+            assert (start, end) == (model[interval_id].start, model[interval_id].end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_base_rows(), ops=_OPS)
+def test_span_table_answers_like_a_dict(rows, ops):
+    table = SpanTable(_collection(rows))
+    # dict construction is "last row wins" too
+    model = {r[0]: Interval(r[0], r[1], r[1] + r[2]) for r in rows}
+    _assert_same(table, model)
+    for op, interval_id, (start, length) in ops:
+        if op == "add":
+            if interval_id in model:
+                continue  # ids are unique among live rows: the caller's contract
+            interval = Interval(interval_id, start, start + length)
+            table.add(interval)
+            model[interval_id] = interval
+            assert interval_id not in table.removed
+        elif op == "remove":
+            removed = table.remove(interval_id)
+            assert removed == model.pop(interval_id, None)
+            if removed is not None:
+                assert interval_id in table.removed  # the index's tombstone filter
+        else:
+            assert table.get(interval_id) == model.get(interval_id)
+        _assert_same(table, model)
+
+
+def test_duplicate_build_ids_keep_the_last_row():
+    collection = IntervalCollection([7, 3, 7, 5], [0, 10, 20, 30], [1, 11, 21, 31])
+    table = SpanTable(collection)
+    assert len(table) == 3
+    assert table.get(7) == Interval(7, 20, 21)
+    assert sorted(table.collection().ids.tolist()) == [3, 5, 7]
+    index = create_index("hintm_opt", collection, num_bits=4)
+    assert len(index) == 3 and index._resolve_interval(7) == Interval(7, 20, 21)
+
+
+def test_untouched_table_shares_the_build_columns():
+    collection = generate_synthetic(SyntheticConfig(cardinality=500, seed=3))
+    table = SpanTable(collection)
+    assert table.collection() is collection  # no copy until something changes
+    assert table.nbytes >= 3 * collection.ids.nbytes
+
+
+def _traced_build_bytes(backend, collection):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = create_index(backend, collection)
+        gc.collect()
+        return index, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_hintm_opt_retains_at_most_240_bytes_per_interval():
+    """381 B/interval on this collection before the span table (two per-row
+    dicts), 196 with it.  What is left above the columns is the plain-list
+    mirrors of the merged tables, which ``memory_bytes()`` does not count."""
+    collection = generate_synthetic(SyntheticConfig(cardinality=20_000, seed=17))
+    index, retained = _traced_build_bytes("hintm_opt", collection)
+    assert retained / len(collection) <= 240
+    # the reported size now includes the table: at least its three columns
+    assert index.memory_bytes() >= index._spans.nbytes >= 24 * len(collection)
+
+
+def test_every_backend_counts_its_table_once(synthetic_collection):
+    for name in available_backends():
+        if name in ("naive", "sharded"):
+            continue  # the oracle keeps its own columns; test_sharded_store pins the K > 1 sum
+        index = create_index(name, synthetic_collection)
+        tables = (
+            [index._spans]
+            if index._spans is not None
+            else [component._spans for component in index._components]
+        )
+        floor = sum(table.nbytes for table in tables)
+        memo: set = set()
+        assert index.memory_bytes(memo) >= floor >= 24 * len(synthetic_collection)
+        assert index.memory_bytes(memo) == 0

@@ -13,6 +13,7 @@ the index code never manipulates raw bits directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,14 @@ class Domain:
     When ``raw_min == 0`` and ``raw_max == 2^num_bits - 1`` the mapping is the
     identity (the comparison-free HINT case of Section 3.1).  Otherwise values
     are linearly rescaled as in Section 3.2.
+
+    A raw domain so wide that ``raw_extent * max_value`` would leave int64
+    (nanosecond timestamps at ``num_bits=16``) first drops the low bits of
+    every raw offset that the product has no room for; the mapping stays
+    monotone, sends ``raw_max`` to ``max_value`` and keeps at least
+    ``63 - num_bits`` bits of resolution, far more than the ``num_bits`` the
+    index uses.  A domain that cannot be scaled in int64 at all (extent
+    ``>= 2^63`` or ``num_bits > 62``) raises :class:`DomainError` when built.
     """
 
     num_bits: int
@@ -69,6 +78,11 @@ class Domain:
             object.__setattr__(self, "raw_max", (1 << self.num_bits) - 1)
         if self.raw_max < self.raw_min:
             raise DomainError(f"raw_max ({self.raw_max}) < raw_min ({self.raw_min})")
+        if not self.is_identity and (self.num_bits > 62 or self.raw_extent >= 1 << 63):
+            raise DomainError(
+                f"[{self.raw_min}, {self.raw_max}] cannot be rescaled to "
+                f"{self.num_bits} bits in 64-bit arithmetic"
+            )
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -111,6 +125,18 @@ class Domain:
     # ------------------------------------------------------------------ #
     # mapping raw <-> discrete
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _scale(self) -> tuple[int, int]:
+        """``(shift, divisor)`` of the one rescaling formula
+        ``((x - raw_min) >> shift) * max_value // divisor``.
+
+        ``shift`` is zero (the paper's ``f``, exactly) unless the product
+        could reach ``2^63``; then it is the number of bits by which it
+        would, so scalar Python ints and int64 arrays compute the same value.
+        """
+        shift = max(0, self.raw_extent.bit_length() + self.num_bits - 63)
+        return shift, self.raw_extent >> shift
+
     def map_value(self, x: int | float) -> int:
         """Map a raw endpoint to the discrete domain (the ``f`` of Section 3.2).
 
@@ -123,18 +149,20 @@ class Domain:
             return min(max(value, 0), self.max_value)
         if self.raw_extent == 0:
             return 0
-        x = min(max(x, self.raw_min), self.raw_max)
-        return int((x - self.raw_min) * self.max_value // self.raw_extent)
+        offset = int(min(max(x, self.raw_min), self.raw_max)) - self.raw_min
+        shift, divisor = self._scale
+        return (offset >> shift) * self.max_value // divisor
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`map_value`."""
+        """Vectorised :meth:`map_value`: the same formula on an int64 array."""
         values = np.asarray(values, dtype=np.int64)
         if self.is_identity:
             return np.clip(values, 0, self.max_value)
         if self.raw_extent == 0:
             return np.zeros(len(values), dtype=np.int64)
-        clipped = np.clip(values, self.raw_min, self.raw_max)
-        return (clipped - self.raw_min) * self.max_value // self.raw_extent
+        offsets = np.clip(values, self.raw_min, self.raw_max) - self.raw_min
+        shift, divisor = self._scale
+        return (offsets >> shift) * self.max_value // divisor
 
     # ------------------------------------------------------------------ #
     # partition arithmetic

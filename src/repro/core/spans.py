@@ -35,7 +35,7 @@ _REMOVED_ENTRY_BYTES = 32
 class SpanTable:
     """Live id -> ``(start, end)`` for one index."""
 
-    __slots__ = ("_base", "_order", "_added", "removed", "_size")
+    __slots__ = ("_base", "_order", "_added", "removed", "_changes", "_removed_cache", "_size")
 
     def __init__(self, collection: IntervalCollection) -> None:
         ids = collection.ids
@@ -55,6 +55,12 @@ class SpanTable:
         #: ids removed and not re-added since -- read by the owning index as
         #: its tombstone filter
         self.removed: set[int] = set()
+        #: bumped with every change of ``removed``; :meth:`removed_array` caches its
+        #: array beside the value it read *before* building, so a lock-free
+        #: reader racing an update can at worst cache an array that the next
+        #: read rebuilds -- never one that stays stale
+        self._changes = 0
+        self._removed_cache: Tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
         self._size = len(collection)
 
     # ------------------------------------------------------------------ #
@@ -86,6 +92,17 @@ class SpanTable:
 
     def __len__(self) -> int:
         return self._size
+
+    def removed_array(self) -> np.ndarray:
+        """:attr:`removed` as a sorted int64 array, for vectorised tombstone
+        filters (``np.isin``); built once per change of the set, not per query."""
+        changes = self._changes
+        built_at, removed = self._removed_cache
+        if built_at != changes:
+            removed = np.fromiter(self.removed, dtype=np.int64)
+            removed.sort()
+            self._removed_cache = (changes, removed)
+        return removed
 
     def gather(self, ids) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(starts, ends, live)`` for many ids in one vectorised pass.
@@ -140,7 +157,9 @@ class SpanTable:
         caller's contract throughout the library); re-adding a removed id is
         fine and shadows its base row.
         """
-        self.removed.discard(interval.id)
+        if interval.id in self.removed:
+            self.removed.discard(interval.id)
+            self._changes += 1
         self._added[interval.id] = interval
         self._size += 1
 
@@ -150,6 +169,7 @@ class SpanTable:
         if found is not None:
             self._added.pop(interval_id, None)
             self.removed.add(interval_id)
+            self._changes += 1
             self._size -= 1
         return found
 

@@ -30,6 +30,7 @@ supported through tombstones.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,30 +42,37 @@ from repro.core.errors import DomainError
 from repro.core.interval import IntervalCollection, Query
 from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
-from repro.hint.partitioning import partition_assignments, relevant_offsets
+from repro.hint.partitioning import relevant_offsets
 
 __all__ = ["OptimizedHINTm"]
 
 
-class _LevelClass:
-    """Merged storage for one (level, subdivision-class) pair.
+class _ClassTable:
+    """Merged storage for one subdivision class, all levels (CSR layout).
 
-    CSR layout: ``offsets[i]`` is the partition offset of the ``i``-th
-    non-empty partition and its members occupy rows
-    ``indptr[i] .. indptr[i+1]`` of the column arrays.  The directory
-    (``offsets``/``indptr``) is also cached as plain Python lists because the
-    per-query lookups are scalar binary searches, which are considerably
-    faster through :mod:`bisect` than through ``np.searchsorted``.
+    ``keys[i]`` is the heap number ``2^level + offset`` of the ``i``-th
+    directory entry -- sorted, hence by level and then by offset -- and its
+    members occupy rows ``indptr[i] .. indptr[i+1]`` of the columns.  The
+    columns are views of the index's shared ones (:attr:`row_base` is where
+    this class starts in them).  The directory and, for the columnar layout,
+    the columns are also cached as plain Python lists: the per-query lookups
+    are scalar binary searches, considerably faster through :mod:`bisect`
+    than through ``np.searchsorted``, and short segments are cheaper to scan
+    in Python than through NumPy slicing.  ``level_bounds[level]`` is where
+    a level's entries start in the directory, so the scalar searches stay
+    confined to one level.
     """
 
     __slots__ = (
-        "offsets",
+        "keys",
         "indptr",
+        "row_base",
         "ids",
         "starts",
         "ends",
         "records",
-        "offsets_list",
+        "level_bounds",
+        "keys_list",
         "indptr_list",
         "ids_list",
         "starts_list",
@@ -73,49 +81,79 @@ class _LevelClass:
 
     def __init__(
         self,
-        offsets: np.ndarray,
+        num_bits: int,
+        keys: np.ndarray,
         indptr: np.ndarray,
+        row_base: int,
         ids: np.ndarray,
         starts: Optional[np.ndarray],
         ends: Optional[np.ndarray],
-        records: Optional[List[Tuple[int, ...]]],
+        ids_list: Optional[List[int]],
     ) -> None:
-        self.offsets = offsets
+        self.keys = keys
         self.indptr = indptr
+        self.row_base = row_base
         self.ids = ids
         self.starts = starts
         self.ends = ends
-        #: interleaved (id, start?, end?) tuples -- only kept when the
-        #: columnar optimization is disabled
-        self.records = records
-        self.offsets_list: List[int] = offsets.tolist()
+        self.level_bounds: List[int] = np.searchsorted(
+            keys, np.int64(1) << np.arange(num_bits + 2)
+        ).tolist()
+        self.keys_list: List[int] = keys.tolist()
         self.indptr_list: List[int] = indptr.tolist()
-        # plain-list mirrors of the columns: short boundary segments are
-        # cheaper to scan in Python than through NumPy slicing
-        self.ids_list: List[int] = ids.tolist()
-        self.starts_list: Optional[List[int]] = starts.tolist() if starts is not None else None
-        self.ends_list: Optional[List[int]] = ends.tolist() if ends is not None else None
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def memory_bytes(self, columnar: bool) -> int:
-        directory = self.offsets.nbytes + self.indptr.nbytes
-        if columnar:
-            data = self.ids.nbytes
-            if self.starts is not None:
-                data += self.starts.nbytes
-            if self.ends is not None:
-                data += self.ends.nbytes
+        #: interleaved (id, start?, end?) tuples -- what the row-by-row scan
+        #: reads when the columnar optimization is disabled
+        self.records: Optional[List[Tuple[int, ...]]] = None
+        self.ids_list = ids_list
+        self.starts_list: Optional[List[int]] = None
+        self.ends_list: Optional[List[int]] = None
+        if ids_list is not None:
+            self.starts_list = starts.tolist() if starts is not None else None
+            self.ends_list = ends.tolist() if ends is not None else None
         else:
-            width = 1 + (self.starts is not None) + (self.ends is not None)
-            data = len(self.ids) * width * 8
-        return directory + data
+            kept = [column for column in (ids, starts, ends) if column is not None]
+            self.records = list(zip(*(column.tolist() for column in kept)))
 
+    def rows_at(self, level: int) -> int:
+        """Stored entries of one level."""
+        lo, hi = self.level_bounds[level], self.level_bounds[level + 1]
+        return self.indptr_list[hi] - self.indptr_list[lo]
+
+    def memory_bytes(self) -> int:
+        """Directory, and what the layout keeps beside the shared columns:
+        the list mirrors (columnar; the ints of ``ids_list`` belong to the
+        index's ``_id_objects``) or the interleaved records."""
+        total = self.keys.nbytes + self.indptr.nbytes
+        mirrors = [self.keys_list, self.indptr_list]
+        if self.records is None:
+            total += sys.getsizeof(self.ids_list)
+            mirrors += [self.starts_list, self.ends_list]
+        else:
+            width = len(self.records[0]) if self.records else 0
+            total += sys.getsizeof(self.records)
+            total += len(self.records) * (_TUPLE_BYTES + width * (8 + _INT_BYTES))
+        for mirror in mirrors:
+            if mirror is not None:
+                total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
+        return total
+
+
+#: what one list or tuple entry holds beyond its 8-byte slot, and an empty
+#: tuple (measured, CPython 3.11): ``tolist()`` makes one int object per entry
+_INT_BYTES = 32
+_TUPLE_BYTES = 40
 
 #: segments at most this long are scanned in pure Python instead of NumPy;
 #: the crossover was measured on CPython 3.11 (see bench_ablation_vectorization)
 _SMALL_SEGMENT = 96
+
+#: batches at least this long go through the vectorised traversal, shorter
+#: ones through the per-query loop.  The traversal costs ~300 us per call plus
+#: ~20 us per query where the loop costs ~95 us per query (400k TAXIS-shaped
+#: intervals at m = 16, and the batch-size sweep of the same benchmark): they
+#: cross between 4 and 5
+_BATCH_CROSSOVER = 6
+
 
 def _record_matches(
     record: Tuple[int, ...],
@@ -140,12 +178,23 @@ def _record_matches(
     return True
 
 
-#: subdivision classes: (name, keeps starts, keeps ends, sort key column)
+def _expand(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(f, f + n) for f, n in zip(first, lengths)])``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(first - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
+
+
+#: subdivision classes in storage order: (name, keeps starts, keeps ends).
+#: A class is sorted by its starts when it keeps them, else by its ends.  The
+#: order makes the rows that keep a start, and those that keep an end,
+#: contiguous in the shared row space: one starts column and one ends column
+#: serve all four classes without padding.
 _CLASSES = (
-    ("o_in", True, True, "starts"),
-    ("o_aft", True, False, "starts"),
-    ("r_in", False, True, "ends"),
-    ("r_aft", False, False, None),
+    ("o_aft", True, False),
+    ("o_in", True, True),
+    ("r_in", False, True),
+    ("r_aft", False, False),
 )
 
 
@@ -195,9 +244,6 @@ class OptimizedHINTm(IntervalIndex):
             )
         self._domain = domain
         self._spans = SpanTable(collection)
-        self._assignments = 0
-        # levels[level][class_name] -> _LevelClass
-        self._levels: List[Dict[str, _LevelClass]] = [{} for _ in range(num_bits + 1)]
         self._build(collection)
 
     @classmethod
@@ -221,95 +267,87 @@ class OptimizedHINTm(IntervalIndex):
     # construction
     # ------------------------------------------------------------------ #
     def _build(self, collection: IntervalCollection) -> None:
+        """Algorithm 1 on whole columns, then one sort per class.
+
+        The bottom-up walk of :func:`partition_assignments` runs once for all
+        intervals: the cursors ``a`` and ``b`` are columns, and the rows whose
+        cursors crossed drop out level by level.  An emitted partition holds
+        the interval as an original iff its offset is the prefix of the
+        interval's start, and the interval ends inside it (``*_in``) iff its
+        mapped end is not past the partition's last value.
+        """
+        m = self._m
         mapped_starts = self._domain.map_values(collection.starts)
         mapped_ends = self._domain.map_values(collection.ends)
-        # buckets[level][class][offset] -> list of row indices into the collection
-        buckets: List[Dict[str, Dict[int, List[int]]]] = [
-            {name: {} for name, *_ in _CLASSES} for _ in range(self._m + 1)
-        ]
-        m = self._m
-        ids = collection.ids
-        starts = collection.starts
-        ends = collection.ends
-        for row in range(len(collection)):
-            ms = int(mapped_starts[row])
-            me = int(mapped_ends[row])
-            for assignment in partition_assignments(m, ms, me):
-                level = assignment.level
-                partition_last = (assignment.offset + 1) * (1 << (m - level)) - 1
-                ends_inside = me <= partition_last
-                if assignment.is_original:
-                    class_name = "o_in" if ends_inside else "o_aft"
-                else:
-                    class_name = "r_in" if ends_inside else "r_aft"
-                buckets[level][class_name].setdefault(assignment.offset, []).append(row)
-                self._assignments += 1
-        for level in range(self._m + 1):
-            for class_name, keep_starts, keep_ends, sort_column in _CLASSES:
-                per_offset = buckets[level][class_name]
-                self._levels[level][class_name] = self._finalize_class(
-                    level,
-                    per_offset,
-                    starts,
-                    ends,
-                    ids,
-                    keep_starts,
-                    keep_ends,
-                    sort_column,
-                )
-
-    def _finalize_class(
-        self,
-        level: int,
-        per_offset: Dict[int, List[int]],
-        starts: np.ndarray,
-        ends: np.ndarray,
-        ids: np.ndarray,
-        keep_starts: bool,
-        keep_ends: bool,
-        sort_column: Optional[str],
-    ) -> _LevelClass:
-        """Build the CSR merged table for one (level, class)."""
-        if self._sparse:
-            offsets = np.array(sorted(per_offset), dtype=np.int64)
+        rows = np.arange(len(collection), dtype=np.int64)
+        a, b = mapped_starts, mapped_ends
+        emitted: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for level in range(m, -1, -1):
+            alive = a <= b
+            if not alive.all():
+                rows, a, b = rows[alive], a[alive], b[alive]
+            if len(rows) == 0:
+                break
+            shift = m - level
+            for take, cursor in (((a & 1) == 1, a), ((b & 1) == 0, b)):
+                members = rows[take]
+                offsets = cursor[take]
+                original = offsets == (mapped_starts[members] >> shift)
+                inside = mapped_ends[members] <= ((offsets + 1) << shift) - 1
+                # storage order of _CLASSES: o_aft, o_in, r_in, r_aft
+                class_index = np.where(original, inside, 3 - inside)
+                emitted.append(((1 << level) + offsets, members, class_index))
+            a = (a + (a & 1)) >> 1
+            b = (b - (~b & 1)) >> 1
+        if emitted:
+            keys, members, class_index = (np.concatenate(column) for column in zip(*emitted))
         else:
-            offsets = np.arange(1 << level, dtype=np.int64)
-        counts = np.array([len(per_offset.get(int(o), ())) for o in offsets], dtype=np.int64)
-        indptr = np.zeros(len(offsets) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        rows: List[int] = []
-        for offset in offsets:
-            members = per_offset.get(int(offset))
-            if not members:
-                continue
-            if sort_column == "starts":
-                members = sorted(members, key=lambda r: int(starts[r]))
-            elif sort_column == "ends":
-                members = sorted(members, key=lambda r: int(ends[r]))
-            rows.extend(members)
-        row_index = np.array(rows, dtype=np.int64)
-        merged_ids = ids[row_index] if len(row_index) else np.empty(0, dtype=np.int64)
-        merged_starts = (
-            starts[row_index]
-            if keep_starts and len(row_index)
-            else (np.empty(0, dtype=np.int64) if keep_starts else None)
-        )
-        merged_ends = (
-            ends[row_index]
-            if keep_ends and len(row_index)
-            else (np.empty(0, dtype=np.int64) if keep_ends else None)
-        )
-        records: Optional[List[Tuple[int, ...]]] = None
-        if not self._columnar:
-            records = []
-            for position in range(len(row_index)):
-                record: List[int] = [int(merged_ids[position])]
-                if keep_starts:
-                    record.append(int(merged_starts[position]))
-                if keep_ends:
-                    record.append(int(merged_ends[position]))
-                records.append(tuple(record))
-        return _LevelClass(offsets, indptr, merged_ids, merged_starts, merged_ends, records)
+            keys = members = class_index = np.empty(0, dtype=np.int64)
+        self._assignments = len(keys)
+
+        starts, ends = collection.starts, collection.ends
+        orders: List[np.ndarray] = []
+        directories: List[Tuple[np.ndarray, np.ndarray]] = []
+        for index, (_name, keep_starts, keep_ends) in enumerate(_CLASSES):
+            picked = np.flatnonzero(class_index == index)
+            class_keys, class_rows = keys[picked], members[picked]
+            # a partition's run: by the sort column, ties in collection order
+            sort_keys = [class_rows, class_keys]
+            if keep_starts or keep_ends:
+                sort_keys.insert(1, (starts if keep_starts else ends)[class_rows])
+            order = np.lexsort(sort_keys)
+            class_keys = class_keys[order]
+            orders.append(class_rows[order])
+            if self._sparse:
+                directory = class_keys[np.flatnonzero(np.diff(class_keys, prepend=0))]
+            else:
+                directory = np.arange(1, 2 << m, dtype=np.int64)
+            indptr = np.append(np.searchsorted(class_keys, directory), len(class_keys))
+            directories.append((directory, indptr))
+
+        # one row space for the four classes (see _CLASSES for the order)
+        sizes = [len(order) for order in orders]
+        bases = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        self._ids = collection.ids[np.concatenate(orders)]
+        #: the id column as Python ints, made once: the tables' list mirrors
+        #: and every batch result hold these objects, not copies of them
+        self._id_objects = self._ids.astype(object) if self._columnar else None
+        self._starts = starts[np.concatenate(orders[0:2])]
+        self._ends = ends[np.concatenate(orders[1:3])]
+        #: row of ``_ends`` = row of ``_ids`` minus this (``o_aft`` keeps no end)
+        self._ends_base = bases[1]
+        self._tables: Dict[str, _ClassTable] = {}
+        for index, (name, keep_starts, keep_ends) in enumerate(_CLASSES):
+            lo, hi = bases[index], bases[index + 1]
+            self._tables[name] = _ClassTable(
+                m,
+                *directories[index],
+                lo,
+                self._ids[lo:hi],
+                self._starts[lo:hi] if keep_starts else None,
+                self._ends[lo - self._ends_base : hi - self._ends_base] if keep_ends else None,
+                self._id_objects[lo:hi].tolist() if self._columnar else None,
+            )
 
     # ------------------------------------------------------------------ #
     # properties
@@ -349,21 +387,16 @@ class OptimizedHINTm(IntervalIndex):
     def level_occupancy(self) -> List[int]:
         """Stored entries per level, across all four subdivision classes."""
         return [
-            sum(len(self._levels[level][name]) for name, *_ in _CLASSES)
+            sum(table.rows_at(level) for table in self._tables.values())
             for level in range(self.num_levels)
         ]
 
     def nonempty_partitions(self) -> int:
         """Number of (level, partition) pairs holding at least one interval."""
-        count = 0
-        for level in range(self.num_levels):
-            offsets: set[int] = set()
-            for name, *_ in _CLASSES:
-                level_class = self._levels[level][name]
-                lengths = np.diff(level_class.indptr)
-                offsets.update(level_class.offsets[lengths > 0].tolist())
-            count += len(offsets)
-        return count
+        occupied = [
+            table.keys[np.diff(table.indptr) > 0] for table in self._tables.values()
+        ]
+        return len(np.unique(np.concatenate(occupied)))
 
     # ------------------------------------------------------------------ #
     # updates
@@ -383,14 +416,13 @@ class OptimizedHINTm(IntervalIndex):
         stats = QueryStats()
         chunks: List[np.ndarray] = []
         plain: List[int] = []
-        # distinct (level, offset) pairs for which endpoint comparisons were
-        # performed; this is the quantity Lemma 4 bounds by four in expectation
-        compared: set[Tuple[int, int]] = set()
-        for level_class, row_lo, row_hi, test_start, test_end, key in self._iter_segments(
-            query
-        ):
+        # distinct partitions (by heap number) for which endpoint comparisons
+        # were performed; this is the quantity Lemma 4 bounds by four in
+        # expectation
+        compared: set[int] = set()
+        for table, row_lo, row_hi, test_start, test_end, key in self._iter_segments(query):
             self._emit_segment(
-                level_class,
+                table,
                 row_lo,
                 row_hi,
                 query,
@@ -423,25 +455,23 @@ class OptimizedHINTm(IntervalIndex):
         total = 0
         q_start = query.start
         q_end = query.end
-        for level_class, row_lo, row_hi, test_start, test_end, _key in self._iter_segments(
-            query
-        ):
+        for table, row_lo, row_hi, test_start, test_end, _key in self._iter_segments(query):
             if not (test_start or test_end):
                 total += row_hi - row_lo
                 continue
             if self._columnar:
                 if test_start and test_end:
-                    mask = (level_class.starts[row_lo:row_hi] <= q_end) & (
-                        level_class.ends[row_lo:row_hi] >= q_start
+                    mask = (table.starts[row_lo:row_hi] <= q_end) & (
+                        table.ends[row_lo:row_hi] >= q_start
                     )
                 elif test_start:
-                    mask = level_class.starts[row_lo:row_hi] <= q_end
+                    mask = table.starts[row_lo:row_hi] <= q_end
                 else:
-                    mask = level_class.ends[row_lo:row_hi] >= q_start
+                    mask = table.ends[row_lo:row_hi] >= q_start
                 total += int(np.count_nonzero(mask))
                 continue
-            records = level_class.records
-            has_start = level_class.starts is not None
+            records = table.records
+            has_start = table.starts is not None
             for row in range(row_lo, row_hi):
                 if _record_matches(
                     records[row], has_start, test_start, test_end, q_start, q_end
@@ -460,27 +490,25 @@ class OptimizedHINTm(IntervalIndex):
             return self.query_count(query) > 0
         q_start = query.start
         q_end = query.end
-        for level_class, row_lo, row_hi, test_start, test_end, _key in self._iter_segments(
-            query
-        ):
+        for table, row_lo, row_hi, test_start, test_end, _key in self._iter_segments(query):
             if row_hi <= row_lo:
                 continue
             if not (test_start or test_end):
                 return True
             if self._columnar:
                 if test_start and test_end:
-                    mask = (level_class.starts[row_lo:row_hi] <= q_end) & (
-                        level_class.ends[row_lo:row_hi] >= q_start
+                    mask = (table.starts[row_lo:row_hi] <= q_end) & (
+                        table.ends[row_lo:row_hi] >= q_start
                     )
                 elif test_start:
-                    mask = level_class.starts[row_lo:row_hi] <= q_end
+                    mask = table.starts[row_lo:row_hi] <= q_end
                 else:
-                    mask = level_class.ends[row_lo:row_hi] >= q_start
+                    mask = table.ends[row_lo:row_hi] >= q_start
                 if mask.any():
                     return True
                 continue
-            records = level_class.records
-            has_start = level_class.starts is not None
+            records = table.records
+            has_start = table.starts is not None
             for row in range(row_lo, row_hi):
                 if _record_matches(
                     records[row], has_start, test_start, test_end, q_start, q_end
@@ -489,48 +517,50 @@ class OptimizedHINTm(IntervalIndex):
         return False
 
     def _iter_segments(self, query: Query):
-        """Yield ``(level_class, row_lo, row_hi, test_start, test_end, key)``
-        for every merged-table run the query touches.
+        """Yield ``(table, row_lo, row_hi, test_start, test_end, key)`` for
+        every merged-table run the query touches (rows local to the table).
 
-        This is the single encoding of the Section 4.2/4.3 traversal: which
+        This is the scalar encoding of the Section 4.2/4.3 traversal: which
         partitions are relevant per level, how boundary partitions split off
         from the comparison-free middle run, and how the Lemma 2 flags lower
-        the predicates level by level.  :meth:`query_with_stats` feeds the
+        the predicates level by level (:meth:`_batch_segments` is the same
+        traversal for a whole batch).  :meth:`query_with_stats` feeds the
         runs to :meth:`_emit_segment`; :meth:`query_count` only aggregates
-        them.  ``key`` is the ``(level, offset)`` of a boundary partition
-        (``None`` for comparison-free runs), used for the Lemma 4 counter.
+        them.  ``key`` is the heap number of a boundary partition (``None``
+        for comparison-free runs), used for the Lemma 4 counter.
         """
         mq_start = self._domain.map_value(query.start)
         mq_end = self._domain.map_value(query.end)
+        tables = self._tables
+        o_in, o_aft, r_in, r_aft = tables["o_in"], tables["o_aft"], tables["r_in"], tables["r_aft"]
         comp_first = True
         comp_last = True
         for level in range(self._m, -1, -1):
+            # heap numbers of the first and last relevant partitions
             first, last = relevant_offsets(self._m, level, mq_start, mq_end)
-            classes = self._levels[level]
-            yield from self._original_segments(
-                classes["o_in"], level, first, last, comp_first, comp_last
-            )
+            first += 1 << level
+            last += 1 << level
+            yield from self._original_segments(o_in, level, first, last, comp_first, comp_last)
             # O_aft of the first partition never needs the end-side test
-            yield from self._original_segments(
-                classes["o_aft"], level, first, last, False, comp_last
-            )
+            yield from self._original_segments(o_aft, level, first, last, False, comp_last)
             # replicas: only the first relevant partition
-            yield from self._replica_segment(classes["r_in"], level, first, comp_first)
-            yield from self._replica_segment(classes["r_aft"], level, first, False)
+            yield from self._replica_segment(r_in, level, first, comp_first)
+            yield from self._replica_segment(r_aft, level, first, False)
             comp_first, comp_last = self._lower_flags(
                 level, first, last, mq_start, mq_end, comp_first, comp_last
             )
 
     def _original_segments(
         self,
-        level_class: _LevelClass,
+        table: _ClassTable,
         level: int,
         first: int,
         last: int,
         test_end_first: bool,
         test_start_last: bool,
     ):
-        """Runs of one originals class over partitions ``first..last``.
+        """Runs of one originals class over partitions ``first..last`` (heap
+        numbers of one level).
 
         ``test_end_first``: the first partition needs the ``end >= q.st``
         predicate.  ``test_start_last``: the last partition needs
@@ -538,55 +568,40 @@ class OptimizedHINTm(IntervalIndex):
         one contiguous comparison-free run of the merged table (the Section
         4.2/4.3 fast path).
         """
-        offsets = level_class.offsets_list
-        if len(level_class.ids) == 0 or not offsets:
+        level_lo, level_hi = table.level_bounds[level], table.level_bounds[level + 1]
+        if level_lo == level_hi:
             return
-        lo = bisect_left(offsets, first)
-        hi = bisect_right(offsets, last)
+        keys = table.keys_list
+        lo = bisect_left(keys, first, level_lo, level_hi)
+        hi = bisect_right(keys, last, lo, level_hi)
         if lo >= hi:
             return
-        indptr = level_class.indptr_list
+        indptr = table.indptr_list
         if first == last:
-            if offsets[lo] == first:
-                yield (
-                    level_class,
-                    indptr[lo],
-                    indptr[lo + 1],
-                    test_start_last,
-                    test_end_first,
-                    (level, first),
-                )
+            yield table, indptr[lo], indptr[lo + 1], test_start_last, test_end_first, first
             return
         start_run = lo
         end_run = hi
-        if offsets[lo] == first:
-            yield level_class, indptr[lo], indptr[lo + 1], False, test_end_first, (level, first)
+        if keys[lo] == first:
+            yield table, indptr[lo], indptr[lo + 1], False, test_end_first, first
             start_run = lo + 1
-        if offsets[hi - 1] == last:
-            yield level_class, indptr[hi - 1], indptr[hi], test_start_last, False, (level, last)
+        if keys[hi - 1] == last:
+            yield table, indptr[hi - 1], indptr[hi], test_start_last, False, last
             end_run = hi - 1
         if start_run < end_run:
-            yield level_class, indptr[start_run], indptr[end_run], False, False, None
+            yield table, indptr[start_run], indptr[end_run], False, False, None
 
-    def _replica_segment(
-        self, level_class: _LevelClass, level: int, first: int, test_end: bool
-    ):
+    def _replica_segment(self, table: _ClassTable, level: int, first: int, test_end: bool):
         """The replica run of the first relevant partition of one class."""
-        offsets = level_class.offsets_list
-        if len(level_class.ids) == 0 or not offsets:
+        level_lo, level_hi = table.level_bounds[level], table.level_bounds[level + 1]
+        if level_lo == level_hi:
             return
-        position = bisect_left(offsets, first)
-        if position >= len(offsets) or offsets[position] != first:
+        keys = table.keys_list
+        position = bisect_left(keys, first, level_lo, level_hi)
+        if position >= level_hi or keys[position] != first:
             return
-        indptr = level_class.indptr_list
-        yield (
-            level_class,
-            indptr[position],
-            indptr[position + 1],
-            False,
-            test_end,
-            (level, first),
-        )
+        indptr = table.indptr_list
+        yield table, indptr[position], indptr[position + 1], False, test_end, first
 
     # -- result assembly --------------------------------------------------- #
     def _merge_results(self, chunks: List[np.ndarray], plain: List[int]) -> List[int]:
@@ -594,8 +609,7 @@ class OptimizedHINTm(IntervalIndex):
         if chunks:
             merged = np.concatenate(chunks)
             if tombstones:
-                keep = ~np.isin(merged, np.fromiter(tombstones, dtype=np.int64))
-                merged = merged[keep]
+                merged = merged[~np.isin(merged, self._spans.removed_array())]
             results = merged.tolist()
         else:
             results = []
@@ -609,7 +623,7 @@ class OptimizedHINTm(IntervalIndex):
     # -- one partition segment ---------------------------------------------- #
     def _emit_segment(
         self,
-        level_class: _LevelClass,
+        table: _ClassTable,
         row_lo: int,
         row_hi: int,
         query: Query,
@@ -619,7 +633,7 @@ class OptimizedHINTm(IntervalIndex):
         plain: List[int],
         stats: QueryStats,
         compared: Optional[set] = None,
-        partition_key: Optional[Tuple[int, int]] = None,
+        partition_key: Optional[int] = None,
     ) -> None:
         """Report rows ``row_lo:row_hi`` applying the requested predicates."""
         if row_hi <= row_lo:
@@ -635,12 +649,12 @@ class OptimizedHINTm(IntervalIndex):
             if count <= _SMALL_SEGMENT:
                 # short boundary/run: a plain Python scan beats the fixed cost
                 # of NumPy slicing; the columnar layout is unchanged
-                ids_list = level_class.ids_list
+                ids_list = table.ids_list
                 if not (test_start or test_end):
                     plain.extend(ids_list[row_lo:row_hi])
                     return
-                starts_list = level_class.starts_list
-                ends_list = level_class.ends_list
+                starts_list = table.starts_list
+                ends_list = table.ends_list
                 q_start = query.start
                 q_end = query.end
                 for row in range(row_lo, row_hi):
@@ -652,16 +666,16 @@ class OptimizedHINTm(IntervalIndex):
                 return
             mask: Optional[np.ndarray] = None
             if test_start:
-                mask = level_class.starts[row_lo:row_hi] <= query.end
+                mask = table.starts[row_lo:row_hi] <= query.end
             if test_end:
-                end_mask = level_class.ends[row_lo:row_hi] >= query.start
+                end_mask = table.ends[row_lo:row_hi] >= query.start
                 mask = end_mask if mask is None else (mask & end_mask)
-            segment_ids = level_class.ids[row_lo:row_hi]
+            segment_ids = table.ids[row_lo:row_hi]
             chunks.append(segment_ids if mask is None else segment_ids[mask])
             return
         # non-columnar path: interleaved records, scanned row by row
-        records = level_class.records
-        has_start = level_class.starts is not None
+        records = table.records
+        has_start = table.starts is not None
         for row in range(row_lo, row_hi):
             record = records[row]
             if _record_matches(
@@ -680,7 +694,8 @@ class OptimizedHINTm(IntervalIndex):
         comp_first: bool,
         comp_last: bool,
     ) -> Tuple[bool, bool]:
-        """Lemma 2 flag update (see :meth:`repro.hint.hintm.HINTm._lower_flags`)."""
+        """Lemma 2 flag update (see :meth:`repro.hint.hintm.HINTm._lower_flags`);
+        below the root a heap number has the parity of its offset."""
         if level == 0:
             return comp_first, comp_last
         if comp_first and first % 2 == 0:
@@ -690,11 +705,178 @@ class OptimizedHINTm(IntervalIndex):
         return comp_first, comp_last
 
     # ------------------------------------------------------------------ #
+    # batched queries: the same traversal, one array pass per batch
+    # ------------------------------------------------------------------ #
+    def query_batch(self, queries: Sequence[Query]) -> List[List[int]]:
+        bounds = self._batch_bounds(queries)
+        if bounds is None:
+            return [self.query(query) for query in queries]
+        rows, offsets = self._batch_rows(*bounds)
+        # the public boundary: the mirrors' own int objects, one flat list
+        flat = self._id_objects[rows].tolist()
+        cuts = offsets.tolist()
+        return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+    def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
+        bounds = self._batch_bounds(queries)
+        if bounds is None:
+            return [self.query_count(query) for query in queries]
+        return self._batch_counts(*bounds).tolist()
+
+    def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
+        bounds = self._batch_bounds(queries)
+        if bounds is None:
+            return [self.query_exists(query) for query in queries]
+        return (self._batch_counts(*bounds) > 0).tolist()
+
+    def _batch_bounds(self, queries: Sequence[Query]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The batch's endpoints as two int64 columns -- or None when it
+        keeps the per-query loop: a batch too short to repay the kernel's
+        fixed cost, the row-by-row layout, or endpoints that are not int64
+        (floats, ints beyond 64 bits), which only Python compares exactly."""
+        if not self._columnar or len(queries) < _BATCH_CROSSOVER:
+            return None
+        q_starts = np.array([query.start for query in queries])
+        q_ends = np.array([query.end for query in queries])
+        if q_starts.dtype != np.int64 or q_ends.dtype != np.int64:
+            return None
+        return q_starts, q_ends
+
+    def _batch_segments(self, q_starts: np.ndarray, q_ends: np.ndarray):
+        """The flat segment table of a batch: ``(query, row_lo, length,
+        test_start, test_end)`` columns, one entry per non-empty merged-table
+        run, in query-major order, rows in the shared row space.
+
+        :meth:`_iter_segments` in closed form.  At every level the first and
+        last relevant partitions of every query are shifts of its mapped
+        endpoints; the Lemma 2 flag of the first (last) partition at a level
+        still stands iff the bits of the mapped start (end) below the
+        level's prefix are all ones (all zeros) -- what :meth:`_lower_flags`
+        finds one level at a time; one ``searchsorted`` pair per class
+        locates all of them in the heap-numbered directory.  Each (query,
+        level) has eight slots: first partition / comparison-free middle run
+        / last partition for ``o_aft`` and ``o_in``, the first partition for
+        ``r_in`` and ``r_aft``.
+        """
+        m = self._m
+        mq_starts = self._domain.map_values(q_starts)[:, None]
+        mq_ends = self._domain.map_values(q_ends)[:, None]
+        shifts = np.arange(m, -1, -1, dtype=np.int64)  # level 0 .. m
+        heap = np.int64(1) << (m - shifts)
+        below = (np.int64(1) << shifts) - 1
+        first = heap + (mq_starts >> shifts)
+        last = heap + (mq_ends >> shifts)
+        comp_first = (mq_starts & below) == below
+        comp_last = (mq_ends & below) == 0
+        single = first == last
+        never = np.zeros_like(single)
+        tables = self._tables
+        lo: List[np.ndarray] = []
+        hi: List[np.ndarray] = []
+        test_start: List[np.ndarray] = []
+        test_end: List[np.ndarray] = []
+
+        def slot(table, entry_lo, entry_hi, start_flag, end_flag):
+            lo.append(table.indptr[entry_lo] + table.row_base)
+            hi.append(table.indptr[entry_hi] + table.row_base)
+            test_start.append(start_flag)
+            test_end.append(end_flag)
+
+        # (class, end test of the first partition, start test of the last
+        # one -- None for the replicas, which read their first partition only)
+        for name, test_end_first, test_start_last in (
+            ("o_aft", never, comp_last),
+            ("o_in", comp_first, comp_last),
+            ("r_in", comp_first, None),
+            ("r_aft", never, None),
+        ):
+            table = tables[name]
+            keys = table.keys
+            if len(keys) == 0:
+                continue
+            head = np.searchsorted(keys, first, "left")
+            run_lo = head + (keys[np.minimum(head, len(keys) - 1)] == first)
+            if test_start_last is None:
+                slot(table, head, run_lo, never, test_end_first)
+                continue
+            tail = np.searchsorted(keys, last, "right")
+            run_hi = tail - ((keys[np.maximum(tail, 1) - 1] == last) & ~single)
+            slot(table, head, run_lo, single & test_start_last, test_end_first)
+            slot(table, run_lo, run_hi, never, never)
+            slot(table, run_hi, tail, test_start_last, never)
+
+        if not lo:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, empty, empty.astype(bool), empty.astype(bool)
+        seg_lo = np.stack(lo, axis=2).reshape(-1)
+        seg_len = np.stack(hi, axis=2).reshape(-1) - seg_lo
+        kept = np.flatnonzero(seg_len)
+        slots_per_query = len(lo) * (m + 1)
+        return (
+            kept // slots_per_query,
+            seg_lo[kept],
+            seg_len[kept],
+            np.stack(test_start, axis=2).reshape(-1)[kept],
+            np.stack(test_end, axis=2).reshape(-1)[kept],
+        )
+
+    def _batch_plan(self, q_starts: np.ndarray, q_ends: np.ndarray):
+        """Segment table of a batch with the predicates already decided.
+
+        Returns ``(per-query counts, seg_lo, seg_len, flagged, failed)``:
+        ``flagged`` indexes the segments that need a predicate, and
+        ``failed`` marks, among the rows of those segments in order, the ones
+        that do not qualify.  The endpoint columns are read for these rows
+        only.
+        """
+        count = len(q_starts)
+        seg_query, seg_lo, seg_len, seg_start, seg_end = self._batch_segments(q_starts, q_ends)
+        counts = np.bincount(seg_query, weights=seg_len, minlength=count).astype(np.int64)
+        flagged = np.flatnonzero(seg_start | seg_end)
+        lengths = seg_len[flagged]
+        rows = _expand(seg_lo[flagged], lengths)
+        owner = np.repeat(seg_query[flagged], lengths)
+        failed = np.zeros(len(rows), dtype=bool)
+        tested = np.flatnonzero(np.repeat(seg_start[flagged], lengths))
+        failed[tested] = self._starts[rows[tested]] > q_ends[owner[tested]]
+        tested = np.flatnonzero(np.repeat(seg_end[flagged], lengths))
+        failed[tested] |= self._ends[rows[tested] - self._ends_base] < q_starts[owner[tested]]
+        counts -= np.bincount(owner[failed], minlength=count)
+        return counts, seg_lo, seg_len, flagged, failed
+
+    def _batch_counts(self, q_starts: np.ndarray, q_ends: np.ndarray) -> np.ndarray:
+        """Per-query result counts: segment lengths minus failed predicate
+        rows, no id gathered -- unless tombstones have to be subtracted."""
+        if self._spans.removed:
+            return np.diff(self._batch_rows(q_starts, q_ends)[1])
+        return self._batch_plan(q_starts, q_ends)[0]
+
+    def _batch_rows(self, q_starts: np.ndarray, q_ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, offsets)``: query ``k`` of the batch is answered by the
+        ids at ``rows[offsets[k]:offsets[k + 1]]`` of the shared id column
+        (``self._ids[rows]`` is the batch's flat int64 answer)."""
+        counts, seg_lo, seg_len, flagged, failed = self._batch_plan(q_starts, q_ends)
+        rows = _expand(seg_lo, seg_len)
+        if failed.any():
+            position = np.cumsum(seg_len) - seg_len
+            keep = np.ones(len(rows), dtype=bool)
+            keep[_expand(position[flagged], seg_len[flagged])[failed]] = False
+            rows = rows[keep]
+        if self._spans.removed:
+            dead = np.isin(self._ids[rows], self._spans.removed_array())
+            owner = np.repeat(np.arange(len(counts)), counts)
+            counts -= np.bincount(owner[dead], minlength=len(counts))
+            rows = rows[~dead]
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return rows, offsets
+
+    # ------------------------------------------------------------------ #
     def memory_bytes(self, _memo: "set | None" = None) -> int:
         if self._memo_seen(_memo):
             return 0
         total = self._spans_bytes(_memo)
-        for level in range(self.num_levels):
-            for name, *_ in _CLASSES:
-                total += self._levels[level][name].memory_bytes(self._columnar)
-        return total
+        total += self._ids.nbytes + self._starts.nbytes + self._ends.nbytes
+        if self._id_objects is not None:
+            total += self._id_objects.nbytes + _INT_BYTES * len(self._id_objects)
+        return total + sum(table.memory_bytes() for table in self._tables.values())

@@ -19,7 +19,7 @@ a freshly built main index, which is what a periodic batch update does.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,6 +233,17 @@ class HybridHINTm(IntervalIndex):
         results = main.query(query)
         if len(delta):
             results.extend(delta.query(query))
+        return results
+
+    def query_batch(self, queries: Sequence[Query]) -> List[List[int]]:
+        """The main index answers the batch in one vectorised traversal;
+        the delta is probed per query, and only while it holds anything."""
+        self.query_ops += len(queries)
+        main, delta = self._components  # one load, as in :meth:`query`
+        results = main.query_batch(queries)
+        if len(delta):
+            for result, query in zip(results, queries):
+                result.extend(delta.query(query))
         return results
 
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:

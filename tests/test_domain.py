@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.domain import Domain, bit_length_for, partition_extent, prefix
 from repro.core.errors import DomainError
@@ -116,3 +118,52 @@ class TestDomain:
         assert domain.relevant_range(2, 5, 9) == (1, 2)
         assert domain.relevant_range(1, 5, 9) == (0, 1)
         assert domain.relevant_range(0, 5, 9) == (0, 0)
+
+
+class TestWideDomains:
+    """One rescaling formula for Python ints and int64 arrays, whatever the
+    raw extent: ``extent * (2^m - 1)`` may be far past 2^63."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_bits=st.integers(1, 30),
+        raw_min=st.integers(-(2**61), 2**61),
+        extent=st.integers(1, 2**62),
+        data=st.data(),
+    )
+    def test_scalar_equals_vectorised_and_is_monotone(self, num_bits, raw_min, extent, data):
+        raw_max = raw_min + extent
+        domain = Domain(num_bits=num_bits, raw_min=raw_min, raw_max=raw_max)
+        inside = st.integers(raw_min, raw_max)
+        anywhere = st.integers(-(2**63), 2**63 - 1)
+        values = sorted(
+            data.draw(st.lists(st.one_of(inside, anywhere), max_size=30))
+            + [raw_min, raw_max, raw_min + extent // 2]
+        )
+        mapped = domain.map_values(np.array(values, dtype=np.int64)).tolist()
+        assert mapped == [domain.map_value(v) for v in values]
+        assert mapped == sorted(mapped)
+        assert all(0 <= v <= domain.max_value for v in mapped)
+        assert domain.map_value(raw_min) == 0
+        assert domain.map_value(raw_max) == domain.max_value
+        if extent * domain.max_value < 2**63:
+            # room for the product: the paper's f, exactly
+            assert mapped == [
+                (min(max(v, raw_min), raw_max) - raw_min) * domain.max_value // extent
+                for v in values
+            ]
+
+    def test_nanosecond_epoch_endpoints(self):
+        raw_min = 1_700_000_000_000_000_000
+        domain = Domain(num_bits=16, raw_min=raw_min, raw_max=raw_min + 30_000_000_000_000_000)
+        values = raw_min + np.arange(3_001, dtype=np.int64) * 10**13
+        mapped = domain.map_values(values)
+        assert mapped[0] == 0 and mapped[-1] == domain.max_value
+        assert np.all(np.diff(mapped) >= 0)
+        assert mapped.tolist() == [domain.map_value(int(v)) for v in values]
+
+    def test_unscalable_domains_are_refused(self):
+        with pytest.raises(DomainError):
+            Domain(num_bits=16, raw_min=-(2**62), raw_max=2**62)
+        with pytest.raises(DomainError):
+            Domain(num_bits=63, raw_min=0, raw_max=10)

@@ -1,0 +1,275 @@
+"""The batched traversal and the array build of the optimized HINT^m.
+
+Everything here is a logical property: a batch answers what the per-query
+path and the linear-scan oracle answer, the vectorised build stores what
+Algorithm 1 assigns, and batch size alone decides which path runs.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.naive import NaiveIndex
+from repro.core.interval import Interval, IntervalCollection, Query
+from repro.hint.optimized import _BATCH_CROSSOVER, _CLASSES, OptimizedHINTm
+from repro.hint.partitioning import partition_assignments
+from repro.hint.updates import HybridHINTm
+
+# a small raw domain maximises collisions: duplicate endpoints, point
+# intervals, queries whose first and last partitions coincide
+RAW_MAX = 300
+_PAIR = st.tuples(st.integers(0, RAW_MAX), st.integers(0, 40)).map(
+    lambda t: (t[0], min(RAW_MAX, t[0] + t[1]))
+)
+_PAIRS = st.lists(_PAIR, max_size=80)
+# queries reach past both edges of the data
+_QUERY = st.tuples(st.integers(-60, RAW_MAX + 60), st.integers(0, 120)).map(
+    lambda t: Query(t[0], t[0] + t[1])
+)
+# batches on both sides of the crossover, the empty one included
+_BATCH = st.lists(_QUERY, max_size=4 * _BATCH_CROSSOVER)
+_M = st.sampled_from([1, 3, 8, 16])
+
+common_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def _collection(pairs):
+    return IntervalCollection.from_pairs(pairs)
+
+
+def _sorted(results):
+    return [sorted(ids) for ids in results]
+
+
+def _oracle(live, queries):
+    """``live``: id -> (start, end)."""
+    return [
+        sorted(i for i, (s, e) in live.items() if s <= q.end and q.start <= e)
+        for q in queries
+    ]
+
+
+def _check(index, live, queries):
+    expected = _oracle(live, queries)
+    assert _sorted(index.query_batch(queries)) == expected
+    assert _sorted(index.query(q) for q in queries) == expected
+    assert index.query_count_batch(queries) == [len(ids) for ids in expected]
+    assert index.query_exists_batch(queries) == [bool(ids) for ids in expected]
+
+
+@common_settings
+@given(pairs=_PAIRS, queries=_BATCH, m=_M, sparse=st.booleans(), columnar=st.booleans())
+def test_batch_matches_scalar_path_and_oracle(pairs, queries, m, sparse, columnar):
+    index = OptimizedHINTm(
+        _collection(pairs), num_bits=m, sparse_directory=sparse, columnar=columnar
+    )
+    _check(index, dict(enumerate(pairs)), queries)
+
+
+@common_settings
+@given(pairs=_PAIRS, first=_BATCH, second=_BATCH, m=_M, data=st.data())
+def test_deletes_before_and_between_batches(pairs, first, second, m, data):
+    index = OptimizedHINTm(_collection(pairs), num_bits=m)
+    live = dict(enumerate(pairs))
+    victims = st.lists(st.sampled_from(range(len(pairs))), unique=True) if pairs else st.just([])
+    for queries in (first, second):
+        for victim in data.draw(victims):
+            assert index.delete(victim) is (live.pop(victim, None) is not None)
+        _check(index, live, queries)
+
+
+@common_settings
+@given(pairs=_PAIRS, inserts=_PAIRS, queries=_BATCH, m=_M, data=st.data())
+def test_hybrid_batch_after_inserts_deletes_and_rebuild(pairs, inserts, queries, m, data):
+    index = HybridHINTm(_collection(pairs), num_bits=m)
+    live = dict(enumerate(pairs))
+    for interval_id, (start, end) in enumerate(inserts, start=len(pairs)):
+        index.insert(Interval(interval_id, start, end))
+        live[interval_id] = (start, end)
+    ids = sorted(live)
+    for victim in data.draw(st.lists(st.sampled_from(ids), unique=True) if ids else st.just([])):
+        assert index.delete(victim)
+        del live[victim]
+    expected = _oracle(live, queries)
+    assert _sorted(index.query_batch(queries)) == expected
+    index.rebuild()
+    assert _sorted(index.query_batch(queries)) == expected
+    assert _sorted(index.query(q) for q in queries) == expected
+
+
+def test_empty_collection_and_empty_batch():
+    empty = OptimizedHINTm(IntervalCollection.empty(), num_bits=8)
+    queries = [Query(k, k + 5) for k in range(2 * _BATCH_CROSSOVER)]
+    assert empty.query_batch(queries) == [[] for _ in queries]
+    assert empty.query_count_batch(queries) == [0] * len(queries)
+    index = OptimizedHINTm(_collection([(1, 5), (3, 9)]), num_bits=4)
+    assert index.query_batch([]) == []
+    assert index.query_count_batch([]) == []
+    assert index.query_exists_batch([]) == []
+
+
+def test_endpoints_beyond_int64_keep_the_exact_path(synthetic_collection, synthetic_queries):
+    """Only Python compares a float or a 100-bit int with a stored endpoint
+    exactly; such a batch is answered one query at a time."""
+    index = OptimizedHINTm(synthetic_collection, num_bits=10)
+    lo, hi = synthetic_collection.span()
+    for odd in (Query(-(10**30), 10**30), Query(lo + 0.5, lo + (hi - lo) / 7)):
+        queries = synthetic_queries[:20] + [odd]
+        assert index._batch_bounds(queries) is None
+        assert index.query_batch(queries) == [index.query(q) for q in queries]
+        assert index.query_count_batch(queries) == [index.query_count(q) for q in queries]
+    assert len(index.query_batch(synthetic_queries[:20] + [Query(-(10**30), 10**30)])[-1]) == len(
+        index
+    )
+
+
+def test_results_are_plain_lists_of_ints(synthetic_collection, synthetic_queries):
+    index = OptimizedHINTm(synthetic_collection, num_bits=10)
+    for results in (index.query_batch(synthetic_queries[:64]), index.query_batch([])):
+        assert type(results) is list
+        assert all(type(ids) is list for ids in results)
+        assert all(type(i) is int for ids in results for i in ids)
+
+
+@pytest.mark.parametrize("backend", [OptimizedHINTm, HybridHINTm])
+def test_nanosecond_epoch_collection(backend):
+    """``raw_extent * (2^m - 1)`` is past int64 here: the mapped endpoints
+    used to wrap around and the build died range-checking them."""
+    rng = np.random.default_rng(5)
+    starts = 1_700_000_000_000_000_000 + rng.integers(0, 30_000_000_000_000_000, 2_000)
+    ends = starts + rng.integers(0, 60_000_000_000_000, 2_000)
+    collection = IntervalCollection(np.arange(2_000), starts, ends)
+    index = backend(collection, num_bits=16)
+    naive = NaiveIndex.build(collection)
+    lo, hi = collection.span()
+    query_starts = rng.integers(lo - (hi - lo) // 50, hi, 200)
+    queries = [
+        Query(int(s), int(s + extent))
+        for s, extent in zip(query_starts, rng.integers(0, (hi - lo) // 100, 200))
+    ]
+    expected = [sorted(naive.query(q)) for q in queries]
+    assert any(expected)
+    assert _sorted(index.query_batch(queries)) == expected
+    assert _sorted(index.query(q) for q in queries) == expected
+
+
+# --------------------------------------------------------------------------- #
+# layout: the array build stores what Algorithm 1 assigns
+# --------------------------------------------------------------------------- #
+def _reference_layout(index, collection):
+    m = index.num_bits
+    stored = Counter()
+    mapped_starts = index.domain.map_values(collection.starts).tolist()
+    mapped_ends = index.domain.map_values(collection.ends).tolist()
+    for interval_id, ms, me in zip(collection.ids.tolist(), mapped_starts, mapped_ends):
+        for assignment in partition_assignments(m, ms, me):
+            last_value = ((assignment.offset + 1) << (m - assignment.level)) - 1
+            name = ("o" if assignment.is_original else "r") + (
+                "_in" if me <= last_value else "_aft"
+            )
+            stored[(assignment.level, name, assignment.offset, interval_id)] += 1
+    return stored
+
+
+def _stored_layout(index):
+    stored = Counter()
+    for name, table in index._tables.items():
+        for entry, key in enumerate(table.keys.tolist()):
+            level = key.bit_length() - 1
+            for row in range(table.indptr[entry], table.indptr[entry + 1]):
+                stored[(level, name, key - (1 << level), int(table.ids[row]))] += 1
+    return stored
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("m", [1, 3, 8, 12])
+def test_build_stores_the_reference_assignments(taxis_like_collection, m, sparse):
+    index = OptimizedHINTm(taxis_like_collection, num_bits=m, sparse_directory=sparse)
+    reference = _reference_layout(index, taxis_like_collection)
+    assert _stored_layout(index) == reference
+    assert index.replication_factor == sum(reference.values()) / len(index)
+    per_level = Counter()
+    for (level, _name, _offset, _id), copies in reference.items():
+        per_level[level] += copies
+    assert index.level_occupancy() == [per_level[level] for level in range(m + 1)]
+    assert index.nonempty_partitions() == len({(level, offset) for level, _, offset, _ in reference})
+
+
+@pytest.mark.parametrize("columnar", [True, False])
+def test_partition_runs_are_sorted_by_their_sort_column(books_like_collection, columnar):
+    index = OptimizedHINTm(books_like_collection, num_bits=9, columnar=columnar)
+    for name, keep_starts, keep_ends in _CLASSES:
+        table = index._tables[name]
+        assert (table.starts is not None, table.ends is not None) == (keep_starts, keep_ends)
+        column = table.starts if keep_starts else table.ends
+        if column is None:
+            continue
+        for lo, hi in zip(table.indptr[:-1], table.indptr[1:]):
+            assert np.all(np.diff(column[lo:hi]) >= 0)
+
+
+# --------------------------------------------------------------------------- #
+# structure: batch size decides the path, nothing else does
+# --------------------------------------------------------------------------- #
+def test_long_batch_never_runs_a_lone_query(synthetic_collection, synthetic_queries, monkeypatch):
+    index = OptimizedHINTm(synthetic_collection, num_bits=10)
+    queries = synthetic_queries[:64]
+    expected = _sorted(index.query(q) for q in queries)
+
+    def lone_query(self, query):
+        raise AssertionError("a 64-query batch fell back to the per-query loop")
+
+    monkeypatch.setattr(OptimizedHINTm, "query", lone_query)
+    monkeypatch.setattr(OptimizedHINTm, "query_count", lone_query)
+    assert _sorted(index.query_batch(queries)) == expected
+    assert index.query_count_batch(queries) == [len(ids) for ids in expected]
+    assert index.query_exists_batch(queries) == [bool(ids) for ids in expected]
+
+
+def test_short_batch_and_rowwise_layout_never_enter_the_kernel(
+    synthetic_collection, synthetic_queries, monkeypatch
+):
+    columnar = OptimizedHINTm(synthetic_collection, num_bits=10)
+    rowwise = OptimizedHINTm(synthetic_collection, num_bits=10, columnar=False)
+
+    def kernel(self, *args):
+        raise AssertionError("the vectorised traversal ran")
+
+    monkeypatch.setattr(OptimizedHINTm, "_batch_segments", kernel)
+    one = synthetic_queries[:1]
+    assert columnar.query_batch(one) == [columnar.query(one[0])]
+    assert columnar.query_count_batch(one) == [columnar.query_count(one[0])]
+    many = synthetic_queries[:64]
+    assert rowwise.query_batch(many) == [rowwise.query(q) for q in many]
+    with pytest.raises(AssertionError):
+        columnar.query_batch(many)
+
+
+def test_counts_gather_no_ids_without_tombstones(synthetic_collection, synthetic_queries):
+    """The count path reads segment lengths and boundary endpoints only."""
+    index = OptimizedHINTm(synthetic_collection, num_bits=10)
+    expected = [len(index.query(q)) for q in synthetic_queries[:64]]
+    index._ids = None  # any id gather would fail
+    assert index.query_count_batch(synthetic_queries[:64]) == expected
+
+
+def test_tombstone_array_is_cached_until_the_set_changes(synthetic_collection):
+    index = OptimizedHINTm(synthetic_collection, num_bits=8)
+    table = index._spans
+    ids = synthetic_collection.ids.tolist()
+    assert len(table.removed_array()) == 0
+    index.delete(ids[5])
+    index.delete(ids[2])
+    removed = table.removed_array()
+    assert removed.tolist() == sorted([ids[5], ids[2]])
+    assert table.removed_array() is removed  # no rebuild per query
+    index.delete(ids[9])
+    assert table.removed_array().tolist() == sorted([ids[5], ids[2], ids[9]])
+    table.add(Interval(ids[2], 1, 2))
+    assert table.removed_array().tolist() == sorted([ids[5], ids[9]])
+

@@ -7,8 +7,11 @@
 """
 
 import gc
+import sys
+import threading
 import tracemalloc
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,12 +118,15 @@ def _traced_build_bytes(backend, collection):
 def test_hintm_opt_retains_at_most_240_bytes_per_interval():
     """381 B/interval on this collection before the span table (two per-row
     dicts), 196 with it.  What is left above the columns is the plain-list
-    mirrors of the merged tables, which ``memory_bytes()`` does not count."""
+    mirrors of the merged tables, which ``memory_bytes()`` counts too."""
     collection = generate_synthetic(SyntheticConfig(cardinality=20_000, seed=17))
     index, retained = _traced_build_bytes("hintm_opt", collection)
     assert retained / len(collection) <= 240
-    # the reported size now includes the table: at least its three columns
+    # the reported size includes the table: at least its three columns
     assert index.memory_bytes() >= index._spans.nbytes >= 24 * len(collection)
+    # ... and is what the build retained (the table's columns are the
+    # caller's and were allocated before the trace began)
+    assert retained / 1.25 <= index.memory_bytes() <= retained * 1.25
 
 
 def test_every_backend_counts_its_table_once(synthetic_collection):
@@ -137,3 +143,37 @@ def test_every_backend_counts_its_table_once(synthetic_collection):
         memo: set = set()
         assert index.memory_bytes(memo) >= floor >= 24 * len(synthetic_collection)
         assert index.memory_bytes(memo) == 0
+
+
+def test_removed_array_never_stays_stale_under_racing_readers():
+    """Lock-free readers cache ``removed_array()`` while one writer removes
+    ids: whatever a reader cached mid-update, the first read after the last
+    update sees every removed id."""
+    table = SpanTable(_collection([(i, i, 1) for i in range(3_000)]))
+    stop = threading.Event()
+    unsorted = []
+
+    def read():
+        while not stop.is_set():
+            array = table.removed_array()
+            if not np.all(array[1:] > array[:-1]):
+                unsorted.append(array)
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for reader in readers:
+            reader.start()
+        for interval_id in range(0, 3_000, 2):
+            table.remove(interval_id)
+            if interval_id % 64 == 0:
+                assert table.removed_array().tolist() == sorted(table.removed)
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert not unsorted
+    assert table.removed_array().tolist() == list(range(0, 3_000, 2))

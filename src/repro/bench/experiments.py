@@ -885,9 +885,10 @@ def durable_ingest(
     (``off``/``interval``/``always``), each the best-of-``repeats``
     ops/second over the same :func:`_interleaved_update_stream` against a
     fresh store.  Every row carries ``slowdown`` -- the baseline throughput
-    divided by the row's -- which is the number the durability contract
-    bounds: under ``fsync="interval"`` the WAL must stay within 2x of
-    WAL-off ingest (gated by ``tests/test_durable_ingest_benchmark.py``).
+    divided by the row's -- recorded, not gated: what keeps
+    ``fsync="interval"`` near WAL-off ingest (at most one append-path fsync
+    per tick) is asserted structurally by
+    ``tests/test_durable_ingest_benchmark.py``.
 
     Correctness brackets the timing, as everywhere in this module: after
     each durable mode's final repeat the WAL directory is reopened and the
@@ -1176,7 +1177,7 @@ def serving_throughput(
     the query server twice -- once with the generation-keyed result cache, once with caching
     disabled (capacity 0).  Every request round-trips real HTTP through the
     admission-controlled batching path; the cached leg answers repeats with
-    pre-encoded bodies, which is where the >= 5x acceptance bar comes from.
+    pre-encoded bodies, which is where the recorded >= 5x ratio comes from.
     Before timing, one hot query's server answer is asserted identical to
     the store's direct evaluation.
     """

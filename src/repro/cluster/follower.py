@@ -9,9 +9,10 @@ A :class:`ClusterFollower` keeps a warm standby of one shard server:
    that payload, floors the generation, and restores the standing-query
    registry -- the same recovery path a local restart takes.
 2. **shipping** -- a feed thread long-polls the leader's ``/wal-feed``
-   from ``(wal_seq, 0)`` and applies each committed frame with replay
-   semantics: generation floored to ``record.generation - 1`` before the
-   apply, sync records floor only.  The applied prefix therefore tracks
+   from ``(wal_seq, 0)`` and applies each committed frame with the step
+   local recovery uses (:func:`repro.durability.manager.apply_record`:
+   generation floored to ``record.generation - 1`` before the apply, sync
+   records floor only).  The applied prefix therefore tracks
    the leader's *on-disk* WAL exactly (with ``fsync="always"`` on the
    leader, on-disk == durably acked).
 3. **takeover** -- :meth:`promote` (or ``POST /promote`` on the follower's
@@ -38,7 +39,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.errors import ReproError
 from repro.core.interval import Interval, IntervalCollection
 from repro.cluster.shard_server import ShardServer
-from repro.durability.manager import _generation_floor
+from repro.durability.manager import apply_record
 from repro.engine.store import IntervalStore
 from repro.serve.client import ServeClient, ServerError, ServerUnavailableError
 from repro.serve.server import ServerHandle, start_server_thread
@@ -196,7 +197,7 @@ class ClusterFollower:
         )
         store = IntervalStore.open(collection, self._backend)
         generation = int(snapshot["generation"])
-        _generation_floor(store, generation)
+        store.updates.floor(generation)
         subscriptions = snapshot.get("subscriptions") or []
         if subscriptions:
             StandingQueryManager.restore(store, subscriptions, generation=generation)
@@ -249,29 +250,11 @@ class ClusterFollower:
     def _apply(self, records: List[List[object]]) -> None:
         store = self.store
         for op, interval_id, start, end, generation in records:
-            generation = int(generation)
-            if op == "sync":
-                _generation_floor(store, generation)
+            outcome = apply_record(
+                store, op, int(interval_id), int(start), int(end), int(generation)
+            )
+            if outcome is None:  # a sync: floored, nothing shipped to apply
                 continue
-            # append-before-apply on the leader predicts generation as
-            # current + 1; mirror local replay exactly: floor to
-            # generation - 1 and let the apply itself take the final step.
-            # Never floor to the record's own generation -- an ineffective
-            # apply (a router delete broadcast to a shard that never held
-            # the id) moves the generation on neither side, and the NEXT
-            # record reuses the predicted value.  Flooring past it would
-            # report catch-up one op early, and a promotion gated on
-            # generation equality in that window loses the in-flight op.
-            _generation_floor(store, generation - 1)
-            try:
-                if op == "insert":
-                    store.insert(Interval(int(interval_id), int(start), int(end)))
-                elif op == "delete":
-                    store.delete(int(interval_id))
-                else:
-                    raise ReproError(f"unknown WAL op {op!r}")
-            except (ReproError, NotImplementedError):
-                # same tolerance as local replay: one unplayable record
-                # must not wedge the feed
+            if not outcome:
                 self.replay_skipped += 1
             self.records_applied += 1

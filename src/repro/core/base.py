@@ -35,6 +35,7 @@ from repro.core.allen import AllenRelation, RANGE_QUERY_RELATIONS, relation_mask
 from repro.core.errors import UnsupportedQueryError
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.core.spans import SpanTable
+from repro.core.updates import UpdateFeed
 
 __all__ = ["IntervalIndex", "QueryStats", "count_once"]
 
@@ -148,6 +149,11 @@ class IntervalIndex(abc.ABC):
 
     #: human-readable name used in benchmark reports
     name: str = "abstract"
+
+    #: the :class:`~repro.core.updates.UpdateFeed` of an index that
+    #: serialises its own updates (hybrid, sharded); ``None`` on every other
+    #: backend, whose wrapping store owns the feed instead
+    updates: "UpdateFeed | None" = None
 
     # ------------------------------------------------------------------ #
     # construction

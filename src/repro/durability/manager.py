@@ -24,10 +24,9 @@ replay the log tail with truncate-at-first-bad-record semantics, restore
 the standing-query subscriptions, and hand back a store whose contents,
 generation and subscriptions equal the pre-crash acknowledged state.
 
-Concurrent writers must be serialised externally (the query server's
-update lock does), the same contract the store's update listeners and the
-result cache already have -- the predicted post-commit generation in each
-WAL record relies on log and apply happening in the same order.
+The store holds ``store.updates.lock`` from the append to the commit, so
+log order is apply order and the post-commit generation each WAL record
+predicts is exact, however many threads write.
 """
 
 from __future__ import annotations
@@ -65,20 +64,42 @@ _WAL_CHECKPOINTS = global_registry().counter(
 __all__ = ["DurabilityManager", "open_durable"]
 
 
-def _generation_floor(store, value: int) -> None:
-    """Force the store's authoritative generation counter to >= ``value``.
+def apply_record(
+    store, op: str, interval_id: int, start: int, end: int, generation: int
+) -> Optional[bool]:
+    """Re-apply one logged record through ``store``: floor, then apply.
 
-    Indexes that own their generation (sharded, hybrid) back it with a
-    ``_mutations`` counter; plain stores count on themselves.  Forward-only
-    (``max``), so replay can call it per record.
+    The one replay step local recovery and the cluster follower share.
+    Returns ``None`` for a ``"sync"`` (the generation is floored, nothing is
+    applied), ``True`` when the insert/delete went through the store, and
+    ``False`` for a record this store cannot play (a changed, static backend;
+    an unknown op) -- the caller counts it, one bad record must not wedge a
+    replay.
+
+    Append-before-apply predicted ``generation`` as current + 1, so the
+    floor is ``generation - 1`` and the apply itself takes the final step:
+    listeners (a restored standing-query engine) observe the *original*
+    generations.  Never floor to the record's own generation -- an
+    ineffective apply (a router delete broadcast to a shard that never held
+    the id) moves the generation on neither side, and the NEXT record reuses
+    the predicted value.  Flooring past it would report catch-up one op
+    early, and a promotion gated on generation equality in that window loses
+    the in-flight op.
     """
-    if value < 0:
-        return
-    index = store.index
-    if getattr(index, "result_generation", None) is not None:
-        index._mutations = max(int(index._mutations), int(value))
-    else:
-        store._mutations = max(store._mutations, int(value))
+    if op == "sync":
+        store.updates.floor(generation)
+        return None
+    store.updates.floor(generation - 1)
+    try:
+        if op == "insert":
+            store.insert(Interval(interval_id, start, end))
+        elif op == "delete":
+            store.delete(interval_id)
+        else:
+            raise ReproError(f"unknown WAL op {op!r}")
+    except (ReproError, NotImplementedError):
+        return False
+    return True
 
 
 class DurabilityManager:
@@ -115,39 +136,20 @@ class DurabilityManager:
         self.replayed_records = 0
         self.replay_skipped = 0
         self.replay_truncated_bytes = 0
-        self._sync_listener_target = None
-        self._attach_sync_listener()
-
-    # ------------------------------------------------------------------ #
-    # wiring
-    # ------------------------------------------------------------------ #
-    def _attach_sync_listener(self) -> None:
-        """Log generation syncs so replay restores the exact sequence."""
-        index = getattr(self._store, "index", None)
-        target = index if hasattr(index, "add_update_listener") else self._store
-        if hasattr(target, "add_update_listener"):
-            target.add_update_listener(self._on_store_event)
-            self._sync_listener_target = target
+        # log generation syncs so replay restores the exact sequence
+        store.updates.subscribe(self._on_store_event)
 
     def _on_store_event(self, op: str, interval, generation: int) -> None:
-        # inserts/deletes were logged before they applied; everything else
-        # ("sync", "maintained", "rebuild") is a generation advance without
-        # a content change, logged so replay lands on the same token
-        if op in ("insert", "delete") or self._replaying:
+        # inserts/deletes were logged before they applied; a sync is a
+        # generation advance without a content change, logged so replay
+        # lands on the same token
+        if op != "sync" or self._replaying:
             return
         with self._lock:
             if self._degraded or self._closed:
                 return
             try:
-                self._writer.append(
-                    WalRecord(
-                        op="sync",
-                        interval_id=0,
-                        start=0,
-                        end=0,
-                        generation=int(generation),
-                    )
-                )
+                self._writer.append_frame(encode_frame("sync", 0, 0, 0, generation))
             except OSError as exc:
                 # never raise into a maintenance pass: degrade visibly and
                 # let the next explicit write surface the error
@@ -214,40 +216,23 @@ class DurabilityManager:
             )
 
     def log_insert(self, interval: Interval) -> None:
-        """Append the insert record (predicted post-commit generation)."""
-        if self._replaying:
-            return
-        with self._lock:
-            self._check_writable()
-            frame = encode_frame(
-                "insert",
-                interval.id,
-                interval.start,
-                interval.end,
-                int(self._store.result_generation()) + 1,
-            )
-            try:
-                self._writer.append_frame(frame)
-            except OSError as exc:
-                self._degrade(exc)
-                raise DurabilityDegradedError(
-                    f"WAL append failed ({exc}); store is now degraded and "
-                    "refuses further writes"
-                ) from exc
-            _WAL_RECORDS.inc()
+        """Append the insert record."""
+        self._log("insert", interval.id, interval.start, interval.end)
 
     def log_delete(self, interval_id: int, victim: Optional[Interval]) -> None:
         """Append the delete record (span recorded when resolvable)."""
+        start, end = (victim.start, victim.end) if victim is not None else (0, 0)
+        self._log("delete", interval_id, start, end)
+
+    def _log(self, op: str, interval_id: int, start: int, end: int) -> None:
         if self._replaying:
             return
         with self._lock:
             self._check_writable()
+            # the post-commit generation, predicted: exact because the store
+            # holds updates.lock from this append to the commit
             frame = encode_frame(
-                "delete",
-                int(interval_id),
-                victim.start if victim is not None else 0,
-                victim.end if victim is not None else 0,
-                int(self._store.result_generation()) + 1,
+                op, interval_id, start, end, self._store.updates.generation + 1
             )
             try:
                 self._writer.append_frame(frame)
@@ -274,13 +259,6 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
     # checkpointing + retention
     # ------------------------------------------------------------------ #
-    def _snapshot_lock(self):
-        index = getattr(self._store, "index", None)
-        lock = getattr(index, "maintenance_lock", None)
-        if lock is None:
-            lock = getattr(index, "_update_lock", None)
-        return lock if lock is not None else contextlib.nullcontext()
-
     def _live_rows(self) -> List[List[int]]:
         live = self._store.index.live_collection()
         return np.column_stack((live.ids, live.starts, live.ends)).tolist()
@@ -326,7 +304,7 @@ class DurabilityManager:
         checkpoint generation -- those segments are dead once the
         checkpoint file is durably published.
         """
-        with self._snapshot_lock():
+        with self._store.updates.lock:
             with self._lock:
                 self._check_writable()
                 generation = int(self._store.result_generation())
@@ -385,25 +363,18 @@ class DurabilityManager:
         no longer apply are counted in :attr:`replay_skipped`, never
         silently dropped.
         """
-        store = self._store
         applied = 0
         self._replaying = True
         try:
             for record in records:
                 faults.fire("replay.before_apply")
-                if record.op == "sync":
-                    _generation_floor(store, record.generation)
-                    continue
-                _generation_floor(store, record.generation - 1)
-                try:
-                    if record.op == "insert":
-                        store.insert(
-                            Interval(record.interval_id, record.start, record.end)
-                        )
-                    else:
-                        store.delete(record.interval_id)
+                outcome = apply_record(
+                    self._store, record.op, record.interval_id,
+                    record.start, record.end, record.generation,
+                )
+                if outcome:
                     applied += 1
-                except (ReproError, NotImplementedError):
+                elif outcome is False:
                     self.replay_skipped += 1
         finally:
             self._replaying = False
@@ -415,12 +386,7 @@ class DurabilityManager:
         if self._closed:
             return
         self._closed = True
-        if self._sync_listener_target is not None:
-            with contextlib.suppress(Exception):
-                self._sync_listener_target.remove_update_listener(
-                    self._on_store_event
-                )
-            self._sync_listener_target = None
+        self._store.updates.unsubscribe(self._on_store_event)
         with contextlib.suppress(OSError):
             self._writer.close()
 
@@ -472,7 +438,7 @@ def open_durable(
         base = collection
 
     store = open_fn(base, backend, **(open_kwargs or {}))
-    _generation_floor(store, checkpoint_generation)
+    store.updates.floor(checkpoint_generation)
     manager = DurabilityManager(
         store,
         directory,

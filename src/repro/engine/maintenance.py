@@ -701,6 +701,10 @@ class MaintenanceCoordinator:
         # keep the store too (when one was passed): checkpoint integration
         # reaches the durability manager through it
         self._target = target
+        #: where a finished pass is announced: the store's feed, a raw
+        #: hybrid/sharded index's own, ``None`` for a raw static index
+        #: (nothing to reorganise, nobody to tell)
+        self._updates = target.updates
         # opt the index into activity timestamps: the hot query paths skip
         # the clock read until someone actually watches for idle windows
         if hasattr(self._index, "activity_tracking"):
@@ -849,11 +853,25 @@ class MaintenanceCoordinator:
             started = time.perf_counter()
             report = MaintenanceReport()
             if self._is_sharded():
-                self._maintain_sharded(report, force)
+                # the index's update lock is held for the whole pass:
+                # per-shard rebuilds snapshot-then-swap hybrid components, so
+                # a foreground insert interleaving with them would be
+                # silently discarded (the lock is re-entrant --
+                # repartition/refresh take it again inside)
+                with self._index.updates.lock:
+                    self._maintain_sharded(report, force)
             else:
                 self._maintain_plain(report, force)
             self._queries_at_last_maintain = self._query_ops()
-            self._emit_maintained()
+            # tell update listeners the pass finished -- a "sync", never a
+            # delta: folds, rebuilds and refreshes reorganise state without
+            # changing the queryable contents, but standing-query clients
+            # long-polling the serving tier want the wakeup so their acked
+            # generation can advance past any epoch publication the pass
+            # made (a repartition already announced its own; hearing one
+            # generation twice is idempotent for every listener)
+            if self._updates is not None:
+                self._updates.sync(bump=False)
             if checkpoint or self._config.checkpoint:
                 self._checkpoint(report)
             report.seconds = time.perf_counter() - started
@@ -872,7 +890,7 @@ class MaintenanceCoordinator:
     def _checkpoint(self, report: MaintenanceReport) -> None:
         """Checkpoint the durable store after the pass reorganised it.
 
-        Runs *after* :meth:`_emit_maintained` so the checkpointed
+        Runs *after* the pass announced its ``sync`` so the checkpointed
         generation includes the pass's own sync advance -- a client acked
         at the post-maintenance generation is covered by this checkpoint.
         """
@@ -883,26 +901,6 @@ class MaintenanceCoordinator:
         report.checkpointed = True
         report.checkpoint_generation = int(result["generation"])
         report.wal_segments_truncated = int(result["wal_segments_removed"])
-
-    def _emit_maintained(self) -> None:
-        """Tell update listeners a pass finished (a ``sync``, never a delta).
-
-        Journal folds, shard rebuilds and snapshot refreshes reorganise
-        state without changing the queryable contents; standing-query
-        clients long-polling the serving tier still want the wakeup so
-        their acked generation can advance past any epoch publications the
-        pass made.  Re-partitions already emitted their own ``sync`` at
-        publication time; a second one at the same generation is idempotent
-        for every listener (no membership change is attached).
-        """
-        emit = getattr(self._index, "_emit_update", None)
-        listeners = getattr(self._index, "_update_listeners", None)
-        if emit is None or not listeners:
-            return
-        generation = getattr(self._index, "result_generation", None)
-        if generation is None:
-            return
-        emit("maintained", None, int(generation))
 
     def _maintain_plain(self, report: MaintenanceReport, force: bool) -> None:
         index = self._index
@@ -917,15 +915,6 @@ class MaintenanceCoordinator:
             report.rebuilt_shards.append(0)
 
     def _maintain_sharded(self, report: MaintenanceReport, force: bool) -> None:
-        # the index's maintenance lock is held for the whole pass: per-shard
-        # rebuilds snapshot-then-swap hybrid components, so a foreground
-        # insert interleaving with them would be silently discarded (the
-        # lock is re-entrant -- repartition/refresh take it again inside)
-        index = self._index
-        with index.maintenance_lock:
-            self._maintain_sharded_locked(report, force)
-
-    def _maintain_sharded_locked(self, report: MaintenanceReport, force: bool) -> None:
         index = self._index
         config = self._config
         journal = index.ingest_journal

@@ -33,7 +33,7 @@ assignment.  Readers therefore never observe a half-installed plan (new cuts
 with old shards, or a journal that disagrees with the locator) and never
 take a lock: a query racing a repartition sees either the old epoch or the
 new one, both complete.  In-place updates (insert/delete) mutate the current
-epoch under the maintenance lock; a reader pinned to that epoch sees them
+epoch under the update lock; a reader pinned to that epoch sees them
 with the usual single-object update visibility, exactly as before.
 
 **Home-shard counting.**  Boundary-spanning intervals are duplicated, so a
@@ -86,10 +86,9 @@ from __future__ import annotations
 
 import itertools
 import os
-import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,6 +103,7 @@ from repro.core.interval import (
     SharedCollectionBuffer,
 )
 from repro.core.spans import SpanTable
+from repro.core.updates import UpdateFeed
 from repro.engine._procworker import (
     ShardResidencySpec,
     resident_summary,
@@ -260,13 +260,19 @@ class ShardedIndex(IntervalIndex):
             isinstance(executor, Executor) or isinstance(workers, Executor)
         )
         self._executor = resolve_executor(executor, workers)
-        #: serialises updates against maintenance operations that replace
-        #: the partition state (repartition, snapshot refresh, close).  An
-        #: insert landing between a background repartition's live-collection
-        #: snapshot and its install would otherwise be silently discarded --
-        #: a lost update, not a visibility glitch.  Queries stay lock-free:
-        #: they pin the current epoch and never take this lock.
-        self._maintenance_lock = threading.RLock()
+        #: the update contract (generation, listeners, write lock).  The
+        #: lock serialises updates against maintenance operations that
+        #: replace the partition state (repartition, snapshot refresh,
+        #: close): an insert landing between a background repartition's
+        #: live-collection snapshot and its install would otherwise be
+        #: silently discarded -- a lost update, not a visibility glitch.
+        #: The coordinator holds it across a whole pass so per-shard
+        #: rebuilds cannot discard a concurrent foreground update.  Queries
+        #: stay lock-free: they pin the current epoch and never take it.
+        #: The generation is bumped by every insert/delete and every epoch
+        #: publication, so result caches keyed on it invalidate by
+        #: construction (see :mod:`repro.serve.cache`).
+        self.updates = UpdateFeed()
         self._dirty = False  # set by updates; disables the process snapshot
         self._closed = False  # close() is terminal for snapshot publication
         #: when True, query/update paths also stamp :attr:`last_activity`
@@ -280,10 +286,6 @@ class ShardedIndex(IntervalIndex):
         self._generation = 0
         self._publications = 0  # how many snapshots this index ever published
         self._epochs_installed = 0  # source of Epoch.epoch_id values
-        #: monotonic content-version token: bumped by every insert/delete and
-        #: every epoch publication, so result caches keyed on it invalidate
-        #: by construction (see :mod:`repro.serve.cache`)
-        self._mutations = 0
         #: worker-pool failures disable process fan-out until the next
         #: snapshot refresh replaces the pool's resident state -- but only
         #: after per-worker healing (respawn + retry) is exhausted
@@ -315,14 +317,6 @@ class ShardedIndex(IntervalIndex):
         #: query server mirrors its cache counters here so
         #: ``store.query(...).stats()`` surfaces serving state too
         self.stats_extras: Dict[str, float] = {}
-        #: update listeners: ``listener(op, interval, generation)`` fired
-        #: after an insert/delete commits (op ``"insert"``/``"delete"``,
-        #: post-commit generation) and after an epoch publication (op
-        #: ``"sync"``, interval ``None``) -- the standing-query delta engine
-        #: hangs off these (:mod:`repro.stream.deltas`).  Fired under the
-        #: maintenance lock, so events arrive in generation order; with no
-        #: listener registered the update paths pay one truthiness check.
-        self._update_listeners: List[Callable[[str, Optional[Interval], int], None]] = []
 
         self._shared: Optional[SharedCollectionBuffer] = None
         self._residency: Optional[ShardResidencySpec] = None
@@ -383,12 +377,10 @@ class ShardedIndex(IntervalIndex):
         # the publish: one reference assignment -- in-flight readers keep
         # the epoch they pinned, new readers get this one, nobody sees a mix
         self._epoch = epoch
-        self._mutations += 1
-        if self._update_listeners:
-            # the generation moved but the contents did not: a "sync", not a
-            # delta -- standing queries must not see phantom changes from an
-            # epoch publication
-            self._emit_update("sync", None, self._mutations)
+        # the generation moved but the contents did not: a "sync", not a
+        # delta -- standing queries must not see phantom changes from an
+        # epoch publication
+        self.updates.sync(bump=True)
         if lazy:
             self._republish_snapshot(collection)
 
@@ -396,7 +388,7 @@ class ShardedIndex(IntervalIndex):
         """One shard's index of ``epoch``, built from the source if still lazy.
 
         Only a process executor leaves shards unbuilt in the parent.  The
-        build runs under the maintenance lock so it serialises against
+        build runs under the update lock so it serialises against
         whole update operations -- a half-applied insert can neither be
         missed nor double-counted by the fresh index -- and updates build
         the shards they touch before applying (see :class:`Epoch`), so the
@@ -404,7 +396,7 @@ class ShardedIndex(IntervalIndex):
         """
         index = epoch.shards[shard_id]
         if index is None:
-            with self._maintenance_lock:
+            with self.updates.lock:
                 index = epoch.shards[shard_id]
                 if index is None:
                     source, plan = epoch.source, epoch.plan
@@ -478,60 +470,6 @@ class ShardedIndex(IntervalIndex):
         return self._executor
 
     @property
-    def result_generation(self) -> int:
-        """Monotonic token identifying the current queryable contents.
-
-        Bumped by every insert/delete and every epoch publication, so a
-        result cache keyed on ``(query, result_generation)`` is invalidated
-        by construction when the answer could have changed -- no explicit
-        invalidation protocol (see :class:`repro.serve.cache.ResultCache`).
-        """
-        return self._mutations
-
-    # ------------------------------------------------------------------ #
-    # update listeners (the standing-query delta engine's hook)
-    # ------------------------------------------------------------------ #
-    def add_update_listener(
-        self, listener: Callable[[str, Optional[Interval], int], None]
-    ) -> None:
-        """Observe content mutations: ``listener(op, interval, generation)``.
-
-        ``op`` is ``"insert"``/``"delete"`` (fired after the mutation
-        committed, with the post-commit :attr:`result_generation`) or
-        ``"sync"`` (an epoch publication -- repartition -- moved the
-        generation without changing the queryable contents; ``interval`` is
-        ``None``).  Listeners run under the maintenance lock, so they see
-        events in exact generation order; they must not block or re-enter
-        update methods.
-        """
-        self._update_listeners.append(listener)
-
-    def remove_update_listener(
-        self, listener: Callable[[str, Optional[Interval], int], None]
-    ) -> None:
-        try:
-            self._update_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _emit_update(self, op: str, interval: Optional[Interval], generation: int) -> None:
-        for listener in list(self._update_listeners):
-            listener(op, interval, generation)
-
-    @property
-    def maintenance_lock(self) -> "threading.RLock":
-        """Re-entrant lock serialising updates against maintenance.
-
-        Held by :meth:`insert`/:meth:`delete` and by the maintenance
-        operations that replace partition state (:meth:`repartition`,
-        :meth:`refresh_snapshot`, :meth:`close`); the coordinator holds it
-        across a whole pass so per-shard rebuilds cannot discard a
-        concurrent foreground update.  Queries never take it -- they pin
-        the current epoch instead.
-        """
-        return self._maintenance_lock
-
-    @property
     def ingest_journal(self) -> Optional[IngestJournal]:
         """The buffered ingest journal backing home-shard counting (K > 1)."""
         return self._epoch.journal
@@ -587,7 +525,7 @@ class ShardedIndex(IntervalIndex):
         serialised against updates.  An update-clean K == 1 index under a
         process executor answers from the epoch source instead of building
         its worker-resident shard in the parent."""
-        with self._maintenance_lock:
+        with self.updates.lock:
             epoch = self._epoch
             if epoch.locator is None and not self._dirty and epoch.source is not None:
                 return epoch.source
@@ -606,7 +544,7 @@ class ShardedIndex(IntervalIndex):
         """
         if not isinstance(self._executor, ProcessExecutor) or not HAS_SHARED_MEMORY:
             return False
-        with self._maintenance_lock:
+        with self.updates.lock:
             if self._closed:
                 # a background pass racing close() must not resurrect the
                 # snapshot: nothing would ever unlink the fresh segment
@@ -634,9 +572,9 @@ class ShardedIndex(IntervalIndex):
         plan matches the current cuts (nothing to do) -- which also resets
         the drift counter, so a stably-skewed index does not pay this
         live-collection materialisation on every maintenance pass.  Updates
-        serialise against the install through the maintenance lock.
+        serialise against the install through the update lock.
         """
-        with self._maintenance_lock:
+        with self.updates.lock:
             live = self.live_collection()
             plan = ShardPlan.for_collection(
                 live,
@@ -672,7 +610,7 @@ class ShardedIndex(IntervalIndex):
                 for shard in self.built_shards
             ],
             "epoch": epoch.epoch_id,
-            "result_generation": self._mutations,
+            "result_generation": self.updates.generation,
             "snapshot_generation": self._generation,
             "snapshot_published": self._shared is not None,
             "update_dirty": self._dirty,
@@ -692,7 +630,7 @@ class ShardedIndex(IntervalIndex):
         its owner decides when to close it; one the index created itself
         (from a worker count or a string spec) is shut down here.
         """
-        with self._maintenance_lock:
+        with self.updates.lock:
             self._closed = True
             if self._owns_executor:
                 self._executor.close()
@@ -1091,7 +1029,7 @@ class ShardedIndex(IntervalIndex):
         Updates invalidate the process-executor snapshot: later batches run
         in-process until :meth:`refresh_snapshot` republishes it.
         """
-        with self._maintenance_lock:
+        with self.updates.lock:
             epoch = self._epoch
             first, last = epoch.plan.shard_range(interval.start, interval.end)
             for shard in range(first, last + 1):
@@ -1105,10 +1043,8 @@ class ShardedIndex(IntervalIndex):
                 epoch.journal.record_insert(first, last, interval.start, interval.end)
             self._size += 1
             self._dirty = True
-            self._mutations += 1
             self.updates_since_partition += 1
-            if self._update_listeners:
-                self._emit_update("insert", interval, self._mutations)
+            self.updates.commit("insert", interval)
             self._touch(0)
 
     def delete(self, interval_id: int) -> bool:
@@ -1122,7 +1058,7 @@ class ShardedIndex(IntervalIndex):
         shard raising mid-delete leaves the bookkeeping consistent and the
         delete retryable.  True when any copy was live.
         """
-        with self._maintenance_lock:
+        with self.updates.lock:
             epoch = self._epoch
             victim = self._resolve_interval(interval_id)
             if victim is None:
@@ -1138,10 +1074,8 @@ class ShardedIndex(IntervalIndex):
                     epoch.journal.record_delete(first, last, victim.start, victim.end)
                 self._size -= 1
                 self._dirty = True
-                self._mutations += 1
                 self.updates_since_partition += 1
-                if self._update_listeners:
-                    self._emit_update("delete", victim, self._mutations)
+                self.updates.commit("delete", victim)
                 self._touch(0)
             return found
 

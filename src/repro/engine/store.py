@@ -19,12 +19,13 @@ with a model-tuned ``m``) behind construction helpers, the
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.allen import AllenRelation
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.errors import InvalidQueryError
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.updates import UpdateFeed, UpdateListener
 from repro.engine.batch import BatchResult, execute_batch
 from repro.engine.executor import Executor, resolve_executor
 from repro.engine.registry import create_index, get_spec, resolve_backend
@@ -154,12 +155,12 @@ class IntervalStore:
         #: registry (hand it to ``QueryServer(stream=...)`` so StreamClients
         #: catch up from their last ack instead of resyncing)
         self._restored_stream = None
-        #: store-level content-version counter, for indexes that do not track
-        #: their own (see :meth:`result_generation`)
-        self._mutations = 0
-        #: store-level update listeners (plain backends; sharded stores emit
-        #: from the index instead -- see :meth:`add_update_listener`)
-        self._update_listeners: List[Callable[[str, Optional[Interval], int], None]] = []
+        #: the one update contract for this store (generation, listeners,
+        #: write lock), decided here and nowhere else: the index's own feed
+        #: when it serialises its updates itself (hybrid, sharded), else a
+        #: feed the store creates -- and then commits to -- for a plain backend
+        self._commits_updates = index.updates is None
+        self.updates = UpdateFeed() if self._commits_updates else index.updates
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -408,65 +409,55 @@ class IntervalStore:
         Durable stores append the op to the write-ahead log *before* the
         index mutates: a crash after the append replays it on the next
         open, a crash before it means the insert was never acknowledged.
+        ``updates.lock`` is held from the append to the commit, so
+        concurrent writers log and apply in one order and the generation
+        the WAL record predicts is the one the commit announces.
         """
-        if self._durability is not None:
-            self._durability.log_insert(interval)
-        self._index.insert(interval)
-        self._mutations += 1
-        if self._update_listeners:
-            self._emit_update("insert", interval, self.result_generation())
+        with self.updates.lock:
+            if self._durability is not None:
+                self._durability.log_insert(interval)
+            self._index.insert(interval)
+            if self._commits_updates:
+                self.updates.commit("insert", interval)
 
     def delete(self, interval_id: int) -> bool:
         """Delete an interval by id; True when the id was live."""
-        victim: Optional[Interval] = None
-        if self._update_listeners or self._durability is not None:
-            # resolve the span before the index forgets it: listeners (the
-            # standing-query delta engine) route the delta by the deleted
-            # interval's range, and the WAL records it for debuggability
-            victim = self._index._resolve_interval(interval_id)
-        if self._durability is not None:
-            self._durability.log_delete(interval_id, victim)
-        found = self._index.delete(interval_id)
-        if found:
-            self._mutations += 1
-            if self._update_listeners:
-                self._emit_update("delete", victim, self.result_generation())
-        return found
+        with self.updates.lock:
+            victim: Optional[Interval] = None
+            if self._durability is not None or (
+                self._commits_updates and self.updates.listening
+            ):
+                # resolve the span before the index forgets it: listeners
+                # (the standing-query delta engine) route the delta by the
+                # deleted interval's range, and the WAL records it for
+                # debuggability
+                victim = self._index._resolve_interval(interval_id)
+            if self._durability is not None:
+                self._durability.log_delete(interval_id, victim)
+            found = self._index.delete(interval_id)
+            if found and self._commits_updates:
+                self.updates.commit("delete", victim)
+            return found
 
     # ------------------------------------------------------------------ #
-    # update listeners (the standing-query delta engine's hook)
+    # the update contract, by its public names (see repro.core.updates)
     # ------------------------------------------------------------------ #
-    def add_update_listener(
-        self, listener: Callable[[str, Optional[Interval], int], None]
-    ) -> None:
-        """Observe mutations routed through this store.
+    def add_update_listener(self, listener: UpdateListener) -> None:
+        """Observe this store's updates: ``listener(op, interval, generation)``.
 
-        ``listener(op, interval, generation)`` fires after an insert/delete
-        committed, with the post-commit :meth:`result_generation`.  Updates
-        applied to the raw index behind the store's back are invisible here
-        (the same contract the result cache has); concurrent writers must
-        be serialised externally -- the query server's update lock does.
-        Sharded stores should attach to
-        :meth:`repro.engine.sharded.ShardedIndex.add_update_listener`
-        instead, whose events also carry epoch publications.
+        ``op`` is ``"insert"``/``"delete"`` (fired after the mutation
+        committed, with the post-commit :meth:`result_generation`) or
+        ``"sync"`` (``interval`` is ``None``: an epoch publication moved the
+        generation, or a rebuild / maintenance pass re-announced it, without
+        changing the queryable contents).  Listeners run under
+        ``updates.lock``, so they see events in exact generation order; they
+        must not block or re-enter update methods.
         """
-        self._update_listeners.append(listener)
+        self.updates.subscribe(listener)
 
-    def remove_update_listener(
-        self, listener: Callable[[str, Optional[Interval], int], None]
-    ) -> None:
-        try:
-            self._update_listeners.remove(listener)
-        except ValueError:
-            pass
+    def remove_update_listener(self, listener: UpdateListener) -> None:
+        self.updates.unsubscribe(listener)
 
-    def _emit_update(self, op: str, interval: Optional[Interval], generation: int) -> None:
-        for listener in list(self._update_listeners):
-            listener(op, interval, generation)
-
-    # ------------------------------------------------------------------ #
-    # serving hooks (result-cache invalidation)
-    # ------------------------------------------------------------------ #
     def result_generation(self) -> int:
         """Monotonic token identifying the current queryable contents.
 
@@ -474,16 +465,12 @@ class IntervalStore:
         invalidated by construction whenever the answer could have changed:
         the token moves on every insert/delete and (for sharded indexes) on
         every epoch publication -- see
-        :class:`repro.serve.cache.ResultCache`.  Indexes that track their
-        own generation (:attr:`repro.engine.sharded.ShardedIndex.result_generation`)
-        are authoritative; plain indexes fall back to the store's update
-        counter, which is why cache consumers must route updates through
-        the store (or the query server), not the raw index.
+        :class:`repro.serve.cache.ResultCache`.  A plain backend's
+        generation is counted by the store, which is why cache consumers
+        must route its updates through the store (or the query server), not
+        the raw index.
         """
-        own = getattr(self._index, "result_generation", None)
-        if own is not None:
-            return int(own)
-        return self._mutations
+        return self.updates.generation
 
     # ------------------------------------------------------------------ #
     # maintenance (journal folding, rebuilds, snapshot refresh)

@@ -18,8 +18,7 @@ a freshly built main index, which is what a periodic batch update does.
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.core.spans import SpanTable
+from repro.core.updates import UpdateFeed
 from repro.engine.registry import register_backend
 from repro.hint.optimized import OptimizedHINTm
 from repro.hint.subdivided import SubdividedHINTm
@@ -81,22 +81,15 @@ class HybridHINTm(IntervalIndex):
         #: approximate answered-query count since construction; read by the
         #: amortising rebuild policies of :mod:`repro.engine.maintenance`
         self.query_ops = 0
-        #: serialises updates against :meth:`rebuild`: a rebuild snapshots
-        #: main + delta and then swaps both, so an insert landing in the old
-        #: delta between snapshot and swap would be silently discarded when
-        #: a maintenance thread rebuilds concurrently.  Queries stay
-        #: lock-free (they read whichever pair is current).
-        self._update_lock = threading.RLock()
-        #: content-version counter: bumped on every insert/delete (never on
-        #: :meth:`rebuild`, which reorganises without changing the answer
-        #: set) -- the authoritative :attr:`result_generation` source for
-        #: stores wrapping this index
-        self._mutations = 0
-        #: update listeners: ``listener(op, interval, generation)`` fired
-        #: under the update lock after an insert/delete commits, and with op
-        #: ``"rebuild"`` (interval ``None``) after a batch rebuild swaps the
-        #: components -- the standing-query delta engine's raw-index hook
-        self._update_listeners: List[Callable[[str, Optional[Interval], int], None]] = []
+        #: the update contract (generation, listeners, write lock).  The
+        #: lock serialises updates against :meth:`rebuild`: a rebuild
+        #: snapshots main + delta and then swaps both, so an insert landing
+        #: in the old delta between snapshot and swap would be silently
+        #: discarded when a maintenance thread rebuilds concurrently.
+        #: Queries stay lock-free (they read whichever pair is current).
+        #: The generation moves on every insert/delete, never on
+        #: :meth:`rebuild`, which reorganises without changing the answer set.
+        self.updates = UpdateFeed()
 
     @classmethod
     def build(
@@ -140,46 +133,14 @@ class HybridHINTm(IntervalIndex):
         """How many times the main index has been rebuilt."""
         return self._rebuilds
 
-    @property
-    def result_generation(self) -> int:
-        """Monotonic content-version token (see
-        :meth:`repro.engine.store.IntervalStore.result_generation`)."""
-        return self._mutations
-
-    # ------------------------------------------------------------------ #
-    # update listeners (the standing-query delta engine's raw-index hook)
-    # ------------------------------------------------------------------ #
-    def add_update_listener(
-        self, listener: Callable[[str, Optional[Interval], int], None]
-    ) -> None:
-        """Observe this index's mutations; see
-        :meth:`repro.engine.sharded.ShardedIndex.add_update_listener` for
-        the event contract (here ``"rebuild"`` plays the ``"sync"`` role:
-        the components were swapped, the answer set did not change)."""
-        self._update_listeners.append(listener)
-
-    def remove_update_listener(
-        self, listener: Callable[[str, Optional[Interval], int], None]
-    ) -> None:
-        try:
-            self._update_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _emit_update(self, op: str, interval: Optional[Interval], generation: int) -> None:
-        for listener in list(self._update_listeners):
-            listener(op, interval, generation)
-
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
         """Insert into the delta index; optionally trigger a batch rebuild."""
-        with self._update_lock:
+        with self.updates.lock:
             self._delta.insert(interval)
-            self._mutations += 1
-            if self._update_listeners:
-                self._emit_update("insert", interval, self._mutations)
+            self.updates.commit("insert", interval)
             if (
                 self._rebuild_threshold is not None
                 and len(self._main) > 0
@@ -189,22 +150,20 @@ class HybridHINTm(IntervalIndex):
 
     def delete(self, interval_id: int) -> bool:
         """Delete from whichever component holds the interval (tombstones)."""
-        with self._update_lock:
+        with self.updates.lock:
             victim: Optional[Interval] = None
-            if self._update_listeners:
+            if self.updates.listening:
                 # resolve the span before the tombstone lands: listeners
                 # route the delta by the deleted interval's range
                 victim = self._resolve_interval(interval_id)
             found = self._delta.delete(interval_id) or self._main.delete(interval_id)
             if found:
-                self._mutations += 1
-                if self._update_listeners:
-                    self._emit_update("delete", victim, self._mutations)
+                self.updates.commit("delete", victim)
             return found
 
     def rebuild(self) -> None:
         """Merge the delta into a freshly built main index (batch update)."""
-        with self._update_lock:
+        with self.updates.lock:
             collection = self.live_collection()
             self._domain = Domain.for_collection(
                 collection.starts, collection.ends, self._m
@@ -219,10 +178,9 @@ class HybridHINTm(IntervalIndex):
             )
             self._components = (main, delta)  # one swap: readers stay consistent
             self._rebuilds += 1
-            if self._update_listeners:
-                # the answer set did not change: a reorganisation marker,
-                # not a delta (and no generation bump)
-                self._emit_update("rebuild", None, self._mutations)
+            # the answer set did not change: a reorganisation marker, not a
+            # delta (and no generation bump)
+            self.updates.sync(bump=False)
 
     # ------------------------------------------------------------------ #
     # queries

@@ -1,10 +1,9 @@
 """The incremental delta engine behind standing queries.
 
 A :class:`StandingQueryManager` attaches one update listener to a store
-(:class:`~repro.engine.sharded.ShardedIndex` when the store is sharded --
-its listener fires under the maintenance lock with the authoritative
-post-commit generation -- or the plain :class:`~repro.engine.store.IntervalStore`
-otherwise) and turns every insert/delete into per-subscription deltas:
+(``store.add_update_listener``: fired under ``store.updates.lock`` with the
+authoritative post-commit generation, whatever the backend) and turns every
+insert/delete into per-subscription deltas:
 
 1. the mutated interval is routed through the
    :class:`~repro.stream.registry.SubscriptionRegistry`'s matching index --
@@ -23,9 +22,9 @@ duplicates nor drops a change.
 
 Exactness contract: folding a subscription's deltas up to generation ``g``
 onto its subscribe-time snapshot equals re-running the standing query at
-``g``.  Concurrent writers to a *plain* (unsharded) store must be
-serialised externally (the query server's update lock does this); sharded
-stores serialise updates internally through the maintenance lock.
+``g``.  Writers are serialised by ``store.updates.lock``, which a subscribe
+or resync holds across (read generation, run query, register): the snapshot
+is exactly consistent with its generation on every backend.
 """
 
 from __future__ import annotations
@@ -128,7 +127,6 @@ class StandingQueryManager:
         self._coalesced_retired = 0  # coalesce ops of removed logs
         self._coalesced_live = 0  # running sum over the live logs: the
         # update path publishes gauges per op, so this must stay O(1)
-        self._emitter = None
         self.attach()
         # durable stores checkpoint the subscription registry: tell the
         # durability manager whose subscriptions to serialise
@@ -194,28 +192,13 @@ class StandingQueryManager:
     # wiring
     # ------------------------------------------------------------------ #
     def attach(self) -> None:
-        """Register the update listener (sharded index preferred: its
-        events carry the authoritative post-commit generation)."""
-        if self._emitter is not None:
-            return
-        index = getattr(self._store, "index", None)
-        if index is not None and hasattr(index, "add_update_listener"):
-            emitter = index
-        elif hasattr(self._store, "add_update_listener"):
-            emitter = self._store
-        else:
-            raise ReproError(
-                f"store {self._store!r} exposes no update listener hook; "
-                "standing queries need one to observe inserts/deletes"
-            )
-        emitter.add_update_listener(self._on_update)
-        self._emitter = emitter
+        """(Re-)register the update listener; idempotent."""
+        self.detach()
+        self._store.add_update_listener(self._on_update)
 
     def detach(self) -> None:
         """Unregister the listener (subscriptions and logs are kept)."""
-        if self._emitter is not None:
-            self._emitter.remove_update_listener(self._on_update)
-            self._emitter = None
+        self._store.remove_update_listener(self._on_update)
 
     close = detach
 
@@ -243,20 +226,11 @@ class StandingQueryManager:
     # the delta engine: one listener event -> per-subscription records
     # ------------------------------------------------------------------ #
     def _on_update(self, op: str, interval: Optional[Interval], generation: int) -> None:
-        if op not in ("insert", "delete"):
-            # maintenance republished epoch state: the generation moved but
-            # the queryable contents did not -- record the advance, emit no
-            # deltas (folding across it must not duplicate or drop changes)
-            with self._lock:
-                self._seen_generation = max(self._seen_generation, generation)
-            return
-        if interval is None:  # a delete whose span could not be resolved
-            return
-        affected = self._registry.affected(interval)
-        if not affected:
-            with self._lock:
-                self._seen_generation = max(self._seen_generation, generation)
-            return
+        # a sync (maintenance republished epoch state: the generation moved,
+        # the queryable contents did not) and a delete whose span could not
+        # be resolved affect nobody: record the advance, emit no deltas --
+        # folding across it must not duplicate or drop changes
+        affected = self._registry.affected(interval) if interval is not None else ()
         notify: List[int] = []
         with self._lock:
             self._seen_generation = max(self._seen_generation, generation)
@@ -281,7 +255,8 @@ class StandingQueryManager:
                     log.drop(generation)
                     self._backpressure_drops += 1
                 notify.append(subscription.subscription_id)
-            self._publish_gauges_locked()
+            if affected:
+                self._publish_gauges_locked()
         for subscription_id in notify:
             for notifier in list(self._notifiers):
                 notifier(subscription_id)
@@ -289,23 +264,6 @@ class StandingQueryManager:
     # ------------------------------------------------------------------ #
     # subscriptions
     # ------------------------------------------------------------------ #
-    def _snapshot_lock(self):
-        """The store's update-serialisation lock, when it has one.
-
-        Holding it across (read generation, run query, register) makes the
-        snapshot exactly consistent with the generation.  Plain stores have
-        no such lock; their subscribe race is self-healing -- a delta
-        already contained in the snapshot re-applies idempotently under set
-        semantics -- but concurrent writers should be serialised externally
-        (the query server does)."""
-        index = getattr(self._store, "index", None)
-        lock = getattr(index, "maintenance_lock", None)
-        if lock is None:
-            # the hybrid index serialises its updates through this lock;
-            # holding it across the snapshot gives the same exactness
-            lock = getattr(index, "_update_lock", None)
-        return lock if lock is not None else contextlib.nullcontext()
-
     def subscribe(
         self,
         start: Optional[int] = None,
@@ -325,7 +283,7 @@ class StandingQueryManager:
             query = Query(int(start), int(end))
         else:
             raise ReproError("subscribe needs start and end (or stab)")
-        with self._snapshot_lock():
+        with self._store.updates.lock:
             with self._lock:
                 subscription = self._registry.register(
                     query,
@@ -351,7 +309,7 @@ class StandingQueryManager:
         local result set with the returned snapshot and resumes folding
         deltas from the returned generation.
         """
-        with self._snapshot_lock():
+        with self._store.updates.lock:
             with self._lock:
                 subscription = self._registry.get(subscription_id)
                 if subscription is None:

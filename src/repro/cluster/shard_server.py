@@ -36,7 +36,6 @@ import asyncio
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from repro.serve.server import (
     _RequestContext,
     _decode,
     _encode,
+    _merge_query_string,
     start_server_thread,
 )
 
@@ -162,17 +162,15 @@ class ShardServer(QueryServer):
     async def _dispatch(
         self, method: str, target: str, body: bytes, ctx: _RequestContext
     ):
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
+        path = ctx.endpoint
         if path == "/cluster-info":
             return 200, _encode(self.cluster_info())
         if path in _CLUSTER_POSTS:
             if method != "POST":
                 return 405, _encode({"error": f"{path} requires POST, got {method}"})
             payload = _decode(body)
-            if parts.query:
-                for key, values in parse_qs(parts.query).items():
-                    payload.setdefault(key, values[0])
+            if "?" in target:
+                _merge_query_string(payload, target)
             if path == "/shard-batch":
                 return await self._handle_shard_batch(payload, ctx)
             handler = {

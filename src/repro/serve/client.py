@@ -1,9 +1,12 @@
 """A tiny stdlib client for the query server (tests, benchmarks, examples).
 
-One :class:`ServeClient` wraps one keep-alive ``http.client.HTTPConnection``;
-it is not thread-safe -- give each client thread its own instance (the
-connection is the unit of HTTP pipelining, and the benchmarks measure
-per-connection request/response round-trips on purpose).
+One :class:`ServeClient` holds one keep-alive TCP socket and speaks just
+enough HTTP/1.1 over it: each request is one ``sendall`` of a formatted head
+plus the JSON body, each response is read with a ``recv``/``recv_into`` loop
+framed by ``Content-Length`` (or by EOF when the server closes).  It is not
+thread-safe -- give each client thread its own instance (the connection is
+the unit of HTTP pipelining, and the benchmarks measure per-connection
+request/response round-trips on purpose).
 
 :class:`StreamClient` layers the standing-query protocol on top: it
 subscribes, keeps the live result set locally by folding delta batches from
@@ -16,6 +19,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -28,6 +32,13 @@ __all__ = [
     "ServerUnavailableError",
     "StreamClient",
 ]
+
+#: bytes asked of one ``recv`` for the response head; a typical ``/query``
+#: answer (head plus a ~1.5 KB body) arrives whole in the first one
+_RECV_BYTES = 65536
+
+#: a response head longer than this is not from the query server
+_MAX_HEAD_BYTES = 65536
 
 
 class ServerError(RuntimeError):
@@ -46,8 +57,9 @@ class ServerOverloaded(ServerError):
 class ServerUnavailableError(ReproError, ConnectionError):
     """The server could not be reached (after the client's bounded retries).
 
-    Replaces the raw ``OSError``/``http.client`` exceptions the transport
-    produces; the client's socket has already been torn down when this is
+    Replaces the raw ``OSError`` exceptions the transport produces (a
+    refused connect, a reset, a timeout, an EOF before the response is
+    whole); the client's socket has already been torn down when this is
     raised.  Subclasses ``ConnectionError`` so existing callers that caught
     connection failures keep working.
     """
@@ -102,13 +114,16 @@ class ServeClient:
         self._backoff = max(0.0, float(backoff))
         self._backoff_cap = max(self._backoff, float(backoff_cap))
         self._retry_overloaded = bool(retry_overloaded)
-        self._connection: Optional[http.client.HTTPConnection] = None
+        #: the one keep-alive socket (None until the first request, and
+        #: again after any transport failure or server-closed response)
+        self._sock: Optional[socket.socket] = None
+        self._host_line = f"Host: {host}:{port}\r\n".encode("latin-1")
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -140,13 +155,32 @@ class ServeClient:
         headers: Optional[Dict[str, str]] = None,
         raw_body: bool = False,
     ) -> Dict[str, object]:
-        body = json.dumps(payload).encode() if payload is not None else None
-        request_headers = {"Content-Type": "application/json"} if body else {}
-        if headers:
-            request_headers.update(headers)
-        retryable = method == "GET" or any(
-            path.split("?", 1)[0] == prefix for prefix in self._RETRYABLE_PATHS
+        body = (
+            json.dumps(payload, separators=(",", ":")).encode()
+            if payload is not None
+            else b""
         )
+        extra = (
+            "".join(f"{name}: {value}\r\n" for name, value in headers.items()).encode(
+                "latin-1"
+            )
+            if headers
+            else b""
+        )
+        request = (
+            b"%s %s HTTP/1.1\r\n%s"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n%s\r\n%s"
+            % (
+                method.encode("latin-1"),
+                path.encode("latin-1"),
+                self._host_line,
+                len(body),
+                extra,
+                body,
+            )
+        )
+        retryable = method == "GET" or path.split("?", 1)[0] in self._RETRYABLE_PATHS
         request_timeout = timeout if timeout is not None else self._timeout
         # connection resets retry only for idempotent paths; updates
         # (/insert, /delete, /maintain) fail fast -- the first attempt may
@@ -155,26 +189,24 @@ class ServeClient:
         attempts = (1 + self._retries) if retryable else 1
         attempt = 0
         while True:
-            if self._connection is None:
-                self._connection = http.client.HTTPConnection(
-                    self._host, self._port, timeout=request_timeout
-                )
-            elif self._connection.timeout != request_timeout:
-                # per-request timeout override (long-polls stretch it)
-                self._connection.timeout = request_timeout
-                if self._connection.sock is not None:
-                    self._connection.sock.settimeout(request_timeout)
             try:
-                self._connection.request(
-                    method, path, body=body, headers=request_headers
-                )
-                response = self._connection.getresponse()
-                raw = response.read()
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
+                sock = self._sock
+                if sock is None:
+                    sock = self._sock = socket.create_connection(
+                        (self._host, self._port), request_timeout
+                    )
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                elif sock.gettimeout() != request_timeout:
+                    # per-request timeout override (long-polls stretch it)
+                    sock.settimeout(request_timeout)
+                sock.sendall(request)
+                status, raw = self._read_response(sock)
+            except OSError as exc:
                 # a dropped keep-alive connection (server drained, idle
-                # timeout, restart): tear the socket down, back off, retry
-                # within the bound -- then surface a typed error, never a
-                # raw OSError with a half-open socket behind it
+                # timeout, restart), a refused connect or a timeout: tear
+                # the socket down, back off, retry within the bound -- then
+                # surface a typed error, never a raw OSError with a
+                # half-open socket behind it
                 self.close()
                 attempt += 1
                 if attempt >= attempts:
@@ -184,21 +216,94 @@ class ServeClient:
                 self._sleep_backoff(attempt - 1)
                 continue
             if raw_body:
-                if response.status >= 400:
-                    raise ServerError(response.status, {"error": raw.decode()})
+                if status >= 400:
+                    raise ServerError(status, {"error": raw.decode()})
                 return raw.decode()
             decoded = json.loads(raw) if raw else {}
-            if response.status == 503:
+            if status == 503:
                 if self._retry_overloaded and attempt + 1 < attempts:
                     attempt += 1
                     retry_after = decoded.get("retry_after")
                     floor = float(retry_after) if retry_after else 0.0
                     self._sleep_backoff(attempt - 1, floor=floor)
                     continue
-                raise ServerOverloaded(response.status, decoded)
-            if response.status >= 400:
-                raise ServerError(response.status, decoded)
+                raise ServerOverloaded(status, decoded)
+            if status >= 400:
+                raise ServerError(status, decoded)
             return decoded
+
+    def _read_response(self, sock: socket.socket) -> Tuple[int, bytes]:
+        """One response off the keep-alive socket: ``(status, body)``.
+
+        The head is read up to its blank line, the body by its
+        ``Content-Length`` -- or to EOF when it has none.  Any EOF before
+        the response is whole raises ``ConnectionError`` (before the status
+        line it is a keep-alive the server dropped, which an idempotent
+        request retries).  A response that ends the connection
+        (``Connection: close``, no length, bytes past the length) drops the
+        socket, so the next request reconnects.
+        """
+        data = b""
+        while True:
+            chunk = sock.recv(_RECV_BYTES)
+            if not chunk:
+                raise ConnectionError(
+                    "server closed the connection "
+                    + ("mid-head" if data else "before the status line")
+                )
+            data += chunk
+            head_end = data.find(b"\r\n\r\n")
+            if head_end >= 0:
+                break
+            if len(data) > _MAX_HEAD_BYTES:
+                raise ConnectionError("response head exceeds 64 KiB")
+        lines = data[:head_end].split(b"\r\n")
+        rest = lines[0].partition(b" ")[2]
+        length: Optional[int] = None
+        close = False
+        try:
+            status = int(rest[:3])
+            for line in lines[1:]:
+                name, _, value = line.partition(b":")
+                name = name.strip().lower()
+                if name == b"content-length":
+                    length = int(value)
+                elif name == b"connection":
+                    close = value.strip().lower() == b"close"
+        except ValueError:
+            raise ConnectionError(f"malformed response head {lines[0]!r}") from None
+        body = data[head_end + 4:]
+        if length is None:
+            parts = [body]
+            while True:
+                chunk = sock.recv(_RECV_BYTES)
+                if not chunk:
+                    break
+                parts.append(chunk)
+            body = b"".join(parts)
+            close = True
+        elif len(body) < length:
+            buffer = bytearray(length)
+            got = len(body)
+            buffer[:got] = body
+            view = memoryview(buffer)
+            while got < length:
+                received = sock.recv_into(view[got:])
+                if not received:
+                    raise ConnectionError(
+                        f"server closed the connection mid-body "
+                        f"({got} of {length} bytes)"
+                    )
+                got += received
+            body = buffer
+        elif len(body) > length:
+            # one request in flight at a time, so trailing bytes mean the
+            # framing cannot be trusted: keep the response, drop the socket
+            body = body[:length]
+            close = True
+        if close:
+            self.close()
+        return status, body
 
     def request(
         self,

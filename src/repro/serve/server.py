@@ -9,9 +9,10 @@ Request lifecycle::
 
     client -> admission control -> result cache -> batching queue -> store
                    |                    |                               |
-                 503 when          hit: respond with the         run_batch in a
-               max_pending         cached pre-encoded body       worker thread,
-              queries queued       (generation-checked)          fill the cache
+                 503 when          hit: respond with the         run_batch: a lone
+               max_pending         cached pre-encoded body       query on the loop,
+              queries queued       (generation-checked)          2+ in a worker
+                                                                 thread; fill cache
 
 * **Admission control**: at most ``max_pending`` query requests may be
   admitted (queued or executing) at once; beyond that the server answers
@@ -20,8 +21,17 @@ Request lifecycle::
 * **Batching**: admitted queries land on one queue; a batcher task drains
   greedily (up to ``max_batch``, optionally waiting ``batch_window`` seconds
   for stragglers) and answers each drained batch with a single
-  ``store.run_batch`` call in a worker thread, so concurrent clients
-  naturally coalesce while a lone client never waits on a timer.
+  ``store.run_batch`` call, so concurrent clients naturally coalesce while a
+  lone client never waits on a timer.  A drained batch of exactly one query
+  runs on the event loop itself, since the hop to a worker thread would
+  cost more than the probe -- unless the store fans out to worker
+  processes, whose reads wait on the pool and may build shards under the
+  update lock.  Batches of two or more, ``/batch`` chunks,
+  relation/``stats`` queries, updates, maintenance and subscribe hop to a
+  worker thread.  The trade: an inline query cannot be preempted, so while
+  a slow lone query runs the loop reads nothing else -- the requests
+  behind it (health checks included) wait for it instead of being admitted
+  or answered ``503``, and ``stop()`` starts draining only after it.
 * **Result cache**: hits are served straight off the event loop as
   pre-encoded bodies; entries are stamped with the store's
   ``result_generation()`` and go stale *by construction* when an update or
@@ -29,6 +39,10 @@ Request lifecycle::
 * **Graceful drain**: ``stop()`` flips the server into draining mode (new
   work is rejected with 503), waits for admitted requests to finish, then
   closes the listener.
+
+Requests are HTTP/1.1 with CRLF line endings and ``Content-Length``-framed
+bodies; a bare-LF request line, a ``Transfer-Encoding`` body or a bad
+``Content-Length`` is answered ``400`` and the connection closed.
 
 Endpoints (all JSON):
 
@@ -82,6 +96,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.core.base import QueryStats
 from repro.core.errors import DurabilityDegradedError, ReproError
 from repro.core.interval import Interval, Query
+from repro.engine.executor import ProcessExecutor
 from repro.engine.store import IntervalStore
 from repro.obs import MetricsRegistry, SlowQueryLog, global_registry, tracing
 from repro.serve.cache import (
@@ -590,7 +605,7 @@ class QueryServer:
             pass
 
     # ------------------------------------------------------------------ #
-    # the batcher: queued queries -> store.run_batch in a worker thread
+    # the batcher: queued queries -> store.run_batch (2+: in a worker thread)
     # ------------------------------------------------------------------ #
     async def _batch_loop(self) -> None:
         assert self._pending is not None and self._loop is not None
@@ -623,9 +638,16 @@ class QueryServer:
             self._m_batches.inc()
             self._m_batched_queries.inc(len(batch))
             try:
-                generation, answers = await self._loop.run_in_executor(
-                    None, self._execute_batch, batch
-                )
+                if len(batch) == 1 and not _fans_out_to_processes(self._store):
+                    # a lone query answers on the loop: the worker-thread
+                    # round trip (two wakeups, a self-pipe write, a GIL
+                    # handoff) costs more than an in-process probe, which
+                    # takes no lock an update holds
+                    generation, answers = self._execute_batch(batch)
+                else:
+                    generation, answers = await self._loop.run_in_executor(
+                        None, self._execute_batch, batch
+                    )
             except Exception as exc:  # pragma: no cover - store failure path
                 for item in batch:
                     if not item[2].done():
@@ -636,7 +658,7 @@ class QueryServer:
                     item[2].set_result((generation, answer))
 
     def _execute_batch(self, batch) -> Tuple[int, List[object]]:
-        """Worker-thread execution of one coalesced batch.
+        """Execution of one coalesced batch (worker thread, or the loop for one).
 
         The generation is read *before* the probes: an update racing the
         batch then stamps cached answers with the pre-update token, which
@@ -695,19 +717,16 @@ class QueryServer:
                 try:
                     request = await self._read_request(reader)
                 except _Reject as reject:
-                    # an oversized body cannot be skipped safely on a
-                    # keep-alive stream: answer and close the connection
+                    # a request that cannot be framed (bare-LF head, body
+                    # oversized, chunked or of bad Content-Length) cannot be
+                    # skipped safely on a keep-alive stream: answer and close
                     self._m_errors.inc()
                     payload = _encode({"error": reject.message})
                     writer.write(
-                        b"HTTP/1.1 %d %s\r\n"
-                        b"Content-Type: application/json\r\n"
-                        b"Content-Length: %d\r\n"
-                        b"Connection: close\r\n"
-                        b"\r\n"
+                        _CLOSE_HEAD
                         % (reject.status, _REASONS.get(reject.status, b"Error"), len(payload))
+                        + payload
                     )
-                    writer.write(payload)
                     await writer.drain()
                     break
                 if request is None:
@@ -747,14 +766,11 @@ class QueryServer:
                     if isinstance(payload, _TextBody)
                     else b"application/json"
                 )
+                # head and body in one write: one send, one segment
                 writer.write(
-                    b"HTTP/1.1 %d %s\r\n"
-                    b"Content-Type: %s\r\n"
-                    b"Content-Length: %d\r\n"
-                    b"\r\n"
-                    % (status, _REASONS.get(status, b"OK"), content_type, len(payload))
+                    _HEAD % (status, _REASONS.get(status, b"OK"), content_type, len(payload))
+                    + payload
                 )
-                writer.write(payload)
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-request; nothing to answer
@@ -771,27 +787,45 @@ class QueryServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-        line = await reader.readline()
-        if not line:
-            return None
+        """One request off the stream: request line, header block, body.
+
+        The header block comes in one read: its first two bytes tell an
+        empty block (``\\r\\n``) from one that ends in a blank line.  Only
+        CRLF framing is accepted -- a bare-LF request line is rejected at
+        once rather than left waiting for a ``\\r\\n\\r\\n`` that never comes.
+
+        ``None`` at EOF (or an unparsable request line); ``_Reject`` for a
+        head or body the server cannot frame -- bare-LF line endings, a
+        ``Transfer-Encoding`` body, a ``Content-Length`` that is not a
+        non-negative integer, or one past :data:`MAX_BODY_BYTES` -- since
+        the next request's start is then unknown and the connection must
+        close.
+        """
         try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
+            line = await reader.readuntil(b"\n")
+            if not line.endswith(b"\r\n"):
+                raise _Reject(400, "request lines must end in CRLF")
+            try:
+                method, target, _version = line.decode("latin-1").split(None, 2)
+            except ValueError:
+                return None
+            block = await reader.readexactly(2)
+            if block != b"\r\n":
+                block += await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError:
             return None
-        length = 0
+        except asyncio.LimitOverrunError as exc:
+            raise _Reject(400, "request head too large") from exc
         headers: Dict[str, str] = {}
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            key = name.strip().lower()
-            headers[key] = value.strip()
-            if key == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    length = 0
+        for field in block.decode("latin-1").split("\r\n")[:-2]:
+            name, _, value = field.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _Reject(400, "Transfer-Encoding request bodies are not supported")
+        length = headers.get("content-length", "0")
+        if not length.isdecimal():
+            raise _Reject(400, f"invalid Content-Length {length!r}")
+        length = int(length)
         if length > MAX_BODY_BYTES:
             raise _Reject(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -801,7 +835,10 @@ class QueryServer:
         self, method: str, target: str, headers: Dict[str, str]
     ) -> _RequestContext:
         """Open the per-request observability context (cheap when off)."""
-        endpoint = target.split("?", 1)[0].rstrip("/") or "/"
+        path = target.partition("?")[0]
+        if "#" in path or not path.startswith("/"):
+            path = urlsplit(target).path  # absolute-form or fragment: parse
+        endpoint = path.rstrip("/") or "/"
         ctx = _RequestContext(endpoint, method)
         if not self._instrument:
             return ctx
@@ -844,12 +881,10 @@ class QueryServer:
     async def _dispatch(
         self, method: str, target: str, body: bytes, ctx: _RequestContext
     ):
-        parts = urlsplit(target)
-        path = parts.path.rstrip("/") or "/"
+        path = ctx.endpoint
         payload = _decode(body)
-        if parts.query:
-            for key, values in parse_qs(parts.query).items():
-                payload.setdefault(key, values[0])
+        if "?" in target:
+            _merge_query_string(payload, target)
         if path == "/metrics":
             return 200, _TextBody(self.metrics.render().encode())
         if path == "/slow-queries":
@@ -935,9 +970,9 @@ class QueryServer:
     def _publish_stats_extras(self) -> None:
         """Mirror cache gauges into the index's instrumented-query extras.
 
-        Runs on the cache-hit hot path, so it reads the raw counters
-        lock-free (they are gauges; a torn read is impossible for ints
-        under the GIL) instead of building a full stats snapshot.
+        Runs on every request, so it reads the raw counters lock-free (they
+        are gauges; a torn read is impossible for ints under the GIL)
+        instead of building a full stats snapshot.
         """
         extras = getattr(self._store.index, "stats_extras", None)
         if extras is not None:
@@ -985,10 +1020,11 @@ class QueryServer:
         relation, with_stats = self._parse_refinement(payload)
         self._m_queries.inc()
         ctx.args = {"start": query.start, "end": query.end, "count_only": count_only}
-        key = normalize_query_key(
-            query.start, query.end, self._query_kind(count_only, relation, with_stats)
-        )
-        if self._cache.enabled:
+        caching = self._cache.enabled
+        if caching:
+            key = normalize_query_key(
+                query.start, query.end, self._query_kind(count_only, relation, with_stats)
+            )
             cached = self._cache.get(key, self._store.result_generation())
             if isinstance(cached, StaleResult):
                 # stale-while-revalidate: answer with the stale body now,
@@ -1028,7 +1064,8 @@ class QueryServer:
                 )
         finally:
             self._release()
-        self._cache.put(key, generation, body)
+        if caching:
+            self._cache.put(key, generation, body)
         return 200, body
 
     def _refined_answer(
@@ -1563,6 +1600,15 @@ _REASONS = {
     503: b"Service Unavailable",
 }
 
+#: response heads: ``% (status, reason, content type, length)`` ...
+_HEAD = b"HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n"
+#: ... and ``% (status, reason, length)`` for a JSON error that ends the
+#: connection
+_CLOSE_HEAD = (
+    b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\nConnection: close\r\n\r\n"
+)
+
 
 def _encode(payload: Dict[str, object]) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode()
@@ -1578,6 +1624,25 @@ def _decode(body: bytes) -> Dict[str, object]:
     if not isinstance(decoded, dict):
         raise _Reject(400, "JSON body must be an object")
     return decoded
+
+
+def _fans_out_to_processes(store: IntervalStore) -> bool:
+    """True when the store's reads go through a worker-process pool.
+
+    Such a read waits on pool futures (and respawns a failed pool), and a
+    sharded one may build a lazy shard under ``updates.lock`` -- held by an
+    update across its WAL fsync -- so it must never run on the event loop.
+    Asked per batch, so a store swapped under the server is judged afresh.
+    """
+    return isinstance(store.executor, ProcessExecutor) or isinstance(
+        getattr(store.index, "executor", None), ProcessExecutor
+    )
+
+
+def _merge_query_string(payload: Dict[str, object], target: str) -> None:
+    """Fill ``payload`` from the target's query string (body fields win)."""
+    for key, values in parse_qs(urlsplit(target).query).items():
+        payload.setdefault(key, values[0])
 
 
 def _truthy(value: object) -> bool:

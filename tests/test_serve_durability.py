@@ -13,6 +13,8 @@
   covers its generation.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.errors import ReproError
@@ -130,6 +132,15 @@ class TestDegradedMode:
 # ---------------------------------------------------------------------- #
 # client retry / teardown
 # ---------------------------------------------------------------------- #
+async def _close_server_connections(server):
+    """Close every open keep-alive connection from the server's side."""
+    writers = list(server._connections)
+    for writer in writers:
+        writer.close()
+    for writer in writers:
+        await writer.wait_closed()
+
+
 class TestClientRetries:
     def test_unreachable_server_raises_typed_error_after_retries(self):
         client = ServeClient(port=1, timeout=0.5, retries=2, backoff=0.001)
@@ -138,7 +149,7 @@ class TestClientRetries:
         assert excinfo.value.attempts == 3
         assert isinstance(excinfo.value, ReproError)
         assert isinstance(excinfo.value, ConnectionError)
-        assert client._connection is None  # socket torn down on exhaustion
+        assert client._sock is None  # socket torn down on exhaustion
 
     def test_updates_never_auto_retry(self):
         client = ServeClient(port=1, timeout=0.5, retries=5, backoff=0.001)
@@ -149,10 +160,14 @@ class TestClientRetries:
     def test_retry_recovers_a_dropped_keepalive(self, durable_served):
         _, handle, client = durable_served
         assert client.query(0, 100)["count"] >= 0
+        first = client._sock
         # server-side close of the keep-alive: the next request must
         # transparently reconnect instead of surfacing ECONNRESET
-        client._connection.sock.close()
+        asyncio.run_coroutine_threadsafe(
+            _close_server_connections(handle.server), handle._loop
+        ).result(timeout=10)
         assert client.query(0, 100)["count"] >= 0
+        assert client._sock is not None and client._sock is not first
 
     def test_overload_retry_is_opt_in(self, durable_served):
         store, handle, _ = durable_served

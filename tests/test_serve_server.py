@@ -1,7 +1,9 @@
 """The asyncio query server: endpoints, caching, admission control, drain."""
 
+import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -166,7 +168,11 @@ class TestAdmissionControl:
         collection = _collection()
         store = IntervalStore.open(collection, "hintm_opt", num_shards=2)
         # a store whose batches park until released: every admitted request
-        # stays in flight, so the second concurrent request must bounce
+        # stays in flight, so the second concurrent request must bounce.
+        # The requests are /batch calls, which park in a worker thread; a
+        # lone /query runs on the event loop and holds it instead (see
+        # test_slow_lone_query_holds_the_loop), and concurrent /query calls
+        # are covered by test_coalesced_queries_in_flight_reject_with_503
         gate = threading.Event()
         original = store.run_batch
 
@@ -182,7 +188,7 @@ class TestAdmissionControl:
         def fire():
             client = ServeClient(port=handle.port)
             try:
-                answered.append(client.query(0, 1_000))
+                answered.append(client.batch([(0, 1_000)]))
             except ServerOverloaded as exc:
                 rejected.append(exc)
             finally:
@@ -220,8 +226,10 @@ class TestAdmissionControl:
         )[1]
         handle = start_server_thread(store, cache=0, max_pending=1)
         try:
+            # the parked request is a /batch (worker thread), so the loop
+            # stays free to reject the /query behind it
             background = threading.Thread(
-                target=lambda: ServeClient(port=handle.port).query(0, 10)
+                target=lambda: ServeClient(port=handle.port).batch([(0, 10)])
             )
             background.start()
             time.sleep(0.1)
@@ -235,9 +243,57 @@ class TestAdmissionControl:
             handle.stop()
             store.close()
 
+    def test_coalesced_queries_in_flight_reject_with_503(self):
+        # two concurrent /query calls coalesce into one batch, which hops to
+        # a worker thread and parks there: the loop stays free, and the
+        # next query finds max_pending used up
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_opt")
+        gate = threading.Event()
+        sizes = []
+        original = store.run_batch
+
+        def slow_run_batch(queries, count_only=False):
+            sizes.append(len(queries))
+            gate.wait(timeout=10)
+            return original(queries, count_only=count_only)
+
+        store.run_batch = slow_run_batch
+        handle = start_server_thread(store, cache=0, max_pending=2, batch_window=0.5)
+        answers = {}
+
+        def fire(start, end):
+            client = ServeClient(port=handle.port)
+            try:
+                answers[(start, end)] = set(client.query(start, end)["ids"])
+            finally:
+                client.close()
+
+        ranges = [(0, 1_000), (1_000, 2_000)]
+        threads = [threading.Thread(target=fire, args=pair) for pair in ranges]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.time() + 10
+            while not sizes and time.time() < deadline:
+                time.sleep(0.01)
+            assert sizes == [2]  # one coalesced batch, parked in a worker
+            with pytest.raises(ServerOverloaded) as excinfo:
+                ServeClient(port=handle.port).query(2_000, 3_000)
+            assert excinfo.value.status == 503
+            gate.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert answers == {pair: _oracle(collection, *pair) for pair in ranges}
+        finally:
+            gate.set()
+            handle.stop()
+            store.close()
+
 
 class TestLifecycle:
-    def test_drain_finishes_inflight_then_refuses(self):
+    @pytest.mark.parametrize("endpoint", ["/query", "/batch"])
+    def test_drain_finishes_inflight_then_refuses(self, endpoint):
         collection = _collection()
         store = IntervalStore.open(collection, "hintm_opt")
         release = threading.Event()
@@ -250,9 +306,18 @@ class TestLifecycle:
         store.run_batch = slow_run_batch
         handle = start_server_thread(store, cache=0)
         answers = []
-        worker = threading.Thread(
-            target=lambda: answers.append(ServeClient(port=handle.port).query(0, 9_999))
-        )
+
+        def call():
+            client = ServeClient(port=handle.port)
+            if endpoint == "/query":
+                answers.append(client.query(0, 9_999))
+            else:
+                answers.extend(client.batch([(0, 9_999)]))
+
+        # a /batch parks in a worker thread while stop() drains; a lone
+        # /query parks the event loop itself, so stop() starts once it has
+        # run -- either way the admitted request is answered, then refused
+        worker = threading.Thread(target=call)
         worker.start()
         time.sleep(0.15)  # the request is admitted and parked in the store
 
@@ -313,6 +378,101 @@ class TestLifecycle:
         store.close()
 
 
+class _CountingExecutor(ThreadPoolExecutor):
+    """The loop's default executor, counting what ``run_in_executor`` sends."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+class TestInlineExecution:
+    def test_lone_query_runs_on_the_loop_everything_else_hops(self):
+        store = IntervalStore.open(_collection(), "hintm_hybrid")
+        handle = start_server_thread(store, cache=0)
+        executor = _CountingExecutor()
+        handle._loop.set_default_executor(executor)
+        client = ServeClient(port=handle.port)
+        try:
+            before = client.stats()
+            response = client.query(0, 1_000)
+            after = client.stats()
+            assert set(response["ids"]) == _oracle(_collection(), 0, 1_000)
+            assert executor.submitted == 0  # no thread hop for a lone query
+            # ...and it is still one batch of one through the batcher
+            assert after["batches"] == before["batches"] + 1
+            assert after["batched_queries"] == before["batched_queries"] + 1
+            client.batch([(0, 1_000)])
+            assert executor.submitted == 1
+            client.insert(90_000, 5, 9)
+            assert executor.submitted == 2
+            client.maintain(force=True)
+            assert executor.submitted == 3
+        finally:
+            client.close()
+            handle.stop()
+            store.close()
+
+    def test_process_executor_store_still_hops(self):
+        # its reads wait on the worker pool (and may build a lazy shard
+        # under the update lock): never on the event loop
+        collection = _collection()
+        store = IntervalStore.open(
+            collection, "hintm_opt", num_shards=2, executor="processes", workers=2
+        )
+        handle = start_server_thread(store, cache=0)
+        executor = _CountingExecutor()
+        handle._loop.set_default_executor(executor)
+        client = ServeClient(port=handle.port)
+        try:
+            response = client.query(0, 1_000)
+            assert set(response["ids"]) == _oracle(collection, 0, 1_000)
+            assert executor.submitted == 1
+        finally:
+            client.close()
+            handle.stop()
+            store.close()
+
+    def test_slow_lone_query_holds_the_loop(self):
+        # the trade of running a lone query inline: it cannot be preempted,
+        # so the requests behind it wait for it -- neither admitted beside it
+        # nor answered 503 -- and are served once it has run
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_opt")
+        gate = threading.Event()
+        original = store.run_batch
+        store.run_batch = lambda q, count_only=False: (
+            gate.wait(10),
+            original(q, count_only=count_only),
+        )[1]
+        handle = start_server_thread(store, cache=0, max_pending=1)
+        answers = []
+        try:
+            background = threading.Thread(
+                target=lambda: answers.append(ServeClient(port=handle.port).query(0, 10))
+            )
+            background.start()
+            time.sleep(0.1)
+            behind = ServeClient(port=handle.port, timeout=0.3, retries=0)
+            with pytest.raises(OSError):  # times out: nothing reads it
+                behind.health()
+            behind.close()
+            gate.set()
+            background.join(timeout=10)
+            assert set(answers[0]["ids"]) == _oracle(collection, 0, 10)
+            response = ServeClient(port=handle.port).query(0, 10)
+            assert set(response["ids"]) == _oracle(collection, 0, 10)
+            assert ServeClient(port=handle.port).stats()["rejected"] == 0
+        finally:
+            gate.set()
+            handle.stop()
+            store.close()
+
+
 class TestRequestLimits:
     def test_oversized_body_rejected_with_413(self):
         import http.client
@@ -339,6 +499,90 @@ class TestRequestLimits:
             client = ServeClient(port=handle.port)
             assert client.health() == {"status": "ok"}
             client.close()
+        finally:
+            handle.stop()
+            store.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            # each framed body must never be parsed as the next request
+            pytest.param(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n"
+                b"5\r\nGET /\r\n0\r\n\r\n",
+                id="negative-content-length",
+            ),
+            pytest.param(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 12abc\r\n\r\n"
+                b"5\r\nGET /\r\n0\r\n\r\n",
+                id="non-numeric-content-length",
+            ),
+            pytest.param(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"5\r\nGET /\r\n0\r\n\r\n",
+                id="chunked-body",
+            ),
+            # bare-LF framing: answered at once, not left waiting for a
+            # CRLF blank line that never comes
+            pytest.param(b"GET /health HTTP/1.1\nHost: x\n\n", id="bare-lf-head"),
+        ],
+    )
+    def test_unframeable_body_answers_400_and_closes(self, request_bytes):
+        store = IntervalStore.from_pairs([(1, 5), (3, 9)])
+        handle = start_server_thread(store, cache=0)
+        try:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as raw:
+                raw.sendall(request_bytes)
+                response = b""
+                while True:  # the server closes: read to EOF
+                    chunk = raw.recv(65536)
+                    if not chunk:
+                        break
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"\r\nConnection: close" in head
+            assert b"error" in body
+            assert response.count(b"HTTP/1.1") == 1  # one answer, then EOF
+            client = ServeClient(port=handle.port)
+            assert client.health() == {"status": "ok"}
+            client.close()
+        finally:
+            handle.stop()
+            store.close()
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "/health",
+            "/health/",
+            "/health#top",
+            "/health?verbose=1#top",
+            "http://127.0.0.1/health",  # absolute-form
+        ],
+    )
+    def test_request_target_forms_route_to_the_endpoint(self, target):
+        import http.client
+        import json
+
+        store = IntervalStore.from_pairs([(1, 5), (3, 9)])
+        handle = start_server_thread(store, cache=0)
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=10
+            )
+            connection.request("GET", target)
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"status": "ok"}
+            # a header-less request (the blank line straight after the
+            # request line) is framed too
+            connection.sock.sendall(b"GET " + target.encode() + b" HTTP/1.1\r\n\r\n")
+            response = http.client.HTTPResponse(connection.sock)
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"status": "ok"}
+            connection.close()
         finally:
             handle.stop()
             store.close()

@@ -68,6 +68,7 @@ apply_ops = crash_soak.apply_ops
 live_set = crash_soak.live_set
 _open = crash_soak._open
 _read_ack = crash_soak._read_ack
+_require_fired = crash_soak._require_fired
 
 #: the whole domain the soak streams into (build_round_ops stays well inside)
 _DOMAIN = (-1, 1 << 30)
@@ -105,7 +106,7 @@ def child_main(args) -> int:
     from repro.durability.faults import injector
 
     if args.crash_point and args.arm_phase == "open":
-        # replay.before_apply fires while recovery replays the WAL tail --
+        # replay.before_apply fires while recovery walks the WAL tail --
         # that happens inside _open, so arm before it
         injector.arm(args.crash_point, after=args.crash_delay)
     store = _open(args, args.wal_dir)
@@ -214,7 +215,8 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
         else None  # odd rounds: a timer SIGKILL at an arbitrary moment
     )
 
-    def spawn(ops, point=None, delay=0, arm_phase="stream", suffix=""):
+    def spawn(ops, point=None, delay=0, arm_phase="stream", suffix="",
+              maintain_every=args.maintain_every):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(_ROOT / "src")
         return subprocess.Popen(
@@ -227,7 +229,7 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
                 "--backend", args.backend, "--shards", str(args.shards),
                 "--fsync", args.fsync, "--seed", str(seed),
                 "--ops", str(ops), "--id-base", str(id_base),
-                "--maintain-every", str(args.maintain_every),
+                "--maintain-every", str(maintain_every),
                 "--crash-point", point or "", "--crash-delay", str(delay),
                 "--arm-phase", arm_phase,
             ],
@@ -244,6 +246,10 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
         # at the child's own maintain checkpoints (arming happens after
         # the follower's bootstrap /checkpoint), so the first hit is fine
         delay=args.ops // 2 if (crash_point or "").startswith("append.") else 0,
+        # a replay round's leader never checkpoints, so the tail it leaves
+        # holds at least half the stream -- past the ops // 8 records the
+        # recovering child's crash waits for
+        maintain_every=0 if replaying else args.maintain_every,
     )
     if not _wait_file(port_file, child, 60.0):
         raise SystemExit(f"round {round_no}: leader never published its port")
@@ -267,9 +273,11 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
             if child.poll() is None:
                 os.kill(child.pid, signal.SIGKILL)
             child.wait()
-        killed = child.returncode != 0
+        killed = child.returncode == -signal.SIGKILL
         if child.returncode == 3:
             raise SystemExit(f"round {round_no}: semi-sync stalled in the child")
+        if crash_point is not None and not replaying:
+            _require_fired(round_no, crash_point, child.returncode)
 
         acked = _read_ack(ack_file)
         ops = build_round_ops(sorted(oracle), seed, args.ops, id_base)
@@ -306,7 +314,8 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
             arm_phase="open", suffix="-replay",
         )
         recoverer.wait()
-        killed = recoverer.returncode != 0
+        killed = recoverer.returncode == -signal.SIGKILL
+        _require_fired(round_no, crash_point, recoverer.returncode)
 
     # -- independent check: the leader's own WAL recovers the same state #
     store = _open(args, directory)

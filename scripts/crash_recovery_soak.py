@@ -146,6 +146,15 @@ def _read_ack(path) -> int:
 # ---------------------------------------------------------------------- #
 # parent: kill, recover, oracle-check
 # ---------------------------------------------------------------------- #
+def _require_fired(round_no: int, crash_point: str, exit_code: int) -> None:
+    """An armed round whose point never fired tested nothing: fail it."""
+    if exit_code != -signal.SIGKILL:
+        raise SystemExit(
+            f"round {round_no}: crash point {crash_point} was armed but never "
+            f"fired (child exit code {exit_code})"
+        )
+
+
 def run_round(args, directory, round_no, oracle, deadline) -> bool:
     """One kill/recover/verify cycle; returns False when out of budget."""
     if time.monotonic() > deadline:
@@ -160,7 +169,7 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
         else None  # odd rounds: a timer SIGKILL at an arbitrary moment
     )
 
-    def spawn(ops, point=None, delay=0, ack=None):
+    def spawn(ops, point=None, delay=0, ack=None, maintain_every=args.maintain_every):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
         if point:
@@ -172,15 +181,17 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
                 "--backend", args.backend, "--shards", str(args.shards),
                 "--fsync", args.fsync, "--seed", str(seed),
                 "--ops", str(ops), "--id-base", str(id_base),
-                "--maintain-every", str(args.maintain_every),
+                "--maintain-every", str(maintain_every),
             ],
             env=env,
         )
 
     if crash_point == "replay.before_apply":
         # replay only happens at open: first leave a WAL tail with a raw
-        # kill, then a second child crashes mid-replay recovering it
-        child = spawn(args.ops)
+        # kill, then a second child crashes mid-replay recovering it.  The
+        # first child never checkpoints, so the tail holds at least half the
+        # stream -- well past the ops // 8 records the crash waits for
+        child = spawn(args.ops, maintain_every=0)
         while child.poll() is None and _read_ack(ack_file) < args.ops // 2:
             time.sleep(0.002)
         if child.poll() is None:
@@ -190,8 +201,8 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
             0, point=crash_point, delay=args.ops // 8,
             ack=directory / f"ack-{round_no}-replay.txt",
         )
-        recoverer.wait()
-        killed = recoverer.returncode != 0
+        exit_code = recoverer.wait()
+        killed = exit_code == -signal.SIGKILL
     elif crash_point is not None:
         # append points fire per op: delay so the crash lands mid-stream.
         # checkpoint/truncate points fire per checkpoint: crash on the first
@@ -200,8 +211,8 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
             point=crash_point,
             delay=args.ops // 2 if crash_point.startswith("append.") else 0,
         )
-        child.wait()
-        killed = child.returncode != 0
+        exit_code = child.wait()
+        killed = exit_code == -signal.SIGKILL
     else:
         # kill once the child is observably mid-stream, not on a wall-clock
         # guess -- the ack file is the progress signal
@@ -212,7 +223,9 @@ def run_round(args, directory, round_no, oracle, deadline) -> bool:
         if child.poll() is None:
             os.kill(child.pid, signal.SIGKILL)
         child.wait()
-        killed = child.returncode != 0
+        killed = child.returncode == -signal.SIGKILL
+    if crash_point is not None:
+        _require_fired(round_no, crash_point, exit_code)
 
     acked = _read_ack(ack_file)
     ops = build_round_ops(sorted(oracle), seed, args.ops, id_base)

@@ -3,18 +3,19 @@
 A :class:`ClusterFollower` keeps a warm standby of one shard server:
 
 1. **bootstrap** -- ``POST /checkpoint`` on the leader publishes (and
-   returns) a consistent snapshot: live intervals, the result generation,
-   serialisable subscriptions, and the WAL segment boundary every later
-   record lives at or past.  The follower builds its store from exactly
-   that payload, floors the generation, and restores the standing-query
-   registry -- the same recovery path a local restart takes.
+   returns the bytes of) a consistent columnar checkpoint: live intervals,
+   the result generation, serialisable subscriptions, and the WAL segment
+   boundary every later record lives at or past.  The follower builds its
+   store straight from those columns, floors the generation, and restores
+   the standing-query registry -- the same recovery path a local restart
+   takes.
 2. **shipping** -- a feed thread long-polls the leader's ``/wal-feed``
-   from ``(wal_seq, 0)`` and applies each committed frame with the step
-   local recovery uses (:func:`repro.durability.manager.apply_record`:
-   generation floored to ``record.generation - 1`` before the apply, sync
-   records floor only).  The applied prefix therefore tracks
-   the leader's *on-disk* WAL exactly (with ``fsync="always"`` on the
-   leader, on-disk == durably acked).
+   from ``(wal_seq, 0)`` and applies each committed frame with
+   :func:`repro.durability.manager.apply_record` (generation floored to
+   ``record.generation - 1`` before the apply, sync records floor only --
+   the floors local recovery's walk takes too).  The applied prefix
+   therefore tracks the leader's *on-disk* WAL exactly (with
+   ``fsync="always"`` on the leader, on-disk == durably acked).
 3. **takeover** -- :meth:`promote` (or ``POST /promote`` on the follower's
    own server) stops shipping and flips the serving
    :class:`~repro.cluster.shard_server.ShardServer` from a read-only
@@ -33,12 +34,13 @@ restart.  ``on_applied`` exposes the applied generation after every batch
 
 from __future__ import annotations
 
+import base64
 import threading
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import ReproError
-from repro.core.interval import Interval, IntervalCollection
 from repro.cluster.shard_server import ShardServer
+from repro.durability.checkpoint import decode_checkpoint
 from repro.durability.manager import apply_record
 from repro.engine.store import IntervalStore
 from repro.serve.client import ServeClient, ServerError, ServerUnavailableError
@@ -191,14 +193,12 @@ class ClusterFollower:
     # bootstrap + replay
     # ------------------------------------------------------------------ #
     def _bootstrap(self) -> IntervalStore:
-        snapshot = self._leader.request("POST", "/checkpoint")
-        collection = IntervalCollection.from_intervals(
-            Interval(int(i), int(s), int(e)) for i, s, e in snapshot["intervals"]
-        )
-        store = IntervalStore.open(collection, self._backend)
+        response = self._leader.request("POST", "/checkpoint")
+        snapshot = decode_checkpoint(bytearray(base64.b64decode(response["checkpoint"])))
+        store = IntervalStore.open(snapshot["intervals"], self._backend)
         generation = int(snapshot["generation"])
         store.updates.floor(generation)
-        subscriptions = snapshot.get("subscriptions") or []
+        subscriptions = snapshot["subscriptions"]
         if subscriptions:
             StandingQueryManager.restore(store, subscriptions, generation=generation)
         self._segment = int(snapshot["wal_seq"])

@@ -18,8 +18,10 @@ of the full single-node protocol it speaks the cluster protocol:
 * ``GET /cluster-info`` -- role, shard id, generation, sizes; the router
   and operators read this to see what a node thinks it is.
 * ``POST /checkpoint`` -- run the store's durability checkpoint and return
-  the published snapshot (intervals + generation + subscriptions +
-  ``wal_seq``); a follower bootstraps from exactly this payload.
+  the published file's bytes, base64-encoded, as ``"checkpoint"`` (its
+  header holds generation + subscriptions + ``wal_seq``, its body the live
+  columns) next to the checkpoint ``"summary"``; a follower bootstraps from
+  exactly these bytes.
 * ``POST /wal-feed`` -- long-poll WAL shipping: stream committed frames
   from ``(segment, offset)`` onward; answers ``resync_required`` once a
   checkpoint has unlinked the requested segment (the follower re-bootstraps).
@@ -33,6 +35,7 @@ A read-only server (a follower) answers every read endpoint but refuses
 from __future__ import annotations
 
 import asyncio
+import base64
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -40,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.interval import Query
-from repro.durability.checkpoint import load_checkpoint
+from repro.durability.checkpoint import checkpoint_path
 from repro.durability.wal import WalRecord, list_segments, read_segment_tail
 from repro.engine.sharding import ShardPlan
 from repro.engine.store import IntervalStore
@@ -326,16 +329,14 @@ class ShardServer(QueryServer):
         self._admit()
         try:
             summary = await self._loop.run_in_executor(None, durability.checkpoint)
-            snapshot = await self._loop.run_in_executor(
-                None, load_checkpoint, durability.directory
+            image = await self._loop.run_in_executor(
+                None, checkpoint_path(durability.directory).read_bytes
             )
         finally:
             self._release()
-        if snapshot is None:  # pragma: no cover - published but unreadable
-            raise _Reject(500, "checkpoint published but not readable back")
-        body = dict(snapshot)
-        body["summary"] = summary
-        return 200, _encode(body)
+        return 200, _encode(
+            {"checkpoint": base64.b64encode(image).decode("ascii"), "summary": summary}
+        )
 
     async def _handle_wal_feed(self, payload: Dict[str, object]):
         durability = self._durability()

@@ -8,6 +8,7 @@ or ``start,end``) so users can plug in their own data.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 from typing import Union
 
@@ -23,38 +24,56 @@ def load_intervals_csv(path: Union[str, Path], has_header: bool = False) -> Inte
     """Load a collection from a CSV file.
 
     Rows may have two columns (``start,end``; ids are assigned sequentially)
-    or three columns (``id,start,end``).
+    or three (``id,start,end``); wider rows keep their first three columns.
+    Every row must have the same number of columns, and blank lines are
+    skipped.  The whole file is parsed by one ``np.loadtxt`` call.
 
     Raises:
-        InvalidIntervalError: on malformed rows.
+        InvalidIntervalError: on malformed or ragged rows (naming the line).
     """
     path = Path(path)
-    ids: list[int] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        for row_number, row in enumerate(reader):
-            if has_header and row_number == 0:
+    skip = 1 if has_header else 0
+    with warnings.catch_warnings():
+        # an empty file is an empty collection, not a warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            rows = np.loadtxt(
+                path, dtype=np.int64, delimiter=",", ndmin=2, skiprows=skip, comments=None
+            )
+        except ValueError as exc:
+            raise InvalidIntervalError(
+                f"{path}:{_first_bad_line(path, skip)}: malformed row: {exc}"
+            ) from exc
+    if not len(rows):
+        return IntervalCollection.empty()
+    if rows.shape[1] < 2:
+        raise InvalidIntervalError(
+            f"{path}:{_first_bad_line(path, skip)}: expected 2 or 3 columns"
+        )
+    columns = rows.T.copy()  # contiguous columns, not strided views of the rows
+    if rows.shape[1] == 2:
+        return IntervalCollection(np.arange(len(rows), dtype=np.int64), *columns)
+    return IntervalCollection(*columns[:3])
+
+
+def _first_bad_line(path: Path, skip: int) -> int:
+    """1-based number of the first line the loader rejects (error path only)."""
+    width = None
+    with path.open() as handle:
+        for number, line in enumerate(handle, start=1):
+            if number <= skip or not line.strip():
                 continue
-            if not row:
-                continue
+            fields = line.split(",")
+            width = len(fields) if width is None else width
             try:
-                if len(row) == 2:
-                    ids.append(len(ids))
-                    starts.append(int(row[0]))
-                    ends.append(int(row[1]))
-                elif len(row) >= 3:
-                    ids.append(int(row[0]))
-                    starts.append(int(row[1]))
-                    ends.append(int(row[2]))
-                else:
-                    raise ValueError("expected 2 or 3 columns")
-            except ValueError as exc:
-                raise InvalidIntervalError(
-                    f"{path}:{row_number + 1}: malformed row {row!r}: {exc}"
-                ) from exc
-    return IntervalCollection(ids=ids, starts=starts, ends=ends)
+                # int64, as the loader reads them
+                if not all(-(1 << 63) <= int(field) < (1 << 63) for field in fields):
+                    return number
+            except ValueError:
+                return number
+            if len(fields) != width or width < 2:
+                return number
+    return 0
 
 
 def save_intervals_csv(collection: IntervalCollection, path: Union[str, Path]) -> None:

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 __all__ = ["CRASH_POINTS", "FaultInjector", "arm", "disarm", "fire", "hits", "injector"]
 
 #: every named point the durability code fires, in rough lifecycle order --
-#: the CI fault-injection matrix iterates this tuple
+#: the crash-recovery tests and soaks iterate this tuple
 CRASH_POINTS = (
     "append.before_write",
     "append.after_write",

@@ -10,7 +10,7 @@ One :class:`DurabilityManager` sits between an
 * generation *syncs* (epoch publications, maintenance passes) are logged
   from an update listener, so replay restores the exact generation
   sequence -- the token :class:`~repro.serve.client.StreamClient` acks;
-* :meth:`checkpoint` serialises the live collection + generation +
+* :meth:`checkpoint` writes the live collection's columns + generation +
   subscription registry, rotates the WAL and unlinks dead segments;
 * an ``OSError`` from the log flips the store into **degraded** mode:
   reads keep working, further writes raise
@@ -19,10 +19,14 @@ One :class:`DurabilityManager` sits between an
   ``maintenance_state()`` and the serving tier.
 
 :func:`open_durable` is the recovery entry point
-(``IntervalStore.open(wal_dir=...)`` routes here): load the checkpoint,
-replay the log tail with truncate-at-first-bad-record semantics, restore
-the standing-query subscriptions, and hand back a store whose contents,
-generation and subscriptions equal the pre-crash acknowledged state.
+(``IntervalStore.open(wal_dir=...)`` routes here): load the checkpoint's
+columns, fold the log tail (read with truncate-at-first-bad-record
+semantics) into them, build the store once over the result, then walk the
+tail through the store's update feed so the generation and the restored
+standing-query subscriptions land exactly where they were -- a store whose
+contents, generation and subscriptions equal the pre-crash acknowledged
+state.  The paper's update design (Section 4.4) rebuilds in batches rather
+than absorbing updates one at a time; recovery does the same.
 
 The store holds ``store.updates.lock`` from the append to the commit, so
 log order is apply order and the post-commit generation each WAL record
@@ -34,10 +38,11 @@ from __future__ import annotations
 import contextlib
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.base import IntervalIndex
 from repro.core.errors import DurabilityDegradedError, ReproError
 from repro.core.interval import Interval, IntervalCollection
 from repro.durability import faults
@@ -48,9 +53,9 @@ from repro.durability.wal import (
     encode_frame,
     list_segments,
     replay_wal,
-    segment_path,
     wal_state,
 )
+from repro.engine.registry import get_spec
 from repro.obs import global_registry
 
 #: process-global durability counters, exposed on every server's /metrics
@@ -69,7 +74,9 @@ def apply_record(
 ) -> Optional[bool]:
     """Re-apply one logged record through ``store``: floor, then apply.
 
-    The one replay step local recovery and the cluster follower share.
+    The cluster follower's step for its live ``/wal-feed`` tail; local
+    recovery folds its whole tail at once instead (:func:`fold_tail`) and
+    walks the same generations through the feed (:meth:`DurabilityManager.replay`).
     Returns ``None`` for a ``"sync"`` (the generation is floored, nothing is
     applied), ``True`` when the insert/delete went through the store, and
     ``False`` for a record this store cannot play (a changed, static backend;
@@ -102,6 +109,74 @@ def apply_record(
     return True
 
 
+#: what recovery's walk does with one tail record after flooring the
+#: generation: commit it to the feed, nothing more (a delete of an id nobody
+#: held), or count it as skipped (a backend that cannot play the op)
+_COMMIT, _FLOOR, _SKIP = "commit", "floor", "skip"
+
+
+def fold_tail(
+    base: IntervalCollection, tail: List[WalRecord], backend: str
+) -> Tuple[IntervalCollection, List[Optional[str]]]:
+    """Fold a WAL tail into the checkpoint's columns, before any index exists.
+
+    One pass over the records keeps the final state of every id the tail
+    touches.  Inserts are appended and deleted checkpoint rows are removed
+    with one ``isin``, so the store is then built once over the result (one
+    vectorised build) instead of absorbing the tail op by op.
+
+    Also returns one step per record for :meth:`DurabilityManager.replay`:
+    ``None`` for a sync, else ``_COMMIT`` / ``_FLOOR`` / ``_SKIP`` -- the
+    outcome :func:`apply_record` would have had on the store, minus the
+    index mutation.  A backend without an insert (or delete) path skips
+    those records, as it would have refused them.  Like the rest of
+    recovery, the fold assumes a logged insert took effect: the store logs
+    before it applies, and an update-capable backend refuses an insert only
+    in corner cases such as ``hint_cf``'s out-of-domain check.
+    """
+    spec_cls = get_spec(backend).cls
+    plays = {
+        "insert": spec_cls.insert is not IntervalIndex.insert,
+        "delete": spec_cls.delete is not IntervalIndex.delete,
+    }
+    named = np.fromiter(
+        (record.interval_id for record in tail if record.op == "delete"), dtype=np.int64
+    )
+    live = set(base.ids[np.isin(base.ids, named)].tolist())  # rows a delete names
+    removed: set = set()
+    added: Dict[int, Tuple[int, int]] = {}  # live at the end of the tail, in order
+    steps: List[Optional[str]] = []
+    for record in tail:
+        op, interval_id = record.op, record.interval_id
+        if op == "sync":
+            steps.append(None)
+        elif not plays.get(op, False):
+            steps.append(_SKIP)
+        elif op == "insert":
+            added[interval_id] = (record.start, record.end)
+            steps.append(_COMMIT)
+        elif interval_id in added:
+            del added[interval_id]
+            steps.append(_COMMIT)
+        elif interval_id in live:
+            live.discard(interval_id)
+            removed.add(interval_id)
+            steps.append(_COMMIT)
+        else:
+            steps.append(_FLOOR)
+    if removed or added:
+        keep = ~np.isin(base.ids, np.fromiter(removed, dtype=np.int64, count=len(removed)))
+        spans = np.array(list(added.values()), dtype=np.int64).reshape(-1, 2)
+        base = IntervalCollection(
+            np.concatenate(
+                (base.ids[keep], np.fromiter(added, dtype=np.int64, count=len(added)))
+            ),
+            np.concatenate((base.starts[keep], spans[:, 0])),
+            np.concatenate((base.ends[keep], spans[:, 1])),
+        )
+    return base, steps
+
+
 class DurabilityManager:
     """WAL appends, checkpoints and degraded-mode state for one store."""
 
@@ -128,7 +203,6 @@ class DurabilityManager:
         )
         self._degraded = False
         self._degraded_reason: Optional[str] = None
-        self._replaying = False
         self._stream = None  # StandingQueryManager, when one exists
         self._closed = False
         self.last_checkpoint_generation = int(checkpoint_generation)
@@ -143,7 +217,7 @@ class DurabilityManager:
         # inserts/deletes were logged before they applied; a sync is a
         # generation advance without a content change, logged so replay
         # lands on the same token
-        if op != "sync" or self._replaying:
+        if op != "sync":
             return
         with self._lock:
             if self._degraded or self._closed:
@@ -225,8 +299,6 @@ class DurabilityManager:
         self._log("delete", interval_id, start, end)
 
     def _log(self, op: str, interval_id: int, start: int, end: int) -> None:
-        if self._replaying:
-            return
         with self._lock:
             self._check_writable()
             # the post-commit generation, predicted: exact because the store
@@ -259,10 +331,6 @@ class DurabilityManager:
     # ------------------------------------------------------------------ #
     # checkpointing + retention
     # ------------------------------------------------------------------ #
-    def _live_rows(self) -> List[List[int]]:
-        live = self._store.index.live_collection()
-        return np.column_stack((live.ids, live.starts, live.ends)).tolist()
-
     def _serialise_subscriptions(self) -> List[Dict[str, object]]:
         if self._stream is None:
             return []
@@ -296,19 +364,20 @@ class DurabilityManager:
         return rows
 
     def checkpoint(self) -> Dict[str, object]:
-        """Serialise live state, rotate the WAL, unlink dead segments.
+        """Write the live columns, rotate the WAL, unlink dead segments.
 
         Runs under the store's update-serialisation lock, so the collection,
         the generation and every WAL record are mutually consistent: after
         the rotate, every record in an older segment is at or below the
         checkpoint generation -- those segments are dead once the
-        checkpoint file is durably published.
+        checkpoint file is durably published.  Writing three columns takes
+        milliseconds, so writers stall for about that long.
         """
         with self._store.updates.lock:
             with self._lock:
                 self._check_writable()
                 generation = int(self._store.result_generation())
-                rows = self._live_rows()
+                live = self._store.index.live_collection()
                 subscriptions = self._serialise_subscriptions()
                 try:
                     self._writer.sync()
@@ -316,7 +385,7 @@ class DurabilityManager:
                     write_checkpoint(
                         self._directory,
                         generation=generation,
-                        intervals=rows,
+                        intervals=live,
                         subscriptions=subscriptions,
                         wal_seq=boundary,
                     )
@@ -331,7 +400,7 @@ class DurabilityManager:
                 _WAL_CHECKPOINTS.inc()
         return {
             "generation": generation,
-            "intervals": len(rows),
+            "intervals": len(live),
             "subscriptions": len(subscriptions),
             "wal_segments_removed": removed,
         }
@@ -351,33 +420,36 @@ class DurabilityManager:
         return removed
 
     # ------------------------------------------------------------------ #
-    # replay (recovery tail application)
+    # replay (recovery's walk over a folded tail)
     # ------------------------------------------------------------------ #
-    def replay(self, records: List[WalRecord]) -> int:
-        """Re-apply the log tail through the store, in order.
+    def replay(self, records: List[WalRecord], steps: List[Optional[str]]) -> int:
+        """Walk a tail :func:`fold_tail` already applied, through the feed.
 
-        The generation counter is floored to each record's predicted value
-        before applying, so update listeners (the restored standing-query
-        delta engine) observe the *original* generations -- exactly what a
-        reconnecting ``StreamClient`` acked.  Records a changed backend can
-        no longer apply are counted in :attr:`replay_skipped`, never
-        silently dropped.
+        The store was built over the folded columns, so nothing here touches
+        the index: each record floors the generation to its predicted value
+        (a sync to the value itself) and an effective insert/delete is then
+        committed with the span the record carries.  Update listeners (the
+        restored standing-query delta engine) therefore hear the *original*
+        ``(op, interval, generation)`` sequence -- exactly what a
+        reconnecting ``StreamClient`` acked.  Records the backend cannot
+        play are counted in :attr:`replay_skipped`, never silently dropped.
         """
+        feed = self._store.updates
         applied = 0
-        self._replaying = True
-        try:
-            for record in records:
-                faults.fire("replay.before_apply")
-                outcome = apply_record(
-                    self._store, record.op, record.interval_id,
-                    record.start, record.end, record.generation,
+        for record, step in zip(records, steps):
+            faults.fire("replay.before_apply")
+            if step is None:
+                feed.floor(record.generation)
+                continue
+            feed.floor(record.generation - 1)
+            if step == _SKIP:
+                self.replay_skipped += 1
+                continue
+            applied += 1
+            if step == _COMMIT:
+                feed.commit(
+                    record.op, Interval(record.interval_id, record.start, record.end)
                 )
-                if outcome:
-                    applied += 1
-                elif outcome is False:
-                    self.replay_skipped += 1
-        finally:
-            self._replaying = False
         self.replayed_records += applied
         return applied
 
@@ -415,8 +487,9 @@ def open_durable(
     """Open (or recover) a durable store over ``wal_dir``.
 
     A directory with existing durable state wins over the passed
-    ``collection`` -- the checkpoint's intervals plus the replayed log tail
-    *are* the store; the collection argument only seeds a fresh directory.
+    ``collection`` -- the checkpoint's columns plus the folded log tail
+    *are* the store, built once; the collection argument only seeds a
+    fresh directory.
     Returns the store with a :class:`DurabilityManager` attached
     (``store.durability``) and, when the checkpoint carried subscriptions,
     a restored standing-query manager (``store.restored_stream``) whose
@@ -430,12 +503,10 @@ def open_durable(
     next_seq = segments[-1][0] + 1 if segments else 0
 
     checkpoint_generation = int(payload["generation"]) if payload else -1
-    if payload is not None:
-        base = IntervalCollection.from_intervals(
-            Interval(int(i), int(s), int(e)) for i, s, e in payload["intervals"]
-        )
-    else:
-        base = collection
+    tail = [r for r in records if r.generation > checkpoint_generation]
+    base, steps = fold_tail(
+        payload["intervals"] if payload is not None else collection, tail, backend
+    )
 
     store = open_fn(base, backend, **(open_kwargs or {}))
     store.updates.floor(checkpoint_generation)
@@ -450,28 +521,24 @@ def open_durable(
     )
     manager.replay_truncated_bytes = report.truncated_bytes
     store._durability = manager
-    index = store.index
     try:
-        index.durability_manager = manager
-    except AttributeError:  # __slots__ backends: state stays on the store
-        pass
+        subscriptions = payload["subscriptions"] if payload else []
+        if subscriptions:
+            from repro.stream.deltas import StandingQueryManager
 
-    subscriptions = payload["subscriptions"] if payload else []
-    if subscriptions:
-        from repro.stream.deltas import StandingQueryManager
-
-        stream = StandingQueryManager.restore(
-            store, subscriptions, generation=checkpoint_generation
-        )
-        store._restored_stream = stream
-
-    tail = [r for r in records if r.generation > checkpoint_generation]
-    replayed = manager.replay(tail)
-    if store._restored_stream is not None:
-        store._restored_stream.note_generation(int(store.result_generation()))
-    if payload is None or replayed or report.truncated_bytes:
-        # fresh directory, or a tail was replayed: publish a checkpoint so
-        # the next open starts from a compact baseline (and a fresh dir is
-        # never without one)
-        manager.checkpoint()
+            store._restored_stream = StandingQueryManager.restore(
+                store, subscriptions, generation=checkpoint_generation
+            )
+        replayed = manager.replay(tail, steps)
+        if store._restored_stream is not None:
+            store._restored_stream.note_generation(int(store.result_generation()))
+        if payload is None or payload["version"] == 1 or replayed or report.truncated_bytes:
+            # fresh directory, a version-1 JSON checkpoint to rewrite, or a
+            # tail was replayed: publish a checkpoint so the next open starts
+            # from a compact columnar baseline (and a fresh dir is never
+            # without one)
+            manager.checkpoint()
+    except BaseException:
+        store.close()  # the caller never sees the store: release its WAL writer
+        raise
     return store

@@ -831,9 +831,8 @@ class MaintenanceCoordinator:
         else:
             state["delta_size"] = int(getattr(index, "delta_size", 0))
         durability = self._durability_manager()
-        if durability is not None and "wal_segments" not in state:
-            # plain durable stores: the sharded path already merged these
-            # through ShardedIndex.maintenance_state()
+        if durability is not None:
+            # WAL/checkpoint gauges of a durable store (open(wal_dir=...))
             state.update(durability.state())
         return state
 
@@ -881,11 +880,9 @@ class MaintenanceCoordinator:
             return report
 
     def _durability_manager(self):
-        """The target store's durability manager, when the store is durable."""
-        manager = getattr(self._target, "durability", None)
-        if manager is None:
-            manager = getattr(self._index, "durability_manager", None)
-        return manager
+        """The target store's durability manager, when the store is durable
+        (a raw index target has none)."""
+        return getattr(self._target, "durability", None)
 
     def _checkpoint(self, report: MaintenanceReport) -> None:
         """Checkpoint the durable store after the pass reorganised it.

@@ -592,14 +592,6 @@ class ShardedIndex(IntervalIndex):
         """Ingest/maintenance snapshot: pending depths, deltas, generations."""
         epoch = self._epoch
         journal = epoch.journal
-        state = self._maintenance_state_base(epoch, journal)
-        durability = getattr(self, "durability_manager", None)
-        if durability is not None:
-            # WAL/checkpoint gauges of a durable store (open(wal_dir=...))
-            state.update(durability.state())
-        return state
-
-    def _maintenance_state_base(self, epoch, journal) -> Dict[str, object]:
         return {
             "num_shards": epoch.plan.num_shards,
             "cuts": tuple(epoch.plan.cuts),

@@ -208,8 +208,9 @@ class IntervalStore:
         ``wal_dir`` makes the store *durable*: every insert/delete is
         appended to a checksummed write-ahead log in that directory before
         it mutates the index, and an existing directory is **recovered** --
-        checkpoint plus log tail replayed, ``result_generation`` and
-        standing-query subscriptions restored -- in which case the durable
+        the log tail folded into the checkpoint's columns and the store built
+        once over them, ``result_generation`` and standing-query
+        subscriptions restored -- in which case the durable
         state wins over the passed ``collection``.  ``fsync`` picks the
         durability/throughput trade (``"always"``/``"interval"``/``"off"``,
         see :mod:`repro.durability.wal`).
@@ -501,8 +502,8 @@ class IntervalStore:
         """Run one maintenance pass; returns the
         :class:`~repro.engine.maintenance.MaintenanceReport`.
 
-        ``checkpoint=True`` additionally serialises the live collection +
-        generation + subscription registry to the durable store's
+        ``checkpoint=True`` additionally writes the live collection's
+        columns + generation + subscription registry to the durable store's
         checkpoint file and truncates dead WAL segments (requires
         ``open(wal_dir=...)``).
         """

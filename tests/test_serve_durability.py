@@ -109,6 +109,33 @@ class TestDegradedMode:
         assert stats["durability_degraded"] is True
         assert stats["durability"]["degraded_reason"]
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("durable", [True, False], ids=["durable", "in-memory"])
+    def test_maintenance_state_and_stats_carry_the_same_wal_keys(
+        self, tmp_path, durable, num_shards
+    ):
+        # one owner: the store's durability manager, merged once into the
+        # maintenance state whatever the store's shape, and into /stats
+        store = IntervalStore.open(
+            _collection(), "hintm_hybrid", num_shards=num_shards,
+            wal_dir=str(tmp_path) if durable else None, fsync="always",
+        )
+        handle = start_server_thread(store)
+        try:
+            with ServeClient(port=handle.port) as client:
+                stats = client.stats()
+            state = store.maintenance().state()
+            if durable:
+                wal = store.durability.state()
+                assert set(stats["durability"]) == set(wal)
+                assert {key: state[key] for key in wal} == stats["durability"]
+            else:
+                assert "durability" not in stats
+                assert not [key for key in state if "wal" in key or "replay" in key]
+        finally:
+            handle.stop()
+            store.close()
+
     def test_degraded_survives_recovery_reopen(self, tmp_path):
         """Reopening the WAL directory is the documented way back."""
         store = IntervalStore.open(

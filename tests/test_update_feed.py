@@ -7,8 +7,9 @@ Three things hang off the one feed a store exposes as ``store.updates``:
   four store configurations);
 * the *write lock* makes WAL order, listener order and predicted
   generations agree under concurrent direct writers;
-* *replay* is one function (``apply_record``) shared by local recovery and
-  the cluster follower.
+* *replay* has one rule table: the follower's per-record ``apply_record``
+  and local recovery's fold-then-walk (``fold_tail`` +
+  ``DurabilityManager.replay``) agree on outcomes, counters and generations.
 """
 
 import threading
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.follower import ClusterFollower
 from repro.core.interval import Interval, IntervalCollection
-from repro.durability.manager import DurabilityManager, apply_record
+from repro.durability.manager import DurabilityManager, apply_record, fold_tail
 from repro.durability.wal import WalRecord, replay_wal
 from repro.engine import IntervalStore
 from repro.stream.deltas import StandingQueryManager
@@ -294,14 +295,17 @@ def test_apply_record_table(tmp_path, make_store, records, outcomes, final, live
     played = sum(outcome is True for outcome in outcomes)
     skipped = sum(outcome is False for outcome in outcomes)
 
-    # local recovery's counters: applied content records, skipped ones
+    # local recovery's counters: the fold, then its walk through the feed
     store = make_store()
     base, rows = absolute(store)
+    tail = [WalRecord(*row) for row in rows]
+    folded, steps = fold_tail(BASE, tail, store.backend)
     recovery = DurabilityManager(store, tmp_path / "wal", fsync="off")
     try:
-        assert recovery.replay([WalRecord(*row) for row in rows]) == played
+        assert recovery.replay(tail, steps) == played
         assert (recovery.replayed_records, recovery.replay_skipped) == (played, skipped)
         assert store.result_generation() == base + final
+        assert set(live) <= set(folded.ids.tolist())
     finally:
         recovery.close()
         store.close()

@@ -6,17 +6,24 @@ mid-append leaves behind, so recovery truncates at the first bad record
 and keeps everything before it.  Damage anywhere else (a flipped checksum
 mid-sequence, a missing segment file) would lose acknowledged updates, so
 recovery refuses with :class:`WalCorruptionError` instead of guessing.
-An empty-but-present checkpoint file refuses with :class:`CheckpointError`
--- it is not "no checkpoint", it is a checkpoint that failed to publish.
+An empty, truncated or CRC-failing checkpoint file refuses with
+:class:`CheckpointError` -- it is not "no checkpoint", it is damage outside
+the crash model.  A version-1 JSON checkpoint opens once and is rewritten in
+the columnar format.
 """
 
+import json
 import struct
 
+import numpy as np
 import pytest
 
-from repro.core.errors import CheckpointError, WalCorruptionError
+from repro.core.errors import CheckpointError, DurabilityDegradedError, WalCorruptionError
 from repro.core.interval import Interval, IntervalCollection
+from repro.durability import checkpoint as checkpoint_module
+from repro.durability import faults
 from repro.durability.checkpoint import (
+    _V1_FILE as V1_FILE,
     CHECKPOINT_FILE,
     load_checkpoint,
     write_checkpoint,
@@ -30,6 +37,7 @@ from repro.durability.wal import (
     segment_path,
 )
 from repro.engine import IntervalStore
+from repro.stream.deltas import StandingQueryManager
 
 
 def _record(i, generation=None):
@@ -192,27 +200,76 @@ def test_implausible_frame_length_is_torn_tail_in_final_segment(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# checkpoint file damage
+# the columnar checkpoint: round trip, damage, version-1 migration
 # ---------------------------------------------------------------------- #
+_SUBSCRIPTION = {"subscription_id": 0, "start": 1, "end": 9, "relation": None,
+                 "min_duration": 0, "max_duration": None}
+
+
+def _write_small(directory, **overrides):
+    fields = dict(
+        generation=17,
+        intervals=IntervalCollection([0, 5], [1, 10], [2, 20]),
+        subscriptions=[_SUBSCRIPTION],
+        wal_seq=3,
+    )
+    fields.update(overrides)
+    return write_checkpoint(directory, **fields)
+
+
 def test_absent_checkpoint_is_none_not_an_error(tmp_path):
     assert load_checkpoint(tmp_path) is None
 
 
 def test_checkpoint_round_trip(tmp_path):
-    write_checkpoint(
-        tmp_path,
-        generation=17,
-        intervals=[[0, 1, 2], [5, 10, 20]],
-        subscriptions=[{"subscription_id": 0, "start": 1, "end": 9,
-                        "relation": None, "min_duration": 0,
-                        "max_duration": None}],
-        wal_seq=3,
-    )
+    _write_small(tmp_path)
     payload = load_checkpoint(tmp_path)
+    assert payload["version"] == 2
     assert payload["generation"] == 17
-    assert payload["intervals"] == [[0, 1, 2], [5, 10, 20]]
     assert payload["wal_seq"] == 3
-    assert len(payload["subscriptions"]) == 1
+    assert payload["rows"] == 2
+    assert payload["subscriptions"] == [_SUBSCRIPTION]
+    intervals = payload["intervals"]
+    assert [intervals.ids.tolist(), intervals.starts.tolist(), intervals.ends.tolist()] == [
+        [0, 5], [1, 10], [2, 20]
+    ]
+    # the columns are built on directly, so they must be writable
+    assert all(column.flags.writeable for column in (intervals.ids, intervals.ends))
+
+
+def test_empty_checkpoint_round_trips(tmp_path):
+    _write_small(tmp_path, intervals=IntervalCollection.empty(), subscriptions=[])
+    assert len(load_checkpoint(tmp_path)["intervals"]) == 0
+
+
+def _damage(path, how):
+    data = bytearray(path.read_bytes())
+    if how == "truncated-columns":
+        data = data[:-8]
+    elif how == "flipped-body-byte":
+        data[-3] ^= 0xFF
+    elif how == "flipped-header-byte":
+        data[16 + 2] ^= 0xFF
+    elif how == "empty":
+        data = bytearray()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "how", ["truncated-columns", "flipped-body-byte", "flipped-header-byte", "empty"]
+)
+def test_damaged_checkpoint_refuses(tmp_path, how):
+    _damage(_write_small(tmp_path), how)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path)
+
+
+def test_wrong_checkpoint_version_refuses(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint_module, "_VERSION", 3)
+    _write_small(tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="version 3"):
+        load_checkpoint(tmp_path)
 
 
 def test_empty_but_present_checkpoint_refuses(tmp_path):
@@ -228,7 +285,8 @@ def test_garbage_checkpoint_refuses(tmp_path):
 
 
 def test_checkpoint_missing_keys_refuses(tmp_path):
-    (tmp_path / CHECKPOINT_FILE).write_text('{"version": 1}')
+    # a version-1 JSON checkpoint is still read, and still validated
+    (tmp_path / V1_FILE).write_text('{"version": 1}')
     with pytest.raises(CheckpointError, match="missing"):
         load_checkpoint(tmp_path)
 
@@ -236,13 +294,88 @@ def test_checkpoint_missing_keys_refuses(tmp_path):
 def test_leftover_checkpoint_tmp_is_ignored(tmp_path):
     # a crash between tmp write and publish leaves only the tmp file; the
     # directory still counts as "no checkpoint"
-    write_checkpoint(
-        tmp_path, generation=1, intervals=[], subscriptions=[], wal_seq=1
-    )
-    published = (tmp_path / CHECKPOINT_FILE).read_bytes()
-    (tmp_path / CHECKPOINT_FILE).unlink()
-    (tmp_path / (CHECKPOINT_FILE + ".tmp")).write_bytes(published)
+    published = _write_small(tmp_path)
+    tmp = published.with_suffix(".tmp")
+    published.rename(tmp)
     assert load_checkpoint(tmp_path) is None
+    assert not tmp.exists()
+
+
+def _durable_history(wal_dir):
+    """A durable store with a checkpointed subscription and a WAL tail."""
+    store = IntervalStore.open(_collection(), "hintm_hybrid", wal_dir=str(wal_dir), fsync="off")
+    subscription = StandingQueryManager(store).subscribe(0, 120).subscription
+    store.insert(Interval(100, 3, 8))
+    store.delete(4)
+    store.maintain(checkpoint=True)  # persists the subscription
+    store.insert(Interval(101, 50, 60))  # the tail
+    store.delete(7)
+    state = (
+        sorted(store.query().overlapping(0, 10**6).ids()),
+        store.result_generation(),
+        subscription.subscription_id,
+    )
+    store.close()
+    return state
+
+
+def _rewrite_as_v1(wal_dir):
+    """Turn the directory's checkpoint into the version-1 JSON format."""
+    payload = load_checkpoint(wal_dir)
+    live = payload["intervals"]
+    rows = np.column_stack((live.ids, live.starts, live.ends)).tolist()
+    (wal_dir / V1_FILE).write_text(json.dumps({
+        "version": 1, "generation": payload["generation"], "intervals": rows,
+        "subscriptions": payload["subscriptions"], "wal_seq": payload["wal_seq"],
+    }))
+    (wal_dir / CHECKPOINT_FILE).unlink()
+
+
+def _reopened_state(wal_dir):
+    store = IntervalStore.open(
+        IntervalCollection.empty(), "hintm_hybrid", wal_dir=str(wal_dir), fsync="off"
+    )
+    try:
+        registry = store.restored_stream.registry
+        return (
+            sorted(store.query().overlapping(0, 10**6).ids()),
+            store.result_generation(),
+            registry.ids(),
+            [(registry.get(i).query.start, registry.get(i).query.end) for i in registry.ids()],
+        )
+    finally:
+        store.close()
+
+
+def test_version_1_checkpoint_migrates_once(tmp_path):
+    wal_dir = tmp_path / "wal"
+    live, generation, subscription_id = _durable_history(wal_dir)
+    _rewrite_as_v1(wal_dir)
+    assert load_checkpoint(wal_dir)["version"] == 1
+    assert _reopened_state(wal_dir) == (live, generation, [subscription_id], [(0, 120)])
+    # rewritten in the columnar format; the JSON file is gone
+    assert load_checkpoint(wal_dir)["version"] == 2
+    assert not (wal_dir / V1_FILE).exists()
+    assert _reopened_state(wal_dir) == (live, generation, [subscription_id], [(0, 120)])
+
+
+def test_version_1_migration_survives_a_crash_after_publish(tmp_path):
+    wal_dir = tmp_path / "wal"
+    live, generation, subscription_id = _durable_history(wal_dir)
+    _rewrite_as_v1(wal_dir)
+    # die right after the columnar file is durable, before the JSON one goes
+    faults.arm("checkpoint.after_publish", action="io_error")
+    try:
+        with pytest.raises(DurabilityDegradedError):
+            IntervalStore.open(
+                IntervalCollection.empty(), "hintm_hybrid", wal_dir=str(wal_dir), fsync="off"
+            )
+    finally:
+        faults.disarm()
+    assert (wal_dir / CHECKPOINT_FILE).exists() and (wal_dir / V1_FILE).exists()
+    # both present: the columnar checkpoint wins and the JSON one is dropped
+    assert _reopened_state(wal_dir) == (live, generation, [subscription_id], [(0, 120)])
+    assert not (wal_dir / V1_FILE).exists()
 
 
 # ---------------------------------------------------------------------- #

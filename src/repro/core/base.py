@@ -256,6 +256,15 @@ class IntervalIndex(abc.ABC):
         inserts raise ``NotImplementedError``."""
         raise NotImplementedError(f"{type(self).__name__} does not support insert()")
 
+    def validate(self, interval: Interval) -> None:
+        """Raise the error :meth:`insert` would raise for ``interval``'s span,
+        without inserting it.
+
+        A durable store checks here before it logs an insert, so the
+        write-ahead log never holds an insert the index refused.  Most
+        backends accept every span; one with a fixed domain overrides this.
+        """
+
     def delete(self, interval_id: int) -> bool:
         """Delete an interval by id (tombstone semantics where applicable).
 

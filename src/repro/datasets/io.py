@@ -8,9 +8,8 @@ or ``start,end``) so users can plug in their own data.
 from __future__ import annotations
 
 import csv
-import warnings
 from pathlib import Path
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -24,56 +23,53 @@ def load_intervals_csv(path: Union[str, Path], has_header: bool = False) -> Inte
     """Load a collection from a CSV file.
 
     Rows may have two columns (``start,end``; ids are assigned sequentially)
-    or three (``id,start,end``); wider rows keep their first three columns.
-    Every row must have the same number of columns, and blank lines are
-    skipped.  The whole file is parsed by one ``np.loadtxt`` call.
+    or three (``id,start,end``); in a file whose rows are wider, only the
+    first three columns are read.  Rows of two or three columns must all have
+    the same width, and blank lines are skipped.  The whole file is parsed by
+    one ``np.loadtxt`` call.
 
     Raises:
-        InvalidIntervalError: on malformed or ragged rows (naming the line).
+        InvalidIntervalError: on malformed, single-column or ragged rows,
+            naming the row as ``np.loadtxt`` counts it.
     """
     path = Path(path)
     skip = 1 if has_header else 0
-    with warnings.catch_warnings():
-        # an empty file is an empty collection, not a warning
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            rows = np.loadtxt(
-                path, dtype=np.int64, delimiter=",", ndmin=2, skiprows=skip, comments=None
-            )
-        except ValueError as exc:
-            raise InvalidIntervalError(
-                f"{path}:{_first_bad_line(path, skip)}: malformed row: {exc}"
-            ) from exc
-    if not len(rows):
+    line, width = _first_row(path, skip)
+    if width == 0:
         return IntervalCollection.empty()
-    if rows.shape[1] < 2:
-        raise InvalidIntervalError(
-            f"{path}:{_first_bad_line(path, skip)}: expected 2 or 3 columns"
+    if width < 2:
+        raise InvalidIntervalError(f"{path}:{line}: expected 2 or 3 columns, got {width}")
+    try:
+        rows = np.loadtxt(
+            path,
+            dtype=np.int64,
+            delimiter=",",
+            ndmin=2,
+            skiprows=skip,
+            comments=None,
+            quotechar='"',
+            usecols=range(3) if width > 3 else None,
         )
+    except ValueError as exc:
+        raise InvalidIntervalError(f"{path}: malformed row: {exc}") from exc
     columns = rows.T.copy()  # contiguous columns, not strided views of the rows
-    if rows.shape[1] == 2:
+    if width == 2:
         return IntervalCollection(np.arange(len(rows), dtype=np.int64), *columns)
-    return IntervalCollection(*columns[:3])
+    return IntervalCollection(*columns)
 
 
-def _first_bad_line(path: Path, skip: int) -> int:
-    """1-based number of the first line the loader rejects (error path only)."""
-    width = None
+def _first_row(path: Path, skip: int) -> Tuple[int, int]:
+    """1-based line number and column count of the first data row.
+
+    ``(0, 0)`` when the file holds no data row.  Only empty lines are
+    blank, as ``np.loadtxt`` reads them.
+    """
     with path.open() as handle:
         for number, line in enumerate(handle, start=1):
-            if number <= skip or not line.strip():
-                continue
-            fields = line.split(",")
-            width = len(fields) if width is None else width
-            try:
-                # int64, as the loader reads them
-                if not all(-(1 << 63) <= int(field) < (1 << 63) for field in fields):
-                    return number
-            except ValueError:
-                return number
-            if len(fields) != width or width < 2:
-                return number
-    return 0
+            line = line.rstrip("\r\n")
+            if number > skip and line:
+                return number, len(line.split(","))
+    return 0, 0
 
 
 def save_intervals_csv(collection: IntervalCollection, path: Union[str, Path]) -> None:

@@ -129,10 +129,9 @@ def fold_tail(
     ``None`` for a sync, else ``_COMMIT`` / ``_FLOOR`` / ``_SKIP`` -- the
     outcome :func:`apply_record` would have had on the store, minus the
     index mutation.  A backend without an insert (or delete) path skips
-    those records, as it would have refused them.  Like the rest of
-    recovery, the fold assumes a logged insert took effect: the store logs
-    before it applies, and an update-capable backend refuses an insert only
-    in corner cases such as ``hint_cf``'s out-of-domain check.
+    those records, as it would have refused them.  A logged insert took
+    effect: the store runs the index's ``validate`` (``hint_cf``'s fixed
+    domain) before it logs, so the log holds no insert the index refused.
     """
     spec_cls = get_spec(backend).cls
     plays = {

@@ -1039,6 +1039,13 @@ class ShardedIndex(IntervalIndex):
             self.updates.commit("insert", interval)
             self._touch(0)
 
+    def validate(self, interval: Interval) -> None:
+        """Every shard the interval overlaps must accept it."""
+        epoch = self._epoch
+        first, last = epoch.plan.shard_range(interval.start, interval.end)
+        for shard in range(first, last + 1):
+            self._shard(epoch, shard).validate(interval)
+
     def delete(self, interval_id: int) -> bool:
         """Tombstone ``interval_id`` in the shards holding a copy.
 

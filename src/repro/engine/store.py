@@ -412,10 +412,13 @@ class IntervalStore:
         open, a crash before it means the insert was never acknowledged.
         ``updates.lock`` is held from the append to the commit, so
         concurrent writers log and apply in one order and the generation
-        the WAL record predicts is the one the commit announces.
+        the WAL record predicts is the one the commit announces.  An interval
+        the index would refuse is refused before the append, so the log only
+        holds inserts that took effect.
         """
         with self.updates.lock:
             if self._durability is not None:
+                self._index.validate(interval)
                 self._durability.log_insert(interval)
             self._index.insert(interval)
             if self._commits_updates:

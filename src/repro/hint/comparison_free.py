@@ -126,12 +126,16 @@ class ComparisonFreeHINT(IntervalIndex):
         self._place(interval)
         self._spans.add(interval)
 
-    def _place(self, interval: Interval) -> None:
+    def validate(self, interval: Interval) -> None:
+        """The domain is fixed: ``[0, 2^num_bits - 1]``."""
         if interval.start < 0 or interval.end > self._domain.max_value:
             raise DomainError(
                 f"interval [{interval.start}, {interval.end}] outside domain "
                 f"[0, {self._domain.max_value}]; rescale first or use HINTm"
             )
+
+    def _place(self, interval: Interval) -> None:
+        self.validate(interval)
         for assignment in partition_assignments(self._m, interval.start, interval.end):
             target = self._originals if assignment.is_original else self._replicas_parts
             target[assignment.level].setdefault(assignment.offset, []).append(interval.id)

@@ -45,30 +45,41 @@ class TestCsvRoundtrip:
         with pytest.raises(InvalidIntervalError):
             load_intervals_csv(path)
 
-    def test_malformed_row_names_its_line(self, tmp_path):
+    def test_malformed_row_names_its_row(self, tmp_path):
         path = tmp_path / "bad3.csv"
         path.write_text("id,start,end\n1,2,3\n\n4,x,6\n")
-        with pytest.raises(InvalidIntervalError, match=r"bad3.csv:4:"):
+        with pytest.raises(InvalidIntervalError, match=r"bad3.csv: .*'x'.* at row \d"):
             load_intervals_csv(path, has_header=True)
         path.write_text("1,2,3\n99999999999999999999,1,2\n")  # past int64
-        with pytest.raises(InvalidIntervalError, match=r"bad3.csv:2:"):
+        with pytest.raises(InvalidIntervalError, match=r"at row \d"):
             load_intervals_csv(path)
 
-    def test_ragged_rows_raise_with_the_line(self, tmp_path):
+    def test_single_column_names_its_line(self, tmp_path):
+        path = tmp_path / "narrow.csv"
+        path.write_text("id\n\n42\n")
+        with pytest.raises(InvalidIntervalError, match=r"narrow.csv:3: .*got 1"):
+            load_intervals_csv(path, has_header=True)
+
+    def test_ragged_rows_raise_with_the_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        path.write_text("1,2,3\n4,5,6\n7,8\n")
-        with pytest.raises(InvalidIntervalError, match=r"ragged.csv:3:"):
-            load_intervals_csv(path)
+        for text in ("1,2,3\n4,5,6\n7,8\n", "1,2\n3,4,5\n", "1,2,3,4\n5,6\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidIntervalError, match=r"at row \d"):
+                load_intervals_csv(path)
 
     def test_extra_columns_take_the_first_three(self, tmp_path):
         path = tmp_path / "wide.csv"
-        path.write_text("5,10,20,x-not-read-as-int\n6,30,40,y\n")
-        with pytest.raises(InvalidIntervalError):
-            load_intervals_csv(path)  # every column must still be an integer
-        path.write_text("5,10,20,99\n6,30,40,98\n")
+        path.write_text("5,10,20,x\n6,30,40,label,more\n")
         loaded = load_intervals_csv(path)
         assert list(loaded.ids) == [5, 6]
         assert list(loaded.starts) == [10, 30]
+        assert list(loaded.ends) == [20, 40]
+
+    def test_quoted_fields_load(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('"5","10","20"\n6,30,40\n')
+        loaded = load_intervals_csv(path)
+        assert list(loaded.ids) == [5, 6]
         assert list(loaded.ends) == [20, 40]
 
     def test_empty_file_is_an_empty_collection(self, tmp_path):

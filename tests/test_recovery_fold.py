@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import DomainError
 from repro.core.interval import Interval, IntervalCollection
 from repro.durability.checkpoint import load_checkpoint
 from repro.durability.manager import apply_record
@@ -99,6 +100,41 @@ def _deltas(stream, payload):
     (subscription_id,) = stream.registry.ids()
     result = stream.poll(subscription_id, after_generation=payload["generation"])
     return result.records, result.resync_required
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_refused_insert_never_reaches_the_log(tmp_path, num_shards):
+    """``hint_cf`` has a fixed domain: an out-of-domain insert raises, is
+    never logged, and so never comes back on a reopen."""
+    base = IntervalCollection.from_pairs([(10, 20), (100, 200), (300, 400)])
+
+    def reopen():
+        return IntervalStore.open(
+            IntervalCollection.empty(), "hint_cf", num_shards=num_shards,
+            num_bits=9, wal_dir=str(tmp_path), fsync="off",
+        )
+
+    store = IntervalStore.open(
+        base, "hint_cf", num_shards=num_shards, num_bits=9,
+        wal_dir=str(tmp_path), fsync="off",
+    )
+    store.insert(Interval(7, 50, 60))
+    assert store.delete(0)
+    with pytest.raises(DomainError):
+        store.insert(Interval(8, 450, 600))  # the domain ends at 2^9 - 1
+    before = (_live(store), store.result_generation())
+    store.close()
+
+    # the recovery replays the insert and the delete; a reopen of the
+    # checkpoint it published replays nothing
+    for replayed in (2, 0):
+        recovered = reopen()
+        try:
+            assert (_live(recovered), recovered.result_generation()) == before
+            assert recovered.durability.replayed_records == replayed
+            assert recovered.durability.replay_skipped == 0
+        finally:
+            recovered.close()
 
 
 @pytest.mark.parametrize("subscribed", [False, True], ids=["plain", "subscribed"])

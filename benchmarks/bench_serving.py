@@ -1,7 +1,7 @@
 """Serving benchmark for the query server's result cache.
 
 Not a paper figure: it measures a skewed concurrent workload through the
-admission-controlled query server with and without the generation-keyed
+admission-controlled query server with and without the range-scoped
 result cache (a hot query's served answer is asserted against the store's
 own evaluation before timing).
 

@@ -9,9 +9,9 @@ Covers the serving subsystem end to end:
 * opening a sharded store and serving it over JSON-over-HTTP
   with :func:`~repro.start_server_thread` (the ``repro serve`` CLI wraps
   the same server),
-* hot queries hitting the generation-keyed result cache,
-* updates through the server invalidating cached answers *by construction*
-  (the content generation moves; no invalidation protocol exists),
+* hot queries hitting the result cache,
+* updates through the server evicting exactly the cached answers whose
+  range they overlap,
 * a maintenance pass through the server, under live traffic,
 * the serving/epoch state surfaced by ``GET /stats``.
 
@@ -59,8 +59,8 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ #
-    # 4. updates invalidate by construction: the generation moves, the
-    #    cached entry dies on its next touch -- no protocol, no staleness
+    # 4. an update evicts the cached ranges it overlaps: the next touch
+    #    of this hot range recomputes, ranges elsewhere stay hits
     # ------------------------------------------------------------------ #
     client.insert(999_999, 45_000, 55_000)
     fresh = client.query(40_000, 60_000)

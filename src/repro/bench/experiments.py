@@ -1174,7 +1174,7 @@ def serving_throughput(
 
     The same skewed concurrent workload (``distinct`` broad hot queries,
     Zipf-weighted, ``num_clients`` keep-alive connections) is driven through
-    the query server twice -- once with the generation-keyed result cache, once with caching
+    the query server twice -- once with the result cache, once with caching
     disabled (capacity 0).  Every request round-trips real HTTP through the
     admission-controlled batching path; the cached leg answers repeats with
     pre-encoded bodies, which is where the recorded >= 5x ratio comes from.

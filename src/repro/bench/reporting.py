@@ -157,7 +157,7 @@ def render_serving_throughput(rows: Sequence[Mapping]) -> str:
     """
     return format_table(
         "Serving throughput -- skewed workload through the query server "
-        "(speedup of the generation-keyed cache vs uncached; latency "
+        "(speedup of the result cache vs uncached; latency "
         "quantiles are client-observed per-request wall times in ms)",
         ["mode", "requests", "req/s", "cache hit rate", "speedup",
          "p50[ms]", "p95[ms]", "p99[ms]"],

@@ -267,14 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="run the background maintenance daemon every S "
                             "seconds during idle windows (default: off)")
-    serve.add_argument("--cache-swr", action="store_true",
-                       help="stale-while-revalidate: serve a stale cached body "
-                            "once per generation while recomputing in the "
-                            "background")
     serve.add_argument("--cache-ttl", type=float, default=None, metavar="S",
-                       help="expire cached bodies older than S seconds even at "
-                            "an unchanged generation (composes with --cache-swr; "
-                            "default: no TTL)")
+                       help="expire cached bodies older than S seconds even "
+                            "when no update touched them (default: no TTL)")
     serve.add_argument("--streaming", action="store_true",
                        help="enable the chunked streaming variant of "
                             "/poll-deltas (long-poll always works)")
@@ -784,11 +779,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         store,
         host=args.host,
         port=args.port,
-        cache=ResultCache(
-            capacity=args.cache_size,
-            stale_while_revalidate=args.cache_swr,
-            ttl=args.cache_ttl,
-        ),
+        cache=ResultCache(capacity=args.cache_size, ttl=args.cache_ttl),
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         batch_window=args.batch_window,
@@ -1078,8 +1069,8 @@ def _command_list_backends(args: argparse.Namespace) -> int:
         print(f"  {name:<10s} {blurb}")
     print()
     print("serving (repro serve):")
-    print("  cache        LRU keyed on query + content generation; updates and "
-          "maintenance invalidate by construction")
+    print("  cache        LRU keyed on the query; an update evicts the cached "
+          "ranges it overlaps, an epoch publication clears it")
     print("  admission    bounded in-flight queue; overload answers 503 + "
           "Retry-After instead of queueing unboundedly")
     print()

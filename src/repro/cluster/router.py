@@ -290,8 +290,7 @@ class ClusterRouter:
                 key = normalize_query_key(int(start), int(end), kind)
                 cached = self._cache.get(key, self._stamp(shards))
                 if cached is not self._cache.MISS:
-                    value = getattr(cached, "value", cached)  # unwrap SWR stales
-                    answers[position] = dict(value)
+                    answers[position] = dict(cached)
                 else:
                     missed.append(position)
             if plan_span is not None:

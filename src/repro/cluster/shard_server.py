@@ -143,12 +143,14 @@ class ShardServer(QueryServer):
 
     def adopt_store(self, store: IntervalStore) -> IntervalStore:
         """Swap the served store (a follower re-bootstrapping after a
-        ``resync_required``); clears the cache and the starts cache so no
+        ``resync_required``); the cache moves to the new store's update
+        feed (which clears it) and the starts cache is dropped, so no
         answer from the abandoned store survives the swap."""
         previous = self._store
         self._store = store
         self._stream = None  # subscriptions were against the old store
-        self._cache.clear()
+        if self._cache.enabled:
+            self._cache.watch(store.updates)
         with self._starts_lock:
             self._starts_cache = (None, None)
         return previous

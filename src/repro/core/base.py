@@ -88,7 +88,6 @@ class QueryStats:
             "epoch",
             "cache_hits",
             "cache_size",
-            "cache_stale_served",
             "subscriptions_active",
             "deltas_emitted",
             "deltas_coalesced",

@@ -1180,22 +1180,6 @@ class ShardedStore(IntervalStore):
             f"n={len(self)})"
         )
 
-    def close(self) -> None:
-        """Release the index's pooled workers and shared-memory snapshot."""
-        if self._maintenance is not None:
-            # join, so an in-flight pass cannot republish a snapshot that
-            # index.close() is about to unlink (see IntervalStore.close)
-            self._maintenance.stop(wait=True)
-        if self._durability is not None:
-            self._durability.close()
-        self.index.close()
-
-    def __enter__(self) -> "ShardedStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #

@@ -331,14 +331,15 @@ class IntervalStore:
         return self._index.memory_bytes()
 
     def close(self) -> None:
-        """Release the store's pooled executor (a no-op for serial execution).
+        """Release the store's pooled executor and the index's resources.
 
         Long-lived applications that open many stores with a process pool
         should close them (or use the store as a context manager) so idle
         worker processes do not accumulate; queries after ``close()``
         simply spin the pool up again.  An executor *instance*
         the caller passed in is left running -- whoever created it owns its
-        lifecycle.
+        lifecycle.  An index that owns resources (a sharded index's pooled
+        workers and shared-memory snapshot) is closed too.
         """
         if self._maintenance is not None:
             # join, don't just signal: an in-flight background pass could
@@ -349,6 +350,9 @@ class IntervalStore:
             self._durability.close()
         if self._owns_executor:
             self._executor.close()
+        close_index = getattr(self._index, "close", None)
+        if close_index is not None:
+            close_index()
 
     def __enter__(self) -> "IntervalStore":
         return self
@@ -465,10 +469,9 @@ class IntervalStore:
     def result_generation(self) -> int:
         """Monotonic token identifying the current queryable contents.
 
-        A result cache keyed on ``(query, result_generation())`` is
-        invalidated by construction whenever the answer could have changed:
-        the token moves on every insert/delete and (for sharded indexes) on
-        every epoch publication -- see
+        The token moves on every insert/delete and (for sharded indexes) on
+        every epoch publication; the query server's result cache reads it
+        before a query to refuse a fill an update overtook -- see
         :class:`repro.serve.cache.ResultCache`.  A plain backend's
         generation is counted by the store, which is why cache consumers
         must route its updates through the store (or the query server), not

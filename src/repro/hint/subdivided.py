@@ -69,6 +69,16 @@ class _Subdivision:
             self.ends.append(end)
         self._sorted = False
 
+    def remove(self, interval_id: int) -> None:
+        """Drop ``interval_id``'s entry; a stored column is parallel to the
+        ids, so the same position goes from each (the order survives)."""
+        position = self.ids.index(interval_id)
+        del self.ids[position]
+        if self.starts:
+            del self.starts[position]
+        if self.ends:
+            del self.ends[position]
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -226,6 +236,15 @@ class SubdividedHINTm(IntervalIndex):
         self._spans.add(interval)
 
     def _place(self, interval: Interval) -> None:
+        for partition, group in self._groups(interval):
+            start, end = self._columns_for(group, partition, interval)
+            group.append(interval.id, start, end)
+            self._assignments += 1
+        self._dirty = True
+
+    def _groups(self, interval: Interval):
+        """``(partition, subdivision)`` of each of ``interval``'s assignments
+        (Algorithm 1), creating partitions on first use."""
         mapped_start = self._domain.map_value(interval.start)
         mapped_end = self._domain.map_value(interval.end)
         for assignment in partition_assignments(self._m, mapped_start, mapped_end):
@@ -238,10 +257,7 @@ class SubdividedHINTm(IntervalIndex):
                 group = partition.o_in if ends_inside else partition.o_aft
             else:
                 group = partition.r_in if ends_inside else partition.r_aft
-            start, end = self._columns_for(group, partition, interval)
-            group.append(interval.id, start, end)
-            self._assignments += 1
-        self._dirty = True
+            yield partition, group
 
     def _columns_for(
         self, group: _Subdivision, partition: _Partition, interval: Interval
@@ -262,8 +278,15 @@ class SubdividedHINTm(IntervalIndex):
         return None, None  # r_aft keeps only the id
 
     def delete(self, interval_id: int) -> bool:
-        """Logically delete ``interval_id`` with a tombstone."""
-        return self._spans.remove(interval_id) is not None
+        """Delete ``interval_id``: its entries leave every partition it was
+        assigned to, so re-inserting the id later cannot resurrect them."""
+        victim = self._spans.remove(interval_id)
+        if victim is None:
+            return False
+        for _, group in self._groups(victim):
+            group.remove(interval_id)
+            self._assignments -= 1
+        return True
 
     def _ensure_sorted(self) -> None:
         if not self._sort or not self._dirty:
@@ -320,9 +343,6 @@ class SubdividedHINTm(IntervalIndex):
             comp_first, comp_last = self._lower_flags(
                 level, first, last, mq_start, mq_end, comp_first, comp_last
             )
-        tombstones = self._spans.removed
-        if tombstones:
-            results = [sid for sid in results if sid not in tombstones]
         stats.results = len(results)
         return results, stats
 

@@ -8,8 +8,10 @@ use the paper's *hybrid* setting:
 * a **delta index** (:class:`repro.hint.subdivided.SubdividedHINTm`, the
   update-friendly ``subs+sopt`` configuration without sorted subdivisions)
   that absorbs the latest insertions one by one,
-* **tombstones** for deletions, applied to whichever of the two indexes holds
-  the deleted interval.
+* **deletions** applied to whichever of the two indexes holds the deleted
+  interval: a tombstone in the main index, a physical removal from the
+  delta (so a deleted id re-inserted into the delta cannot resurrect its
+  old entries).
 
 Every query probes both indexes and concatenates the results (the two are
 disjoint by construction).  :meth:`HybridHINTm.rebuild` merges the delta into
@@ -149,7 +151,7 @@ class HybridHINTm(IntervalIndex):
                 self.rebuild()
 
     def delete(self, interval_id: int) -> bool:
-        """Delete from whichever component holds the interval (tombstones)."""
+        """Delete from whichever component holds the interval."""
         with self.updates.lock:
             victim: Optional[Interval] = None
             if self.updates.listening:

@@ -10,9 +10,10 @@ under concurrent traffic (see the README's "Serving" section):
 * an **admission-controlled asyncio query server** -- JSON-over-HTTP with a
   bounded in-flight queue (503 backpressure), request batching into
   ``store.run_batch`` and graceful drain (:mod:`repro.serve.server`);
-* an **invalidation-aware result cache** -- LRU keyed on normalized query +
-  content generation, so updates and maintenance invalidate by construction
-  (:mod:`repro.serve.cache`), with an optional stale-while-revalidate mode;
+* a **range-scoped result cache** -- an LRU keyed on the normalized query
+  that watches the store's update feed: an insert or delete evicts exactly
+  the cached ranges it overlaps, an epoch publication clears it
+  (:mod:`repro.serve.cache`);
 * **standing-query push** -- ``/subscribe`` + ``/poll-deltas`` over the
   same server, backed by :mod:`repro.stream`'s delta engine;
   :class:`StreamClient` folds the delta batches client-side.
@@ -21,7 +22,6 @@ under concurrent traffic (see the README's "Serving" section):
 from repro.serve.cache import (
     CacheStats,
     ResultCache,
-    StaleResult,
     normalize_query_key,
     resolve_cache,
 )
@@ -43,7 +43,6 @@ __all__ = [
     "ServerHandle",
     "ServerOverloaded",
     "ServerUnavailableError",
-    "StaleResult",
     "StreamClient",
     "normalize_query_key",
     "resolve_cache",

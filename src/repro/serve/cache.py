@@ -1,19 +1,39 @@
-"""Invalidation-aware result cache: LRU keyed on query + content generation.
+"""Range-scoped result cache: an LRU whose entries an update evicts by overlap.
 
-The serving layer's cache never runs an invalidation protocol.  Every entry
-is stamped with the store's ``result_generation()`` token at fill time --
-a monotonic counter the engine bumps on every insert/delete and every epoch
-publication (:attr:`repro.engine.sharded.ShardedIndex.result_generation`) --
-and a lookup only hits when the stamp still equals the *current* generation.
-Updates and maintenance therefore invalidate cached answers *by
-construction*: the generation moves, every older entry turns into a miss on
-its next touch and is dropped in place (``invalidated`` in the stats), and
-nothing ever has to enumerate which queries an update affected.
+A cached answer belongs to a query range, and a range is an interval, so
+"which cached answers can this update change?" is the paper's own overlap
+question.  A :class:`ResultCache` keeps every entry's range in two
+capacity-sized int64 slot columns beside its LRU dict.  The query server
+:meth:`~ResultCache.watch`\\ es the store's update feed
+(:class:`repro.core.updates.UpdateFeed`), and on every insert or delete one
+vectorised mask over those columns drops exactly the entries whose range
+overlaps the updated interval -- the local dependency tracking of bdbms
+(PAPERS.md).  An update elsewhere leaves a hot range's entry a hit.
+
+Answers that are not a function of the overlapping intervals alone -- an
+Allen relation outside :data:`repro.core.allen.RANGE_QUERY_RELATIONS`
+(``before``/``after`` see intervals the range never touches) or a probe's
+work counters (``stats``) -- span the whole domain in the slot columns, so
+every update drops them.  An epoch publication (``sync`` with a generation
+bump) and a delete whose victim the feed could not name clear the cache; a
+reorganisation that leaves the answer set alone (``sync`` without a bump:
+hybrid rebuilds, maintenance passes) drops nothing.
+
+A fill must not cache an answer an update overtook.  The server reads the
+feed's generation before it runs a query and hands that token to
+:meth:`~ResultCache.put`, which refuses the fill when the generation has
+moved since; the check runs under the cache lock, so an update that commits
+after the fill still finds the entry and evicts it in its listener.
+
+An unwatched cache -- the cluster router's, which cannot hear its shards'
+updates -- hits only while an entry's stamp equals the caller's current
+stamp (the router stamps with per-shard generation tuples), and an optional
+TTL bounds entry age for either mode.
 
 The cache is value-agnostic -- the query server stores pre-encoded response
-bodies so a hit costs one dict probe plus a socket write -- and thread-safe:
-server worker threads and the asyncio loop share one instance under a single
-lock (every operation is O(1), so the lock is never held across a probe).
+bodies, so a hit costs one dict probe plus a socket write -- and
+thread-safe: server worker threads, the asyncio loop and the update
+listener share one lock, never held across a probe.
 """
 
 from __future__ import annotations
@@ -24,30 +44,23 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Tuple
 
+import numpy as np
+
+from repro.core.allen import RANGE_QUERY_RELATIONS
+
 __all__ = [
     "CacheStats",
     "ResultCache",
-    "StaleResult",
     "normalize_query_key",
     "resolve_cache",
 ]
 
-
-class StaleResult:
-    """A stale-generation entry served under stale-while-revalidate.
-
-    Returned (instead of the raw value) by :meth:`ResultCache.get` when the
-    cache runs in SWR mode and the entry's generation stamp is behind the
-    current one: the caller serves ``value`` immediately and schedules a
-    background recompute to refresh the entry.  Each entry is served stale
-    at most once per generation -- the second lookup at the same current
-    generation misses, so a failed revalidation cannot pin a stale answer.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object) -> None:
-        self.value = value
+_INT64 = np.iinfo(np.int64)
+#: slot range of an answer every update can change (overlaps everything)
+_EVERYWHERE = (int(_INT64.min), int(_INT64.max))
+#: slot range of a free slot (overlaps nothing: start > end)
+_NOWHERE = (int(_INT64.max), int(_INT64.min))
+_RANGE_RELATION_NAMES = frozenset(relation.value for relation in RANGE_QUERY_RELATIONS)
 
 
 def normalize_query_key(
@@ -55,11 +68,34 @@ def normalize_query_key(
 ) -> Tuple[str, int, int]:
     """Canonical cache key for one range/stabbing query.
 
-    ``kind`` separates result shapes over the same range (``"ids"``,
-    ``"count"``, ``"exists"``); a stabbing query at ``p`` normalises to the
-    degenerate range ``(p, p)``, so the point and range forms share entries.
+    ``kind`` separates result shapes over the same range: ``"ids"`` or
+    ``"count"``, optionally followed by ``":<allen relation>"`` and
+    ``":stats"``.  A stabbing query at ``p`` normalises to the degenerate
+    range ``(p, p)``, so the point and range forms share entries.
     """
     return (kind, int(start), int(end))
+
+
+def _range_scoped(kind: str) -> bool:
+    """True when only an interval overlapping the range can change an
+    answer of this kind (no refinement beyond a range-implied relation)."""
+    return all(part in _RANGE_RELATION_NAMES for part in kind.split(":")[1:])
+
+
+def _slot_range(key: Hashable) -> Tuple[int, int]:
+    """The range an update must overlap to change ``key``'s answer."""
+    if (
+        isinstance(key, tuple)
+        and len(key) == 3
+        and isinstance(key[0], str)
+        and _range_scoped(key[0])
+    ):
+        # clamped: a query past the int64 domain still overlaps its edge
+        return (
+            min(max(key[1], _EVERYWHERE[0]), _EVERYWHERE[1]),
+            min(max(key[2], _EVERYWHERE[0]), _EVERYWHERE[1]),
+        )
+    return _EVERYWHERE
 
 
 @dataclass(frozen=True)
@@ -67,17 +103,17 @@ class CacheStats:
     """Point-in-time counters of one :class:`ResultCache`.
 
     Attributes:
-        hits: lookups answered from a current-generation entry.
-        misses: lookups that found nothing usable (cold + invalidated).
-        invalidated: misses caused specifically by a stale generation stamp
-            (the entry existed but an update/epoch moved the generation).
+        hits: lookups answered from a cached entry.
+        misses: lookups that found nothing usable (cold, invalidated or
+            expired).
+        invalidated: entries dropped because their answer may have changed:
+            an overlapping update or an epoch (watched), or a stale stamp
+            found on lookup (unwatched).
         evictions: entries dropped by the LRU capacity bound.
         size: entries currently held.
         capacity: the LRU bound.
-        stale_served: lookups answered with a stale body under
-            stale-while-revalidate (counted as neither hit nor miss).
         ttl_expired: misses caused specifically by the entry's age exceeding
-            the cache TTL (the generation may still have been current).
+            the cache TTL.
     """
 
     hits: int
@@ -86,7 +122,6 @@ class CacheStats:
     evictions: int
     size: int
     capacity: int
-    stale_served: int = 0
     ttl_expired: int = 0
 
     @property
@@ -97,25 +132,17 @@ class CacheStats:
 
 
 class ResultCache:
-    """A thread-safe LRU of query results stamped with a content generation.
+    """A thread-safe LRU of query results, evicted by range on update.
 
     Args:
         capacity: maximum entries held; 0 disables the cache entirely
-            (every lookup misses, nothing is stored), which is how the
-            server's ``--cache-size 0`` and the uncached benchmark legs run.
-        stale_while_revalidate: when True, a lookup that finds a
-            stale-generation entry serves its body once (wrapped in
-            :class:`StaleResult`, so the caller schedules a background
-            recompute) instead of dropping it -- trading one
-            generation-stale answer for not paying recompute latency on the
-            first post-update touch of a hot query.
+            (every lookup misses, nothing is stored, nothing is watched),
+            which is how the server's ``--cache-size 0`` and the uncached
+            benchmark legs run.
         ttl: optional wall-clock bound (seconds) on entry age for
             time-sensitive consumers.  An entry older than ``ttl`` misses
-            and is dropped even when its generation stamp is still current,
-            and an expired entry is never served stale under SWR -- TTL
-            composes with (and overrides) both generation invalidation and
-            stale-while-revalidate.  ``None`` (the default) disables the
-            bound.
+            and is dropped even when no update touched it.  ``None`` (the
+            default) disables the bound.
         clock: monotonic time source for TTL bookkeeping (tests override).
     """
 
@@ -127,11 +154,15 @@ class ResultCache:
         "_misses",
         "_invalidated",
         "_evictions",
-        "_swr",
-        "_stale_served",
         "_ttl",
         "_ttl_expired",
         "_clock",
+        "_starts",
+        "_ends",
+        "_slot_keys",
+        "_free",
+        "_feed",
+        "_heard",
     )
 
     #: sentinel distinguishing "miss" from a cached falsy value
@@ -140,7 +171,6 @@ class ResultCache:
     def __init__(
         self,
         capacity: int = 1024,
-        stale_while_revalidate: bool = False,
         ttl: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -149,21 +179,25 @@ class ResultCache:
         if ttl is not None and ttl <= 0:
             raise ValueError(f"cache ttl must be > 0 seconds, got {ttl}")
         self._capacity = capacity
-        # entry: (generation stamp, value, generation the entry was last
-        # served stale at -- None until SWR touches it, fill timestamp)
-        self._entries: (
-            "OrderedDict[Hashable, Tuple[object, object, Optional[object], float]]"
-        ) = OrderedDict()
+        # entry: (slot, stamp, value, fill timestamp)
+        self._entries: "OrderedDict[Hashable, Tuple[int, object, object, float]]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._invalidated = 0
         self._evictions = 0
-        self._swr = stale_while_revalidate
-        self._stale_served = 0
         self._ttl = ttl
         self._ttl_expired = 0
         self._clock = clock
+        # slot columns: the range each entry's answer depends on
+        self._starts = np.full(capacity, _NOWHERE[0], dtype=np.int64)
+        self._ends = np.full(capacity, _NOWHERE[1], dtype=np.int64)
+        self._slot_keys: list = [None] * capacity
+        self._free = list(range(capacity - 1, -1, -1))
+        self._feed = None
+        self._heard = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -181,16 +215,6 @@ class ResultCache:
         return self._hits
 
     @property
-    def stale_while_revalidate(self) -> bool:
-        """True when stale entries are served once while recomputing."""
-        return self._swr
-
-    @property
-    def stale_served(self) -> int:
-        """Lifetime stale-serve count (lock-free gauge read)."""
-        return self._stale_served
-
-    @property
     def ttl(self) -> Optional[float]:
         """The entry-age bound in seconds (``None``: no TTL)."""
         return self._ttl
@@ -202,7 +226,7 @@ class ResultCache:
 
     @property
     def invalidated(self) -> int:
-        """Lifetime generation-invalidation count (lock-free gauge read)."""
+        """Lifetime invalidation count (lock-free gauge read)."""
         return self._invalidated
 
     @property
@@ -230,18 +254,13 @@ class ResultCache:
         )
         registry.counter_function(
             "repro_cache_invalidated_total",
-            "Entries dropped because their generation stamp went stale.",
+            "Entries an overlapping update or an epoch dropped.",
             lambda: self._invalidated,
         )
         registry.counter_function(
             "repro_cache_evictions_total",
             "Entries evicted by the LRU capacity bound.",
             lambda: self._evictions,
-        )
-        registry.counter_function(
-            "repro_cache_stale_served_total",
-            "Stale bodies served under stale-while-revalidate.",
-            lambda: self._stale_served,
         )
         registry.counter_function(
             "repro_cache_ttl_expired_total",
@@ -261,44 +280,90 @@ class ResultCache:
         return len(self._entries)
 
     # ------------------------------------------------------------------ #
-    def get(self, key: Hashable, generation: Hashable) -> object:
-        """The cached value, :attr:`MISS`, or a :class:`StaleResult`.
+    def watch(self, feed) -> None:
+        """Evict by range on ``feed``'s updates (``None``: stop watching).
 
-        A hit requires the entry's generation stamp to equal ``generation``
-        (the store's *current* token, read by the caller just before the
-        lookup; the cluster router stamps with a tuple of per-shard tokens
-        -- any hashable equality-comparable stamp works).  A stale entry normally counts as an invalidation, is
-        dropped, and misses; under stale-while-revalidate it is instead
-        served once per generation as a :class:`StaleResult` -- the caller
-        serves the wrapped body and schedules the recompute that will
-        :meth:`put` a fresh entry.
+        ``feed`` is a store's :class:`~repro.core.updates.UpdateFeed`.  A
+        watched cache hits on any present entry, whatever stamp the lookup
+        passes; moving to another feed (or to ``None``) unsubscribes from
+        the previous one and clears the cache.  A capacity-0 cache never
+        subscribes.
+        """
+        previous = self._feed
+        if previous is not None:
+            with previous.lock:  # no listener call is in flight past this
+                previous.unsubscribe(self._on_update)
+                with self._lock:
+                    self._feed = None
+                    self._reset()
+        if feed is None or not self._capacity:
+            return
+        with feed.lock:  # nothing commits between subscribing and the first fill
+            feed.subscribe(self._on_update)
+            with self._lock:
+                self._feed = feed
+                self._heard = feed.generation
+                self._reset()
+
+    def _on_update(self, op: str, interval, generation: int) -> None:
+        """Update listener (runs under the feed's lock, in generation order)."""
+        with self._lock:
+            if op == "sync":
+                if generation != self._heard:  # an epoch publication
+                    self._drop_all()
+            elif interval is None:  # a delete whose span is unknown
+                self._drop_all()
+            else:
+                touched = np.flatnonzero(
+                    (self._starts <= interval.end) & (self._ends >= interval.start)
+                )
+                for slot in touched.tolist():
+                    self._drop(self._slot_keys[slot])
+                self._invalidated += len(touched)
+            self._heard = generation
+
+    def _drop(self, key: Hashable) -> None:
+        """Remove ``key``'s entry and free its slot (lock held)."""
+        slot = self._entries.pop(key)[0]
+        self._starts[slot], self._ends[slot] = _NOWHERE
+        self._slot_keys[slot] = None
+        self._free.append(slot)
+
+    def _drop_all(self) -> None:
+        self._invalidated += len(self._entries)
+        self._reset()
+
+    def _reset(self) -> None:
+        self._entries.clear()
+        self._starts.fill(_NOWHERE[0])
+        self._ends.fill(_NOWHERE[1])
+        self._slot_keys = [None] * self._capacity
+        self._free = list(range(self._capacity - 1, -1, -1))
+
+    # ------------------------------------------------------------------ #
+    def get(self, key: Hashable, stamp: Hashable) -> object:
+        """The cached value, or :attr:`MISS`.
+
+        A watched cache hits on any present entry: an update that could
+        change it already evicted it.  An unwatched cache hits only when
+        the entry's stamp equals ``stamp`` (the caller's *current* token --
+        the cluster router stamps with a tuple of per-shard generations;
+        any hashable equality-comparable stamp works) and drops an entry
+        whose stamp went stale.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._misses += 1
                 return self.MISS
-            stamped, value, served_stale_at, stamped_at = entry
-            if self._ttl is not None and self._clock() - stamped_at > self._ttl:
-                # too old for a time-sensitive consumer regardless of the
-                # generation; expired entries are not SWR-eligible either
-                del self._entries[key]
+            _slot, stamped, value, filled_at = entry
+            if self._ttl is not None and self._clock() - filled_at > self._ttl:
+                self._drop(key)
                 self._ttl_expired += 1
                 self._misses += 1
                 return self.MISS
-            if stamped != generation:
-                if self._swr and served_stale_at != generation:
-                    # serve the stale body exactly once per generation; the
-                    # marker makes the next same-generation lookup miss, so
-                    # a lost revalidation cannot pin this answer forever
-                    self._entries[key] = (stamped, value, generation, stamped_at)
-                    self._entries.move_to_end(key)
-                    self._stale_served += 1
-                    return StaleResult(value)
-                # an update/epoch moved the generation: the entry is dead by
-                # construction -- drop it so one hot query cannot pin a
-                # stale answer in memory
-                del self._entries[key]
+            if self._feed is None and stamped != stamp:
+                self._drop(key)
                 self._invalidated += 1
                 self._misses += 1
                 return self.MISS
@@ -306,26 +371,36 @@ class ResultCache:
             self._hits += 1
             return value
 
-    def put(self, key: Hashable, generation: Hashable, value: object) -> None:
-        """Store ``value`` under ``key`` stamped with ``generation``.
+    def put(self, key: Hashable, stamp: Hashable, value: object) -> None:
+        """Store ``value`` under ``key``, stamped with ``stamp``.
 
-        Callers must read the generation *before* running the query they are
-        caching: stamping with a post-query read could mask an update that
-        landed mid-query, caching a pre-update answer under a post-update
-        stamp.
+        ``stamp`` must be read *before* the query whose answer is cached: a
+        watched cache refuses the fill when its feed's generation is no
+        longer ``stamp`` (an update overtook the query), and an unwatched
+        one stamped with a post-query read could mask an update that landed
+        mid-query.
         """
         if self._capacity == 0:
             return
         with self._lock:
-            self._entries[key] = (generation, value, None, self._clock())
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            if self._feed is not None and self._feed.generation != stamp:
+                return
+            entry = self._entries.get(key)
+            if entry is not None:
+                slot = entry[0]
+                self._entries.move_to_end(key)
+            else:
+                if not self._free:
+                    self._drop(next(iter(self._entries)))
+                    self._evictions += 1
+                slot = self._free.pop()
+                self._starts[slot], self._ends[slot] = _slot_range(key)
+                self._slot_keys[slot] = key
+            self._entries[key] = (slot, stamp, value, self._clock())
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._reset()
 
     def stats(self) -> CacheStats:
         with self._lock:
@@ -336,7 +411,6 @@ class ResultCache:
                 evictions=self._evictions,
                 size=len(self._entries),
                 capacity=self._capacity,
-                stale_served=self._stale_served,
                 ttl_expired=self._ttl_expired,
             )
 

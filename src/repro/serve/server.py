@@ -11,7 +11,7 @@ Request lifecycle::
                    |                    |                               |
                  503 when          hit: respond with the         run_batch: a lone
                max_pending         cached pre-encoded body       query on the loop,
-              queries queued       (generation-checked)          2+ in a worker
+              queries queued       (updates evict by range)      2+ in a worker
                                                                  thread; fill cache
 
 * **Admission control**: at most ``max_pending`` query requests may be
@@ -33,9 +33,11 @@ Request lifecycle::
   behind it (health checks included) wait for it instead of being admitted
   or answered ``503``, and ``stop()`` starts draining only after it.
 * **Result cache**: hits are served straight off the event loop as
-  pre-encoded bodies; entries are stamped with the store's
-  ``result_generation()`` and go stale *by construction* when an update or
-  maintenance pass moves the generation (:mod:`repro.serve.cache`).
+  pre-encoded bodies.  The cache watches ``store.updates``: an insert or
+  delete evicts exactly the cached ranges it overlaps and an epoch
+  publication clears it, so every other entry stays a hit
+  (:mod:`repro.serve.cache`).  A cached body's ``generation`` is the
+  version its answer was computed at; the answer is still exact.
 * **Graceful drain**: ``stop()`` flips the server into draining mode (new
   work is rejected with 503), waits for admitted requests to finish, then
   closes the listener.
@@ -99,12 +101,7 @@ from repro.core.interval import Interval, Query
 from repro.engine.executor import ProcessExecutor
 from repro.engine.store import IntervalStore
 from repro.obs import MetricsRegistry, SlowQueryLog, global_registry, tracing
-from repro.serve.cache import (
-    ResultCache,
-    StaleResult,
-    normalize_query_key,
-    resolve_cache,
-)
+from repro.serve.cache import ResultCache, normalize_query_key, resolve_cache
 from repro.stream import StandingQueryManager, UnknownSubscriptionError, parse_relation
 
 __all__ = ["QueryServer", "ServerHandle", "start_server_thread"]
@@ -195,12 +192,13 @@ class QueryServer:
     Args:
         store: the :class:`~repro.engine.store.IntervalStore` (or sharded
             store) to serve.  Updates must flow through the server (or the
-            store) so the cache generation moves; mutating the raw index
+            store) so the result cache hears them; mutating the raw index
             behind the store's back would serve stale cached answers.
         host / port: bind address; port 0 picks a free port (see
             :attr:`port` after :meth:`start`).
         cache: a :class:`~repro.serve.cache.ResultCache`, a capacity int
             (0 disables caching), or ``None`` for the 1024-entry default.
+            An enabled cache watches ``store.updates`` until :meth:`stop`.
         max_pending: admission bound -- query requests admitted (queued or
             executing) at once before new ones get 503s.
         max_batch: most queries coalesced into one ``store.run_batch`` call.
@@ -265,6 +263,8 @@ class QueryServer:
         self._host = host
         self._port = port
         self._cache = resolve_cache(cache)
+        if self._cache.enabled:
+            self._cache.watch(store.updates)
         self._max_pending = max_pending
         self._max_batch = max_batch
         self._batch_window = batch_window
@@ -290,9 +290,6 @@ class QueryServer:
         #: delta engine's notifier via call_soon_threadsafe
         self._stream_waiters: Dict[int, asyncio.Event] = {}
         self._pollers = 0  # parked /poll-deltas requests (loop thread only)
-        #: background revalidation tasks (SWR cache refills), held so the
-        #: event loop cannot garbage-collect them mid-flight
-        self._revalidations: set = set()
 
         self._instrument = instrument
         self.slow_log = SlowQueryLog(threshold=slow_threshold, capacity=slow_capacity)
@@ -472,8 +469,6 @@ class QueryServer:
                 "size": cache.size,
                 "capacity": cache.capacity,
                 "hit_rate": cache.hit_rate,
-                "stale_served": cache.stale_served,
-                "stale_while_revalidate": self._cache.stale_while_revalidate,
                 "ttl": self._cache.ttl,
                 "ttl_expired": cache.ttl_expired,
             },
@@ -571,6 +566,8 @@ class QueryServer:
             writer.close()
         if self._handlers:
             await asyncio.gather(*list(self._handlers), return_exceptions=True)
+        if self._cache.enabled:
+            self._cache.watch(None)  # the store outlives us: stop listening
 
     async def serve_forever(self) -> None:
         """Run until cancelled (``KeyboardInterrupt`` drains via ``run``)."""
@@ -660,10 +657,9 @@ class QueryServer:
     def _execute_batch(self, batch) -> Tuple[int, List[object]]:
         """Execution of one coalesced batch (worker thread, or the loop for one).
 
-        The generation is read *before* the probes: an update racing the
-        batch then stamps cached answers with the pre-update token, which
-        the bumped current generation invalidates on the next lookup --
-        never the other way around.
+        The generation is read *before* the probes: the result cache
+        refuses to fill an answer once the generation has moved past that
+        token, so an update racing the batch can never be masked by it.
 
         Batch items are ``(query, count_only, future, trace_ctx)``.  The
         batcher coalesces queries from *different* requests, so one store
@@ -978,7 +974,6 @@ class QueryServer:
         if extras is not None:
             extras["cache_hits"] = float(self._cache.hits)
             extras["cache_size"] = float(len(self._cache))
-            extras["cache_stale_served"] = float(self._cache.stale_served)
 
     # ------------------------------------------------------------------ #
     # endpoints
@@ -1026,12 +1021,6 @@ class QueryServer:
                 query.start, query.end, self._query_kind(count_only, relation, with_stats)
             )
             cached = self._cache.get(key, self._store.result_generation())
-            if isinstance(cached, StaleResult):
-                # stale-while-revalidate: answer with the stale body now,
-                # recompute off the request path (admission willing)
-                self._schedule_revalidation(key, query, count_only, relation, with_stats)
-                ctx.tags["cache"] = "stale"
-                return 200, cached.value
             if cached is not ResultCache.MISS:
                 ctx.tags["cache"] = "hit"
                 return 200, cached
@@ -1104,63 +1093,13 @@ class QueryServer:
         """Worker-thread execution of one refined /batch chunk.
 
         Like :meth:`_execute_batch`, the generation is read before any
-        probe so cached answers can only be stamped conservatively.
+        probe, so the cache refuses a fill an update overtook.
         """
         generation = self._store.result_generation()
         return generation, [
             self._refined_answer(query, count_only, relation, with_stats)
             for query in queries
         ]
-
-    def _schedule_revalidation(
-        self, key, query: Query, count_only: bool, relation, with_stats: bool
-    ) -> None:
-        """Refresh a stale-served entry in the background.
-
-        The recompute respects admission control: under overload it is
-        simply skipped -- the entry was marked served-stale, so the next
-        touch misses and recomputes on the request path instead.
-        """
-        try:
-            self._admit()
-        except _Reject:
-            return
-
-        async def _revalidate() -> None:
-            try:
-                if relation is not None or with_stats:
-                    generation, answer = await self._loop.run_in_executor(
-                        None,
-                        self._execute_refined,
-                        query,
-                        count_only,
-                        relation,
-                        with_stats,
-                    )
-                    answer["generation"] = generation
-                    body = _encode(answer)
-                else:
-                    future: asyncio.Future = self._loop.create_future()
-                    await self._pending.put((query, count_only, future, None))
-                    generation, answer = await future
-                    body = _encode(
-                        {"count": answer, "generation": generation}
-                        if count_only
-                        else {
-                            "ids": answer,
-                            "count": len(answer),
-                            "generation": generation,
-                        }
-                    )
-                self._cache.put(key, generation, body)
-            except Exception:  # noqa: BLE001 - a lost refresh only costs a miss
-                pass
-            finally:
-                self._release()
-
-        task = self._loop.create_task(_revalidate())
-        self._revalidations.add(task)
-        task.add_done_callback(self._revalidations.discard)
 
     async def _handle_batch(self, payload: Dict[str, object], ctx: _RequestContext):
         pairs = payload.get("queries")
@@ -1185,12 +1124,7 @@ class QueryServer:
                 if self._cache.enabled
                 else ResultCache.MISS
             )
-            if isinstance(cached, StaleResult):
-                answers[position] = cached.value
-                self._schedule_revalidation(
-                    key, query, count_only, relation, with_stats
-                )
-            elif cached is ResultCache.MISS:
+            if cached is ResultCache.MISS:
                 missing.append(position)
             else:
                 answers[position] = cached
@@ -1205,9 +1139,8 @@ class QueryServer:
             ]
             self._admit(len(chunks))
             # (generation, value) pairs: each chunk's answers are stamped
-            # with the generation read before *that* chunk ran -- stamping
-            # an early chunk with a later chunk's token could mask an
-            # update that landed between them
+            # with the generation read before *that* chunk ran, so the
+            # cache refuses the fill of any chunk an update overtook
             filled: List[Tuple[int, object]] = []
             try:
                 for chunk in chunks:

@@ -3,14 +3,14 @@
 Over real JSON-over-HTTP against a served store:
 
 * a cache hit does *no* store work -- zero ``store.run_batch`` /
-  ``store.query`` calls, the pre-encoded body is the answer -- and an update
-  makes the next identical request a miss again.  That is the structural
+  ``store.query`` calls, the pre-encoded body is the answer -- and an
+  overlapping update makes the next identical request a miss again.  That is the structural
   fact behind the cached path's throughput win; the measured ratio on a
   skewed (Zipf-weighted) workload is still written by
   ``benchmarks/bench_serving.py``, tier-1 no longer asserts it;
 * cached results stay oracle-correct across interleaved inserts, deletes
-  and maintenance passes (generation-keyed invalidation, asserted against a
-  live-set oracle -- no explicit invalidation protocol exists to get wrong).
+  and maintenance passes (range eviction on the store's update feed,
+  asserted against a live-set oracle).
 """
 
 import collections
@@ -66,7 +66,7 @@ def test_cached_serving_beats_uncached_5x(monkeypatch):
 
 
 def test_cached_results_stay_oracle_correct_across_updates_and_maintenance():
-    """Generation-keyed invalidation, end to end against a live-set oracle."""
+    """Range eviction, end to end against a live-set oracle."""
     rng = np.random.default_rng(31)
     starts = rng.integers(0, 50_000, 3_000)
     ends = starts + rng.integers(0, 2_000, 3_000)
@@ -118,8 +118,8 @@ def test_cached_results_stay_oracle_correct_across_updates_and_maintenance():
             assert_served_fresh()
         stats = client.stats()["cache"]
         assert stats["invalidated"] > 0, (
-            "updates never invalidated a cached entry -- the generation "
-            "keying is not wired through"
+            "updates never invalidated a cached entry -- the cache is not "
+            "watching the store's update feed"
         )
     finally:
         client.close()

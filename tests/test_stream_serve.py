@@ -1,6 +1,6 @@
 """Standing queries over the serving tier: subscribe/poll/unsubscribe HTTP
-endpoints, long-poll wakeups, chunked streaming, server-restart catch-up,
-stale-while-revalidate and server-side Allen relations."""
+endpoints, long-poll wakeups, chunked streaming, server-restart catch-up
+and server-side Allen relations."""
 
 import threading
 import time
@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.interval import Interval, IntervalCollection
 from repro.engine import IntervalStore
-from repro.serve.cache import ResultCache
 from repro.serve.client import ServeClient, ServerError, StreamClient
 from repro.serve.server import start_server_thread
 
@@ -218,46 +217,6 @@ class TestRestartCatchUp:
             sc.close()
             handle.stop()
             store.close()
-
-
-class TestStaleWhileRevalidate:
-    def test_stale_served_once_then_fresh(self):
-        # sharded: its index carries stats_extras, so the gauge assertion at
-        # the end can see cache_stale_served ride QueryStats.extra
-        store = IntervalStore.open(_collection(), "hintm_hybrid", num_shards=2)
-        cache = ResultCache(capacity=64, stale_while_revalidate=True)
-        handle = start_server_thread(store, cache=cache)
-        try:
-            with ServeClient(port=handle.port) as client:
-                fresh = client.query(1_000, 3_000)
-                client.insert(97_000, 1_500, 1_550)
-                stale = client.query(1_000, 3_000)  # SWR: pre-insert body
-                assert set(stale["ids"]) == set(fresh["ids"])
-                assert 97_000 not in stale["ids"]
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    current = client.query(1_000, 3_000)
-                    if 97_000 in current["ids"]:
-                        break
-                    time.sleep(0.05)
-                assert 97_000 in current["ids"]
-                stats = client.stats()
-                assert stats["cache"]["stale_served"] >= 1
-                assert stats["cache"]["stale_while_revalidate"] is True
-                # the gauge rides QueryStats.extra too
-                probe = client.query(1_000, 3_000, stats=True)
-                assert probe["stats"]["extra"]["cache_stale_served"] >= 1.0
-        finally:
-            handle.stop()
-            store.close()
-
-    def test_swr_off_by_default(self, served):
-        store, handle, client = served
-        client.query(1_000, 3_000)
-        client.insert(98_000, 1_500, 1_550)
-        response = client.query(1_000, 3_000)
-        assert 98_000 in response["ids"]  # no stale serving without opt-in
-        assert client.stats()["cache"]["stale_while_revalidate"] is False
 
 
 class TestServerSideRelations:

@@ -46,6 +46,22 @@ class TestHybridBasics:
         assert 10_000_002 not in results
         assert int(synthetic_collection.ids[0]) not in results
 
+    def test_reinserted_id_does_not_resurrect_its_old_span(self, synthetic_collection):
+        hybrid = HybridHINTm(synthetic_collection, num_bits=8)
+        naive = NaiveIndex.build(synthetic_collection)
+        lo, hi = synthetic_collection.span()
+        main_id = int(synthetic_collection.ids[0])
+        old = Interval(10_000_003, lo, lo + 20)
+        for index in (hybrid, naive):
+            index.insert(old)
+            # a delta id and a main id, each deleted and re-inserted elsewhere
+            for interval_id in (old.id, main_id):
+                assert index.delete(interval_id)
+                index.insert(Interval(interval_id, hi - 30, hi - 10))
+        for q in (Query(lo, lo + 20), Query(hi - 30, hi), Query(lo, hi)):
+            assert sorted(hybrid.query(q)) == sorted(naive.query(q))
+            assert hybrid.query_count(q) == naive.query_count(q)
+
     def test_memory_bytes(self, synthetic_collection):
         hybrid = HybridHINTm(synthetic_collection, num_bits=8)
         assert hybrid.memory_bytes() > 0

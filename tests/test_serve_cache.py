@@ -245,6 +245,15 @@ class TestWatchedCache:
         cache.put(normalize_query_key(0, 10), feed.generation, "fresh")
         assert len(cache) == 1
 
+    def test_ranges_past_the_int64_domain_are_clamped(self):
+        feed, cache = _watched()
+        key = normalize_query_key(10**20, 10**30)
+        cache.put(key, feed.generation, "empty answer")
+        feed.commit("insert", Interval(1, 0, 10))
+        assert cache.get(key, None) == "empty answer"
+        feed.commit("insert", Interval(2, 0, 2**63 - 1))
+        assert cache.get(key, None) is ResultCache.MISS
+
     def test_lru_churn_frees_and_reuses_slots(self):
         feed, cache = _watched(capacity=2)
         for start in range(0, 100, 10):

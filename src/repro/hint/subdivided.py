@@ -343,6 +343,9 @@ class SubdividedHINTm(IntervalIndex):
             comp_first, comp_last = self._lower_flags(
                 level, first, last, mq_start, mq_end, comp_first, comp_last
             )
+        tombstones = self._spans.removed
+        if tombstones:
+            results = [sid for sid in results if sid not in tombstones]
         stats.results = len(results)
         return results, stats
 

@@ -1,10 +1,20 @@
-"""The invalidation-aware result cache: generation keying, LRU, stats."""
+"""The range-scoped result cache: LRU, stamps, TTL, range eviction on the
+update feed, and a model-based oracle through a served store."""
 
+import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.baselines.naive import NaiveIndex
+from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.updates import UpdateFeed
+from repro.engine import IntervalStore
 from repro.serve.cache import ResultCache, normalize_query_key, resolve_cache
+from repro.serve.client import ServeClient
+from repro.serve.server import QueryServer, start_server_thread
+from repro.stream import parse_relation
 
 
 class TestNormalizeQueryKey:
@@ -172,13 +182,6 @@ class TestTtl:
 # ---------------------------------------------------------------------- #
 # range eviction: a watched cache drops exactly what an update overlaps
 # ---------------------------------------------------------------------- #
-from repro.baselines.naive import NaiveIndex  # noqa: E402
-from repro.core.interval import Interval, IntervalCollection, Query  # noqa: E402
-from repro.core.updates import UpdateFeed  # noqa: E402
-from repro.engine import IntervalStore  # noqa: E402
-from repro.serve.client import ServeClient  # noqa: E402
-from repro.serve.server import QueryServer, start_server_thread  # noqa: E402
-from repro.stream import parse_relation  # noqa: E402
 
 
 def _watched(capacity=8):
@@ -273,8 +276,6 @@ class TestWatchedCache:
         # the version, then put -- exactly the server's order.  A lost
         # eviction or an accepted overtaken fill leaves an entry behind its
         # range's version once everything has stopped.
-        import sys
-
         feed, cache = _watched(capacity=16)
         ranges = [(r * 100, r * 100 + 50) for r in range(8)]
         versions = [0] * len(ranges)
@@ -329,8 +330,6 @@ class TestWatchedCache:
 
 
 def _collection(n=300, seed=5):
-    import numpy as np
-
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, 10_000, n)
     ends = starts + rng.integers(0, 400, n)
@@ -476,6 +475,19 @@ class TestServedEpochsAndRebuilds:
             assert calls == []
         store.close()
 
+    def test_adopted_store_moves_the_watch(self):
+        # a follower re-bootstrapping swaps the served store: the cache
+        # must hear the new store's updates, not the abandoned one's
+        from repro.cluster.shard_server import ShardServer
+
+        old = IntervalStore.open(_collection(), "hintm_hybrid")
+        new = IntervalStore.open(_collection(seed=6), "hintm_hybrid")
+        server = ShardServer(old, cache=8)
+        server.cache.put(normalize_query_key(0, 10), old.updates.generation, "old")
+        server.adopt_store(new)
+        assert not old.updates.listening and new.updates.listening
+        assert len(server.cache) == 0
+
     def test_cache_size_zero_attaches_no_listener(self):
         store = IntervalStore.open(_collection(), "hintm_hybrid", num_shards=2)
         QueryServer(store, cache=ResultCache(capacity=0))
@@ -495,8 +507,6 @@ class TestCacheOracle:
 
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_every_answer_matches_naive(self, num_shards):
-        import numpy as np
-
         collection = _collection(n=200, seed=11)
         store = IntervalStore.open(collection, "hintm_hybrid", num_shards=num_shards)
         oracle = NaiveIndex(collection)

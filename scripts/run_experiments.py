@@ -1,10 +1,12 @@
 #!/usr/bin/env python
 """Regenerate every table and figure of the paper's evaluation section.
 
-This is the non-pytest entry point to the experiment drivers: it runs each of
-them at a configurable scale, prints the paper-shaped tables/series, and
-writes them under ``benchmark_results/`` (the gated end-to-end numbers live
-in ``e2e_bench/``; see ``e2e_bench/README.md``).
+This is the non-pytest entry point to the paper's experiment drivers
+(Figures 10-14, Tables 6-10): it runs each of them at a configurable scale,
+prints the paper-shaped tables/series, and writes them under
+``benchmark_results/``.  The systems tiers (sharding, maintenance,
+durability, serving, standing queries, routing) are measured end to end by
+``e2e_bench/`` under fixed, named workloads; see ``e2e_bench/README.md``.
 
 Usage::
 
@@ -21,16 +23,7 @@ import time
 from pathlib import Path
 
 from repro.bench import experiments
-from repro.bench.reporting import (
-    format_series,
-    format_table,
-    render_cluster_routing,
-    render_durable_ingest,
-    render_ingest_maintenance,
-    render_process_scaling,
-    render_serving_throughput,
-    render_standing_query,
-)
+from repro.bench.reporting import format_series, format_table
 
 
 def _render_fig10(result):
@@ -116,24 +109,6 @@ def _render_extent_sweep(result, title, x_label):
     return "\n\n".join(parts)
 
 
-def _render_shard_scaling(rows):
-    return format_table(
-        "Shard scaling -- serial batches over K time-range shards (speedup vs K=1)",
-        ["backend", "K", "strategy", "build [s]", "queries/s", "speedup"],
-        [
-            [
-                r["backend"],
-                r["num_shards"],
-                r["strategy"],
-                r["build_s"],
-                r["throughput"],
-                r["speedup"],
-            ]
-            for r in rows
-        ],
-    )
-
-
 def _render_table10(result):
     parts = []
     for dataset, rows in result.items():
@@ -208,50 +183,6 @@ def main(argv=None) -> int:
         ),
         "table10": lambda: _render_table10(
             experiments.table10_updates(books_taxis, num_queries=n_queries)
-        ),
-        "shard_scaling": lambda: _render_shard_scaling(
-            experiments.shard_scaling(
-                cardinality=args.cardinality, num_queries=n_queries
-            )
-        ),
-        "process_scaling": lambda: render_process_scaling(
-            experiments.process_scaling(
-                cardinality=args.cardinality, num_queries=n_queries
-            )
-        ),
-        "ingest_maintenance": lambda: render_ingest_maintenance(
-            experiments.ingest_maintenance(
-                cardinality=args.cardinality,
-                # the stream's stride-partitioned delete victims need
-                # cardinality/8 >= num_updates/2, so scale down with the data
-                num_updates=max(2, min(2_000, args.cardinality // 10)),
-            )
-        ),
-        "durable_ingest": lambda: render_durable_ingest(
-            experiments.durable_ingest(
-                cardinality=args.cardinality,
-                # the stream's stride-partitioned delete victims need
-                # cardinality/8 >= num_updates/2, so scale down with the data
-                num_updates=max(2, min(2_000, args.cardinality // 10)),
-            )
-        ),
-        "serving_throughput": lambda: render_serving_throughput(
-            experiments.serving_throughput(
-                cardinality=args.cardinality, num_queries=max(40, n_queries)
-            )
-        ),
-        "cluster_routing": lambda: render_cluster_routing(
-            experiments.cluster_routing(
-                cardinality=args.cardinality, num_queries=max(40, n_queries)
-            )
-        ),
-        "standing_query": lambda: render_standing_query(
-            experiments.standing_query(
-                cardinality=args.cardinality,
-                # the delivery stream deletes from a stride slice of the
-                # collection, so scale the update count with the data
-                num_updates=max(20, min(200, args.cardinality // 25)),
-            )
         ),
     }
 

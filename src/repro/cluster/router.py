@@ -56,6 +56,7 @@ from repro.serve.client import (
     ServerOverloaded,
     ServerUnavailableError,
 )
+from repro.serve.server import _int_field, _Reject
 
 __all__ = [
     "ClusterRouter",
@@ -581,6 +582,10 @@ class RouterAdminHandle:
                 parts = urlsplit(self.path)
                 try:
                     status, content_type, body = self._route(parts)
+                except _Reject as reject:
+                    status = reject.status
+                    content_type = "application/json"
+                    body = json.dumps({"error": reject.message}).encode("utf-8")
                 except Exception as exc:  # noqa: BLE001 - surface, don't die
                     status = 500
                     content_type = "application/json"
@@ -606,7 +611,7 @@ class RouterAdminHandle:
                     for pair in parts.query.split("&"):
                         name, _, value = pair.partition("=")
                         if name == "limit" and value:
-                            limit = max(0, int(value))
+                            limit = max(0, _int_field(value, "limit"))
                     body = json.dumps(
                         {
                             "threshold_s": admin_router.slow_log.threshold,

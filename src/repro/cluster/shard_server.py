@@ -55,7 +55,9 @@ from repro.serve.server import (
     _RequestContext,
     _decode,
     _encode,
+    _int_field,
     _merge_query_string,
+    _query_pairs,
     start_server_thread,
 )
 
@@ -217,23 +219,20 @@ class ShardServer(QueryServer):
     async def _handle_shard_batch(
         self, payload: Dict[str, object], ctx: _RequestContext
     ):
-        raw = payload.get("queries")
-        if not isinstance(raw, list) or not raw:
-            raise _Reject(400, "shard-batch needs a non-empty 'queries' list")
+        queries = _query_pairs(payload.get("queries"))
         kind = payload.get("kind", "ids")
         if kind not in SHARD_BATCH_KINDS:
             raise _Reject(
                 400, f"unknown shard-batch kind {kind!r}; choose from {SHARD_BATCH_KINDS}"
             )
         home_starts = payload.get("home_starts")
-        if home_starts is not None and (
-            not isinstance(home_starts, list) or len(home_starts) != len(raw)
-        ):
-            raise _Reject(400, "home_starts must align one-to-one with queries")
-        try:
-            queries = [Query(int(pair[0]), int(pair[1])) for pair in raw]
-        except (TypeError, ValueError, IndexError) as exc:
-            raise _Reject(400, f"malformed query pair: {exc}") from exc
+        if home_starts is not None:
+            if not isinstance(home_starts, list) or len(home_starts) != len(queries):
+                raise _Reject(400, "home_starts must align one-to-one with queries")
+            home_starts = [
+                None if home is None else _int_field(home, "home_starts")
+                for home in home_starts
+            ]
         # admission weight mirrors what the same queries would cost the
         # local batcher: one slot per max_batch-sized chunk
         weight = max(1, -(-len(queries) // self._max_batch))
@@ -297,7 +296,7 @@ class ShardServer(QueryServer):
         if homed:
             starts = self._sorted_starts(generation)
             for position in homed:
-                home = int(home_starts[position])
+                home = home_starts[position]
                 query = queries[position]
                 lo = int(np.searchsorted(starts, home, side="left"))
                 hi = int(np.searchsorted(starts, query.end, side="right"))
@@ -342,11 +341,8 @@ class ShardServer(QueryServer):
 
     async def _handle_wal_feed(self, payload: Dict[str, object]):
         durability = self._durability()
-        try:
-            segment = int(payload.get("segment", 0))
-            offset = int(payload.get("offset", 0))
-        except (TypeError, ValueError) as exc:
-            raise _Reject(400, f"wal-feed needs integer segment/offset: {exc}") from exc
+        segment = _int_field(payload.get("segment", 0), "segment")
+        offset = _int_field(payload.get("offset", 0), "offset")
         try:
             timeout = float(payload.get("timeout", 10.0))
         except (TypeError, ValueError):

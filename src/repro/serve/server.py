@@ -890,7 +890,7 @@ class QueryServer:
                     "threshold_s": self.slow_log.threshold,
                     "recorded": self.slow_log.recorded,
                     "slow_queries": self.slow_log.entries(
-                        int(limit) if limit is not None else None
+                        _int_field(limit, "limit") if limit is not None else None
                     ),
                 }
             )
@@ -981,12 +981,13 @@ class QueryServer:
     @staticmethod
     def _parse_query(payload: Dict[str, object]) -> Tuple[Query, bool]:
         if "stab" in payload:
-            point = int(payload["stab"])
-            query = Query.stabbing(point)
+            query = Query.stabbing(_int_field(payload["stab"], "stab"))
         else:
             if "start" not in payload or "end" not in payload:
                 raise _Reject(400, "query needs start and end (or stab)")
-            query = Query(int(payload["start"]), int(payload["end"]))
+            query = Query(
+                _int_field(payload["start"], "start"), _int_field(payload["end"], "end")
+            )
         count_only = _truthy(payload.get("count_only", False))
         return query, count_only
 
@@ -1102,15 +1103,12 @@ class QueryServer:
         ]
 
     async def _handle_batch(self, payload: Dict[str, object], ctx: _RequestContext):
-        pairs = payload.get("queries")
-        if not isinstance(pairs, list) or not pairs:
-            raise _Reject(400, "batch needs a non-empty 'queries' list")
+        queries = _query_pairs(payload.get("queries"))
         count_only = _truthy(payload.get("count_only", False))
         # relation/stats apply batch-wide: every query in the request is
         # refined the same way (mixed batches are two requests)
         relation, with_stats = self._parse_refinement(payload)
         refined = relation is not None or with_stats
-        queries = [Query(int(start), int(end)) for start, end in pairs]
         self._m_queries.inc(len(queries))
         ctx.args = {"queries": len(queries), "count_only": count_only}
         kind = self._query_kind(count_only, relation, with_stats)
@@ -1201,7 +1199,9 @@ class QueryServer:
             if field not in payload:
                 raise _Reject(400, f"insert needs '{field}'")
         interval = Interval(
-            int(payload["id"]), int(payload["start"]), int(payload["end"])
+            _int_field(payload["id"], "id"),
+            _int_field(payload["start"], "start"),
+            _int_field(payload["end"], "end"),
         )
         self._admit()
         try:
@@ -1222,7 +1222,7 @@ class QueryServer:
     async def _handle_delete(self, payload: Dict[str, object]):
         if "id" not in payload:
             raise _Reject(400, "delete needs 'id'")
-        interval_id = int(payload["id"])
+        interval_id = _int_field(payload["id"], "id")
         self._admit()
         try:
             async with self._update_lock:
@@ -1301,14 +1301,20 @@ class QueryServer:
             async with self._update_lock:
                 if resync_id is not None:
                     result = await self._loop.run_in_executor(
-                        None, manager.resync, int(resync_id)
+                        None, manager.resync, _int_field(resync_id, "subscription_id")
                     )
                 else:
                     query, _ = self._parse_query(payload)
                     relation, _ = self._parse_refinement(payload)
-                    min_duration = int(payload.get("min_duration", 0))
+                    min_duration = _int_field(
+                        payload.get("min_duration", 0), "min_duration"
+                    )
                     raw_max = payload.get("max_duration")
-                    max_duration = int(raw_max) if raw_max is not None else None
+                    max_duration = (
+                        _int_field(raw_max, "max_duration")
+                        if raw_max is not None
+                        else None
+                    )
                     filter_spec = payload.get("filter")
                     if isinstance(filter_spec, str):
                         # query-string transport: the spec arrives JSON-encoded
@@ -1352,7 +1358,7 @@ class QueryServer:
     async def _handle_unsubscribe(self, payload: Dict[str, object]):
         if "subscription_id" not in payload:
             raise _Reject(400, "unsubscribe needs 'subscription_id'")
-        subscription_id = int(payload["subscription_id"])
+        subscription_id = _int_field(payload["subscription_id"], "subscription_id")
         removed = self._stream.unsubscribe(subscription_id) if self._stream else False
         waiter = self._stream_waiters.pop(subscription_id, None)
         if waiter is not None:
@@ -1364,11 +1370,14 @@ class QueryServer:
     async def _handle_poll(self, payload: Dict[str, object]):
         if "subscription_id" not in payload:
             raise _Reject(400, "poll-deltas needs 'subscription_id'")
-        subscription_id = int(payload["subscription_id"])
-        after = int(payload.get("after", -1))
-        timeout = min(
-            float(payload.get("timeout", self._poll_timeout)), self._poll_timeout
-        )
+        subscription_id = _int_field(payload["subscription_id"], "subscription_id")
+        after = _int_field(payload.get("after", -1), "after")
+        try:
+            timeout = min(
+                float(payload.get("timeout", self._poll_timeout)), self._poll_timeout
+            )
+        except (TypeError, ValueError) as exc:
+            raise _Reject(400, f"'timeout' must be a number: {exc}") from None
         if self._stream is None:
             self._m_errors.inc()
             return 404, _encode(
@@ -1576,6 +1585,36 @@ def _merge_query_string(payload: Dict[str, object], target: str) -> None:
     """Fill ``payload`` from the target's query string (body fields win)."""
     for key, values in parse_qs(urlsplit(target).query).items():
         payload.setdefault(key, values[0])
+
+
+def _int_field(value: object, name: str) -> int:
+    """Request field ``name``'s ``value`` as an int, or a 400 naming it.
+
+    Accepts what ``int()`` does (JSON numbers, query-string digits); a value
+    it refuses -- ``"abc"``, ``null``, a list -- is the client's error, not
+    a 500 carrying the interpreter's exception text.
+    """
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise _Reject(
+            400, f"'{name}' must be an integer, got {value!r:.40}"
+        ) from None
+
+
+def _query_pairs(raw: object) -> List[Query]:
+    """The ``queries`` field -- a non-empty list of ``[start, end]`` pairs --
+    as queries, or a 400."""
+    if not isinstance(raw, list) or not raw:
+        raise _Reject(400, "'queries' must be a non-empty list of [start, end] pairs")
+    queries = []
+    for pair in raw:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _Reject(400, f"'queries' holds {pair!r:.40}, not a [start, end] pair")
+        queries.append(
+            Query(_int_field(pair[0], "queries"), _int_field(pair[1], "queries"))
+        )
+    return queries
 
 
 def _truthy(value: object) -> bool:

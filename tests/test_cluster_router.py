@@ -121,6 +121,17 @@ def test_batch_fanout_matches_and_caches():
         assert second == first
         assert cluster.router.stats()["probes"] == probes_before
         assert cluster.router.stats()["cache"]["hits"] >= len(pairs)
+        # a single routed hit is answered in the front tier: no probe is
+        # issued and no shard server sees a request
+        servers = [handle.server for row in cluster.handles for handle in row]
+        for (start, end), answer in zip(pairs, first):
+            stats = cluster.router.stats()
+            requests = [server.serving_stats()["requests"] for server in servers]
+            assert cluster.router.query(start, end) == answer
+            after = cluster.router.stats()
+            assert after["probes"] == stats["probes"]
+            assert after["cache"]["hits"] == stats["cache"]["hits"] + 1
+            assert [server.serving_stats()["requests"] for server in servers] == requests
 
 
 def test_router_updates_invalidate_the_distributed_cache():
@@ -169,3 +180,22 @@ def test_no_healthy_replica_is_terminal():
         # shard 0 alone keeps serving queries that never touch shard 1
         first_cut = cluster.plan.cuts[0]
         assert cluster.router.query(lo, first_cut - 1)["count"] >= 0
+
+
+def test_admin_slow_queries_limit_must_be_an_integer():
+    import http.client
+    import json
+
+    with _Cluster(_collection(n=50), "hintm", 1) as cluster:
+        admin = cluster.router.start_admin()
+        connection = http.client.HTTPConnection(admin.host, admin.port, timeout=10)
+        connection.request("GET", "/slow-queries?limit=abc")
+        response = connection.getresponse()
+        answer = json.loads(response.read())
+        assert response.status == 400, answer
+        assert "'limit'" in answer["error"]
+        connection.request("GET", "/slow-queries?limit=2")
+        response = connection.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["slow_queries"] == []
+        connection.close()

@@ -149,24 +149,3 @@ class TestTableDrivers:
         )
         assert "EMPTY" in result
 
-    def test_process_scaling_smoke(self):
-        result = experiments.process_scaling(
-            cardinality=400, num_queries=20, backends=("naive",), repeats=1, workers=2
-        )
-        assert {r["executor"] for r in result["batch"]} == {"serial", "processes"}
-        assert all(r["throughput"] > 0 for r in result["batch"])
-        methods = {r["method"] for r in result["count"]}
-        assert methods == {"materialise+dedup", "home-shard sums"}
-
-    def test_process_scaling_degenerate_domain_skips_count_rows(self):
-        # every interval at one point: the plan degenerates to a single
-        # shard, no query spans >= 2 shards, and the count comparison must
-        # be skipped rather than crash
-        collection = IntervalCollection(
-            ids=list(range(50)), starts=[5] * 50, ends=[5] * 50
-        )
-        result = experiments.process_scaling(
-            collection, num_queries=10, backends=("naive",), repeats=1, workers=2
-        )
-        assert result["batch"]
-        assert result["count"] == []

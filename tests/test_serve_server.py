@@ -596,6 +596,24 @@ class TestRequestLimits:
         assert "/query" in ServeClient._RETRYABLE_PATHS
 
 
+#: (method, target, body, field): a request whose numeric field ``field``
+#: does not parse as an integer -- the client's error, answered 400
+_MALFORMED_NUMERIC = [
+    ("GET", "/query?start=abc&end=5", None, "start"),
+    ("POST", "/query", {"stab": [3]}, "stab"),
+    ("POST", "/batch", {"queries": [[1]]}, "queries"),
+    ("POST", "/batch", {"queries": [[1, None]]}, "queries"),
+    ("POST", "/batch", {"queries": [5]}, "queries"),
+    ("POST", "/insert", {"id": "x", "start": 1, "end": 2}, "id"),
+    ("POST", "/delete", {"id": [1]}, "id"),
+    ("POST", "/subscribe", {"start": 1, "end": 9, "min_duration": "x"}, "min_duration"),
+    ("POST", "/unsubscribe", {"subscription_id": None}, "subscription_id"),
+    ("POST", "/poll-deltas", {"subscription_id": "q"}, "subscription_id"),
+    ("POST", "/poll-deltas", {"subscription_id": 0, "after": "x"}, "after"),
+    ("GET", "/slow-queries?limit=abc", None, "limit"),
+]
+
+
 class TestHttpContract:
     def test_mutations_require_post(self, served):
         _, store, client = served
@@ -619,6 +637,52 @@ class TestHttpContract:
         after = client.stats()
         assert after["rejected"] == before["rejected"]
         assert after["errors"] == before["errors"] + 1
+
+    @pytest.mark.parametrize(
+        "shard, method, target, body, field",
+        [
+            *((shard, *case) for shard in (False, True) for case in _MALFORMED_NUMERIC),
+            (True, "POST", "/shard-batch",
+             {"queries": [[1, 5]], "kind": "count", "home_starts": ["x"]},
+             "home_starts"),
+        ],
+    )
+    def test_malformed_numeric_field_answers_400_and_keeps_alive(
+        self, shard, method, target, body, field
+    ):
+        import http.client
+        import json
+
+        from repro.cluster import start_shard_server_thread
+
+        store = IntervalStore.from_pairs([(1, 5), (3, 9)])
+        handle = (
+            start_shard_server_thread(store, shard_id=0)
+            if shard
+            else start_server_thread(store)
+        )
+        try:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=10
+            )
+            connection.request(
+                method, target, body=None if body is None else json.dumps(body)
+            )
+            response = connection.getresponse()
+            answer = json.loads(response.read())
+            assert response.status == 400, answer
+            assert f"'{field}'" in answer["error"]
+            # the connection survives the client error
+            sock = connection.sock
+            connection.request("GET", "/health")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read()) == {"status": "ok"}
+            assert connection.sock is sock
+            connection.close()
+        finally:
+            handle.stop()
+            store.close()
 
     def test_large_batch_chunks_through_max_batch(self):
         collection = _collection()

@@ -4,10 +4,10 @@ Over real JSON-over-HTTP against a served store:
 
 * a cache hit does *no* store work -- zero ``store.run_batch`` /
   ``store.query`` calls, the pre-encoded body is the answer -- and an
-  overlapping update makes the next identical request a miss again.  That is the structural
-  fact behind the cached path's throughput win; the measured ratio on a
-  skewed (Zipf-weighted) workload is still written by
-  ``benchmarks/bench_serving.py``, tier-1 no longer asserts it;
+  overlapping update makes the next identical request a miss again.  That is
+  the structural fact behind the cached path's throughput win; the win
+  itself is measured by ``e2e_bench`` (``serve.cache.hit_rate`` and
+  throughput on the ``mixed_rw`` workload), tier-1 does not assert it;
 * cached results stay oracle-correct across interleaved inserts, deletes
   and maintenance passes (range eviction on the store's update feed,
   asserted against a live-set oracle).

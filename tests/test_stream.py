@@ -197,6 +197,53 @@ class TestSubscriptionRegistry:
             want = {s.subscription_id for s in linear.affected(probe)}
             assert got == want
 
+    def test_probe_is_one_store_query_and_o_affected_refinement(self, monkeypatch):
+        # the structural fact behind indexed matching's speed-up over
+        # re-evaluating every standing query: per update, one overlap probe
+        # of the registry's own index, then Subscription.matches only for
+        # the ranges that probe returns plus the unbounded subscriptions
+        import random
+
+        from repro.engine.store import IntervalStore
+
+        rng = random.Random(29)
+        registry = SubscriptionRegistry()
+        ranges = []  # registry ids are assigned 0, 1, ... in order
+        for _ in range(2_000):
+            start = rng.randrange(0, 1_000_000)
+            ranges.append((start, start + rng.randrange(0, 2_000)))
+            registry.register(Query(*ranges[-1]))
+        unbounded = [
+            registry.register(Query(500_000, 500_100), relation="after"),
+            registry.register(Query(10, 20), relation="before"),
+        ]
+        calls = {"query": 0, "matches": 0}
+        real_query, real_matches = IntervalStore.query, Subscription.matches
+
+        def counting_query(store, *args, **kwargs):
+            calls["query"] += 1
+            return real_query(store, *args, **kwargs)
+
+        def counting_matches(subscription, interval):
+            calls["matches"] += 1
+            return real_matches(subscription, interval)
+
+        monkeypatch.setattr(IntervalStore, "query", counting_query)
+        monkeypatch.setattr(Subscription, "matches", counting_matches)
+        for _ in range(300):
+            start = rng.randrange(0, 1_000_000)
+            update = Interval(0, start, start + rng.randrange(0, 1_000))
+            overlapping = {
+                sid
+                for sid, (lo, hi) in enumerate(ranges)
+                if lo <= update.end and update.start <= hi
+            }
+            calls.update(query=0, matches=0)
+            affected = {s.subscription_id for s in registry.affected(update)}
+            assert calls["query"] == 1
+            assert calls["matches"] <= len(overlapping) + len(unbounded)
+            assert affected - {s.subscription_id for s in unbounded} == overlapping
+
     def test_unbounded_relations_always_checked(self):
         registry = SubscriptionRegistry(index_threshold=2)
         for i in range(10):  # force the index to build

@@ -610,6 +610,7 @@ _MALFORMED_NUMERIC = [
     ("POST", "/unsubscribe", {"subscription_id": None}, "subscription_id"),
     ("POST", "/poll-deltas", {"subscription_id": "q"}, "subscription_id"),
     ("POST", "/poll-deltas", {"subscription_id": 0, "after": "x"}, "after"),
+    ("POST", "/poll-deltas", {"subscription_id": 0, "timeout": "x"}, "timeout"),
     ("GET", "/slow-queries?limit=abc", None, "limit"),
 ]
 

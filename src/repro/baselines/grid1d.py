@@ -101,7 +101,16 @@ class Grid1D(IntervalIndex):
         self._replicas += last - first + 1
 
     def delete(self, interval_id: int) -> bool:
-        return self._spans.remove(interval_id) is not None
+        """Delete ``interval_id``: its entries leave every cell it was placed
+        in, so re-inserting the id later cannot resurrect them."""
+        victim = self._spans.remove(interval_id)
+        if victim is None:
+            return False
+        entry = (victim.start, victim.end, victim.id)
+        for cell in range(self._cell_of(victim.start), self._cell_of(victim.end) + 1):
+            self._cells[cell].remove(entry)
+            self._replicas -= 1
+        return True
 
     # ------------------------------------------------------------------ #
     # queries

@@ -149,18 +149,32 @@ class PeriodIndex(IntervalIndex):
         self._spans.add(interval)
 
     def _place(self, interval: Interval) -> None:
+        entry = (interval.start, interval.end, interval.id)
+        for division in self._divisions(interval):
+            division.append(entry)
+            self._replicas += 1
+
+    def _divisions(self, interval: Interval):
+        """The division lists ``interval`` is placed in."""
         first = self._coarse_of(interval.start)
         last = self._coarse_of(interval.end)
-        entry = (interval.start, interval.end, interval.id)
         for coarse in range(first, last + 1):
             partition = self._partitions[coarse]
             level = partition.level_for_duration(interval.duration)
             for division in partition.divisions_for(level, interval.start, interval.end):
-                partition.levels[level][division].append(entry)
-                self._replicas += 1
+                yield partition.levels[level][division]
 
     def delete(self, interval_id: int) -> bool:
-        return self._spans.remove(interval_id) is not None
+        """Delete ``interval_id``: its entries leave every division it was
+        placed in, so re-inserting the id later cannot resurrect them."""
+        victim = self._spans.remove(interval_id)
+        if victim is None:
+            return False
+        entry = (victim.start, victim.end, victim.id)
+        for division in self._divisions(victim):
+            division.remove(entry)
+            self._replicas -= 1
+        return True
 
     # ------------------------------------------------------------------ #
     # queries

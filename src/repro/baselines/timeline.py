@@ -23,7 +23,7 @@ sorted -- all carry over to this implementation.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import List
 
 from repro.core.base import IntervalIndex, QueryStats
@@ -185,7 +185,16 @@ class TimelineIndex(IntervalIndex):
         self._checkpoints_dirty = True
 
     def delete(self, interval_id: int) -> bool:
-        return self._spans.remove(interval_id) is not None
+        """Delete ``interval_id``: its two events leave the event list, so
+        re-inserting the id later cannot resurrect them.  The checkpoints
+        are rebuilt lazily, as after an insert."""
+        victim = self._spans.remove(interval_id)
+        if victim is None:
+            return False
+        for event in ((victim.start, 0, victim.id), (victim.end, 1, victim.id)):
+            del self._events[bisect_left(self._events, event)]
+        self._checkpoints_dirty = True
+        return True
 
     # ------------------------------------------------------------------ #
     def memory_bytes(self, _memo: "set | None" = None) -> int:

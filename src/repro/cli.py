@@ -567,7 +567,7 @@ def _command_batch(args: argparse.Namespace) -> int:
             print(count)
     else:
         for ids in batch.ids or []:
-            print(" ".join(str(interval_id) for interval_id in sorted(ids)))
+            print(" ".join(str(interval_id) for interval_id in sorted(ids.tolist())))
     print(
         f"# index={_describe_store(store)} answered {len(batch)} queries in "
         f"{batch.seconds:.3f}s ({batch.queries_per_second:,.0f} q/s, "

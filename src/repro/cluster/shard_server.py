@@ -274,7 +274,7 @@ class ShardServer(QueryServer):
         generation = int(self._store.result_generation())
         if kind == "ids":
             result = self._store.run_batch(queries, count_only=False)
-            return generation, [list(map(int, ids)) for ids in result.ids]
+            return generation, [ids.tolist() for ids in result.ids]
         if kind == "exists":
             return generation, [bool(flag) for flag in self._store.exists_batch(queries)]
         # counts with home-start dedup.  A query spanning shards f..l counts

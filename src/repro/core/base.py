@@ -10,8 +10,8 @@ them interchangeably:
   aggregate forms of the range query; the defaults materialise the id list,
   backends with cheaper paths (counting partition runs, vectorised masks)
   override them so ``store.query(...).count()`` never builds a result list,
-* :meth:`IntervalIndex.query_batch` -- answer many queries in one call (the
-  entry point the benchmark harness drives),
+* :meth:`IntervalIndex.query_batch` -- answer many queries in one call, one
+  int64 id array per query (the entry point the benchmark harness drives),
 * :meth:`IntervalIndex.insert` / :meth:`IntervalIndex.delete` -- updates,
 * :meth:`IntervalIndex.live_collection` -- the live rows, columnar (read from
   the index's one id -> span table, :mod:`repro.core.spans`),
@@ -201,14 +201,16 @@ class IntervalIndex(abc.ABC):
         """Per-query existence probes for a whole workload, in order."""
         return [self.query_exists(query) for query in queries]
 
-    def query_batch(self, queries: Sequence[Query]) -> List[List[int]]:
+    def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         """Answer many range queries in one call.
 
-        The default evaluates them one by one; backends may override with a
+        Returns one int64 id array per query, positionally aligned with
+        ``queries``; every array owns its memory, so keeping one answer
+        never pins another's, or the index's columns.  The default
+        evaluates the queries one by one; backends may override with a
         genuinely batched evaluation (shared traversals, vectorisation).
-        Results are positionally aligned with ``queries``.
         """
-        return [self.query(query) for query in queries]
+        return [np.array(self.query(query), dtype=np.int64) for query in queries]
 
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
         """Instrumented :meth:`query`.

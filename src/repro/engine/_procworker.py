@@ -178,10 +178,9 @@ def run_kernel_task(task: Tuple) -> Tuple:
     trace_ctx = task[5] if len(task) > 5 else None
     started = time.perf_counter()
     index = _residency_for(spec).shard_index(shard_id)
-    answers = [
-        np.asarray(index.query(Query(int(start), int(end))), dtype=np.int64)
-        for start, end in zip(query_starts, query_ends)
-    ]
+    answers = index.query_batch(
+        [Query(int(start), int(end)) for start, end in zip(query_starts, query_ends)]
+    )
     if trace_ctx is None:
         return shard_id, positions, answers
     trace_id, parent_id = trace_ctx

@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.base import IntervalIndex
 from repro.core.interval import Query
 from repro.engine.executor import Executor, split_chunks
@@ -38,14 +40,15 @@ class BatchResult:
 
     Attributes:
         queries: the executed workload, in order.
-        ids: per-query result id lists (positionally aligned with
-            ``queries``); ``None`` when the batch ran in count-only mode.
+        ids: per-query result ids, one int64 array each that owns its
+            memory (positionally aligned with ``queries``); ``None`` when
+            the batch ran in count-only mode.
         counts: per-query result counts.
         seconds: wall-clock time spent answering the batch.
     """
 
     queries: List[Query]
-    ids: Optional[List[List[int]]]
+    ids: Optional[List[np.ndarray]]
     counts: List[int]
     seconds: float
 
@@ -64,8 +67,8 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.queries)
 
-    def __iter__(self) -> Iterator[List[int]]:
-        """Iterate per-query id lists (materialising mode only)."""
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """Iterate per-query id arrays (materialising mode only)."""
         if self.ids is None:
             raise ValueError("batch ran in count-only mode; iterate .counts instead")
         return iter(self.ids)
@@ -80,7 +83,7 @@ def execute_batch(
     """Answer ``queries`` against ``index`` in one batched call.
 
     With ``count_only`` the per-query ``query_count`` fast path runs instead
-    and no id lists are materialised.  A parallel ``executor`` splits the
+    and no ids are materialised.  A parallel ``executor`` splits the
     workload into per-worker chunks and evaluates them concurrently; results
     stay positionally aligned with ``queries``.
     """
@@ -88,7 +91,7 @@ def execute_batch(
     parallel = executor is not None and executor.workers > 1 and len(workload) > 1
     start = time.perf_counter()
     if count_only:
-        ids: Optional[List[List[int]]] = None
+        ids: Optional[List[np.ndarray]] = None
         if parallel:
             chunks = split_chunks(workload, executor.workers)
             counted = executor.map(functools.partial(_count_chunk, index), chunks)

@@ -138,6 +138,29 @@ _FANOUT_TRIPS = global_registry().counter(
 _FAILURE_HISTORY = 64
 
 
+def _route(epoch: "Epoch", workload: Sequence[Query]) -> Dict[int, List[int]]:
+    """Batch positions of the queries each shard of ``epoch`` overlaps."""
+    per_shard: Dict[int, List[int]] = {}
+    for position, query in enumerate(workload):
+        first, last = epoch.plan.shard_range(query.start, query.end)
+        for shard in range(first, last + 1):
+            per_shard.setdefault(shard, []).append(position)
+    return per_shard
+
+
+def _merge_shard_answers(parts: List[Tuple[int, np.ndarray]]) -> np.ndarray:
+    """One query's answer from its ``(shard, ids)`` parts: shard-ordered
+    first-seen dedup, matching ``merge_unique_ids`` on the lone paths
+    (parts arrive out of shard order when a failed kernel task degraded to
+    the in-process fallback)."""
+    if len(parts) == 1:
+        return parts[0][1]
+    parts.sort(key=lambda part: part[0])
+    merged = np.concatenate([ids for _, ids in parts])
+    _, first_seen = np.unique(merged, return_index=True)
+    return merged[np.sort(first_seen)]
+
+
 def _query_bounds(workload: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
     """A batch's ``(starts, ends)`` as ``int64`` columns."""
     total = len(workload)
@@ -745,7 +768,7 @@ class ShardedIndex(IntervalIndex):
             and self._shared is not None
         )
 
-    def query_batch(self, queries: Sequence[Query]) -> List[List[int]]:
+    def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         workload = list(queries)
         self._touch(len(workload))
         epoch = self._epoch
@@ -754,7 +777,17 @@ class ShardedIndex(IntervalIndex):
         # a process executor that cannot use the worker-resident path runs
         # in-process -- shipping the whole index to the pool per chunk would
         # cost more than it buys
-        return [self._query_epoch(epoch, query) for query in workload]
+        return self._query_batch_local(epoch, workload)
+
+    def _query_batch_local(self, epoch: Epoch, workload: List[Query]) -> List[np.ndarray]:
+        """In-process batch: each shard answers the queries it overlaps with
+        one call of its own batched hook."""
+        per_query: List[List[Tuple[int, np.ndarray]]] = [[] for _ in workload]
+        for shard, positions in sorted(_route(epoch, workload).items()):
+            answers = self._shard(epoch, shard).query_batch([workload[p] for p in positions])
+            for position, ids in zip(positions, answers):
+                per_query[position].append((shard, ids))
+        return [_merge_shard_answers(parts) for parts in per_query]
 
     # ------------------------------------------------------------------ #
     # process fan-out: worker-resident shards, compact id-array transport
@@ -881,28 +914,19 @@ class ShardedIndex(IntervalIndex):
 
     def _query_batch_processes(
         self, epoch: Epoch, workload: List[Query]
-    ) -> List[List[int]]:
+    ) -> List[np.ndarray]:
         """Fan a materialising batch out as worker-resident kernel tasks.
 
         Queries are grouped by the shard they overlap; each task ships only
         ``(spec, shard_id, positions, starts, ends)`` and returns compact
-        id arrays.  Multi-shard answers are
-        merged with one ``np.concatenate`` + first-occurrence
-        ``np.unique`` per query, in shard order -- the same first-seen
-        dedup order ``merge_unique_ids`` gives the serial paths, so a
-        query answers with identically ordered ids whether it ran through
-        a kernel batch, ``query()``, or the in-process fallback -- and
-        converted to Python ints once at the edge.  Tasks that exhaust
-        every worker path (see :meth:`_dispatch_kernel_tasks`) fall back
-        per (query, shard) to the epoch's in-process shard indexes: the
-        batch still answers, degraded only where the pool failed.
+        id arrays, merged per query by :func:`_merge_shard_answers`.  Tasks
+        that exhaust every worker path (see :meth:`_dispatch_kernel_tasks`)
+        fall back per (query, shard) to the epoch's in-process shard
+        indexes: the batch still answers, degraded only where the pool
+        failed.
         """
         starts, ends = _query_bounds(workload)
-        per_shard: Dict[int, List[int]] = {}
-        for position, query in enumerate(workload):
-            first, last = epoch.plan.shard_range(query.start, query.end)
-            for shard in range(first, last + 1):
-                per_shard.setdefault(shard, []).append(position)
+        per_shard = _route(epoch, workload)
         spec = self._residency_spec(epoch)
         # split each shard's slice so there is work for every pool worker
         # even when K < workers -- a batch confined to one shard still fans
@@ -920,7 +944,7 @@ class ShardedIndex(IntervalIndex):
             # holding *several* queries (a batch confined to one shard) was
             # already split above, and a surviving lone task still runs in a
             # worker -- ProcessExecutor.submit never inlines pooled work
-            return [self._query_epoch(epoch, query) for query in workload]
+            return self._query_batch_local(epoch, workload)
         mapped, failed = self._dispatch_kernel_tasks(tasks)
         per_query: List[List[Tuple[int, np.ndarray]]] = [[] for _ in workload]
         for result in mapped:
@@ -938,19 +962,7 @@ class ShardedIndex(IntervalIndex):
                 per_query[int(position)].append(
                     (shard, np.asarray(ids, dtype=np.int64))
                 )
-        results: List[List[int]] = []
-        for parts in per_query:
-            if len(parts) == 1:
-                results.append(parts[0][1].tolist())
-            else:
-                # shard-ordered first-seen dedup, matching merge_unique_ids
-                # on the serial paths (parts arrive out of shard order when
-                # a failed task degraded to the in-process fallback)
-                parts.sort(key=lambda part: part[0])
-                merged = np.concatenate([ids for _, ids in parts])
-                _, first_seen = np.unique(merged, return_index=True)
-                results.append(merged[np.sort(first_seen)].tolist())
-        return results
+        return [_merge_shard_answers(parts) for parts in per_query]
 
     def worker_residencies(self) -> Dict[int, Tuple[str, ...]]:
         """Best-effort per-worker map of resident snapshot tokens, by pid.

@@ -143,8 +143,20 @@ class ComparisonFreeHINT(IntervalIndex):
         self._dirs_dirty = True
 
     def delete(self, interval_id: int) -> bool:
-        """Logically delete ``interval_id`` using a tombstone (Section 3.4)."""
-        return self._spans.remove(interval_id) is not None
+        """Delete ``interval_id``: it leaves every partition it was assigned
+        to, so re-inserting the id later cannot resurrect it."""
+        victim = self._spans.remove(interval_id)
+        if victim is None:
+            return False
+        for assignment in partition_assignments(self._m, victim.start, victim.end):
+            target = self._originals if assignment.is_original else self._replicas_parts
+            members = target[assignment.level][assignment.offset]
+            members.remove(interval_id)
+            if not members:
+                del target[assignment.level][assignment.offset]
+                self._dirs_dirty = True
+            self._replicas -= 1
+        return True
 
     def _refresh_directories(self) -> None:
         """Rebuild the per-level sorted directories of non-empty partitions."""

@@ -169,17 +169,34 @@ class HINTm(IntervalIndex):
         self._spans.add(interval)
 
     def _place(self, interval: Interval) -> None:
-        mapped_start = self._domain.map_value(interval.start)
-        mapped_end = self._domain.map_value(interval.end)
         entry: _Entry = (interval.start, interval.end, interval.id)
-        for assignment in partition_assignments(self._m, mapped_start, mapped_end):
-            target = self._originals if assignment.is_original else self._replicas
-            target[assignment.level].setdefault(assignment.offset, []).append(entry)
+        for level, offset, target in self._assignments_of(interval):
+            target[level].setdefault(offset, []).append(entry)
             self._assignments += 1
 
+    def _assignments_of(self, interval: Interval):
+        """``(level, offset, originals or replicas)`` of each partition
+        Algorithm 1 assigns ``interval`` to."""
+        mapped_start = self._domain.map_value(interval.start)
+        mapped_end = self._domain.map_value(interval.end)
+        for assignment in partition_assignments(self._m, mapped_start, mapped_end):
+            target = self._originals if assignment.is_original else self._replicas
+            yield assignment.level, assignment.offset, target
+
     def delete(self, interval_id: int) -> bool:
-        """Logically delete ``interval_id`` with a tombstone (Section 3.4)."""
-        return self._spans.remove(interval_id) is not None
+        """Delete ``interval_id``: its entries leave every partition it was
+        assigned to, so re-inserting the id later cannot resurrect them."""
+        victim = self._spans.remove(interval_id)
+        if victim is None:
+            return False
+        entry: _Entry = (victim.start, victim.end, victim.id)
+        for level, offset, target in self._assignments_of(victim):
+            entries = target[level][offset]
+            entries.remove(entry)
+            if not entries:
+                del target[level][offset]
+            self._assignments -= 1
+        return True
 
     # ------------------------------------------------------------------ #
     # queries

@@ -30,6 +30,7 @@ supported through tombstones.
 
 from __future__ import annotations
 
+import math
 import sys
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,7 +43,6 @@ from repro.core.errors import DomainError
 from repro.core.interval import IntervalCollection, Query
 from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
-from repro.hint.partitioning import relevant_offsets
 
 __all__ = ["OptimizedHINTm"]
 
@@ -54,13 +54,12 @@ class _ClassTable:
     directory entry -- sorted, hence by level and then by offset -- and its
     members occupy rows ``indptr[i] .. indptr[i+1]`` of the columns.  The
     columns are views of the index's shared ones (:attr:`row_base` is where
-    this class starts in them).  The directory and, for the columnar layout,
-    the columns are also cached as plain Python lists: the per-query lookups
-    are scalar binary searches, considerably faster through :mod:`bisect`
-    than through ``np.searchsorted``, and short segments are cheaper to scan
-    in Python than through NumPy slicing.  ``level_bounds[level]`` is where
-    a level's entries start in the directory, so the scalar searches stay
-    confined to one level.
+    this class starts in them).  The directory alone is also cached as plain
+    Python lists -- one entry per non-empty partition, not per row: the lone
+    query's lookups are scalar binary searches, considerably faster through
+    :mod:`bisect` than through ``np.searchsorted``.  ``level_bounds[level]``
+    is where a level's entries start in the directory, so the scalar
+    searches stay confined to one level.
     """
 
     __slots__ = (
@@ -74,9 +73,6 @@ class _ClassTable:
         "level_bounds",
         "keys_list",
         "indptr_list",
-        "ids_list",
-        "starts_list",
-        "ends_list",
     )
 
     def __init__(
@@ -88,7 +84,7 @@ class _ClassTable:
         ids: np.ndarray,
         starts: Optional[np.ndarray],
         ends: Optional[np.ndarray],
-        ids_list: Optional[List[int]],
+        rowwise: bool,
     ) -> None:
         self.keys = keys
         self.indptr = indptr
@@ -104,13 +100,7 @@ class _ClassTable:
         #: interleaved (id, start?, end?) tuples -- what the row-by-row scan
         #: reads when the columnar optimization is disabled
         self.records: Optional[List[Tuple[int, ...]]] = None
-        self.ids_list = ids_list
-        self.starts_list: Optional[List[int]] = None
-        self.ends_list: Optional[List[int]] = None
-        if ids_list is not None:
-            self.starts_list = starts.tolist() if starts is not None else None
-            self.ends_list = ends.tolist() if ends is not None else None
-        else:
+        if rowwise:
             kept = [column for column in (ids, starts, ends) if column is not None]
             self.records = list(zip(*(column.tolist() for column in kept)))
 
@@ -120,21 +110,15 @@ class _ClassTable:
         return self.indptr_list[hi] - self.indptr_list[lo]
 
     def memory_bytes(self) -> int:
-        """Directory, and what the layout keeps beside the shared columns:
-        the list mirrors (columnar; the ints of ``ids_list`` belong to the
-        index's ``_id_objects``) or the interleaved records."""
+        """Directory and its list mirrors, plus the interleaved records of the
+        row-wise layout (the columns are the index's, counted there)."""
         total = self.keys.nbytes + self.indptr.nbytes
-        mirrors = [self.keys_list, self.indptr_list]
-        if self.records is None:
-            total += sys.getsizeof(self.ids_list)
-            mirrors += [self.starts_list, self.ends_list]
-        else:
+        for mirror in (self.keys_list, self.indptr_list):
+            total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
+        if self.records is not None:
             width = len(self.records[0]) if self.records else 0
             total += sys.getsizeof(self.records)
             total += len(self.records) * (_TUPLE_BYTES + width * (8 + _INT_BYTES))
-        for mirror in mirrors:
-            if mirror is not None:
-                total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
         return total
 
 
@@ -143,39 +127,55 @@ class _ClassTable:
 _INT_BYTES = 32
 _TUPLE_BYTES = 40
 
-#: segments at most this long are scanned in pure Python instead of NumPy;
-#: the crossover was measured on CPython 3.11 (see bench_ablation_vectorization)
-_SMALL_SEGMENT = 96
-
 #: batches at least this long go through the vectorised traversal, shorter
-#: ones through the per-query loop.  The traversal costs ~300 us per call plus
-#: ~20 us per query where the loop costs ~95 us per query (400k TAXIS-shaped
-#: intervals at m = 16, and the batch-size sweep of the same benchmark): they
-#: cross between 4 and 5
-_BATCH_CROSSOVER = 6
+#: ones through the per-query loop.  The traversal costs ~200 us per call plus
+#: ~15 us per query where the loop costs ~45-65 us per query (the batch-size
+#: sweep of bench_ablation_vectorization: 10k synthetic intervals at m = 12,
+#: CPython 3.11 on a 2-core Xeon VM): loop / kernel is 0.97 at 6 queries and
+#: 1.25 at 7
+_BATCH_CROSSOVER = 7
 
 
 def _record_matches(
-    record: Tuple[int, ...],
-    has_start: bool,
-    test_start: bool,
-    test_end: bool,
-    q_start: int,
-    q_end: int,
+    record: Tuple[int, ...], test_start: bool, test_end: bool, q_start, q_end
 ) -> bool:
     """Predicate for one interleaved ``(id, start?, end?)`` record.
 
-    The single encoding of the ``columnar=False`` record layout: the start
-    (when kept) is column 1 and the end is column 2, or column 1 when no
-    start is kept (``r_in``).
+    The single encoding of the ``columnar=False`` record layout: a start is
+    tested only in the classes that keep one, where it is column 1, and an
+    end only in those that keep one, where it is the last column.
     """
     if test_start and record[1] > q_end:
         return False
+    return not (test_end and record[-1] < q_start)
+
+
+def _column_mask(
+    table: _ClassTable, lo: int, hi: int, test_start: bool, test_end: bool, q_start, q_end
+) -> np.ndarray:
+    """Which of rows ``lo:hi`` of ``table`` pass the requested predicates."""
+    if not test_start:
+        return table.ends[lo:hi] >= q_start
+    mask = table.starts[lo:hi] <= q_end
     if test_end:
-        end_value = record[2] if has_start and len(record) > 2 else record[-1]
-        if end_value < q_start:
-            return False
-    return True
+        mask &= table.ends[lo:hi] >= q_start
+    return mask
+
+
+def _exact_bounds(query: Query) -> Tuple[object, object]:
+    """``(q_start, q_end)`` as bounds an int64 column compares exactly.
+
+    NumPy compares an int64 column with a float in float64, which rounds
+    past 2^53; for integer endpoints ``end >= q.start`` iff ``end >=
+    ceil(q.start)`` and ``start <= q.end`` iff ``start <= floor(q.end)``,
+    and Python ints of any size compare exactly.
+    """
+    q_start, q_end = query.start, query.end
+    if isinstance(q_start, float) and math.isfinite(q_start):
+        q_start = math.ceil(q_start)
+    if isinstance(q_end, float) and math.isfinite(q_end):
+        q_end = math.floor(q_end)
+    return q_start, q_end
 
 
 def _expand(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -329,9 +329,6 @@ class OptimizedHINTm(IntervalIndex):
         sizes = [len(order) for order in orders]
         bases = np.concatenate(([0], np.cumsum(sizes))).tolist()
         self._ids = collection.ids[np.concatenate(orders)]
-        #: the id column as Python ints, made once: the tables' list mirrors
-        #: and every batch result hold these objects, not copies of them
-        self._id_objects = self._ids.astype(object) if self._columnar else None
         self._starts = starts[np.concatenate(orders[0:2])]
         self._ends = ends[np.concatenate(orders[1:3])]
         #: row of ``_ends`` = row of ``_ids`` minus this (``o_aft`` keeps no end)
@@ -346,7 +343,7 @@ class OptimizedHINTm(IntervalIndex):
                 self._ids[lo:hi],
                 self._starts[lo:hi] if keep_starts else None,
                 self._ends[lo - self._ends_base : hi - self._ends_base] if keep_ends else None,
-                self._id_objects[lo:hi].tolist() if self._columnar else None,
+                rowwise=not self._columnar,
             )
 
     # ------------------------------------------------------------------ #
@@ -406,316 +403,176 @@ class OptimizedHINTm(IntervalIndex):
         return self._spans.remove(interval_id) is not None
 
     # ------------------------------------------------------------------ #
-    # queries
+    # queries: one scalar traversal, then whole-segment reads
     # ------------------------------------------------------------------ #
     def query(self, query: Query) -> List[int]:
-        results, _ = self.query_with_stats(query)
-        return results
+        return self._answer(query).tolist()
 
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
         stats = QueryStats()
-        chunks: List[np.ndarray] = []
-        plain: List[int] = []
-        # distinct partitions (by heap number) for which endpoint comparisons
-        # were performed; this is the quantity Lemma 4 bounds by four in
-        # expectation
-        compared: set[int] = set()
-        for table, row_lo, row_hi, test_start, test_end, key in self._iter_segments(query):
-            self._emit_segment(
-                table,
-                row_lo,
-                row_hi,
-                query,
-                test_start,
-                test_end,
-                chunks,
-                plain,
-                stats,
-                compared,
-                key,
-            )
-        results = self._merge_results(chunks, plain)
-        stats.partitions_compared = len(compared)
+        results = self._answer(query, stats).tolist()
         stats.results = len(results)
         return results, stats
 
-    # -- aggregate fast path ------------------------------------------------ #
     def query_count(self, query: Query) -> int:
-        """Count results without materialising an id list (Section 4.2/4.3
-        traversal, aggregation-only).
+        """Count results without gathering an id (Section 4.2/4.3 traversal,
+        aggregation-only).
 
         Comparison-free runs contribute their length in O(1); boundary
-        partitions contribute a vectorised predicate count.  No intermediate
-        list of ids is built anywhere on this path.  Tombstoned indexes fall
-        back to the materialising path, which is the only way to subtract
-        deleted ids exactly.
+        partitions contribute a predicate count.  Tombstoned indexes gather
+        the ids, the only way to subtract deleted ones exactly.
         """
         if self._spans.removed:
-            return len(self.query(query))
-        total = 0
-        q_start = query.start
-        q_end = query.end
-        for table, row_lo, row_hi, test_start, test_end, _key in self._iter_segments(query):
-            if not (test_start or test_end):
-                total += row_hi - row_lo
-                continue
-            if self._columnar:
-                if test_start and test_end:
-                    mask = (table.starts[row_lo:row_hi] <= q_end) & (
-                        table.ends[row_lo:row_hi] >= q_start
-                    )
-                elif test_start:
-                    mask = table.starts[row_lo:row_hi] <= q_end
-                else:
-                    mask = table.ends[row_lo:row_hi] >= q_start
-                total += int(np.count_nonzero(mask))
-                continue
-            records = table.records
-            has_start = table.starts is not None
-            for row in range(row_lo, row_hi):
-                if _record_matches(
-                    records[row], has_start, test_start, test_end, q_start, q_end
-                ):
-                    total += 1
-        return total
+            return len(self._answer(query))
+        return self._tally(query, stop_at_first=False)
 
     def query_exists(self, query: Query) -> bool:
-        """True iff any interval overlaps ``query``, stopping at the first hit.
-
-        Any non-empty comparison-free run proves existence immediately; only
-        boundary partitions need a predicate, and the scan stops at the first
-        segment with a match.
-        """
+        """True iff any interval overlaps ``query``: any non-empty
+        comparison-free run proves it, and the scan stops at the first
+        segment with a match."""
         if self._spans.removed:
-            return self.query_count(query) > 0
-        q_start = query.start
-        q_end = query.end
-        for table, row_lo, row_hi, test_start, test_end, _key in self._iter_segments(query):
-            if row_hi <= row_lo:
-                continue
-            if not (test_start or test_end):
-                return True
-            if self._columnar:
-                if test_start and test_end:
-                    mask = (table.starts[row_lo:row_hi] <= q_end) & (
-                        table.ends[row_lo:row_hi] >= q_start
-                    )
-                elif test_start:
-                    mask = table.starts[row_lo:row_hi] <= q_end
-                else:
-                    mask = table.ends[row_lo:row_hi] >= q_start
-                if mask.any():
-                    return True
-                continue
-            records = table.records
-            has_start = table.starts is not None
-            for row in range(row_lo, row_hi):
-                if _record_matches(
-                    records[row], has_start, test_start, test_end, q_start, q_end
-                ):
-                    return True
-        return False
+            return len(self._answer(query)) > 0
+        return self._tally(query, stop_at_first=True) > 0
 
-    def _iter_segments(self, query: Query):
-        """Yield ``(table, row_lo, row_hi, test_start, test_end, key)`` for
-        every merged-table run the query touches (rows local to the table).
+    def _segments(self, query: Query) -> List[tuple]:
+        """``(table, row_lo, row_hi, test_start, test_end, key)`` for every
+        merged-table run the query touches (rows local to the table; a
+        dense directory also yields empty runs).
 
         This is the scalar encoding of the Section 4.2/4.3 traversal: which
         partitions are relevant per level, how boundary partitions split off
         from the comparison-free middle run, and how the Lemma 2 flags lower
         the predicates level by level (:meth:`_batch_segments` is the same
-        traversal for a whole batch).  :meth:`query_with_stats` feeds the
-        runs to :meth:`_emit_segment`; :meth:`query_count` only aggregates
-        them.  ``key`` is the heap number of a boundary partition (``None``
-        for comparison-free runs), used for the Lemma 4 counter.
+        traversal for a whole batch).  ``key`` is the heap number of a
+        boundary partition (``None`` for comparison-free runs), used for the
+        Lemma 4 counter.
         """
+        m = self._m
         mq_start = self._domain.map_value(query.start)
         mq_end = self._domain.map_value(query.end)
         tables = self._tables
         o_in, o_aft, r_in, r_aft = tables["o_in"], tables["o_aft"], tables["r_in"], tables["r_aft"]
-        comp_first = True
-        comp_last = True
-        for level in range(self._m, -1, -1):
+        segments: List[tuple] = []
+        add = segments.append
+        comp_first = comp_last = True
+        for level in range(m, -1, -1):
             # heap numbers of the first and last relevant partitions
-            first, last = relevant_offsets(self._m, level, mq_start, mq_end)
-            first += 1 << level
-            last += 1 << level
-            yield from self._original_segments(o_in, level, first, last, comp_first, comp_last)
-            # O_aft of the first partition never needs the end-side test
-            yield from self._original_segments(o_aft, level, first, last, False, comp_last)
-            # replicas: only the first relevant partition
-            yield from self._replica_segment(r_in, level, first, comp_first)
-            yield from self._replica_segment(r_aft, level, first, False)
-            comp_first, comp_last = self._lower_flags(
-                level, first, last, mq_start, mq_end, comp_first, comp_last
-            )
-
-    def _original_segments(
-        self,
-        table: _ClassTable,
-        level: int,
-        first: int,
-        last: int,
-        test_end_first: bool,
-        test_start_last: bool,
-    ):
-        """Runs of one originals class over partitions ``first..last`` (heap
-        numbers of one level).
-
-        ``test_end_first``: the first partition needs the ``end >= q.st``
-        predicate.  ``test_start_last``: the last partition needs
-        ``start <= q.end``.  Partitions strictly between the boundaries form
-        one contiguous comparison-free run of the merged table (the Section
-        4.2/4.3 fast path).
-        """
-        level_lo, level_hi = table.level_bounds[level], table.level_bounds[level + 1]
-        if level_lo == level_hi:
-            return
-        keys = table.keys_list
-        lo = bisect_left(keys, first, level_lo, level_hi)
-        hi = bisect_right(keys, last, lo, level_hi)
-        if lo >= hi:
-            return
-        indptr = table.indptr_list
-        if first == last:
-            yield table, indptr[lo], indptr[lo + 1], test_start_last, test_end_first, first
-            return
-        start_run = lo
-        end_run = hi
-        if keys[lo] == first:
-            yield table, indptr[lo], indptr[lo + 1], False, test_end_first, first
-            start_run = lo + 1
-        if keys[hi - 1] == last:
-            yield table, indptr[hi - 1], indptr[hi], test_start_last, False, last
-            end_run = hi - 1
-        if start_run < end_run:
-            yield table, indptr[start_run], indptr[end_run], False, False, None
-
-    def _replica_segment(self, table: _ClassTable, level: int, first: int, test_end: bool):
-        """The replica run of the first relevant partition of one class."""
-        level_lo, level_hi = table.level_bounds[level], table.level_bounds[level + 1]
-        if level_lo == level_hi:
-            return
-        keys = table.keys_list
-        position = bisect_left(keys, first, level_lo, level_hi)
-        if position >= level_hi or keys[position] != first:
-            return
-        indptr = table.indptr_list
-        yield table, indptr[position], indptr[position + 1], False, test_end, first
-
-    # -- result assembly --------------------------------------------------- #
-    def _merge_results(self, chunks: List[np.ndarray], plain: List[int]) -> List[int]:
-        tombstones = self._spans.removed
-        if chunks:
-            merged = np.concatenate(chunks)
-            if tombstones:
-                merged = merged[~np.isin(merged, self._spans.removed_array())]
-            results = merged.tolist()
-        else:
-            results = []
-        if plain:
-            if tombstones:
-                results.extend(sid for sid in plain if sid not in tombstones)
-            else:
-                results.extend(plain)
-        return results
-
-    # -- one partition segment ---------------------------------------------- #
-    def _emit_segment(
-        self,
-        table: _ClassTable,
-        row_lo: int,
-        row_hi: int,
-        query: Query,
-        test_start: bool,
-        test_end: bool,
-        chunks: List[np.ndarray],
-        plain: List[int],
-        stats: QueryStats,
-        compared: Optional[set] = None,
-        partition_key: Optional[int] = None,
-    ) -> None:
-        """Report rows ``row_lo:row_hi`` applying the requested predicates."""
-        if row_hi <= row_lo:
-            return
-        count = row_hi - row_lo
-        stats.partitions_accessed += 1
-        stats.candidates += count
-        if test_start or test_end:
-            if compared is not None and partition_key is not None:
-                compared.add(partition_key)
-            stats.comparisons += count * (int(test_start) + int(test_end))
-        if self._columnar:
-            if count <= _SMALL_SEGMENT:
-                # short boundary/run: a plain Python scan beats the fixed cost
-                # of NumPy slicing; the columnar layout is unchanged
-                ids_list = table.ids_list
-                if not (test_start or test_end):
-                    plain.extend(ids_list[row_lo:row_hi])
-                    return
-                starts_list = table.starts_list
-                ends_list = table.ends_list
-                q_start = query.start
-                q_end = query.end
-                for row in range(row_lo, row_hi):
-                    if test_start and starts_list[row] > q_end:
-                        continue
-                    if test_end and ends_list[row] < q_start:
-                        continue
-                    plain.append(ids_list[row])
-                return
-            mask: Optional[np.ndarray] = None
-            if test_start:
-                mask = table.starts[row_lo:row_hi] <= query.end
-            if test_end:
-                end_mask = table.ends[row_lo:row_hi] >= query.start
-                mask = end_mask if mask is None else (mask & end_mask)
-            segment_ids = table.ids[row_lo:row_hi]
-            chunks.append(segment_ids if mask is None else segment_ids[mask])
-            return
-        # non-columnar path: interleaved records, scanned row by row
-        records = table.records
-        has_start = table.starts is not None
-        for row in range(row_lo, row_hi):
-            record = records[row]
-            if _record_matches(
-                record, has_start, test_start, test_end, query.start, query.end
+            first = (1 << level) + (mq_start >> (m - level))
+            last = (1 << level) + (mq_end >> (m - level))
+            # (class, end test of the first partition, start test of the last
+            # one -- None for the replicas, which read their first partition
+            # only); O_aft of the first partition never needs the end test
+            for table, test_end_first, test_start_last in (
+                (o_in, comp_first, comp_last),
+                (o_aft, False, comp_last),
+                (r_in, comp_first, None),
+                (r_aft, False, None),
             ):
-                plain.append(record[0])
+                level_lo, level_hi = table.level_bounds[level], table.level_bounds[level + 1]
+                if level_lo == level_hi:
+                    continue
+                keys, indptr = table.keys_list, table.indptr_list
+                lo = bisect_left(keys, first, level_lo, level_hi)
+                if test_start_last is None:
+                    if lo < level_hi and keys[lo] == first:
+                        add((table, indptr[lo], indptr[lo + 1], False, test_end_first, first))
+                    continue
+                hi = bisect_right(keys, last, lo, level_hi)
+                if lo >= hi:
+                    continue
+                if first == last:
+                    add((table, indptr[lo], indptr[lo + 1], test_start_last, test_end_first, first))
+                    continue
+                if keys[lo] == first:
+                    add((table, indptr[lo], indptr[lo + 1], False, test_end_first, first))
+                    lo += 1
+                if keys[hi - 1] == last:
+                    add((table, indptr[hi - 1], indptr[hi], test_start_last, False, last))
+                    hi -= 1
+                if lo < hi:
+                    add((table, indptr[lo], indptr[hi], False, False, None))
+            # Lemma 2: below the root a heap number has the parity of its
+            # offset (the update after level 0 is never read)
+            comp_first = comp_first and first % 2 == 1
+            comp_last = comp_last and last % 2 == 0
+        return segments
 
-    # -- Lemma 2 flags ------------------------------------------------------- #
-    def _lower_flags(
-        self,
-        level: int,
-        first: int,
-        last: int,
-        mq_start: int,
-        mq_end: int,
-        comp_first: bool,
-        comp_last: bool,
-    ) -> Tuple[bool, bool]:
-        """Lemma 2 flag update (see :meth:`repro.hint.hintm.HINTm._lower_flags`);
-        below the root a heap number has the parity of its offset."""
-        if level == 0:
-            return comp_first, comp_last
-        if comp_first and first % 2 == 0:
-            comp_first = False
-        if comp_last and last % 2 == 1:
-            comp_last = False
-        return comp_first, comp_last
+    def _answer(self, query: Query, stats: Optional[QueryStats] = None) -> np.ndarray:
+        """The ids answering ``query`` as a fresh int64 array: the traversal,
+        then per segment a slice of the id column, masked by slices of the
+        endpoint columns where the segment needs a predicate."""
+        segments = self._segments(query)
+        if stats is not None:
+            # distinct boundary partitions compared: what Lemma 4 bounds by
+            # four in expectation
+            compared = set()
+            for _table, row_lo, row_hi, test_start, test_end, key in segments:
+                count = row_hi - row_lo
+                if not count:
+                    continue
+                stats.partitions_accessed += 1
+                stats.candidates += count
+                if test_start or test_end:
+                    compared.add(key)
+                    stats.comparisons += count * (test_start + test_end)
+            stats.partitions_compared = len(compared)
+        q_start, q_end = _exact_bounds(query)
+        if self._columnar:
+            pieces = [
+                table.ids[lo:hi][_column_mask(table, lo, hi, test_start, test_end, q_start, q_end)]
+                if test_start or test_end
+                else table.ids[lo:hi]
+                for table, lo, hi, test_start, test_end, _key in segments
+            ]
+            found = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+        else:
+            # row-wise layout: interleaved records, scanned row by row
+            found = np.fromiter(
+                (
+                    record[0]
+                    for table, lo, hi, test_start, test_end, _key in segments
+                    for record in table.records[lo:hi]
+                    if _record_matches(record, test_start, test_end, q_start, q_end)
+                ),
+                dtype=np.int64,
+            )
+        if self._spans.removed:
+            found = found[~np.isin(found, self._spans.removed_array())]
+        return found
+
+    def _tally(self, query: Query, stop_at_first: bool) -> int:
+        """Results of ``query`` counted segment by segment, no id gathered;
+        with ``stop_at_first`` the count stops at the first non-zero segment."""
+        q_start, q_end = _exact_bounds(query)
+        total = 0
+        for table, lo, hi, test_start, test_end, _key in self._segments(query):
+            if not (test_start or test_end):
+                total += hi - lo
+            elif self._columnar:
+                mask = _column_mask(table, lo, hi, test_start, test_end, q_start, q_end)
+                total += int(np.count_nonzero(mask))
+            else:
+                total += sum(
+                    _record_matches(record, test_start, test_end, q_start, q_end)
+                    for record in table.records[lo:hi]
+                )
+            if stop_at_first and total:
+                break
+        return total
 
     # ------------------------------------------------------------------ #
     # batched queries: the same traversal, one array pass per batch
     # ------------------------------------------------------------------ #
-    def query_batch(self, queries: Sequence[Query]) -> List[List[int]]:
+    def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         bounds = self._batch_bounds(queries)
         if bounds is None:
-            return [self.query(query) for query in queries]
+            return [self._answer(query) for query in queries]
         rows, offsets = self._batch_rows(*bounds)
-        # the public boundary: the mirrors' own int objects, one flat list
-        flat = self._id_objects[rows].tolist()
+        # one gather per query: each answer owns its ids, so keeping one
+        # answer never pins the whole batch
+        ids = self._ids
         cuts = offsets.tolist()
-        return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        return [ids[rows[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
 
     def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
         bounds = self._batch_bounds(queries)
@@ -877,6 +734,4 @@ class OptimizedHINTm(IntervalIndex):
             return 0
         total = self._spans_bytes(_memo)
         total += self._ids.nbytes + self._starts.nbytes + self._ends.nbytes
-        if self._id_objects is not None:
-            total += self._id_objects.nbytes + _INT_BYTES * len(self._id_objects)
         return total + sum(table.memory_bytes() for table in self._tables.values())

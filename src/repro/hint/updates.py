@@ -195,15 +195,19 @@ class HybridHINTm(IntervalIndex):
             results.extend(delta.query(query))
         return results
 
-    def query_batch(self, queries: Sequence[Query]) -> List[List[int]]:
+    def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         """The main index answers the batch in one vectorised traversal;
         the delta is probed per query, and only while it holds anything."""
         self.query_ops += len(queries)
         main, delta = self._components  # one load, as in :meth:`query`
         results = main.query_batch(queries)
         if len(delta):
-            for result, query in zip(results, queries):
-                result.extend(delta.query(query))
+            for position, query in enumerate(queries):
+                recent = delta.query(query)
+                if recent:
+                    results[position] = np.concatenate(
+                        (results[position], np.array(recent, dtype=np.int64))
+                    )
         return results
 
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:

@@ -679,7 +679,8 @@ class QueryServer:
                 result = self._store.run_batch(
                     [queries[i] for i in positions], count_only=count_only
                 )
-                values = result.counts if count_only else result.ids
+                # ids leave the store as arrays; JSON encodes lists
+                values = result.counts if count_only else [ids.tolist() for ids in result.ids]
                 for position, value in zip(positions, values):
                     answers[position] = value
 

@@ -9,7 +9,8 @@ length distributions (the paper's Table 4 contrast).
 import pytest
 
 from repro.baselines import Grid1D, IntervalTree, NaiveIndex, PeriodIndex, TimelineIndex
-from repro.core.interval import Query
+from repro.core.interval import Interval, Query
+from repro.engine import available_backends, create_index, get_spec
 from repro.hint import HINTm, HybridHINTm, OptimizedHINTm, SubdividedHINTm
 from repro.queries.generator import QueryWorkloadConfig, generate_queries
 
@@ -96,3 +97,42 @@ def test_disjoint_query_returns_nothing(request, built_indexes, index_name):
     index = built_indexes("synthetic_collection", index_name)
     _, hi = data.span()
     assert index.query(Query(hi + 10_000, hi + 20_000)) == []
+
+
+# backends that take single-interval updates (hintm_opt is static)
+UPDATABLE = [
+    name
+    for name in available_backends()
+    if not get_spec(name).composite and name != "hintm_opt"
+]
+
+
+@pytest.mark.parametrize("backend", UPDATABLE)
+def test_reinserted_id_answers_with_its_new_span_only(synthetic_collection, backend):
+    """Insert an id, delete it, insert it again elsewhere: only the second
+    span answers.  A delete that leaves the old entries behind its tombstone
+    brings them back when the re-insert lifts the tombstone."""
+    index = create_index(backend, synthetic_collection)
+    oracle = NaiveIndex.build(synthetic_collection)
+    lo, hi = synthetic_collection.span()
+    fresh = int(synthetic_collection.ids.max()) + 1
+    old_span, new_span = Query(lo + 200, lo + 300), Query(hi - 300, hi - 250)
+    victim = int(synthetic_collection.ids[0])
+    for target in (index, oracle):
+        target.insert(Interval(fresh, old_span.start, old_span.end))
+        assert target.delete(fresh)
+        target.insert(Interval(fresh, new_span.start, new_span.end))
+        # a build row, deleted and re-inserted elsewhere
+        span = target._resolve_interval(victim)
+        assert target.delete(victim)
+        target.insert(Interval(victim, span.end, span.end + 10))
+    queries = [old_span, new_span, Query(lo, hi)] + [
+        Query(int(start), int(end))
+        for start, end in zip(synthetic_collection.starts[:20], synthetic_collection.ends[:20])
+    ]
+    for query in queries:
+        assert sorted(index.query(query)) == sorted(oracle.query(query)), (backend, query)
+        assert index.query_count(query) == oracle.query_count(query), (backend, query)
+    assert fresh not in index.query(old_span)
+    answers = index.query_batch(queries)
+    assert [sorted(ids.tolist()) for ids in answers] == [sorted(oracle.query(q)) for q in queries]

@@ -46,6 +46,11 @@ def _sorted(results):
     return [sorted(ids) for ids in results]
 
 
+def _lists(answers):
+    """Batch answers (int64 arrays) as the lists ``query`` returns."""
+    return [ids.tolist() for ids in answers]
+
+
 def _oracle(live, queries):
     """``live``: id -> (start, end)."""
     return [
@@ -105,7 +110,7 @@ def test_hybrid_batch_after_inserts_deletes_and_rebuild(pairs, inserts, queries,
 def test_empty_collection_and_empty_batch():
     empty = OptimizedHINTm(IntervalCollection.empty(), num_bits=8)
     queries = [Query(k, k + 5) for k in range(2 * _BATCH_CROSSOVER)]
-    assert empty.query_batch(queries) == [[] for _ in queries]
+    assert [len(ids) for ids in empty.query_batch(queries)] == [0] * len(queries)
     assert empty.query_count_batch(queries) == [0] * len(queries)
     index = OptimizedHINTm(_collection([(1, 5), (3, 9)]), num_bits=4)
     assert index.query_batch([]) == []
@@ -121,19 +126,27 @@ def test_endpoints_beyond_int64_keep_the_exact_path(synthetic_collection, synthe
     for odd in (Query(-(10**30), 10**30), Query(lo + 0.5, lo + (hi - lo) / 7)):
         queries = synthetic_queries[:20] + [odd]
         assert index._batch_bounds(queries) is None
-        assert index.query_batch(queries) == [index.query(q) for q in queries]
+        assert _lists(index.query_batch(queries)) == [index.query(q) for q in queries]
         assert index.query_count_batch(queries) == [index.query_count(q) for q in queries]
     assert len(index.query_batch(synthetic_queries[:20] + [Query(-(10**30), 10**30)])[-1]) == len(
         index
     )
 
 
-def test_results_are_plain_lists_of_ints(synthetic_collection, synthetic_queries):
-    index = OptimizedHINTm(synthetic_collection, num_bits=10)
-    for results in (index.query_batch(synthetic_queries[:64]), index.query_batch([])):
-        assert type(results) is list
-        assert all(type(ids) is list for ids in results)
-        assert all(type(i) is int for ids in results for i in ids)
+@pytest.mark.parametrize("columnar", [True, False])
+def test_float_bounds_compare_exactly_past_2_53(columnar):
+    """NumPy would compare ``2^53 + 1 <= 2.0^53`` in float64 and say yes;
+    the integer it is compared with says no."""
+    big = 2**53
+    starts, ends = [big + 1, 0, big - 5], [big + 10, 3, big + 1]
+    index = OptimizedHINTm(_collection(list(zip(starts, ends))), num_bits=4, columnar=columnar)
+    for query in (Query(1.5, float(big)), Query(float(big + 2), float(big + 2))):
+        expected = sorted(
+            i for i, (s, e) in enumerate(zip(starts, ends)) if s <= query.end and query.start <= e
+        )
+        assert sorted(index.query(query)) == expected
+        assert index.query_count(query) == len(expected)
+        assert _sorted(index.query_batch([query])) == [expected]
 
 
 @pytest.mark.parametrize("backend", [OptimizedHINTm, HybridHINTm])
@@ -242,10 +255,10 @@ def test_short_batch_and_rowwise_layout_never_enter_the_kernel(
 
     monkeypatch.setattr(OptimizedHINTm, "_batch_segments", kernel)
     one = synthetic_queries[:1]
-    assert columnar.query_batch(one) == [columnar.query(one[0])]
+    assert _lists(columnar.query_batch(one)) == [columnar.query(one[0])]
     assert columnar.query_count_batch(one) == [columnar.query_count(one[0])]
     many = synthetic_queries[:64]
-    assert rowwise.query_batch(many) == [rowwise.query(q) for q in many]
+    assert _lists(rowwise.query_batch(many)) == [rowwise.query(q) for q in many]
     with pytest.raises(AssertionError):
         columnar.query_batch(many)
 

@@ -104,28 +104,34 @@ def test_untouched_table_shares_the_build_columns():
 
 
 def _traced_build_bytes(backend, collection):
+    """An index over its own copy of ``collection``, and what it retains,
+    traced: its structures and its table's three columns."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        index = create_index(backend, collection)
+        own = IntervalCollection(
+            collection.ids.copy(), collection.starts.copy(), collection.ends.copy()
+        )
+        index = create_index(backend, own)
+        del own
         gc.collect()
         return index, tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
 
 
-def test_hintm_opt_retains_at_most_240_bytes_per_interval():
+def test_hintm_opt_retains_at_most_80_bytes_per_interval():
     """381 B/interval on this collection before the span table (two per-row
-    dicts), 196 with it.  What is left above the columns is the plain-list
-    mirrors of the merged tables, which ``memory_bytes()`` counts too."""
+    dicts), ~236 with it while the merged tables kept per-row Python
+    mirrors.  Without them what is left is columns: the index's id, start
+    and end columns, the table's three, and the per-partition directory."""
     collection = generate_synthetic(SyntheticConfig(cardinality=20_000, seed=17))
     index, retained = _traced_build_bytes("hintm_opt", collection)
-    assert retained / len(collection) <= 240
+    assert retained / len(collection) <= 80
     # the reported size includes the table: at least its three columns
     assert index.memory_bytes() >= index._spans.nbytes >= 24 * len(collection)
-    # ... and is what the build retained (the table's columns are the
-    # caller's and were allocated before the trace began)
+    # ... and is what the build retained
     assert retained / 1.25 <= index.memory_bytes() <= retained * 1.25
 
 

@@ -536,8 +536,11 @@ class OptimizedHINTm(IntervalIndex):
                 ),
                 dtype=np.int64,
             )
-        if self._spans.removed:
-            found = found[~np.isin(found, self._spans.removed_array())]
+        removed = self._spans.removed
+        if removed:
+            # probed in the set: its sorted array is rebuilt after every
+            # delete, which costs more than one query's few hundred lookups
+            found = found[[interval_id not in removed for interval_id in found.tolist()]]
         return found
 
     def _tally(self, query: Query, stop_at_first: bool) -> int:

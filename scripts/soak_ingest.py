@@ -5,8 +5,10 @@ The CI smoke job runs this under a timeout guard: a K-shard hybrid store
 absorbs rounds of interleaved inserts, deletes, range queries and counts
 while a brute-force oracle (a plain id -> span dict) tracks the live set;
 every round cross-checks a sample of queries and counts against the oracle,
-and a maintenance pass (normal or forced, alternating) runs between rounds.
-Any divergence -- ids, counts, or index size -- raises, failing the job.
+and a maintenance pass (every tenth one forced) runs between rounds.  Any
+divergence -- ids, counts, or index size -- raises, failing the job, and so
+does a soak in which no unforced pass rebuilt a shard: the rebuild rule
+itself must fire.
 
 A second phase soaks the process pool's per-worker healing: a
 process-executor store absorbs updates, refreshes its snapshot and answers
@@ -34,7 +36,6 @@ import numpy as np
 from repro.core.interval import HAS_SHARED_MEMORY, Interval, Query
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.engine import IntervalStore
-from repro.engine.maintenance import MaintenanceConfig
 
 
 def _oracle_query(live: dict, query: Query) -> set:
@@ -134,7 +135,6 @@ def main(argv=None) -> int:
     parser.add_argument("--ops-per-round", type=int, default=200)
     parser.add_argument("--checks-per-round", type=int, default=10)
     parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--policy", default="threshold")
     parser.add_argument("--kill-rounds", type=int, default=3,
                         help="worker-kill soak rounds after the update soak "
                              "(0 disables the phase)")
@@ -149,7 +149,7 @@ def main(argv=None) -> int:
     store = IntervalStore.open(
         collection, "hintm_hybrid", num_shards=args.shards, num_bits=8
     )
-    coordinator = store.maintenance(config=MaintenanceConfig(policy=args.policy))
+    coordinator = store.maintenance()
     live = {
         int(i): (int(s), int(e))
         for i, s, e in zip(collection.ids, collection.starts, collection.ends)
@@ -158,6 +158,7 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     total_ops = 0
+    rule_rebuilds = 0  # shards rebuilt by unforced passes
     for round_no in range(args.rounds):
         for op in range(args.ops_per_round):
             total_ops += 1
@@ -192,7 +193,10 @@ def main(argv=None) -> int:
                     f"round {round_no}: count diverged on [{a}, {b}]: "
                     f"{got_count} != {len(expected)}"
                 )
-        report = coordinator.maintain(force=round_no % 5 == 4)
+        forced = round_no % 10 == 9
+        report = coordinator.maintain(force=forced)
+        if not forced:
+            rule_rebuilds += len(report.rebuilt_shards)
         if report.actions:
             print(f"round {round_no:3d}: {report.summary()}", flush=True)
     elapsed = time.perf_counter() - started
@@ -200,10 +204,13 @@ def main(argv=None) -> int:
     print(
         f"soak ok: {args.rounds} rounds, {total_ops} updates, "
         f"{args.rounds * args.checks_per_round} oracle checks in {elapsed:.1f}s; "
+        f"{rule_rebuilds} shard rebuilds by unforced passes; "
         f"final state: pending={state.get('pending_per_shard')}, "
         f"deltas={state.get('delta_per_shard')}, cuts={state.get('cuts')}"
     )
     store.close()
+    if not rule_rebuilds:
+        raise SystemExit("soak: no unforced maintenance pass rebuilt a shard")
     if args.kill_rounds > 0:
         _worker_kill_soak(args)
     return 0

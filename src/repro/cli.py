@@ -73,7 +73,11 @@ from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine import IntervalStore, available_backends, backend_specs, get_spec
 from repro.engine.executor import EXECUTOR_KINDS, available_cores
-from repro.engine.maintenance import MAINTENANCE_POLICIES, recommend_shard_count
+from repro.engine.maintenance import (
+    REBUILD_FRACTION,
+    REBUILD_MIN_DELTA,
+    recommend_shard_count,
+)
 from repro.engine.sharding import PARTITION_STRATEGIES
 from repro.durability.wal import FSYNC_POLICIES
 from repro.hint.model import DatasetStatistics, estimate_m_opt, replication_factor
@@ -98,8 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     executor_names = [name for name, _ in EXECUTOR_KINDS]
     executor_help = "; ".join(f"{name}: {blurb}" for name, blurb in EXECUTOR_KINDS)
-    policy_names = [name for name, _ in MAINTENANCE_POLICIES]
-    policy_help = "; ".join(f"{name}: {blurb}" for name, blurb in MAINTENANCE_POLICIES)
 
     def add_execution_args(sub: argparse.ArgumentParser) -> None:
         """--shards/--workers/--executor/..., shared by query/batch/bench/serve."""
@@ -130,11 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_maintenance_arg(sub: argparse.ArgumentParser) -> None:
         """--maintenance, shared by batch/bench: run a pass after the workload."""
-        sub.add_argument("--maintenance", choices=["off", *policy_names], default="off",
-                         metavar="POLICY",
+        sub.add_argument("--maintenance", action="store_true",
                          help="run an index-maintenance pass (journal folds, shard "
-                              f"rebuilds, snapshot refresh) after the workload -- "
-                              f"{policy_help} (default: off)")
+                              "rebuilds, snapshot refresh) after the workload")
 
     query = subparsers.add_parser("query", help="run a range or stabbing query over a CSV")
     query.add_argument("csv", type=Path, help="intervals file (id,start,end or start,end rows)")
@@ -213,13 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="queries interleaved with the updates "
                                "(default: %(default)s)")
     maintain.add_argument("--seed", type=int, default=99)
-    maintain.add_argument("--policy", choices=policy_names, default="threshold",
-                          help=f"rebuild policy -- {policy_help} (default: %(default)s)")
-    maintain.add_argument("--calibrate", action="store_true",
-                          help="micro-benchmark the Section 3.3 betas on this "
-                               "machine at coordinator startup, so the "
-                               "cost_model policy amortises with measured "
-                               "(not default) constants")
     maintain.add_argument("--force", action="store_true",
                           help="rebuild every shard with a non-empty delta and "
                                "refresh the snapshot even when clean")
@@ -263,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--batch-window", type=float, default=0.0, metavar="S",
                        help="seconds to wait for batch stragglers; 0 drains "
                             "greedily (default: %(default)s)")
-    serve.add_argument("--maintenance-interval", type=float, default=0.0,
-                       metavar="S",
-                       help="run the background maintenance daemon every S "
-                            "seconds during idle windows (default: off)")
     serve.add_argument("--cache-ttl", type=float, default=None, metavar="S",
                        help="expire cached bodies older than S seconds even "
                             "when no update touched them (default: no TTL)")
@@ -576,12 +565,11 @@ def _command_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_maintenance(store: IntervalStore, policy: str) -> Optional[str]:
+def _run_maintenance(store: IntervalStore, enabled: bool) -> Optional[str]:
     """Run one maintenance pass when ``--maintenance`` asked for it."""
-    if policy == "off":
+    if not enabled:
         return None
-    report = store.maintenance(policy=policy).maintain()
-    return f"# maintenance[{policy}]: {report.summary()}"
+    return f"# maintenance: {store.maintain().summary()}"
 
 
 def _describe_store(store: IntervalStore) -> str:
@@ -707,18 +695,11 @@ def _command_maintain(args: argparse.Namespace) -> int:
         else f"# applied {total_ops} operations"
     )
     coordinator = store.maintenance(
-        config=MaintenanceConfig(
-            policy=args.policy,
-            calibrate=args.calibrate,
-            repartition=not args.no_repartition,
-        )
+        config=MaintenanceConfig(repartition=not args.no_repartition)
     )
-    if coordinator.calibrated_betas is not None:
-        beta_cmp, beta_acc = coordinator.calibrated_betas
-        print(f"# calibrated betas: beta_cmp={beta_cmp:.3g}, beta_acc={beta_acc:.3g}")
     _print_maintenance_state("before", coordinator.state())
     report = coordinator.maintain(force=args.force, checkpoint=args.checkpoint)
-    print(f"# maintain[{args.policy}]: {report.summary()}")
+    print(f"# maintain: {report.summary()}")
     _print_maintenance_state("after", coordinator.state())
     store.close()
     return 0
@@ -773,8 +754,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 f"checkpoint @ generation "
                 f"{wal_state['last_checkpoint_generation']}"
             )
-    if args.maintenance_interval > 0:
-        store.maintenance().start(interval_seconds=args.maintenance_interval)
     server = QueryServer(
         store,
         host=args.host,
@@ -1063,10 +1042,10 @@ def _command_list_backends(args: argparse.Namespace) -> int:
     for name, blurb in EXECUTOR_KINDS:
         print(f"  {name:<10s} {blurb}")
     print()
-    print("maintenance rebuild policies (repro maintain --policy, "
-          "--maintenance on batch/bench):")
-    for name, blurb in MAINTENANCE_POLICIES:
-        print(f"  {name:<10s} {blurb}")
+    print("maintenance (repro maintain, --maintenance on batch/bench):")
+    print(f"  rebuild    a hybrid shard rebuilds once its delta holds "
+          f"{REBUILD_FRACTION:.0%} of its main index and {REBUILD_MIN_DELTA}+ "
+          "intervals (--force: any delta)")
     print()
     print("serving (repro serve):")
     print("  cache        LRU keyed on the query; an update evicts the cached "

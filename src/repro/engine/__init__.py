@@ -22,9 +22,10 @@
   snapshots (:class:`Epoch`): queries pin one immutable generation of the
   partition state, maintenance publishes fresh generations atomically,
 * :mod:`repro.engine.maintenance` -- the index-lifecycle layer: buffered
-  ingest journal, pluggable rebuild policies, adaptive shard-count model
-  and the :class:`MaintenanceCoordinator` (journal folds, shard rebuilds,
-  cut re-balancing, shared-memory snapshot refresh).
+  ingest journal, adaptive shard-count model and the
+  :class:`MaintenanceCoordinator`, whose explicit ``maintain()`` folds
+  journals, rebuilds shards by the one delta-fraction rule, re-balances
+  cuts and refreshes the shared-memory snapshot.
 """
 
 from repro.engine.batch import BatchResult, execute_batch
@@ -38,17 +39,11 @@ from repro.engine.executor import (
     split_chunks,
 )
 from repro.engine.maintenance import (
-    MAINTENANCE_POLICIES,
-    CostModelRebuildPolicy,
     IngestJournal,
     MaintenanceConfig,
     MaintenanceCoordinator,
     MaintenanceReport,
-    RebuildPolicy,
-    ShardHealth,
-    ThresholdRebuildPolicy,
     recommend_shard_count,
-    resolve_policy,
 )
 from repro.engine.registry import (
     BackendSpec,
@@ -68,14 +63,12 @@ from repro.engine.store import DEFAULT_BACKEND, IntervalStore, QueryBuilder
 __all__ = [
     "BackendSpec",
     "BatchResult",
-    "CostModelRebuildPolicy",
     "DEFAULT_BACKEND",
     "EXECUTOR_KINDS",
     "Epoch",
     "Executor",
     "IngestJournal",
     "IntervalStore",
-    "MAINTENANCE_POLICIES",
     "MaintenanceConfig",
     "MaintenanceCoordinator",
     "MaintenanceReport",
@@ -83,14 +76,11 @@ __all__ = [
     "PARTITION_STRATEGIES",
     "ProcessExecutor",
     "QueryBuilder",
-    "RebuildPolicy",
     "ResultSet",
     "SerialExecutor",
-    "ShardHealth",
     "ShardPlan",
     "ShardedIndex",
     "ShardedStore",
-    "ThresholdRebuildPolicy",
     "available_backends",
     "available_cores",
     "backend_specs",
@@ -103,6 +93,5 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "resolve_executor",
-    "resolve_policy",
     "split_chunks",
 ]

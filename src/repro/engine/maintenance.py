@@ -1,17 +1,16 @@
-"""Index-lifecycle maintenance: ingest journal, rebuild policies, coordinator.
+"""Index-lifecycle maintenance: ingest journal, shard-count model, coordinator.
 
-The hybrid HINT^m of the paper (Sections 3.4/4.4) already splits updates into
-a delta index plus a periodically rebuilt main index -- but that scheme stops
-at the single-shard boundary.  Under sharding, every insert/delete used to
+The hybrid HINT^m of the paper (Sections 3.4/4.4) has one update rule: a
+delta index absorbs the inserts and the main index is rebuilt from time to
+time in one batch.  This module carries that rule across the shard
+boundary, where every insert/delete used to
 
 * pay an O(shard size) ``np.insert``/``np.delete`` reallocation to keep the
   home-shard counting columns sorted,
 * staleness-flag the shared-memory snapshot, permanently demoting a process
-  executor to in-process batches,
-* leave each hybrid shard to rebuild on its own threshold, with no view of
-  idle windows, cut skew or the executor's parallelism.
+  executor to in-process batches.
 
-This module is the missing layer.  Four pieces compose:
+Three pieces compose:
 
 * :class:`CountColumns` / :class:`IngestJournal` -- the **buffered ingest
   journal**.  Inserts and deletes append to tiny per-shard pending buffers
@@ -22,33 +21,29 @@ This module is the missing layer.  Four pieces compose:
   single multi-shard counts and whole count/exists batches
   (:meth:`IngestJournal.count_overlaps`) are bisections over it in the
   calling process, whatever the executor.
-* :class:`RebuildPolicy` implementations -- **when** a hybrid shard's delta
-  is merged back into its main index: :class:`ThresholdRebuildPolicy`
-  (the paper's delta-fraction rule, per shard) and
-  :class:`CostModelRebuildPolicy` (rebuild once the cumulative delta-probe
-  overhead since the last rebuild exceeds the one-off rebuild cost, using
-  the Section 3.3 ``beta`` constants).
 * :func:`recommend_shard_count` -- the Section 3.3 cost model **extended to
   choose K**: scan-bound backends gain ~K from shard pruning even serially,
   traversal-bound backends (the HINT^m family) only win when a process
   executor divides the work across cores -- so the model prefers K=1 for
   ``hintm`` serially and K=cores under processes.
 * :class:`MaintenanceCoordinator` -- owns the lifecycle of one
-  :class:`~repro.engine.sharded.ShardedIndex` (or a plain hybrid index):
-  :meth:`~MaintenanceCoordinator.maintain` folds journals, rebuilds shards
-  the policy flags, re-balances cuts when skew drifts past a threshold
-  (**adaptive re-partitioning**), and republishes the shared-memory
-  snapshot so a process executor regains fan-out (**snapshot refresh**).
-  An opt-in background thread runs the same pass during idle windows.
+  :class:`~repro.engine.sharded.ShardedIndex` (or a plain hybrid index).
+  Nothing runs in the background: each explicit
+  :meth:`~MaintenanceCoordinator.maintain` call folds journals, rebuilds
+  every hybrid shard whose delta reached the rebuild rule (at least
+  :data:`REBUILD_FRACTION` of its main index and at least
+  :data:`REBUILD_MIN_DELTA` intervals), re-balances cuts when skew drifts
+  past a threshold (**adaptive re-partitioning**), and republishes the
+  shared-memory snapshot so a process executor regains fan-out
+  (**snapshot refresh**).
 """
 
 from __future__ import annotations
 
-import abc
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,19 +61,19 @@ _MAINTENANCE_SECONDS = global_registry().histogram(
 )
 
 __all__ = [
-    "CostModelRebuildPolicy",
     "CountColumns",
     "IngestJournal",
-    "MAINTENANCE_POLICIES",
     "MaintenanceConfig",
     "MaintenanceCoordinator",
     "MaintenanceReport",
-    "RebuildPolicy",
-    "ShardHealth",
-    "ThresholdRebuildPolicy",
     "recommend_shard_count",
-    "resolve_policy",
 ]
+
+#: the rebuild rule: an unforced pass rebuilds a hybrid shard once its delta
+#: holds at least this fraction of the shard's main index ...
+REBUILD_FRACTION = 0.1
+#: ... and at least this many intervals, so tiny shards do not churn
+REBUILD_MIN_DELTA = 64
 
 #: backends whose per-query cost scales with the amount of data scanned --
 #: shard pruning alone buys ~K on these, even serially.  Everything else is
@@ -103,9 +98,10 @@ class CountColumns:
 
     Every mutation (recording, folding, and the fold step of the counting
     accessors) serialises on a per-column lock: readers count from any
-    thread, and the background maintenance thread folds concurrently with
-    foreground updates -- an unsynchronised snapshot-then-clear would lose
-    or double-apply journaled operations.  The bisections themselves run on
+    thread, and a maintenance pass on another thread (the query server runs
+    ``/maintain`` in its executor) folds concurrently with foreground
+    updates -- an unsynchronised snapshot-then-clear would lose or
+    double-apply journaled operations.  The bisections themselves run on
     captured arrays outside the lock.
     """
 
@@ -235,20 +231,10 @@ class IngestJournal:
     Args:
         pieces: the partitioned sub-collections, in shard order (each shard's
             columns start from its copies' endpoints).
-        fold_threshold: optional bound on any shard's pending-buffer depth;
-            exceeding it folds that shard immediately, keeping worst-case
-            buffer memory in check on very long ingest bursts.
     """
 
-    def __init__(
-        self,
-        pieces: Sequence[IntervalCollection],
-        fold_threshold: Optional[int] = None,
-    ) -> None:
-        if fold_threshold is not None and fold_threshold < 1:
-            raise ValueError(f"fold_threshold must be >= 1, got {fold_threshold}")
+    def __init__(self, pieces: Sequence[IntervalCollection]) -> None:
         self._columns = [CountColumns(p.starts, p.ends) for p in pieces]
-        self._fold_threshold = fold_threshold
 
     # ------------------------------------------------------------------ #
     @property
@@ -271,29 +257,12 @@ class IngestJournal:
     def record_insert(self, first: int, last: int, start: int, end: int) -> None:
         """Journal one insert into shards ``first..last`` (inclusive)."""
         for shard in range(first, last + 1):
-            column = self._columns[shard]
-            column.record_insert(start, end)
-            self._enforce_threshold(column)
+            self._columns[shard].record_insert(start, end)
 
     def record_delete(self, first: int, last: int, start: int, end: int) -> None:
         """Journal one delete from shards ``first..last`` (inclusive)."""
         for shard in range(first, last + 1):
-            column = self._columns[shard]
-            column.record_delete(start, end)
-            self._enforce_threshold(column)
-
-    def _enforce_threshold(self, column: CountColumns) -> None:
-        """Fold a column whose pending buffer hit the configured bound.
-
-        Applies to inserts *and* deletes: a delete-only burst (TTL expiry
-        draining an index with no interleaved counts) must not grow the
-        buffers without bound either.
-        """
-        if (
-            self._fold_threshold is not None
-            and column.pending_ops >= self._fold_threshold
-        ):
-            column.fold()
+            self._columns[shard].record_delete(start, end)
 
     def count_ends_ge(self, shard: int, value: int) -> int:
         return self._columns[shard].count_ends_ge(value)
@@ -341,151 +310,6 @@ class IngestJournal:
     def fold(self) -> int:
         """Fold every shard's pending buffer; returns operations folded."""
         return sum(column.fold() for column in self._columns)
-
-
-# --------------------------------------------------------------------------- #
-# rebuild policies
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardHealth:
-    """The per-shard facts a :class:`RebuildPolicy` decides from.
-
-    Attributes:
-        shard_id: shard index (0 for an unsharded hybrid).
-        live: intervals in the shard's main structure.
-        delta: intervals absorbed by the shard's delta index since the last
-            rebuild (0 for non-hybrid backends).
-        pending_journal: buffered count-column operations not yet folded.
-        queries_since_maintain: queries the owning index answered since the
-            coordinator's previous pass (drives amortisation arguments).
-        seconds_since_rebuild: age of the shard's main index (``inf`` when it
-            was never rebuilt).
-    """
-
-    shard_id: int
-    live: int
-    delta: int
-    pending_journal: int = 0
-    queries_since_maintain: int = 0
-    seconds_since_rebuild: float = float("inf")
-
-
-class RebuildPolicy(abc.ABC):
-    """Strategy deciding when a hybrid shard's delta is merged into its main."""
-
-    #: registry key used by the CLI and :func:`resolve_policy`
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def should_rebuild(self, health: ShardHealth) -> bool:
-        """True when the shard described by ``health`` should rebuild now."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}()"
-
-
-class ThresholdRebuildPolicy(RebuildPolicy):
-    """Rebuild when the delta outgrows a fraction of the main index.
-
-    The per-shard version of the paper's hybrid rule: a shard rebuilds when
-    its delta holds at least ``fraction`` of its main index's intervals (and
-    at least ``min_delta``, so tiny shards do not churn).
-    """
-
-    name = "threshold"
-
-    def __init__(self, fraction: float = 0.1, min_delta: int = 64) -> None:
-        if fraction <= 0:
-            raise ValueError(f"rebuild fraction must be > 0, got {fraction}")
-        self.fraction = fraction
-        self.min_delta = max(1, min_delta)
-
-    def should_rebuild(self, health: ShardHealth) -> bool:
-        if health.delta < self.min_delta:
-            return False
-        return health.delta >= self.fraction * max(health.live, 1)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ThresholdRebuildPolicy(fraction={self.fraction}, min_delta={self.min_delta})"
-
-
-class CostModelRebuildPolicy(RebuildPolicy):
-    """Rebuild when the delta's cumulative query overhead repays the rebuild.
-
-    An amortisation extension of the Section 3.3 cost model: every query
-    additionally probes the shard's delta index, costing roughly
-    ``beta_cmp * delta`` comparisons' worth of work; a rebuild costs roughly
-    ``build_cost_per_interval * (live + delta)`` once.  The shard rebuilds
-    when the overhead accumulated since the previous maintenance pass
-    exceeds that one-off cost -- so a hot shard (many queries, fat delta)
-    rebuilds aggressively while a cold one coasts.
-    """
-
-    name = "cost_model"
-
-    def __init__(
-        self,
-        beta_cmp: float = 2.0e-8,
-        build_cost_per_interval: float = 2.0e-6,
-        min_delta: int = 16,
-    ) -> None:
-        self.beta_cmp = beta_cmp
-        self.build_cost_per_interval = build_cost_per_interval
-        self.min_delta = max(1, min_delta)
-
-    def should_rebuild(self, health: ShardHealth) -> bool:
-        if health.delta < self.min_delta:
-            return False
-        overhead = (
-            self.beta_cmp * health.delta * max(health.queries_since_maintain, 1)
-        )
-        rebuild_cost = self.build_cost_per_interval * (health.live + health.delta)
-        return overhead >= rebuild_cost
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"CostModelRebuildPolicy(beta_cmp={self.beta_cmp}, "
-            f"build_cost_per_interval={self.build_cost_per_interval})"
-        )
-
-
-#: ``(name, one-line description)`` of every rebuild policy, in the order the
-#: CLI help and ``list-backends`` present them
-MAINTENANCE_POLICIES: Tuple[Tuple[str, str], ...] = (
-    ("threshold", "rebuild a shard when its delta exceeds a fraction of its main index"),
-    ("cost_model", "rebuild when cumulative delta-probe overhead repays the rebuild cost"),
-)
-
-_POLICY_CLASSES: Dict[str, type] = {
-    "threshold": ThresholdRebuildPolicy,
-    "cost_model": CostModelRebuildPolicy,
-    "cost-model": CostModelRebuildPolicy,
-}
-
-
-def resolve_policy(
-    spec: Union[RebuildPolicy, str, None], **options
-) -> RebuildPolicy:
-    """Turn a policy spec (name, instance or ``None``) into a policy.
-
-    ``None`` means the default threshold policy; keyword options are
-    forwarded to the policy constructor when a name is given.
-    """
-    if spec is None:
-        spec = "threshold"
-    if isinstance(spec, RebuildPolicy):
-        if options:
-            raise ValueError(
-                f"policy options {sorted(options)} cannot reconfigure an instance"
-            )
-        return spec
-    if isinstance(spec, str):
-        cls = _POLICY_CLASSES.get(spec.lower())
-        if cls is None:
-            names = ", ".join(repr(name) for name, _ in MAINTENANCE_POLICIES)
-            raise ValueError(f"unknown rebuild policy {spec!r}; use one of {names}")
-        return cls(**options)
-    raise TypeError(f"policy spec must be a RebuildPolicy, str or None, got {spec!r}")
 
 
 # --------------------------------------------------------------------------- #
@@ -576,35 +400,29 @@ class MaintenanceConfig:
     """Tuning knobs of a :class:`MaintenanceCoordinator`.
 
     Attributes:
-        policy: rebuild policy name or instance (default: ``"threshold"``).
-        calibrate: measure the Section 3.3 ``beta`` constants on this
-            machine at coordinator startup (:func:`repro.hint.model.measure_betas`)
-            and configure a :class:`CostModelRebuildPolicy` with them, so
-            the amortisation argument uses measured rather than default
-            costs.  A no-op for policies without ``beta_cmp``.
         repartition: allow cut re-balancing when skew drifts.
         skew_threshold: trigger re-partitioning when the largest shard holds
             more than this multiple of the mean shard size *and* updates
             happened since the current partition was installed (build-time
             skew never triggers -- it reflects the chosen strategy).
-        refresh_snapshot: republish the shared-memory snapshot after a pass
-            that left the index update-dirty (process executors only).
-        checkpoint: end every pass by writing a durability checkpoint and
-            truncating dead WAL segments (durable stores only -- a no-op
-            when the target has no :class:`~repro.durability.manager.DurabilityManager`).
-        idle_seconds: background thread only maintains after the index has
-            been idle this long.
-        interval_seconds: background thread wake-up period.
     """
 
-    policy: Union[RebuildPolicy, str, None] = None
-    calibrate: bool = False
     repartition: bool = True
     skew_threshold: float = 1.5
-    refresh_snapshot: bool = True
-    checkpoint: bool = False
-    idle_seconds: float = 0.5
-    interval_seconds: float = 5.0
+
+
+def _needs_rebuild(index, force: bool) -> bool:
+    """The rebuild rule for one hybrid index (a shard, or a plain store's).
+
+    ``force`` rebuilds any non-empty delta.  Otherwise the delta must hold
+    at least :data:`REBUILD_FRACTION` of the main index's intervals and at
+    least :data:`REBUILD_MIN_DELTA` intervals.
+    """
+    delta = index.delta_size
+    if force:
+        return delta > 0
+    live = len(index) - delta
+    return delta >= REBUILD_MIN_DELTA and delta >= REBUILD_FRACTION * max(live, 1)
 
 
 @dataclass
@@ -677,26 +495,17 @@ class MaintenanceCoordinator:
     Args:
         target: a :class:`~repro.engine.sharded.ShardedIndex`, a plain
             :class:`~repro.core.base.IntervalIndex` (hybrid backends get
-            rebuild-policy treatment, static ones a no-op pass), or any
-            store exposing ``.index``.
+            the rebuild rule, static ones a no-op pass), or any store
+            exposing ``.index``.
         config: tuning knobs; a fresh default config when omitted.
-        policy: shorthand overriding ``config.policy``.
 
-    One coordinator serves one index.  :meth:`maintain` runs a full pass
-    inline; :meth:`start` runs the same pass from a daemon thread during
-    idle windows (opt-in -- nothing happens in the background unless asked).
-    Concurrent :meth:`maintain` calls serialise on an internal lock; the
-    pass itself mutates the index, so callers that query from other threads
-    should either stop querying during maintenance or accept the same
-    visibility caveats as any in-place index update.
+    One coordinator serves one index and never acts on its own: each
+    :meth:`maintain` call runs one full pass inline, on the calling thread.
+    Concurrent :meth:`maintain` calls serialise on an internal lock, and a
+    pass never loses a foreground update (see :meth:`maintain`).
     """
 
-    def __init__(
-        self,
-        target,
-        config: Optional[MaintenanceConfig] = None,
-        policy: Union[RebuildPolicy, str, None] = None,
-    ) -> None:
+    def __init__(self, target, config: Optional[MaintenanceConfig] = None) -> None:
         self._index = getattr(target, "index", target)
         # keep the store too (when one was passed): checkpoint integration
         # reaches the durability manager through it
@@ -705,45 +514,10 @@ class MaintenanceCoordinator:
         #: hybrid/sharded index's own, ``None`` for a raw static index
         #: (nothing to reorganise, nobody to tell)
         self._updates = target.updates
-        # opt the index into activity timestamps: the hot query paths skip
-        # the clock read until someone actually watches for idle windows
-        if hasattr(self._index, "activity_tracking"):
-            self._index.activity_tracking = True
         self._config = config if config is not None else MaintenanceConfig()
-        self._policy = resolve_policy(
-            policy if policy is not None else self._config.policy
-        )
-        #: measured ``(beta_cmp, beta_acc)`` when ``config.calibrate`` ran,
-        #: ``None`` otherwise (surfaced by :meth:`state`)
-        self.calibrated_betas: Optional[Tuple[float, float]] = None
-        if self._config.calibrate:
-            self._calibrate_policy()
         self._lock = threading.Lock()
         self._last_rebuild: Dict[int, float] = {}
-        self._queries_at_last_maintain = self._query_ops()
         self._reports: List[MaintenanceReport] = []
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-
-    def _calibrate_policy(self) -> None:
-        """Measure the Section 3.3 betas and configure the rebuild policy.
-
-        ``MaintenanceConfig.calibrate=True`` runs the
-        :func:`repro.hint.model.measure_betas` micro-benchmark once at
-        coordinator startup (a small sample -- this is a startup cost, not a
-        benchmark) and installs the measured ``beta_cmp`` into a
-        :class:`CostModelRebuildPolicy`, so the amortisation rule compares
-        *this machine's* delta-probe overhead against its rebuild cost
-        instead of the hard-coded defaults.  Policies without a ``beta_cmp``
-        knob (the threshold rule) are left untouched, but the measurement is
-        still recorded in :attr:`calibrated_betas` for display.
-        """
-        from repro.hint.model import measure_betas
-
-        beta_cmp, beta_acc = measure_betas(sample_size=50_000, repeats=2)
-        self.calibrated_betas = (beta_cmp, beta_acc)
-        if hasattr(self._policy, "beta_cmp"):
-            self._policy.beta_cmp = beta_cmp
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -758,71 +532,18 @@ class MaintenanceCoordinator:
         return self._config
 
     @property
-    def policy(self) -> RebuildPolicy:
-        return self._policy
-
-    @property
     def reports(self) -> List[MaintenanceReport]:
         """Every pass this coordinator ran, oldest first."""
         return list(self._reports)
 
-    @property
-    def running(self) -> bool:
-        """True while the background maintenance thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
-
-    def _query_ops(self) -> int:
-        return int(getattr(self._index, "query_ops", 0))
-
     def _is_sharded(self) -> bool:
         return hasattr(self._index, "plan") and hasattr(self._index, "ingest_journal")
-
-    def shard_health(self) -> List[ShardHealth]:
-        """A :class:`ShardHealth` row per shard (one row for plain indexes)."""
-        now = time.time()
-        queries_since = self._query_ops() - self._queries_at_last_maintain
-        if not self._is_sharded():
-            index = self._index
-            delta = int(getattr(index, "delta_size", 0))
-            return [
-                ShardHealth(
-                    shard_id=0,
-                    live=max(0, len(index) - delta),
-                    delta=delta,
-                    queries_since_maintain=queries_since,
-                    seconds_since_rebuild=now - self._last_rebuild.get(0, float("inf"))
-                    if 0 in self._last_rebuild
-                    else float("inf"),
-                )
-            ]
-        index = self._index
-        journal = index.ingest_journal
-        pending = journal.pending_depths() if journal is not None else []
-        rows: List[ShardHealth] = []
-        for shard_id, shard in enumerate(index.built_shards):
-            delta = int(getattr(shard, "delta_size", 0)) if shard is not None else 0
-            live = len(shard) - delta if shard is not None else 0
-            rows.append(
-                ShardHealth(
-                    shard_id=shard_id,
-                    live=max(0, live),
-                    delta=delta,
-                    pending_journal=pending[shard_id] if shard_id < len(pending) else 0,
-                    queries_since_maintain=queries_since,
-                    seconds_since_rebuild=now - self._last_rebuild[shard_id]
-                    if shard_id in self._last_rebuild
-                    else float("inf"),
-                )
-            )
-        return rows
 
     def state(self) -> Dict[str, object]:
         """Maintenance/ingest state snapshot (the `repro maintain` display)."""
         index = self._index
         state: Dict[str, object] = {
             "backend": getattr(index, "backend", getattr(index, "name", "?")),
-            "policy": self._policy.name,
-            "calibrated_betas": self.calibrated_betas,
             "last_rebuild": dict(self._last_rebuild),
             "passes": len(self._reports),
         }
@@ -844,9 +565,9 @@ class MaintenanceCoordinator:
 
         ``force`` rebuilds every shard with a non-empty delta, re-publishes
         the snapshot even when clean, but still re-partitions only on skew.
-        ``checkpoint`` (or ``config.checkpoint``) ends the pass by writing
-        a durability checkpoint and truncating dead WAL segments -- a
-        silent no-op when the target store is not durable.
+        ``checkpoint`` ends the pass by writing a durability checkpoint and
+        truncating dead WAL segments -- a silent no-op when the target
+        store is not durable.
         """
         with self._lock:
             started = time.perf_counter()
@@ -861,7 +582,6 @@ class MaintenanceCoordinator:
                     self._maintain_sharded(report, force)
             else:
                 self._maintain_plain(report, force)
-            self._queries_at_last_maintain = self._query_ops()
             # tell update listeners the pass finished -- a "sync", never a
             # delta: folds, rebuilds and refreshes reorganise state without
             # changing the queryable contents, but standing-query clients
@@ -871,7 +591,7 @@ class MaintenanceCoordinator:
             # generation twice is idempotent for every listener)
             if self._updates is not None:
                 self._updates.sync(bump=False)
-            if checkpoint or self._config.checkpoint:
+            if checkpoint:
                 self._checkpoint(report)
             report.seconds = time.perf_counter() - started
             self._reports.append(report)
@@ -901,12 +621,7 @@ class MaintenanceCoordinator:
 
     def _maintain_plain(self, report: MaintenanceReport, force: bool) -> None:
         index = self._index
-        if not hasattr(index, "rebuild"):
-            return
-        health = self.shard_health()[0]
-        if (force and health.delta) or (
-            not force and self._policy.should_rebuild(health)
-        ):
+        if hasattr(index, "rebuild") and _needs_rebuild(index, force):
             index.rebuild()
             self._last_rebuild[0] = time.time()
             report.rebuilt_shards.append(0)
@@ -937,88 +652,32 @@ class MaintenanceCoordinator:
                     self._last_rebuild = {
                         shard: time.time() for shard in range(index.num_shards)
                     }
-        # rebuild hybrid shards the policy flags (only shards already built
-        # in this process -- worker-resident copies rebuild from the next
-        # snapshot publication instead).  Skipped after a repartition: the
-        # fresh shard builds have empty deltas.
-        if not report.repartitioned:
-            for health in self.shard_health():
-                shard = index.built_shards[health.shard_id]
-                if shard is None or not hasattr(shard, "rebuild"):
-                    continue
-                if (force and health.delta) or (
-                    not force and self._policy.should_rebuild(health)
-                ):
-                    shard.rebuild()
-                    self._last_rebuild[health.shard_id] = time.time()
-                    report.rebuilt_shards.append(health.shard_id)
         report.cuts = tuple(index.plan.cuts)
-        # snapshot refresh: restore the process fan-out of id batches after
-        # updates (counts never left the journal, so nothing waits on this)
-        if config.refresh_snapshot and not report.repartitioned:
-            if index.update_dirty or force:
-                report.snapshot_refreshed = index.refresh_snapshot()
-        elif report.repartitioned:
+        if report.repartitioned:
             # repartition republishes internally (process executors on
             # shared-memory platforms); a live snapshot after the install
-            # is that publication
+            # is that publication.  The fresh shard builds have empty
+            # deltas, so no per-shard rebuild follows.
             report.snapshot_refreshed = bool(
                 index.maintenance_state().get("snapshot_published")
             )
+        else:
+            # rebuild the hybrid shards the rule flags (only shards already
+            # built in this process -- worker-resident copies rebuild from
+            # the next snapshot publication instead)
+            for shard_id, shard in enumerate(index.built_shards):
+                if shard is None or not hasattr(shard, "rebuild"):
+                    continue
+                if _needs_rebuild(shard, force):
+                    shard.rebuild()
+                    self._last_rebuild[shard_id] = time.time()
+                    report.rebuilt_shards.append(shard_id)
+            # snapshot refresh: restore the process fan-out of id batches
+            # after updates (counts never left the journal, so nothing
+            # waits on this)
+            if index.update_dirty or force:
+                report.snapshot_refreshed = index.refresh_snapshot()
         report.generation = index.snapshot_generation
 
-    # ------------------------------------------------------------------ #
-    # opt-in background maintenance
-    # ------------------------------------------------------------------ #
-    def start(self, interval_seconds: Optional[float] = None) -> None:
-        """Start the background maintenance thread (idempotent).
-
-        The daemon thread wakes every ``interval_seconds`` (default: the
-        config's) and runs :meth:`maintain` only when the index has been
-        idle -- no query or update -- for at least ``config.idle_seconds``,
-        so maintenance slips into the workload's natural gaps.
-        """
-        if self.running:
-            return
-        if interval_seconds is not None:
-            self._config.interval_seconds = interval_seconds
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._background_loop, name="repro-maintenance", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, wait: bool = True) -> None:
-        """Stop the background thread (idempotent)."""
-        self._stop.set()
-        thread, self._thread = self._thread, None
-        if thread is not None and wait:
-            thread.join(timeout=10.0)
-
-    def _background_loop(self) -> None:
-        while not self._stop.wait(self._config.interval_seconds):
-            if self._idle_for() >= self._config.idle_seconds:
-                try:
-                    self.maintain()
-                except Exception:  # pragma: no cover - background safety net
-                    # a failed background pass must not kill the thread; the
-                    # next explicit maintain() surfaces the problem
-                    continue
-
-    def _idle_for(self) -> float:
-        last = getattr(self._index, "last_activity", None)
-        if last is None:
-            return float("inf")
-        return max(0.0, time.monotonic() - float(last))
-
-    def __enter__(self) -> "MaintenanceCoordinator":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"MaintenanceCoordinator(policy={self._policy.name!r}, "
-            f"passes={len(self._reports)}, running={self.running})"
-        )
+        return f"MaintenanceCoordinator(passes={len(self._reports)})"

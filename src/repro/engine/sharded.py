@@ -68,11 +68,12 @@ and rebuild their residencies -- per-worker healing), and only when every
 worker path is exhausted does the task fall back to the epoch's in-process
 shard indexes and the index-wide fan-out flag trip until the next refresh.
 
-Maintenance -- folding journals, rebuilding hybrid shard deltas,
-re-balancing cuts on skew and republishing the shared-memory snapshot so a
-process executor regains fan-out after updates -- is owned by
-:class:`repro.engine.maintenance.MaintenanceCoordinator`; the hooks it
-drives (:meth:`ShardedIndex.refresh_snapshot`,
+Maintenance -- folding journals, rebuilding hybrid shard deltas by the
+one rebuild rule, re-balancing cuts on skew and republishing the
+shared-memory snapshot so a process executor regains fan-out after
+updates -- runs only when
+:meth:`repro.engine.maintenance.MaintenanceCoordinator.maintain` is called;
+the hooks it drives (:meth:`ShardedIndex.refresh_snapshot`,
 :meth:`ShardedIndex.repartition`, :attr:`ShardedIndex.ingest_journal`) live
 here.
 
@@ -248,10 +249,6 @@ class ShardedIndex(IntervalIndex):
             :class:`repro.engine.executor.Executor` instance).
         workers: size of the process pool (``executor="processes",
             workers=4``).
-        fold_threshold: optional cap on any shard's pending journal depth;
-            hitting it folds that shard immediately, bounding buffer memory
-            on ingest bursts whose queries never take the multi-shard
-            counting path (which would otherwise fold lazily).
         **opts: forwarded to every shard's backend constructor.
     """
 
@@ -265,7 +262,6 @@ class ShardedIndex(IntervalIndex):
         strategy: str = "equi_width",
         executor: "Executor | int | str | None" = None,
         workers: "int | None" = None,
-        fold_threshold: "int | None" = None,
         **opts,
     ) -> None:
         self._backend = resolve_backend(backend)
@@ -276,7 +272,6 @@ class ShardedIndex(IntervalIndex):
         if spec.tunable and "num_bits" not in opts:
             opts["num_bits"] = "auto"
         self._opts = opts
-        self._fold_threshold = fold_threshold
         # a caller-supplied instance (through either parameter) stays the
         # caller's to close; specs the index resolved itself are owned
         self._owns_executor = not (
@@ -286,7 +281,7 @@ class ShardedIndex(IntervalIndex):
         #: the update contract (generation, listeners, write lock).  The
         #: lock serialises updates against maintenance operations that
         #: replace the partition state (repartition, snapshot refresh,
-        #: close): an insert landing between a background repartition's
+        #: close): an insert landing between a concurrent repartition's
         #: live-collection snapshot and its install would otherwise be
         #: silently discarded -- a lost update, not a visibility glitch.
         #: The coordinator holds it across a whole pass so per-shard
@@ -298,11 +293,6 @@ class ShardedIndex(IntervalIndex):
         self.updates = UpdateFeed()
         self._dirty = False  # set by updates; disables the process snapshot
         self._closed = False  # close() is terminal for snapshot publication
-        #: when True, query/update paths also stamp :attr:`last_activity`
-        #: with a clock read; flipped on by a MaintenanceCoordinator so the
-        #: benchmark-measured hot paths pay nothing for idle detection
-        #: nobody asked for
-        self.activity_tracking = False
         #: stable identity of this index across snapshot generations (the
         #: worker residency cache evicts older generations of the same uid)
         self._uid = f"{os.getpid()}-{next(_TOKENS)}"
@@ -321,12 +311,6 @@ class ShardedIndex(IntervalIndex):
         #: :func:`time.time` of the last snapshot publication, ``None``
         #: before the first one (surfaced by ``maintenance_state``)
         self.last_refresh: Optional[float] = None
-        #: approximate count of queries answered (drives amortised rebuild
-        #: policies); not a synchronised counter
-        self.query_ops = 0
-        #: :func:`time.monotonic` of the last query or update (idle-window
-        #: detection for background maintenance)
-        self.last_activity = time.monotonic()
         #: how counts were answered: backend fast path vs home-shard sums
         #: for single queries, queries answered by the journal's vectorised
         #: pass for batches.  A diagnostic, not a synchronised counter --
@@ -370,7 +354,7 @@ class ShardedIndex(IntervalIndex):
         journal: Optional[IngestJournal] = None
         locator: Optional[SpanTable] = None
         if plan.num_shards > 1:
-            journal = IngestJournal(pieces, fold_threshold=self._fold_threshold)
+            journal = IngestJournal(pieces)
             locator = SpanTable(collection)
 
         # --- shard construction: built here in-process, lazy for process fan-out ---
@@ -569,7 +553,7 @@ class ShardedIndex(IntervalIndex):
             return False
         with self.updates.lock:
             if self._closed:
-                # a background pass racing close() must not resurrect the
+                # a pass on another thread racing close() must not resurrect the
                 # snapshot: nothing would ever unlink the fresh segment
                 return False
             live = self.live_collection()
@@ -663,19 +647,7 @@ class ShardedIndex(IntervalIndex):
     # ------------------------------------------------------------------ #
     # queries (pin the epoch, plan to the overlapping shards, merge+dedup)
     # ------------------------------------------------------------------ #
-    def _touch(self, ops: int = 1) -> None:
-        """Record activity (idle-window detection + amortised policies).
-
-        The clock read is skipped until a coordinator opts into activity
-        tracking -- query/count hot loops in the benchmarks must not pay
-        for idle detection nobody is using.
-        """
-        self.query_ops += ops
-        if self.activity_tracking:
-            self.last_activity = time.monotonic()
-
     def query(self, query: Query) -> List[int]:
-        self._touch()
         return self._query_epoch(self._epoch, query)
 
     def _query_epoch(self, epoch: Epoch, query: Query) -> List[int]:
@@ -688,7 +660,6 @@ class ShardedIndex(IntervalIndex):
         )
 
     def query_count(self, query: Query) -> int:
-        self._touch()
         return self._query_count_epoch(self._epoch, query)
 
     def _query_count_epoch(self, epoch: Epoch, query: Query) -> int:
@@ -718,7 +689,6 @@ class ShardedIndex(IntervalIndex):
         no journal and delegates to the only shard's own batch hook.
         """
         workload = list(queries)
-        self._touch(len(workload))
         epoch = self._epoch
         if epoch.journal is None:
             return self._shard(epoch, 0).query_count_batch(workload)
@@ -729,7 +699,6 @@ class ShardedIndex(IntervalIndex):
         return epoch.journal.count_overlaps(epoch.plan.cuts, *_query_bounds(workload))
 
     def query_exists(self, query: Query) -> bool:
-        self._touch()
         return self._query_exists_epoch(self._epoch, query)
 
     def _query_exists_epoch(self, epoch: Epoch, query: Query) -> bool:
@@ -742,7 +711,6 @@ class ShardedIndex(IntervalIndex):
     def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
         """Batched existence probes: the journal's batched counts, ``> 0``."""
         workload = list(queries)
-        self._touch(len(workload))
         epoch = self._epoch
         if epoch.journal is None:
             return self._shard(epoch, 0).query_exists_batch(workload)
@@ -770,7 +738,6 @@ class ShardedIndex(IntervalIndex):
 
     def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         workload = list(queries)
-        self._touch(len(workload))
         epoch = self._epoch
         if workload and self._process_fanout_ready():
             return self._query_batch_processes(epoch, workload)
@@ -986,7 +953,6 @@ class ShardedIndex(IntervalIndex):
         return {int(pid): tuple(tokens) for pid, tokens in samples}
 
     def query_with_stats(self, query: Query) -> Tuple[List[int], QueryStats]:
-        self._touch()
         epoch = self._epoch
         first, last = epoch.plan.shard_range(query.start, query.end)
         if first == last:
@@ -1049,7 +1015,6 @@ class ShardedIndex(IntervalIndex):
             self._dirty = True
             self.updates_since_partition += 1
             self.updates.commit("insert", interval)
-            self._touch(0)
 
     def validate(self, interval: Interval) -> None:
         """Every shard the interval overlaps must accept it."""
@@ -1087,7 +1052,6 @@ class ShardedIndex(IntervalIndex):
                 self._dirty = True
                 self.updates_since_partition += 1
                 self.updates.commit("delete", victim)
-                self._touch(0)
             return found
 
     # ------------------------------------------------------------------ #

@@ -341,11 +341,6 @@ class IntervalStore:
         lifecycle.  An index that owns resources (a sharded index's pooled
         workers and shared-memory snapshot) is closed too.
         """
-        if self._maintenance is not None:
-            # join, don't just signal: an in-flight background pass could
-            # otherwise republish a shared-memory snapshot after close()
-            # unlinked it, leaking the segment until interpreter exit
-            self._maintenance.stop(wait=True)
         if self._durability is not None:
             self._durability.close()
         if self._owns_executor:
@@ -482,26 +477,21 @@ class IntervalStore:
     # ------------------------------------------------------------------ #
     # maintenance (journal folding, rebuilds, snapshot refresh)
     # ------------------------------------------------------------------ #
-    def maintenance(self, config=None, policy=None):
+    def maintenance(self, config=None):
         """This store's :class:`~repro.engine.maintenance.MaintenanceCoordinator`.
 
-        Created lazily and cached; passing ``config`` or ``policy`` replaces
-        the cached coordinator (stopping any background thread the previous
-        one ran).  The coordinator folds ingest journals, rebuilds hybrid
-        deltas per its policy, re-balances skewed cuts and refreshes the
-        process-executor snapshot -- see :meth:`maintain` for the one-call
-        form.
+        Created lazily and cached; passing ``config`` replaces the cached
+        coordinator.  The coordinator folds ingest journals, rebuilds hybrid
+        deltas by the one rebuild rule, re-balances skewed cuts and
+        refreshes the process-executor snapshot -- see :meth:`maintain` for
+        the one-call form.
         """
         from repro.engine.maintenance import MaintenanceCoordinator
 
-        if config is not None or policy is not None or self._maintenance is None:
-            if self._maintenance is not None:
-                self._maintenance.stop(wait=False)
+        if config is not None or self._maintenance is None:
             # hand the coordinator the store, not the raw index: checkpoint
             # integration needs the store's durability manager
-            self._maintenance = MaintenanceCoordinator(
-                self, config=config, policy=policy
-            )
+            self._maintenance = MaintenanceCoordinator(self, config=config)
         return self._maintenance
 
     def maintain(self, force: bool = False, checkpoint: bool = False):

@@ -49,9 +49,10 @@ class HybridHINTm(IntervalIndex):
     Args:
         collection: the initially indexed intervals (go to the main index).
         num_bits: the ``m`` parameter used by both component indexes.
-        rebuild_threshold: when the delta grows beyond this fraction of the
-            main index, :meth:`insert` triggers an automatic :meth:`rebuild`.
-            Set to ``None`` to disable automatic rebuilds.
+
+    Rebuilds happen only when :meth:`rebuild` is called: the maintenance
+    coordinator (:mod:`repro.engine.maintenance`) applies the one rebuild
+    rule on each explicit ``maintain()``.
     """
 
     name = "hint-m-hybrid"
@@ -60,10 +61,8 @@ class HybridHINTm(IntervalIndex):
         self,
         collection: IntervalCollection,
         num_bits: int = 10,
-        rebuild_threshold: Optional[float] = None,
     ) -> None:
         self._m = num_bits
-        self._rebuild_threshold = rebuild_threshold
         # share one domain so both component indexes agree on partition bounds
         self._domain = Domain.for_collection(collection.starts, collection.ends, num_bits)
         main = OptimizedHINTm(collection, num_bits=num_bits, domain=self._domain)
@@ -80,14 +79,12 @@ class HybridHINTm(IntervalIndex):
         #: around the swap would miss the old delta or double-count it)
         self._components = (main, delta)
         self._rebuilds = 0
-        #: approximate answered-query count since construction; read by the
-        #: amortising rebuild policies of :mod:`repro.engine.maintenance`
-        self.query_ops = 0
         #: the update contract (generation, listeners, write lock).  The
         #: lock serialises updates against :meth:`rebuild`: a rebuild
         #: snapshots main + delta and then swaps both, so an insert landing
         #: in the old delta between snapshot and swap would be silently
-        #: discarded when a maintenance thread rebuilds concurrently.
+        #: discarded when a maintenance pass on another thread rebuilds
+        #: concurrently.
         #: Queries stay lock-free (they read whichever pair is current).
         #: The generation moves on every insert/delete, never on
         #: :meth:`rebuild`, which reorganises without changing the answer set.
@@ -139,16 +136,10 @@ class HybridHINTm(IntervalIndex):
     # updates
     # ------------------------------------------------------------------ #
     def insert(self, interval: Interval) -> None:
-        """Insert into the delta index; optionally trigger a batch rebuild."""
+        """Insert into the delta index."""
         with self.updates.lock:
             self._delta.insert(interval)
             self.updates.commit("insert", interval)
-            if (
-                self._rebuild_threshold is not None
-                and len(self._main) > 0
-                and len(self._delta) >= self._rebuild_threshold * len(self._main)
-            ):
-                self.rebuild()
 
     def delete(self, interval_id: int) -> bool:
         """Delete from whichever component holds the interval."""
@@ -188,7 +179,6 @@ class HybridHINTm(IntervalIndex):
     # queries
     # ------------------------------------------------------------------ #
     def query(self, query: Query) -> List[int]:
-        self.query_ops += 1
         main, delta = self._components  # one load: a racing rebuild cannot split the pair
         results = main.query(query)
         if len(delta):
@@ -198,7 +188,6 @@ class HybridHINTm(IntervalIndex):
     def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         """The main index answers the batch in one vectorised traversal;
         the delta is probed per query, and only while it holds anything."""
-        self.query_ops += len(queries)
         main, delta = self._components  # one load, as in :meth:`query`
         results = main.query_batch(queries)
         if len(delta):
@@ -211,7 +200,6 @@ class HybridHINTm(IntervalIndex):
         return results
 
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
-        self.query_ops += 1
         main, delta = self._components
         results, stats = main.query_with_stats(query)
         if len(delta):

@@ -124,6 +124,60 @@ class TestBatchCommand:
             main(["batch", str(csv_path), str(empty)])
 
 
+    def test_batch_maintenance_prints_its_line(self, csv_path, queries_path, capsys):
+        assert main(
+            ["batch", str(csv_path), str(queries_path), "--count-only", "--maintenance"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("# maintenance: ") for line in lines)
+
+
+class TestMaintainCommand:
+    @pytest.fixture()
+    def updates_csv(self, tmp_path):
+        from repro.core.interval import IntervalCollection
+
+        path = tmp_path / "updates.csv"
+        save_intervals_csv(
+            IntervalCollection.from_pairs([(10 * i, 10 * i + 25) for i in range(400)]),
+            path,
+        )
+        return path
+
+    def _maintain(self, csv, *extra):
+        return main([
+            "maintain", str(csv), "--shards", "2", "--inserts", "20",
+            "--deletes", "10", "--queries", "10", *extra,
+        ])
+
+    @staticmethod
+    def _summary(out):
+        lines = [line for line in out.splitlines() if line.startswith("# maintain: ")]
+        assert len(lines) == 1, out
+        return lines[0]
+
+    def test_unforced_pass_leaves_small_deltas(self, updates_csv, capsys):
+        assert self._maintain(updates_csv) == 0
+        # 20 inserts stay below the rebuild rule's floor
+        assert "rebuilt shards" not in self._summary(capsys.readouterr().out)
+
+    def test_forced_pass_rebuilds(self, updates_csv, capsys):
+        assert self._maintain(updates_csv, "--force") == 0
+        assert "rebuilt shards" in self._summary(capsys.readouterr().out)
+
+    def test_checkpoint_with_wal_dir(self, updates_csv, tmp_path, capsys):
+        from repro.durability.checkpoint import checkpoint_path
+
+        wal_dir = tmp_path / "wal"
+        assert self._maintain(updates_csv, "--wal-dir", str(wal_dir), "--checkpoint") == 0
+        assert "checkpointed @ generation" in self._summary(capsys.readouterr().out)
+        assert checkpoint_path(wal_dir).exists()
+
+    def test_checkpoint_requires_wal_dir(self, updates_csv):
+        with pytest.raises(SystemExit, match="--checkpoint requires --wal-dir"):
+            self._maintain(updates_csv, "--checkpoint")
+
+
 class TestStatsCommand:
     def test_stats_output(self, csv_path, capsys):
         assert main(["stats", str(csv_path)]) == 0

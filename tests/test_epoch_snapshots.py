@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore
-from repro.engine.maintenance import MaintenanceConfig
 from repro.engine.sharded import ShardedIndex
 
 
@@ -220,20 +219,6 @@ class TestReaderMaintenanceStress:
             assert store.index.epoch > 0, "stress never installed a new epoch"
         finally:
             store.close()
-
-    def test_queries_survive_background_maintenance_daemon(self):
-        collection = _collection(n=300)
-        store = IntervalStore.open(collection, "hintm_hybrid", num_shards=4)
-        coordinator = store.maintenance(
-            config=MaintenanceConfig(idle_seconds=0.0, interval_seconds=0.05)
-        )
-        coordinator.start()
-        try:
-            self._run_stress(store, collection, seconds=1.5, readers=2)
-            assert coordinator.running
-        finally:
-            store.close()
-        assert not coordinator.running
 
     def test_two_shard_stress_survives_maintenance_and_repartition(self):
         collection = _collection(n=300)

@@ -1,16 +1,16 @@
-"""The maintenance subsystem: ingest journal, policies, coordinator, adaptive K.
+"""The maintenance subsystem: ingest journal, coordinator, adaptive K.
 
-Covers the four pieces of :mod:`repro.engine.maintenance` -- the buffered
-count-column journal (lazy folds on multi-shard counts), the pluggable
-rebuild policies, the coordinator's maintain pass (folds, hybrid rebuilds,
-skew-triggered re-partitioning, background thread) and the Section 3.3 cost
-model extended to pick the shard count -- plus the locator-atomicity
-regression for deletes of duplicated ids.
+Covers the three pieces of :mod:`repro.engine.maintenance` -- the buffered
+count-column journal (lazy folds on multi-shard counts), the coordinator's
+explicit maintain pass (folds, the one rebuild rule, skew-triggered
+re-partitioning, a pass on another thread beside updates) and the Section
+3.3 cost model extended to pick the shard count -- plus the
+locator-atomicity regression for deletes of duplicated ids.
 """
 
 from __future__ import annotations
 
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -19,17 +19,12 @@ from repro.baselines.naive import NaiveIndex
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore, ShardedIndex, ShardedStore
 from repro.engine.maintenance import (
-    CostModelRebuildPolicy,
+    REBUILD_MIN_DELTA,
     CountColumns,
-    IngestJournal,
     MaintenanceConfig,
     MaintenanceCoordinator,
     MaintenanceReport,
-    RebuildPolicy,
-    ShardHealth,
-    ThresholdRebuildPolicy,
     recommend_shard_count,
-    resolve_policy,
 )
 from repro.engine.sharding import ShardPlan, partition_collection
 
@@ -138,14 +133,6 @@ class TestCountColumns:
         assert column.starts.tolist() == sorted(s for s, _ in live)
         assert column.ends.tolist() == sorted(e for _, e in live)
 
-    def test_fold_threshold_bounds_buffers(self):
-        collection = IntervalCollection.from_pairs([(0, 10), (20, 30), (40, 50)])
-        journal = IngestJournal([collection], fold_threshold=4)
-        for i in range(10):
-            journal.record_insert(0, 0, i, i + 1)
-        assert max(journal.pending_depths()) < 4
-
-
 class TestShardedJournal:
     def test_multi_shard_counts_exact_without_maintain(self, synthetic_collection, rng):
         """The acceptance property: counts fold pending updates lazily."""
@@ -248,23 +235,6 @@ class TestShardedJournal:
         assert len(column.ends) == expected
         assert column.starts.tolist() == sorted(column.starts.tolist())
 
-    def test_fold_threshold_wired_through_index(self, synthetic_collection, rng):
-        """Without multi-shard counts, the threshold alone bounds the buffers."""
-        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=4, num_bits=7, fold_threshold=16)
-        for kind, payload in _random_updates(synthetic_collection, rng, count=400):
-            if kind == "insert":
-                index.insert(payload)
-            else:
-                assert index.delete(payload)
-        assert max(index.ingest_journal.pending_depths()) < 16
-        # the threshold also survives a repartition's journal rebuild
-        assert index.repartition(strategy="balanced")
-        lo, _ = synthetic_collection.span()
-        for i in range(40):
-            index.insert(Interval(2 * 10**6 + i, lo + i, lo + i + 1))
-        assert max(index.ingest_journal.pending_depths()) < 16
-
     def test_memory_bytes_includes_journal(self, synthetic_collection):
         index = ShardedIndex(synthetic_collection, backend="hintm_opt",
                              num_shards=4, num_bits=7)
@@ -325,41 +295,6 @@ class TestDeleteAtomicity:
         assert not index.delete(interval_id)  # no copy left anywhere
 
 
-class TestPolicies:
-    def test_threshold_policy(self):
-        policy = ThresholdRebuildPolicy(fraction=0.1, min_delta=10)
-        assert not policy.should_rebuild(ShardHealth(0, live=1000, delta=5))
-        assert not policy.should_rebuild(ShardHealth(0, live=1000, delta=99))
-        assert policy.should_rebuild(ShardHealth(0, live=1000, delta=100))
-        assert policy.should_rebuild(ShardHealth(0, live=0, delta=10))
-
-    def test_cost_model_policy_amortises(self):
-        policy = CostModelRebuildPolicy(
-            beta_cmp=1e-6, build_cost_per_interval=1e-4, min_delta=10
-        )
-        quiet = ShardHealth(0, live=10_000, delta=50, queries_since_maintain=3)
-        busy = ShardHealth(0, live=10_000, delta=50, queries_since_maintain=100_000)
-        assert not policy.should_rebuild(quiet)
-        assert policy.should_rebuild(busy)
-        # below min_delta nothing rebuilds, no matter the query pressure
-        tiny = ShardHealth(0, live=10_000, delta=5, queries_since_maintain=10**9)
-        assert not policy.should_rebuild(tiny)
-
-    def test_resolve_policy(self):
-        assert isinstance(resolve_policy(None), ThresholdRebuildPolicy)
-        assert isinstance(resolve_policy("cost_model"), CostModelRebuildPolicy)
-        assert isinstance(resolve_policy("cost-model"), CostModelRebuildPolicy)
-        custom = ThresholdRebuildPolicy(fraction=0.5)
-        assert resolve_policy(custom) is custom
-        assert resolve_policy("threshold", fraction=0.25).fraction == 0.25
-        with pytest.raises(ValueError, match="unknown rebuild policy"):
-            resolve_policy("bogus")
-        with pytest.raises(ValueError, match="cannot reconfigure"):
-            resolve_policy(custom, fraction=0.1)
-        with pytest.raises(TypeError):
-            resolve_policy(42)
-
-
 class TestCoordinator:
     def test_maintain_folds_and_rebuilds_hybrid_shards(self, synthetic_collection, rng):
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
@@ -367,18 +302,18 @@ class TestCoordinator:
         # repartition off: this test isolates the per-shard rebuild path (a
         # repartition would preempt it, since fresh builds fold the deltas)
         coordinator = MaintenanceCoordinator(
-            index,
-            config=MaintenanceConfig(repartition=False),
-            policy=ThresholdRebuildPolicy(fraction=0.001, min_delta=1),
+            index, config=MaintenanceConfig(repartition=False)
         )
         _apply(index, _random_updates(synthetic_collection, rng, count=100))
         pending = sum(index.ingest_journal.pending_depths())
         assert pending > 0
         deltas_before = [s.delta_size for s in index.shards]
         assert any(deltas_before)
-        report = coordinator.maintain()
+        report = coordinator.maintain(force=True)
         assert report.folded_ops == pending
-        assert report.rebuilt_shards  # the aggressive threshold fired
+        assert report.rebuilt_shards == [
+            shard for shard, delta in enumerate(deltas_before) if delta
+        ]
         for shard_id in report.rebuilt_shards:
             assert index.shards[shard_id].delta_size == 0
         assert coordinator.reports[-1] is report
@@ -462,12 +397,44 @@ class TestCoordinator:
         for i in range(20):
             store.insert(Interval(10**6 + i, lo + i, lo + i + 5))
         assert store.index.delta_size == 20
-        report = store.maintenance(
-            policy=ThresholdRebuildPolicy(fraction=0.001, min_delta=1)
-        ).maintain()
+        report = store.maintain(force=True)
         assert report.rebuilt_shards == [0]
         assert store.index.delta_size == 0
         assert store.index.rebuilds == 1
+
+    def test_rebuild_rule(self):
+        """An unforced pass rebuilds once the delta holds 10% of the main
+        index *and* at least ``REBUILD_MIN_DELTA`` intervals."""
+        main = 1_000
+        store = IntervalStore.from_pairs(
+            [(10 * i, 10 * i + 5) for i in range(main)], backend="hintm_hybrid",
+            num_bits=7,
+        )
+        next_id = 10**6
+
+        def insert(count):
+            nonlocal next_id
+            for _ in range(count):
+                store.insert(Interval(next_id, next_id % 997, next_id % 997 + 3))
+                next_id += 1
+
+        insert(REBUILD_MIN_DELTA)  # past the floor, short of 10% of 1,000
+        assert not store.maintain().rebuilt_shards
+        insert(main // 10 - REBUILD_MIN_DELTA - 1)  # one short of 10%
+        assert not store.maintain().rebuilt_shards
+        insert(1)
+        assert store.maintain().rebuilt_shards == [0]
+        assert store.index.delta_size == 0
+        # a small main index still waits for the absolute floor
+        small = IntervalStore.from_pairs(
+            [(10 * i, 10 * i + 5) for i in range(50)], backend="hintm_hybrid",
+            num_bits=7,
+        )
+        for i in range(REBUILD_MIN_DELTA - 1):
+            small.insert(Interval(10**6 + i, i, i + 3))
+        assert not small.maintain().rebuilt_shards
+        small.insert(Interval(2 * 10**6, 0, 3))
+        assert small.maintain().rebuilt_shards == [0]
 
     def test_static_backend_maintain_is_noop(self, synthetic_collection):
         store = IntervalStore.open(synthetic_collection, "hintm_opt", num_bits=7)
@@ -479,34 +446,19 @@ class TestCoordinator:
         store = IntervalStore.open(synthetic_collection, "hintm_hybrid", num_bits=7)
         first = store.maintenance()
         assert store.maintenance() is first
-        replaced = store.maintenance(policy="cost_model")
+        replaced = store.maintenance(config=MaintenanceConfig(repartition=False))
         assert replaced is not first
         assert store.maintenance() is replaced
         store.close()
 
-    def test_background_thread_maintains_when_idle(self, synthetic_collection, rng):
-        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=4, num_bits=7)
-        coordinator = MaintenanceCoordinator(
-            index,
-            config=MaintenanceConfig(idle_seconds=0.0, interval_seconds=0.02),
-        )
-        _apply(index, _random_updates(synthetic_collection, rng, count=60))
-        assert sum(index.ingest_journal.pending_depths()) > 0
-        coordinator.start()
-        assert coordinator.running
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and not coordinator.reports:
-            time.sleep(0.02)
-        coordinator.stop()
-        assert not coordinator.running
-        assert coordinator.reports, "background thread never ran a pass"
-        assert sum(index.ingest_journal.pending_depths()) == 0
-        coordinator.stop()  # idempotent
-
-    def test_background_maintenance_never_loses_foreground_updates(self, rng):
-        """Repartitions and shard rebuilds snapshot-then-swap state; a
-        foreground update interleaving with either must never be discarded."""
+    def test_maintenance_thread_never_loses_foreground_updates(self, rng):
+        """Forced passes loop on a plain thread -- what the query server's
+        ``/maintain`` does through ``run_in_executor`` -- while this thread
+        inserts and deletes.  Repartitions and shard rebuilds
+        snapshot-then-swap state; an update interleaving with either must
+        never be discarded."""
+        # clumped data: the far-off inserts below drift the shard sizes, so
+        # passes repartition as well as rebuild
         starts = np.sort(rng.integers(0, 1_000, size=2_000))
         collection = IntervalCollection(
             ids=np.arange(2_000), starts=starts, ends=starts + 5
@@ -514,30 +466,48 @@ class TestCoordinator:
         index = ShardedIndex(collection, backend="hintm_hybrid",
                              num_shards=4, num_bits=7)
         coordinator = MaintenanceCoordinator(
-            index,
-            config=MaintenanceConfig(
-                idle_seconds=0.0, interval_seconds=0.005, skew_threshold=1.1
-            ),
-            policy=ThresholdRebuildPolicy(fraction=0.001, min_delta=1),
+            index, config=MaintenanceConfig(skew_threshold=1.1)
         )
         live = {
             int(i): (int(s), int(e))
             for i, s, e in zip(collection.ids, collection.starts, collection.ends)
         }
-        coordinator.start()
+        done = threading.Event()
+        passed = threading.Event()
+        errors = []
+
+        def maintain_loop():
+            try:
+                while not done.is_set():
+                    coordinator.maintain(force=True)
+                    passed.set()
+            except BaseException as exc:  # surfaced by the main thread
+                errors.append(exc)
+                passed.set()
+
+        thread = threading.Thread(target=maintain_loop)
+        thread.start()
         try:
-            next_id = 10**6
-            deadline = time.monotonic() + 1.5
-            while time.monotonic() < deadline:
+            for op in range(600):
                 start = int(rng.integers(0, 200_000))
-                index.insert(Interval(next_id, start, start + 100))
-                live[next_id] = (start, start + 100)
-                next_id += 1
+                index.insert(Interval(10**6 + op, start, start + 100))
+                live[10**6 + op] = (start, start + 100)
                 victim = int(rng.choice(list(live)))
                 assert index.delete(victim), f"lost update: delete({victim})"
                 del live[victim]
+                if op % 25 == 24:
+                    # hand the pass thread the lock at least once per 25 ops:
+                    # the interleaving is forced, not left to the scheduler
+                    passed.clear()
+                    assert passed.wait(timeout=60), "maintenance thread hung"
+                    assert not errors, errors
         finally:
-            coordinator.stop()
+            done.set()
+            thread.join()
+        assert not errors, errors
+        reports = coordinator.reports
+        assert any(report.repartitioned for report in reports)
+        assert any(report.rebuilt_shards for report in reports)
         assert len(index) == len(live)
         starts = np.array([s for s, _ in live.values()])
         ends = np.array([e for _, e in live.values()])
@@ -561,22 +531,6 @@ class TestCoordinator:
         # balanced cuts over (near-)unchanged data re-plan to themselves
         assert not index.repartition()
         assert index.updates_since_partition == 0
-
-    def test_background_thread_respects_idle_window(self, synthetic_collection):
-        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=4, num_bits=7)
-        coordinator = MaintenanceCoordinator(
-            index,
-            config=MaintenanceConfig(idle_seconds=3600.0, interval_seconds=0.02),
-        )
-        with coordinator:
-            coordinator.start()
-            lo, hi = synthetic_collection.span()
-            deadline = time.monotonic() + 0.3
-            while time.monotonic() < deadline:
-                index.query_count(Query(lo, hi))  # keeps the index busy
-            assert not coordinator.reports  # never idle long enough
-
 
 class TestQueryStatsSurface:
     def test_sharded_stats_carry_ingest_state(self, synthetic_collection):
@@ -675,44 +629,3 @@ class TestReportSummary:
         idle = MaintenanceReport()
         assert "nothing to do" in idle.summary()
         assert idle.actions == 0
-
-
-class TestCalibration:
-    """``MaintenanceConfig.calibrate``: measured betas into the cost model."""
-
-    def test_calibrate_configures_cost_model_policy(self, synthetic_collection):
-        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=2, num_bits=7)
-        defaults = CostModelRebuildPolicy()
-        coordinator = MaintenanceCoordinator(
-            index,
-            config=MaintenanceConfig(policy="cost_model", calibrate=True),
-        )
-        beta_cmp, beta_acc = coordinator.calibrated_betas
-        assert beta_cmp > 0 and beta_acc > 0
-        # the policy now amortises with the measured constant, and a real
-        # micro-benchmark essentially never lands on the hard-coded default
-        assert coordinator.policy.beta_cmp == beta_cmp
-        assert coordinator.policy.beta_cmp != defaults.beta_cmp
-        assert coordinator.state()["calibrated_betas"] == (beta_cmp, beta_acc)
-        index.close()
-
-    def test_calibrate_leaves_threshold_policy_untouched(self, synthetic_collection):
-        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=2, num_bits=7)
-        coordinator = MaintenanceCoordinator(
-            index, config=MaintenanceConfig(policy="threshold", calibrate=True)
-        )
-        # the measurement still runs (recorded for display) but the
-        # threshold rule has no beta to configure
-        assert coordinator.calibrated_betas is not None
-        assert not hasattr(coordinator.policy, "beta_cmp")
-        index.close()
-
-    def test_no_calibration_by_default(self, synthetic_collection):
-        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
-                             num_shards=2, num_bits=7)
-        coordinator = MaintenanceCoordinator(index, policy="cost_model")
-        assert coordinator.calibrated_betas is None
-        assert coordinator.policy.beta_cmp == CostModelRebuildPolicy().beta_cmp
-        index.close()

@@ -80,15 +80,6 @@ class TestRebuild:
         assert hybrid.rebuilds == 1
         assert sorted(hybrid.query(Query(lo, hi))) == before
 
-    def test_automatic_rebuild_threshold(self, synthetic_collection):
-        hybrid = HybridHINTm(synthetic_collection, num_bits=8, rebuild_threshold=0.01)
-        lo, _ = synthetic_collection.span()
-        threshold = int(0.01 * len(synthetic_collection)) + 1
-        for i in range(threshold):
-            hybrid.insert(Interval(30_000_000 + i, lo + i, lo + i + 5))
-        assert hybrid.rebuilds >= 1
-        assert hybrid.delta_size < threshold
-
 
 class TestMixedWorkloadEquivalence:
     def test_table10_style_workload_matches_naive(self, synthetic_collection):

@@ -178,6 +178,19 @@ class TestMaintainCommand:
             self._maintain(updates_csv, "--checkpoint")
 
 
+class TestBenchCommand:
+    def test_bench_maintenance_prints_one_line_per_shard_count(self, csv_path, capsys):
+        assert main([
+            "bench", str(csv_path), "--num-queries", "20", "--repeats", "1",
+            "--shards", "1", "2", "--maintenance",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for shards in (1, 2):
+            assert any(
+                line.startswith(f"# K={shards} maintenance: ") for line in lines
+            ), lines
+
+
 class TestStatsCommand:
     def test_stats_output(self, csv_path, capsys):
         assert main(["stats", str(csv_path)]) == 0

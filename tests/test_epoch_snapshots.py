@@ -220,6 +220,34 @@ class TestReaderMaintenanceStress:
         finally:
             store.close()
 
+    def test_queries_survive_background_maintenance_daemon(self):
+        """Unforced passes loop on a background (daemon) thread while the
+        stress churns, maintains and repartitions on this one under
+        readers: passes from two threads interleave with every update."""
+        collection = _collection(n=300)
+        store = IntervalStore.open(collection, "hintm_hybrid", num_shards=4)
+        done = threading.Event()
+        errors = []
+
+        def maintain_loop():
+            try:
+                while not done.is_set():
+                    store.maintain()
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=maintain_loop, daemon=True)
+        thread.start()
+        try:
+            self._run_stress(store, collection, seconds=1.5, readers=2)
+        finally:
+            done.set()
+            thread.join(timeout=60)
+            store.close()
+        assert not thread.is_alive(), "maintenance thread hung"
+        assert not errors, errors
+        assert store.maintenance().reports, "the thread never ran a pass"
+
     def test_two_shard_stress_survives_maintenance_and_repartition(self):
         collection = _collection(n=300)
         store = IntervalStore.open(collection, "hintm_hybrid", num_shards=2)

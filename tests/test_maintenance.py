@@ -19,6 +19,7 @@ from repro.baselines.naive import NaiveIndex
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore, ShardedIndex, ShardedStore
 from repro.engine.maintenance import (
+    REBUILD_FRACTION,
     REBUILD_MIN_DELTA,
     CountColumns,
     MaintenanceConfig,
@@ -295,6 +296,47 @@ class TestDeleteAtomicity:
         assert not index.delete(interval_id)  # no copy left anywhere
 
 
+class _HybridShape:
+    """Just the surface the rebuild rule reads: ``len``, ``delta_size`` and
+    ``rebuild()``, with ``live`` intervals in the main index."""
+
+    updates = None
+
+    def __init__(self, live, delta):
+        self.live, self.delta_size, self.rebuilds = live, delta, 0
+
+    def __len__(self):
+        return self.live + self.delta_size
+
+    def rebuild(self):
+        self.live += self.delta_size
+        self.delta_size = 0
+        self.rebuilds += 1
+
+
+class TestPolicies:
+    def test_threshold_policy(self):
+        """The one rule, at its edges: the delta must reach both the
+        fraction of the live main index and the absolute floor."""
+
+        def rebuilds(live, delta, force=False):
+            shape = _HybridShape(live, delta)
+            report = MaintenanceCoordinator(shape).maintain(force=force)
+            assert shape.rebuilds == len(report.rebuilt_shards)
+            return bool(shape.rebuilds)
+
+        big = 100 * REBUILD_MIN_DELTA
+        at_fraction = int(REBUILD_FRACTION * big)
+        assert not rebuilds(big, REBUILD_MIN_DELTA - 1)
+        assert not rebuilds(big, at_fraction - 1)
+        assert rebuilds(big, at_fraction)
+        assert rebuilds(0, REBUILD_MIN_DELTA)
+        assert not rebuilds(0, REBUILD_MIN_DELTA - 1)
+        # force rebuilds any non-empty delta, and only a non-empty one
+        assert rebuilds(big, 1, force=True)
+        assert not rebuilds(big, 0, force=True)
+
+
 class TestCoordinator:
     def test_maintain_folds_and_rebuilds_hybrid_shards(self, synthetic_collection, rng):
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
@@ -436,6 +478,47 @@ class TestCoordinator:
         small.insert(Interval(2 * 10**6, 0, 3))
         assert small.maintain().rebuilt_shards == [0]
 
+    def test_rebuild_rule_reads_the_live_main_index(self):
+        """Deletes shrink the main index the fraction is taken of: a delta
+        too small for the full index is enough once half of it is gone."""
+        main = 20 * REBUILD_MIN_DELTA
+        store = IntervalStore.from_pairs(
+            [(10 * i, 10 * i + 5) for i in range(main)], backend="hintm_hybrid",
+            num_bits=7,
+        )
+        for i in range(REBUILD_MIN_DELTA):
+            store.insert(Interval(10**6 + i, 10 * i, 10 * i + 3))
+        assert not store.maintain().rebuilt_shards
+        for interval_id in range(main // 2):
+            assert store.delete(interval_id)
+        assert store.maintain().rebuilt_shards == [0]
+        assert store.index.delta_size == 0
+        assert len(store.index) == main // 2 + REBUILD_MIN_DELTA
+
+    def test_unforced_pass_rebuilds_only_shards_past_the_rule(self):
+        """The rule is applied shard by shard, each against its own size."""
+        per_shard = 2 * REBUILD_MIN_DELTA
+        collection = IntervalCollection.from_pairs(
+            [(10 * i, 10 * i + 5) for i in range(4 * per_shard)]
+        )
+        index = ShardedIndex(collection, backend="hintm_hybrid",
+                             num_shards=4, num_bits=7)
+        coordinator = MaintenanceCoordinator(
+            index, config=MaintenanceConfig(repartition=False)
+        )
+        lo, hi = collection.span()
+        for i in range(REBUILD_MIN_DELTA):  # enough for the first shard
+            index.insert(Interval(10**6 + i, lo + i, lo + i + 1))
+        for i in range(REBUILD_MIN_DELTA - 1):  # one short in the last
+            index.insert(Interval(2 * 10**6 + i, hi - 2, hi - 1))
+        assert index.shards[0].delta_size == REBUILD_MIN_DELTA
+        assert index.shards[3].delta_size == REBUILD_MIN_DELTA - 1
+        report = coordinator.maintain()
+        assert report.rebuilt_shards == [0]
+        assert index.shards[0].delta_size == 0
+        assert index.shards[3].delta_size == REBUILD_MIN_DELTA - 1
+        assert coordinator.maintain(force=True).rebuilt_shards == [3]
+
     def test_static_backend_maintain_is_noop(self, synthetic_collection):
         store = IntervalStore.open(synthetic_collection, "hintm_opt", num_bits=7)
         report = store.maintain(force=True)
@@ -451,7 +534,7 @@ class TestCoordinator:
         assert store.maintenance() is replaced
         store.close()
 
-    def test_maintenance_thread_never_loses_foreground_updates(self, rng):
+    def test_background_maintenance_never_loses_foreground_updates(self, rng):
         """Forced passes loop on a plain thread -- what the query server's
         ``/maintain`` does through ``run_in_executor`` -- while this thread
         inserts and deletes.  Repartitions and shard rebuilds

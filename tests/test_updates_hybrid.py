@@ -80,6 +80,18 @@ class TestRebuild:
         assert hybrid.rebuilds == 1
         assert sorted(hybrid.query(Query(lo, hi))) == before
 
+    def test_inserts_never_rebuild_on_their_own(self, synthetic_collection):
+        """Only an explicit rebuild() (a maintenance pass) folds the delta,
+        however large it grows relative to the main index."""
+        hybrid = HybridHINTm(synthetic_collection, num_bits=8)
+        lo, _ = synthetic_collection.span()
+        inserts = len(synthetic_collection) // 5
+        for i in range(inserts):
+            hybrid.insert(Interval(30_000_000 + i, lo + i, lo + i + 5))
+        assert hybrid.rebuilds == 0
+        assert hybrid.delta_size == inserts
+        assert len(hybrid) == len(synthetic_collection) + inserts
+
 
 class TestMixedWorkloadEquivalence:
     def test_table10_style_workload_matches_naive(self, synthetic_collection):

@@ -1,4 +1,4 @@
-"""Standing queries: subscriptions, incremental deltas and streaming push.
+"""Standing queries: subscriptions, incremental deltas and long-poll push.
 
 Run with::
 
@@ -109,7 +109,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 6. the same protocol over HTTP: /subscribe + long-polled deltas
     # ------------------------------------------------------------------ #
-    handle = start_server_thread(store, cache=128, streaming=True)
+    handle = start_server_thread(store, cache=128)
     subscriber = StreamClient(port=handle.port)
     subscriber.subscribe(10_000, 10_480)
     with ServeClient(port=handle.port) as writer:

@@ -3,13 +3,12 @@
 oracle-checked.
 
 The CI job runs this under a timeout guard: a sharded hybrid store goes up
-behind the query server with streaming enabled, a handful of subscribers
-attach standing queries (plain ranges, a duration-filtered one, and one
-consuming the chunked streaming transport), then rounds of
+behind the query server, a handful of subscribers attach standing queries
+(plain ranges and a duration-filtered one), then rounds of
 
 * **updates mid-stream** -- inserts and deletes applied through the server
-  while every subscriber concurrently folds its delta stream (long-poll or
-  chunked streaming) onto its subscribe-time snapshot;
+  while every subscriber concurrently long-polls its delta stream and folds
+  it onto its subscribe-time snapshot;
 * **disruptions** -- a forced maintenance pass on alternating rounds, which
   may not corrupt a delta stream (maintenance must emit no deltas);
 
@@ -41,11 +40,10 @@ from repro.serve.server import start_server_thread
 
 
 class _Subscriber:
-    """One standing query folded on its own thread (long-poll or stream)."""
+    """One standing query long-polled and folded on its own thread."""
 
-    def __init__(self, port, start, end, *, min_duration=0, use_stream=False):
+    def __init__(self, port, start, end, *, min_duration=0):
         self.spec = (start, end, min_duration)
-        self.use_stream = use_stream
         self.client = StreamClient(port=port)
         self.client.subscribe(start, end, min_duration=min_duration or None)
         self.lock = threading.Lock()
@@ -65,13 +63,7 @@ class _Subscriber:
     def _run(self):
         try:
             while not self.stop.is_set():
-                if self.use_stream:
-                    for _ in self.client.stream(timeout=1.0):
-                        self._publish()
-                        if self.stop.is_set():
-                            break
-                else:
-                    self.client.poll(timeout=1.0)
+                self.client.poll(timeout=1.0)
                 self._publish()
         except Exception as exc:  # noqa: BLE001 - surfaced by the main thread
             self.error = exc
@@ -121,7 +113,7 @@ def main(argv=None) -> int:
     store = IntervalStore.open(
         collection, "hintm_hybrid", num_shards=args.shards, num_bits=8
     )
-    handle = start_server_thread(store, cache=128, streaming=True)
+    handle = start_server_thread(store, cache=128)
     admin = ServeClient(port=handle.port)
     print(f"# streaming {len(store)} intervals on {handle.address}", flush=True)
 
@@ -135,10 +127,8 @@ def main(argv=None) -> int:
                     handle.port,
                     a,
                     b,
-                    # one duration-filtered subscription, one on the chunked
-                    # streaming transport, the rest plain long-poll
+                    # one duration-filtered subscription, the rest plain
                     min_duration=(hi - lo) // 100 if position == 1 else 0,
-                    use_stream=position == 2,
                 )
             )
 

@@ -259,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-ttl", type=float, default=None, metavar="S",
                        help="expire cached bodies older than S seconds even "
                             "when no update touched them (default: no TTL)")
-    serve.add_argument("--streaming", action="store_true",
-                       help="enable the chunked streaming variant of "
-                            "/poll-deltas (long-poll always works)")
     serve.add_argument("--max-poller-lag", type=int, default=None, metavar="N",
                        help="standing-query backpressure: a subscription whose "
                             "poller lags more than N retained delta records has "
@@ -301,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: %(default)s)")
     subscribe.add_argument("--duration", type=float, default=None, metavar="S",
                            help="stop after S seconds (default: until Ctrl-C)")
-    subscribe.add_argument("--stream", action="store_true",
-                           help="use the chunked streaming transport (the "
-                                "server must run with --streaming)")
 
     cluster_serve = subparsers.add_parser(
         "cluster-serve",
@@ -762,7 +756,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         batch_window=args.batch_window,
-        streaming=args.streaming,
         max_poller_lag=args.max_poller_lag,
         # a recovery-restored standing-query manager (subscriptions and
         # their ack positions survive the restart); None = lazy fresh one
@@ -815,24 +808,20 @@ def _command_subscribe(args: argparse.Namespace) -> int:
         print("# snapshot:", " ".join(str(i) for i in sorted(client.ids())))
         try:
             while deadline is None or time.monotonic() < deadline:
-                if args.stream:
-                    events = client.stream(timeout=args.poll_timeout)
-                else:
-                    events = iter([client.poll(timeout=args.poll_timeout)])
-                for event in events:
-                    if event.get("resynced"):
-                        print(
-                            f"# resynced @ generation {client.generation}: "
-                            f"{len(client.ids())} matching intervals"
-                        )
-                        continue
-                    for delta in event.get("deltas", ()):
-                        print(
-                            f"generation {delta['generation']}"
-                            f"{' (coalesced)' if delta.get('coalesced') else ''}: "
-                            f"+{delta['added']} -{delta['removed']} "
-                            f"-> {len(client.ids())} matching"
-                        )
+                event = client.poll(timeout=args.poll_timeout)
+                if event.get("resynced"):
+                    print(
+                        f"# resynced @ generation {client.generation}: "
+                        f"{len(client.ids())} matching intervals"
+                    )
+                    continue
+                for delta in event.get("deltas", ()):
+                    print(
+                        f"generation {delta['generation']}"
+                        f"{' (coalesced)' if delta.get('coalesced') else ''}: "
+                        f"+{delta['added']} -{delta['removed']} "
+                        f"-> {len(client.ids())} matching"
+                    )
         except KeyboardInterrupt:  # pragma: no cover - interactive path
             pass
         client.unsubscribe()

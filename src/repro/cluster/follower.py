@@ -44,7 +44,8 @@ from repro.durability.checkpoint import decode_checkpoint
 from repro.durability.manager import apply_record
 from repro.engine.store import IntervalStore
 from repro.serve.client import ServeClient, ServerError, ServerUnavailableError
-from repro.serve.server import ServerHandle, start_server_thread
+from repro.serve.http import ServerHandle
+from repro.serve.server import start_server_thread
 from repro.stream.deltas import StandingQueryManager
 
 __all__ = ["ClusterFollower"]

@@ -37,13 +37,9 @@ fan-out pool is only ever used by the single caller's query.
 from __future__ import annotations
 
 import dataclasses
-import http.server
-import json
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
-from urllib.parse import urlsplit
 
 from repro.core.errors import ReproError
 from repro.engine.results import merge_unique_ids
@@ -56,14 +52,13 @@ from repro.serve.client import (
     ServerOverloaded,
     ServerUnavailableError,
 )
-from repro.serve.server import _int_field, _Reject
+from repro.serve.http import GET, HttpServer, ServerHandle, encode, run_in_thread
 
 __all__ = [
     "ClusterRouter",
     "ClusterUpdateError",
     "NoHealthyReplicaError",
     "ReplicaFailure",
-    "RouterAdminHandle",
 ]
 
 
@@ -187,7 +182,7 @@ class ClusterRouter:
             labelnames=("shard",),
         )
         self._cache.register_metrics(self.metrics)
-        self._admin: Optional[RouterAdminHandle] = None
+        self._admin: Optional[ServerHandle] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -208,7 +203,7 @@ class ClusterRouter:
 
     def close(self) -> None:
         if self._admin is not None:
-            self._admin.close()
+            self._admin.stop()
             self._admin = None
         self._pool.shutdown(wait=False)
         for client in self._clients.values():
@@ -406,18 +401,25 @@ class ClusterRouter:
             "cache": dataclasses.asdict(self._cache.stats()),
         }
 
-    def start_admin(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> "RouterAdminHandle":
-        """Serve ``/metrics``, ``/stats``, ``/slow-queries`` and ``/health``.
+    def start_admin(self, host: str = "127.0.0.1", port: int = 0) -> ServerHandle:
+        """Serve ``GET /metrics``, ``/stats``, ``/slow-queries`` and ``/health``.
 
         The router itself is a client-side library with no listening
-        socket; this hangs a read-only admin surface off it so the front
-        tier is scrapeable like the servers it routes to.  Idempotent --
-        repeated calls return the already-running handle.
+        socket; this hangs a read-only admin surface off it, on the same
+        HTTP core as the query and shard servers, so the front tier is
+        scrapeable like the servers it routes to.  Idempotent -- repeated
+        calls return the already-running handle; :meth:`close` stops it.
         """
         if self._admin is None:
-            self._admin = RouterAdminHandle(self, host=host, port=port)
+            admin = HttpServer(
+                host, port, metrics=self.metrics, slow_log=self.slow_log, methods=GET
+            )
+
+            async def stats(payload: Dict[str, object], ctx) -> Tuple[int, bytes]:
+                return 200, encode(self.stats())
+
+            admin.routes["/stats"] = (GET, stats)
+            self._admin = run_in_thread(admin)
         return self._admin
 
     # ------------------------------------------------------------------ #
@@ -552,107 +554,3 @@ class ClusterRouter:
                 ctx[0].add(record)
             return response
         raise NoHealthyReplicaError(shard, attempt_failures)
-
-class RouterAdminHandle:
-    """A read-only HTTP admin surface over one router's observability state.
-
-    The router is a client-side library -- it has no listening socket of
-    its own -- so operators could not scrape it the way they scrape the
-    query and shard servers.  This handle runs a stdlib threading HTTP
-    server on a daemon thread serving:
-
-    * ``GET /metrics`` -- the router's registry in Prometheus text,
-    * ``GET /stats`` -- :meth:`ClusterRouter.stats` as JSON,
-    * ``GET /slow-queries`` (``?limit=N``) -- the slow-query ring buffer,
-    * ``GET /health`` -- liveness.
-
-    Obtain one via :meth:`ClusterRouter.start_admin`; stop it with
-    :meth:`close` (also closed by ``router.close()``).
-    """
-
-    def __init__(
-        self, router: "ClusterRouter", *, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        admin_router = router
-
-        class _Handler(http.server.BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
-                parts = urlsplit(self.path)
-                try:
-                    status, content_type, body = self._route(parts)
-                except _Reject as reject:
-                    status = reject.status
-                    content_type = "application/json"
-                    body = json.dumps({"error": reject.message}).encode("utf-8")
-                except Exception as exc:  # noqa: BLE001 - surface, don't die
-                    status = 500
-                    content_type = "application/json"
-                    body = json.dumps({"error": str(exc)}).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _route(self, parts) -> Tuple[int, str, bytes]:
-                if parts.path == "/metrics":
-                    return (
-                        200,
-                        "text/plain; version=0.0.4; charset=utf-8",
-                        admin_router.metrics.render().encode("utf-8"),
-                    )
-                if parts.path == "/stats":
-                    body = json.dumps(admin_router.stats()).encode("utf-8")
-                    return 200, "application/json", body
-                if parts.path == "/slow-queries":
-                    limit = None
-                    for pair in parts.query.split("&"):
-                        name, _, value = pair.partition("=")
-                        if name == "limit" and value:
-                            limit = max(0, _int_field(value, "limit"))
-                    body = json.dumps(
-                        {
-                            "threshold_s": admin_router.slow_log.threshold,
-                            "recorded": admin_router.slow_log.recorded,
-                            "slow_queries": admin_router.slow_log.entries(limit),
-                        }
-                    ).encode("utf-8")
-                    return 200, "application/json", body
-                if parts.path == "/health":
-                    return 200, "application/json", b'{"status": "ok"}'
-                body = json.dumps({"error": f"no route {parts.path}"}).encode(
-                    "utf-8"
-                )
-                return 404, "application/json", body
-
-            def log_message(self, *args: object) -> None:
-                return  # admin scrapes should not spam stderr
-
-        self.router = router
-        self._server = http.server.ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self.host = self._server.server_address[0]
-        self.port = int(self._server.server_address[1])
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-router-admin",
-            daemon=True,
-        )
-        self._thread.start()
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-    def __enter__(self) -> "RouterAdminHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

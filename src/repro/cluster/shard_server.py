@@ -48,26 +48,13 @@ from repro.durability.wal import WalRecord, list_segments, read_segment_tail
 from repro.engine.sharding import ShardPlan
 from repro.engine.store import IntervalStore
 from repro.obs import tracing
-from repro.serve.server import (
-    ServerHandle,
-    QueryServer,
-    _Reject,
-    _RequestContext,
-    _decode,
-    _encode,
-    _int_field,
-    _merge_query_string,
-    _query_pairs,
-    start_server_thread,
-)
+from repro.serve.http import POST, READ, Reject, ServerHandle, encode, int_field
+from repro.serve.server import QueryServer, _query_pairs, start_server_thread
 
 __all__ = ["SHARD_BATCH_KINDS", "ShardServer", "start_shard_server_thread"]
 
 #: probe kinds the /shard-batch endpoint answers
 SHARD_BATCH_KINDS = ("ids", "count", "exists")
-
-#: extra endpoints the cluster protocol adds on top of the base server
-_CLUSTER_POSTS = ("/shard-batch", "/checkpoint", "/wal-feed", "/promote")
 
 
 class ShardServer(QueryServer):
@@ -129,6 +116,18 @@ class ShardServer(QueryServer):
             "repro_read_only", "1 while this node is an unpromoted follower",
             lambda: int(self._read_only),
         )
+        self.routes.update(
+            {
+                "/cluster-info": (READ, self._handle_cluster_info),
+                "/shard-batch": (POST, self._handle_shard_batch),
+                "/checkpoint": (POST, self._handle_checkpoint),
+                "/wal-feed": (POST, self._handle_wal_feed),
+                "/promote": (POST, self._handle_promote),
+            }
+        )
+        for path in ("/insert", "/delete", "/maintain"):
+            methods, handler = self.routes[path]
+            self.routes[path] = (methods, self._refused_while_read_only(handler))
 
     # ------------------------------------------------------------------ #
     @property
@@ -164,37 +163,26 @@ class ShardServer(QueryServer):
         return {"role": self._role, "read_only": self._read_only}
 
     # ------------------------------------------------------------------ #
-    # dispatch
+    # routes
     # ------------------------------------------------------------------ #
-    async def _dispatch(
-        self, method: str, target: str, body: bytes, ctx: _RequestContext
-    ):
-        path = ctx.endpoint
-        if path == "/cluster-info":
-            return 200, _encode(self.cluster_info())
-        if path in _CLUSTER_POSTS:
-            if method != "POST":
-                return 405, _encode({"error": f"{path} requires POST, got {method}"})
-            payload = _decode(body)
-            if "?" in target:
-                _merge_query_string(payload, target)
-            if path == "/shard-batch":
-                return await self._handle_shard_batch(payload, ctx)
-            handler = {
-                "/checkpoint": self._handle_checkpoint,
-                "/wal-feed": self._handle_wal_feed,
-                "/promote": self._handle_promote,
-            }[path]
-            return await handler(payload)
-        if self._read_only and path in ("/insert", "/delete", "/maintain"):
-            return 403, _encode(
-                {
-                    "error": "read-only follower refuses writes; "
-                    "promote it first (POST /promote)",
-                    "role": self._role,
-                }
-            )
-        return await super()._dispatch(method, target, body, ctx)
+    def _refused_while_read_only(self, handler):
+        """``handler``, answering 403 while this node is an unpromoted follower."""
+
+        async def guarded(payload: Dict[str, object], ctx):
+            if self._read_only:
+                return 403, encode(
+                    {
+                        "error": "read-only follower refuses writes; "
+                        "promote it first (POST /promote)",
+                        "role": self._role,
+                    }
+                )
+            return await handler(payload, ctx)
+
+        return guarded
+
+    async def _handle_cluster_info(self, payload: Dict[str, object], ctx):
+        return 200, encode(self.cluster_info())
 
     def cluster_info(self) -> Dict[str, object]:
         durability = getattr(self._store, "durability", None)
@@ -216,21 +204,19 @@ class ShardServer(QueryServer):
     # ------------------------------------------------------------------ #
     # /shard-batch
     # ------------------------------------------------------------------ #
-    async def _handle_shard_batch(
-        self, payload: Dict[str, object], ctx: _RequestContext
-    ):
+    async def _handle_shard_batch(self, payload: Dict[str, object], ctx):
         queries = _query_pairs(payload.get("queries"))
         kind = payload.get("kind", "ids")
         if kind not in SHARD_BATCH_KINDS:
-            raise _Reject(
+            raise Reject(
                 400, f"unknown shard-batch kind {kind!r}; choose from {SHARD_BATCH_KINDS}"
             )
         home_starts = payload.get("home_starts")
         if home_starts is not None:
             if not isinstance(home_starts, list) or len(home_starts) != len(queries):
-                raise _Reject(400, "home_starts must align one-to-one with queries")
+                raise Reject(400, "home_starts must align one-to-one with queries")
             home_starts = [
-                None if home is None else _int_field(home, "home_starts")
+                None if home is None else int_field(home, "home_starts")
                 for home in home_starts
             ]
         # admission weight mirrors what the same queries would cost the
@@ -261,7 +247,7 @@ class ShardServer(QueryServer):
             # root now and ship the complete subtree in the response body
             ctx.finish_root(200)
             body["spans"] = ctx.trace.spans()
-        return 200, _encode(body)
+        return 200, encode(body)
 
     def _execute_shard_batch(
         self,
@@ -320,12 +306,12 @@ class ShardServer(QueryServer):
     def _durability(self):
         durability = getattr(self._store, "durability", None)
         if durability is None:
-            raise _Reject(
+            raise Reject(
                 409, "store has no durability manager; open it with a wal_dir"
             )
         return durability
 
-    async def _handle_checkpoint(self, payload: Dict[str, object]):
+    async def _handle_checkpoint(self, payload: Dict[str, object], ctx):
         durability = self._durability()
         self._admit()
         try:
@@ -335,21 +321,21 @@ class ShardServer(QueryServer):
             )
         finally:
             self._release()
-        return 200, _encode(
+        return 200, encode(
             {"checkpoint": base64.b64encode(image).decode("ascii"), "summary": summary}
         )
 
-    async def _handle_wal_feed(self, payload: Dict[str, object]):
+    async def _handle_wal_feed(self, payload: Dict[str, object], ctx):
         durability = self._durability()
-        segment = _int_field(payload.get("segment", 0), "segment")
-        offset = _int_field(payload.get("offset", 0), "offset")
+        segment = int_field(payload.get("segment", 0), "segment")
+        offset = int_field(payload.get("offset", 0), "offset")
         try:
             timeout = float(payload.get("timeout", 10.0))
         except (TypeError, ValueError):
             timeout = 10.0
         timeout = max(0.0, min(timeout, self._poll_timeout))
         if self._pollers >= self._max_pollers:
-            raise _Reject(503, "too many pollers", retry_after=1)
+            raise Reject(503, "too many pollers", retry_after=1)
         self._pollers += 1
         self._wal_polls += 1
         try:
@@ -361,7 +347,7 @@ class ShardServer(QueryServer):
                 if resync:
                     # a checkpoint unlinked the requested segment: the
                     # follower cannot replay the gap; it re-bootstraps
-                    return 200, _encode(
+                    return 200, encode(
                         {
                             "resync_required": True,
                             "segment": segment,
@@ -370,7 +356,7 @@ class ShardServer(QueryServer):
                         }
                     )
                 if records or self._loop.time() >= deadline:
-                    return 200, _encode(
+                    return 200, encode(
                         {
                             "resync_required": False,
                             "segment": segment,
@@ -428,16 +414,16 @@ class ShardServer(QueryServer):
     # ------------------------------------------------------------------ #
     # /promote
     # ------------------------------------------------------------------ #
-    async def _handle_promote(self, payload: Dict[str, object]):
+    async def _handle_promote(self, payload: Dict[str, object], ctx):
         if self._promote_hook is None:
             if self._role == "leader" and not self._read_only:
-                return 200, _encode({"role": self._role, "read_only": False})
-            raise _Reject(409, "this node has no follower attached to promote")
+                return 200, encode({"role": self._role, "read_only": False})
+            raise Reject(409, "this node has no follower attached to promote")
         result = await self._loop.run_in_executor(None, self._promote_hook)
         body = {"role": self._role, "read_only": self._read_only}
         if isinstance(result, dict):
             body.update(result)
-        return 200, _encode(body)
+        return 200, encode(body)
 
     # ------------------------------------------------------------------ #
     def serving_stats(self) -> Dict[str, object]:

@@ -32,7 +32,8 @@ from repro.serve.client import (
     ServerUnavailableError,
     StreamClient,
 )
-from repro.serve.server import QueryServer, ServerHandle, start_server_thread
+from repro.serve.http import ServerHandle
+from repro.serve.server import QueryServer, start_server_thread
 
 __all__ = [
     "CacheStats",

@@ -9,19 +9,18 @@ the unit of HTTP pipelining, and the benchmarks measure per-connection
 request/response round-trips on purpose).
 
 :class:`StreamClient` layers the standing-query protocol on top: it
-subscribes, keeps the live result set locally by folding delta batches from
-``/poll-deltas`` (long-poll or chunked streaming), and transparently
-resyncs when the server's bounded delta log could no longer replay the gap.
+subscribes, keeps the live result set locally by folding the delta batches
+each ``/poll-deltas`` long-poll returns, and transparently resyncs when the
+server's bounded delta log could no longer replay the gap.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ReproError
 
@@ -470,9 +469,9 @@ class StreamClient:
     """A standing-query consumer that keeps its result set live.
 
     Wraps one :class:`ServeClient`: :meth:`subscribe` installs the standing
-    query and stores its snapshot locally; each :meth:`poll` (long-poll) or
-    :meth:`stream` (chunked) round folds the delivered delta batches into
-    the local id set and advances the acked generation.  When the server
+    query and stores its snapshot locally; each :meth:`poll` (long-poll)
+    round folds the delivered delta batches into the local id set and
+    advances the acked generation.  When the server
     answers ``resync_required`` -- its bounded delta log was coalesced or
     truncated past our ack, or the subscription is gone after a server
     restart with a fresh manager -- the client re-snapshots transparently
@@ -491,8 +490,6 @@ class StreamClient:
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
     ) -> None:
-        self._host = host
-        self._port = port
         # a stream consumer is long-lived and idempotent end to end (polls
         # re-send the last ack), so it opts into 503 retries too
         self._client = ServeClient(
@@ -601,58 +598,6 @@ class StreamClient:
             return self._resync()
         self._apply(response)
         return response
-
-    def stream(self, timeout: float = 30.0) -> Iterator[Dict[str, object]]:
-        """Yield delta batches live from the chunked streaming endpoint.
-
-        One streaming request lasts up to ``timeout`` seconds (capped by
-        the server's ``poll_timeout``); each yielded batch has already been
-        folded into :meth:`ids`.  Ends early on ``resync_required`` (after
-        transparently resyncing, yielding the resync event last).
-        """
-        if self._subscription_id is None:
-            raise RuntimeError("not subscribed")
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=timeout + 10.0
-        )
-        body = json.dumps(
-            {
-                "subscription_id": self._subscription_id,
-                "after": self._generation,
-                "timeout": timeout,
-                "stream": True,
-            }
-        ).encode()
-        try:
-            try:
-                connection.request(
-                    "POST",
-                    "/poll-deltas",
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-            except (http.client.HTTPException, ConnectionError, OSError) as exc:
-                # the dedicated streaming connection has no retry loop (the
-                # caller re-enters stream() with the preserved ack); still
-                # surface the same typed error the request path does
-                raise ServerUnavailableError(self._host, self._port, 1, exc) from exc
-            if response.status >= 400:
-                raw = response.read()
-                decoded = json.loads(raw) if raw else {}
-                raise ServerError(response.status, decoded)
-            while True:
-                line = response.readline()
-                if not line:
-                    break
-                event = json.loads(line)
-                if event.get("resync_required"):
-                    yield self._resync()
-                    break
-                self._apply(event)
-                yield event
-        finally:
-            connection.close()
 
     # ------------------------------------------------------------------ #
     def _apply(self, response: Dict[str, object]) -> None:

@@ -42,9 +42,10 @@ Request lifecycle::
   work is rejected with 503), waits for admitted requests to finish, then
   closes the listener.
 
-Requests are HTTP/1.1 with CRLF line endings and ``Content-Length``-framed
-bodies; a bare-LF request line, a ``Transfer-Encoding`` body or a bad
-``Content-Length`` is answered ``400`` and the connection closed.
+HTTP itself -- framing, keep-alive, the route table, ``/metrics``,
+``/slow-queries`` and ``/health`` -- is :mod:`repro.serve.http`'s; this
+module registers the query server's routes on it.  Mutations accept POST
+only, every other endpoint GET or POST.
 
 Endpoints (all JSON):
 
@@ -62,9 +63,7 @@ Endpoints (all JSON):
 ``POST /unsubscribe``        ``{"subscription_id": i}``
 ``GET/POST /poll-deltas``    long-poll one subscription's delta log
                              (``subscription_id``, ``after`` = last-acked
-                             generation, ``timeout`` seconds; ``stream``
-                             switches to the chunked variant when the
-                             server enables it)
+                             generation, ``timeout`` seconds)
 ``GET /stats``               serving counters, cache stats, epoch + kernel
                              fan-out health, subscription gauges, latency quantiles
                              (every number sourced from the metrics registry)
@@ -81,19 +80,17 @@ per-query :class:`~repro.core.base.QueryStats` in the response).
 Standing queries ride the same store hooks as the cache: a
 :class:`~repro.stream.deltas.StandingQueryManager` observes inserts/deletes,
 routes each to the affected subscriptions through an interval-indexed
-registry, and the server long-polls (or chunk-streams) the per-subscription
-delta logs with bounded queues, net-effect coalescing under backpressure and
-an explicit resync signal -- see :mod:`repro.stream`.
+registry, and the server long-polls the per-subscription delta logs with
+bounded queues, net-effect coalescing under backpressure and an explicit
+resync signal -- see :mod:`repro.stream`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from typing import Dict, List, Optional, Tuple
-from urllib.parse import parse_qs, urlsplit
 
 from repro.core.base import QueryStats
 from repro.core.errors import DurabilityDegradedError, ReproError
@@ -102,27 +99,23 @@ from repro.engine.executor import ProcessExecutor
 from repro.engine.store import IntervalStore
 from repro.obs import MetricsRegistry, SlowQueryLog, global_registry, tracing
 from repro.serve.cache import ResultCache, normalize_query_key, resolve_cache
+from repro.serve.http import (
+    POST,
+    READ,
+    HttpServer,
+    Reject,
+    ServerHandle,
+    encode,
+    int_field,
+    run_in_thread,
+    truthy,
+)
 from repro.stream import StandingQueryManager, UnknownSubscriptionError, parse_relation
 
-__all__ = ["QueryServer", "ServerHandle", "start_server_thread"]
+__all__ = ["QueryServer", "start_server_thread"]
 
 #: sentinel shutting the batcher task down
 _SHUTDOWN = object()
-
-#: largest request body the server will buffer; one rogue Content-Length
-#: must not bypass admission control by exhausting memory (8 MiB holds a
-#: ~300k-query batch request -- far past any sane client)
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-class _Reject(Exception):
-    """Internal: turn a request into an HTTP error response."""
-
-    def __init__(self, status: int, message: str, retry_after: Optional[int] = None):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.retry_after = retry_after
 
 
 #: endpoint -> latency-histogram operation label; everything else is "other"
@@ -140,7 +133,7 @@ _SLOW_ENDPOINTS = frozenset(("/query", "/batch", "/shard-batch"))
 
 
 class _RequestContext:
-    """Per-request observability state threaded through ``_dispatch``.
+    """Per-request observability state handed to every route handler.
 
     Created once per request in :meth:`QueryServer._begin_request`; handlers
     use :meth:`child` to hand the trace across executor-thread hops and fill
@@ -182,11 +175,7 @@ class _RequestContext:
         self.root_recorded = True
 
 
-class _TextBody(bytes):
-    """Internal: a response body to be written as ``text/plain`` (/metrics)."""
-
-
-class QueryServer:
+class QueryServer(HttpServer):
     """Admission-controlled asyncio HTTP front door for one store.
 
     Args:
@@ -210,14 +199,11 @@ class QueryServer:
             serve subscriptions from (pass the previous server's manager to
             survive a restart with exact catch-up); ``None`` creates one
             lazily on the first ``/subscribe``.
-        streaming: enable the chunked-transfer variant of ``/poll-deltas``
-            (``stream: true`` in the request); long-poll stays the default.
         max_pollers: most ``/poll-deltas`` requests waiting at once -- they
             park on an event instead of holding admission slots, so they
             get their own bound (503 past it).
-        poll_timeout: hard cap in seconds on one long-poll wait (and on one
-            chunked streaming response); clients ask for less via
-            ``timeout``.
+        poll_timeout: hard cap in seconds on one long-poll wait; clients
+            ask for less via ``timeout``.
         max_poller_lag: backpressure bound handed to the lazily created
             :class:`~repro.stream.deltas.StandingQueryManager`: a
             subscription whose poller lags past this many retained records
@@ -245,7 +231,6 @@ class QueryServer:
         batch_window: float = 0.0,
         drain_timeout: float = 10.0,
         stream: "StandingQueryManager | None" = None,
-        streaming: bool = False,
         max_pollers: int = 256,
         poll_timeout: float = 30.0,
         max_poller_lag: Optional[int] = None,
@@ -259,9 +244,16 @@ class QueryServer:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_pollers < 1:
             raise ValueError(f"max_pollers must be >= 1, got {max_pollers}")
+        super().__init__(
+            host,
+            port,
+            # per-server registry chained to the process-global one, so one
+            # scrape shows serving counters AND engine-wide state
+            metrics=MetricsRegistry(parent=global_registry()),
+            slow_log=SlowQueryLog(threshold=slow_threshold, capacity=slow_capacity),
+            methods=READ,
+        )
         self._store = store
-        self._host = host
-        self._port = port
         self._cache = resolve_cache(cache)
         if self._cache.enabled:
             self._cache.watch(store.updates)
@@ -270,15 +262,11 @@ class QueryServer:
         self._batch_window = batch_window
         self._drain_timeout = drain_timeout
         self._stream = stream
-        self._streaming = streaming
         self._max_pollers = max_pollers
         self._poll_timeout = poll_timeout
         self._max_poller_lag = max_poller_lag
 
-        self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._connections: set = set()  # open client writers, for shutdown
-        self._handlers: set = set()  # per-connection handler tasks
         self._batcher: Optional[asyncio.Task] = None
         self._pending: Optional[asyncio.Queue] = None
         self._update_lock: Optional[asyncio.Lock] = None
@@ -292,11 +280,20 @@ class QueryServer:
         self._pollers = 0  # parked /poll-deltas requests (loop thread only)
 
         self._instrument = instrument
-        self.slow_log = SlowQueryLog(threshold=slow_threshold, capacity=slow_capacity)
-        #: per-server registry chained to the process-global one, so one
-        #: scrape shows serving counters AND engine-wide state
-        self.metrics = MetricsRegistry(parent=global_registry())
         self._register_metrics()
+        self.routes.update(
+            {
+                "/stats": (READ, self._handle_stats),
+                "/query": (READ, self._handle_query),
+                "/batch": (READ, self._handle_batch),
+                "/poll-deltas": (READ, self._handle_poll),
+                "/insert": (POST, self._handle_insert),
+                "/delete": (POST, self._handle_delete),
+                "/maintain": (POST, self._handle_maintain),
+                "/subscribe": (POST, self._handle_subscribe),
+                "/unsubscribe": (POST, self._handle_unsubscribe),
+            }
+        )
 
     def _register_metrics(self) -> None:
         """Every serving metric lives on the registry; nothing is kept twice.
@@ -417,15 +414,6 @@ class QueryServer:
         return self._stream
 
     @property
-    def port(self) -> int:
-        """The bound port (resolves a requested port 0 after :meth:`start`)."""
-        return self._port
-
-    @property
-    def address(self) -> str:
-        return f"http://{self._host}:{self._port}"
-
-    @property
     def draining(self) -> bool:
         return self._draining
 
@@ -515,10 +503,7 @@ class QueryServer:
         self._update_lock = asyncio.Lock()
         self._idle = asyncio.Event()
         self._idle.set()
-        self._server = await asyncio.start_server(
-            self._client_connected, self._host, self._port
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
+        await super().start()
         self._batcher = asyncio.ensure_future(self._batch_loop())
         self._started_at = time.time()
         if self._stream is not None:
@@ -536,10 +521,10 @@ class QueryServer:
         abandoned with the connections.
         """
         self._draining = True
-        # drain-on-stop for the push transport: parked long-polls (and
-        # chunked streams) wake, flush whatever their logs hold and answer;
-        # the manager itself stays attached to the store so a successor
-        # server can serve exact catch-up from the same logs
+        # drain-on-stop for the push transport: parked long-polls wake,
+        # flush whatever their logs hold and answer; the manager itself
+        # stays attached to the store so a successor server can serve
+        # exact catch-up from the same logs
         for waiter in list(self._stream_waiters.values()):
             waiter.set()
         if self._stream is not None:
@@ -556,50 +541,9 @@ class QueryServer:
             except asyncio.TimeoutError:  # pragma: no cover - slow store
                 self._batcher.cancel()
             self._batcher = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # idle keep-alive connections would otherwise hold their handler
-        # tasks (blocked in readline) across loop shutdown
-        for writer in list(self._connections):
-            writer.close()
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers), return_exceptions=True)
+        await super().stop()
         if self._cache.enabled:
             self._cache.watch(None)  # the store outlives us: stop listening
-
-    async def serve_forever(self) -> None:
-        """Run until cancelled (``KeyboardInterrupt`` drains via ``run``)."""
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    def run(self, on_started=None) -> None:
-        """Blocking convenience: start, serve until interrupted, drain.
-
-        ``on_started`` (if given) is called with the server once the
-        listener is bound -- the CLI uses it to print the resolved address.
-        A ``KeyboardInterrupt`` cancels serving and runs the graceful drain
-        (:meth:`stop`): admitted requests finish, then the port closes.
-        """
-
-        async def _main() -> None:
-            await self.start()
-            if on_started is not None:
-                on_started(self)
-            try:
-                await self._server.serve_forever()
-            except asyncio.CancelledError:  # pragma: no cover - signal path
-                pass
-            finally:
-                await self.stop()
-
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:  # pragma: no cover - interactive path
-            pass
 
     # ------------------------------------------------------------------ #
     # the batcher: queued queries -> store.run_batch (2+: in a worker thread)
@@ -702,140 +646,11 @@ class QueryServer:
     # ------------------------------------------------------------------ #
     # request handling
     # ------------------------------------------------------------------ #
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _Reject as reject:
-                    # a request that cannot be framed (bare-LF head, body
-                    # oversized, chunked or of bad Content-Length) cannot be
-                    # skipped safely on a keep-alive stream: answer and close
-                    self._m_errors.inc()
-                    payload = _encode({"error": reject.message})
-                    writer.write(
-                        _CLOSE_HEAD
-                        % (reject.status, _REASONS.get(reject.status, b"Error"), len(payload))
-                        + payload
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, path, body, headers = request
-                self._m_requests.inc()
-                ctx = self._begin_request(method, path, headers)
-                try:
-                    status, payload = await self._dispatch(method, path, body, ctx)
-                except _Reject as reject:
-                    # only admission pressure counts as "rejected" -- a 400
-                    # from a malformed request is a client error, and mixing
-                    # them would inflate the overload signal operators (and
-                    # client backoff) key on
-                    if reject.status == 503:
-                        self._m_rejected.inc()
-                    else:
-                        self._m_errors.inc()
-                    status = reject.status
-                    payload = _encode(
-                        {"error": reject.message, "retry_after": reject.retry_after}
-                    )
-                except ReproError as exc:
-                    self._m_errors.inc()
-                    status, payload = 400, _encode({"error": str(exc)})
-                except Exception as exc:  # noqa: BLE001 - the server must answer
-                    self._m_errors.inc()
-                    status, payload = 500, _encode(
-                        {"error": f"{type(exc).__name__}: {exc}"}
-                    )
-                if isinstance(payload, _StreamBody):
-                    await self._stream_response(writer, payload)
-                    continue
-                self._finish_request(ctx, status)
-                content_type = (
-                    b"text/plain; version=0.0.4; charset=utf-8"
-                    if isinstance(payload, _TextBody)
-                    else b"application/json"
-                )
-                # head and body in one write: one send, one segment
-                writer.write(
-                    _HEAD % (status, _REASONS.get(status, b"OK"), content_type, len(payload))
-                    + payload
-                )
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            self._connections.discard(writer)
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-        """One request off the stream: request line, header block, body.
-
-        The header block comes in one read: its first two bytes tell an
-        empty block (``\\r\\n``) from one that ends in a blank line.  Only
-        CRLF framing is accepted -- a bare-LF request line is rejected at
-        once rather than left waiting for a ``\\r\\n\\r\\n`` that never comes.
-
-        ``None`` at EOF (or an unparsable request line); ``_Reject`` for a
-        head or body the server cannot frame -- bare-LF line endings, a
-        ``Transfer-Encoding`` body, a ``Content-Length`` that is not a
-        non-negative integer, or one past :data:`MAX_BODY_BYTES` -- since
-        the next request's start is then unknown and the connection must
-        close.
-        """
-        try:
-            line = await reader.readuntil(b"\n")
-            if not line.endswith(b"\r\n"):
-                raise _Reject(400, "request lines must end in CRLF")
-            try:
-                method, target, _version = line.decode("latin-1").split(None, 2)
-            except ValueError:
-                return None
-            block = await reader.readexactly(2)
-            if block != b"\r\n":
-                block += await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError as exc:
-            raise _Reject(400, "request head too large") from exc
-        headers: Dict[str, str] = {}
-        for field in block.decode("latin-1").split("\r\n")[:-2]:
-            name, _, value = field.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        if "transfer-encoding" in headers:
-            raise _Reject(400, "Transfer-Encoding request bodies are not supported")
-        length = headers.get("content-length", "0")
-        if not length.isdecimal():
-            raise _Reject(400, f"invalid Content-Length {length!r}")
-        length = int(length)
-        if length > MAX_BODY_BYTES:
-            raise _Reject(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), target, body, headers
-
     def _begin_request(
-        self, method: str, target: str, headers: Dict[str, str]
+        self, method: str, endpoint: str, headers: Dict[str, str]
     ) -> _RequestContext:
         """Open the per-request observability context (cheap when off)."""
-        path = target.partition("?")[0]
-        if "#" in path or not path.startswith("/"):
-            path = urlsplit(target).path  # absolute-form or fragment: parse
-        endpoint = path.rstrip("/") or "/"
+        self._m_requests.inc()
         ctx = _RequestContext(endpoint, method)
         if not self._instrument:
             return ctx
@@ -875,65 +690,26 @@ class QueryServer:
                 ctx.endpoint, duration, args=ctx.args, tags=tags, trace=ctx.trace
             )
 
-    async def _dispatch(
-        self, method: str, target: str, body: bytes, ctx: _RequestContext
-    ):
-        path = ctx.endpoint
-        payload = _decode(body)
-        if "?" in target:
-            _merge_query_string(payload, target)
-        if path == "/metrics":
-            return 200, _TextBody(self.metrics.render().encode())
-        if path == "/slow-queries":
-            limit = payload.get("limit")
-            return 200, _encode(
-                {
-                    "threshold_s": self.slow_log.threshold,
-                    "recorded": self.slow_log.recorded,
-                    "slow_queries": self.slow_log.entries(
-                        _int_field(limit, "limit") if limit is not None else None
-                    ),
-                }
-            )
-        if path == "/health":
-            # degraded (WAL can no longer persist writes) stays 200: reads
-            # still work, so load balancers keep routing them -- the flag
-            # tells operators writes are being refused
-            durability = getattr(self._store, "durability", None)
-            degraded = durability is not None and durability.degraded
-            status = 503 if self._draining else 200
-            body: Dict[str, object] = {
-                "status": "draining"
-                if self._draining
-                else ("degraded" if degraded else "ok")
-            }
-            if durability is not None:
-                body["durability_degraded"] = degraded
-            return status, _encode(body)
-        if path == "/stats":
-            return 200, _encode(self.serving_stats())
-        if path == "/query":
-            return await self._handle_query(payload, ctx)
-        if path == "/batch":
-            return await self._handle_batch(payload, ctx)
-        if path == "/poll-deltas":
-            return await self._handle_poll(payload)
-        if path in ("/insert", "/delete", "/maintain", "/subscribe", "/unsubscribe"):
-            if method != "POST":
-                # mutations must never ride on "safe" methods: a browser
-                # prefetch or monitoring GET must not change the index
-                return 405, _encode(
-                    {"error": f"{path} requires POST, got {method}"}
-                )
-            handler = {
-                "/insert": self._handle_insert,
-                "/delete": self._handle_delete,
-                "/maintain": self._handle_maintain,
-                "/subscribe": self._handle_subscribe,
-                "/unsubscribe": self._handle_unsubscribe,
-            }[path]
-            return await handler(payload)
-        return 404, _encode({"error": f"no such endpoint: {path}"})
+    def _count_error(self, status: int) -> None:
+        # only admission pressure counts as "rejected" -- a 400 from a
+        # malformed request is a client error, and mixing them would
+        # inflate the overload signal operators (and client backoff) key on
+        if status == 503:
+            self._m_rejected.inc()
+        else:
+            self._m_errors.inc()
+
+    def health(self) -> Dict[str, object]:
+        # degraded (WAL can no longer persist writes) stays 200: reads still
+        # work, so load balancers keep routing them -- the flag tells
+        # operators writes are being refused
+        durability = getattr(self._store, "durability", None)
+        degraded = durability is not None and durability.degraded
+        status = "draining" if self._draining else ("degraded" if degraded else "ok")
+        body: Dict[str, object] = {"status": status}
+        if durability is not None:
+            body["durability_degraded"] = degraded
+        return body
 
     def _admit(self, count: int = 1) -> None:
         """Admission control: count a request's weight in, or reject.
@@ -946,15 +722,15 @@ class QueryServer:
         it), not backpressure.
         """
         if self._draining:
-            raise _Reject(503, "draining", retry_after=None)
+            raise Reject(503, "draining", retry_after=None)
         if count > self._max_pending:
-            raise _Reject(
+            raise Reject(
                 400,
                 f"request weight {count} exceeds max_pending "
                 f"{self._max_pending}; split the batch",
             )
         if self._inflight + count > self._max_pending:
-            raise _Reject(503, "overloaded", retry_after=1)
+            raise Reject(503, "overloaded", retry_after=1)
         self._inflight += count
         self._idle.clear()
 
@@ -979,17 +755,20 @@ class QueryServer:
     # ------------------------------------------------------------------ #
     # endpoints
     # ------------------------------------------------------------------ #
+    async def _handle_stats(self, payload: Dict[str, object], ctx: _RequestContext):
+        return 200, encode(self.serving_stats())
+
     @staticmethod
     def _parse_query(payload: Dict[str, object]) -> Tuple[Query, bool]:
         if "stab" in payload:
-            query = Query.stabbing(_int_field(payload["stab"], "stab"))
+            query = Query.stabbing(int_field(payload["stab"], "stab"))
         else:
             if "start" not in payload or "end" not in payload:
-                raise _Reject(400, "query needs start and end (or stab)")
+                raise Reject(400, "query needs start and end (or stab)")
             query = Query(
-                _int_field(payload["start"], "start"), _int_field(payload["end"], "end")
+                int_field(payload["start"], "start"), int_field(payload["end"], "end")
             )
-        count_only = _truthy(payload.get("count_only", False))
+        count_only = truthy(payload.get("count_only", False))
         return query, count_only
 
     @staticmethod
@@ -999,8 +778,8 @@ class QueryServer:
         try:
             relation = parse_relation(relation) if relation else None
         except ReproError as exc:
-            raise _Reject(400, str(exc)) from exc
-        return relation, _truthy(payload.get("stats", False))
+            raise Reject(400, str(exc)) from exc
+        return relation, truthy(payload.get("stats", False))
 
     @staticmethod
     def _query_kind(count_only: bool, relation, with_stats: bool) -> str:
@@ -1041,14 +820,14 @@ class QueryServer:
                     with_stats,
                 )
                 answer["generation"] = generation
-                body = _encode(answer)
+                body = encode(answer)
             else:
                 future: asyncio.Future = self._loop.create_future()
                 await self._pending.put((query, count_only, future, ctx.child()))
                 generation, answer = await future
                 # the generation rides on every answer: the cluster router
                 # keys its distributed cache off this token alone
-                body = _encode(
+                body = encode(
                     {"count": answer, "generation": generation}
                     if count_only
                     else {"ids": answer, "count": len(answer), "generation": generation}
@@ -1105,7 +884,7 @@ class QueryServer:
 
     async def _handle_batch(self, payload: Dict[str, object], ctx: _RequestContext):
         queries = _query_pairs(payload.get("queries"))
-        count_only = _truthy(payload.get("count_only", False))
+        count_only = truthy(payload.get("count_only", False))
         # relation/stats apply batch-wide: every query in the request is
         # refined the same way (mixed batches are two requests)
         relation, with_stats = self._parse_refinement(payload)
@@ -1173,9 +952,9 @@ class QueryServer:
             for position, (fill_generation, value) in zip(missing, filled):
                 if refined:
                     value["generation"] = fill_generation
-                    body = _encode(value)  # already a full answer dict
+                    body = encode(value)  # already a full answer dict
                 else:
-                    body = _encode(
+                    body = encode(
                         {"count": value, "generation": fill_generation}
                         if count_only
                         else {
@@ -1195,14 +974,14 @@ class QueryServer:
         # answers hold per-query encoded bodies; splice them into one array
         return 200, b'{"results": [' + b", ".join(answers) + b"]}"
 
-    async def _handle_insert(self, payload: Dict[str, object]):
+    async def _handle_insert(self, payload: Dict[str, object], ctx: _RequestContext):
         for field in ("id", "start", "end"):
             if field not in payload:
-                raise _Reject(400, f"insert needs '{field}'")
+                raise Reject(400, f"insert needs '{field}'")
         interval = Interval(
-            _int_field(payload["id"], "id"),
-            _int_field(payload["start"], "start"),
-            _int_field(payload["end"], "end"),
+            int_field(payload["id"], "id"),
+            int_field(payload["start"], "start"),
+            int_field(payload["end"], "end"),
         )
         self._admit()
         try:
@@ -1212,18 +991,18 @@ class QueryServer:
             # the WAL could not persist the record: refuse the write
             # loudly (503, no Retry-After -- degraded does not self-heal)
             # instead of acknowledging an update a crash would lose
-            raise _Reject(503, str(exc)) from exc
+            raise Reject(503, str(exc)) from exc
         finally:
             self._release()
         self._m_updates.inc()
-        return 200, _encode(
+        return 200, encode(
             {"inserted": interval.id, "generation": self._store.result_generation()}
         )
 
-    async def _handle_delete(self, payload: Dict[str, object]):
+    async def _handle_delete(self, payload: Dict[str, object], ctx: _RequestContext):
         if "id" not in payload:
-            raise _Reject(400, "delete needs 'id'")
-        interval_id = _int_field(payload["id"], "id")
+            raise Reject(400, "delete needs 'id'")
+        interval_id = int_field(payload["id"], "id")
         self._admit()
         try:
             async with self._update_lock:
@@ -1231,11 +1010,11 @@ class QueryServer:
                     None, self._store.delete, interval_id
                 )
         except DurabilityDegradedError as exc:
-            raise _Reject(503, str(exc)) from exc
+            raise Reject(503, str(exc)) from exc
         finally:
             self._release()
         self._m_updates.inc()
-        return 200, _encode(
+        return 200, encode(
             {
                 "deleted": bool(found),
                 "id": interval_id,
@@ -1243,8 +1022,8 @@ class QueryServer:
             }
         )
 
-    async def _handle_maintain(self, payload: Dict[str, object]):
-        force = _truthy(payload.get("force", False))
+    async def _handle_maintain(self, payload: Dict[str, object], ctx: _RequestContext):
+        force = truthy(payload.get("force", False))
         self._admit()
         try:
             async with self._update_lock:
@@ -1253,7 +1032,7 @@ class QueryServer:
                 )
         finally:
             self._release()
-        return 200, _encode(
+        return 200, encode(
             {
                 "summary": report.summary(),
                 "generation": self._store.result_generation(),
@@ -1291,7 +1070,7 @@ class QueryServer:
         if waiter is not None:
             waiter.set()
 
-    async def _handle_subscribe(self, payload: Dict[str, object]):
+    async def _handle_subscribe(self, payload: Dict[str, object], ctx: _RequestContext):
         manager = self._stream_manager()
         resync_id = payload.get("subscription_id")
         self._admit()
@@ -1302,17 +1081,17 @@ class QueryServer:
             async with self._update_lock:
                 if resync_id is not None:
                     result = await self._loop.run_in_executor(
-                        None, manager.resync, _int_field(resync_id, "subscription_id")
+                        None, manager.resync, int_field(resync_id, "subscription_id")
                     )
                 else:
                     query, _ = self._parse_query(payload)
                     relation, _ = self._parse_refinement(payload)
-                    min_duration = _int_field(
+                    min_duration = int_field(
                         payload.get("min_duration", 0), "min_duration"
                     )
                     raw_max = payload.get("max_duration")
                     max_duration = (
-                        _int_field(raw_max, "max_duration")
+                        int_field(raw_max, "max_duration")
                         if raw_max is not None
                         else None
                     )
@@ -1322,7 +1101,7 @@ class QueryServer:
                         try:
                             filter_spec = json.loads(filter_spec)
                         except ValueError as exc:
-                            raise _Reject(
+                            raise Reject(
                                 400, f"invalid JSON in 'filter': {exc}"
                             ) from exc
                     result = await self._loop.run_in_executor(
@@ -1338,10 +1117,10 @@ class QueryServer:
                     )
         except UnknownSubscriptionError as exc:
             self._m_errors.inc()
-            return 404, _encode({"error": str(exc), "resync_required": True})
+            return 404, encode({"error": str(exc), "resync_required": True})
         finally:
             self._release()
-        return 200, _encode(
+        return 200, encode(
             {
                 "subscription_id": result.subscription.subscription_id,
                 "generation": result.generation,
@@ -1356,46 +1135,41 @@ class QueryServer:
             }
         )
 
-    async def _handle_unsubscribe(self, payload: Dict[str, object]):
+    async def _handle_unsubscribe(
+        self, payload: Dict[str, object], ctx: _RequestContext
+    ):
         if "subscription_id" not in payload:
-            raise _Reject(400, "unsubscribe needs 'subscription_id'")
-        subscription_id = _int_field(payload["subscription_id"], "subscription_id")
+            raise Reject(400, "unsubscribe needs 'subscription_id'")
+        subscription_id = int_field(payload["subscription_id"], "subscription_id")
         removed = self._stream.unsubscribe(subscription_id) if self._stream else False
         waiter = self._stream_waiters.pop(subscription_id, None)
         if waiter is not None:
             waiter.set()  # parked pollers wake and observe the 404
-        return 200, _encode(
+        return 200, encode(
             {"unsubscribed": bool(removed), "subscription_id": subscription_id}
         )
 
-    async def _handle_poll(self, payload: Dict[str, object]):
+    async def _handle_poll(self, payload: Dict[str, object], ctx: _RequestContext):
         if "subscription_id" not in payload:
-            raise _Reject(400, "poll-deltas needs 'subscription_id'")
-        subscription_id = _int_field(payload["subscription_id"], "subscription_id")
-        after = _int_field(payload.get("after", -1), "after")
+            raise Reject(400, "poll-deltas needs 'subscription_id'")
+        subscription_id = int_field(payload["subscription_id"], "subscription_id")
+        after = int_field(payload.get("after", -1), "after")
         try:
             timeout = min(
                 float(payload.get("timeout", self._poll_timeout)), self._poll_timeout
             )
         except (TypeError, ValueError) as exc:
-            raise _Reject(400, f"'timeout' must be a number: {exc}") from None
+            raise Reject(400, f"'timeout' must be a number: {exc}") from None
         if self._stream is None:
             self._m_errors.inc()
-            return 404, _encode(
+            return 404, encode(
                 {
                     "error": f"unknown subscription {subscription_id}",
                     "resync_required": True,
                 }
             )
         if self._pollers >= self._max_pollers:
-            raise _Reject(503, "too many pollers", retry_after=1)
-        if _truthy(payload.get("stream", False)):
-            if not self._streaming:
-                raise _Reject(
-                    400, "chunked streaming is disabled on this server"
-                )
-            # handled by _client_connected as a chunked response
-            return 200, _StreamBody(subscription_id, after, timeout)
+            raise Reject(503, "too many pollers", retry_after=1)
         deadline = self._loop.time() + timeout
         self._pollers += 1
         try:
@@ -1413,7 +1187,7 @@ class QueryServer:
                     )
                 except UnknownSubscriptionError as exc:
                     self._m_errors.inc()
-                    return 404, _encode(
+                    return 404, encode(
                         {"error": str(exc), "resync_required": True}
                     )
                 if result.records or result.resync_required or self._draining:
@@ -1428,7 +1202,7 @@ class QueryServer:
                     # generation current at return time, not pre-wait
         finally:
             self._pollers -= 1
-        return 200, _encode(self._poll_body(subscription_id, result))
+        return 200, encode(self._poll_body(subscription_id, result))
 
     @staticmethod
     def _poll_body(subscription_id: int, result) -> Dict[str, object]:
@@ -1448,127 +1222,10 @@ class QueryServer:
             ],
         }
 
-    async def _stream_response(
-        self, writer: asyncio.StreamWriter, stream: "_StreamBody"
-    ) -> None:
-        """The chunked variant of /poll-deltas: one JSON object per chunk.
-
-        Runs until the client's timeout (capped by ``poll_timeout``), the
-        server drains, or the subscription needs a resync; ends with the
-        terminating zero chunk so keep-alive survives the response.
-        """
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/json\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"\r\n"
-        )
-        subscription_id = stream.subscription_id
-        after = stream.after
-        deadline = self._loop.time() + stream.timeout
-        self._pollers += 1
-        try:
-            while True:
-                waiter = self._stream_waiters.get(subscription_id)
-                if waiter is None:
-                    waiter = self._stream_waiters[subscription_id] = asyncio.Event()
-                waiter.clear()
-                try:
-                    result = self._stream.poll(
-                        subscription_id, after_generation=after
-                    )
-                except UnknownSubscriptionError as exc:
-                    # newline-terminated payloads let clients readline() over
-                    # the decoded stream without seeing chunk boundaries
-                    _write_chunk(
-                        writer,
-                        _encode({"error": str(exc), "resync_required": True}) + b"\n",
-                    )
-                    break
-                if result.records or result.resync_required:
-                    _write_chunk(
-                        writer,
-                        _encode(self._poll_body(subscription_id, result)) + b"\n",
-                    )
-                    await writer.drain()
-                    if result.resync_required:
-                        break
-                    after = result.generation
-                if self._draining:
-                    break
-                remaining = deadline - self._loop.time()
-                if remaining <= 0:
-                    # heartbeat: an idle stream still hands the client the
-                    # current generation, so its next request's `after` is
-                    # fresh and barriers on generation cannot stall
-                    if result.generation > after:
-                        _write_chunk(
-                            writer,
-                            _encode(self._poll_body(subscription_id, result))
-                            + b"\n",
-                        )
-                        await writer.drain()
-                    break
-                try:
-                    await asyncio.wait_for(waiter.wait(), remaining)
-                except asyncio.TimeoutError:
-                    continue  # re-poll once: the heartbeat must be fresh
-        finally:
-            self._pollers -= 1
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
-
-class _StreamBody:
-    """Internal: a /poll-deltas answer to be written as a chunked stream."""
-
-    __slots__ = ("subscription_id", "after", "timeout")
-
-    def __init__(self, subscription_id: int, after: int, timeout: float) -> None:
-        self.subscription_id = subscription_id
-        self.after = after
-        self.timeout = timeout
-
 
 # --------------------------------------------------------------------------- #
-# wire helpers
+# helpers
 # --------------------------------------------------------------------------- #
-_REASONS = {
-    200: b"OK",
-    400: b"Bad Request",
-    404: b"Not Found",
-    405: b"Method Not Allowed",
-    413: b"Payload Too Large",
-    500: b"Internal Server Error",
-    503: b"Service Unavailable",
-}
-
-#: response heads: ``% (status, reason, content type, length)`` ...
-_HEAD = b"HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\n\r\n"
-#: ... and ``% (status, reason, length)`` for a JSON error that ends the
-#: connection
-_CLOSE_HEAD = (
-    b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
-    b"Content-Length: %d\r\nConnection: close\r\n\r\n"
-)
-
-
-def _encode(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode()
-
-
-def _decode(body: bytes) -> Dict[str, object]:
-    if not body:
-        return {}
-    try:
-        decoded = json.loads(body)
-    except ValueError as exc:
-        raise _Reject(400, f"invalid JSON body: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise _Reject(400, "JSON body must be an object")
-    return decoded
-
-
 def _fans_out_to_processes(store: IntervalStore) -> bool:
     """True when the store's reads go through a worker-process pool.
 
@@ -1582,53 +1239,19 @@ def _fans_out_to_processes(store: IntervalStore) -> bool:
     )
 
 
-def _merge_query_string(payload: Dict[str, object], target: str) -> None:
-    """Fill ``payload`` from the target's query string (body fields win)."""
-    for key, values in parse_qs(urlsplit(target).query).items():
-        payload.setdefault(key, values[0])
-
-
-def _int_field(value: object, name: str) -> int:
-    """Request field ``name``'s ``value`` as an int, or a 400 naming it.
-
-    Accepts what ``int()`` does (JSON numbers, query-string digits); a value
-    it refuses -- ``"abc"``, ``null``, a list -- is the client's error, not
-    a 500 carrying the interpreter's exception text.
-    """
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise _Reject(
-            400, f"'{name}' must be an integer, got {value!r:.40}"
-        ) from None
-
-
 def _query_pairs(raw: object) -> List[Query]:
     """The ``queries`` field -- a non-empty list of ``[start, end]`` pairs --
     as queries, or a 400."""
     if not isinstance(raw, list) or not raw:
-        raise _Reject(400, "'queries' must be a non-empty list of [start, end] pairs")
+        raise Reject(400, "'queries' must be a non-empty list of [start, end] pairs")
     queries = []
     for pair in raw:
         if not isinstance(pair, list) or len(pair) != 2:
-            raise _Reject(400, f"'queries' holds {pair!r:.40}, not a [start, end] pair")
+            raise Reject(400, f"'queries' holds {pair!r:.40}, not a [start, end] pair")
         queries.append(
-            Query(_int_field(pair[0], "queries"), _int_field(pair[1], "queries"))
+            Query(int_field(pair[0], "queries"), int_field(pair[1], "queries"))
         )
     return queries
-
-
-def _truthy(value: object) -> bool:
-    if isinstance(value, str):
-        return value.lower() in ("1", "true", "yes", "on")
-    return bool(value)
-
-
-def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
-    """One HTTP/1.1 chunked-transfer frame (hex length, CRLF-framed)."""
-    writer.write(b"%x\r\n" % len(data))
-    writer.write(data)
-    writer.write(b"\r\n")
 
 
 def _stats_dict(stats: QueryStats) -> Dict[str, object]:
@@ -1646,55 +1269,6 @@ def _stats_dict(stats: QueryStats) -> Dict[str, object]:
 # --------------------------------------------------------------------------- #
 # threaded convenience (tests, benchmarks, examples)
 # --------------------------------------------------------------------------- #
-class ServerHandle:
-    """A :class:`QueryServer` running on a daemon thread's event loop."""
-
-    def __init__(
-        self,
-        server: QueryServer,
-        thread: threading.Thread,
-        loop: asyncio.AbstractEventLoop,
-    ) -> None:
-        self.server = server
-        self._thread = thread
-        self._loop = loop
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def address(self) -> str:
-        return self.server.address
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Drain and stop the server, then stop and join the loop thread.
-
-        Idempotent: stopping an already-stopped handle is a no-op, so
-        teardown code can stop every member of a cluster without tracking
-        which replicas a test already killed.
-        """
-        if self._loop.is_closed():
-            return
-        try:
-            future = asyncio.run_coroutine_threadsafe(
-                self.server.stop(drain=drain), self._loop
-            )
-        except RuntimeError:
-            return  # loop shut down between the check and the submit
-        try:
-            future.result(timeout=timeout)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
 def start_server_thread(
     store: IntervalStore, *, server_cls: "type | None" = None, **kwargs
 ) -> ServerHandle:
@@ -1705,34 +1279,4 @@ def start_server_thread(
     ``server_cls`` swaps in a subclass (the cluster tier's
     :class:`~repro.cluster.shard_server.ShardServer`).
     """
-    server = (server_cls or QueryServer)(store, **kwargs)
-    started = threading.Event()
-    failure: List[BaseException] = []
-    holder: Dict[str, asyncio.AbstractEventLoop] = {}
-
-    def _runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
-            failure.append(exc)
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.run_until_complete(loop.shutdown_default_executor())
-            loop.close()
-
-    thread = threading.Thread(target=_runner, name="repro-serve", daemon=True)
-    thread.start()
-    if not started.wait(timeout=30.0):  # pragma: no cover - wedged loop
-        raise RuntimeError("query server failed to start within 30s")
-    if failure:
-        raise RuntimeError(f"query server failed to start: {failure[0]!r}") from failure[0]
-    return ServerHandle(server, thread, holder["loop"])
+    return run_in_thread((server_cls or QueryServer)(store, **kwargs))

@@ -16,8 +16,8 @@ The streaming subsystem turns the one-shot query engine into a push system
   with net-effect coalescing under backpressure and an explicit
   "resync required" signal once exact catch-up is impossible
   (:mod:`repro.stream.log`);
-* **push transport** -- ``/subscribe``, ``/unsubscribe``, ``/poll-deltas``
-  on the query server (long-poll, chunked streaming behind a flag) and a
+* **push transport** -- ``/subscribe``, ``/unsubscribe`` and long-polled
+  ``/poll-deltas`` on the query server, and a
   :class:`~repro.serve.client.StreamClient` that folds deltas into a live
   local result set.
 """

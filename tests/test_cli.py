@@ -238,3 +238,45 @@ class TestGenerateCommand:
         )
         lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
         assert int(lines[0]) >= 0
+
+
+class TestSubscribeCommand:
+    def test_follows_a_live_insert_as_an_added_delta(self, csv_path, capsys):
+        import threading
+        import time
+
+        from repro.engine import IntervalStore
+        from repro.serve.client import ServeClient
+        from repro.serve.server import start_server_thread
+
+        store = IntervalStore.open(load_intervals_csv(csv_path), "hintm_hybrid")
+        handle = start_server_thread(store, cache=0)
+
+        def insert_once_subscribed():
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline:
+                stream = handle.server.stream
+                if stream is not None and stream.gauges()["subscriptions_active"]:
+                    break
+                time.sleep(0.02)
+            with ServeClient(port=handle.port) as client:
+                client.insert(100, 6, 7)
+
+        writer = threading.Thread(target=insert_once_subscribed)
+        writer.start()
+        try:
+            code = main([
+                "subscribe", "--port", str(handle.port), "--start", "4", "--end", "9",
+                "--duration", "1.5", "--poll-timeout", "0.5",
+            ])
+        finally:
+            writer.join(timeout=10)
+            handle.stop()
+            store.close()
+        assert not writer.is_alive()
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("# subscription ") for line in lines)
+        assert any(line.startswith("# snapshot:") for line in lines)
+        deltas = [line for line in lines if line.startswith("generation ")]
+        assert any("+[100]" in line for line in deltas), lines

@@ -188,7 +188,7 @@ def test_admin_slow_queries_limit_must_be_an_integer():
 
     with _Cluster(_collection(n=50), "hintm", 1) as cluster:
         admin = cluster.router.start_admin()
-        connection = http.client.HTTPConnection(admin.host, admin.port, timeout=10)
+        connection = http.client.HTTPConnection("127.0.0.1", admin.port, timeout=10)
         connection.request("GET", "/slow-queries?limit=abc")
         response = connection.getresponse()
         answer = json.loads(response.read())

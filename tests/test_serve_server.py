@@ -1,5 +1,11 @@
-"""The asyncio query server: endpoints, caching, admission control, drain."""
+"""The asyncio query server: endpoints, caching, admission control, drain.
 
+The HTTP contract (framing, target forms, methods, the shared endpoints,
+thread teardown) is checked on every surface the HTTP core serves: the
+query server, a shard server and the router admin.
+"""
+
+import contextlib
 import socket
 import threading
 import time
@@ -7,10 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cluster import ClusterRouter, ClusterTopology, start_shard_server_thread
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore
 from repro.serve.client import ServeClient, ServerError, ServerOverloaded
 from repro.serve.server import QueryServer, start_server_thread
+
+#: every listening surface on the shared HTTP core
+SURFACES = ("query-server", "shard-server", "router-admin")
 
 
 def _collection(n=300, seed=5):
@@ -30,6 +40,31 @@ def _oracle(collection, start, end):
         for i, s, e in zip(collection.ids, collection.starts, collection.ends)
         if s <= end and start <= e
     }
+
+
+@contextlib.contextmanager
+def _surface(kind):
+    """One running HTTP surface of ``kind``: yields ``(port, slow log)``."""
+    store = IntervalStore.from_pairs([(1, 5), (3, 9)])
+    try:
+        if kind == "router-admin":
+            # the admin never probes a shard, so the replica need not exist
+            router = ClusterRouter(ClusterTopology.build([], [[("127.0.0.1", 9)]]))
+            try:
+                yield router.start_admin().port, router.slow_log
+            finally:
+                router.close()
+        else:
+            start = (
+                start_shard_server_thread if kind == "shard-server" else start_server_thread
+            )
+            handle = start(store, cache=0)
+            try:
+                yield handle.port, handle.server.slow_log
+            finally:
+                handle.stop()
+    finally:
+        store.close()
 
 
 @pytest.fixture()
@@ -477,7 +512,7 @@ class TestRequestLimits:
     def test_oversized_body_rejected_with_413(self):
         import http.client
 
-        from repro.serve.server import MAX_BODY_BYTES
+        from repro.serve.http import MAX_BODY_BYTES
 
         store = IntervalStore.from_pairs([(1, 5), (3, 9)])
         handle = start_server_thread(store, cache=0)
@@ -508,17 +543,17 @@ class TestRequestLimits:
         [
             # each framed body must never be parsed as the next request
             pytest.param(
-                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n"
+                b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: -5\r\n\r\n"
                 b"5\r\nGET /\r\n0\r\n\r\n",
                 id="negative-content-length",
             ),
             pytest.param(
-                b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: 12abc\r\n\r\n"
+                b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: 12abc\r\n\r\n"
                 b"5\r\nGET /\r\n0\r\n\r\n",
                 id="non-numeric-content-length",
             ),
             pytest.param(
-                b"POST /query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"GET /health HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
                 b"5\r\nGET /\r\n0\r\n\r\n",
                 id="chunked-body",
             ),
@@ -527,11 +562,10 @@ class TestRequestLimits:
             pytest.param(b"GET /health HTTP/1.1\nHost: x\n\n", id="bare-lf-head"),
         ],
     )
-    def test_unframeable_body_answers_400_and_closes(self, request_bytes):
-        store = IntervalStore.from_pairs([(1, 5), (3, 9)])
-        handle = start_server_thread(store, cache=0)
-        try:
-            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as raw:
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_unframeable_body_answers_400_and_closes(self, kind, request_bytes):
+        with _surface(kind) as (port, _):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
                 raw.sendall(request_bytes)
                 response = b""
                 while True:  # the server closes: read to EOF
@@ -544,12 +578,8 @@ class TestRequestLimits:
             assert b"\r\nConnection: close" in head
             assert b"error" in body
             assert response.count(b"HTTP/1.1") == 1  # one answer, then EOF
-            client = ServeClient(port=handle.port)
-            assert client.health() == {"status": "ok"}
-            client.close()
-        finally:
-            handle.stop()
-            store.close()
+            with ServeClient(port=port) as client:
+                assert client.health() == {"status": "ok"}
 
     @pytest.mark.parametrize(
         "target",
@@ -561,16 +591,13 @@ class TestRequestLimits:
             "http://127.0.0.1/health",  # absolute-form
         ],
     )
-    def test_request_target_forms_route_to_the_endpoint(self, target):
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_request_target_forms_route_to_the_endpoint(self, kind, target):
         import http.client
         import json
 
-        store = IntervalStore.from_pairs([(1, 5), (3, 9)])
-        handle = start_server_thread(store, cache=0)
-        try:
-            connection = http.client.HTTPConnection(
-                "127.0.0.1", handle.port, timeout=10
-            )
+        with _surface(kind) as (port, _):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
             connection.request("GET", target)
             response = connection.getresponse()
             assert response.status == 200
@@ -583,9 +610,56 @@ class TestRequestLimits:
             assert response.status == 200
             assert json.loads(response.read()) == {"status": "ok"}
             connection.close()
-        finally:
-            handle.stop()
-            store.close()
+
+    @pytest.mark.parametrize(
+        "kind, method, target",
+        [
+            ("query-server", "GET", "/insert"),
+            ("query-server", "PUT", "/query"),
+            ("shard-server", "GET", "/shard-batch"),
+            ("router-admin", "POST", "/health"),
+            ("router-admin", "POST", "/metrics"),
+        ],
+    )
+    def test_a_method_off_the_route_answers_405_and_keeps_alive(
+        self, kind, method, target
+    ):
+        with _surface(kind) as (port, _):
+            with ServeClient(port=port) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    client._request(method, target, {})
+                assert excinfo.value.status == 405
+                assert method in excinfo.value.payload["error"]
+                sock = client._sock
+                assert client.health() == {"status": "ok"}
+                assert client._sock is sock
+
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_slow_queries_limit_is_a_count_of_newest_entries(self, kind):
+        with _surface(kind) as (port, slow_log):
+            for position in range(3):
+                slow_log.record("/query", 1e3, args={"position": position})
+            with ServeClient(port=port) as client:
+                newest = client.slow_queries(limit=2)["slow_queries"]
+                assert [entry["args"]["position"] for entry in newest] == [2, 1]
+                assert client.slow_queries(limit=0)["slow_queries"] == []
+                with pytest.raises(ServerError) as excinfo:
+                    client.slow_queries(limit=-1)
+                assert excinfo.value.status == 400
+                assert "'limit'" in excinfo.value.payload["error"]
+                assert len(client.slow_queries()["slow_queries"]) == 3
+
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_no_loop_thread_outlives_its_handle(self, kind):
+        before = set(threading.enumerate())
+        with _surface(kind) as (port, _):
+            with ServeClient(port=port) as client:
+                client.health()
+                if kind != "router-admin":
+                    # a two-query batch hops to the loop's worker threads
+                    client.batch([(1, 5), (3, 9)])
+            assert set(threading.enumerate()) - before  # the loop is running
+        assert set(threading.enumerate()) - before == set()
 
     def test_update_requests_are_not_blind_retried(self):
         # the classification, not the network failure: /insert and /delete

@@ -1,6 +1,6 @@
 """Standing queries over the serving tier: subscribe/poll/unsubscribe HTTP
-endpoints, long-poll wakeups, chunked streaming, server-restart catch-up
-and server-side Allen relations."""
+endpoints, long-poll wakeups, server-restart catch-up and server-side Allen
+relations."""
 
 import threading
 import time
@@ -31,7 +31,7 @@ def _oracle(store, start, end):
 @pytest.fixture()
 def served():
     store = IntervalStore.open(_collection(), "hintm_hybrid", num_shards=2)
-    handle = start_server_thread(store, cache=128, streaming=True)
+    handle = start_server_thread(store, cache=128)
     client = ServeClient(port=handle.port)
     yield store, handle, client
     client.close()
@@ -120,41 +120,6 @@ class TestStreamClient:
             sc.poll(timeout=5)
             assert sc.ids() == _oracle(store, 1_000, 3_000)
             sc.unsubscribe()
-
-    def test_chunked_streaming_folds_live(self, served):
-        store, handle, client = served
-        with StreamClient(port=handle.port) as sc:
-            sc.subscribe(1_000, 3_000)
-            events = []
-
-            def consume():
-                for event in sc.stream(timeout=2.5):
-                    events.append(event)
-
-            thread = threading.Thread(target=consume)
-            thread.start()
-            time.sleep(0.3)
-            client.insert(94_000, 2_500, 2_600)
-            time.sleep(0.3)
-            client.delete(94_000)
-            thread.join(timeout=10)
-            assert len(events) >= 2
-            assert sc.ids() == _oracle(store, 1_000, 3_000)
-            sc.unsubscribe()
-
-    def test_streaming_disabled_is_rejected(self):
-        store = IntervalStore.open(_collection(), "hintm_hybrid")
-        handle = start_server_thread(store, cache=0)  # streaming off
-        try:
-            with StreamClient(port=handle.port) as sc:
-                sc.subscribe(0, 10_000)
-                with pytest.raises(ServerError) as excinfo:
-                    for _ in sc.stream(timeout=1):
-                        pass
-                assert excinfo.value.status == 400
-        finally:
-            handle.stop()
-            store.close()
 
     def test_resync_after_log_truncation(self):
         store = IntervalStore.open(_collection(), "hintm_hybrid")

@@ -288,8 +288,7 @@ class TestClusterTraceEndToEnd:
         # router admin surface
         admin = router.start_admin()
         assert router.start_admin() is admin  # idempotent
-        base = f"http://{admin.host}:{admin.port}"
-        with urllib.request.urlopen(f"{base}/metrics") as response:
+        with urllib.request.urlopen(f"{admin.address}/metrics") as response:
             assert response.headers["Content-Type"].startswith("text/plain")
             samples = parse_prometheus_text(response.read().decode())
         assert samples["repro_router_queries_total"] >= 1

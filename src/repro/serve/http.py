@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import ReproError
@@ -479,33 +479,25 @@ def run_in_thread(server: HttpServer) -> ServerHandle:
     Returns once the listener is bound (so :attr:`ServerHandle.port` is
     real); stop with :meth:`ServerHandle.stop` or use as a context manager.
     """
-    started = threading.Event()
-    failure: List[BaseException] = []
-    holder: Dict[str, asyncio.AbstractEventLoop] = {}
-
-    def _runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced to the caller
-            failure.append(exc)
-            started.set()
-            loop.close()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.run_until_complete(loop.shutdown_default_executor())
-            loop.close()
-
-    thread = threading.Thread(target=_runner, name="repro-serve", daemon=True)
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(
+        target=_run_loop, args=(loop,), name="repro-serve", daemon=True
+    )
     thread.start()
-    if not started.wait(timeout=30.0):  # pragma: no cover - wedged loop
-        raise RuntimeError("server failed to start within 30s")
-    if failure:
-        raise RuntimeError(f"server failed to start: {failure[0]!r}") from failure[0]
-    return ServerHandle(server, thread, holder["loop"])
+    try:
+        asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=30.0)
+    except BaseException as exc:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=30.0)
+        raise RuntimeError(f"server failed to start: {exc!r}") from exc
+    return ServerHandle(server, thread, loop)
+
+
+def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
+    asyncio.set_event_loop(loop)
+    try:
+        loop.run_forever()
+    finally:
+        loop.run_until_complete(loop.shutdown_asyncgens())
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()

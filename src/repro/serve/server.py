@@ -1202,25 +1202,23 @@ class QueryServer(HttpServer):
                     # generation current at return time, not pre-wait
         finally:
             self._pollers -= 1
-        return 200, encode(self._poll_body(subscription_id, result))
-
-    @staticmethod
-    def _poll_body(subscription_id: int, result) -> Dict[str, object]:
-        return {
-            "subscription_id": subscription_id,
-            "generation": result.generation,
-            "resync_required": result.resync_required,
-            "deltas": [
-                {
-                    "seq": record.seq,
-                    "generation": record.generation,
-                    "added": list(record.added),
-                    "removed": list(record.removed),
-                    "coalesced": record.coalesced,
-                }
-                for record in result.records
-            ],
-        }
+        return 200, encode(
+            {
+                "subscription_id": subscription_id,
+                "generation": result.generation,
+                "resync_required": result.resync_required,
+                "deltas": [
+                    {
+                        "seq": record.seq,
+                        "generation": record.generation,
+                        "added": list(record.added),
+                        "removed": list(record.removed),
+                        "coalesced": record.coalesced,
+                    }
+                    for record in result.records
+                ],
+            }
+        )
 
 
 # --------------------------------------------------------------------------- #

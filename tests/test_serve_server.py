@@ -704,6 +704,28 @@ class TestHttpContract:
         assert excinfo.value.status == 405
         assert len(store) == size  # nothing mutated
 
+    def test_read_only_shard_server_refuses_writes_with_403(self):
+        store = IntervalStore.from_pairs([(1, 5), (3, 9)])
+        handle = start_shard_server_thread(
+            store, shard_id=0, role="follower", read_only=True
+        )
+        try:
+            with ServeClient(port=handle.port) as client:
+                for call in (
+                    lambda: client.insert(7, 1, 2),
+                    lambda: client.delete(0),
+                    lambda: client.maintain(),
+                ):
+                    with pytest.raises(ServerError) as excinfo:
+                        call()
+                    assert excinfo.value.status == 403
+                    assert excinfo.value.payload["role"] == "follower"
+                assert client.query(0, 10)["count"] == 2  # reads still answer
+            assert len(store) == 2
+        finally:
+            handle.stop()
+            store.close()
+
     def test_validation_errors_do_not_inflate_rejected(self, served):
         _, _, client = served
         before = client.stats()

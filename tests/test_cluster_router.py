@@ -180,22 +180,3 @@ def test_no_healthy_replica_is_terminal():
         # shard 0 alone keeps serving queries that never touch shard 1
         first_cut = cluster.plan.cuts[0]
         assert cluster.router.query(lo, first_cut - 1)["count"] >= 0
-
-
-def test_admin_slow_queries_limit_must_be_an_integer():
-    import http.client
-    import json
-
-    with _Cluster(_collection(n=50), "hintm", 1) as cluster:
-        admin = cluster.router.start_admin()
-        connection = http.client.HTTPConnection("127.0.0.1", admin.port, timeout=10)
-        connection.request("GET", "/slow-queries?limit=abc")
-        response = connection.getresponse()
-        answer = json.loads(response.read())
-        assert response.status == 400, answer
-        assert "'limit'" in answer["error"]
-        connection.request("GET", "/slow-queries?limit=2")
-        response = connection.getresponse()
-        assert response.status == 200
-        assert json.loads(response.read())["slow_queries"] == []
-        connection.close()

@@ -643,10 +643,11 @@ class TestRequestLimits:
                 newest = client.slow_queries(limit=2)["slow_queries"]
                 assert [entry["args"]["position"] for entry in newest] == [2, 1]
                 assert client.slow_queries(limit=0)["slow_queries"] == []
-                with pytest.raises(ServerError) as excinfo:
-                    client.slow_queries(limit=-1)
-                assert excinfo.value.status == 400
-                assert "'limit'" in excinfo.value.payload["error"]
+                for bad in (-1, "abc"):
+                    with pytest.raises(ServerError) as excinfo:
+                        client.slow_queries(limit=bad)
+                    assert excinfo.value.status == 400
+                    assert "'limit'" in excinfo.value.payload["error"]
                 assert len(client.slow_queries()["slow_queries"]) == 3
 
     @pytest.mark.parametrize("kind", SURFACES)

@@ -36,7 +36,7 @@ from repro.durability.wal import list_segments
 
 def live_ids(store):
     lo, hi = 0, 10**9
-    return sorted(store.query().overlapping(lo, hi).ids())
+    return sorted(store.query().overlapping(lo, hi).ids().tolist())
 
 
 def main() -> None:

@@ -46,18 +46,18 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 2. fluent queries against the default (fully optimized HINT^m) backend
     # ------------------------------------------------------------------ #
-    employed = sorted(store.query().overlapping(366, 366 + 58).ids())
+    employed = sorted(store.query().overlapping(366, 366 + 58).ids().tolist())
     print(f"employed sometime in Jan-Feb 2021: employees {employed}")
 
     # stabbing query: who was employed on day 60 of 2020?
-    print(f"employed on day 60: employees {sorted(store.query().stabbing(60).ids())}")
+    print(f"employed on day 60: employees {sorted(store.query().stabbing(60).ids().tolist())}")
 
     # lazy aggregates: no id list is materialised for these
     print(f"headcount in Jan-Feb 2021: {store.query().overlapping(366, 424).count()}")
     print(f"anyone active on day 900?  {store.query().stabbing(900).exists()}")
 
     # Allen-relation selection: employments fully contained in 2021
-    contained = sorted(store.query().overlapping(366, 730).relation(AllenRelation.DURING).ids())
+    contained = sorted(store.query().overlapping(366, 730).relation(AllenRelation.DURING).ids().tolist())
     print(f"employments strictly inside 2021: employees {contained}")
 
     # ------------------------------------------------------------------ #
@@ -75,7 +75,7 @@ def main() -> None:
     dynamic.delete(4)
     print(
         "after one insert and one delete, employed in Jan-Feb 2021:",
-        sorted(dynamic.query().overlapping(366, 424).ids()),
+        sorted(dynamic.query().overlapping(366, 424).ids().tolist()),
     )
 
     # ------------------------------------------------------------------ #

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
             a = int(rng.integers(lo, hi))
             b = a + int(rng.integers(0, hi - lo))
             expected = _oracle_query(live, Query(a, b))
-            got_ids = set(store.query().overlapping(a, b).ids())
+            got_ids = set(store.query().overlapping(a, b).ids().tolist())
             if got_ids != expected:
                 raise SystemExit(
                     f"round {round_no}: ids diverged on [{a}, {b}] "

@@ -35,7 +35,6 @@ from repro.hint import (
     SubdividedHINTm,
     collect_workload_statistics,
     estimate_m_opt,
-    measure_betas,
     replication_factor,
 )
 from repro.queries.generator import QueryWorkloadConfig, generate_queries
@@ -288,12 +287,11 @@ def table7_parameter_setting(
 ) -> List[dict]:
     """Rows with m_opt (model & measured), replication factor k (model &
     measured) and the average number of partitions compared per query."""
-    beta_cmp, beta_acc = measure_betas(sample_size=100_000, repeats=2)
     rows = []
     for name, collection in datasets.items():
         stats = DatasetStatistics.from_collection(collection)
         extent = extent_fraction * stats.domain_length
-        m_model = estimate_m_opt(stats, extent, beta_cmp=beta_cmp, beta_acc=beta_acc)
+        m_model = estimate_m_opt(stats, extent)
         queries = _query_workload(collection, num_queries, extent_fraction)
         best_m, best_throughput = None, -1.0
         for m in candidate_m:

@@ -506,7 +506,7 @@ def _command_query(args: argparse.Namespace) -> int:
         # the lazy path: backends count without materialising id lists
         output: List[str] = [str(results.count())]
     else:
-        output = [str(interval_id) for interval_id in sorted(results.ids())]
+        output = [str(interval_id) for interval_id in sorted(results.ids().tolist())]
     query_seconds = time.perf_counter() - query_start
     store.close()
 

@@ -328,7 +328,7 @@ class ClusterRouter:
                     if count_only:
                         answer: Dict[str, object] = {"count": int(sum(parts))}
                     else:
-                        ids = merge_unique_ids([list(part) for part in parts])
+                        ids = merge_unique_ids(parts).tolist()
                         answer = {"ids": ids, "count": len(ids)}
                     answers[position] = answer
                     start, end = pairs[position]

@@ -40,6 +40,7 @@ Three pieces compose:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -335,10 +336,12 @@ def recommend_shard_count(
     shards a query overlaps, ``tau`` is the fixed Python dispatch cost per
     probed shard, and duplication inflates each shard to
     ``n * (1 + mean_len * K / domain) / K`` intervals.  ``work_per_shard``
-    is a scan term (``beta_cmp * shard_n``) for scan-bound backends and the
-    model's ``query_cost`` at the shard's own ``m_opt`` for the HINT family
-    -- which barely shrinks with K, so serially the dispatch and duplication
-    overheads win and the model prefers **K=1 for traversal-bound backends**.
+    is a scan term (``beta_cmp * shard_n``) for scan-bound backends and, for
+    the HINT family, the model's priced ``query_cost`` at the shard's own
+    ``m_opt`` plus ``log2(K)`` walked levels for the routing (the plan
+    replaces the top levels a shard's index no longer has) -- which barely
+    shrinks with K, so serially the dispatch and duplication overheads win
+    and the model prefers **K=1 for traversal-bound backends**.
     A process executor divides the work term by ``min(K, workers)`` (worker-
     resident shards run truly in parallel), so there the model prefers
     **K=cores**.
@@ -383,7 +386,10 @@ def recommend_shard_count(
             )
             shard_extent = min(extent, float(shard_domain))
             m = estimate_m_opt(shard_stats, shard_extent)
-            work = CostModel(stats=shard_stats).query_cost(m, shard_extent)
+            model = CostModel(stats=shard_stats)
+            # the plan's cuts stand in for the top log2(K) levels a shard's
+            # own index no longer has: routing prices them as walked levels
+            work = model.query_cost(m, shard_extent) + model.beta_level * math.log2(num_shards)
         per_query = probed * (tau + work)
         if num_shards > 1 and executor == "processes":
             per_query /= min(num_shards, cores)

@@ -24,7 +24,9 @@ canonical name          class                           paper section
 the CLI.  It adds two conveniences on top of calling ``cls.build(...)``:
 
 * ``num_bits="auto"`` on the HINT^m family routes the choice of ``m``
-  through the paper's analytical model (:func:`repro.hint.model.estimate_m_opt`);
+  through the paper's analytical model with the walk priced
+  (:func:`repro.hint.model.estimate_m_opt`), from the collection's
+  statistics alone;
 * the comparison-free HINT, which requires a discrete domain, defaults
   ``num_bits`` to the exact number of bits covering the data so that raw
   endpoints need no rescaling (queries then answer identically to every
@@ -52,10 +54,6 @@ __all__ = [
     "register_backend",
     "resolve_backend",
 ]
-
-#: cap applied when auto-tuning ``m`` (matches the CLI's historical bound;
-#: larger values only pay off at scales beyond this reproduction's datasets)
-_AUTO_MAX_BITS = 16
 
 #: query extent (fraction of the domain) assumed by ``num_bits="auto"`` when
 #: the caller gives no hint; the figure used throughout the paper's Section 5
@@ -235,7 +233,7 @@ def _auto_num_bits(collection: IntervalCollection, query_extent: Optional[float]
     stats = DatasetStatistics.from_collection(collection)
     if query_extent is None:
         query_extent = _AUTO_EXTENT_FRACTION * stats.domain_length
-    return max(1, min(estimate_m_opt(stats, max(query_extent, 1)), _AUTO_MAX_BITS))
+    return estimate_m_opt(stats, max(query_extent, 1))
 
 
 def _resolve_discrete_bits(

@@ -4,7 +4,8 @@ A :class:`ResultSet` is a handle on the answer of one query: nothing touches
 the index until a terminal accessor runs, and aggregate accessors
 (:meth:`ResultSet.count`, :meth:`ResultSet.exists`) go through the backend's
 ``query_count``/``query_exists`` fast paths instead of materialising an id
-list.  Once :meth:`ResultSet.ids` has materialised, the list is cached and
+list.  :meth:`ResultSet.ids` materialises one int64 array -- a backend
+that answers with a list has it converted once, here -- and caches it;
 every later accessor reuses it.
 
 :class:`MergedResultSet` is the sharded counterpart: the lazy union of one
@@ -15,7 +16,9 @@ shards and single-shard queries keeping every per-backend fast path.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.allen import AllenRelation
 from repro.core.base import IntervalIndex, QueryStats
@@ -25,21 +28,19 @@ from repro.core.interval import Query
 __all__ = ["MergedResultSet", "ResultSet", "merge_unique_ids"]
 
 
-def merge_unique_ids(id_lists) -> List[int]:
-    """Union of id lists, preserving first-seen order.
+def merge_unique_ids(id_lists: Iterable[Sequence[int]]) -> np.ndarray:
+    """Union of id lists as one int64 array, preserving first-seen order.
 
     The one merge used everywhere shards are combined: the partitioner
     duplicates boundary-spanning intervals, so multi-shard answers must
     deduplicate by id.
     """
-    seen: set = set()
-    merged: List[int] = []
-    for ids in id_lists:
-        for interval_id in ids:
-            if interval_id not in seen:
-                seen.add(interval_id)
-                merged.append(interval_id)
-    return merged
+    parts = [np.asarray(ids, dtype=np.int64) for ids in id_lists]
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    merged = np.concatenate(parts)
+    _, first_seen = np.unique(merged, return_index=True)
+    return merged[np.sort(first_seen)]
 
 
 class ResultSet:
@@ -70,7 +71,7 @@ class ResultSet:
         self._relation = relation
         self._limit = limit
         self._backend = backend or index.name
-        self._ids: Optional[List[int]] = None
+        self._ids: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -100,18 +101,19 @@ class ResultSet:
     # ------------------------------------------------------------------ #
     # terminal accessors
     # ------------------------------------------------------------------ #
-    def ids(self) -> List[int]:
-        """Materialise (and cache) the result ids.
+    def ids(self) -> np.ndarray:
+        """Materialise (and cache) the result ids as an int64 array.
 
         Order is unspecified, as with :meth:`IntervalIndex.query`; a ``limit``
-        keeps the first ids in that unspecified order.
+        keeps the first ids in that unspecified order.  Every call returns
+        the cached array itself, not a copy.
         """
         if self._ids is None:
-            found = self._fetch()
+            found = np.asarray(self._fetch(), dtype=np.int64)
             if self._limit is not None and len(found) > self._limit:
-                found = found[: self._limit]
+                found = found[: self._limit].copy()
             self._ids = found
-        return list(self._ids)
+        return self._ids
 
     def count(self) -> int:
         """Number of results, via the backend's counting fast path.
@@ -131,9 +133,9 @@ class ResultSet:
     def exists(self) -> bool:
         """True iff the query has at least one result."""
         if self._ids is not None:
-            return bool(self._ids)
+            return len(self._ids) > 0
         if self._relation is not None:
-            return bool(self.ids())
+            return len(self.ids()) > 0
         return self._index.query_exists(self._query)
 
     def stats(self) -> QueryStats:
@@ -161,7 +163,7 @@ class ResultSet:
         return interval_id in self.ids()
 
     # ------------------------------------------------------------------ #
-    def _fetch(self) -> List[int]:
+    def _fetch(self) -> Sequence[int]:
         if self._relation is None:
             return self._index.query(self._query)
         try:
@@ -233,10 +235,10 @@ class MergedResultSet(ResultSet):
 
     def exists(self) -> bool:
         if self._ids is not None:
-            return bool(self._ids)
+            return len(self._ids) > 0
         return any(child.exists() for child in self._children)
 
-    def _fetch(self) -> List[int]:
+    def _fetch(self) -> np.ndarray:
         if len(self._children) == 1:
             return self._children[0].ids()
         return merge_unique_ids(child.ids() for child in self._children)

@@ -157,9 +157,7 @@ def _merge_shard_answers(parts: List[Tuple[int, np.ndarray]]) -> np.ndarray:
     if len(parts) == 1:
         return parts[0][1]
     parts.sort(key=lambda part: part[0])
-    merged = np.concatenate([ids for _, ids in parts])
-    _, first_seen = np.unique(merged, return_index=True)
-    return merged[np.sort(first_seen)]
+    return merge_unique_ids(ids for _, ids in parts)
 
 
 def _query_bounds(workload: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
@@ -647,10 +645,10 @@ class ShardedIndex(IntervalIndex):
     # ------------------------------------------------------------------ #
     # queries (pin the epoch, plan to the overlapping shards, merge+dedup)
     # ------------------------------------------------------------------ #
-    def query(self, query: Query) -> List[int]:
+    def query(self, query: Query) -> Sequence[int]:
         return self._query_epoch(self._epoch, query)
 
-    def _query_epoch(self, epoch: Epoch, query: Query) -> List[int]:
+    def _query_epoch(self, epoch: Epoch, query: Query) -> Sequence[int]:
         first, last = epoch.plan.shard_range(query.start, query.end)
         if first == last:
             return self._shard(epoch, first).query(query)
@@ -952,7 +950,7 @@ class ShardedIndex(IntervalIndex):
             return {}
         return {int(pid): tuple(tokens) for pid, tokens in samples}
 
-    def query_with_stats(self, query: Query) -> Tuple[List[int], QueryStats]:
+    def query_with_stats(self, query: Query) -> Tuple[Sequence[int], QueryStats]:
         epoch = self._epoch
         first, last = epoch.plan.shard_range(query.start, query.end)
         if first == last:

@@ -5,7 +5,7 @@ This is the primary public API of the library::
     from repro import IntervalStore
 
     store = IntervalStore.from_pairs([(1, 5), (3, 9), (12, 14)])
-    store.query().overlapping(4, 12).ids()      # -> [0, 1, 2]
+    store.query().overlapping(4, 12).ids()      # -> array([0, 1, 2])
     store.query().stabbing(4).count()           # no id list materialised
     store.query().overlapping(0, 20).limit(2).ids()
     store.run_batch([Query(1, 2), Query(5, 9)]).counts
@@ -20,6 +20,8 @@ with a model-tuned ``m``) behind construction helpers, the
 from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.allen import AllenRelation
 from repro.core.base import IntervalIndex, QueryStats
@@ -93,8 +95,8 @@ class QueryBuilder:
             )
         return self._store._result_set(self._query, self._relation, self._limit)
 
-    def ids(self) -> List[int]:
-        """Materialised result ids."""
+    def ids(self) -> np.ndarray:
+        """Materialised result ids (an int64 array)."""
         return self.build().ids()
 
     def count(self) -> int:
@@ -373,7 +375,7 @@ class IntervalStore:
             self._index, query, relation=relation, limit=limit, backend=self._backend
         )
 
-    def stab(self, point: int) -> List[int]:
+    def stab(self, point: int) -> np.ndarray:
         """Shorthand for ``store.query().stabbing(point).ids()``."""
         return self.query().stabbing(point).ids()
 

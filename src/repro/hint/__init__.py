@@ -20,7 +20,6 @@ from repro.hint.model import (
     estimate_m_opt,
     expected_comparison_partitions,
     expected_result_count,
-    measure_betas,
     replication_factor,
 )
 from repro.hint.optimized import OptimizedHINTm
@@ -43,7 +42,6 @@ __all__ = [
     "estimate_m_opt",
     "expected_comparison_partitions",
     "expected_result_count",
-    "measure_betas",
     "partition_assignments",
     "relevant_offsets",
     "replication_factor",

@@ -8,26 +8,35 @@ domain length ``Lambda``):
   an interval is assigned to (Theorem 1),
 * the expected number of partitions requiring comparisons (Lemma 4: at most
   four, fewer when the query is shorter than a bottom-level partition),
-* the expected query cost ``C_cmp + C_acc`` for a given ``m`` and, from it,
-  the smallest ``m`` whose cost is within a tolerance of the comparison-free
-  optimum -- the ``m_opt`` rule of Section 3.3,
 * the expected number of query results ``|Q| = n * (lambda_s + lambda_q) /
-  Lambda`` (the selectivity estimate of [28] the paper relies on).
+  Lambda`` (the selectivity estimate of [28] the paper relies on),
+* the priced cost of one query at a given ``m`` and, from it, ``m_opt``: the
+  ``m`` that minimises that cost.
 
-The per-item costs ``beta_cmp`` (one comparison) and ``beta_acc`` (reporting
-one id from a comparison-free partition) are machine-dependent;
-:func:`measure_betas` estimates them with a micro-benchmark so the model can
-be applied to the Python runtime the reproduction executes on.
+The paper's Section 3.3 trades two terms: comparisons in the two bottom
+boundary partitions (``C_cmp``, shrinking as ``2n / 2^m``) against reporting
+results from comparison-free partitions (``C_acc``).  In C, both are per-item
+costs and a level visited costs nothing worth modelling, so the cost falls
+monotonically towards ``m = m'`` and the paper picks the smallest ``m``
+within a tolerance of it.  In Python a level is not free: visiting one
+(finding its first and last relevant partitions in the directory and
+reading the runs they delimit in each subdivision class) costs interpreter
+and NumPy dispatch, a fixed price per level.  :class:`CostModel` adds that
+price, ``C_walk = beta_level * (m + 1)``, beside ``C_cmp`` and ``C_acc``;
+the priced cost then has a minimum, and :func:`estimate_m_opt` returns it.
+
+The three per-unit prices are constants (:data:`BETA_LEVEL`,
+:data:`BETA_CMP`, :data:`BETA_ACC`), calibrated once and written here, so
+``m`` is a function of the dataset's statistics alone: nothing is timed
+when an index is opened.  ``num_bits="auto"``, the adaptive shard count and
+the paper's Table 7 all use this one model.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.core.interval import IntervalCollection
 
@@ -37,10 +46,8 @@ __all__ = [
     "estimate_m_opt",
     "expected_comparison_partitions",
     "expected_result_count",
-    "measure_betas",
     "replication_factor",
 ]
-
 
 @dataclass(frozen=True)
 class DatasetStatistics:
@@ -112,19 +119,38 @@ def expected_comparison_partitions(m: int, query_extent: float, domain_length: i
     return min(4.0, bottom + upper)
 
 
+#: The model's prices (seconds), calibrated once on CPython 3.11 and NumPy
+#: 2.4 (a 2-core x86-64 VM) against ``scripts/m_sweep.py`` -- seed 1, the
+#: datasets of the three gated workloads, m = 8..16, 20 paired rounds -- by
+#: a least-squares fit of ``C_walk + C_cmp + C_acc`` (plus one constant) to
+#: the per-query cost of 500-query batches.  The batch is the path whose cost
+#: has an interior minimum: a lone query's cost falls with every level
+#: removed, so the batch's minimum is the smallest ``m`` that does not cost
+#: throughput, and every larger ``m`` costs both paths more.
+BETA_LEVEL = 8.4e-7
+BETA_CMP = 1.4e-8
+BETA_ACC = 7e-10
+
+
 @dataclass(frozen=True)
 class CostModel:
-    """The query-cost model of Section 3.3.
+    """The query-cost model of Section 3.3, with the walk priced.
 
     Attributes:
         stats: dataset statistics.
         beta_cmp: cost of one endpoint comparison (seconds).
-        beta_acc: cost of accessing/reporting one comparison-free result (seconds).
+        beta_acc: cost of reporting one comparison-free result (seconds).
+        beta_level: cost of visiting one level of the index (seconds).
     """
 
     stats: DatasetStatistics
-    beta_cmp: float = 2.0e-8
-    beta_acc: float = 1.0e-8
+    beta_cmp: float = BETA_CMP
+    beta_acc: float = BETA_ACC
+    beta_level: float = BETA_LEVEL
+
+    def walk_cost(self, m: int) -> float:
+        """``C_walk``: the ``m + 1`` levels a query visits."""
+        return self.beta_level * (m + 1)
 
     def comparison_cost(self, m: int) -> float:
         """``C_cmp``: comparisons dominated by two bottom-level partitions."""
@@ -138,8 +164,12 @@ class CostModel:
         return self.beta_acc * max(0.0, expected_results - comparison_results)
 
     def query_cost(self, m: int, query_extent: float) -> float:
-        """Total expected evaluation cost ``C_cmp + C_acc`` for one query."""
-        return self.comparison_cost(m) + self.access_cost(m, query_extent)
+        """Total priced cost ``C_walk + C_cmp + C_acc`` of one query."""
+        return (
+            self.walk_cost(m)
+            + self.comparison_cost(m)
+            + self.access_cost(m, query_extent)
+        )
 
     def space_cost(self, m: int) -> float:
         """Expected stored entries (``n * k``), a proxy for the index footprint."""
@@ -147,54 +177,19 @@ class CostModel:
 
 
 def estimate_m_opt(
-    stats: DatasetStatistics,
-    query_extent: float,
-    beta_cmp: float = 2.0e-8,
-    beta_acc: float = 1.0e-8,
-    tolerance: float = 0.03,
-    max_m: Optional[int] = None,
+    stats: DatasetStatistics, query_extent: float, max_m: Optional[int] = None
 ) -> int:
-    """The ``m_opt`` rule of Section 3.3.
+    """``m_opt``: the ``m`` in ``1 .. m'`` (or ``max_m``) that minimises the
+    priced cost of :class:`CostModel`, ties going to the smaller ``m``.
 
-    Sweeps ``m`` from 1 to the comparison-free maximum ``m'`` and returns the
-    smallest ``m`` whose expected cost is within ``tolerance`` (3% by default,
-    the figure used in the paper's Table 7) of the ``m = m'`` cost.
+    The walk's price grows linearly with ``m`` while the comparisons'
+    shrinks geometrically, so the minimum lies where one more level saves
+    fewer comparisons than it costs: near ``m = log2(n * beta_cmp /
+    beta_level)``, whatever the domain's resolution ``m'``.
     """
-    model = CostModel(stats=stats, beta_cmp=beta_cmp, beta_acc=beta_acc)
+    model = CostModel(stats=stats)
     upper = stats.domain_bits if max_m is None else min(max_m, stats.domain_bits)
-    upper = max(1, upper)
-    best_cost = model.query_cost(upper, query_extent)
-    threshold = best_cost * (1.0 + tolerance)
-    for m in range(1, upper + 1):
-        if model.query_cost(m, query_extent) <= threshold:
-            return m
-    return upper
-
-
-def measure_betas(sample_size: int = 200_000, repeats: int = 3) -> Tuple[float, float]:
-    """Micro-benchmark ``beta_cmp`` and ``beta_acc`` on the current machine.
-
-    ``beta_cmp`` is measured as the per-item cost of a vectorised endpoint
-    comparison plus masked extraction; ``beta_acc`` as the per-item cost of
-    slicing ids out of a contiguous array -- the two inner loops of the
-    optimized HINT^m.
-    """
-    rng = np.random.default_rng(7)
-    starts = rng.integers(0, 1 << 30, sample_size)
-    ends = starts + rng.integers(0, 1 << 20, sample_size)
-    ids = np.arange(sample_size, dtype=np.int64)
-
-    best_cmp = math.inf
-    best_acc = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        mask = (starts <= (1 << 29)) & ((1 << 28) <= ends)
-        _ = ids[mask]
-        t1 = time.perf_counter()
-        best_cmp = min(best_cmp, (t1 - t0) / sample_size)
-
-        t0 = time.perf_counter()
-        _ = ids[: sample_size // 2].tolist()
-        t1 = time.perf_counter()
-        best_acc = min(best_acc, (t1 - t0) / (sample_size // 2))
-    return best_cmp, best_acc
+    return min(
+        range(1, max(1, upper) + 1),
+        key=lambda m: (model.query_cost(m, query_extent), m),
+    )

@@ -3,13 +3,13 @@
 This variant is built statically over a collection and applies, on top of the
 subdivisions / sorting / storage-optimization of Section 4.1:
 
-* **Skewness & sparsity handling (Section 4.2)** -- per level, the originals
-  (and, separately, the replicas) of *all* partitions are merged into one
-  contiguous table; an auxiliary directory keeps the sorted offsets of the
-  non-empty partitions together with the start position of each partition's
-  run inside the merged table (a CSR layout).  Query evaluation locates the
-  first relevant non-empty partition with binary search and then walks the
-  merged table sequentially, never touching empty partitions.
+* **Skewness & sparsity handling (Section 4.2)** -- per subdivision class,
+  the entries of *all* partitions are merged into one contiguous table; an
+  auxiliary directory keeps the sorted heap numbers of the non-empty
+  partitions together with, per class, the start position of each
+  partition's run inside the merged table (a CSR layout).  Query evaluation
+  locates the first relevant non-empty partition with binary search and then
+  walks the merged table sequentially, never touching empty partitions.
 
 * **Cache-miss reduction (Section 4.3)** -- the interval ids are stored in a
   dedicated ids column, separate from the endpoint columns, so partitions for
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,81 +45,6 @@ from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
 __all__ = ["OptimizedHINTm"]
-
-
-class _ClassTable:
-    """Merged storage for one subdivision class, all levels (CSR layout).
-
-    ``keys[i]`` is the heap number ``2^level + offset`` of the ``i``-th
-    directory entry -- sorted, hence by level and then by offset -- and its
-    members occupy rows ``indptr[i] .. indptr[i+1]`` of the columns.  The
-    columns are views of the index's shared ones (:attr:`row_base` is where
-    this class starts in them).  The directory alone is also cached as plain
-    Python lists -- one entry per non-empty partition, not per row: the lone
-    query's lookups are scalar binary searches, considerably faster through
-    :mod:`bisect` than through ``np.searchsorted``.  ``level_bounds[level]``
-    is where a level's entries start in the directory, so the scalar
-    searches stay confined to one level.
-    """
-
-    __slots__ = (
-        "keys",
-        "indptr",
-        "row_base",
-        "ids",
-        "starts",
-        "ends",
-        "records",
-        "level_bounds",
-        "keys_list",
-        "indptr_list",
-    )
-
-    def __init__(
-        self,
-        num_bits: int,
-        keys: np.ndarray,
-        indptr: np.ndarray,
-        row_base: int,
-        ids: np.ndarray,
-        starts: Optional[np.ndarray],
-        ends: Optional[np.ndarray],
-        rowwise: bool,
-    ) -> None:
-        self.keys = keys
-        self.indptr = indptr
-        self.row_base = row_base
-        self.ids = ids
-        self.starts = starts
-        self.ends = ends
-        self.level_bounds: List[int] = np.searchsorted(
-            keys, np.int64(1) << np.arange(num_bits + 2)
-        ).tolist()
-        self.keys_list: List[int] = keys.tolist()
-        self.indptr_list: List[int] = indptr.tolist()
-        #: interleaved (id, start?, end?) tuples -- what the row-by-row scan
-        #: reads when the columnar optimization is disabled
-        self.records: Optional[List[Tuple[int, ...]]] = None
-        if rowwise:
-            kept = [column for column in (ids, starts, ends) if column is not None]
-            self.records = list(zip(*(column.tolist() for column in kept)))
-
-    def rows_at(self, level: int) -> int:
-        """Stored entries of one level."""
-        lo, hi = self.level_bounds[level], self.level_bounds[level + 1]
-        return self.indptr_list[hi] - self.indptr_list[lo]
-
-    def memory_bytes(self) -> int:
-        """Directory and its list mirrors, plus the interleaved records of the
-        row-wise layout (the columns are the index's, counted there)."""
-        total = self.keys.nbytes + self.indptr.nbytes
-        for mirror in (self.keys_list, self.indptr_list):
-            total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
-        if self.records is not None:
-            width = len(self.records[0]) if self.records else 0
-            total += sys.getsizeof(self.records)
-            total += len(self.records) * (_TUPLE_BYTES + width * (8 + _INT_BYTES))
-        return total
 
 
 #: what one list or tuple entry holds beyond its 8-byte slot, and an empty
@@ -150,18 +75,6 @@ def _record_matches(
     return not (test_end and record[-1] < q_start)
 
 
-def _column_mask(
-    table: _ClassTable, lo: int, hi: int, test_start: bool, test_end: bool, q_start, q_end
-) -> np.ndarray:
-    """Which of rows ``lo:hi`` of ``table`` pass the requested predicates."""
-    if not test_start:
-        return table.ends[lo:hi] >= q_start
-    mask = table.starts[lo:hi] <= q_end
-    if test_end:
-        mask &= table.ends[lo:hi] >= q_start
-    return mask
-
-
 def _exact_bounds(query: Query) -> Tuple[object, object]:
     """``(q_start, q_end)`` as bounds an int64 column compares exactly.
 
@@ -178,11 +91,34 @@ def _exact_bounds(query: Query) -> Tuple[object, object]:
     return q_start, q_end
 
 
+def _distinct(sorted_keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted column of positive keys."""
+    return sorted_keys[np.flatnonzero(np.diff(sorted_keys, prepend=0))]
+
+
 def _expand(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``concatenate([arange(f, f + n) for f, n in zip(first, lengths)])``."""
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if len(ends) else 0
     return np.repeat(first - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
+
+
+def _bisect_runs(
+    column: np.ndarray, lo: np.ndarray, hi: np.ndarray, bound: np.ndarray, right: bool
+) -> np.ndarray:
+    """:func:`bisect_right` (``right``) or :func:`bisect_left` of each
+    ``bound[i]`` in ``column[lo[i]:hi[i]]``, each run sorted, all runs at
+    once: one step of every search per pass."""
+    lo, hi = lo.copy(), hi.copy()
+    top = len(column) - 1
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        value = column[np.minimum(mid, top)]
+        searching = lo < hi
+        above = searching & ((value <= bound) if right else (value < bound))
+        lo = np.where(above, mid + 1, lo)
+        hi = np.where(searching & ~above, mid, hi)
+    return lo
 
 
 #: subdivision classes in storage order: (name, keeps starts, keeps ends).
@@ -307,44 +243,84 @@ class OptimizedHINTm(IntervalIndex):
 
         starts, ends = collection.starts, collection.ends
         orders: List[np.ndarray] = []
-        directories: List[Tuple[np.ndarray, np.ndarray]] = []
+        class_keys: List[np.ndarray] = []
         for index, (_name, keep_starts, keep_ends) in enumerate(_CLASSES):
             picked = np.flatnonzero(class_index == index)
-            class_keys, class_rows = keys[picked], members[picked]
+            keys_of_class, rows_of_class = keys[picked], members[picked]
             # a partition's run: by the sort column, ties in collection order
-            sort_keys = [class_rows, class_keys]
+            sort_keys = [rows_of_class, keys_of_class]
             if keep_starts or keep_ends:
-                sort_keys.insert(1, (starts if keep_starts else ends)[class_rows])
+                sort_keys.insert(1, (starts if keep_starts else ends)[rows_of_class])
             order = np.lexsort(sort_keys)
-            class_keys = class_keys[order]
-            orders.append(class_rows[order])
-            if self._sparse:
-                directory = class_keys[np.flatnonzero(np.diff(class_keys, prepend=0))]
-            else:
-                directory = np.arange(1, 2 << m, dtype=np.int64)
-            indptr = np.append(np.searchsorted(class_keys, directory), len(class_keys))
-            directories.append((directory, indptr))
+            class_keys.append(keys_of_class[order])
+            orders.append(rows_of_class[order])
 
         # one row space for the four classes (see _CLASSES for the order)
-        sizes = [len(order) for order in orders]
-        bases = np.concatenate(([0], np.cumsum(sizes))).tolist()
         self._ids = collection.ids[np.concatenate(orders)]
         self._starts = starts[np.concatenate(orders[0:2])]
         self._ends = ends[np.concatenate(orders[1:3])]
         #: row of ``_ends`` = row of ``_ids`` minus this (``o_aft`` keeps no end)
-        self._ends_base = bases[1]
-        self._tables: Dict[str, _ClassTable] = {}
-        for index, (name, keep_starts, keep_ends) in enumerate(_CLASSES):
-            lo, hi = bases[index], bases[index + 1]
-            self._tables[name] = _ClassTable(
-                m,
-                *directories[index],
-                lo,
-                self._ids[lo:hi],
-                self._starts[lo:hi] if keep_starts else None,
-                self._ends[lo - self._ends_base : hi - self._ends_base] if keep_ends else None,
-                rowwise=not self._columnar,
+        self._ends_base = len(orders[0])
+        #: where the replicas start in the row space
+        self._replicas_base = len(orders[0]) + len(orders[1])
+        # one directory of partitions, keyed by heap number (so sorted by
+        # level, then offset), for all four classes: the rows class ``c``
+        # stores in directory entry ``j`` are ``pointers[c][j] ..
+        # pointers[c][j + 1]`` of the shared columns
+        if self._sparse:
+            directory = np.sort(np.concatenate([_distinct(sorted_keys) for sorted_keys in class_keys]))
+            directory = _distinct(directory)
+        else:
+            directory = np.arange(1, 2 << m, dtype=np.int64)
+        self._keys = directory
+        self._pointers: List[np.ndarray] = []
+        row_base = 0
+        for sorted_keys in class_keys:
+            found = np.searchsorted(sorted_keys, directory)
+            self._pointers.append(np.append(found, len(sorted_keys)) + row_base)
+            row_base += len(sorted_keys)
+        # the scalar walk searches Python lists: much faster through
+        # :mod:`bisect` than through ``np.searchsorted`` one value at a time
+        self._keys_list: List[int] = directory.tolist()
+        self._pointer_lists: List[List[int]] = [pointers.tolist() for pointers in self._pointers]
+        #: where each level starts in the directory (``m + 2`` cuts)
+        self._level_cuts: List[int] = np.searchsorted(
+            directory, np.int64(1) << np.arange(m + 2)
+        ).tolist()
+        self._levels = self._level_plan()
+        #: interleaved (id, start?, end?) tuples -- what the row-by-row scan
+        #: reads when the columnar optimization is disabled
+        self._records: Optional[List[Tuple[int, ...]]] = None
+        if not self._columnar:
+            self._records = []
+            for index, (_name, keep_starts, keep_ends) in enumerate(_CLASSES):
+                rows = orders[index]
+                kept = [collection.ids[rows]]
+                kept += [starts[rows]] if keep_starts else []
+                kept += [ends[rows]] if keep_ends else []
+                self._records.extend(zip(*(column.tolist() for column in kept)))
+
+    def _level_plan(self) -> List[tuple]:
+        """What the scalar walk visits, bottom level first: one entry
+        ``(2^level, m - level, 2^(m - level) - 1, dir_lo, dir_hi, classes)``
+        per level that stores anything, where ``dir_lo:dir_hi`` is the
+        level's range of the directory and ``classes`` holds one ``(pointers,
+        original, keeps_end)`` per class with rows at the level -- on
+        short-interval data most (level, class) pairs hold none."""
+        m = self._m
+        cuts = self._level_cuts
+        plan = []
+        for level in range(m, -1, -1):
+            lo, hi = cuts[level], cuts[level + 1]
+            classes = tuple(
+                (self._pointer_lists[index], index < 2, _CLASSES[index][2])
+                for index in (1, 0, 2, 3)  # o_in, o_aft, r_in, r_aft
+                if self._pointer_lists[index][hi] > self._pointer_lists[index][lo]
             )
+            if classes:
+                shift = m - level
+                plan.append((1 << level, shift, (1 << shift) - 1, lo, hi, classes))
+        return plan
 
     # ------------------------------------------------------------------ #
     # properties
@@ -383,17 +359,15 @@ class OptimizedHINTm(IntervalIndex):
 
     def level_occupancy(self) -> List[int]:
         """Stored entries per level, across all four subdivision classes."""
+        cuts = self._level_cuts
         return [
-            sum(table.rows_at(level) for table in self._tables.values())
+            sum(pointers[cuts[level + 1]] - pointers[cuts[level]] for pointers in self._pointer_lists)
             for level in range(self.num_levels)
         ]
 
     def nonempty_partitions(self) -> int:
         """Number of (level, partition) pairs holding at least one interval."""
-        occupied = [
-            table.keys[np.diff(table.indptr) > 0] for table in self._tables.values()
-        ]
-        return len(np.unique(np.concatenate(occupied)))
+        return int(np.count_nonzero(sum(np.diff(pointers) for pointers in self._pointers)))
 
     # ------------------------------------------------------------------ #
     # updates
@@ -405,12 +379,12 @@ class OptimizedHINTm(IntervalIndex):
     # ------------------------------------------------------------------ #
     # queries: one scalar traversal, then whole-segment reads
     # ------------------------------------------------------------------ #
-    def query(self, query: Query) -> List[int]:
-        return self._answer(query).tolist()
+    def query(self, query: Query) -> np.ndarray:
+        return self._answer(query)
 
-    def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
+    def query_with_stats(self, query: Query) -> tuple[np.ndarray, QueryStats]:
         stats = QueryStats()
-        results = self._answer(query, stats).tolist()
+        results = self._answer(query, stats)
         stats.results = len(results)
         return results, stats
 
@@ -435,67 +409,79 @@ class OptimizedHINTm(IntervalIndex):
         return self._tally(query, stop_at_first=True) > 0
 
     def _segments(self, query: Query) -> List[tuple]:
-        """``(table, row_lo, row_hi, test_start, test_end, key)`` for every
-        merged-table run the query touches (rows local to the table; a
-        dense directory also yields empty runs).
+        """``(row_lo, row_hi, test_start, test_end, key)`` for every
+        non-empty run of the shared columns the query touches.
 
         This is the scalar encoding of the Section 4.2/4.3 traversal: which
         partitions are relevant per level, how boundary partitions split off
         from the comparison-free middle run, and how the Lemma 2 flags lower
         the predicates level by level (:meth:`_batch_segments` is the same
-        traversal for a whole batch).  ``key`` is the heap number of a
-        boundary partition (``None`` for comparison-free runs), used for the
-        Lemma 4 counter.
+        traversal for a whole batch, and reads the flags by the same
+        formula).  Per level, one binary search in the directory finds the
+        first relevant partition (a second one the last, when they differ),
+        and only the classes that store rows at the level are read.  ``key``
+        is the heap number of a boundary partition (``None`` for
+        comparison-free runs), used for the Lemma 4 counter.
         """
-        m = self._m
         mq_start = self._domain.map_value(query.start)
         mq_end = self._domain.map_value(query.end)
-        tables = self._tables
-        o_in, o_aft, r_in, r_aft = tables["o_in"], tables["o_aft"], tables["r_in"], tables["r_aft"]
+        keys = self._keys_list
         segments: List[tuple] = []
         add = segments.append
-        comp_first = comp_last = True
-        for level in range(m, -1, -1):
+        for heap, shift, below, dir_lo, dir_hi, classes in self._levels:
             # heap numbers of the first and last relevant partitions
-            first = (1 << level) + (mq_start >> (m - level))
-            last = (1 << level) + (mq_end >> (m - level))
-            # (class, end test of the first partition, start test of the last
-            # one -- None for the replicas, which read their first partition
-            # only); O_aft of the first partition never needs the end test
-            for table, test_end_first, test_start_last in (
-                (o_in, comp_first, comp_last),
-                (o_aft, False, comp_last),
-                (r_in, comp_first, None),
-                (r_aft, False, None),
-            ):
-                level_lo, level_hi = table.level_bounds[level], table.level_bounds[level + 1]
-                if level_lo == level_hi:
+            first = heap + (mq_start >> shift)
+            last = heap + (mq_end >> shift)
+            # Lemma 2: the first (last) partition still needs its end (start)
+            # test iff the mapped start's (end's) bits below the level's
+            # prefix are all ones (all zeros)
+            comp_first = mq_start & below == below
+            comp_last = not mq_end & below
+            lo = bisect_left(keys, first, dir_lo, dir_hi)
+            head = lo < dir_hi and keys[lo] == first
+            if first == last:
+                if head:
+                    for pointers, original, keeps_end in classes:
+                        row_lo, row_hi = pointers[lo], pointers[lo + 1]
+                        if row_lo < row_hi:
+                            add((
+                                row_lo, row_hi, original and comp_last,
+                                keeps_end and comp_first, first,
+                            ))
+                continue
+            hi = bisect_right(keys, last, lo, dir_hi)
+            tail = hi > lo and keys[hi - 1] == last
+            middle_lo, middle_hi = lo + head, hi - tail
+            for pointers, original, keeps_end in classes:
+                # the end test applies to the classes that keep an end;
+                # replicas read their first partition only
+                if head and pointers[lo] < pointers[lo + 1]:
+                    add((pointers[lo], pointers[lo + 1], False, keeps_end and comp_first, first))
+                if not original:
                     continue
-                keys, indptr = table.keys_list, table.indptr_list
-                lo = bisect_left(keys, first, level_lo, level_hi)
-                if test_start_last is None:
-                    if lo < level_hi and keys[lo] == first:
-                        add((table, indptr[lo], indptr[lo + 1], False, test_end_first, first))
-                    continue
-                hi = bisect_right(keys, last, lo, level_hi)
-                if lo >= hi:
-                    continue
-                if first == last:
-                    add((table, indptr[lo], indptr[lo + 1], test_start_last, test_end_first, first))
-                    continue
-                if keys[lo] == first:
-                    add((table, indptr[lo], indptr[lo + 1], False, test_end_first, first))
-                    lo += 1
-                if keys[hi - 1] == last:
-                    add((table, indptr[hi - 1], indptr[hi], test_start_last, False, last))
-                    hi -= 1
-                if lo < hi:
-                    add((table, indptr[lo], indptr[hi], False, False, None))
-            # Lemma 2: below the root a heap number has the parity of its
-            # offset (the update after level 0 is never read)
-            comp_first = comp_first and first % 2 == 1
-            comp_last = comp_last and last % 2 == 0
+                if tail and pointers[hi - 1] < pointers[hi]:
+                    add((pointers[hi - 1], pointers[hi], comp_last, False, last))
+                if pointers[middle_lo] < pointers[middle_hi]:
+                    add((pointers[middle_lo], pointers[middle_hi], False, False, None))
         return segments
+
+    def _passing(self, lo: int, hi: int, test_start: bool, test_end: bool, q_start, q_end):
+        """The rows of run ``lo:hi`` that pass the requested predicates, as
+        ``(lo, hi, mask)``: ``mask`` is None when rows ``lo:hi`` pass whole.
+
+        A boundary partition's run is sorted by its start (originals) or its
+        end (replicas), Section 4.1's sorting, so the test on that column
+        trims the run by binary search; only an original's end test reads
+        its rows.
+        """
+        if test_start:
+            hi = bisect_right(self._starts, q_end, lo, hi)
+        if not test_end:
+            return lo, hi, None
+        base = self._ends_base
+        if lo >= self._replicas_base:
+            return bisect_left(self._ends, q_start, lo - base, hi - base) + base, hi, None
+        return lo, hi, self._ends[lo - base : hi - base] >= q_start
 
     def _answer(self, query: Query, stats: Optional[QueryStats] = None) -> np.ndarray:
         """The ids answering ``query`` as a fresh int64 array: the traversal,
@@ -506,10 +492,8 @@ class OptimizedHINTm(IntervalIndex):
             # distinct boundary partitions compared: what Lemma 4 bounds by
             # four in expectation
             compared = set()
-            for _table, row_lo, row_hi, test_start, test_end, key in segments:
+            for row_lo, row_hi, test_start, test_end, key in segments:
                 count = row_hi - row_lo
-                if not count:
-                    continue
                 stats.partitions_accessed += 1
                 stats.candidates += count
                 if test_start or test_end:
@@ -518,20 +502,23 @@ class OptimizedHINTm(IntervalIndex):
             stats.partitions_compared = len(compared)
         q_start, q_end = _exact_bounds(query)
         if self._columnar:
-            pieces = [
-                table.ids[lo:hi][_column_mask(table, lo, hi, test_start, test_end, q_start, q_end)]
-                if test_start or test_end
-                else table.ids[lo:hi]
-                for table, lo, hi, test_start, test_end, _key in segments
-            ]
+            ids = self._ids
+            pieces = []
+            for lo, hi, test_start, test_end, _key in segments:
+                if test_start or test_end:
+                    lo, hi, mask = self._passing(lo, hi, test_start, test_end, q_start, q_end)
+                    pieces.append(ids[lo:hi] if mask is None else ids[lo:hi][mask])
+                else:
+                    pieces.append(ids[lo:hi])
             found = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
         else:
             # row-wise layout: interleaved records, scanned row by row
+            records = self._records
             found = np.fromiter(
                 (
                     record[0]
-                    for table, lo, hi, test_start, test_end, _key in segments
-                    for record in table.records[lo:hi]
+                    for lo, hi, test_start, test_end, _key in segments
+                    for record in records[lo:hi]
                     if _record_matches(record, test_start, test_end, q_start, q_end)
                 ),
                 dtype=np.int64,
@@ -548,16 +535,16 @@ class OptimizedHINTm(IntervalIndex):
         with ``stop_at_first`` the count stops at the first non-zero segment."""
         q_start, q_end = _exact_bounds(query)
         total = 0
-        for table, lo, hi, test_start, test_end, _key in self._segments(query):
+        for lo, hi, test_start, test_end, _key in self._segments(query):
             if not (test_start or test_end):
                 total += hi - lo
             elif self._columnar:
-                mask = _column_mask(table, lo, hi, test_start, test_end, q_start, q_end)
-                total += int(np.count_nonzero(mask))
+                lo, hi, mask = self._passing(lo, hi, test_start, test_end, q_start, q_end)
+                total += hi - lo if mask is None else int(np.count_nonzero(mask))
             else:
                 total += sum(
                     _record_matches(record, test_start, test_end, q_start, q_end)
-                    for record in table.records[lo:hi]
+                    for record in self._records[lo:hi]
                 )
             if stop_at_first and total:
                 break
@@ -607,13 +594,13 @@ class OptimizedHINTm(IntervalIndex):
         test_start, test_end)`` columns, one entry per non-empty merged-table
         run, in query-major order, rows in the shared row space.
 
-        :meth:`_iter_segments` in closed form.  At every level the first and
+        :meth:`_segments` in closed form.  At every level the first and
         last relevant partitions of every query are shifts of its mapped
         endpoints; the Lemma 2 flag of the first (last) partition at a level
         still stands iff the bits of the mapped start (end) below the
-        level's prefix are all ones (all zeros) -- what :meth:`_lower_flags`
-        finds one level at a time; one ``searchsorted`` pair per class
-        locates all of them in the heap-numbered directory.  Each (query,
+        level's prefix are all ones (all zeros), the formula
+        :meth:`_segments` reads one level at a time; one ``searchsorted``
+        pair per class locates all of them in the heap-numbered directory.  Each (query,
         level) has eight slots: first partition / comparison-free middle run
         / last partition for ``o_aft`` and ``o_in``, the first partition for
         ``r_in`` and ``r_aft``.
@@ -630,40 +617,39 @@ class OptimizedHINTm(IntervalIndex):
         comp_last = (mq_ends & below) == 0
         single = first == last
         never = np.zeros_like(single)
-        tables = self._tables
         lo: List[np.ndarray] = []
         hi: List[np.ndarray] = []
         test_start: List[np.ndarray] = []
         test_end: List[np.ndarray] = []
 
-        def slot(table, entry_lo, entry_hi, start_flag, end_flag):
-            lo.append(table.indptr[entry_lo] + table.row_base)
-            hi.append(table.indptr[entry_hi] + table.row_base)
+        def slot(pointers, entry_lo, entry_hi, start_flag, end_flag):
+            lo.append(pointers[entry_lo])
+            hi.append(pointers[entry_hi])
             test_start.append(start_flag)
             test_end.append(end_flag)
 
-        # (class, end test of the first partition, start test of the last
-        # one -- None for the replicas, which read their first partition only)
-        for name, test_end_first, test_start_last in (
-            ("o_aft", never, comp_last),
-            ("o_in", comp_first, comp_last),
-            ("r_in", comp_first, None),
-            ("r_aft", never, None),
-        ):
-            table = tables[name]
-            keys = table.keys
-            if len(keys) == 0:
-                continue
+        keys = self._keys
+        if len(keys):
+            # directory entries of the first partition (head .. run_lo), the
+            # middle run (run_lo .. run_hi) and the last partition (run_hi ..
+            # tail); every class reads its rows of the same entries
             head = np.searchsorted(keys, first, "left")
             run_lo = head + (keys[np.minimum(head, len(keys) - 1)] == first)
-            if test_start_last is None:
-                slot(table, head, run_lo, never, test_end_first)
-                continue
             tail = np.searchsorted(keys, last, "right")
             run_hi = tail - ((keys[np.maximum(tail, 1) - 1] == last) & ~single)
-            slot(table, head, run_lo, single & test_start_last, test_end_first)
-            slot(table, run_lo, run_hi, never, never)
-            slot(table, run_hi, tail, test_start_last, never)
+        # (class, end test of the first partition, start test of the last
+        # one -- None for the replicas, which read their first partition only)
+        for pointers, test_end_first, test_start_last in zip(
+            self._pointers, (never, comp_first, comp_first, never), (comp_last, comp_last, None, None)
+        ):
+            if pointers[0] == pointers[-1]:
+                continue
+            if test_start_last is None:
+                slot(pointers, head, run_lo, never, test_end_first)
+                continue
+            slot(pointers, head, run_lo, single & test_start_last, test_end_first)
+            slot(pointers, run_lo, run_hi, never, never)
+            slot(pointers, run_hi, tail, test_start_last, never)
 
         if not lo:
             empty = np.empty(0, dtype=np.int64)
@@ -684,23 +670,33 @@ class OptimizedHINTm(IntervalIndex):
         """Segment table of a batch with the predicates already decided.
 
         Returns ``(per-query counts, seg_lo, seg_len, flagged, failed)``:
-        ``flagged`` indexes the segments that need a predicate, and
-        ``failed`` marks, among the rows of those segments in order, the ones
-        that do not qualify.  The endpoint columns are read for these rows
-        only.
+        the runs come trimmed as :meth:`_passing` trims them (by a
+        vectorised binary search), ``flagged`` indexes the runs that still
+        need an original's end test, and ``failed`` marks, among the rows of
+        those runs in order, the ones that do not qualify.  The ends column
+        is read for these rows only.
         """
         count = len(q_starts)
         seg_query, seg_lo, seg_len, seg_start, seg_end = self._batch_segments(q_starts, q_ends)
+        seg_hi = seg_lo + seg_len
+        base = self._ends_base
+        replicas = seg_lo >= self._replicas_base
+        trim = np.flatnonzero(seg_start)
+        seg_hi[trim] = _bisect_runs(
+            self._starts, seg_lo[trim], seg_hi[trim], q_ends[seg_query[trim]], right=True
+        )
+        trim = np.flatnonzero(seg_end & replicas)
+        seg_lo[trim] = base + _bisect_runs(
+            self._ends, seg_lo[trim] - base, seg_hi[trim] - base, q_starts[seg_query[trim]],
+            right=False,
+        )
+        seg_len = seg_hi - seg_lo
         counts = np.bincount(seg_query, weights=seg_len, minlength=count).astype(np.int64)
-        flagged = np.flatnonzero(seg_start | seg_end)
+        flagged = np.flatnonzero(seg_end & ~replicas)
         lengths = seg_len[flagged]
         rows = _expand(seg_lo[flagged], lengths)
         owner = np.repeat(seg_query[flagged], lengths)
-        failed = np.zeros(len(rows), dtype=bool)
-        tested = np.flatnonzero(np.repeat(seg_start[flagged], lengths))
-        failed[tested] = self._starts[rows[tested]] > q_ends[owner[tested]]
-        tested = np.flatnonzero(np.repeat(seg_end[flagged], lengths))
-        failed[tested] |= self._ends[rows[tested] - self._ends_base] < q_starts[owner[tested]]
+        failed = self._ends[rows - base] < q_starts[owner]
         counts -= np.bincount(owner[failed], minlength=count)
         return counts, seg_lo, seg_len, flagged, failed
 
@@ -736,5 +732,14 @@ class OptimizedHINTm(IntervalIndex):
         if self._memo_seen(_memo):
             return 0
         total = self._spans_bytes(_memo)
-        total += self._ids.nbytes + self._starts.nbytes + self._ends.nbytes
-        return total + sum(table.memory_bytes() for table in self._tables.values())
+        for column in (self._ids, self._starts, self._ends, self._keys, *self._pointers):
+            total += column.nbytes
+        # the directory's list mirrors, which the scalar walk searches
+        for mirror in (self._keys_list, *self._pointer_lists):
+            total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
+        if self._records is not None:
+            total += sys.getsizeof(self._records)
+            for pointers, (_name, keep_starts, keep_ends) in zip(self._pointer_lists, _CLASSES):
+                width = 1 + keep_starts + keep_ends
+                total += (pointers[-1] - pointers[0]) * (_TUPLE_BYTES + width * (8 + _INT_BYTES))
+        return total

@@ -36,6 +36,14 @@ from repro.hint.subdivided import SubdividedHINTm
 __all__ = ["HybridHINTm"]
 
 
+def _with_recent(main_ids: np.ndarray, recent: Sequence[int]) -> np.ndarray:
+    """The main index's answer with the delta's ids appended (the two are
+    disjoint), as one int64 array."""
+    if not len(recent):
+        return main_ids
+    return np.concatenate((main_ids, np.asarray(recent, dtype=np.int64)))
+
+
 @register_backend(
     "hintm_hybrid",
     aliases=("hint-m-hybrid",),
@@ -178,11 +186,11 @@ class HybridHINTm(IntervalIndex):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def query(self, query: Query) -> List[int]:
+    def query(self, query: Query) -> np.ndarray:
         main, delta = self._components  # one load: a racing rebuild cannot split the pair
         results = main.query(query)
         if len(delta):
-            results.extend(delta.query(query))
+            results = _with_recent(results, delta.query(query))
         return results
 
     def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
@@ -192,19 +200,15 @@ class HybridHINTm(IntervalIndex):
         results = main.query_batch(queries)
         if len(delta):
             for position, query in enumerate(queries):
-                recent = delta.query(query)
-                if recent:
-                    results[position] = np.concatenate(
-                        (results[position], np.array(recent, dtype=np.int64))
-                    )
+                results[position] = _with_recent(results[position], delta.query(query))
         return results
 
-    def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
+    def query_with_stats(self, query: Query) -> tuple[np.ndarray, QueryStats]:
         main, delta = self._components
         results, stats = main.query_with_stats(query)
         if len(delta):
             delta_results, delta_stats = delta.query_with_stats(query)
-            results.extend(delta_results)
+            results = _with_recent(results, delta_results)
             stats.merge(delta_stats)
         stats.results = len(results)
         return results, stats

@@ -846,7 +846,7 @@ class QueryServer(HttpServer):
         if relation is not None:
             builder = builder.relation(relation)
         result = builder.build()
-        ids = result.ids()
+        ids = result.ids().tolist()
         answer: Dict[str, object] = (
             {"count": len(ids)} if count_only else {"ids": ids, "count": len(ids)}
         )

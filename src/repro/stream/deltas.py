@@ -332,7 +332,7 @@ class StandingQueryManager:
         builder = self._store.query().overlapping(query.start, query.end)
         if subscription.relation is not None:
             builder = builder.relation(subscription.relation)
-        ids = builder.ids()
+        ids = builder.ids().tolist()
         if (
             subscription.min_duration
             or subscription.max_duration is not None

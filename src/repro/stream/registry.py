@@ -291,7 +291,7 @@ class SubscriptionRegistry:
             if self._store is not None:
                 candidate_ids = self._store.query().overlapping(
                     interval.start, interval.end
-                ).ids()
+                ).ids().tolist()
                 candidates = [
                     s
                     for s in (self._subscriptions.get(i) for i in candidate_ids)

@@ -205,7 +205,7 @@ class TestMaterialisingKernels:
                 # order-identical to the serial path (merge_unique_ids
                 # first-seen order), so answers do not flip ordering when
                 # fan-out is disabled or a task degrades
-                assert ids.tolist() == index.query(q)
+                assert ids.tolist() == index.query(q).tolist()
                 assert sorted(ids) == sorted(synthetic_collection.query_ids(q).tolist())
         finally:
             index.close()

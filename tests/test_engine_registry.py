@@ -111,10 +111,14 @@ class TestCreateIndex:
             assert via_store == oracle, (name, query)
 
     def test_auto_num_bits_uses_the_model(self, synthetic_collection):
-        index = create_index("hintm_opt", synthetic_collection, num_bits="auto")
+        """``auto`` is the priced model's ``m_opt`` for the collection's own
+        statistics: no cap, nothing timed, the same ``m`` on every open."""
         stats = DatasetStatistics.from_collection(synthetic_collection)
-        expected = max(1, min(estimate_m_opt(stats, 0.001 * stats.domain_length), 16))
-        assert index.num_bits == expected
+        expected = estimate_m_opt(stats, 0.001 * stats.domain_length)
+        for backend in ("hintm", "hintm_opt", "hintm_hybrid"):
+            index = create_index(backend, synthetic_collection, num_bits="auto")
+            assert index.num_bits == expected
+        assert create_index("hintm_opt", synthetic_collection, num_bits="auto").num_bits == expected
 
     def test_auto_num_bits_honours_query_extent_hint(self, synthetic_collection):
         broad = create_index(
@@ -141,7 +145,7 @@ class TestCreateIndex:
     def test_empty_collection(self):
         index = create_index("hintm_opt", IntervalCollection.empty(), num_bits="auto")
         assert len(index) == 0
-        assert index.query(Query(0, 10)) == []
+        assert index.query(Query(0, 10)).tolist() == []
 
 
 class TestHarnessShim:

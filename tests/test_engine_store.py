@@ -147,13 +147,13 @@ class TestUnsupportedQueries:
 
 
 class TestResultSet:
-    def test_ids_cached_and_copied(self, random_collection):
+    def test_ids_cached_as_one_int64_array(self, random_collection):
         store = IntervalStore.open(random_collection, backend="naive")
         results = store.query().overlapping(0, 2_000).build()
-        first = results.ids()
-        first.append(-1)  # caller mutation must not leak into the cache
-        assert -1 not in results.ids()
-        assert results.count() == len(results.ids())
+        first = results.ids()  # the backend answers a list: converted once
+        assert isinstance(first, np.ndarray) and first.dtype == np.int64
+        assert results.ids() is first  # the cached array, not a copy
+        assert results.count() == len(first)
 
     def test_container_protocol(self, random_collection):
         store = IntervalStore.open(random_collection, backend="naive")

@@ -96,7 +96,7 @@ def test_disjoint_query_returns_nothing(request, built_indexes, index_name):
     data = request.getfixturevalue("synthetic_collection")
     index = built_indexes("synthetic_collection", index_name)
     _, hi = data.span()
-    assert index.query(Query(hi + 10_000, hi + 20_000)) == []
+    assert len(index.query(Query(hi + 10_000, hi + 20_000))) == 0
 
 
 # backends that take single-interval updates (hintm_opt is static)

@@ -9,7 +9,6 @@ from repro.hint.model import (
     estimate_m_opt,
     expected_comparison_partitions,
     expected_result_count,
-    measure_betas,
     replication_factor,
 )
 
@@ -136,12 +135,39 @@ class TestMOpt:
         m_opt = estimate_m_opt(stats_long, query_extent=0.001 * stats_long.domain_length)
         assert 6 <= m_opt <= 14
 
+    def test_m_opt_minimises_the_priced_cost(self, stats_short):
+        extent = 0.001 * stats_short.domain_length
+        model = CostModel(stats=stats_short)
+        costs = {m: model.query_cost(m, extent) for m in range(1, stats_short.domain_bits + 1)}
+        m_opt = estimate_m_opt(stats_short, extent)
+        assert costs[m_opt] == min(costs.values())
+        assert all(costs[m] > costs[m_opt] for m in range(1, m_opt))  # ties: the smaller m
+        # the walk's price bounds m well below the domain's resolution
+        assert m_opt < stats_short.domain_bits
 
-class TestMeasureBetas:
-    def test_betas_positive_and_ordered(self):
-        beta_cmp, beta_acc = measure_betas(sample_size=50_000, repeats=1)
-        assert beta_cmp > 0
-        assert beta_acc > 0
-        # both are tiny per-item costs on any machine this runs on
-        assert beta_cmp < 1e-3
-        assert beta_acc < 1e-3
+    def test_walk_cost_is_linear_in_levels(self, stats_short):
+        model = CostModel(stats=stats_short)
+        assert model.walk_cost(13) - model.walk_cost(12) == pytest.approx(model.beta_level)
+        assert model.walk_cost(0) == pytest.approx(model.beta_level)
+
+
+class TestGatedBands:
+    """``num_bits="auto"`` lands where the m-sweep (``scripts/m_sweep.py``,
+    seed 1) measured a lone query at <= 0.80x and a 500-query batch at
+    <= 1.00x of their cost at m = 16 -- from the statistics alone, with
+    nothing built or timed."""
+
+    @staticmethod
+    def _auto(stats: DatasetStatistics) -> int:
+        return estimate_m_opt(stats, 0.001 * stats.domain_length)
+
+    def test_core_scan(self):
+        assert self._auto(DatasetStatistics(400_000, 740.5, 31_768_190, 25)) in {12, 13}
+
+    def test_serve_uniform(self):
+        assert self._auto(DatasetStatistics(200_000, 744.0, 31_768_286, 25)) in {11, 12, 13}
+
+    def test_mixed_rw_shard(self):
+        # read off the first of the two shards the seed-1 workload builds
+        stats = DatasetStatistics(50_069, 705.7656633845294, 15_882_454, 24)
+        assert self._auto(stats) in {10, 11, 12}

@@ -37,7 +37,7 @@ class TestConstruction:
     def test_empty_collection(self):
         index = OptimizedHINTm(IntervalCollection.empty(), num_bits=5)
         assert len(index) == 0
-        assert index.query(Query(0, 100)) == []
+        assert index.query(Query(0, 100)).tolist() == []
 
     def test_replication_matches_subdivided(self, synthetic_collection):
         """The merged layout stores exactly the same assignments as the dict layout."""

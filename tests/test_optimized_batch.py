@@ -47,7 +47,7 @@ def _sorted(results):
 
 
 def _lists(answers):
-    """Batch answers (int64 arrays) as the lists ``query`` returns."""
+    """Int64 id arrays as lists, comparable with ``==``."""
     return [ids.tolist() for ids in answers]
 
 
@@ -126,7 +126,7 @@ def test_endpoints_beyond_int64_keep_the_exact_path(synthetic_collection, synthe
     for odd in (Query(-(10**30), 10**30), Query(lo + 0.5, lo + (hi - lo) / 7)):
         queries = synthetic_queries[:20] + [odd]
         assert index._batch_bounds(queries) is None
-        assert _lists(index.query_batch(queries)) == [index.query(q) for q in queries]
+        assert _lists(index.query_batch(queries)) == _lists(index.query(q) for q in queries)
         assert index.query_count_batch(queries) == [index.query_count(q) for q in queries]
     assert len(index.query_batch(synthetic_queries[:20] + [Query(-(10**30), 10**30)])[-1]) == len(
         index
@@ -189,13 +189,22 @@ def _reference_layout(index, collection):
     return stored
 
 
+def _class_runs(index):
+    """``(class, key, row_lo, row_hi)`` for every non-empty run of a class
+    in a directory entry."""
+    keys = index._keys.tolist()
+    for (name, _, _), pointers in zip(_CLASSES, index._pointers):
+        for entry, key in enumerate(keys):
+            if pointers[entry] < pointers[entry + 1]:
+                yield name, key, int(pointers[entry]), int(pointers[entry + 1])
+
+
 def _stored_layout(index):
     stored = Counter()
-    for name, table in index._tables.items():
-        for entry, key in enumerate(table.keys.tolist()):
-            level = key.bit_length() - 1
-            for row in range(table.indptr[entry], table.indptr[entry + 1]):
-                stored[(level, name, key - (1 << level), int(table.ids[row]))] += 1
+    for name, key, row_lo, row_hi in _class_runs(index):
+        level = key.bit_length() - 1
+        for row in range(row_lo, row_hi):
+            stored[(level, name, key - (1 << level), int(index._ids[row]))] += 1
     return stored
 
 
@@ -216,14 +225,20 @@ def test_build_stores_the_reference_assignments(taxis_like_collection, m, sparse
 @pytest.mark.parametrize("columnar", [True, False])
 def test_partition_runs_are_sorted_by_their_sort_column(books_like_collection, columnar):
     index = OptimizedHINTm(books_like_collection, num_bits=9, columnar=columnar)
-    for name, keep_starts, keep_ends in _CLASSES:
-        table = index._tables[name]
-        assert (table.starts is not None, table.ends is not None) == (keep_starts, keep_ends)
-        column = table.starts if keep_starts else table.ends
-        if column is None:
-            continue
-        for lo, hi in zip(table.indptr[:-1], table.indptr[1:]):
-            assert np.all(np.diff(column[lo:hi]) >= 0)
+    keeps = {name: (keep_starts, keep_ends) for name, keep_starts, keep_ends in _CLASSES}
+    rows = Counter()
+    for name, _key, lo, hi in _class_runs(index):
+        rows[name] += hi - lo
+        keep_starts, keep_ends = keeps[name]
+        if keep_starts:
+            assert np.all(np.diff(index._starts[lo:hi]) >= 0)
+        elif keep_ends:
+            ends = index._ends[lo - index._ends_base : hi - index._ends_base]
+            assert np.all(np.diff(ends) >= 0)
+    # the starts column serves o_aft and o_in, the ends column o_in and r_in
+    assert len(index._starts) == rows["o_aft"] + rows["o_in"]
+    assert len(index._ends) == rows["o_in"] + rows["r_in"]
+    assert index._ends_base == rows["o_aft"]
 
 
 # --------------------------------------------------------------------------- #
@@ -255,10 +270,10 @@ def test_short_batch_and_rowwise_layout_never_enter_the_kernel(
 
     monkeypatch.setattr(OptimizedHINTm, "_batch_segments", kernel)
     one = synthetic_queries[:1]
-    assert _lists(columnar.query_batch(one)) == [columnar.query(one[0])]
+    assert _lists(columnar.query_batch(one)) == _lists([columnar.query(one[0])])
     assert columnar.query_count_batch(one) == [columnar.query_count(one[0])]
     many = synthetic_queries[:64]
-    assert _lists(rowwise.query_batch(many)) == [rowwise.query(q) for q in many]
+    assert _lists(rowwise.query_batch(many)) == _lists(rowwise.query(q) for q in many)
     with pytest.raises(AssertionError):
         columnar.query_batch(many)
 
@@ -286,3 +301,78 @@ def test_tombstone_array_is_cached_until_the_set_changes(synthetic_collection):
     table.add(Interval(ids[2], 1, 2))
     assert table.removed_array().tolist() == sorted([ids[5], ids[9]])
 
+
+
+# --------------------------------------------------------------------------- #
+# one traversal: the scalar walk and the batch kernel agree, run by run
+# --------------------------------------------------------------------------- #
+#: per m, sparse or dense directory alike: totals over ``_walk_queries`` of
+#: (partitions_accessed, candidates, comparisons, partitions_compared).
+#: Pinned: the counters describe which partitions the traversal reads, so a
+#: change of layout or of predicate evaluation must leave them where they are
+_WALK_COUNTERS = {
+    1: (127, 1_260_475, 2_410_550, 123),
+    4: (596, 164_096, 148_402, 140),
+    10: (1_201, 92_671, 2_691, 139),
+    16: (907, 91_722, 508, 27),
+}
+
+
+@pytest.fixture(scope="module")
+def walk_collection():
+    from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+
+    return generate_synthetic(
+        SyntheticConfig(domain_length=2_000_000, cardinality=20_000, alpha=1.2, sigma=200_000, seed=53)
+    )
+
+
+def _walk_queries(collection):
+    """Ranges, stabs, float bounds and bounds beyond both edges of the data."""
+    lo, hi = collection.span()
+    rng = np.random.default_rng(61)
+    starts = rng.integers(lo, hi, 40)
+    queries = [Query(int(s), int(s) + int(w)) for s, w in zip(starts, rng.integers(0, 40_000, 40))]
+    queries += [Query.stabbing(int(p)) for p in rng.integers(lo, hi, 10)]
+    queries += [Query(float(s) + 0.5, float(s) + 900.25) for s in rng.integers(lo, hi, 10)]
+    queries += [
+        Query(lo - 5_000, lo + 3_000), Query(hi - 2_000, hi + 10_000),
+        Query(lo - 10, hi + 10), Query(hi + 1, hi + 50),
+    ]
+    return queries
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("m", sorted(_WALK_COUNTERS))
+def test_scalar_and_batch_walks_agree(walk_collection, m, sparse):
+    index = OptimizedHINTm(walk_collection, num_bits=m, sparse_directory=sparse)
+    queries = _walk_queries(walk_collection)
+    totals = [0, 0, 0, 0]
+    for query in queries:
+        scalar = {(lo, hi, bool(ts), bool(te)) for lo, hi, ts, te, _ in index._segments(query)}
+        _, seg_lo, seg_len, seg_start, seg_end = index._batch_segments(
+            np.array([query.start]), np.array([query.end])
+        )
+        batch = set(zip(
+            seg_lo.tolist(), (seg_lo + seg_len).tolist(), seg_start.tolist(), seg_end.tolist()
+        ))
+        assert scalar == batch, query
+        _, stats = index.query_with_stats(query)
+        for i, value in enumerate((
+            stats.partitions_accessed, stats.candidates, stats.comparisons,
+            stats.partitions_compared,
+        )):
+            totals[i] += value
+    assert tuple(totals) == _WALK_COUNTERS[m]
+
+    naive = NaiveIndex.build(walk_collection)
+    doomed = walk_collection.ids[::7].tolist()
+    for tombstoned in (False, True):
+        if tombstoned:
+            for interval_id in doomed:
+                index.delete(interval_id)
+                naive.delete(interval_id)
+        for query in queries:
+            expected = sorted(naive.query(query))
+            assert sorted(index.query(query).tolist()) == expected, (query, tombstoned)
+            assert index.query_count(query) == len(expected)

@@ -49,6 +49,7 @@ __all__ = [
     "replication_factor",
 ]
 
+
 @dataclass(frozen=True)
 class DatasetStatistics:
     """The statistics the Section 3.3 model needs.
@@ -122,11 +123,11 @@ def expected_comparison_partitions(m: int, query_extent: float, domain_length: i
 #: The model's prices (seconds), calibrated once on CPython 3.11 and NumPy
 #: 2.4 (a 2-core x86-64 VM) against ``scripts/m_sweep.py`` -- seed 1, the
 #: datasets of the three gated workloads, m = 8..16, 20 paired rounds -- by
-#: a least-squares fit of ``C_walk + C_cmp + C_acc`` (plus one constant) to
-#: the per-query cost of 500-query batches.  The batch is the path whose cost
-#: has an interior minimum: a lone query's cost falls with every level
-#: removed, so the batch's minimum is the smallest ``m`` that does not cost
-#: throughput, and every larger ``m`` costs both paths more.
+#: a least-squares fit of ``C_walk + C_cmp + C_acc`` (plus one constant per
+#: dataset) to the per-query cost of 500-query batches.  The batch is the
+#: path whose cost has an interior minimum: a lone query's cost falls with
+#: every level removed, so building at the batch's minimum gives up no
+#: throughput, and any larger ``m`` costs both paths more.
 BETA_LEVEL = 8.4e-7
 BETA_CMP = 1.4e-8
 BETA_ACC = 7e-10
@@ -184,8 +185,9 @@ def estimate_m_opt(
 
     The walk's price grows linearly with ``m`` while the comparisons'
     shrinks geometrically, so the minimum lies where one more level saves
-    fewer comparisons than it costs: near ``m = log2(n * beta_cmp /
-    beta_level)``, whatever the domain's resolution ``m'``.
+    fewer comparisons than it costs: at the first ``m`` with ``2^m >= n *
+    (beta_cmp - beta_acc) / beta_level`` (while ``2n / 2^m`` is below the
+    expected result count), whatever the domain's resolution ``m'``.
     """
     model = CostModel(stats=stats)
     upper = stats.domain_bits if max_m is None else min(max_m, stats.domain_bits)

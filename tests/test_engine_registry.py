@@ -118,7 +118,6 @@ class TestCreateIndex:
         for backend in ("hintm", "hintm_opt", "hintm_hybrid"):
             index = create_index(backend, synthetic_collection, num_bits="auto")
             assert index.num_bits == expected
-        assert create_index("hintm_opt", synthetic_collection, num_bits="auto").num_bits == expected
 
     def test_auto_num_bits_honours_query_extent_hint(self, synthetic_collection):
         broad = create_index(

@@ -302,7 +302,6 @@ def test_tombstone_array_is_cached_until_the_set_changes(synthetic_collection):
     assert table.removed_array().tolist() == sorted([ids[5], ids[9]])
 
 
-
 # --------------------------------------------------------------------------- #
 # one traversal: the scalar walk and the batch kernel agree, run by run
 # --------------------------------------------------------------------------- #

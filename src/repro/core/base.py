@@ -166,13 +166,17 @@ class IntervalIndex(abc.ABC):
     # queries
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
-    def query(self, query: Query) -> List[int]:
+    def query(self, query: Query) -> Sequence[int]:
         """Return the ids of all intervals that overlap ``query``.
 
-        The result order is unspecified; no duplicates are returned.
+        The result order is unspecified; no duplicates are returned.  The
+        answer is a sequence of ids: a list on some backends, an int64
+        array on others (``OptimizedHINTm``, ``HybridHINTm``, a multi-shard
+        ``ShardedIndex``).  Callers that serialise or hash the ids call
+        ``.tolist()`` on an array first.
         """
 
-    def stab(self, point: int) -> List[int]:
+    def stab(self, point: int) -> Sequence[int]:
         """Return the ids of all intervals containing ``point``."""
         return self.query(Query.stabbing(point))
 
@@ -212,7 +216,7 @@ class IntervalIndex(abc.ABC):
         """
         return [np.array(self.query(query), dtype=np.int64) for query in queries]
 
-    def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
+    def query_with_stats(self, query: Query) -> tuple[Sequence[int], QueryStats]:
         """Instrumented :meth:`query`.
 
         The default implementation runs the plain query and fills only the

@@ -349,7 +349,7 @@ def recommend_shard_count(
     Returns the smallest candidate K (1, 2, 4, ... up to ``max_shards``,
     plus the worker count) with the lowest modeled cost.
     """
-    from repro.hint.model import CostModel, DatasetStatistics, estimate_m_opt
+    from repro.hint.model import BETA_LEVEL, CostModel, DatasetStatistics, estimate_m_opt
 
     if not len(collection):
         return 1
@@ -389,7 +389,7 @@ def recommend_shard_count(
             model = CostModel(stats=shard_stats)
             # the plan's cuts stand in for the top log2(K) levels a shard's
             # own index no longer has: routing prices them as walked levels
-            work = model.query_cost(m, shard_extent) + model.beta_level * math.log2(num_shards)
+            work = model.query_cost(m, shard_extent) + BETA_LEVEL * math.log2(num_shards)
         per_query = probed * (tau + work)
         if num_shards > 1 and executor == "processes":
             per_query /= min(num_shards, cores)

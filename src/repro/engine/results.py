@@ -4,9 +4,9 @@ A :class:`ResultSet` is a handle on the answer of one query: nothing touches
 the index until a terminal accessor runs, and aggregate accessors
 (:meth:`ResultSet.count`, :meth:`ResultSet.exists`) go through the backend's
 ``query_count``/``query_exists`` fast paths instead of materialising an id
-list.  :meth:`ResultSet.ids` materialises one int64 array -- a backend
-that answers with a list has it converted once, here -- and caches it;
-every later accessor reuses it.
+list.  :meth:`ResultSet.ids` materialises one read-only int64 array -- a
+backend that answers with a list has it converted once, here -- and caches
+it; every later accessor reuses it.
 
 :class:`MergedResultSet` is the sharded counterpart: the lazy union of one
 child :class:`ResultSet` per overlapping shard, deduplicated at merge time
@@ -106,12 +106,14 @@ class ResultSet:
 
         Order is unspecified, as with :meth:`IntervalIndex.query`; a ``limit``
         keeps the first ids in that unspecified order.  Every call returns
-        the cached array itself, not a copy.
+        the cached array itself, not a copy, so it is read-only: a caller
+        that sorts or edits the ids makes its own copy first.
         """
         if self._ids is None:
             found = np.asarray(self._fetch(), dtype=np.int64)
             if self._limit is not None and len(found) > self._limit:
                 found = found[: self._limit].copy()
+            found.flags.writeable = False
             self._ids = found
         return self._ids
 
@@ -151,7 +153,8 @@ class ResultSet:
     # container protocol (all materialise)
     # ------------------------------------------------------------------ #
     def __iter__(self) -> Iterator[int]:
-        return iter(self.ids())
+        """Yield the ids as Python ints (JSON-serialisable, unlike ``np.int64``)."""
+        return iter(self.ids().tolist())
 
     def __len__(self) -> int:
         return self.count()

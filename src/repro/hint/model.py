@@ -22,7 +22,7 @@ within a tolerance of it.  In Python a level is not free: visiting one
 (finding its first and last relevant partitions in the directory and
 reading the runs they delimit in each subdivision class) costs interpreter
 and NumPy dispatch, a fixed price per level.  :class:`CostModel` adds that
-price, ``C_walk = beta_level * (m + 1)``, beside ``C_cmp`` and ``C_acc``;
+price, ``C_walk = BETA_LEVEL * (m + 1)``, beside ``C_cmp`` and ``C_acc``;
 the priced cost then has a minimum, and :func:`estimate_m_opt` returns it.
 
 The three per-unit prices are constants (:data:`BETA_LEVEL`,
@@ -135,34 +135,29 @@ BETA_ACC = 7e-10
 
 @dataclass(frozen=True)
 class CostModel:
-    """The query-cost model of Section 3.3, with the walk priced.
+    """The query-cost model of Section 3.3, with the walk priced at
+    :data:`BETA_LEVEL`, :data:`BETA_CMP` and :data:`BETA_ACC`.
 
     Attributes:
         stats: dataset statistics.
-        beta_cmp: cost of one endpoint comparison (seconds).
-        beta_acc: cost of reporting one comparison-free result (seconds).
-        beta_level: cost of visiting one level of the index (seconds).
     """
 
     stats: DatasetStatistics
-    beta_cmp: float = BETA_CMP
-    beta_acc: float = BETA_ACC
-    beta_level: float = BETA_LEVEL
 
     def walk_cost(self, m: int) -> float:
         """``C_walk``: the ``m + 1`` levels a query visits."""
-        return self.beta_level * (m + 1)
+        return BETA_LEVEL * (m + 1)
 
     def comparison_cost(self, m: int) -> float:
         """``C_cmp``: comparisons dominated by two bottom-level partitions."""
         per_partition = self.stats.cardinality / float(1 << m)
-        return self.beta_cmp * 2.0 * per_partition
+        return BETA_CMP * 2.0 * per_partition
 
     def access_cost(self, m: int, query_extent: float) -> float:
         """``C_acc``: results reported from comparison-free partitions."""
         expected_results = expected_result_count(self.stats, query_extent)
         comparison_results = 2.0 * self.stats.cardinality / float(1 << m)
-        return self.beta_acc * max(0.0, expected_results - comparison_results)
+        return BETA_ACC * max(0.0, expected_results - comparison_results)
 
     def query_cost(self, m: int, query_extent: float) -> float:
         """Total priced cost ``C_walk + C_cmp + C_acc`` of one query."""
@@ -186,7 +181,7 @@ def estimate_m_opt(
     The walk's price grows linearly with ``m`` while the comparisons'
     shrinks geometrically, so the minimum lies where one more level saves
     fewer comparisons than it costs: at the first ``m`` with ``2^m >= n *
-    (beta_cmp - beta_acc) / beta_level`` (while ``2n / 2^m`` is below the
+    (BETA_CMP - BETA_ACC) / BETA_LEVEL`` (while ``2n / 2^m`` is below the
     expected result count), whatever the domain's resolution ``m'``.
     """
     model = CostModel(stats=stats)

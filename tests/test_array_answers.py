@@ -47,6 +47,24 @@ def test_ids_are_one_cached_int64_array(collection, backend):
     assert sorted(ids.tolist()) == _oracle(collection, 2_000, 4_000)
 
 
+def test_iteration_yields_python_ints(collection):
+    results = IntervalStore.open(collection, "hintm_opt").query().overlapping(2_000, 4_000).build()
+    assert all(type(interval_id) is int for interval_id in results)
+    assert sorted(json.loads(json.dumps(list(results)))) == _oracle(collection, 2_000, 4_000)
+
+
+def test_single_shard_merge_shares_the_read_only_child_array(collection):
+    with ShardedStore.open(collection, "hintm_opt", num_shards=2) as store:
+        results = store.query().overlapping(10, 20).build()
+        assert len(results.children) == 1
+        ids = results.ids()
+        assert ids is results.children[0].ids() and not ids.flags.writeable
+        count = results.count()
+        with pytest.raises(ValueError):
+            ids[:] = -1
+        assert results.children[0].count() == results.count() == count
+
+
 def test_exists_and_bool_after_ids_materialised(collection):
     store = IntervalStore.open(collection, "hintm_opt")
     results = store.query().overlapping(2_000, 4_000).build()

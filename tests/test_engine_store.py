@@ -153,7 +153,13 @@ class TestResultSet:
         first = results.ids()  # the backend answers a list: converted once
         assert isinstance(first, np.ndarray) and first.dtype == np.int64
         assert results.ids() is first  # the cached array, not a copy
-        assert results.count() == len(first)
+        count, member = results.count(), int(first[0])
+        with pytest.raises(ValueError):
+            first[0] = -1  # read-only: caller mutation cannot leak into the cache
+        with pytest.raises(ValueError):
+            first.sort()
+        assert results.count() == count == len(first)
+        assert member in results and -1 not in results
 
     def test_container_protocol(self, random_collection):
         store = IntervalStore.open(random_collection, backend="naive")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hint.hintm import HINTm
 from repro.hint.model import (
+    BETA_LEVEL,
     CostModel,
     DatasetStatistics,
     estimate_m_opt,
@@ -147,8 +148,8 @@ class TestMOpt:
 
     def test_walk_cost_is_linear_in_levels(self, stats_short):
         model = CostModel(stats=stats_short)
-        assert model.walk_cost(13) - model.walk_cost(12) == pytest.approx(model.beta_level)
-        assert model.walk_cost(0) == pytest.approx(model.beta_level)
+        assert model.walk_cost(13) - model.walk_cost(12) == pytest.approx(BETA_LEVEL)
+        assert model.walk_cost(0) == pytest.approx(BETA_LEVEL)
 
 
 class TestGatedBands:

@@ -5,9 +5,10 @@ The CI job runs this under a timeout guard: a sharded hybrid store goes up
 behind the query server, then rounds of
 
 * **concurrent reads** -- client threads fire a skewed mix of hot (cache
-  hit) and cold (cache miss) range/count queries over keep-alive
-  connections, every response checked against a brute-force oracle over the
-  live set;
+  hit) and cold (cache miss) range, count, ``relation=during`` and
+  ``stats=1`` queries over keep-alive connections, every response checked
+  against a brute-force oracle over the live set (the relation through
+  :func:`~repro.core.allen.satisfies_relation`);
 * **updates mid-stream** -- inserts and deletes applied through the server
   between read phases (so cached answers must invalidate via the generation
   key), with a forced maintenance pass thrown in on alternating rounds;
@@ -35,7 +36,8 @@ import time
 
 import numpy as np
 
-from repro.core.interval import IntervalCollection, Query
+from repro.core.allen import AllenRelation, satisfies_relation
+from repro.core.interval import Interval, IntervalCollection, Query
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.engine import IntervalStore
 from repro.obs import parse_prometheus_text
@@ -57,7 +59,19 @@ def _check_scrape(admin, previous, round_no):
     return scrape
 
 
-def _oracle_ids(live: dict, query: Query) -> set:
+#: the client mix's query kinds, with their share of the reads
+KINDS = (("count", 0.3), ("during", 0.15), ("stats", 0.15), ("ids", 0.4))
+
+
+def _oracle_ids(live: dict, query: Query, kind: str) -> set:
+    if kind == "during":
+        return {
+            interval_id
+            for interval_id, (start, end) in live.items()
+            if satisfies_relation(
+                Interval(interval_id, start, end), query, AllenRelation.DURING
+            )
+        }
     return {
         interval_id
         for interval_id, (start, end) in live.items()
@@ -68,27 +82,34 @@ def _oracle_ids(live: dict, query: Query) -> set:
 def _client_worker(port, queries, live, counters, failures, retries):
     client = ServeClient(port=port)
     try:
-        for query, count_only in queries:
+        for query, kind in queries:
             while True:
                 try:
-                    response = (
-                        client.query(query.start, query.end, count_only=True)
-                        if count_only
-                        else client.query(query.start, query.end)
+                    response = client.query(
+                        query.start,
+                        query.end,
+                        count_only=kind == "count",
+                        relation="during" if kind == "during" else None,
+                        stats=kind == "stats",
                     )
                     break
                 except ServerOverloaded:
                     retries.append(1)
                     time.sleep(0.002)
-            expected = _oracle_ids(live, query)
-            if count_only:
+            expected = _oracle_ids(live, query, kind)
+            if kind == "count":
                 if response["count"] != len(expected):
                     failures.append(
                         f"count({query}) = {response['count']}, oracle {len(expected)}"
                     )
             elif set(response["ids"]) != expected:
                 diff = set(response["ids"]) ^ expected
-                failures.append(f"ids({query}) diverged on {sorted(diff)[:5]}")
+                failures.append(f"{kind}({query}) diverged on {sorted(diff)[:5]}")
+            elif kind == "stats" and response["stats"]["results"] != len(expected):
+                failures.append(
+                    f"stats({query}) reports {response['stats']['results']} "
+                    f"results, oracle {len(expected)}"
+                )
             counters.append(1)
     except Exception as exc:  # noqa: BLE001 - surfaced by the main thread
         failures.append(f"client crashed: {exc!r}")
@@ -135,6 +156,7 @@ def main(argv=None) -> int:
         a = int(rng.integers(lo, hi))
         hot.append(Query(a, a + int(rng.integers(0, (hi - lo) // 5))))
 
+    kinds, shares = zip(*KINDS)
     started = time.perf_counter()
     served_total = 0
     retries_total = 0
@@ -148,7 +170,7 @@ def main(argv=None) -> int:
                 else:
                     a = int(rng.integers(lo, hi))
                     query = Query(a, a + int(rng.integers(0, hi - lo)))
-                workload.append((query, bool(rng.random() < 0.3)))
+                workload.append((query, str(rng.choice(kinds, p=shares))))
 
             counters, failures, retries = [], [], []
             threads = [

@@ -251,11 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound: query requests in flight before "
                             "503s (default: %(default)s)")
     serve.add_argument("--max-batch", type=int, default=64, metavar="N",
-                       help="most queries coalesced into one run_batch call "
-                            "(default: %(default)s)")
-    serve.add_argument("--batch-window", type=float, default=0.0, metavar="S",
-                       help="seconds to wait for batch stragglers; 0 drains "
-                            "greedily (default: %(default)s)")
+                       help="/batch chunk size: queries per run_batch call, "
+                            "each chunk one admission slot (default: %(default)s)")
     serve.add_argument("--cache-ttl", type=float, default=None, metavar="S",
                        help="expire cached bodies older than S seconds even "
                             "when no update touched them (default: no TTL)")
@@ -755,7 +752,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         cache=ResultCache(capacity=args.cache_size, ttl=args.cache_ttl),
         max_pending=args.max_pending,
         max_batch=args.max_batch,
-        batch_window=args.batch_window,
         max_poller_lag=args.max_poller_lag,
         # a recovery-restored standing-query manager (subscriptions and
         # their ack positions survive the restart); None = lazy fresh one

@@ -8,8 +8,8 @@ of the full single-node protocol it speaks the cluster protocol:
 * ``POST /shard-batch`` -- the router's probe endpoint: a batch of range
   queries answered as ids, counts or existence flags in one round-trip,
   with the response stamped by the shard's ``result_generation`` *read
-  before the probes* (the same cache-safety discipline as the local
-  batcher).  Count probes carry an optional per-query ``home_start``:
+  before the probes* (the same cache-safety discipline as ``/query`` and
+  ``/batch``).  Count probes carry an optional per-query ``home_start``:
   intervals duplicated across a shard cut are counted only by the shard
   that is their *home* (``interval.start >= home_start``), so the router
   can sum per-shard counts without shipping ids (see
@@ -49,7 +49,12 @@ from repro.engine.sharding import ShardPlan
 from repro.engine.store import IntervalStore
 from repro.obs import tracing
 from repro.serve.http import POST, READ, Reject, ServerHandle, encode, int_field
-from repro.serve.server import QueryServer, _query_pairs, start_server_thread
+from repro.serve.server import (
+    QueryServer,
+    _fans_out_to_processes,
+    _query_pairs,
+    start_server_thread,
+)
 
 __all__ = ["SHARD_BATCH_KINDS", "ShardServer", "start_shard_server_thread"]
 
@@ -149,6 +154,7 @@ class ShardServer(QueryServer):
         answer from the abandoned store survives the swap."""
         previous = self._store
         self._store = store
+        self._hop_reads = _fans_out_to_processes(store)
         self._stream = None  # subscriptions were against the old store
         if self._cache.enabled:
             self._cache.watch(store.updates)
@@ -219,8 +225,8 @@ class ShardServer(QueryServer):
                 None if home is None else int_field(home, "home_starts")
                 for home in home_starts
             ]
-        # admission weight mirrors what the same queries would cost the
-        # local batcher: one slot per max_batch-sized chunk
+        # admission weight mirrors what the same queries would cost as a
+        # local /batch: one slot per max_batch-sized chunk
         weight = max(1, -(-len(queries) // self._max_batch))
         ctx.args = {"queries": len(queries), "kind": kind}
         ctx.tags["shard"] = self._shard_id

@@ -8,8 +8,8 @@ under concurrent traffic (see the README's "Serving" section):
   partition state atomically instead of mutating under readers
   (:class:`repro.engine.sharded.Epoch`);
 * an **admission-controlled asyncio query server** -- JSON-over-HTTP with a
-  bounded in-flight queue (503 backpressure), request batching into
-  ``store.run_batch`` and graceful drain (:mod:`repro.serve.server`);
+  bounded in-flight count (503 backpressure), one store call per query
+  answered in its own handler, and graceful drain (:mod:`repro.serve.server`);
 * a **range-scoped result cache** -- an LRU keyed on the normalized query
   that watches the store's update feed: an insert or delete evicts exactly
   the cached ranges it overlaps, an epoch publication clears it

@@ -2,36 +2,36 @@
 
 Stdlib-only (``asyncio`` + hand-rolled HTTP/1.1 with keep-alive), because the
 serving loop is part of the reproduction: the point is to measure what the
-layers above the index -- admission control, batching, caching -- cost and
+layers above the index -- admission control, execution, caching -- cost and
 buy, not to benchmark a web framework.
 
 Request lifecycle::
 
-    client -> admission control -> result cache -> batching queue -> store
-                   |                    |                               |
-                 503 when          hit: respond with the         run_batch: a lone
-               max_pending         cached pre-encoded body       query on the loop,
-              queries queued       (updates evict by range)      2+ in a worker
-                                                                 thread; fill cache
+    client -> admission control -> result cache -> store (in the handler)
+                   |                    |                    |
+                 503 when          hit: respond with the   one store call per
+               max_pending         cached pre-encoded body /query (on the loop)
+              queries admitted     (updates evict by range) or /batch chunk
+                                                           (worker thread);
+                                                           fill cache
 
 * **Admission control**: at most ``max_pending`` query requests may be
-  admitted (queued or executing) at once; beyond that the server answers
-  ``503`` with a ``Retry-After`` hint instead of queueing unboundedly --
-  under overload it degrades by rejecting, never by falling over.
-* **Batching**: admitted queries land on one queue; a batcher task drains
-  greedily (up to ``max_batch``, optionally waiting ``batch_window`` seconds
-  for stragglers) and answers each drained batch with a single
-  ``store.run_batch`` call, so concurrent clients naturally coalesce while a
-  lone client never waits on a timer.  A drained batch of exactly one query
-  runs on the event loop itself, since the hop to a worker thread would
-  cost more than the probe -- unless the store fans out to worker
+  admitted (executing) at once; beyond that the server answers ``503``
+  with a ``Retry-After`` hint instead of queueing unboundedly -- under
+  overload it degrades by rejecting, never by falling over.
+* **Execution**: every ``/query`` answers in the handler that parsed it,
+  with one store call -- ``store.run_batch`` on the one query, or the
+  fluent builder for a relation/``stats`` query.  On an in-process store
+  that call runs on the event loop itself, since the hop to a worker
+  thread would cost more than the probe; a store that fans out to worker
   processes, whose reads wait on the pool and may build shards under the
-  update lock.  Batches of two or more, ``/batch`` chunks,
-  relation/``stats`` queries, updates, maintenance and subscribe hop to a
-  worker thread.  The trade: an inline query cannot be preempted, so while
-  a slow lone query runs the loop reads nothing else -- the requests
-  behind it (health checks included) wait for it instead of being admitted
-  or answered ``503``, and ``stop()`` starts draining only after it.
+  update lock, takes exactly one worker-thread hop instead.  ``/batch``
+  chunks (``max_batch`` queries each), updates, maintenance and subscribe
+  hop to a worker thread.  The trade: an inline query cannot be
+  preempted, so while a slow one runs the loop reads nothing else -- the
+  requests behind it (health checks included) wait for it instead of
+  being admitted or answered ``503``, and ``stop()`` starts draining only
+  after it.
 * **Result cache**: hits are served straight off the event loop as
   pre-encoded bodies.  The cache watches ``store.updates``: an insert or
   delete evicts exactly the cached ranges it overlaps and an epoch
@@ -88,6 +88,7 @@ resync signal -- see :mod:`repro.stream`.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import time
 from typing import Dict, List, Optional, Tuple
@@ -113,10 +114,6 @@ from repro.serve.http import (
 from repro.stream import StandingQueryManager, UnknownSubscriptionError, parse_relation
 
 __all__ = ["QueryServer", "start_server_thread"]
-
-#: sentinel shutting the batcher task down
-_SHUTDOWN = object()
-
 
 #: endpoint -> latency-histogram operation label; everything else is "other"
 _ENDPOINT_OPS = {
@@ -188,12 +185,11 @@ class QueryServer(HttpServer):
         cache: a :class:`~repro.serve.cache.ResultCache`, a capacity int
             (0 disables caching), or ``None`` for the 1024-entry default.
             An enabled cache watches ``store.updates`` until :meth:`stop`.
-        max_pending: admission bound -- query requests admitted (queued or
-            executing) at once before new ones get 503s.
-        max_batch: most queries coalesced into one ``store.run_batch`` call.
-        batch_window: seconds the batcher waits for stragglers after the
-            first query of a batch; 0 (default) drains greedily, adding no
-            latency for a lone client.
+        max_pending: admission bound -- query requests admitted at once
+            before new ones get 503s.
+        max_batch: the ``/batch`` chunk size: a request's missed queries run
+            ``max_batch`` at a time, each chunk one ``store.run_batch`` call
+            holding one admission slot.
         drain_timeout: seconds :meth:`stop` waits for admitted requests.
         stream: a :class:`~repro.stream.deltas.StandingQueryManager` to
             serve subscriptions from (pass the previous server's manager to
@@ -228,7 +224,6 @@ class QueryServer(HttpServer):
         cache: "ResultCache | int | None" = None,
         max_pending: int = 64,
         max_batch: int = 64,
-        batch_window: float = 0.0,
         drain_timeout: float = 10.0,
         stream: "StandingQueryManager | None" = None,
         max_pollers: int = 256,
@@ -259,16 +254,15 @@ class QueryServer(HttpServer):
             self._cache.watch(store.updates)
         self._max_pending = max_pending
         self._max_batch = max_batch
-        self._batch_window = batch_window
         self._drain_timeout = drain_timeout
         self._stream = stream
         self._max_pollers = max_pollers
         self._poll_timeout = poll_timeout
         self._max_poller_lag = max_poller_lag
+        #: whether a /query hops to a worker thread (_fans_out_to_processes)
+        self._hop_reads = _fans_out_to_processes(store)
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._batcher: Optional[asyncio.Task] = None
-        self._pending: Optional[asyncio.Queue] = None
         self._update_lock: Optional[asyncio.Lock] = None
         self._idle: Optional[asyncio.Event] = None
         self._inflight = 0  # admitted query requests (loop thread only)
@@ -311,10 +305,11 @@ class QueryServer(HttpServer):
             "repro_queries_total", "queries received (incl. per-batch-member)"
         )
         self._m_batches = metrics.counter(
-            "repro_batches_total", "store.run_batch calls issued by the batcher"
+            "repro_batches_total",
+            "store.run_batch calls: one per plain /query, one per /batch chunk",
         )
         self._m_batched_queries = metrics.counter(
-            "repro_batched_queries_total", "queries executed through coalesced batches"
+            "repro_batched_queries_total", "queries executed through store.run_batch"
         )
         self._m_rejected = metrics.counter(
             "repro_rejected_total", "requests rejected by admission control (503)"
@@ -497,14 +492,12 @@ class QueryServer(HttpServer):
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Bind the listener and start the batcher (call from the loop)."""
+        """Bind the listener (call from the loop)."""
         self._loop = asyncio.get_running_loop()
-        self._pending = asyncio.Queue()
         self._update_lock = asyncio.Lock()
         self._idle = asyncio.Event()
         self._idle.set()
         await super().start()
-        self._batcher = asyncio.ensure_future(self._batch_loop())
         self._started_at = time.time()
         if self._stream is not None:
             # a manager handed over from a previous server: its logs kept
@@ -534,114 +527,30 @@ class QueryServer(HttpServer):
                 await asyncio.wait_for(self._idle.wait(), self._drain_timeout)
             except asyncio.TimeoutError:  # pragma: no cover - slow store
                 pass
-        if self._batcher is not None:
-            await self._pending.put(_SHUTDOWN)
-            try:
-                await asyncio.wait_for(self._batcher, self._drain_timeout)
-            except asyncio.TimeoutError:  # pragma: no cover - slow store
-                self._batcher.cancel()
-            self._batcher = None
         await super().stop()
         if self._cache.enabled:
             self._cache.watch(None)  # the store outlives us: stop listening
 
     # ------------------------------------------------------------------ #
-    # the batcher: queued queries -> store.run_batch (2+: in a worker thread)
+    # execution: one store call per /query, or per /batch chunk
     # ------------------------------------------------------------------ #
-    async def _batch_loop(self) -> None:
-        assert self._pending is not None and self._loop is not None
-        while True:
-            item = await self._pending.get()
-            if item is _SHUTDOWN:
-                return
-            batch = [item]
-            if self._batch_window > 0:
-                deadline = self._loop.time() + self._batch_window
-            else:
-                deadline = None
-            while len(batch) < self._max_batch:
-                try:
-                    extra = self._pending.get_nowait()
-                except asyncio.QueueEmpty:
-                    if deadline is None:
-                        break
-                    timeout = deadline - self._loop.time()
-                    if timeout <= 0:
-                        break
-                    try:
-                        extra = await asyncio.wait_for(self._pending.get(), timeout)
-                    except asyncio.TimeoutError:
-                        break
-                if extra is _SHUTDOWN:
-                    await self._pending.put(_SHUTDOWN)  # re-deliver for the outer loop
-                    break
-                batch.append(extra)
-            self._m_batches.inc()
-            self._m_batched_queries.inc(len(batch))
-            try:
-                if len(batch) == 1 and not _fans_out_to_processes(self._store):
-                    # a lone query answers on the loop: the worker-thread
-                    # round trip (two wakeups, a self-pipe write, a GIL
-                    # handoff) costs more than an in-process probe, which
-                    # takes no lock an update holds
-                    generation, answers = self._execute_batch(batch)
-                else:
-                    generation, answers = await self._loop.run_in_executor(
-                        None, self._execute_batch, batch
-                    )
-            except Exception as exc:  # pragma: no cover - store failure path
-                for item in batch:
-                    if not item[2].done():
-                        item[2].set_exception(exc)
-                continue
-            for item, answer in zip(batch, answers):
-                if not item[2].done():
-                    item[2].set_result((generation, answer))
+    def _execute_batch(
+        self, queries: List[Query], count_only: bool
+    ) -> Tuple[int, List[object]]:
+        """One ``store.run_batch`` call: a plain /query or one /batch chunk.
 
-    def _execute_batch(self, batch) -> Tuple[int, List[object]]:
-        """Execution of one coalesced batch (worker thread, or the loop for one).
-
-        The generation is read *before* the probes: the result cache
-        refuses to fill an answer once the generation has moved past that
-        token, so an update racing the batch can never be masked by it.
-
-        Batch items are ``(query, count_only, future, trace_ctx)``.  The
-        batcher coalesces queries from *different* requests, so one store
-        call may serve several traces: the engine's spans attach to the
-        first traced item's context, and every traced item gets a flat
-        ``batched_execute`` span tagged with the shared batch size.
+        The generation is read *before* the probe: the result cache refuses
+        to fill an answer once the generation has moved past that token, so
+        an update racing the call can never be masked by it.
         """
         generation = self._store.result_generation()
-        contexts = [item[3] for item in batch if len(item) > 3 and item[3] is not None]
-        queries = [item[0] for item in batch]
-        kinds = [item[1] for item in batch]
-        answers: List[object] = [None] * len(batch)
-
-        def _run() -> None:
-            for count_only in set(kinds):
-                positions = [i for i, kind in enumerate(kinds) if kind is count_only]
-                result = self._store.run_batch(
-                    [queries[i] for i in positions], count_only=count_only
-                )
-                # ids leave the store as arrays; JSON encodes lists
-                values = result.counts if count_only else [ids.tolist() for ids in result.ids]
-                for position, value in zip(positions, values):
-                    answers[position] = value
-
-        if contexts:
-            started = time.perf_counter()
-            tracing.bind(contexts[0], _run)()
-            duration_ms = (time.perf_counter() - started) * 1000.0
-            for trace, parent_id in contexts:
-                record = tracing.new_span_record(
-                    trace.trace_id, parent_id, "batched_execute",
-                    {"batch_size": len(batch), "shared": len(contexts) > 1},
-                )
-                record["duration_ms"] = duration_ms
-                trace.add(record)
-        else:
-            _run()
-        return generation, answers
+        self._m_batches.inc()
+        self._m_batched_queries.inc(len(queries))
+        result = self._store.run_batch(queries, count_only=count_only)
+        # ids leave the store as arrays; JSON encodes lists
+        return generation, (
+            result.counts if count_only else [ids.tolist() for ids in result.ids]
+        )
 
     # ------------------------------------------------------------------ #
     # request handling
@@ -806,37 +715,37 @@ class QueryServer(HttpServer):
                 ctx.tags["cache"] = "hit"
                 return 200, cached
             ctx.tags["cache"] = "miss"
+        execute = tracing.bind(ctx.child(), self._execution(relation, with_stats))
         self._admit()
         try:
-            if relation is not None or with_stats:
-                # relation/instrumented queries bypass the batcher: they run
-                # through the fluent builder, which run_batch has no lane for
-                generation, answer = await self._loop.run_in_executor(
-                    None,
-                    tracing.bind(ctx.child(), self._execute_refined),
-                    query,
-                    count_only,
-                    relation,
-                    with_stats,
+            if self._hop_reads:
+                generation, (answer,) = await self._loop.run_in_executor(
+                    None, execute, [query], count_only
                 )
-                answer["generation"] = generation
-                body = encode(answer)
             else:
-                future: asyncio.Future = self._loop.create_future()
-                await self._pending.put((query, count_only, future, ctx.child()))
-                generation, answer = await future
-                # the generation rides on every answer: the cluster router
-                # keys its distributed cache off this token alone
-                body = encode(
-                    {"count": answer, "generation": generation}
-                    if count_only
-                    else {"ids": answer, "count": len(answer), "generation": generation}
-                )
+                # an in-process probe takes no lock an update holds, and the
+                # worker-thread round trip (two wakeups, a self-pipe write, a
+                # GIL handoff) costs more than the probe
+                generation, (answer,) = execute([query], count_only)
         finally:
             self._release()
+        body = _encode_answer(generation, answer, count_only)
         if caching:
             self._cache.put(key, generation, body)
         return 200, body
+
+    def _execution(self, relation, with_stats: bool):
+        """The store call for one query kind, as ``fn(queries, count_only)``.
+
+        Plain queries run through :meth:`_execute_batch`; relation and
+        instrumented ones through :meth:`_execute_refined`, which uses the
+        fluent builder -- ``run_batch`` has no lane for them.
+        """
+        if relation is None and not with_stats:
+            return self._execute_batch
+        return functools.partial(
+            self._execute_refined, relation=relation, with_stats=with_stats
+        )
 
     def _refined_answer(
         self, query: Query, count_only: bool, relation, with_stats: bool
@@ -862,16 +771,9 @@ class QueryServer(HttpServer):
         return answer
 
     def _execute_refined(
-        self, query: Query, count_only: bool, relation, with_stats: bool
-    ) -> Tuple[int, Dict[str, object]]:
-        """Worker-thread execution of one relation/instrumented query."""
-        generation = self._store.result_generation()
-        return generation, self._refined_answer(query, count_only, relation, with_stats)
-
-    def _execute_refined_chunk(
         self, queries: List[Query], count_only: bool, relation, with_stats: bool
     ) -> Tuple[int, List[Dict[str, object]]]:
-        """Worker-thread execution of one refined /batch chunk.
+        """Relation/instrumented queries: a refined /query or /batch chunk.
 
         Like :meth:`_execute_batch`, the generation is read before any
         probe, so the cache refuses a fill an update overtook.
@@ -888,7 +790,6 @@ class QueryServer(HttpServer):
         # relation/stats apply batch-wide: every query in the request is
         # refined the same way (mixed batches are two requests)
         relation, with_stats = self._parse_refinement(payload)
-        refined = relation is not None or with_stats
         self._m_queries.inc(len(queries))
         ctx.args = {"queries": len(queries), "count_only": count_only}
         kind = self._query_kind(count_only, relation, with_stats)
@@ -920,49 +821,17 @@ class QueryServer(HttpServer):
             # with the generation read before *that* chunk ran, so the
             # cache refuses the fill of any chunk an update overtook
             filled: List[Tuple[int, object]] = []
+            execute = tracing.bind(ctx.child(), self._execution(relation, with_stats))
             try:
                 for chunk in chunks:
-                    if refined:
-                        chunk_generation, chunk_values = await self._loop.run_in_executor(
-                            None,
-                            tracing.bind(ctx.child(), self._execute_refined_chunk),
-                            [queries[i] for i in chunk],
-                            count_only,
-                            relation,
-                            with_stats,
-                        )
-                    else:
-                        # one ctx per chunk (on the first item), not one per
-                        # query: _execute_batch adds one batched_execute span
-                        # per traced item, and N copies of the same span
-                        # would bloat the tree without adding information
-                        batch = [
-                            (queries[i], count_only, None,
-                             ctx.child() if j == 0 else None)
-                            for j, i in enumerate(chunk)
-                        ]
-                        chunk_generation, chunk_values = await self._loop.run_in_executor(
-                            None, self._execute_batch, batch
-                        )
+                    chunk_generation, chunk_values = await self._loop.run_in_executor(
+                        None, execute, [queries[i] for i in chunk], count_only
+                    )
                     filled.extend((chunk_generation, value) for value in chunk_values)
-                    self._m_batches.inc()
-                    self._m_batched_queries.inc(len(chunk))
             finally:
                 self._release(len(chunks))
             for position, (fill_generation, value) in zip(missing, filled):
-                if refined:
-                    value["generation"] = fill_generation
-                    body = encode(value)  # already a full answer dict
-                else:
-                    body = encode(
-                        {"count": value, "generation": fill_generation}
-                        if count_only
-                        else {
-                            "ids": value,
-                            "count": len(value),
-                            "generation": fill_generation,
-                        }
-                    )
+                body = _encode_answer(fill_generation, value, count_only)
                 answers[position] = body
                 self._cache.put(
                     normalize_query_key(
@@ -1230,7 +1099,6 @@ def _fans_out_to_processes(store: IntervalStore) -> bool:
     Such a read waits on pool futures (and respawns a failed pool), and a
     sharded one may build a lazy shard under ``updates.lock`` -- held by an
     update across its WAL fsync -- so it must never run on the event loop.
-    Asked per batch, so a store swapped under the server is judged afresh.
     """
     return isinstance(store.executor, ProcessExecutor) or isinstance(
         getattr(store.index, "executor", None), ProcessExecutor
@@ -1250,6 +1118,21 @@ def _query_pairs(raw: object) -> List[Query]:
             Query(int_field(pair[0], "queries"), int_field(pair[1], "queries"))
         )
     return queries
+
+
+def _encode_answer(generation: int, value: object, count_only: bool) -> bytes:
+    """One query's response body, stamped with the generation it was read at.
+
+    The generation rides on every answer: the cluster router keys its
+    distributed cache off this token alone.  A refined answer arrives as
+    the full answer dict.
+    """
+    if isinstance(value, dict):
+        value["generation"] = generation
+        return encode(value)
+    if count_only:
+        return encode({"count": value, "generation": generation})
+    return encode({"ids": value, "count": len(value), "generation": generation})
 
 
 def _stats_dict(stats: QueryStats) -> Dict[str, object]:

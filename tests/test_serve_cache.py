@@ -440,6 +440,29 @@ class TestServedRangeEviction:
         assert set(client.query(2_000, 2_100)["ids"]) == _ids(store, 2_000, 2_100)
         assert 90_004 in _ids(store, 2_000, 2_100)
 
+    def test_refined_fill_race_never_serves_the_stale_answer(self, spied):
+        # the relation twin: the builder's probe runs (a result set keeps
+        # its answer), then an overlapping insert commits before the fill
+        store, calls, client = spied
+        real = store._result_set
+
+        def racing(query, relation, limit):
+            result = real(query, relation, limit)
+            result.ids()
+            store._result_set = real
+            store.insert(Interval(90_006, 2_050, 2_060))
+            return result
+
+        store._result_set = racing
+        first = client.query(2_000, 2_100, relation="during")
+        assert 90_006 not in first["ids"]
+        during = parse_relation("during")
+        fresh = set(
+            store.query().overlapping(2_000, 2_100).relation(during).ids()
+        )
+        assert set(client.query(2_000, 2_100, relation="during")["ids"]) == fresh
+        assert 90_006 in fresh
+
 
 class TestServedEpochsAndRebuilds:
     def test_forced_maintenance_publishes_an_epoch_and_clears(self):

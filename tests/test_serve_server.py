@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.cluster import ClusterRouter, ClusterTopology, start_shard_server_thread
+from repro.core.allen import AllenRelation, satisfies_relation
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore
 from repro.serve.client import ServeClient, ServerError, ServerOverloaded
@@ -39,6 +40,15 @@ def _oracle(collection, start, end):
         int(i)
         for i, s, e in zip(collection.ids, collection.starts, collection.ends)
         if s <= end and start <= e
+    }
+
+
+def _during_oracle(collection, start, end):
+    query = Query(start, end)
+    return {
+        int(i)
+        for i, s, e in zip(collection.ids, collection.starts, collection.ends)
+        if satisfies_relation(Interval(int(i), int(s), int(e)), query, AllenRelation.DURING)
     }
 
 
@@ -205,9 +215,9 @@ class TestAdmissionControl:
         # a store whose batches park until released: every admitted request
         # stays in flight, so the second concurrent request must bounce.
         # The requests are /batch calls, which park in a worker thread; a
-        # lone /query runs on the event loop and holds it instead (see
-        # test_slow_lone_query_holds_the_loop), and concurrent /query calls
-        # are covered by test_coalesced_queries_in_flight_reject_with_503
+        # /query runs on the event loop and holds it instead (see
+        # test_slow_lone_query_holds_the_loop), so it is never admitted
+        # beside another
         gate = threading.Event()
         original = store.run_batch
 
@@ -278,53 +288,6 @@ class TestAdmissionControl:
             handle.stop()
             store.close()
 
-    def test_coalesced_queries_in_flight_reject_with_503(self):
-        # two concurrent /query calls coalesce into one batch, which hops to
-        # a worker thread and parks there: the loop stays free, and the
-        # next query finds max_pending used up
-        collection = _collection()
-        store = IntervalStore.open(collection, "hintm_opt")
-        gate = threading.Event()
-        sizes = []
-        original = store.run_batch
-
-        def slow_run_batch(queries, count_only=False):
-            sizes.append(len(queries))
-            gate.wait(timeout=10)
-            return original(queries, count_only=count_only)
-
-        store.run_batch = slow_run_batch
-        handle = start_server_thread(store, cache=0, max_pending=2, batch_window=0.5)
-        answers = {}
-
-        def fire(start, end):
-            client = ServeClient(port=handle.port)
-            try:
-                answers[(start, end)] = set(client.query(start, end)["ids"])
-            finally:
-                client.close()
-
-        ranges = [(0, 1_000), (1_000, 2_000)]
-        threads = [threading.Thread(target=fire, args=pair) for pair in ranges]
-        try:
-            for thread in threads:
-                thread.start()
-            deadline = time.time() + 10
-            while not sizes and time.time() < deadline:
-                time.sleep(0.01)
-            assert sizes == [2]  # one coalesced batch, parked in a worker
-            with pytest.raises(ServerOverloaded) as excinfo:
-                ServeClient(port=handle.port).query(2_000, 3_000)
-            assert excinfo.value.status == 503
-            gate.set()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert answers == {pair: _oracle(collection, *pair) for pair in ranges}
-        finally:
-            gate.set()
-            handle.stop()
-            store.close()
-
 
 class TestLifecycle:
     @pytest.mark.parametrize("endpoint", ["/query", "/batch"])
@@ -369,10 +332,10 @@ class TestLifecycle:
             ServeClient(port=handle.port, timeout=1).health()
         store.close()
 
-    def test_batching_coalesces_concurrent_queries(self):
+    def test_concurrent_queries_each_take_one_store_call(self):
         collection = _collection()
         store = IntervalStore.open(collection, "hintm_opt", num_shards=2)
-        handle = start_server_thread(store, cache=0, batch_window=0.01, max_batch=32)
+        handle = start_server_thread(store, cache=0)
         try:
             expected = {
                 (a, b): _oracle(collection, a, b)
@@ -398,8 +361,10 @@ class TestLifecycle:
             for thread in threads:
                 thread.join(timeout=30)
             assert not failures
-            stats = ServeClient(port=handle.port).stats()
-            assert stats["batched_queries"] >= stats["batches"] >= 1
+            # nothing coalesces: every /query is one run_batch call of one
+            with ServeClient(port=handle.port) as admin:
+                stats = admin.stats()
+            assert stats["batches"] == stats["batched_queries"] == 20
         finally:
             handle.stop()
             store.close()
@@ -438,9 +403,18 @@ class TestInlineExecution:
             after = client.stats()
             assert set(response["ids"]) == _oracle(_collection(), 0, 1_000)
             assert executor.submitted == 0  # no thread hop for a lone query
-            # ...and it is still one batch of one through the batcher
+            # ...and it is still one run_batch call of one query
             assert after["batches"] == before["batches"] + 1
             assert after["batched_queries"] == before["batched_queries"] + 1
+            # every other /query kind answers on the loop too
+            expected = _oracle(_collection(), 0, 1_000)
+            assert client.query(0, 1_000, count_only=True)["count"] == len(expected)
+            during = client.query(0, 1_000, relation="during")
+            assert set(during["ids"]) == _during_oracle(_collection(), 0, 1_000)
+            assert client.query(0, 1_000, stats=True)["stats"]["results"] == len(
+                expected
+            )
+            assert executor.submitted == 0
             client.batch([(0, 1_000)])
             assert executor.submitted == 1
             client.insert(90_000, 5, 9)
@@ -467,6 +441,10 @@ class TestInlineExecution:
             response = client.query(0, 1_000)
             assert set(response["ids"]) == _oracle(collection, 0, 1_000)
             assert executor.submitted == 1
+            # a relation query takes the same single hop
+            during = client.query(0, 1_000, relation="during")
+            assert set(during["ids"]) == _during_oracle(collection, 0, 1_000)
+            assert executor.submitted == 2
         finally:
             client.close()
             handle.stop()

@@ -4,7 +4,8 @@ oracle-checked.
 
 The CI job runs this under a timeout guard: a sharded hybrid store goes up
 behind the query server, a handful of subscribers attach standing queries
-(plain ranges and a duration-filtered one), then rounds of
+(plain ranges, a duration-filtered one and an unbounded ``after`` one, whose
+matches never overlap its range), then rounds of
 
 * **updates mid-stream** -- inserts and deletes applied through the server
   while every subscriber concurrently long-polls its delta stream and folds
@@ -32,7 +33,8 @@ import time
 
 import numpy as np
 
-from repro.core.interval import IntervalCollection
+from repro.core.allen import AllenRelation, satisfies_relation
+from repro.core.interval import Interval, IntervalCollection, Query
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.engine import IntervalStore
 from repro.serve.client import ServeClient, StreamClient
@@ -42,10 +44,12 @@ from repro.serve.server import start_server_thread
 class _Subscriber:
     """One standing query long-polled and folded on its own thread."""
 
-    def __init__(self, port, start, end, *, min_duration=0):
-        self.spec = (start, end, min_duration)
+    def __init__(self, port, start, end, *, min_duration=0, relation=None):
+        self.spec = (start, end, min_duration, relation)
         self.client = StreamClient(port=port)
-        self.client.subscribe(start, end, min_duration=min_duration or None)
+        self.client.subscribe(
+            start, end, min_duration=min_duration or None, relation=relation
+        )
         self.lock = threading.Lock()
         self.generation = self.client.generation
         self.ids = frozenset(self.client.ids())
@@ -69,7 +73,14 @@ class _Subscriber:
             self.error = exc
 
     def oracle(self, live):
-        start, end, min_duration = self.spec
+        start, end, min_duration, relation = self.spec
+        if relation is not None:
+            query, relation = Query(start, end), AllenRelation(relation)
+            return {
+                i
+                for i, (s, e) in live.items()
+                if satisfies_relation(Interval(i, s, e), query, relation)
+            }
         return {
             i
             for i, (s, e) in live.items()
@@ -119,7 +130,7 @@ def main(argv=None) -> int:
 
     subscribers = []
     try:
-        for position in range(max(2, args.subscribers)):
+        for position in range(max(3, args.subscribers)):
             a = int(rng.integers(lo, hi))
             b = a + int(rng.integers((hi - lo) // 20, (hi - lo) // 4))
             subscribers.append(
@@ -127,8 +138,10 @@ def main(argv=None) -> int:
                     handle.port,
                     a,
                     b,
-                    # one duration-filtered subscription, the rest plain
+                    # one duration-filtered subscription, one unbounded
+                    # (every update is checked against it), the rest plain
                     min_duration=(hi - lo) // 100 if position == 1 else 0,
+                    relation="after" if position == 2 else None,
                 )
             )
 

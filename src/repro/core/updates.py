@@ -8,13 +8,16 @@ a reorganisation.  :class:`UpdateFeed` is that state.  The indexes that
 serialise their own updates (``HybridHINTm``, ``ShardedIndex``) own one as
 ``index.updates``; :class:`~repro.engine.store.IntervalStore` adopts it, or
 creates one for a plain backend, and every consumer (WAL, standing queries,
-maintenance, result caches) reads ``store.updates``.
+maintenance, result caches) reads ``store.updates``; those that keep state
+per query range find what an update touches with a :class:`RangeWatch`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional
+from typing import Callable, Hashable, List, Optional
+
+import numpy as np
 
 from repro.core.interval import Interval
 
@@ -94,3 +97,62 @@ class UpdateFeed:
         for listener in list(self._listeners):
             listener(op, interval, generation)
         return generation
+
+
+class RangeWatch:
+    """Which watched ranges does an update overlap?  One int64 column pair.
+
+    The :class:`UpdateFeed` listeners that keep state per query range (the
+    result cache, the standing queries) watch those ranges here and ask
+    :meth:`touched` on every insert or delete: one vectorised overlap mask,
+    bdbms's local dependency tracking (PAPERS.md).  Ranges are clamped to
+    int64, so a range past the domain overlaps its edge; a free slot holds
+    the empty range ``(max, min)``.  The columns double when full.  The
+    owner's lock guards every call.
+    """
+
+    __slots__ = ("_starts", "_ends", "_keys", "_slots", "_free")
+
+    #: the range of an answer every update can change
+    EVERYWHERE = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
+    def __init__(self, capacity: int = 64) -> None:
+        self._keys: List[Optional[Hashable]] = [None] * capacity
+        self.clear()
+
+    def add(self, key: Hashable, start: int, end: int) -> None:
+        """Watch ``[start, end]`` under the new ``key``."""
+        lo, hi = self.EVERYWHERE
+        if not self._free:  # double the columns
+            size = len(self._keys)
+            extra = max(1, size)
+            self._starts = np.append(self._starts, np.full(extra, hi, np.int64))
+            self._ends = np.append(self._ends, np.full(extra, lo, np.int64))
+            self._keys.extend([None] * extra)
+            self._free = list(range(size + extra - 1, size - 1, -1))
+        slot = self._free.pop()
+        self._starts[slot] = min(max(start, lo), hi)
+        self._ends[slot] = min(max(end, lo), hi)
+        self._keys[slot] = key
+        self._slots[key] = slot
+
+    def remove(self, key: Hashable) -> None:
+        slot = self._slots.pop(key)
+        self._starts[slot], self._ends[slot] = self.EVERYWHERE[::-1]
+        self._keys[slot] = None
+        self._free.append(slot)
+
+    def clear(self) -> None:
+        size, (lo, hi) = len(self._keys), self.EVERYWHERE
+        self._starts = np.full(size, hi, np.int64)
+        self._ends = np.full(size, lo, np.int64)
+        self._keys = [None] * size
+        self._slots = {}
+        # popped from the end: the lowest free slot is reused first
+        self._free = list(range(size - 1, -1, -1))
+
+    def touched(self, start: int, end: int) -> List[Hashable]:
+        """The keys whose range overlaps ``[start, end]``, in slot order."""
+        keys = self._keys
+        slots = np.flatnonzero((self._starts <= end) & (self._ends >= start))
+        return [keys[slot] for slot in slots.tolist()]

@@ -2,8 +2,9 @@
 
 A cached answer belongs to a query range, and a range is an interval, so
 "which cached answers can this update change?" is the paper's own overlap
-question.  A :class:`ResultCache` keeps every entry's range in two
-capacity-sized int64 slot columns beside its LRU dict.  The query server
+question.  A :class:`ResultCache` hands every entry's range to a
+:class:`repro.core.updates.RangeWatch` beside its LRU dict; the watch's
+int64 slot columns hold the ranges.  The query server
 :meth:`~ResultCache.watch`\\ es the store's update feed
 (:class:`repro.core.updates.UpdateFeed`), and on every insert or delete one
 vectorised mask over those columns drops exactly the entries whose range
@@ -13,7 +14,7 @@ overlaps the updated interval -- the local dependency tracking of bdbms
 Answers that are not a function of the overlapping intervals alone -- an
 Allen relation outside :data:`repro.core.allen.RANGE_QUERY_RELATIONS`
 (``before``/``after`` see intervals the range never touches) or a probe's
-work counters (``stats``) -- span the whole domain in the slot columns, so
+work counters (``stats``) -- span the whole domain in the watch, so
 every update drops them.  An epoch publication (``sync`` with a generation
 bump) and a delete whose victim the feed could not name clear the cache; a
 reorganisation that leaves the answer set alone (``sync`` without a bump:
@@ -44,9 +45,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Tuple
 
-import numpy as np
-
 from repro.core.allen import RANGE_QUERY_RELATIONS
+from repro.core.updates import RangeWatch
 
 __all__ = [
     "CacheStats",
@@ -55,11 +55,6 @@ __all__ = [
     "resolve_cache",
 ]
 
-_INT64 = np.iinfo(np.int64)
-#: slot range of an answer every update can change (overlaps everything)
-_EVERYWHERE = (int(_INT64.min), int(_INT64.max))
-#: slot range of a free slot (overlaps nothing: start > end)
-_NOWHERE = (int(_INT64.max), int(_INT64.min))
 _RANGE_RELATION_NAMES = frozenset(relation.value for relation in RANGE_QUERY_RELATIONS)
 
 
@@ -76,26 +71,14 @@ def normalize_query_key(
     return (kind, int(start), int(end))
 
 
-def _range_scoped(kind: str) -> bool:
-    """True when only an interval overlapping the range can change an
-    answer of this kind (no refinement beyond a range-implied relation)."""
-    return all(part in _RANGE_RELATION_NAMES for part in kind.split(":")[1:])
-
-
-def _slot_range(key: Hashable) -> Tuple[int, int]:
-    """The range an update must overlap to change ``key``'s answer."""
-    if (
-        isinstance(key, tuple)
-        and len(key) == 3
-        and isinstance(key[0], str)
-        and _range_scoped(key[0])
-    ):
-        # clamped: a query past the int64 domain still overlaps its edge
-        return (
-            min(max(key[1], _EVERYWHERE[0]), _EVERYWHERE[1]),
-            min(max(key[2], _EVERYWHERE[0]), _EVERYWHERE[1]),
-        )
-    return _EVERYWHERE
+def _watched_range(key: Hashable) -> Tuple[int, int]:
+    """The range an update must overlap to change ``key``'s answer: the
+    key's own range when only an interval overlapping it can change an
+    answer of its kind (no refinement beyond a range-implied relation)."""
+    if isinstance(key, tuple) and len(key) == 3 and isinstance(key[0], str):
+        if all(part in _RANGE_RELATION_NAMES for part in key[0].split(":")[1:]):
+            return key[1], key[2]
+    return RangeWatch.EVERYWHERE
 
 
 @dataclass(frozen=True)
@@ -157,10 +140,7 @@ class ResultCache:
         "_ttl",
         "_ttl_expired",
         "_clock",
-        "_starts",
-        "_ends",
-        "_slot_keys",
-        "_free",
+        "_watch",
         "_feed",
         "_heard",
     )
@@ -179,8 +159,8 @@ class ResultCache:
         if ttl is not None and ttl <= 0:
             raise ValueError(f"cache ttl must be > 0 seconds, got {ttl}")
         self._capacity = capacity
-        # entry: (slot, stamp, value, fill timestamp)
-        self._entries: "OrderedDict[Hashable, Tuple[int, object, object, float]]" = (
+        # entry: (stamp, value, fill timestamp)
+        self._entries: "OrderedDict[Hashable, Tuple[object, object, float]]" = (
             OrderedDict()
         )
         self._lock = threading.Lock()
@@ -191,11 +171,8 @@ class ResultCache:
         self._ttl = ttl
         self._ttl_expired = 0
         self._clock = clock
-        # slot columns: the range each entry's answer depends on
-        self._starts = np.full(capacity, _NOWHERE[0], dtype=np.int64)
-        self._ends = np.full(capacity, _NOWHERE[1], dtype=np.int64)
-        self._slot_keys: list = [None] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
+        # the range each entry's answer depends on
+        self._watch = RangeWatch(capacity)
         self._feed = None
         self._heard = 0
 
@@ -314,20 +291,16 @@ class ResultCache:
             elif interval is None:  # a delete whose span is unknown
                 self._drop_all()
             else:
-                touched = np.flatnonzero(
-                    (self._starts <= interval.end) & (self._ends >= interval.start)
-                )
-                for slot in touched.tolist():
-                    self._drop(self._slot_keys[slot])
+                touched = self._watch.touched(interval.start, interval.end)
+                for key in touched:
+                    self._drop(key)
                 self._invalidated += len(touched)
             self._heard = generation
 
     def _drop(self, key: Hashable) -> None:
-        """Remove ``key``'s entry and free its slot (lock held)."""
-        slot = self._entries.pop(key)[0]
-        self._starts[slot], self._ends[slot] = _NOWHERE
-        self._slot_keys[slot] = None
-        self._free.append(slot)
+        """Remove ``key``'s entry and its watched range (lock held)."""
+        del self._entries[key]
+        self._watch.remove(key)
 
     def _drop_all(self) -> None:
         self._invalidated += len(self._entries)
@@ -335,10 +308,7 @@ class ResultCache:
 
     def _reset(self) -> None:
         self._entries.clear()
-        self._starts.fill(_NOWHERE[0])
-        self._ends.fill(_NOWHERE[1])
-        self._slot_keys = [None] * self._capacity
-        self._free = list(range(self._capacity - 1, -1, -1))
+        self._watch.clear()
 
     # ------------------------------------------------------------------ #
     def get(self, key: Hashable, stamp: Hashable) -> object:
@@ -356,7 +326,7 @@ class ResultCache:
             if entry is None:
                 self._misses += 1
                 return self.MISS
-            _slot, stamped, value, filled_at = entry
+            stamped, value, filled_at = entry
             if self._ttl is not None and self._clock() - filled_at > self._ttl:
                 self._drop(key)
                 self._ttl_expired += 1
@@ -385,18 +355,14 @@ class ResultCache:
         with self._lock:
             if self._feed is not None and self._feed.generation != stamp:
                 return
-            entry = self._entries.get(key)
-            if entry is not None:
-                slot = entry[0]
+            if key in self._entries:
                 self._entries.move_to_end(key)
             else:
-                if not self._free:
+                if len(self._entries) >= self._capacity:
                     self._drop(next(iter(self._entries)))
                     self._evictions += 1
-                slot = self._free.pop()
-                self._starts[slot], self._ends[slot] = _slot_range(key)
-                self._slot_keys[slot] = key
-            self._entries[key] = (slot, stamp, value, self._clock())
+                self._watch.add(key, *_watched_range(key))
+            self._entries[key] = (stamp, value, self._clock())
 
     def clear(self) -> None:
         with self._lock:

@@ -79,8 +79,8 @@ per-query :class:`~repro.core.base.QueryStats` in the response).
 
 Standing queries ride the same store hooks as the cache: a
 :class:`~repro.stream.deltas.StandingQueryManager` observes inserts/deletes,
-routes each to the affected subscriptions through an interval-indexed
-registry, and the server long-polls the per-subscription delta logs with
+routes each to the affected subscriptions through the registry's range
+watch, and the server long-polls the per-subscription delta logs with
 bounded queues, net-effect coalescing under backpressure and an explicit
 resync signal -- see :mod:`repro.stream`.
 """

@@ -3,10 +3,10 @@
 The streaming subsystem turns the one-shot query engine into a push system
 (see the README's "Standing queries" section):
 
-* a **subscription registry + matching index** -- standing queries are
-  stored as intervals in their own store, so routing an insert/delete to
-  the subscriptions it affects is one overlap probe, O(affected), never a
-  scan (:mod:`repro.stream.registry`);
+* a **subscription registry + range watch** -- routing an insert/delete
+  to the subscriptions it affects is one overlap mask over their ranges
+  (:class:`~repro.core.updates.RangeWatch`) plus an exact refinement of
+  the candidates (:mod:`repro.stream.registry`);
 * an **incremental delta engine** -- update listeners on the engine emit
   exact ``(generation, added_ids, removed_ids)`` records per subscription;
   maintenance (folds, refreshes, re-partitions) advances the generation

@@ -6,8 +6,8 @@ authoritative post-commit generation, whatever the backend) and turns every
 insert/delete into per-subscription deltas:
 
 1. the mutated interval is routed through the
-   :class:`~repro.stream.registry.SubscriptionRegistry`'s matching index --
-   one overlap probe, O(affected subscriptions);
+   :class:`~repro.stream.registry.SubscriptionRegistry`'s range watch --
+   one overlap mask, then each candidate's exact refinement;
 2. each affected subscription's :class:`~repro.stream.log.DeltaLog` gets a
    ``(generation, added_ids, removed_ids)`` record;
 3. registered notifiers (the query server's long-poll wakeups) fire for the

@@ -1,24 +1,15 @@
-"""Standing-query subscriptions and the interval-indexed matcher.
+"""Standing-query subscriptions and the range watch that routes updates.
 
 A subscription *is* an interval -- its query range -- so "which standing
-queries does this insert/delete affect" is itself an interval query.  The
-registry stores the range of every routable subscription in its own
-:class:`~repro.engine.store.IntervalStore` (an update-friendly backend, so
-subscribe/unsubscribe are inserts/deletes into it) and routes one update
-with one overlap probe: O(affected subscriptions), never a scan over all of
-them.  Candidates from the probe are then refined per subscription (Allen
-relation, duration filters, predicate), which is exact because every
-relation a range probe can serve implies overlap
-(:data:`repro.core.allen.RANGE_QUERY_RELATIONS`).
-
-Two kinds of subscription cannot be range-pruned and live outside the index:
-
-* relations whose matches never overlap the query range (``BEFORE``,
-  ``AFTER``, ``MEETS``, ``MET_BY`` -- everything outside
-  ``RANGE_QUERY_RELATIONS``) are kept on a side list checked on every
-  update (O(unbounded subscriptions));
-* below ``index_threshold`` total subscriptions the registry stays linear --
-  building an index over a handful of ranges costs more than it saves.
+queries does this insert/delete affect" is the overlap question a
+:class:`~repro.core.updates.RangeWatch` answers: the registry watches every
+subscription's range, and one update costs one vectorised overlap mask over
+the watch's int64 columns, then an exact per-candidate refinement (Allen
+relation, duration filters, predicate).  Every relation a range probe can
+serve implies overlap (:data:`repro.core.allen.RANGE_QUERY_RELATIONS`); the
+other two (``BEFORE``, ``AFTER``) match intervals that never overlap the
+query range, so their subscriptions watch the everywhere range and every
+update refines them.
 """
 
 from __future__ import annotations
@@ -29,7 +20,8 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.allen import RANGE_QUERY_RELATIONS, AllenRelation, satisfies_relation
 from repro.core.errors import ReproError
-from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.interval import Interval, Query
+from repro.core.updates import RangeWatch
 from repro.obs import global_registry
 from repro.stream.filters import compile_filter, normalize_filter
 
@@ -60,8 +52,8 @@ class Subscription:
     """One registered standing query.
 
     Attributes:
-        subscription_id: registry-assigned id (also the id of the range
-            interval in the matching index).
+        subscription_id: registry-assigned id (also the key of its range
+            in the registry's watch).
         query: the standing range/stabbing query.
         relation: optional Allen-relation refinement ("interval RELATION
             query", as in :meth:`repro.engine.store.QueryBuilder.relation`).
@@ -89,7 +81,7 @@ class Subscription:
 
     @property
     def range_prunable(self) -> bool:
-        """True when every match overlaps the query range (indexable)."""
+        """True when every match overlaps the query range."""
         return self.relation is None or self.relation in RANGE_QUERY_RELATIONS
 
     def matches(self, interval: Interval) -> bool:
@@ -125,24 +117,11 @@ def _resolve_filter(
 
 
 class SubscriptionRegistry:
-    """The subscription set plus its interval-indexed matcher.
+    """The subscription set plus the range watch that routes updates to it."""
 
-    Args:
-        index_backend: backend for the matching index; must support
-            insert/delete (subscribe/unsubscribe mutate it in place).
-        index_threshold: subscription count below which matching stays a
-            linear scan instead of building the index.
-    """
-
-    def __init__(
-        self, index_backend: str = "hintm_hybrid", index_threshold: int = 64
-    ) -> None:
-        self._index_backend = index_backend
-        self._index_threshold = max(2, index_threshold)
+    def __init__(self) -> None:
         self._subscriptions: Dict[int, Subscription] = {}
-        #: non-range-prunable relations, matched by scan (kept small)
-        self._unbounded: Dict[int, Subscription] = {}
-        self._store = None  # built lazily past the threshold
+        self._watch = RangeWatch()
         self._next_id = 0
         self._lock = threading.RLock()
 
@@ -158,11 +137,6 @@ class SubscriptionRegistry:
 
     def ids(self) -> List[int]:
         return sorted(self._subscriptions)
-
-    @property
-    def indexed(self) -> bool:
-        """True once the matching index has been built."""
-        return self._store is not None
 
     # ------------------------------------------------------------------ #
     def register(
@@ -184,29 +158,13 @@ class SubscriptionRegistry:
         relation = parse_relation(relation)
         predicate, filter_spec = _resolve_filter(predicate, filter_spec)
         with self._lock:
-            subscription = Subscription(
-                subscription_id=self._next_id,
-                query=query,
-                relation=relation,
-                min_duration=min_duration,
-                max_duration=max_duration,
-                predicate=predicate,
-                filter_spec=filter_spec,
-            )
-            self._next_id += 1
-            self._subscriptions[subscription.subscription_id] = subscription
-            _SUBSCRIPTIONS.inc()
-            if not subscription.range_prunable:
-                self._unbounded[subscription.subscription_id] = subscription
-            elif self._store is not None:
-                self._store.insert(
-                    Interval(subscription.subscription_id, query.start, query.end)
+            subscription = self._add(
+                Subscription(
+                    self._next_id, query, relation, min_duration, max_duration,
+                    predicate, filter_spec,
                 )
-            elif (
-                len(self._subscriptions) - len(self._unbounded)
-                >= self._index_threshold
-            ):
-                self._build_index()
+            )
+            _SUBSCRIPTIONS.inc()
             return subscription
 
     def restore(
@@ -235,79 +193,45 @@ class SubscriptionRegistry:
                     f"subscription {subscription_id} already registered; "
                     "restore() is for recovery into a fresh registry"
                 )
-            subscription = Subscription(
-                subscription_id=int(subscription_id),
-                query=query,
-                relation=relation,
-                min_duration=min_duration,
-                max_duration=max_duration,
-                predicate=predicate,
-                filter_spec=filter_spec,
-            )
-            self._next_id = max(self._next_id, subscription.subscription_id + 1)
-            self._subscriptions[subscription.subscription_id] = subscription
-            if not subscription.range_prunable:
-                self._unbounded[subscription.subscription_id] = subscription
-            elif self._store is not None:
-                self._store.insert(
-                    Interval(subscription.subscription_id, query.start, query.end)
+            return self._add(
+                Subscription(
+                    int(subscription_id), query, relation, min_duration,
+                    max_duration, predicate, filter_spec,
                 )
-            elif (
-                len(self._subscriptions) - len(self._unbounded)
-                >= self._index_threshold
-            ):
-                self._build_index()
-            return subscription
+            )
+
+    def _add(self, subscription: Subscription) -> Subscription:
+        """Watch the range, then record the subscription (lock held)."""
+        query = subscription.query
+        watched = (query.start, query.end)
+        if not subscription.range_prunable:
+            watched = RangeWatch.EVERYWHERE
+        self._watch.add(subscription.subscription_id, *watched)
+        self._subscriptions[subscription.subscription_id] = subscription
+        self._next_id = max(self._next_id, subscription.subscription_id + 1)
+        return subscription
 
     def unregister(self, subscription_id: int) -> bool:
         """Remove a subscription; True when it existed."""
         with self._lock:
-            subscription = self._subscriptions.pop(subscription_id, None)
-            if subscription is None:
+            if self._subscriptions.pop(subscription_id, None) is None:
                 return False
-            self._unbounded.pop(subscription_id, None)
-            if self._store is not None and subscription.range_prunable:
-                self._store.delete(subscription_id)
+            self._watch.remove(subscription_id)
             return True
-
-    def _build_index(self) -> None:
-        from repro.engine.store import IntervalStore
-
-        ranges = [
-            Interval(s.subscription_id, s.query.start, s.query.end)
-            for s in self._subscriptions.values()
-            if s.range_prunable
-        ]
-        self._store = IntervalStore.open(
-            IntervalCollection.from_intervals(ranges), self._index_backend
-        )
 
     # ------------------------------------------------------------------ #
     def affected(self, interval: Interval) -> List[Subscription]:
         """Subscriptions whose result set changes when ``interval`` is
-        inserted or deleted -- one overlap probe plus per-candidate
-        refinement, O(affected)."""
+        inserted or deleted: the watch's overlap mask, then each
+        candidate's exact :meth:`Subscription.matches`."""
         with self._lock:
-            if self._store is not None:
-                candidate_ids = self._store.query().overlapping(
+            candidates = [
+                self._subscriptions[subscription_id]
+                for subscription_id in self._watch.touched(
                     interval.start, interval.end
-                ).ids().tolist()
-                candidates = [
-                    s
-                    for s in (self._subscriptions.get(i) for i in candidate_ids)
-                    if s is not None
-                ]
-            else:
-                candidates = [
-                    s
-                    for s in self._subscriptions.values()
-                    if s.range_prunable
-                ]
-            candidates.extend(self._unbounded.values())
+                )
+            ]
         return [s for s in candidates if s.matches(interval)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"SubscriptionRegistry(n={len(self._subscriptions)}, "
-            f"indexed={self.indexed}, unbounded={len(self._unbounded)})"
-        )
+        return f"SubscriptionRegistry(n={len(self._subscriptions)})"

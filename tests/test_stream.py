@@ -170,41 +170,11 @@ class TestParseRelation:
 
 
 class TestSubscriptionRegistry:
-    def test_linear_until_threshold(self):
-        registry = SubscriptionRegistry(index_threshold=8)
-        for i in range(7):
-            registry.register(Query(i * 100, i * 100 + 50))
-        assert not registry.indexed
-        registry.register(Query(700, 750))
-        assert registry.indexed
-
-    def test_affected_matches_linear_scan(self):
+    def test_matches_runs_only_for_overlapping_and_unbounded(self, monkeypatch):
+        # per update, one overlap mask over the watched ranges, then
+        # Subscription.matches only for the ranges it returns plus the
+        # unbounded subscriptions -- never a scan over every subscription
         import random
-
-        rng = random.Random(42)
-        indexed = SubscriptionRegistry(index_threshold=2)
-        linear = SubscriptionRegistry(index_threshold=10**9)
-        for _ in range(200):
-            start = rng.randrange(0, 10_000)
-            end = start + rng.randrange(1, 500)
-            for registry in (indexed, linear):
-                registry.register(Query(start, end))
-        assert indexed.indexed and not linear.indexed
-        for _ in range(100):
-            start = rng.randrange(0, 10_000)
-            probe = Interval(0, start, start + rng.randrange(0, 300))
-            got = {s.subscription_id for s in indexed.affected(probe)}
-            want = {s.subscription_id for s in linear.affected(probe)}
-            assert got == want
-
-    def test_probe_is_one_store_query_and_o_affected_refinement(self, monkeypatch):
-        # the structural fact behind indexed matching's speed-up over
-        # re-evaluating every standing query: per update, one overlap probe
-        # of the registry's own index, then Subscription.matches only for
-        # the ranges that probe returns plus the unbounded subscriptions
-        import random
-
-        from repro.engine.store import IntervalStore
 
         rng = random.Random(29)
         registry = SubscriptionRegistry()
@@ -217,18 +187,14 @@ class TestSubscriptionRegistry:
             registry.register(Query(500_000, 500_100), relation="after"),
             registry.register(Query(10, 20), relation="before"),
         ]
-        calls = {"query": 0, "matches": 0}
-        real_query, real_matches = IntervalStore.query, Subscription.matches
-
-        def counting_query(store, *args, **kwargs):
-            calls["query"] += 1
-            return real_query(store, *args, **kwargs)
+        unbounded_ids = {s.subscription_id for s in unbounded}
+        checked = []
+        real_matches = Subscription.matches
 
         def counting_matches(subscription, interval):
-            calls["matches"] += 1
+            checked.append(subscription.subscription_id)
             return real_matches(subscription, interval)
 
-        monkeypatch.setattr(IntervalStore, "query", counting_query)
         monkeypatch.setattr(Subscription, "matches", counting_matches)
         for _ in range(300):
             start = rng.randrange(0, 1_000_000)
@@ -238,15 +204,14 @@ class TestSubscriptionRegistry:
                 for sid, (lo, hi) in enumerate(ranges)
                 if lo <= update.end and update.start <= hi
             }
-            calls.update(query=0, matches=0)
+            checked.clear()
             affected = {s.subscription_id for s in registry.affected(update)}
-            assert calls["query"] == 1
-            assert calls["matches"] <= len(overlapping) + len(unbounded)
-            assert affected - {s.subscription_id for s in unbounded} == overlapping
+            assert sorted(checked) == sorted(overlapping | unbounded_ids)
+            assert affected - unbounded_ids == overlapping
 
     def test_unbounded_relations_always_checked(self):
-        registry = SubscriptionRegistry(index_threshold=2)
-        for i in range(10):  # force the index to build
+        registry = SubscriptionRegistry()
+        for i in range(10):
             registry.register(Query(i * 10, i * 10 + 5))
         after = registry.register(Query(5_000, 5_100), relation="after")
         # an interval entirely after the query range ("interval AFTER
@@ -256,7 +221,7 @@ class TestSubscriptionRegistry:
         assert after.subscription_id in affected
 
     def test_unregister_removes_from_matching(self):
-        registry = SubscriptionRegistry(index_threshold=2)
+        registry = SubscriptionRegistry()
         subs = [registry.register(Query(0, 1_000)) for _ in range(5)]
         assert registry.unregister(subs[2].subscription_id)
         assert not registry.unregister(subs[2].subscription_id)
@@ -265,8 +230,8 @@ class TestSubscriptionRegistry:
         assert subs[2].subscription_id not in affected
         assert len(affected) == 4
 
-    def test_registered_after_index_built_is_matched(self):
-        registry = SubscriptionRegistry(index_threshold=2)
+    def test_late_registration_is_matched(self):
+        registry = SubscriptionRegistry()
         for i in range(5):
             registry.register(Query(i * 10, i * 10 + 5))
         late = registry.register(Query(8_000, 8_100))
@@ -274,3 +239,83 @@ class TestSubscriptionRegistry:
             s.subscription_id for s in registry.affected(Interval(7, 8_050, 8_060))
         }
         assert affected == {late.subscription_id}
+
+    def test_range_past_int64_then_many_registrations(self):
+        # a range past int64 is watched clamped to the domain's edge; it
+        # once made every later index build raise OverflowError
+        registry = SubscriptionRegistry()
+        wide = registry.register(Query(100, 2**70))
+        low = registry.register(Query(-(2**70), -5))
+        plain = [registry.register(Query(i * 10, i * 10 + 5)) for i in range(120)]
+        assert len(registry) == 122
+        for update, want in (
+            (Interval(1, 2**63 - 10, 2**63 - 1), {wide}),
+            (Interval(2, -(2**63), -(2**63) + 3), {low}),
+            (Interval(3, 502, 503), {wide, plain[50]}),
+            (Interval(4, -7, 3), {low, plain[0]}),
+        ):
+            assert set(registry.affected(update)) == want
+
+
+class TestAffectedProperty:
+    """``affected()`` equals a brute-force ``matches()`` scan over every live
+    subscription: 10k registrations (fresh ones and restores of removed
+    ids) under unregister churn that keeps at most 600 live, so slots are
+    freed, reused and grown past the first column size, and 2k updates."""
+
+    RELATIONS = [None] * 13 + [relation.value for relation in AllenRelation]
+    FILTERS = [
+        None,
+        None,
+        {"field": "duration", "op": ">=", "value": 40},
+        {"or": [{"field": "start", "op": "<", "value": 30_000},
+                {"not": {"field": "end", "op": "le", "value": 70_000}}]},
+    ]
+
+    def _register(self, registry, rng):
+        start = rng.randrange(0, 100_000)
+        if rng.random() < 0.2:  # a stabbing query
+            query = Query(start, start)
+        else:
+            query = Query(start, start + rng.randrange(0, 5_000))
+        return registry.register(
+            query,
+            relation=rng.choice(self.RELATIONS),
+            min_duration=rng.choice([0, 0, 0, 10, 100]),
+            max_duration=rng.choice([None, None, None, 50, 2_000]),
+            filter_spec=rng.choice(self.FILTERS),
+        )
+
+    def test_affected_equals_brute_force(self):
+        import random
+
+        rng = random.Random(36)
+        registry = SubscriptionRegistry()
+        live, removed = {}, {}
+        for _ in range(2_000):
+            for _ in range(5):
+                if removed and rng.random() < 0.2:
+                    old = removed.pop(rng.choice(list(removed)))
+                    subscription = registry.restore(
+                        old.subscription_id,
+                        old.query,
+                        relation=old.relation,
+                        min_duration=old.min_duration,
+                        max_duration=old.max_duration,
+                        filter_spec=old.filter_spec,
+                    )
+                else:
+                    subscription = self._register(registry, rng)
+                assert subscription.subscription_id not in live
+                live[subscription.subscription_id] = subscription
+            while len(live) > 600 or (live and rng.random() < 0.6):
+                sid = rng.choice(list(live))
+                assert registry.unregister(sid)
+                removed[sid] = live.pop(sid)
+            start = rng.randrange(-1_000, 101_000)
+            update = Interval(0, start, start + rng.randrange(0, 3_000))
+            want = {s.subscription_id for s in live.values() if s.matches(update)}
+            got = [s.subscription_id for s in registry.affected(update)]
+            assert len(got) == len(set(got)) and set(got) == want
+        assert len(registry) == len(live)
+        assert registry.ids() == sorted(live)

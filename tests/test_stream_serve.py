@@ -110,6 +110,24 @@ class TestSubscribeEndpoints:
         client.unsubscribe(sub["subscription_id"])
 
 
+    def test_subscribe_past_int64_keeps_subscribe_working(self, served):
+        # a range past int64 once made the 64th /subscribe and every later
+        # one fail with a 500 while still registering the subscription
+        store, handle, client = served
+        wide = client.subscribe(100, 2**70)
+        assert set(wide["ids"]) == _oracle(store, 100, 2**63 - 1)
+        subscriptions = [client.subscribe(i * 100, i * 100 + 50) for i in range(70)]
+        assert all(set(s["ids"]) == _oracle(store, s_id * 100, s_id * 100 + 50)
+                   for s_id, s in enumerate(subscriptions))
+        assert client.stats()["stream"]["subscriptions_active"] == 71.0
+        client.insert(97_000, 5_020, 5_030)
+        for sub in (wide, subscriptions[50]):
+            poll = client.poll_deltas(
+                sub["subscription_id"], after=sub["generation"], timeout=5
+            )
+            assert [i for d in poll["deltas"] for i in d["added"]] == [97_000]
+
+
 class TestStreamClient:
     def test_fold_matches_oracle(self, served):
         store, handle, client = served

@@ -1,20 +1,5 @@
-"""Benchmark harness: throughput measurement, experiment drivers, reporting."""
+"""Benchmark harness: the one timing loop and the paper's experiment drivers."""
 
-from repro.bench.harness import (
-    BenchmarkResult,
-    build_index,
-    measure_index_size,
-    measure_build_time,
-    measure_throughput,
-)
-from repro.bench.reporting import format_series, format_table
+from repro.bench.harness import measure_throughput
 
-__all__ = [
-    "BenchmarkResult",
-    "build_index",
-    "format_series",
-    "format_table",
-    "measure_build_time",
-    "measure_index_size",
-    "measure_throughput",
-]
+__all__ = ["measure_throughput"]

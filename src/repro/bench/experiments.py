@@ -1,64 +1,64 @@
 """Experiment drivers -- one function per table/figure of the paper's Section 5.
 
-Each driver takes interval collections (and scale parameters) and returns
-plain dictionaries/lists that the ``benchmarks/bench_fig*`` / ``bench_table*``
-suite renders with :mod:`repro.bench.reporting` and that
-``scripts/run_experiments.py`` writes under ``benchmark_results/``.  The
-systems tiers (sharding, maintenance, durability, serving, standing queries,
+Every driver returns flat records, one per measured value: the key fields
+``experiment, dataset, series, x_name, x, metric`` and the result field
+``value`` (keyfields -> resultfields, SNIPPETS.md Snippet 3).
+``scripts/run_experiments.py`` runs them into one ``paper_ledger.json`` and
+prints each (experiment, dataset, metric) group as a table.  The systems
+tiers (sharding, maintenance, durability, serving, standing queries,
 routing) are measured by ``e2e_bench/`` under fixed, named workloads, not
 here.
 
-The drivers deliberately measure the same quantities as the paper (query
-throughput, index size, build time, replication factors, compared partitions)
-but at interpreter-friendly scales; every driver accepts the workload size as
-a parameter so larger runs are a matter of passing bigger numbers.
+Throughput is timed the paper's way, one ``index.query`` call per query
+(:func:`repro.bench.harness.measure_throughput`).  Only the series labelled
+batched -- Fig. 13's ``hint-m (batched)`` and the ``batch_crossover`` sweep
+behind ``optimized._BATCH_CROSSOVER`` -- go through ``query_batch``.
+
+The drivers measure the paper's quantities (query throughput, index size,
+build time, replication factors, compared partitions) at interpreter-friendly
+scales; every driver takes the workload size as a parameter.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.bench.harness import measure_throughput
 from repro.core.base import IntervalIndex
+from repro.core.domain import Domain
 from repro.core.interval import IntervalCollection, Query
-from repro.engine.registry import create_index
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
+from repro.engine.registry import create_index
 from repro.hint import (
-    ComparisonFreeHINT,
     DatasetStatistics,
-    HINTm,
-    HybridHINTm,
-    OptimizedHINTm,
-    SubdividedHINTm,
     collect_workload_statistics,
     estimate_m_opt,
+    optimized,
     replication_factor,
 )
 from repro.queries.generator import QueryWorkloadConfig, generate_queries
 from repro.queries.workload import Operation, generate_mixed_workload
 
 __all__ = [
+    "COMPETITOR_CONFIGS",
+    "batch_crossover",
     "default_real_like_datasets",
     "fig10_evaluation_approaches",
     "fig11_subdivision_variants",
-    "table6_hint_sparsity",
     "fig12_optimizations",
+    "fig13_real_throughput",
+    "fig14_synthetic_throughput",
+    "table6_hint_sparsity",
     "table7_parameter_setting",
     "table8_index_sizes",
     "table9_index_times",
-    "fig13_real_throughput",
-    "fig14_synthetic_throughput",
     "table10_updates",
-    "COMPETITOR_CONFIGS",
 ]
 
-
-# --------------------------------------------------------------------------- #
-# shared configuration
-# --------------------------------------------------------------------------- #
+Record = Dict[str, object]
 
 #: builder configurations for the paper's competitor indexes, scaled to the
 #: reproduction's dataset sizes (the paper's Table 7 lists the full-scale ones)
@@ -75,6 +75,22 @@ def default_real_like_datasets(cardinality: int = 20_000, seed: int = 7) -> Dict
     return {
         name: generate_real_like(profile, cardinality=cardinality, seed=seed)
         for name, profile in REAL_DATASET_PROFILES.items()
+    }
+
+
+def _synthetic_base(cardinality: int) -> SyntheticConfig:
+    """The Table 5 defaults, scaled to ``cardinality`` intervals."""
+    return SyntheticConfig(
+        domain_length=2_000_000, cardinality=cardinality, alpha=1.2, sigma=200_000, seed=42
+    )
+
+
+def _record(
+    experiment: str, dataset: str, series: str, x_name: str, x, metric: str, value
+) -> Record:
+    return {
+        "experiment": experiment, "dataset": dataset, "series": series,
+        "x_name": x_name, "x": x, "metric": metric, "value": float(value),
     }
 
 
@@ -96,17 +112,45 @@ def _query_workload(
     )
 
 
-def _build_competitors(
-    collection: IntervalCollection, overrides: Optional[Mapping[str, dict]] = None
-) -> Dict[str, IntervalIndex]:
-    """Build the four baselines through the engine registry."""
-    config = {name: dict(params) for name, params in COMPETITOR_CONFIGS.items()}
-    if overrides:
-        for name, params in overrides.items():
-            config.setdefault(name, {}).update(params)
-    return {
-        name: create_index(name, collection, **params) for name, params in config.items()
-    }
+def _qps(index: IntervalIndex, queries: Sequence[Query]) -> float:
+    return measure_throughput(index, queries)["qps"]
+
+
+def _batched_seconds(
+    index: IntervalIndex, queries: Sequence[Query], batch_size: int, repeats: int = 1
+) -> float:
+    """Best-of-``repeats`` time of ``query_batch`` over ``batch_size`` chunks."""
+    chunks = [queries[lo:lo + batch_size] for lo in range(0, len(queries), batch_size)]
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for chunk in chunks:
+            index.query_batch(chunk)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _discretise(
+    collection: IntervalCollection, num_bits: int
+) -> Tuple[IntervalCollection, Domain]:
+    """``collection`` mapped onto the ``num_bits`` discrete domain the
+    comparison-free HINT needs, and the domain that maps queries likewise.
+
+    The paper's real datasets fit in memory at full resolution; what the
+    comparison-free HINT is contrasted on (e.g. skipping empty partitions)
+    is unaffected by the discretisation.
+    """
+    domain = Domain.for_collection(collection.starts, collection.ends, num_bits)
+    discretised = IntervalCollection(
+        ids=collection.ids,
+        starts=domain.map_values(collection.starts),
+        ends=domain.map_values(collection.ends),
+    )
+    return discretised, domain
+
+
+def _discrete_queries(domain: Domain, queries: Sequence[Query]) -> List[Query]:
+    return [Query(domain.map_value(q.start), domain.map_value(q.end)) for q in queries]
 
 
 # --------------------------------------------------------------------------- #
@@ -117,70 +161,91 @@ def fig10_evaluation_approaches(
     m_values: Sequence[int] = (5, 8, 11, 14, 17),
     num_queries: int = 200,
     extent_fraction: float = 0.001,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Throughput of the two HINT^m evaluation strategies as ``m`` varies.
-
-    Returns ``{dataset: {"m": [...], "top-down": [...], "bottom-up": [...]}}``.
-    """
-    results: Dict[str, Dict[str, List[float]]] = {}
+) -> List[Record]:
+    """Throughput of the two HINT^m evaluation strategies as ``m`` varies."""
+    records = []
     for name, collection in datasets.items():
         queries = _query_workload(collection, num_queries, extent_fraction)
-        series = {"m": list(m_values), "top-down": [], "bottom-up": []}
         for m in m_values:
-            top_down = HINTm(collection, num_bits=m, evaluation="top_down")
-            bottom_up = HINTm(collection, num_bits=m, evaluation="bottom_up")
-            series["top-down"].append(measure_throughput(top_down, queries))
-            series["bottom-up"].append(measure_throughput(bottom_up, queries))
-        results[name] = series
-    return results
+            for series in ("top-down", "bottom-up"):
+                index = create_index(
+                    "hintm", collection, num_bits=m, evaluation=series.replace("-", "_")
+                )
+                records.append(
+                    _record("fig10", name, series, "m", m, "throughput_qps", _qps(index, queries))
+                )
+    return records
 
 
 # --------------------------------------------------------------------------- #
-# Figure 11 -- subdivisions + sorting + storage optimization ablation
+# Figures 11 and 12 -- the Section 4 optimizations, one variant sweep
 # --------------------------------------------------------------------------- #
+#: Figure 11: subdivisions, sorting and the storage optimization (Sec. 4.1)
+FIG11_VARIANTS: Dict[str, Tuple[str, dict]] = {
+    "base": ("hintm", {}),
+    "subs+sort": ("hintm_sub", {"sort_subdivisions": True, "storage_optimization": False}),
+    "subs+sopt": ("hintm_sub", {"sort_subdivisions": False, "storage_optimization": True}),
+    "subs+sort+sopt": ("hintm_sub", {}),
+}
+
+#: Figure 12: skewness & sparsity (Sec. 4.2) and cache misses (Sec. 4.3)
+#: over the Figure 11 winner
+FIG12_VARIANTS: Dict[str, Tuple[str, dict]] = {
+    "subs+sort+sopt": ("hintm_sub", {}),
+    "skew&sparsity": ("hintm_opt", {"sparse_directory": True, "columnar": False}),
+    "cache misses": ("hintm_opt", {"sparse_directory": False, "columnar": True}),
+    "all optimizations": ("hintm_opt", {}),
+}
+
+
+def _variant_sweep(
+    experiment: str,
+    variants: Mapping[str, Tuple[str, dict]],
+    datasets: Mapping[str, IntervalCollection],
+    m_values: Sequence[int],
+    num_queries: int,
+    extent_fraction: float,
+) -> List[Record]:
+    """Size, build time and throughput of every variant at every ``m``."""
+    records = []
+    for name, collection in datasets.items():
+        queries = _query_workload(collection, num_queries, extent_fraction)
+        for m in m_values:
+            for variant, (backend, params) in variants.items():
+                start = time.perf_counter()
+                index = create_index(backend, collection, num_bits=m, **params)
+                build_s = time.perf_counter() - start
+                for metric, value in (
+                    ("size_mb", index.memory_bytes() / 2**20),
+                    ("build_s", build_s),
+                    ("throughput_qps", _qps(index, queries)),
+                ):
+                    records.append(_record(experiment, name, variant, "m", m, metric, value))
+    return records
+
+
 def fig11_subdivision_variants(
     datasets: Mapping[str, IntervalCollection],
     m_values: Sequence[int] = (5, 8, 11, 14),
     num_queries: int = 200,
     extent_fraction: float = 0.001,
-) -> Dict[str, Dict[str, Dict[str, List[float]]]]:
-    """Size, build time and throughput of the four Section 4.1 configurations.
+) -> List[Record]:
+    """Size, build time and throughput of the four Section 4.1 configurations."""
+    return _variant_sweep(
+        "fig11", FIG11_VARIANTS, datasets, m_values, num_queries, extent_fraction
+    )
 
-    Returns ``{dataset: {metric: {variant: [values per m]}}}`` with metrics
-    ``size_mb``, ``build_s`` and ``throughput``.
-    """
-    variants = {
-        "base": dict(kind="base"),
-        "subs+sort": dict(kind="subs", sort=True, sopt=False),
-        "subs+sopt": dict(kind="subs", sort=False, sopt=True),
-        "subs+sort+sopt": dict(kind="subs", sort=True, sopt=True),
-    }
-    results: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
-    for name, collection in datasets.items():
-        queries = _query_workload(collection, num_queries, extent_fraction)
-        per_metric = {
-            metric: {variant: [] for variant in variants}
-            for metric in ("size_mb", "build_s", "throughput")
-        }
-        for m in m_values:
-            for variant, spec in variants.items():
-                start = time.perf_counter()
-                if spec["kind"] == "base":
-                    index: IntervalIndex = HINTm(collection, num_bits=m)
-                else:
-                    index = SubdividedHINTm(
-                        collection,
-                        num_bits=m,
-                        sort_subdivisions=spec["sort"],
-                        storage_optimization=spec["sopt"],
-                    )
-                build_seconds = time.perf_counter() - start
-                per_metric["build_s"][variant].append(build_seconds)
-                per_metric["size_mb"][variant].append(index.memory_bytes() / 2**20)
-                per_metric["throughput"][variant].append(measure_throughput(index, queries))
-        per_metric["m"] = list(m_values)  # type: ignore[assignment]
-        results[name] = per_metric
-    return results
+
+def fig12_optimizations(
+    datasets: Mapping[str, IntervalCollection],
+    m_values: Sequence[int] = (5, 8, 11, 14),
+    num_queries: int = 200,
+    extent_fraction: float = 0.001,
+) -> List[Record]:
+    """Size, build time and throughput of the Section 4.2/4.3 configurations."""
+    return _variant_sweep(
+        "fig12", FIG12_VARIANTS, datasets, m_values, num_queries, extent_fraction
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -191,89 +256,25 @@ def table6_hint_sparsity(
     num_bits: int = 18,
     num_queries: int = 200,
     extent_fraction: float = 0.001,
-) -> List[Tuple[str, float, float, float, float]]:
-    """Rows ``(dataset, original qps, optimized qps, original MB, optimized MB)``.
-
-    The comparison-free HINT requires a discrete domain, so each dataset is
-    first discretised to ``num_bits`` bits (the paper's real datasets already
-    fit in memory at full resolution; the behaviour contrasted here -- skipping
-    empty partitions -- is unaffected by the discretisation).
-    """
-    from repro.core.domain import Domain
-
-    rows = []
+) -> List[Record]:
+    """Throughput and size of the comparison-free HINT, original vs sparse,
+    on each dataset discretised to ``num_bits`` bits."""
+    records = []
     for name, collection in datasets.items():
-        domain = Domain.for_collection(collection.starts, collection.ends, num_bits)
-        discretised = IntervalCollection(
-            ids=collection.ids,
-            starts=domain.map_values(collection.starts),
-            ends=domain.map_values(collection.ends),
+        discretised, domain = _discretise(collection, num_bits)
+        queries = _discrete_queries(
+            domain, _query_workload(collection, num_queries, extent_fraction)
         )
-        queries = [
-            Query(domain.map_value(q.start), domain.map_value(q.end))
-            for q in _query_workload(collection, num_queries, extent_fraction)
-        ]
-        original = ComparisonFreeHINT(discretised, num_bits=num_bits, sparse=False)
-        optimized = ComparisonFreeHINT(discretised, num_bits=num_bits, sparse=True)
-        rows.append(
-            (
-                name,
-                measure_throughput(original, queries),
-                measure_throughput(optimized, queries),
-                original.memory_bytes() / 2**20,
-                optimized.memory_bytes() / 2**20,
-            )
-        )
-    return rows
-
-
-# --------------------------------------------------------------------------- #
-# Figure 12 -- skewness & sparsity + cache-miss optimizations for HINT^m
-# --------------------------------------------------------------------------- #
-def fig12_optimizations(
-    datasets: Mapping[str, IntervalCollection],
-    m_values: Sequence[int] = (5, 8, 11, 14),
-    num_queries: int = 200,
-    extent_fraction: float = 0.001,
-) -> Dict[str, Dict[str, Dict[str, List[float]]]]:
-    """Size, build time and throughput of the Section 4.2/4.3 configurations.
-
-    Variants: ``subs+sort+sopt`` (the Figure 11 winner), ``+sparsity``
-    (merged tables + auxiliary index), ``+cache`` (columnar ids/endpoints)
-    and ``all`` (both).
-    """
-    variants = {
-        "subs+sort+sopt": dict(kind="subs"),
-        "skew&sparsity": dict(kind="opt", sparse=True, columnar=False),
-        "cache misses": dict(kind="opt", sparse=False, columnar=True),
-        "all optimizations": dict(kind="opt", sparse=True, columnar=True),
-    }
-    results: Dict[str, Dict[str, Dict[str, List[float]]]] = {}
-    for name, collection in datasets.items():
-        queries = _query_workload(collection, num_queries, extent_fraction)
-        per_metric = {
-            metric: {variant: [] for variant in variants}
-            for metric in ("size_mb", "build_s", "throughput")
-        }
-        for m in m_values:
-            for variant, spec in variants.items():
-                start = time.perf_counter()
-                if spec["kind"] == "subs":
-                    index: IntervalIndex = SubdividedHINTm(collection, num_bits=m)
-                else:
-                    index = OptimizedHINTm(
-                        collection,
-                        num_bits=m,
-                        sparse_directory=spec["sparse"],
-                        columnar=spec["columnar"],
-                    )
-                build_seconds = time.perf_counter() - start
-                per_metric["build_s"][variant].append(build_seconds)
-                per_metric["size_mb"][variant].append(index.memory_bytes() / 2**20)
-                per_metric["throughput"][variant].append(measure_throughput(index, queries))
-        per_metric["m"] = list(m_values)  # type: ignore[assignment]
-        results[name] = per_metric
-    return results
+        for series, sparse in (("original", False), ("optimized", True)):
+            index = create_index("hint_cf", discretised, num_bits=num_bits, sparse=sparse)
+            for metric, value in (
+                ("throughput_qps", _qps(index, queries)),
+                ("size_mb", index.memory_bytes() / 2**20),
+            ):
+                records.append(
+                    _record("table6", name, series, "cardinality", len(collection), metric, value)
+                )
+    return records
 
 
 # --------------------------------------------------------------------------- #
@@ -284,213 +285,160 @@ def table7_parameter_setting(
     candidate_m: Sequence[int] = (5, 7, 9, 11, 13, 15, 17),
     num_queries: int = 150,
     extent_fraction: float = 0.001,
-) -> List[dict]:
-    """Rows with m_opt (model & measured), replication factor k (model &
-    measured) and the average number of partitions compared per query."""
-    rows = []
+) -> List[Record]:
+    """m_opt and the replication factor k (model vs measured), the average
+    number of partitions compared per query, and the throughput per
+    candidate ``m`` the measured m_opt is picked from."""
+    records = []
     for name, collection in datasets.items():
         stats = DatasetStatistics.from_collection(collection)
-        extent = extent_fraction * stats.domain_length
-        m_model = estimate_m_opt(stats, extent)
+        m_model = estimate_m_opt(stats, extent_fraction * stats.domain_length)
         queries = _query_workload(collection, num_queries, extent_fraction)
-        best_m, best_throughput = None, -1.0
+        measured = {}
         for m in candidate_m:
-            index = OptimizedHINTm(collection, num_bits=m)
-            throughput = measure_throughput(index, queries)
-            if throughput > best_throughput:
-                best_m, best_throughput = m, throughput
-        chosen_m = best_m if best_m is not None else m_model
-        index = OptimizedHINTm(collection, num_bits=chosen_m)
-        workload_stats = collect_workload_statistics(index, queries)
-        rows.append(
-            {
-                "dataset": name,
-                "m_opt_model": m_model,
-                "m_opt_measured": chosen_m,
-                "k_model": replication_factor(stats, chosen_m),
-                "k_measured": index.replication_factor,
-                "avg_compared_partitions": workload_stats.avg_partitions_compared,
-            }
-        )
-    return rows
+            measured[m] = _qps(create_index("hintm_opt", collection, num_bits=m), queries)
+            records.append(
+                _record("table7", name, "hint-m", "m", m, "throughput_qps", measured[m])
+            )
+        chosen_m = max(measured, key=measured.get) if measured else m_model
+        index = create_index("hintm_opt", collection, num_bits=chosen_m)
+        n = len(collection)
+        for series, metric, value in (
+            ("model", "m_opt", m_model),
+            ("measured", "m_opt", chosen_m),
+            ("model", "k", replication_factor(stats, chosen_m)),
+            ("measured", "k", index.replication_factor),
+            (
+                "measured",
+                "avg_compared_partitions",
+                collect_workload_statistics(index, queries).avg_partitions_compared,
+            ),
+        ):
+            records.append(_record("table7", name, series, "cardinality", n, metric, value))
+    return records
 
 
 # --------------------------------------------------------------------------- #
-# Tables 8 and 9 -- index size and construction time comparison
+# Tables 8 and 9, Figure 13 -- every index of the comparison
 # --------------------------------------------------------------------------- #
-def _hint_configs_for(collection: IntervalCollection) -> Dict[str, dict]:
+def _paper_indexes(
+    collection: IntervalCollection,
+) -> Iterator[Tuple[str, IntervalIndex, float, Optional[Domain]]]:
+    """Build every compared index: ``(label, index, build seconds, domain)``.
+
+    ``domain`` is set for the comparison-free HINT, which indexes the
+    collection discretised to at most 18 bits and answers queries mapped
+    onto that domain; HINT^m uses the model's ``m`` (clamped to 5..16).
+    """
     stats = DatasetStatistics.from_collection(collection)
-    m_opt = estimate_m_opt(stats, 0.001 * stats.domain_length)
-    m_opt = max(5, min(m_opt, 16))
-    return {
-        "hint": {"num_bits": min(stats.domain_bits, 18)},
-        "hint-m": {"num_bits": m_opt},
-    }
-
-
-def table8_index_sizes(
-    datasets: Mapping[str, IntervalCollection]
-) -> List[Tuple[str, Dict[str, float]]]:
-    """Rows ``(dataset, {index: size in MB})`` for every index in the comparison."""
-    rows = []
-    for name, collection in datasets.items():
-        sizes: Dict[str, float] = {}
-        for index_name, index in _build_competitors(collection).items():
-            sizes[index_name] = index.memory_bytes() / 2**20
-        hint_cfg = _hint_configs_for(collection)
-        from repro.core.domain import Domain
-
-        cf_bits = hint_cfg["hint"]["num_bits"]
-        domain = Domain.for_collection(collection.starts, collection.ends, cf_bits)
-        discretised = IntervalCollection(
-            ids=collection.ids,
-            starts=domain.map_values(collection.starts),
-            ends=domain.map_values(collection.ends),
-        )
-        sizes["hint"] = ComparisonFreeHINT(
-            discretised, num_bits=cf_bits
-        ).memory_bytes() / 2**20
-        sizes["hint-m"] = OptimizedHINTm(
-            collection, num_bits=hint_cfg["hint-m"]["num_bits"]
-        ).memory_bytes() / 2**20
-        rows.append((name, sizes))
-    return rows
-
-
-def table9_index_times(
-    datasets: Mapping[str, IntervalCollection]
-) -> List[Tuple[str, Dict[str, float]]]:
-    """Rows ``(dataset, {index: build seconds})``."""
-    competitor_builders = {
-        name: (lambda c, _name=name: create_index(_name, c, **COMPETITOR_CONFIGS[_name]))
-        for name in COMPETITOR_CONFIGS
-    }
-    rows = []
-    for name, collection in datasets.items():
-        times: Dict[str, float] = {}
-        for index_name, builder in competitor_builders.items():
-            start = time.perf_counter()
-            builder(collection)
-            times[index_name] = time.perf_counter() - start
-        hint_cfg = _hint_configs_for(collection)
-        from repro.core.domain import Domain
-
-        cf_bits = hint_cfg["hint"]["num_bits"]
-        domain = Domain.for_collection(collection.starts, collection.ends, cf_bits)
-        discretised = IntervalCollection(
-            ids=collection.ids,
-            starts=domain.map_values(collection.starts),
-            ends=domain.map_values(collection.ends),
-        )
+    hint_bits = min(stats.domain_bits, 18)
+    m_opt = max(5, min(estimate_m_opt(stats, 0.001 * stats.domain_length), 16))
+    discretised, domain = _discretise(collection, hint_bits)
+    builds = [
+        (name, name, collection, params, None) for name, params in COMPETITOR_CONFIGS.items()
+    ]
+    builds.append(("hint", "hint_cf", discretised, {"num_bits": hint_bits}, domain))
+    builds.append(("hint-m", "hintm_opt", collection, {"num_bits": m_opt}, None))
+    for label, backend, data, params, query_domain in builds:
         start = time.perf_counter()
-        ComparisonFreeHINT(discretised, num_bits=cf_bits)
-        times["hint"] = time.perf_counter() - start
-        start = time.perf_counter()
-        OptimizedHINTm(collection, num_bits=hint_cfg["hint-m"]["num_bits"])
-        times["hint-m"] = time.perf_counter() - start
-        rows.append((name, times))
-    return rows
+        index = create_index(backend, data, **params)
+        yield label, index, time.perf_counter() - start, query_domain
 
 
-# --------------------------------------------------------------------------- #
-# Figure 13 -- throughput vs query extent on the real-like datasets
-# --------------------------------------------------------------------------- #
+def table8_index_sizes(datasets: Mapping[str, IntervalCollection]) -> List[Record]:
+    """Size in MB of every index in the comparison."""
+    return [
+        _record("table8", name, label, "cardinality", len(collection), "size_mb",
+                index.memory_bytes() / 2**20)
+        for name, collection in datasets.items()
+        for label, index, _, _ in _paper_indexes(collection)
+    ]
+
+
+def table9_index_times(datasets: Mapping[str, IntervalCollection]) -> List[Record]:
+    """Construction time in seconds of every index in the comparison."""
+    return [
+        _record("table9", name, label, "cardinality", len(collection), "build_s", seconds)
+        for name, collection in datasets.items()
+        for label, _, seconds, _ in _paper_indexes(collection)
+    ]
+
+
 def fig13_real_throughput(
     datasets: Mapping[str, IntervalCollection],
     extents: Sequence[float] = (0.0, 0.0001, 0.0005, 0.001, 0.005, 0.01),
     num_queries: int = 200,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Throughput of every index for each query extent (first extent 0 = stabbing).
-
-    Returns ``{dataset: {index: [qps per extent], "extent": [...]}}``.
-    """
-    results: Dict[str, Dict[str, List[float]]] = {}
+) -> List[Record]:
+    """Throughput of every index for each query extent (first extent 0 =
+    stabbing), reported in % of the domain like the paper.  Every series is
+    timed one query at a time; ``hint-m (batched)`` times the same HINT^m
+    index through one ``query_batch`` call per extent."""
+    records = []
     for name, collection in datasets.items():
-        hint_cfg = _hint_configs_for(collection)
-        indexes: Dict[str, IntervalIndex] = dict(_build_competitors(collection))
-        from repro.core.domain import Domain
-
-        cf_bits = hint_cfg["hint"]["num_bits"]
-        domain = Domain.for_collection(collection.starts, collection.ends, cf_bits)
-        discretised = IntervalCollection(
-            ids=collection.ids,
-            starts=domain.map_values(collection.starts),
-            ends=domain.map_values(collection.ends),
-        )
-        hint_cf = ComparisonFreeHINT(discretised, num_bits=cf_bits)
-        indexes["hint-m"] = OptimizedHINTm(collection, num_bits=hint_cfg["hint-m"]["num_bits"])
-        series: Dict[str, List[float]] = {index_name: [] for index_name in indexes}
-        series["hint"] = []
-        series["extent"] = [e * 100 for e in extents]  # report as % like the paper
+        indexes = [(label, index, domain) for label, index, _, domain in _paper_indexes(collection)]
         for extent in extents:
             queries = _query_workload(collection, num_queries, extent)
-            discrete_queries = [
-                Query(domain.map_value(q.start), domain.map_value(q.end)) for q in queries
-            ]
-            for index_name, index in indexes.items():
-                series[index_name].append(measure_throughput(index, queries))
-            series["hint"].append(measure_throughput(hint_cf, discrete_queries))
-        results[name] = series
-    return results
+            for label, index, domain in indexes:
+                workload = queries if domain is None else _discrete_queries(domain, queries)
+                records.append(
+                    _record("fig13", name, label, "extent_pct", extent * 100, "throughput_qps",
+                            _qps(index, workload))
+                )
+                if label == "hint-m":
+                    qps = len(queries) / _batched_seconds(index, queries, len(queries))
+                    records.append(
+                        _record("fig13", name, "hint-m (batched)", "extent_pct", extent * 100,
+                                "throughput_qps", qps)
+                    )
+    return records
 
 
 # --------------------------------------------------------------------------- #
 # Figure 14 -- throughput on synthetic data, one sweep per panel
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SyntheticSweep:
-    """One panel of Figure 14: vary one generator parameter, keep the rest default."""
-
-    parameter: str
-    values: Sequence[object]
-    base: SyntheticConfig = field(
-        default_factory=lambda: SyntheticConfig(
-            domain_length=2_000_000, cardinality=20_000, alpha=1.2, sigma=200_000, seed=42
-        )
-    )
-
-
-DEFAULT_SWEEPS: Tuple[SyntheticSweep, ...] = (
-    SyntheticSweep("domain_length", (500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000)),
-    SyntheticSweep("cardinality", (5_000, 10_000, 20_000, 40_000, 80_000)),
-    SyntheticSweep("alpha", (1.01, 1.1, 1.2, 1.4, 1.8)),
-    SyntheticSweep("sigma", (20_000, 100_000, 200_000, 500_000, 1_000_000)),
-    SyntheticSweep("query_extent", (0.0001, 0.0005, 0.001, 0.005, 0.01)),
-)
-
-
 def fig14_synthetic_throughput(
-    sweeps: Sequence[SyntheticSweep] = DEFAULT_SWEEPS,
+    cardinality: int = 20_000,
     num_queries: int = 150,
     hint_m_bits: int = 12,
-) -> Dict[str, Dict[str, List[float]]]:
+    sweeps: Optional[Mapping[str, Sequence[float]]] = None,
+) -> List[Record]:
     """Throughput of every index across the five synthetic parameter sweeps.
 
-    Returns ``{sweep parameter: {index: [qps per value], "value": [...]}}``.
-    Queries follow the data distribution, as in the paper.
+    Each panel varies one generator parameter (or the query extent) around
+    the Table 5 defaults at ``cardinality`` intervals; the cardinality panel
+    spans 1/4x..4x of it.  Queries follow the data distribution, as in the
+    paper.  Records use ``dataset="synthetic:<parameter>"``.
     """
-    results: Dict[str, Dict[str, List[float]]] = {}
-    for sweep in sweeps:
-        series: Dict[str, List[float]] = {"value": list(sweep.values)}
-        for value in sweep.values:
-            import dataclasses
-
-            config = sweep.base
-            extent_fraction = 0.001
-            if sweep.parameter == "query_extent":
-                extent_fraction = float(value)  # type: ignore[arg-type]
+    if sweeps is None:
+        sweeps = {
+            "domain_length": (500_000, 1_000_000, 2_000_000, 4_000_000, 8_000_000),
+            "cardinality": tuple(int(cardinality * f) for f in (0.25, 0.5, 1, 2, 4)),
+            "alpha": (1.01, 1.1, 1.2, 1.4, 1.8),
+            "sigma": (20_000, 100_000, 200_000, 500_000, 1_000_000),
+            "query_extent": (0.0001, 0.0005, 0.001, 0.005, 0.01),
+        }
+    base = _synthetic_base(cardinality)
+    records = []
+    for parameter, values in sweeps.items():
+        for value in values:
+            config, extent_fraction = base, 0.001
+            if parameter == "query_extent":
+                extent_fraction = float(value)
             else:
-                config = dataclasses.replace(config, **{sweep.parameter: value})
+                config = dataclasses.replace(base, **{parameter: value})
             collection = generate_synthetic(config)
-            queries = _query_workload(
-                collection, num_queries, extent_fraction, placement="data"
-            )
-            indexes: Dict[str, IntervalIndex] = dict(_build_competitors(collection))
-            indexes["hint-m"] = OptimizedHINTm(collection, num_bits=hint_m_bits)
-            for index_name, index in indexes.items():
-                series.setdefault(index_name, []).append(measure_throughput(index, queries))
-        results[sweep.parameter] = series
-    return results
+            queries = _query_workload(collection, num_queries, extent_fraction, placement="data")
+            indexes = {
+                name: create_index(name, collection, **params)
+                for name, params in COMPETITOR_CONFIGS.items()
+            }
+            indexes["hint-m"] = create_index("hintm_opt", collection, num_bits=hint_m_bits)
+            for label, index in indexes.items():
+                records.append(
+                    _record("fig14", f"synthetic:{parameter}", label, parameter, value,
+                            "throughput_qps", _qps(index, queries))
+                )
+    return records
 
 
 # --------------------------------------------------------------------------- #
@@ -503,14 +451,24 @@ def table10_updates(
     num_deletions: int = 50,
     extent_fraction: float = 0.001,
     hint_m_bits: int = 12,
-) -> Dict[str, List[dict]]:
-    """Per-dataset rows of query/insert/delete throughput and total cost.
+) -> List[Record]:
+    """Query/insert/delete throughput and total cost of a mixed workload.
 
     Compared indexes follow the paper's Table 10: interval tree, period
     index, 1D-grid, the update-friendly ``subs+sopt`` HINT^m, and the hybrid
     HINT^m.  (The timeline index is excluded, as in the paper.)
     """
-    results: Dict[str, List[dict]] = {}
+    contenders = {
+        "interval-tree": ("interval-tree", {}),
+        "period-index": ("period-index", COMPETITOR_CONFIGS["period-index"]),
+        "1d-grid": ("1d-grid", COMPETITOR_CONFIGS["1d-grid"]),
+        "subs+sopt hint-m": (
+            "hintm_sub",
+            {"num_bits": hint_m_bits, "sort_subdivisions": False, "storage_optimization": True},
+        ),
+        "hybrid hint-m": ("hintm_hybrid", {"num_bits": hint_m_bits}),
+    }
+    records = []
     for name, collection in datasets.items():
         workload = generate_mixed_workload(
             collection,
@@ -520,52 +478,77 @@ def table10_updates(
             query_extent_fraction=extent_fraction,
             seed=99,
         )
-        contenders: Dict[str, IntervalIndex] = {
-            "interval-tree": create_index("interval-tree", workload.preload),
-            "period-index": create_index(
-                "period-index", workload.preload, **COMPETITOR_CONFIGS["period-index"]
-            ),
-            "1d-grid": create_index(
-                "1d-grid", workload.preload, **COMPETITOR_CONFIGS["1d-grid"]
-            ),
-            "subs+sopt hint-m": SubdividedHINTm(
-                workload.preload,
-                num_bits=hint_m_bits,
-                sort_subdivisions=False,
-                storage_optimization=True,
-            ),
-            "hybrid hint-m": HybridHINTm(workload.preload, num_bits=hint_m_bits),
-        }
-        rows = []
-        for index_name, index in contenders.items():
-            timings = {Operation.QUERY: 0.0, Operation.INSERT: 0.0, Operation.DELETE: 0.0}
-            counts = {Operation.QUERY: 0, Operation.INSERT: 0, Operation.DELETE: 0}
+        for label, (backend, params) in contenders.items():
+            index = create_index(backend, workload.preload, **params)
+            apply = {
+                Operation.QUERY: index.query,
+                Operation.INSERT: index.insert,
+                Operation.DELETE: index.delete,
+            }
+            timings = dict.fromkeys(apply, 0.0)
+            counts = dict.fromkeys(apply, 0)
             start_total = time.perf_counter()
             for operation, payload in workload.operations:
                 start = time.perf_counter()
-                if operation is Operation.QUERY:
-                    index.query(payload)
-                elif operation is Operation.INSERT:
-                    index.insert(payload)
-                else:
-                    index.delete(payload)
+                apply[operation](payload)
                 timings[operation] += time.perf_counter() - start
                 counts[operation] += 1
             total = time.perf_counter() - start_total
-            rows.append(
-                {
-                    "index": index_name,
-                    "query_throughput": counts[Operation.QUERY] / timings[Operation.QUERY]
-                    if timings[Operation.QUERY]
-                    else 0.0,
-                    "insert_throughput": counts[Operation.INSERT] / timings[Operation.INSERT]
-                    if timings[Operation.INSERT]
-                    else 0.0,
-                    "delete_throughput": counts[Operation.DELETE] / timings[Operation.DELETE]
-                    if timings[Operation.DELETE]
-                    else 0.0,
-                    "total_seconds": total,
-                }
-            )
-        results[name] = rows
-    return results
+            rates = {
+                metric: counts[operation] / timings[operation] if timings[operation] else 0.0
+                for metric, operation in (
+                    ("query_qps", Operation.QUERY),
+                    ("insert_ops", Operation.INSERT),
+                    ("delete_ops", Operation.DELETE),
+                )
+            }
+            for metric, value in (*rates.items(), ("total_s", total)):
+                records.append(
+                    _record("table10", name, label, "cardinality", len(collection), metric, value)
+                )
+    return records
+
+
+# --------------------------------------------------------------------------- #
+# Batch crossover -- the measurement behind optimized._BATCH_CROSSOVER
+# --------------------------------------------------------------------------- #
+def batch_crossover(
+    cardinality: int = 20_000,
+    batch_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+    num_bits: int = 12,
+    repeats: int = 3,
+) -> List[Record]:
+    """Per-query loop vs the vectorised traversal of ``OptimizedHINTm``, by
+    ``query_batch`` chunk size, on the Table 5 synthetic defaults.
+
+    This has no counterpart in the paper (a C++ implementation does not
+    face the choice).  The kernel pays a fixed cost per batch that the loop
+    does not; ``optimized._BATCH_CROSSOVER`` belongs where the
+    ``us_per_query`` columns cross, so the sweep sets it to force each path.
+    The ``throughput_qps`` rows contrast the columnar layout with the
+    row-wise records one query at a time, separating NumPy's columnar scans
+    from the index structure itself.
+    """
+    collection = generate_synthetic(_synthetic_base(cardinality))
+    queries = _query_workload(collection, max(batch_sizes), 0.001, placement="data", seed=1)
+    index = create_index("hintm_opt", collection, num_bits=num_bits)
+    records = []
+    saved = optimized._BATCH_CROSSOVER
+    try:
+        for series, crossover in (("loop", len(queries) + 1), ("kernel", 1)):
+            optimized._BATCH_CROSSOVER = crossover
+            for size in batch_sizes:
+                seconds = _batched_seconds(index, queries, size, repeats)
+                records.append(
+                    _record("batch_crossover", "synthetic", series, "batch_size", size,
+                            "us_per_query", seconds / len(queries) * 1e6)
+                )
+    finally:
+        optimized._BATCH_CROSSOVER = saved
+    for series, columnar in (("columnar", True), ("row-wise", False)):
+        layout = create_index("hintm_opt", collection, num_bits=num_bits, columnar=columnar)
+        records.append(
+            _record("batch_crossover", "synthetic", series, "batch_size", 1, "throughput_qps",
+                    _qps(layout, queries))
+        )
+    return records

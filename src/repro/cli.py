@@ -576,7 +576,7 @@ def _describe_store(store: IntervalStore) -> str:
 
 
 def _command_bench(args: argparse.Namespace) -> int:
-    from repro.bench.harness import measure_latency, measure_throughput
+    from repro.bench.harness import measure_throughput
     from repro.queries.generator import QueryWorkloadConfig, generate_queries
 
     collection = _load(args.csv, args.header)
@@ -600,12 +600,11 @@ def _command_bench(args: argparse.Namespace) -> int:
             shard_strategy=args.shard_strategy,
         )
         build_seconds = time.perf_counter() - build_start
-        throughput = measure_throughput(store.index, queries, repeats=args.repeats)
-        latency = measure_latency(store.index, queries)
+        timing = measure_throughput(store.index, queries, repeats=args.repeats)
         executor_name = store.index.executor.name if shards > 1 else "serial"
         workers = store.index.executor.workers if shards > 1 else 1
         rows.append(
-            (shards, executor_name, workers, build_seconds, throughput, latency)
+            (shards, executor_name, workers, build_seconds, timing["qps"], timing)
         )
         maintenance_line = _run_maintenance(store, args.maintenance)
         if maintenance_line:

@@ -113,6 +113,12 @@ _PREDICATES: Dict[AllenRelation, Callable] = {
     AllenRelation.AFTER: _after,
 }
 
+# Bound to each member once: a dict lookup keyed by the member would run the
+# Python-level ``Enum.__hash__`` on every call, and standing-query refinement
+# and relation-filtered answers call it once per candidate.
+for _relation, _predicate in _PREDICATES.items():
+    _relation._predicate = _predicate
+
 #: Relations that imply the interval shares at least one point with the query.
 #: A range (overlap) query retrieves exactly the union of these relations,
 #: so candidates for any of them can be produced by the HINT range query.
@@ -135,19 +141,19 @@ RANGE_QUERY_RELATIONS = frozenset(
 
 def satisfies_relation(interval: Interval, query: Query, relation: AllenRelation) -> bool:
     """Return True iff ``interval RELATION query`` holds."""
-    return bool(_PREDICATES[relation](interval.start, interval.end, query))
+    return bool(relation._predicate(interval.start, interval.end, query))
 
 
 def relation_mask(
     relation: AllenRelation, starts: np.ndarray, ends: np.ndarray, query: Query
 ) -> np.ndarray:
     """Row-wise :func:`satisfies_relation` over two endpoint columns."""
-    return _PREDICATES[relation](starts, ends, query)
+    return relation._predicate(starts, ends, query)
 
 
 def allen_relation(interval: Interval, query: Query) -> AllenRelation:
     """Return the unique Allen relation that holds between ``interval`` and ``query``."""
-    for relation in _PREDICATES:
+    for relation in AllenRelation:
         if satisfies_relation(interval, query, relation):
             return relation
     raise AssertionError("Allen's relations are exhaustive; unreachable")  # pragma: no cover

@@ -11,7 +11,7 @@ them interchangeably:
   backends with cheaper paths (counting partition runs, vectorised masks)
   override them so ``store.query(...).count()`` never builds a result list,
 * :meth:`IntervalIndex.query_batch` -- answer many queries in one call, one
-  int64 id array per query (the entry point the benchmark harness drives),
+  int64 id array per query (the entry point of batched execution),
 * :meth:`IntervalIndex.insert` / :meth:`IntervalIndex.delete` -- updates,
 * :meth:`IntervalIndex.live_collection` -- the live rows, columnar (read from
   the index's one id -> span table, :mod:`repro.core.spans`),

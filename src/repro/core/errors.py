@@ -24,8 +24,7 @@ class EmptyCollectionError(ReproError, ValueError):
 class UnknownBackendError(ReproError, KeyError):
     """Raised when a backend name is not present in the engine registry.
 
-    Subclasses ``KeyError`` so callers of the legacy
-    ``repro.bench.harness.build_index`` registry keep working unchanged.
+    Subclasses ``KeyError``, since a backend name is a lookup key.
     """
 
 

@@ -1,11 +1,11 @@
 """Batch query execution.
 
-Throughput experiments and bulk API consumers hand the engine a whole
-workload at once; :func:`execute_batch` drives it through the backend's
+Bulk API consumers hand the engine a whole workload at once;
+:func:`execute_batch` drives it through the backend's
 :meth:`repro.core.base.IntervalIndex.query_batch` hook (or the
 ``query_count`` fast path in count-only mode) and reports results together
-with wall-clock metrics, so the benchmark harness, the CLI and library users
-all exercise the same entry point.
+with wall-clock metrics, so the CLI and library users exercise the same
+entry point.
 
 Execution routes through a pluggable :class:`repro.engine.executor.Executor`:
 the serial executor (the default) evaluates the batch inline, while a

@@ -1,9 +1,9 @@
 """Pluggable query executors: how the engine runs work, not what it runs.
 
 Every execution entry point in the engine -- :class:`repro.engine.store.IntervalStore`
-batches, :class:`repro.engine.sharded.ShardedIndex` shard fan-out, the
-benchmark harness -- routes through an :class:`Executor`.  An executor maps a
-function over a list of work items; the two implementations are
+batches and :class:`repro.engine.sharded.ShardedIndex` shard fan-out --
+routes through an :class:`Executor`.  An executor maps a function over a
+list of work items; the two implementations are
 
 * :class:`SerialExecutor` -- runs everything inline.  The single-index,
   single-thread store is just this degenerate case, so adding parallelism

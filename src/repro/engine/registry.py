@@ -2,7 +2,7 @@
 
 Every interval index in the library self-registers here (via the
 :func:`register_backend` class decorator) under a short canonical key plus
-the legacy benchmark-harness name as an alias:
+the paper-comparison name as an alias:
 
 ======================  ==============================  =================
 canonical name          class                           paper section
@@ -20,8 +20,9 @@ canonical name          class                           paper section
 ======================  ==============================  =================
 
 :func:`create_index` is the single construction entry point used by the
-:class:`repro.engine.store.IntervalStore` facade, the benchmark harness and
-the CLI.  It adds two conveniences on top of calling ``cls.build(...)``:
+:class:`repro.engine.store.IntervalStore` facade, the paper's experiment
+drivers and the CLI.  It adds two conveniences on top of calling
+``cls.build(...)``:
 
 * ``num_bits="auto"`` on the HINT^m family routes the choice of ``m``
   through the paper's analytical model with the walk priced
@@ -67,8 +68,8 @@ class BackendSpec:
     Attributes:
         name: canonical registry key (``"hintm_opt"``).
         cls: the :class:`IntervalIndex` subclass.
-        aliases: accepted alternative names; the first alias is the legacy
-            benchmark-harness name (``"hint-m-opt"``).
+        aliases: accepted alternative names, such as the paper-comparison
+            name (``"hint-m-opt"``).
         description: one-line human-readable summary.
         paper_section: where the structure is described in the paper.
         tunable: True when the backend takes the HINT ``num_bits``/``m``
@@ -76,8 +77,7 @@ class BackendSpec:
         discrete_domain: True when endpoints must already lie in the discrete
             domain ``[0, 2^num_bits - 1]`` (the comparison-free HINT).
         composite: True for backends that wrap other registered backends
-            (the sharded store); excluded from paper-comparison shims like
-            the legacy ``INDEX_BUILDERS`` table.
+            (the sharded store) rather than compete with them.
     """
 
     name: str
@@ -88,11 +88,6 @@ class BackendSpec:
     tunable: bool = False
     discrete_domain: bool = False
     composite: bool = False
-
-    @property
-    def legacy_name(self) -> str:
-        """The name the pre-engine benchmark harness used for this backend."""
-        return self.aliases[0] if self.aliases else self.name
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}

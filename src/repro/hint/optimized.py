@@ -54,10 +54,10 @@ _TUPLE_BYTES = 40
 
 #: batches at least this long go through the vectorised traversal, shorter
 #: ones through the per-query loop.  The traversal costs ~200 us per call plus
-#: ~15 us per query where the loop costs ~45-65 us per query (the batch-size
-#: sweep of bench_ablation_vectorization: 10k synthetic intervals at m = 12,
-#: CPython 3.11 on a 2-core Xeon VM): loop / kernel is 0.97 at 6 queries and
-#: 1.25 at 7
+#: ~15 us per query where the loop costs ~45-65 us per query (the
+#: ``batch_crossover`` sweep of :mod:`repro.bench.experiments`: 10k synthetic
+#: intervals at m = 12, CPython 3.11 on a 2-core Xeon VM): loop / kernel is
+#: 0.97 at 6 queries and 1.25 at 7
 _BATCH_CROSSOVER = 7
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.allen import RANGE_QUERY_RELATIONS, AllenRelation, satisfies_relation
 from repro.core.errors import ReproError
@@ -122,6 +122,8 @@ class SubscriptionRegistry:
     def __init__(self) -> None:
         self._subscriptions: Dict[int, Subscription] = {}
         self._watch = RangeWatch()
+        #: ids of the plain subscriptions: the overlap mask alone decides them
+        self._plain: Set[int] = set()
         self._next_id = 0
         self._lock = threading.RLock()
 
@@ -207,6 +209,16 @@ class SubscriptionRegistry:
         if not subscription.range_prunable:
             watched = RangeWatch.EVERYWHERE
         self._watch.add(subscription.subscription_id, *watched)
+        lo, hi = RangeWatch.EVERYWHERE
+        if (
+            subscription.relation is None
+            and subscription.min_duration == 0
+            and subscription.max_duration is None
+            and subscription.predicate is None
+            and lo <= query.start
+            and query.end <= hi  # a clamped range can touch what it misses
+        ):
+            self._plain.add(subscription.subscription_id)
         self._subscriptions[subscription.subscription_id] = subscription
         self._next_id = max(self._next_id, subscription.subscription_id + 1)
         return subscription
@@ -217,21 +229,24 @@ class SubscriptionRegistry:
             if self._subscriptions.pop(subscription_id, None) is None:
                 return False
             self._watch.remove(subscription_id)
+            self._plain.discard(subscription_id)
             return True
 
     # ------------------------------------------------------------------ #
     def affected(self, interval: Interval) -> List[Subscription]:
         """Subscriptions whose result set changes when ``interval`` is
-        inserted or deleted: the watch's overlap mask, then each
-        candidate's exact :meth:`Subscription.matches`."""
+        inserted or deleted: the watch's overlap mask, then the exact
+        :meth:`Subscription.matches` of each candidate the mask has not
+        already decided (a plain subscription matches what it overlaps)."""
         with self._lock:
+            subscriptions, plain = self._subscriptions, self._plain
             candidates = [
-                self._subscriptions[subscription_id]
+                (subscriptions[subscription_id], subscription_id in plain)
                 for subscription_id in self._watch.touched(
                     interval.start, interval.end
                 )
             ]
-        return [s for s in candidates if s.matches(interval)]
+        return [s for s, decided in candidates if decided or s.matches(interval)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"SubscriptionRegistry(n={len(self._subscriptions)})"

@@ -1,95 +1,38 @@
-"""Unit tests for the benchmark harness and reporting helpers."""
+"""Unit tests for the one timing loop (repro.bench.harness)."""
 
-import pytest
-
-from repro.bench.harness import (
-    INDEX_BUILDERS,
-    build_index,
-    measure_build_time,
-    measure_index_size,
-    measure_throughput,
-)
-from repro.bench.reporting import format_series, format_table
-from repro.core.interval import Query
+from repro.bench.harness import measure_throughput
+from repro.engine import create_index
 
 
-class TestHarness:
-    def test_registry_contains_all_paper_indexes(self):
-        for name in ("interval-tree", "period-index", "timeline", "1d-grid", "hint", "hint-m-opt"):
-            assert name in INDEX_BUILDERS
+class TestMeasureThroughput:
+    def test_times_each_query_through_query_not_query_batch(
+        self, synthetic_collection, synthetic_queries
+    ):
+        calls = {"query": 0, "query_batch": 0}
+        index = create_index("hintm_opt", synthetic_collection, num_bits=8)
+        query, query_batch = index.query, index.query_batch
 
-    def test_build_index_unknown_name(self, synthetic_collection):
-        with pytest.raises(KeyError):
-            build_index("b-tree", synthetic_collection)
+        def counted_query(q):
+            calls["query"] += 1
+            return query(q)
 
-    def test_build_index_with_overrides(self, synthetic_collection):
-        index = build_index("hint-m-opt", synthetic_collection, num_bits=7)
-        assert index.num_bits == 7
+        def counted_batch(qs):
+            calls["query_batch"] += 1
+            return query_batch(qs)
 
-    def test_measure_build_time(self, synthetic_collection):
-        result = measure_build_time("1d-grid", synthetic_collection, num_partitions=64)
-        assert result.build_seconds > 0
-        assert result.size_bytes > 0
-        assert result.index_name == "1d-grid"
+        index.query, index.query_batch = counted_query, counted_batch
+        result = measure_throughput(index, synthetic_queries[:30], repeats=2)
+        assert result["qps"] > 0
+        assert calls == {"query": 60, "query_batch": 0}
 
-    def test_measure_index_size(self, synthetic_collection):
-        index = build_index("hint-m-opt", synthetic_collection, num_bits=8)
-        assert measure_index_size(index) == index.memory_bytes()
+    def test_one_pass_gives_throughput_and_latency_quantiles(
+        self, synthetic_collection, synthetic_queries
+    ):
+        index = create_index("hintm_opt", synthetic_collection, num_bits=8)
+        result = measure_throughput(index, synthetic_queries[:30])
+        assert set(result) == {"qps", "p50", "p95", "p99"}
+        assert 0 < result["p50"] <= result["p95"] <= result["p99"]
 
-    def test_measure_throughput(self, synthetic_collection, synthetic_queries):
-        index = build_index("hint-m-opt", synthetic_collection, num_bits=8)
-        throughput = measure_throughput(index, synthetic_queries[:30])
-        assert throughput > 0
-
-    def test_measure_throughput_empty_workload(self, synthetic_collection):
-        index = build_index("naive-scan", synthetic_collection)
-        assert measure_throughput(index, []) == 0.0
-
-    def test_all_registered_indexes_answer_queries(self, synthetic_collection):
-        lo, hi = synthetic_collection.span()
-        q = Query(lo + (hi - lo) // 3, lo + (hi - lo) // 3 + (hi - lo) // 100)
-        small_kwargs = {
-            "1d-grid": {"num_partitions": 32},
-            "timeline": {"num_checkpoints": 20},
-            "period-index": {"num_coarse_partitions": 10, "num_levels": 3},
-            "hint": {"num_bits": 14},
-            "hint-m": {"num_bits": 8},
-            "hint-m-subs": {"num_bits": 8},
-            "hint-m-opt": {"num_bits": 8},
-            "hint-m-hybrid": {"num_bits": 8},
-        }
-        reference = None
-        for name in INDEX_BUILDERS:
-            if name == "hint":
-                continue  # needs a discrete domain; covered in its own tests
-            index = build_index(name, synthetic_collection, **small_kwargs.get(name, {}))
-            results = sorted(index.query(q))
-            if reference is None:
-                reference = results
-            assert results == reference, name
-
-
-class TestReporting:
-    def test_format_table_contains_all_cells(self):
-        table = format_table(
-            "Table X", ["dataset", "throughput"], [["BOOKS", 1234.5], ["TAXIS", 99]]
-        )
-        assert "Table X" in table
-        assert "BOOKS" in table and "TAXIS" in table
-        assert "1,234" in table or "1234" in table
-
-    def test_format_series_aligns_columns(self):
-        text = format_series(
-            "Figure Y",
-            "m",
-            [5, 10],
-            {"hint-m": [100.0, 200.0], "1d-grid": [50.0, 60.0]},
-        )
-        assert "Figure Y" in text
-        assert "hint-m" in text and "1d-grid" in text
-        lines = text.splitlines()
-        assert len(lines) >= 5
-
-    def test_format_series_handles_missing_points(self):
-        text = format_series("F", "x", [1, 2, 3], {"a": [1.0, 2.0]})
-        assert "nan" in text.lower()
+    def test_empty_workload(self, synthetic_collection):
+        index = create_index("naive-scan", synthetic_collection)
+        assert measure_throughput(index, [])["qps"] == 0.0

@@ -86,16 +86,3 @@ class TestStoreRunBatch:
         result = store.run_batch(batch_queries, count_only=True)
         for query, count in zip(batch_queries, result.counts):
             assert count == store.query().overlapping(query.start, query.end).count()
-
-
-class TestHarnessUsesBatch:
-    def test_measure_throughput_drives_query_batch(self, batch_collection, batch_queries):
-        from repro.bench.harness import measure_throughput
-
-        calls = []
-        index = create_index("naive", batch_collection)
-        original = index.query_batch
-        index.query_batch = lambda queries: calls.append(len(queries)) or original(queries)
-        throughput = measure_throughput(index, batch_queries, repeats=2)
-        assert throughput > 0
-        assert calls == [len(batch_queries)] * 2

@@ -84,10 +84,21 @@ class TestRegistry:
         by_name = {spec.name: spec for spec in backend_specs()}
         assert by_name["hintm_opt"].cls.__name__ == "OptimizedHINTm"
         assert "4.2" in by_name["hintm_opt"].paper_section
-        assert by_name["hintm_opt"].legacy_name == "hint-m-opt"
+        assert by_name["hintm_opt"].aliases == ("hint-m-opt",)
 
 
 class TestCreateIndex:
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in backend_specs() if not spec.composite]
+    )
+    def test_every_backend_answers_like_the_oracle(self, synthetic_collection, name):
+        from repro.baselines.naive import NaiveIndex
+
+        lo, hi = synthetic_collection.span()
+        q = Query(lo + (hi - lo) // 3, lo + (hi - lo) // 3 + (hi - lo) // 100)
+        expected = sorted(NaiveIndex.build(synthetic_collection).query(q))
+        assert sorted(create_index(name, synthetic_collection).query(q)) == expected
+
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_every_backend_constructible_with_defaults(self, synthetic_collection, name):
         index = create_index(name, synthetic_collection)
@@ -147,20 +158,19 @@ class TestCreateIndex:
         assert index.query(Query(0, 10)).tolist() == []
 
 
-class TestHarnessShim:
-    def test_legacy_builder_names_preserved(self):
-        from repro.bench.harness import INDEX_BUILDERS
+class TestLegacyNames:
+    #: the paper-comparison names the benchmark code used before the registry
+    LEGACY = {
+        "naive-scan": "naive", "interval-tree": "interval_tree", "1d-grid": "grid1d",
+        "timeline": "timeline", "period-index": "period", "hint": "hint_cf",
+        "hint-m": "hintm", "hint-m-subs": "hintm_sub", "hint-m-opt": "hintm_opt",
+        "hint-m-hybrid": "hintm_hybrid",
+    }
 
-        assert set(INDEX_BUILDERS) == {
-            "naive-scan", "interval-tree", "1d-grid", "timeline", "period-index",
-            "hint", "hint-m", "hint-m-subs", "hint-m-opt", "hint-m-hybrid",
-        }
-
-    def test_build_index_accepts_canonical_names(self, synthetic_collection):
-        from repro.bench.harness import build_index
-
-        index = build_index("hintm_opt", synthetic_collection, num_bits=7)
-        assert index.num_bits == 7
+    @pytest.mark.parametrize("legacy", sorted(LEGACY))
+    def test_legacy_name_builds_the_canonical_backend(self, synthetic_collection, legacy):
+        index = create_index(legacy, synthetic_collection)
+        assert type(index) is get_spec(self.LEGACY[legacy]).cls
 
     def test_open_store_defaults_to_auto_tuning(self, synthetic_collection):
         store = IntervalStore.open(synthetic_collection)

@@ -173,7 +173,8 @@ class TestSubscriptionRegistry:
     def test_matches_runs_only_for_overlapping_and_unbounded(self, monkeypatch):
         # per update, one overlap mask over the watched ranges, then
         # Subscription.matches only for the ranges it returns plus the
-        # unbounded subscriptions -- never a scan over every subscription
+        # unbounded subscriptions -- never a scan over every subscription --
+        # and never for a plain one, whose match the mask already decided
         import random
 
         rng = random.Random(29)
@@ -182,7 +183,9 @@ class TestSubscriptionRegistry:
         for _ in range(2_000):
             start = rng.randrange(0, 1_000_000)
             ranges.append((start, start + rng.randrange(0, 2_000)))
-            registry.register(Query(*ranges[-1]))
+            # odd ids carry a duration bound that never rejects: refined
+            bound = 10**9 if len(ranges) % 2 == 0 else None
+            registry.register(Query(*ranges[-1]), max_duration=bound)
         unbounded = [
             registry.register(Query(500_000, 500_100), relation="after"),
             registry.register(Query(10, 20), relation="before"),
@@ -206,7 +209,8 @@ class TestSubscriptionRegistry:
             }
             checked.clear()
             affected = {s.subscription_id for s in registry.affected(update)}
-            assert sorted(checked) == sorted(overlapping | unbounded_ids)
+            refined = {sid for sid in overlapping if sid % 2}
+            assert sorted(checked) == sorted(refined | unbounded_ids)
             assert affected - unbounded_ids == overlapping
 
     def test_unbounded_relations_always_checked(self):
@@ -246,8 +250,11 @@ class TestSubscriptionRegistry:
         registry = SubscriptionRegistry()
         wide = registry.register(Query(100, 2**70))
         low = registry.register(Query(-(2**70), -5))
+        # wholly past int64: clamped to the edge, so the mask touches what
+        # the subscription misses, and only its exact match can tell
+        registry.register(Query(2**64, 2**70))
         plain = [registry.register(Query(i * 10, i * 10 + 5)) for i in range(120)]
-        assert len(registry) == 122
+        assert len(registry) == 123
         for update, want in (
             (Interval(1, 2**63 - 10, 2**63 - 1), {wide}),
             (Interval(2, -(2**63), -(2**63) + 3), {low}),

@@ -97,6 +97,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {unknown}; available: {sorted(runners)}")
 
+    args.output.mkdir(parents=True, exist_ok=True)
     records = []
     for name in selected:
         start = time.perf_counter()
@@ -105,10 +106,10 @@ def main(argv=None) -> int:
         print(pivot(produced))
         print(f"--- {name} finished in {time.perf_counter() - start:.1f}s\n", flush=True)
         records.extend(produced)
-    args.output.mkdir(parents=True, exist_ok=True)
-    # one record per line, so two ledgers diff record by record
-    lines = ",\n".join(json.dumps(record) for record in records)
-    (args.output / "paper_ledger.json").write_text(f"[\n{lines}\n]\n")
+        # rewritten after every experiment, so a run cut short keeps what
+        # finished; one record per line, so two ledgers diff record by record
+        lines = ",\n".join(json.dumps(record) for record in records)
+        (args.output / "paper_ledger.json").write_text(f"[\n{lines}\n]\n")
     return 0
 
 

@@ -512,43 +512,32 @@ def table10_updates(
 # --------------------------------------------------------------------------- #
 # Batch crossover -- the measurement behind optimized._BATCH_CROSSOVER
 # --------------------------------------------------------------------------- #
-def batch_crossover(
-    cardinality: int = 20_000,
-    batch_sizes: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
-    num_bits: int = 12,
-    repeats: int = 3,
-) -> List[Record]:
+def batch_crossover(cardinality: int = 20_000) -> List[Record]:
     """Per-query loop vs the vectorised traversal of ``OptimizedHINTm``, by
-    ``query_batch`` chunk size, on the Table 5 synthetic defaults.
+    ``query_batch`` chunk size, on the Table 5 synthetic defaults at m = 12.
 
     This has no counterpart in the paper (a C++ implementation does not
     face the choice).  The kernel pays a fixed cost per batch that the loop
     does not; ``optimized._BATCH_CROSSOVER`` belongs where the
     ``us_per_query`` columns cross, so the sweep sets it to force each path.
-    The ``throughput_qps`` rows contrast the columnar layout with the
-    row-wise records one query at a time, separating NumPy's columnar scans
-    from the index structure itself.
+    The columnar layout against row-wise records, one query at a time, is
+    Fig. 12's ``all optimizations`` against ``skew&sparsity``.
     """
     collection = generate_synthetic(_synthetic_base(cardinality))
+    batch_sizes = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
     queries = _query_workload(collection, max(batch_sizes), 0.001, placement="data", seed=1)
-    index = create_index("hintm_opt", collection, num_bits=num_bits)
+    index = create_index("hintm_opt", collection, num_bits=12)
     records = []
     saved = optimized._BATCH_CROSSOVER
     try:
         for series, crossover in (("loop", len(queries) + 1), ("kernel", 1)):
             optimized._BATCH_CROSSOVER = crossover
             for size in batch_sizes:
-                seconds = _batched_seconds(index, queries, size, repeats)
+                seconds = _batched_seconds(index, queries, size, repeats=3)
                 records.append(
                     _record("batch_crossover", "synthetic", series, "batch_size", size,
                             "us_per_query", seconds / len(queries) * 1e6)
                 )
     finally:
         optimized._BATCH_CROSSOVER = saved
-    for series, columnar in (("columnar", True), ("row-wise", False)):
-        layout = create_index("hintm_opt", collection, num_bits=num_bits, columnar=columnar)
-        records.append(
-            _record("batch_crossover", "synthetic", series, "batch_size", 1, "throughput_qps",
-                    _qps(layout, queries))
-        )
     return records

@@ -184,10 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4], metavar="K",
                        help="shard counts to sweep (default: 1 2 4)")
     bench.add_argument("--workers", type=int, default=None, metavar="W",
-                       help="process-pool size for the parallel rows; needs "
-                            "--executor processes")
+                       help="accepted for symmetry with query/batch; bench rows "
+                            "time one query at a time in-process, so no pool runs")
     bench.add_argument("--executor", choices=executor_names, default=None,
-                       help=f"execution strategy for the parallel rows -- {executor_help}")
+                       help="accepted for symmetry with query/batch; bench rows "
+                            "always run serial")
     bench.add_argument("--shard-strategy", choices=PARTITION_STRATEGIES,
                        default="equi_width")
     add_maintenance_arg(bench)
@@ -586,43 +587,37 @@ def _command_bench(args: argparse.Namespace) -> int:
             count=args.num_queries, extent_fraction=args.extent, seed=args.seed
         ),
     )
+    if args.executor == "processes":
+        # index.query runs in this process, so a pool would only be started
+        # for nothing, and a lazily built shard would be timed as query time
+        print("# bench times one query call at a time in-process; "
+              "--executor processes and --workers do not apply to its rows")
     rows = []
     for shards in args.shards:
-        parallel = shards > 1 and (args.workers or args.executor)
         build_start = time.perf_counter()
         store = _open_store(
             args.index,
             collection,
             args.num_bits,
             shards=shards,
-            workers=args.workers if parallel else None,
-            executor=args.executor if parallel else None,
             shard_strategy=args.shard_strategy,
         )
         build_seconds = time.perf_counter() - build_start
         timing = measure_throughput(store.index, queries, repeats=args.repeats)
-        executor_name = store.index.executor.name if shards > 1 else "serial"
-        workers = store.index.executor.workers if shards > 1 else 1
-        rows.append(
-            (shards, executor_name, workers, build_seconds, timing["qps"], timing)
-        )
+        rows.append((shards, build_seconds, timing))
         maintenance_line = _run_maintenance(store, args.maintenance)
         if maintenance_line:
             print(f"# K={shards} {maintenance_line[2:]}")
         store.close()
     # speedups are relative to the K=1 row (first row when 1 wasn't swept)
-    baseline = next((r[4] for r in rows if r[0] == 1), rows[0][4] if rows else 0.0)
-    print(
-        "shards  executor   workers   build[s]      q/s  speedup  "
-        "p50[ms]  p95[ms]  p99[ms]"
-    )
-    for shards, executor_name, workers, build_seconds, throughput, latency in rows:
-        speedup = throughput / baseline if baseline else 0.0
+    baseline = next((r[2]["qps"] for r in rows if r[0] == 1), rows[0][2]["qps"] if rows else 0.0)
+    print("shards   build[s]      q/s  speedup  p50[ms]  p95[ms]  p99[ms]")
+    for shards, build_seconds, timing in rows:
+        speedup = timing["qps"] / baseline if baseline else 0.0
         print(
-            f"{shards:6d}  {executor_name:>8s}  {workers:7d}  {build_seconds:9.3f}  "
-            f"{throughput:7,.0f}  {speedup:6.2f}x  "
-            f"{latency['p50'] * 1000:7.3f}  {latency['p95'] * 1000:7.3f}  "
-            f"{latency['p99'] * 1000:7.3f}"
+            f"{shards:6d}  {build_seconds:9.3f}  {timing['qps']:7,.0f}  {speedup:6.2f}x  "
+            f"{timing['p50'] * 1000:7.3f}  {timing['p95'] * 1000:7.3f}  "
+            f"{timing['p99'] * 1000:7.3f}"
         )
     return 0
 

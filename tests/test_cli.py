@@ -190,6 +190,18 @@ class TestBenchCommand:
                 line.startswith(f"# K={shards} maintenance: ") for line in lines
             ), lines
 
+    def test_bench_rows_run_serial_whatever_the_executor_flag(self, csv_path, capsys):
+        assert main([
+            "bench", str(csv_path), "--num-queries", "20", "--repeats", "1",
+            "--shards", "1", "2", "--executor", "processes", "--workers", "2",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# bench times one query call at a time in-process")
+        header, *rows = lines[1:]
+        assert header.split()[:3] == ["shards", "build[s]", "q/s"]
+        assert [row.split()[0] for row in rows] == ["1", "2"]
+        assert not any("processes" in row for row in rows)
+
 
 class TestStatsCommand:
     def test_stats_output(self, csv_path, capsys):

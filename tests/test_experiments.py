@@ -187,12 +187,12 @@ class TestTableDrivers:
 
     def test_batch_crossover_restores_the_constant(self):
         before = optimized._BATCH_CROSSOVER
-        records = experiments.batch_crossover(cardinality=300, batch_sizes=(1, 8), repeats=1)
+        records = experiments.batch_crossover(cardinality=300)
         assert optimized._BATCH_CROSSOVER == before
         _check_flat(records, "batch_crossover")
+        assert {r["metric"] for r in records} == {"us_per_query"}
         assert _series(records, "us_per_query") == {"loop", "kernel"}
-        assert _series(records, "throughput_qps") == {"columnar", "row-wise"}
-        assert sorted({r["x"] for r in records if r["metric"] == "us_per_query"}) == [1, 8]
+        assert sorted({r["x"] for r in records}) == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]
 
 
 class _CountingSpy:
@@ -247,3 +247,18 @@ class TestEntryPoint:
         # ... and only hint-m (batched) goes through query_batch, once per extent
         assert [spy.backend for spy in batched] == ["hintm_opt"] * 4
         assert all(spy.calls["query_batch"] == extents for spy in batched)
+
+    def test_ledger_keeps_the_experiments_finished_before_a_failure(
+        self, tmp_path, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise RuntimeError("experiment failed")
+
+        monkeypatch.setattr(experiments, "table9_index_times", failing)
+        with pytest.raises(RuntimeError, match="experiment failed"):
+            run_experiments.main([
+                "--cardinality", "300", "--only", "table8", "table9",
+                "--output", str(tmp_path),
+            ])
+        records = json.loads((tmp_path / "paper_ledger.json").read_text())
+        assert records and {r["experiment"] for r in records} == {"table8"}

@@ -22,6 +22,7 @@ scales; every driver takes the workload size as a parameter.
 from __future__ import annotations
 
 import dataclasses
+import statistics
 import time
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -116,18 +117,13 @@ def _qps(index: IntervalIndex, queries: Sequence[Query]) -> float:
     return measure_throughput(index, queries)["qps"]
 
 
-def _batched_seconds(
-    index: IntervalIndex, queries: Sequence[Query], batch_size: int, repeats: int = 1
-) -> float:
-    """Best-of-``repeats`` time of ``query_batch`` over ``batch_size`` chunks."""
+def _batched_seconds(index: IntervalIndex, queries: Sequence[Query], batch_size: int) -> float:
+    """Time of ``query_batch`` over ``batch_size`` chunks of ``queries``."""
     chunks = [queries[lo:lo + batch_size] for lo in range(0, len(queries), batch_size)]
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for chunk in chunks:
-            index.query_batch(chunk)
-        best = min(best, time.perf_counter() - start)
-    return best
+    start = time.perf_counter()
+    for chunk in chunks:
+        index.query_batch(chunk)
+    return time.perf_counter() - start
 
 
 def _discretise(
@@ -520,23 +516,30 @@ def batch_crossover(cardinality: int = 20_000) -> List[Record]:
     face the choice).  The kernel pays a fixed cost per batch that the loop
     does not; ``optimized._BATCH_CROSSOVER`` belongs where the
     ``us_per_query`` columns cross, so the sweep sets it to force each path.
-    The columnar layout against row-wise records, one query at a time, is
-    Fig. 12's ``all optimizations`` against ``skew&sparsity``.
+    At each chunk size the two paths are timed in turn, seven times each,
+    the first path alternating, and each point is a median: a swing of the
+    host's speed lands on both series.  The columnar layout against
+    row-wise records, one query at a time, is Fig. 12's ``all
+    optimizations`` against ``skew&sparsity``.
     """
     collection = generate_synthetic(_synthetic_base(cardinality))
     batch_sizes = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
     queries = _query_workload(collection, max(batch_sizes), 0.001, placement="data", seed=1)
     index = create_index("hintm_opt", collection, num_bits=12)
+    paths = (("loop", len(queries) + 1), ("kernel", 1))
     records = []
     saved = optimized._BATCH_CROSSOVER
     try:
-        for series, crossover in (("loop", len(queries) + 1), ("kernel", 1)):
-            optimized._BATCH_CROSSOVER = crossover
-            for size in batch_sizes:
-                seconds = _batched_seconds(index, queries, size, repeats=3)
+        for size in batch_sizes:
+            seconds: Dict[str, List[float]] = {series: [] for series, _ in paths}
+            for turn in range(7):
+                for series, crossover in paths if turn % 2 == 0 else paths[::-1]:
+                    optimized._BATCH_CROSSOVER = crossover
+                    seconds[series].append(_batched_seconds(index, queries, size))
+            for series, _ in paths:
                 records.append(
                     _record("batch_crossover", "synthetic", series, "batch_size", size,
-                            "us_per_query", seconds / len(queries) * 1e6)
+                            "us_per_query", statistics.median(seconds[series]) / len(queries) * 1e6)
                 )
     finally:
         optimized._BATCH_CROSSOVER = saved

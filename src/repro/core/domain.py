@@ -12,7 +12,7 @@ the index code never manipulates raw bits directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +70,14 @@ class Domain:
     num_bits: int
     raw_min: int = 0
     raw_max: int = -1  # sentinel: defaults to 2^num_bits - 1
+    #: number of distinct values in the discrete domain (``2^num_bits``)
+    size: int = field(init=False, repr=False, compare=False)
+    #: largest discrete value (``2^num_bits - 1``)
+    max_value: int = field(init=False, repr=False, compare=False)
+    #: length of the raw domain (Λ in the paper's model)
+    raw_extent: int = field(init=False, repr=False, compare=False)
+    #: True when mapping raw values to discrete values is the identity
+    is_identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_bits < 1:
@@ -78,6 +86,12 @@ class Domain:
             object.__setattr__(self, "raw_max", (1 << self.num_bits) - 1)
         if self.raw_max < self.raw_min:
             raise DomainError(f"raw_max ({self.raw_max}) < raw_min ({self.raw_min})")
+        # set once: map_value reads them for every endpoint it maps
+        size = 1 << self.num_bits
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "max_value", size - 1)
+        object.__setattr__(self, "raw_extent", self.raw_max - self.raw_min)
+        object.__setattr__(self, "is_identity", self.raw_min == 0 and self.raw_max == size - 1)
         if not self.is_identity and (self.num_bits > 62 or self.raw_extent >= 1 << 63):
             raise DomainError(
                 f"[{self.raw_min}, {self.raw_max}] cannot be rescaled to "
@@ -98,29 +112,6 @@ class Domain:
     def identity(cls, num_bits: int) -> "Domain":
         """The identity domain ``[0, 2^num_bits - 1]`` (no rescaling)."""
         return cls(num_bits=num_bits)
-
-    # ------------------------------------------------------------------ #
-    # properties
-    # ------------------------------------------------------------------ #
-    @property
-    def size(self) -> int:
-        """Number of distinct values in the discrete domain (``2^num_bits``)."""
-        return 1 << self.num_bits
-
-    @property
-    def max_value(self) -> int:
-        """Largest discrete value (``2^num_bits - 1``)."""
-        return self.size - 1
-
-    @property
-    def raw_extent(self) -> int:
-        """Length of the raw domain (Λ in the paper's model)."""
-        return self.raw_max - self.raw_min
-
-    @property
-    def is_identity(self) -> bool:
-        """True when mapping raw values to discrete values is the identity."""
-        return self.raw_min == 0 and self.raw_max == self.max_value
 
     # ------------------------------------------------------------------ #
     # mapping raw <-> discrete

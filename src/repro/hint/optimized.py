@@ -53,12 +53,15 @@ _INT_BYTES = 32
 _TUPLE_BYTES = 40
 
 #: batches at least this long go through the vectorised traversal, shorter
-#: ones through the per-query loop.  The traversal costs ~200 us per call plus
-#: ~15 us per query where the loop costs ~45-65 us per query (the
-#: ``batch_crossover`` sweep of :mod:`repro.bench.experiments`: 10k synthetic
-#: intervals at m = 12, CPython 3.11 on a 2-core Xeon VM): loop / kernel is
-#: 0.97 at 6 queries and 1.25 at 7
-_BATCH_CROSSOVER = 7
+#: ones through the per-query loop.  The ``batch_crossover`` sweep of
+#: :mod:`repro.bench.experiments` (20k synthetic intervals at m = 12, the two
+#: paths timed in turn, medians of seven; CPython 3.11 on a 2-core x86-64 VM)
+#: puts the kernel at ~350-460 us per call plus ~17-20 us per query and the
+#: loop at ~57-75 us per query: over three runs loop / kernel was 0.96-0.99 at
+#: 8 queries and 1.48-1.56 at 16, and the same sweep over 6-12 queries gave
+#: 0.83-1.00 at 8 and 1.02-1.11 at 9.  Above 1, a lone query never enters
+#: the kernel
+_BATCH_CROSSOVER = 9
 
 
 def _record_matches(
@@ -100,7 +103,9 @@ def _expand(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``concatenate([arange(f, f + n) for f, n in zip(first, lengths)])``."""
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(first - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
+    rows = np.repeat(first - (ends - lengths), lengths)
+    rows += np.arange(total, dtype=np.int64)
+    return rows
 
 
 def _bisect_runs(
@@ -108,17 +113,20 @@ def _bisect_runs(
 ) -> np.ndarray:
     """:func:`bisect_right` (``right``) or :func:`bisect_left` of each
     ``bound[i]`` in ``column[lo[i]:hi[i]]``, each run sorted, all runs at
-    once: one step of every search per pass."""
-    lo, hi = lo.copy(), hi.copy()
-    top = len(column) - 1
-    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        value = column[np.minimum(mid, top)]
-        searching = lo < hi
-        above = searching & ((value <= bound) if right else (value < bound))
-        lo = np.where(above, mid + 1, lo)
-        hi = np.where(searching & ~above, mid, hi)
-    return lo
+    once: one step of every search per pass.  The steps halve from the
+    largest power of two below the longest run, and a search moves its
+    position ``found`` forward by a step whenever the row before the new
+    position still belongs left of its bound."""
+    found = lo.copy()
+    step = 1 << int(np.max(hi - lo, initial=0)).bit_length() >> 1
+    while step:
+        probe = found + step
+        take = probe <= hi
+        value = column[np.minimum(probe, hi) - 1]
+        take &= (value <= bound) if right else (value < bound)
+        found += take * step
+        step >>= 1
+    return found
 
 
 #: subdivision classes in storage order: (name, keeps starts, keeps ends).
@@ -132,6 +140,15 @@ _CLASSES = (
     ("r_in", False, True),
     ("r_aft", False, False),
 )
+
+#: the batch kernel's (entry, level) table: a (query, level)'s directory
+#: entries ``head .. run_lo`` (first partition), ``run_lo .. run_hi``
+#: (comparison-free middle run) and ``run_hi .. tail`` (last partition)
+_HEAD, _RUN_LO, _RUN_HI, _TAIL = range(4)
+#: ... and its (flag, level) table: no test; the start test of the first
+#: partition (when it is the last one too) and of the last partition; the
+#: end test of the first partition (Lemma 2)
+_NEVER, _FIRST_START, _COMP_LAST, _COMP_FIRST = range(4)
 
 
 @register_backend(
@@ -275,21 +292,23 @@ class OptimizedHINTm(IntervalIndex):
         else:
             directory = np.arange(1, 2 << m, dtype=np.int64)
         self._keys = directory
-        self._pointers: List[np.ndarray] = []
+        #: one row per class; the kernel reads it flat, class ``c``'s row
+        #: from ``c * (len(directory) + 1)``
+        self._pointers = np.empty((len(_CLASSES), len(directory) + 1), dtype=np.int64)
         row_base = 0
-        for sorted_keys in class_keys:
-            found = np.searchsorted(sorted_keys, directory)
-            self._pointers.append(np.append(found, len(sorted_keys)) + row_base)
+        for pointers, sorted_keys in zip(self._pointers, class_keys):
+            pointers[:-1] = np.searchsorted(sorted_keys, directory) + row_base
             row_base += len(sorted_keys)
+            pointers[-1] = row_base
         # the scalar walk searches Python lists: much faster through
         # :mod:`bisect` than through ``np.searchsorted`` one value at a time
         self._keys_list: List[int] = directory.tolist()
-        self._pointer_lists: List[List[int]] = [pointers.tolist() for pointers in self._pointers]
+        self._pointer_lists: List[List[int]] = self._pointers.tolist()
         #: where each level starts in the directory (``m + 2`` cuts)
         self._level_cuts: List[int] = np.searchsorted(
             directory, np.int64(1) << np.arange(m + 2)
         ).tolist()
-        self._levels = self._level_plan()
+        self._levels, self._slots = self._level_plan()
         #: interleaved (id, start?, end?) tuples -- what the row-by-row scan
         #: reads when the columnar optimization is disabled
         self._records: Optional[List[Tuple[int, ...]]] = None
@@ -302,27 +321,71 @@ class OptimizedHINTm(IntervalIndex):
                 kept += [ends[rows]] if keep_ends else []
                 self._records.extend(zip(*(column.tolist() for column in kept)))
 
-    def _level_plan(self) -> List[tuple]:
-        """What the scalar walk visits, bottom level first: one entry
-        ``(2^level, m - level, 2^(m - level) - 1, dir_lo, dir_hi, classes)``
-        per level that stores anything, where ``dir_lo:dir_hi`` is the
-        level's range of the directory and ``classes`` holds one ``(pointers,
-        original, keeps_end)`` per class with rows at the level -- on
-        short-interval data most (level, class) pairs hold none."""
+    def _level_plan(self) -> Tuple[List[tuple], tuple]:
+        """The one walk plan, from one scan of the levels: what each
+        traversal visits -- only the levels that store rows, and per level
+        only the classes with rows there (on short-interval data most
+        (level, class) pairs hold none).
+
+        For the scalar walk, bottom level first: one entry ``(2^level, m -
+        level, 2^(m - level) - 1, dir_lo, dir_hi, classes)`` per populated
+        level, where ``dir_lo:dir_hi`` is the level's range of the directory
+        and ``classes`` holds one ``(pointers, original, keeps_end)`` per
+        class with rows at the level.
+
+        For the batch kernel, the same pairs as slot columns (see
+        :meth:`_batch_segments`): ``(shifts, heap, below)`` as columns over
+        the populated levels, top level first, then per slot the rows of the
+        (entry, level) table its run starts and ends at, the offset of its
+        class's row of the pointer table, and the rows of the (flag, level)
+        table its start and end tests read -- three slots per populated
+        original pair, one per populated replica pair.
+        """
         m = self._m
         cuts = self._level_cuts
-        plan = []
-        for level in range(m, -1, -1):
+        pointer_lists = self._pointer_lists
+        walk: List[tuple] = []
+        shifts: List[int] = []
+        slots: List[Tuple[int, ...]] = []
+        for level in range(m + 1):
             lo, hi = cuts[level], cuts[level + 1]
-            classes = tuple(
-                (self._pointer_lists[index], index < 2, _CLASSES[index][2])
-                for index in (1, 0, 2, 3)  # o_in, o_aft, r_in, r_aft
-                if self._pointer_lists[index][hi] > self._pointer_lists[index][lo]
-            )
-            if classes:
-                shift = m - level
-                plan.append((1 << level, shift, (1 << shift) - 1, lo, hi, classes))
-        return plan
+            present = [
+                index for index in (1, 0, 2, 3)  # o_in, o_aft, r_in, r_aft
+                if pointer_lists[index][hi] > pointer_lists[index][lo]
+            ]
+            if not present:
+                continue
+            shift = m - level
+            walk.append((1 << level, shift, (1 << shift) - 1, lo, hi, tuple(
+                (pointer_lists[index], index < 2, _CLASSES[index][2]) for index in present
+            )))
+            row = len(shifts)
+            shifts.append(shift)
+            for index in present:
+                end_test = _COMP_FIRST if _CLASSES[index][2] else _NEVER
+                # (class, level row, run from, run to, start test, end test)
+                slots.append((index, row, _HEAD, _RUN_LO, _FIRST_START if index < 2 else _NEVER, end_test))
+                if index < 2:  # the originals' middle run and last partition
+                    slots.append((index, row, _RUN_LO, _RUN_HI, _NEVER, _NEVER))
+                    slots.append((index, row, _RUN_HI, _TAIL, _COMP_LAST, _NEVER))
+        walk.reverse()
+        levels = len(shifts)
+        shift_column = np.array(shifts, dtype=np.int64)[:, None]
+        classes, rows, run_from, run_to, start_test, end_test = (
+            np.array(column, dtype=np.int64).reshape(-1)
+            for column in (zip(*slots) if slots else [()] * 6)
+        )
+        batch = (
+            shift_column,
+            np.int64(1) << (m - shift_column),
+            (np.int64(1) << shift_column) - 1,
+            run_from * levels + rows,
+            run_to * levels + rows,
+            classes * self._pointers.shape[1],
+            start_test * levels + rows,
+            end_test * levels + rows,
+        )
+        return walk, batch
 
     # ------------------------------------------------------------------ #
     # properties
@@ -369,7 +432,7 @@ class OptimizedHINTm(IntervalIndex):
 
     def nonempty_partitions(self) -> int:
         """Number of (level, partition) pairs holding at least one interval."""
-        return int(np.count_nonzero(sum(np.diff(pointers) for pointers in self._pointers)))
+        return int(np.count_nonzero(np.diff(self._pointers).sum(axis=0)))
 
     # ------------------------------------------------------------------ #
     # updates
@@ -596,76 +659,67 @@ class OptimizedHINTm(IntervalIndex):
         test_start, test_end)`` columns, one entry per non-empty merged-table
         run, in query-major order, rows in the shared row space.
 
-        :meth:`_segments` in closed form.  At every level the first and
-        last relevant partitions of every query are shifts of its mapped
+        :meth:`_segments` in closed form, over the plan both walks read
+        (:meth:`_level_plan`).  At every populated level the first and last
+        relevant partitions of every query are shifts of its mapped
         endpoints; the Lemma 2 flag of the first (last) partition at a level
         still stands iff the bits of the mapped start (end) below the
-        level's prefix are all ones (all zeros), the formula
-        :meth:`_segments` reads one level at a time; one ``searchsorted``
-        pair per class locates all of them in the heap-numbered directory.  Each (query,
-        level) has eight slots: first partition / comparison-free middle run
-        / last partition for ``o_aft`` and ``o_in``, the first partition for
-        ``r_in`` and ``r_aft``.
+        level's prefix are all ones (all zeros), the formula :meth:`_segments`
+        reads one level at a time.  One ``searchsorted`` per side locates
+        them all in the heap-numbered directory: its needles, level-major
+        and each level's ordered by the mapped endpoint, are sorted, and
+        the search runs ~2.5x faster on them than unordered.  Each query
+        then has three slots per populated (level, class) pair of an
+        original class (first partition, middle run, last partition) and
+        one per populated replica pair (first partition): 47-53 slots on the
+        ``core_scan`` benchmark data (m = 13), where one slot per class and
+        level made 112, and ~2.2-2.5 us per query for this stage there,
+        where that made ~4.5.
         """
-        m = self._m
-        mq_starts = self._domain.map_values(q_starts)[:, None]
-        mq_ends = self._domain.map_values(q_ends)[:, None]
-        shifts = np.arange(m, -1, -1, dtype=np.int64)  # level 0 .. m
-        heap = np.int64(1) << (m - shifts)
-        below = (np.int64(1) << shifts) - 1
-        first = heap + (mq_starts >> shifts)
-        last = heap + (mq_ends >> shifts)
-        comp_first = (mq_starts & below) == below
-        comp_last = (mq_ends & below) == 0
-        single = first == last
-        never = np.zeros_like(single)
-        lo: List[np.ndarray] = []
-        hi: List[np.ndarray] = []
-        test_start: List[np.ndarray] = []
-        test_end: List[np.ndarray] = []
-
-        def slot(pointers, entry_lo, entry_hi, start_flag, end_flag):
-            lo.append(pointers[entry_lo])
-            hi.append(pointers[entry_hi])
-            test_start.append(start_flag)
-            test_end.append(end_flag)
-
-        keys = self._keys
-        if len(keys):
-            # directory entries of the first partition (head .. run_lo), the
-            # middle run (run_lo .. run_hi) and the last partition (run_hi ..
-            # tail); every class reads its rows of the same entries
-            head = np.searchsorted(keys, first, "left")
-            run_lo = head + (keys[np.minimum(head, len(keys) - 1)] == first)
-            tail = np.searchsorted(keys, last, "right")
-            run_hi = tail - ((keys[np.maximum(tail, 1) - 1] == last) & ~single)
-        # (class, end test of the first partition, start test of the last
-        # one -- None for the replicas, which read their first partition only)
-        for pointers, test_end_first, test_start_last in zip(
-            self._pointers, (never, comp_first, comp_first, never), (comp_last, comp_last, None, None)
-        ):
-            if pointers[0] == pointers[-1]:
-                continue
-            if test_start_last is None:
-                slot(pointers, head, run_lo, never, test_end_first)
-                continue
-            slot(pointers, head, run_lo, single & test_start_last, test_end_first)
-            slot(pointers, run_lo, run_hi, never, never)
-            slot(pointers, run_hi, tail, test_start_last, never)
-
-        if not lo:
+        shifts, heap, below, run_from, run_to, bases, start_rows, end_rows = self._slots
+        width = len(run_from)
+        if not width:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, empty, empty.astype(bool), empty.astype(bool)
-        seg_lo = np.stack(lo, axis=2).reshape(-1)
-        seg_len = np.stack(hi, axis=2).reshape(-1) - seg_lo
-        kept = np.flatnonzero(seg_len)
-        slots_per_query = len(lo) * (m + 1)
+        levels, count = len(shifts), len(q_starts)
+        mq_starts = self._domain.map_values(q_starts)
+        mq_ends = self._domain.map_values(q_ends)
+        keys = self._keys
+        entries = np.empty((4, levels, count), dtype=np.int64)
+        order = np.argsort(mq_starts)
+        needles = heap + (mq_starts[order] >> shifts)
+        found = np.searchsorted(keys, needles.reshape(-1), "left").reshape(levels, count)
+        entries[_HEAD][:, order] = found
+        entries[_RUN_LO][:, order] = found + (keys[np.minimum(found, len(keys) - 1)] == needles)
+        order = np.argsort(mq_ends)
+        needles = heap + (mq_ends[order] >> shifts)
+        found = np.searchsorted(keys, needles.reshape(-1), "right").reshape(levels, count)
+        entries[_TAIL][:, order] = found
+        # the middle run ends where a last partition that is not the first
+        # one starts
+        last_found = np.empty((levels, count), dtype=bool)
+        last_found[:, order] = keys[np.maximum(found, 1) - 1] == needles
+        single = ((mq_starts ^ mq_ends) >> shifts) == 0
+        entries[_RUN_HI] = entries[_TAIL] - (last_found & ~single)
+        flags = np.empty((4, levels, count), dtype=bool)
+        flags[_NEVER] = False
+        flags[_COMP_LAST] = (mq_ends & below) == 0
+        flags[_FIRST_START] = single & flags[_COMP_LAST]
+        flags[_COMP_FIRST] = (mq_starts & below) == below
+        # (query, slot) tables: the row space bounds of every slot's run
+        by_query = entries.reshape(4 * levels, count).T
+        pointers = self._pointers.reshape(-1)
+        seg_lo = pointers[by_query[:, run_from] + bases].reshape(-1)
+        seg_len = pointers[by_query[:, run_to] + bases].reshape(-1) - seg_lo
+        kept = np.flatnonzero(seg_len != 0)  # a third of what int64 costs
+        seg_query, slot = np.divmod(kept, width)
+        flags = flags.reshape(4 * levels, count)
         return (
-            kept // slots_per_query,
+            seg_query,
             seg_lo[kept],
             seg_len[kept],
-            np.stack(test_start, axis=2).reshape(-1)[kept],
-            np.stack(test_end, axis=2).reshape(-1)[kept],
+            flags[start_rows[slot], seg_query],
+            flags[end_rows[slot], seg_query],
         )
 
     def _batch_plan(self, q_starts: np.ndarray, q_ends: np.ndarray):
@@ -734,7 +788,7 @@ class OptimizedHINTm(IntervalIndex):
         if self._memo_seen(_memo):
             return 0
         total = self._spans_bytes(_memo)
-        for column in (self._ids, self._starts, self._ends, self._keys, *self._pointers):
+        for column in (self._ids, self._starts, self._ends, self._keys, self._pointers, *self._slots):
             total += column.nbytes
         # the directory's list mirrors, which the scalar walk searches
         for mirror in (self._keys_list, *self._pointer_lists):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.core.allen import RANGE_QUERY_RELATIONS, AllenRelation, satisfies_relation
 from repro.core.errors import ReproError
@@ -116,14 +116,30 @@ def _resolve_filter(
     return compile_filter(spec), spec
 
 
+def _watch_key(subscription: Subscription) -> tuple:
+    """``(subscription, decided)``, what the registry's watch keeps per slot:
+    ``decided`` when the overlap mask alone decides a match -- no relation,
+    no duration bound, no predicate, and a range inside int64 (a clamped
+    range can touch what it misses)."""
+    lo, hi = RangeWatch.EVERYWHERE
+    query = subscription.query
+    return subscription, (
+        subscription.relation is None
+        and subscription.min_duration == 0
+        and subscription.max_duration is None
+        and subscription.predicate is None
+        and lo <= query.start
+        and query.end <= hi
+    )
+
+
 class SubscriptionRegistry:
     """The subscription set plus the range watch that routes updates to it."""
 
     def __init__(self) -> None:
         self._subscriptions: Dict[int, Subscription] = {}
+        #: one slot per subscription, keyed by :func:`_watch_key`
         self._watch = RangeWatch()
-        #: ids of the plain subscriptions: the overlap mask alone decides them
-        self._plain: Set[int] = set()
         self._next_id = 0
         self._lock = threading.RLock()
 
@@ -208,17 +224,7 @@ class SubscriptionRegistry:
         watched = (query.start, query.end)
         if not subscription.range_prunable:
             watched = RangeWatch.EVERYWHERE
-        self._watch.add(subscription.subscription_id, *watched)
-        lo, hi = RangeWatch.EVERYWHERE
-        if (
-            subscription.relation is None
-            and subscription.min_duration == 0
-            and subscription.max_duration is None
-            and subscription.predicate is None
-            and lo <= query.start
-            and query.end <= hi  # a clamped range can touch what it misses
-        ):
-            self._plain.add(subscription.subscription_id)
+        self._watch.add(_watch_key(subscription), *watched)
         self._subscriptions[subscription.subscription_id] = subscription
         self._next_id = max(self._next_id, subscription.subscription_id + 1)
         return subscription
@@ -226,10 +232,10 @@ class SubscriptionRegistry:
     def unregister(self, subscription_id: int) -> bool:
         """Remove a subscription; True when it existed."""
         with self._lock:
-            if self._subscriptions.pop(subscription_id, None) is None:
+            subscription = self._subscriptions.pop(subscription_id, None)
+            if subscription is None:
                 return False
-            self._watch.remove(subscription_id)
-            self._plain.discard(subscription_id)
+            self._watch.remove(_watch_key(subscription))
             return True
 
     # ------------------------------------------------------------------ #
@@ -239,13 +245,7 @@ class SubscriptionRegistry:
         :meth:`Subscription.matches` of each candidate the mask has not
         already decided (a plain subscription matches what it overlaps)."""
         with self._lock:
-            subscriptions, plain = self._subscriptions, self._plain
-            candidates = [
-                (subscriptions[subscription_id], subscription_id in plain)
-                for subscription_id in self._watch.touched(
-                    interval.start, interval.end
-                )
-            ]
+            candidates = self._watch.touched(interval.start, interval.end)
         return [s for s, decided in candidates if decided or s.matches(interval)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveIndex
+from repro.core.domain import Domain
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.hint.optimized import _BATCH_CROSSOVER, _CLASSES, OptimizedHINTm
 from repro.hint.partitioning import partition_assignments
@@ -105,6 +106,16 @@ def test_hybrid_batch_after_inserts_deletes_and_rebuild(pairs, inserts, queries,
     index.rebuild()
     assert _sorted(index.query_batch(queries)) == expected
     assert _sorted(index.query(q) for q in queries) == expected
+
+
+def test_kernel_batch_against_an_empty_index():
+    for sparse in (True, False):
+        empty = OptimizedHINTm(IntervalCollection.empty(), num_bits=8, sparse_directory=sparse)
+        queries = [Query(k, k + 5) for k in range(-3, _BATCH_CROSSOVER)]
+        assert empty._batch_bounds(queries) is not None  # the kernel runs
+        assert _lists(empty.query_batch(queries)) == [[]] * len(queries)
+        assert empty.query_count_batch(queries) == [0] * len(queries)
+        assert empty.query_exists_batch(queries) == [False] * len(queries)
 
 
 def test_empty_collection_and_empty_batch():
@@ -375,3 +386,92 @@ def test_scalar_and_batch_walks_agree(walk_collection, m, sparse):
             expected = sorted(naive.query(query))
             assert sorted(index.query(query).tolist()) == expected, (query, tombstoned)
             assert index.query_count(query) == len(expected)
+
+
+# --------------------------------------------------------------------------- #
+# one plan: the kernel reads only the populated (level, class) pairs
+# --------------------------------------------------------------------------- #
+def _populated_pairs(index):
+    """``(originals, replicas)``: how many (level, class) pairs the plan of
+    :meth:`OptimizedHINTm._level_plan` lists for the scalar walk."""
+    walk, _ = index._level_plan()
+    original = [flag for *_, classes in walk for _, flag, _ in classes]
+    return sum(original), len(original) - sum(original)
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("m", [1, 4, 10, 16])
+def test_kernel_slots_are_the_populated_pairs(walk_collection, m, sparse):
+    index = OptimizedHINTm(walk_collection, num_bits=m, sparse_directory=sparse)
+    originals, replicas = _populated_pairs(index)
+    # the pairs the plan lists are exactly those that store rows
+    cuts = index._level_cuts
+    stored = [
+        (level, name)
+        for level in range(m + 1)
+        for (name, _, _), pointers in zip(_CLASSES, index._pointers)
+        if pointers[cuts[level + 1]] > pointers[cuts[level]]
+    ]
+    assert originals + replicas == len(stored)
+    assert originals == sum(name.startswith("o_") for _, name in stored)
+    # what the kernel builds per query: three slots per original pair, one
+    # per replica pair
+    width = len(index._slots[3])
+    assert width == 3 * originals + replicas
+    queries = [q for q in _walk_queries(walk_collection) if isinstance(q.start, int)]
+    seg_query, _, seg_len, _, _ = index._batch_segments(
+        np.array([q.start for q in queries]), np.array([q.end for q in queries])
+    )
+    assert np.all(seg_len > 0)
+    assert np.bincount(seg_query).max() <= width
+
+
+def _sparse_layouts():
+    """Layouts that leave whole levels or whole classes empty: ``(pairs,
+    domain bounds or None, m)``."""
+    rng = np.random.default_rng(83)
+    points = rng.integers(0, 5_000, 300)
+    half = rng.integers(0, 900, 200)
+    return {
+        # one original at the root: every other level is empty
+        "whole domain": ([(0, 10_000)], None, 10),
+        # originals of the bottom level only: no replica anywhere
+        "points only": ([(int(p), int(p)) for p in points], None, 12),
+        # the right half of the domain holds nothing
+        "one half": (
+            [(int(s), int(s + w)) for s, w in zip(half, rng.integers(0, 90, 200))], (0, 2_000), 9,
+        ),
+    }
+
+
+@pytest.mark.parametrize("sparse", [True, False])
+@pytest.mark.parametrize("layout", sorted(_sparse_layouts()))
+def test_layouts_with_empty_levels_and_classes(layout, sparse):
+    pairs, bounds, m = _sparse_layouts()[layout]
+    collection = _collection(pairs)
+    domain = None if bounds is None else Domain(num_bits=m, raw_min=bounds[0], raw_max=bounds[1])
+    index = OptimizedHINTm(collection, num_bits=m, sparse_directory=sparse, domain=domain)
+    originals, replicas = _populated_pairs(index)
+    assert originals + replicas < 4 * (m + 1)
+    if layout == "points only":
+        assert replicas == 0
+    lo, hi = collection.span()
+    top = hi if bounds is None else bounds[1]
+    queries = [Query(lo - 50, top + 50), Query(lo, lo), Query(hi, hi), Query(top, top)]
+    queries += [Query(lo + k * (top - lo) // 16, lo + (k + 1) * (top - lo) // 16) for k in range(16)]
+    queries += [Query(hi + 1, top + 10), Query(lo - 40, lo - 1)]
+    assert len(queries) >= _BATCH_CROSSOVER
+    assert index._batch_bounds(queries) is not None  # the kernel answers
+    naive = NaiveIndex.build(collection)
+    for tombstoned in (False, True):
+        if tombstoned:
+            for interval_id in collection.ids[::3].tolist():
+                assert index.delete(interval_id)
+                naive.delete(interval_id)
+        expected = [sorted(naive.query(q)) for q in queries]
+        assert _sorted(index.query_batch(queries)) == expected, tombstoned
+        assert _sorted(index.query(q) for q in queries) == expected, tombstoned
+        assert index.query_count_batch(queries) == [len(ids) for ids in expected]
+        assert [index.query_count(q) for q in queries] == [len(ids) for ids in expected]
+        assert index.query_exists_batch(queries) == [bool(ids) for ids in expected]
+        assert [index.query_exists(q) for q in queries] == [bool(ids) for ids in expected]

@@ -673,8 +673,8 @@ class OptimizedHINTm(IntervalIndex):
         original class (first partition, middle run, last partition) and
         one per populated replica pair (first partition): 47-53 slots on the
         ``core_scan`` benchmark data (m = 13), where one slot per class and
-        level made 112, and ~2.2-2.5 us per query for this stage there,
-        where that made ~4.5.
+        level made 112, and ~2.1-2.2 us per query for this stage there,
+        where that made ~4.3-4.5.
         """
         shifts, heap, below, run_from, run_to, bases, start_rows, end_rows = self._slots
         width = len(run_from)

@@ -13,7 +13,9 @@ Covers the observability layer end to end in one process:
 * tracing a batch by hand: a :class:`~repro.obs.Trace` activated around
   ``store.run_batch`` collects a connected span tree,
 * the slow-query log: a server started with ``slow_threshold=0.0`` records
-  every request *with its span tree*, served by ``GET /slow-queries``
+  every request with a span tree -- its root span alone, since these
+  requests carry no trace headers (a routed query's shard request does,
+  and lands with its full subtree) -- served by ``GET /slow-queries``
   (``repro slow-queries`` renders the same payload in the terminal).
 """
 
@@ -99,7 +101,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # 5. the slow-query log: every request above the threshold, newest
-    #    first, each with its full span tree
+    #    first, each with its span tree (root-only for a local request)
     # ------------------------------------------------------------------ #
     log = client.slow_queries(limit=2)
     print(

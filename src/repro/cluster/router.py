@@ -415,7 +415,7 @@ class ClusterRouter:
                 host, port, metrics=self.metrics, slow_log=self.slow_log, methods=GET
             )
 
-            async def stats(payload: Dict[str, object], ctx) -> Tuple[int, bytes]:
+            def stats(payload: Dict[str, object], ctx) -> Tuple[int, bytes]:
                 return 200, encode(self.stats())
 
             admin.routes["/stats"] = (GET, stats)

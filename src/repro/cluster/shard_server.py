@@ -174,7 +174,7 @@ class ShardServer(QueryServer):
     def _refused_while_read_only(self, handler):
         """``handler``, answering 403 while this node is an unpromoted follower."""
 
-        async def guarded(payload: Dict[str, object], ctx):
+        def guarded(payload: Dict[str, object], ctx):
             if self._read_only:
                 return 403, encode(
                     {
@@ -183,11 +183,11 @@ class ShardServer(QueryServer):
                         "role": self._role,
                     }
                 )
-            return await handler(payload, ctx)
+            return handler(payload, ctx)
 
         return guarded
 
-    async def _handle_cluster_info(self, payload: Dict[str, object], ctx):
+    def _handle_cluster_info(self, payload: Dict[str, object], ctx):
         return 200, encode(self.cluster_info())
 
     def cluster_info(self) -> Dict[str, object]:
@@ -248,7 +248,7 @@ class ShardServer(QueryServer):
             "generation": generation,
             "results": results,
         }
-        if ctx.remote:
+        if ctx.trace is not None:
             # the caller (the router) holds the rest of the tree: close our
             # root now and ship the complete subtree in the response body
             ctx.finish_root(200)

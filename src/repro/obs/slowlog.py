@@ -3,8 +3,9 @@
 Every completed query-shaped request (``/query``, ``/batch``,
 ``/shard-batch``, a routed cluster query) whose wall time crosses the
 configured threshold is recorded with its arguments, outcome tags
-(cache hit/stale/miss, shard fan-out, replica failovers) and -- when the
-request was traced -- its full span tree.  The buffer is bounded, so a
+(cache hit/stale/miss, shard fan-out, replica failovers) and its span
+tree: the full tree when the request was traced, the root span alone for
+a server's untraced request.  The buffer is bounded, so a
 storm of slow queries evicts the oldest entries instead of growing; it is
 surfaced by ``GET /slow-queries`` on the servers and ``repro slow-queries``
 on the CLI.

@@ -28,9 +28,10 @@ memory with the caller:
   (:func:`new_span_record`) and ships it back inside the task result, so
   fork and spawn workers trace identically.
 
-Everything no-ops when no trace is active: :func:`span` costs one
-thread-local read on untraced paths, which is what keeps the serving
-overhead gate (instrumented within 10% of uninstrumented) honest.
+Everything no-ops when no trace is active: an untraced :func:`span` costs
+one thread-local read.  Servers build a trace only for a request that
+carried :data:`TRACE_HEADER` -- nothing else would read its spans -- so an
+untraced request pays for no span record at all.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -166,19 +166,23 @@ def current() -> Optional[Tuple[Trace, str]]:
     return stack[-1] if stack else None
 
 
-@contextmanager
-def activate(trace: Trace, parent_id: str):
+class activate:
     """Enter a foreign context: spans opened inside parent under ``parent_id``.
 
     Used wherever a trace crosses a thread boundary explicitly -- executor
     threads via :func:`bind`, the cluster router's probe pool, tests.
     """
-    stack = _stack()
-    stack.append((trace, parent_id))
-    try:
-        yield
-    finally:
-        stack.pop()
+
+    __slots__ = ("_context",)
+
+    def __init__(self, trace: Trace, parent_id: str) -> None:
+        self._context = (trace, parent_id)
+
+    def __enter__(self) -> None:
+        _stack().append(self._context)
+
+    def __exit__(self, *exc_info: object) -> None:
+        _ACTIVE.stack.pop()
 
 
 def bind(context: Optional[Tuple[Trace, str]], fn):
@@ -200,43 +204,67 @@ def bind(context: Optional[Tuple[Trace, str]], fn):
     return wrapper
 
 
-@contextmanager
+class _Span:
+    """One span being timed: entered, it records under ``(trace, parent)``;
+    exited, it is closed and added to the trace."""
+
+    __slots__ = ("_trace", "_parent_id", "_name", "_tags", "_record", "_started")
+
+    def __init__(
+        self, trace: Trace, parent_id: Optional[str], name: str, tags: Dict[str, object]
+    ) -> None:
+        self._trace = trace
+        self._parent_id = parent_id
+        self._name = name
+        self._tags = tags
+
+    def __enter__(self) -> Dict[str, object]:
+        trace = self._trace
+        record = self._record = new_span_record(
+            trace.trace_id, self._parent_id, self._name, self._tags
+        )
+        _stack().append((trace, record["span_id"]))
+        self._started = time.perf_counter()
+        return record
+
+    def __exit__(self, *exc_info: object) -> None:
+        record = self._record
+        record["duration_ms"] = (time.perf_counter() - self._started) * 1000.0
+        _ACTIVE.stack.pop()
+        self._trace.add(record)
+
+
+class _Untraced:
+    """The span of an untraced path: enters as ``None``, records nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        return None
+
+
+_UNTRACED = _Untraced()
+
+
 def span(name: str, **tags: object):
     """Record one span under the active context; no-op when untraced.
 
-    Yields the span record (or ``None`` when no trace is active) so the
+    Enters as the span record (or ``None`` when no trace is active) so the
     body can attach result tags: ``record["tags"]["shards"] = 3``.
     """
-    ctx = current()
-    if ctx is None:
-        yield None
-        return
-    trace, parent_id = ctx
-    record = new_span_record(trace.trace_id, parent_id, name, tags)
-    stack = _stack()
-    stack.append((trace, record["span_id"]))
-    started = time.perf_counter()
-    try:
-        yield record
-    finally:
-        record["duration_ms"] = (time.perf_counter() - started) * 1000.0
-        stack.pop()
-        trace.add(record)
+    stack = getattr(_ACTIVE, "stack", None)
+    if not stack:
+        return _UNTRACED
+    trace, parent_id = stack[-1]
+    return _Span(trace, parent_id, name, tags)
 
 
-@contextmanager
 def start_span(trace: Trace, name: str, parent_id: Optional[str] = None, **tags):
     """Open a span on an explicit trace (the root-span entry point)."""
-    record = new_span_record(trace.trace_id, parent_id, name, tags)
-    stack = _stack()
-    stack.append((trace, record["span_id"]))
-    started = time.perf_counter()
-    try:
-        yield record
-    finally:
-        record["duration_ms"] = (time.perf_counter() - started) * 1000.0
-        stack.pop()
-        trace.add(record)
+    return _Span(trace, parent_id, name, tags)
 
 
 def context_from_headers(headers: Optional[Dict[str, str]]):

@@ -39,6 +39,10 @@ _RECV_BYTES = 65536
 #: a response head longer than this is not from the query server
 _MAX_HEAD_BYTES = 65536
 
+#: one compact encoder for every request body: ``json.dumps`` with
+#: ``separators`` builds a fresh encoder on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
 
 class ServerError(RuntimeError):
     """A non-2xx response from the query server."""
@@ -155,7 +159,7 @@ class ServeClient:
         raw_body: bool = False,
     ) -> Dict[str, object]:
         body = (
-            json.dumps(payload, separators=(",", ":")).encode()
+            _ENCODER.encode(payload).encode()
             if payload is not None
             else b""
         )

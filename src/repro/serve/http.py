@@ -1,18 +1,30 @@
-"""HTTP/1.1 for every listening surface: one request loop, one route table.
+"""HTTP/1.1 for every listening surface: one connection protocol, one route table.
 
 The query server, the cluster shard server and the router's admin surface
 all serve through :class:`HttpServer`, which owns what they share:
 
-* **the request read** -- request line and header block in one read,
-  ``Content-Length``-framed bodies.  A bare-LF head, a ``Transfer-Encoding``
+* **the connection protocol** -- one :class:`asyncio.Protocol` per
+  connection frames requests straight out of its receive buffer, inside
+  ``data_received``: the request line (CRLF only), the header block (the
+  whole head at most :data:`MAX_HEAD_BYTES`), then a ``Content-Length``-framed
+  body.  A bare-LF request line, an oversized head, a ``Transfer-Encoding``
   body or a bad ``Content-Length`` is answered ``400`` (a body past
-  :data:`MAX_BODY_BYTES` ``413``) and the connection closed, since the next
-  request's start is then unknown;
-* **the keep-alive loop** -- each response is one head+body write;
+  :data:`MAX_BODY_BYTES` ``413``) once, with ``Connection: close``, and the
+  connection closed, since the next request's start is then unknown; an EOF
+  mid-request closes silently.  Keep-alive answers go out in request order,
+  each one head+body write.  While the transport's write buffer is past its
+  high-water mark (``pause_writing``) no further buffered request is parsed
+  and reading pauses, so a client that never reads its answers cannot grow
+  the server's buffers;
 * **a route table** -- ``path -> (methods, handler)``.  A handler takes the
   decoded JSON payload (query-string fields fill in what the body leaves
-  out) and the per-request context, and returns ``(status, body)``.  A path
-  off the table answers ``404``, a method its route does not accept ``405``;
+  out) and the per-request context, and returns ``(status, body)`` -- or,
+  when it must wait (a worker-thread hop, a long-poll), an awaitable of
+  that tuple.  A tuple is written at once, inside the callback that read the
+  request; for an awaitable the connection pauses reading, runs it as its
+  one task, writes the answer, resumes and goes on with the requests
+  already buffered.  A path off the table answers ``404``, a method its
+  route does not accept ``405``;
 * ``/metrics``, ``/slow-queries`` and liveness ``/health`` over the
   registry and slow log each server passes in;
 * :func:`run_in_thread` -- the daemon-thread event loop behind
@@ -28,7 +40,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import ReproError
@@ -53,13 +65,19 @@ __all__ = [
 #: ~300k-query batch request -- far past any sane client)
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
+#: largest request head (request line plus header block) the server will
+#: buffer while it waits for the blank line that ends it
+MAX_HEAD_BYTES = 64 * 1024
+
 #: the methods a route accepts: reads take either, mutations POST only
 GET = ("GET",)
 POST = ("POST",)
 READ = ("GET", "POST")
 
-#: a route handler: ``(payload, ctx) -> (status, body)``
-Handler = Callable[[Dict[str, object], object], Awaitable[Tuple[int, bytes]]]
+#: a route handler: ``(payload, ctx) -> (status, body)``, or an awaitable
+#: of that tuple when the answer must wait
+Answer = Tuple[int, bytes]
+Handler = Callable[[Dict[str, object], object], Union[Answer, Awaitable[Answer]]]
 
 
 class Reject(Exception):
@@ -112,8 +130,8 @@ class HttpServer:
             "/health": (methods, self._serve_health),
         }
         self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: set = set()  # open client writers, for shutdown
-        self._handlers: set = set()  # per-connection handler tasks
+        self._connections: set = set()  # open _Connection protocols
+        self._tasks: set = set()  # in-flight awaitable answers
 
     @property
     def port(self) -> int:
@@ -129,28 +147,37 @@ class HttpServer:
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Bind the listener (call from the loop)."""
-        self._server = await asyncio.start_server(
-            self._client_connected, self._host, self._port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self._host, self._port
         )
         self._port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self, drain: bool = True) -> None:
-        """Close the listener, then every open connection.
+        """Close the listener and every open connection, then await the
+        answers still in flight.
 
         ``drain`` is for servers with admitted work to finish first.
         """
         if self._server is not None:
             self._server.close()
-        # idle keep-alive connections would otherwise hold their handler
-        # tasks (blocked in the head read) across loop shutdown -- and,
-        # from Python 3.12 on, hold wait_closed() open
-        for writer in list(self._connections):
-            writer.close()
+        # idle keep-alive connections would otherwise stay open across loop
+        # shutdown -- and, from Python 3.12 on, hold wait_closed() open
+        self.close_connections()
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        if self._handlers:
-            await asyncio.gather(*list(self._handlers), return_exceptions=True)
+        if self._tasks:
+            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+
+    def close_connections(self) -> None:
+        """Close every open connection from the server's side (loop thread).
+
+        Answers the kernel took are delivered; answers a client left
+        unread in the transport's buffer, and one still being computed
+        (it runs to completion), are dropped.
+        """
+        for connection in list(self._connections):
+            connection.close()
 
     def run(self, on_started=None) -> None:
         """Blocking convenience: start, serve until interrupted, stop.
@@ -194,61 +221,17 @@ class HttpServer:
         return {"status": "ok"}
 
     # ------------------------------------------------------------------ #
-    # the connection loop
+    # routing
     # ------------------------------------------------------------------ #
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader)
-                except Reject as reject:
-                    # a request that cannot be framed cannot be skipped
-                    # safely on a keep-alive stream: answer and close
-                    self._count_error(reject.status)
-                    payload = encode({"error": reject.message})
-                    writer.write(
-                        _CLOSE_HEAD
-                        % (reject.status, _REASONS.get(reject.status, b"Error"), len(payload))
-                        + payload
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                status, payload = await self._respond(*request)
-                content_type = (
-                    b"text/plain; version=0.0.4; charset=utf-8"
-                    if isinstance(payload, _TextBody)
-                    else b"application/json"
-                )
-                # head and body in one write: one send, one segment
-                writer.write(
-                    _HEAD % (status, _REASONS.get(status, b"OK"), content_type, len(payload))
-                    + payload
-                )
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to answer
-        finally:
-            self._connections.discard(writer)
-            if task is not None:
-                self._handlers.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover - teardown race
-                pass
-
-    async def _respond(
+    def _respond(
         self, method: str, target: str, body: bytes, headers: Dict[str, str]
-    ) -> Tuple[int, bytes]:
-        """Route one framed request and map every failure to a status."""
+    ) -> Union[Answer, Awaitable[Answer]]:
+        """Route one framed request: its answer, or an awaitable of it.
+
+        Every failure maps to a status, and :meth:`_finish_request` runs
+        once the answer is final -- here for a tuple, in :meth:`_settle`
+        for an awaitable.
+        """
         path = target.partition("?")[0]
         if "#" in path or not path.startswith("/"):
             path = urlsplit(target).path  # absolute-form or fragment: parse
@@ -268,29 +251,42 @@ class HttpServer:
             payload = _decode(body)
             if "?" in target:
                 _merge_query_string(payload, target)
-            status, out = await handler(payload, ctx)
-        except Reject as reject:
-            self._count_error(reject.status)
-            status = reject.status
-            out = encode({"error": reject.message, "retry_after": reject.retry_after})
-        except ReproError as exc:
-            self._count_error(400)
-            status, out = 400, encode({"error": str(exc)})
+            answer = handler(payload, ctx)
         except Exception as exc:  # noqa: BLE001 - the server must answer
-            self._count_error(500)
+            answer = self._error_answer(exc)
+        if isinstance(answer, tuple):
+            self._finish_request(ctx, answer[0])
+            return answer
+        return self._settle(ctx, answer)
+
+    async def _settle(self, ctx, pending: Awaitable[Answer]) -> Answer:
+        """Await a handler's answer, then finish it as :meth:`_respond` would."""
+        try:
+            answer = await pending
+        except Exception as exc:  # noqa: BLE001 - the server must answer
+            answer = self._error_answer(exc)
+        self._finish_request(ctx, answer[0])
+        return answer
+
+    def _error_answer(self, exc: Exception) -> Answer:
+        """The error response for a handler's exception, counted once."""
+        if isinstance(exc, Reject):
+            status = exc.status
+            out = encode({"error": exc.message, "retry_after": exc.retry_after})
+        elif isinstance(exc, ReproError):
+            status, out = 400, encode({"error": str(exc)})
+        else:
             status, out = 500, encode({"error": f"{type(exc).__name__}: {exc}"})
-        self._finish_request(ctx, status)
+        self._count_error(status)
         return status, out
 
     # ------------------------------------------------------------------ #
     # the shared endpoints
     # ------------------------------------------------------------------ #
-    async def _serve_metrics(self, payload: Dict[str, object], ctx) -> Tuple[int, bytes]:
+    def _serve_metrics(self, payload: Dict[str, object], ctx) -> Answer:
         return 200, _TextBody(self.metrics.render().encode())
 
-    async def _serve_slow_queries(
-        self, payload: Dict[str, object], ctx
-    ) -> Tuple[int, bytes]:
+    def _serve_slow_queries(self, payload: Dict[str, object], ctx) -> Answer:
         limit = payload.get("limit")
         if limit is not None:
             limit = int_field(limit, "limit")
@@ -304,55 +300,181 @@ class HttpServer:
             }
         )
 
-    async def _serve_health(self, payload: Dict[str, object], ctx) -> Tuple[int, bytes]:
+    def _serve_health(self, payload: Dict[str, object], ctx) -> Answer:
         body = self.health()
         return (503 if body["status"] == "draining" else 200), encode(body)
 
 
-async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
-    """One request off the stream: request line, header block, body.
+class _Connection(asyncio.Protocol):
+    """One client connection: frames the buffered requests and answers them
+    in order (see the module docstring for the contract)."""
 
-    The header block comes in one read: its first two bytes tell an empty
-    block (``\\r\\n``) from one that ends in a blank line.  Only CRLF framing
-    is accepted -- a bare-LF request line is rejected at once rather than
-    left waiting for a ``\\r\\n\\r\\n`` that never comes.
+    __slots__ = (
+        "_server", "_transport", "_buffer", "_task", "_write_paused",
+        "_read_paused", "_eof",
+    )
 
-    ``None`` at EOF (or an unparsable request line); :class:`Reject` for a
-    head or body that cannot be framed -- bare-LF line endings, a
-    ``Transfer-Encoding`` body, a ``Content-Length`` that is not a
-    non-negative integer, or one past :data:`MAX_BODY_BYTES`.
-    """
-    try:
-        line = await reader.readuntil(b"\n")
-        if not line.endswith(b"\r\n"):
+    def __init__(self, server: HttpServer) -> None:
+        self._server = server
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._task: Optional[asyncio.Task] = None  # the awaited answer, if any
+        self._write_paused = False
+        self._read_paused = False
+        self._eof = False
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._server._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._connections.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._serve()
+
+    def eof_received(self) -> bool:
+        # answer every request already framed, then close: keep the write
+        # side open until then
+        self._eof = True
+        self._serve()
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._serve()
+
+    def close(self) -> None:
+        transport = self._transport
+        if transport.get_write_buffer_size():
+            # the client is not reading its answers: close() would wait for
+            # a flush that may never come (and, from Python 3.12 on, hold
+            # the server's wait_closed() with it)
+            transport.abort()
+        else:
+            transport.close()
+
+    def _serve(self) -> None:
+        """Answer the buffered requests in order until one must wait."""
+        transport = self._transport
+        while self._task is None and not self._write_paused:
+            if transport.is_closing():
+                return
+            try:
+                request = self._frame()
+            except Reject as reject:
+                # a request that cannot be framed cannot be skipped safely
+                # on a keep-alive stream: answer once and close
+                self._server._count_error(reject.status)
+                payload = encode({"error": reject.message})
+                transport.write(
+                    _CLOSE_HEAD
+                    % (reject.status, _REASONS.get(reject.status, b"Error"), len(payload))
+                    + payload
+                )
+                transport.close()
+                return
+            if request is None:
+                if self._eof:
+                    # nothing more will arrive: a partial request is dropped
+                    transport.close()
+                break
+            answer = self._server._respond(*request)
+            if isinstance(answer, tuple):
+                self._send(answer)
+            else:
+                task = asyncio.get_running_loop().create_task(self._answer_later(answer))
+                self._task = task
+                self._server._tasks.add(task)
+                task.add_done_callback(self._server._tasks.discard)
+        # read no further while an answer is awaited or the client is not
+        # reading its answers: the next request waits in the socket
+        blocked = self._task is not None or self._write_paused
+        if blocked != self._read_paused and not self._eof:
+            self._read_paused = blocked
+            if blocked:
+                transport.pause_reading()
+            else:
+                transport.resume_reading()
+
+    async def _answer_later(self, pending: Awaitable[Answer]) -> None:
+        answer = await pending
+        self._task = None
+        if not self._transport.is_closing():
+            self._send(answer)
+            self._serve()
+
+    def _send(self, answer: Answer) -> None:
+        status, payload = answer
+        content_type = (
+            b"text/plain; version=0.0.4; charset=utf-8"
+            if isinstance(payload, _TextBody)
+            else b"application/json"
+        )
+        # head and body in one write: one send, one segment
+        self._transport.write(
+            _HEAD % (status, _REASONS.get(status, b"OK"), content_type, len(payload))
+            + payload
+        )
+
+    def _frame(self) -> Optional[Tuple[str, str, bytes, Dict[str, str]]]:
+        """The first buffered request, cut off the buffer; ``None`` until it
+        has all arrived.
+
+        :class:`Reject` for a head or body that cannot be framed -- a bare-LF
+        request line, a head past :data:`MAX_HEAD_BYTES`, a
+        ``Transfer-Encoding`` body, a ``Content-Length`` that is not a
+        non-negative integer, or one past :data:`MAX_BODY_BYTES`.  An
+        unparsable request line closes the connection unanswered.
+        """
+        buffer = self._buffer
+        line_end = buffer.find(b"\n")
+        if line_end < 0:
+            if len(buffer) > MAX_HEAD_BYTES:
+                raise Reject(400, "request head too large")
+            return None
+        if line_end == 0 or buffer[line_end - 1] != 13:  # 13: CR
+            # rejected at once rather than left waiting for a CRLF blank
+            # line that never comes
             raise Reject(400, "request lines must end in CRLF")
         try:
-            method, target, _version = line.decode("latin-1").split(None, 2)
+            method, target, _version = (
+                buffer[: line_end - 1].decode("latin-1").split(None, 2)
+            )
         except ValueError:
+            self._transport.close()
             return None
-        block = await reader.readexactly(2)
-        if block != b"\r\n":
-            block += await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
-        return None
-    except asyncio.LimitOverrunError as exc:
-        raise Reject(400, "request head too large") from exc
-    headers: Dict[str, str] = {}
-    for field in block.decode("latin-1").split("\r\n")[:-2]:
-        name, _, value = field.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    if "transfer-encoding" in headers:
-        raise Reject(400, "Transfer-Encoding request bodies are not supported")
-    length = headers.get("content-length", "0")
-    if not length.isdecimal():
-        raise Reject(400, f"invalid Content-Length {length!r}")
-    length = int(length)
-    if length > MAX_BODY_BYTES:
-        raise Reject(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, body, headers
+        # the blank line ends the head; with no header fields it follows the
+        # request line's own CRLF
+        head_end = buffer.find(b"\r\n\r\n", line_end - 1)
+        if (len(buffer) if head_end < 0 else head_end) > MAX_HEAD_BYTES:
+            raise Reject(400, "request head too large")
+        if head_end < 0:
+            return None
+        headers: Dict[str, str] = {}
+        if head_end > line_end:
+            for field in buffer[line_end + 1 : head_end].decode("latin-1").split("\r\n"):
+                name, _, value = field.partition(":")
+                headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise Reject(400, "Transfer-Encoding request bodies are not supported")
+        length = headers.get("content-length", "0")
+        if not length.isdecimal():
+            raise Reject(400, f"invalid Content-Length {length!r}")
+        length = int(length)
+        if length > MAX_BODY_BYTES:
+            raise Reject(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        body_start = head_end + 4
+        body_end = body_start + length
+        if len(buffer) < body_end:
+            return None
+        body = bytes(buffer[body_start:body_end]) if length else b""
+        del buffer[:body_end]
+        return method.upper(), target, body, headers
 
 
 # --------------------------------------------------------------------------- #
@@ -380,8 +502,13 @@ _CLOSE_HEAD = (
 )
 
 
+#: one compact encoder for every response: ``json.dumps`` with
+#: ``separators`` builds a fresh encoder on every call
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode(payload: Dict[str, object]) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode()
+    return _ENCODER.encode(payload).encode()
 
 
 def _decode(body: bytes) -> Dict[str, object]:

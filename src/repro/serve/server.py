@@ -132,16 +132,19 @@ _SLOW_ENDPOINTS = frozenset(("/query", "/batch", "/shard-batch"))
 class _RequestContext:
     """Per-request observability state handed to every route handler.
 
-    Created once per request in :meth:`QueryServer._begin_request`; handlers
-    use :meth:`child` to hand the trace across executor-thread hops and fill
-    ``args``/``tags`` for the slow-query log.  ``remote`` marks requests
-    that arrived with trace headers -- their span records are shipped back
-    in the response body so the caller can assemble one connected tree.
+    Created once per request in :meth:`QueryServer._begin_request`.  Every
+    request keeps its timer and the ``args``/``tags`` handlers fill in for
+    the slow-query log.  A trace exists only when the request arrived with
+    trace headers: then ``root`` is its root span record, :meth:`child`
+    hands the trace across executor-thread hops, and ``/shard-batch`` ships
+    the span records back in its response body so the caller assembles one
+    connected tree.  Nothing else would read them, so an untraced request
+    builds no span at all.
     """
 
     __slots__ = (
-        "endpoint", "method", "started", "trace", "root", "remote",
-        "args", "tags", "root_recorded",
+        "endpoint", "method", "started", "trace", "root", "args", "tags",
+        "root_recorded",
     )
 
     def __init__(self, endpoint: str, method: str) -> None:
@@ -150,7 +153,6 @@ class _RequestContext:
         self.started = time.perf_counter()
         self.trace: Optional[tracing.Trace] = None
         self.root: Optional[Dict[str, object]] = None
-        self.remote = False
         self.args: Dict[str, object] = {}
         self.tags: Dict[str, object] = {}
         self.root_recorded = False
@@ -170,6 +172,17 @@ class _RequestContext:
         self.root["tags"].update(self.tags)
         self.trace.add(self.root)
         self.root_recorded = True
+
+    def lone_trace(self, status: int) -> tracing.Trace:
+        """A one-node trace for an untraced request the slow log records:
+        the root span, built now from the request's timer, endpoint and tags."""
+        self.trace = tracing.Trace()
+        self.root = tracing.new_span_record(
+            self.trace.trace_id, None, f"server:{self.endpoint}", {"method": self.method}
+        )
+        self.root["start"] -= time.perf_counter() - self.started  # at arrival
+        self.finish_root(status)
+        return self.trace
 
 
 class QueryServer(HttpServer):
@@ -205,13 +218,11 @@ class QueryServer(HttpServer):
             subscription whose poller lags past this many retained records
             has its log dropped and is forced through ``resync_required``
             (``None``: lag gauges observe but never act).
-        instrument: enable per-request tracing, latency histograms and the
-            slow-query log.  Off, the server still serves ``/metrics`` and
-            counts requests, but skips all per-request span bookkeeping --
-            the uninstrumented leg of the overhead benchmark.
         slow_threshold: seconds a ``/query``/``/batch``/``/shard-batch``
             request must take to land in the slow-query log (0 records
-            every completed request).
+            every completed request).  An untraced request lands with a
+            one-node span tree; one that carried trace headers with its
+            full tree.
         slow_capacity: slow-query ring-buffer size.
     """
 
@@ -229,7 +240,6 @@ class QueryServer(HttpServer):
         max_pollers: int = 256,
         poll_timeout: float = 30.0,
         max_poller_lag: Optional[int] = None,
-        instrument: bool = True,
         slow_threshold: float = 0.25,
         slow_capacity: int = 64,
     ) -> None:
@@ -273,7 +283,6 @@ class QueryServer(HttpServer):
         self._stream_waiters: Dict[int, asyncio.Event] = {}
         self._pollers = 0  # parked /poll-deltas requests (loop thread only)
 
-        self._instrument = instrument
         self._register_metrics()
         self.routes.update(
             {
@@ -558,45 +567,37 @@ class QueryServer(HttpServer):
     def _begin_request(
         self, method: str, endpoint: str, headers: Dict[str, str]
     ) -> _RequestContext:
-        """Open the per-request observability context (cheap when off)."""
+        """Open the per-request context; a trace only for a traced caller."""
         self._m_requests.inc()
         ctx = _RequestContext(endpoint, method)
-        if not self._instrument:
-            return ctx
         remote = tracing.context_from_headers(headers)
         if remote is not None:
             trace_id, parent_id = remote
             ctx.trace = tracing.Trace(trace_id)
-            ctx.remote = True
-        else:
-            ctx.trace = tracing.Trace()
-            parent_id = None
-        ctx.root = tracing.new_span_record(
-            ctx.trace.trace_id, parent_id, f"server:{endpoint}",
-            {"method": method},
-        )
+            ctx.root = tracing.new_span_record(
+                trace_id, parent_id, f"server:{endpoint}", {"method": method}
+            )
         return ctx
 
     def _finish_request(self, ctx: _RequestContext, status: int) -> None:
         """The single post-request hook: root span, latency, extras, slow log.
 
-        Replaces the per-handler ``_publish_stats_extras`` call sites: every
-        request path funnels through here exactly once, after the response
-        body is final.
+        Every request path funnels through here exactly once, after the
+        response body is final.
         """
-        if not self._instrument:
-            self._publish_stats_extras()
-            return
         duration = time.perf_counter() - ctx.started
         ctx.finish_root(status)
-        op = _ENDPOINT_OPS.get(ctx.endpoint, "other")
-        self._m_latency_ops[op].observe(duration)
+        self._m_latency_ops[_ENDPOINT_OPS.get(ctx.endpoint, "other")].observe(duration)
         self._publish_stats_extras()
-        if ctx.endpoint in _SLOW_ENDPOINTS:
+        if ctx.endpoint in _SLOW_ENDPOINTS and duration >= self.slow_log.threshold:
             tags = dict(ctx.tags)
             tags["status"] = status
             self.slow_log.record(
-                ctx.endpoint, duration, args=ctx.args, tags=tags, trace=ctx.trace
+                ctx.endpoint,
+                duration,
+                args=ctx.args,
+                tags=tags,
+                trace=ctx.trace or ctx.lone_trace(status),
             )
 
     def _count_error(self, status: int) -> None:
@@ -664,7 +665,7 @@ class QueryServer(HttpServer):
     # ------------------------------------------------------------------ #
     # endpoints
     # ------------------------------------------------------------------ #
-    async def _handle_stats(self, payload: Dict[str, object], ctx: _RequestContext):
+    def _handle_stats(self, payload: Dict[str, object], ctx: _RequestContext):
         return 200, encode(self.serving_stats())
 
     @staticmethod
@@ -700,13 +701,13 @@ class QueryServer(HttpServer):
             kind += ":stats"
         return kind
 
-    async def _handle_query(self, payload: Dict[str, object], ctx: _RequestContext):
+    def _handle_query(self, payload: Dict[str, object], ctx: _RequestContext):
         query, count_only = self._parse_query(payload)
         relation, with_stats = self._parse_refinement(payload)
         self._m_queries.inc()
         ctx.args = {"start": query.start, "end": query.end, "count_only": count_only}
-        caching = self._cache.enabled
-        if caching:
+        key = None
+        if self._cache.enabled:
             key = normalize_query_key(
                 query.start, query.end, self._query_kind(count_only, relation, with_stats)
             )
@@ -717,22 +718,34 @@ class QueryServer(HttpServer):
             ctx.tags["cache"] = "miss"
         execute = tracing.bind(ctx.child(), self._execution(relation, with_stats))
         self._admit()
+        if self._hop_reads:
+            return self._query_off_the_loop(execute, query, count_only, key)
+        # an in-process probe takes no lock an update holds, and the
+        # worker-thread round trip (two wakeups, a self-pipe write, a GIL
+        # handoff) costs more than the probe
         try:
-            if self._hop_reads:
-                generation, (answer,) = await self._loop.run_in_executor(
-                    None, execute, [query], count_only
-                )
-            else:
-                # an in-process probe takes no lock an update holds, and the
-                # worker-thread round trip (two wakeups, a self-pipe write, a
-                # GIL handoff) costs more than the probe
-                generation, (answer,) = execute([query], count_only)
+            generation, (answer,) = execute([query], count_only)
         finally:
             self._release()
+        return 200, self._query_body(key, generation, answer, count_only)
+
+    async def _query_off_the_loop(self, execute, query: Query, count_only: bool, key):
+        """A /query on a store whose reads fan out to worker processes:
+        exactly one worker-thread hop."""
+        try:
+            generation, (answer,) = await self._loop.run_in_executor(
+                None, execute, [query], count_only
+            )
+        finally:
+            self._release()
+        return 200, self._query_body(key, generation, answer, count_only)
+
+    def _query_body(self, key, generation: int, answer: object, count_only: bool) -> bytes:
+        """A /query answer's body, cached under ``key`` (None: caching off)."""
         body = _encode_answer(generation, answer, count_only)
-        if caching:
+        if key is not None:
             self._cache.put(key, generation, body)
-        return 200, body
+        return body
 
     def _execution(self, relation, with_stats: bool):
         """The store call for one query kind, as ``fn(queries, count_only)``.
@@ -1004,9 +1017,7 @@ class QueryServer(HttpServer):
             }
         )
 
-    async def _handle_unsubscribe(
-        self, payload: Dict[str, object], ctx: _RequestContext
-    ):
+    def _handle_unsubscribe(self, payload: Dict[str, object], ctx: _RequestContext):
         if "subscription_id" not in payload:
             raise Reject(400, "unsubscribe needs 'subscription_id'")
         subscription_id = int_field(payload["subscription_id"], "subscription_id")

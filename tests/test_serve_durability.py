@@ -161,11 +161,7 @@ class TestDegradedMode:
 # ---------------------------------------------------------------------- #
 async def _close_server_connections(server):
     """Close every open keep-alive connection from the server's side."""
-    writers = list(server._connections)
-    for writer in writers:
-        writer.close()
-    for writer in writers:
-        await writer.wait_closed()
+    server.close_connections()
 
 
 class TestClientRetries:

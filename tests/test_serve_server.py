@@ -5,7 +5,11 @@ thread teardown) is checked on every surface the HTTP core serves: the
 query server, a shard server and the router admin.
 """
 
+import asyncio
 import contextlib
+import json
+import re
+import select
 import socket
 import threading
 import time
@@ -796,6 +800,150 @@ class TestBatchAdmissionWeight:
             results = client.batch([(0, 1_000), (2_000, 3_000)])
             assert len(results) == 2
             client.close()
+        finally:
+            handle.stop()
+            store.close()
+
+
+def _read_responses(sock, count):
+    """Up to ``count`` responses off ``sock`` (fewer at EOF):
+    ``([(status, head, body), ...], bytes left over)``."""
+    data = b""
+    responses = []
+    while len(responses) < count:
+        head_end = data.find(b"\r\n\r\n")
+        if head_end >= 0:
+            head = data[:head_end]
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            body_end = head_end + 4 + length
+            if len(data) >= body_end:
+                responses.append((int(head.split()[1]), head, data[head_end + 4 : body_end]))
+                data = data[body_end:]
+                continue
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    return responses, data
+
+
+def _on_loop(handle, fn):
+    """``fn()``'s value, computed on the server's loop thread."""
+
+    async def call():
+        return fn()
+
+    return asyncio.run_coroutine_threadsafe(call(), handle._loop).result(timeout=10)
+
+
+class TestConnectionFraming:
+    """The per-connection protocol frames requests however the bytes arrive."""
+
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_a_request_sent_one_byte_per_send_is_answered(self, kind):
+        request = b"GET /health HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}"
+        with _surface(kind) as (port, _):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+                raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for byte in request:
+                    raw.send(bytes([byte]))
+                    time.sleep(0.001)
+                (response,), rest = _read_responses(raw, 1)
+        assert response[0] == 200
+        assert json.loads(response[2]) == {"status": "ok"}
+        assert rest == b""
+
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_pipelined_requests_in_one_send_are_answered_in_order(self, kind):
+        with _surface(kind) as (port, _):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+                raw.sendall(
+                    b"GET /health HTTP/1.1\r\n\r\n"
+                    b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+                    b"GET /slow-queries?limit=0 HTTP/1.1\r\n\r\n"
+                )
+                responses, _ = _read_responses(raw, 3)
+        assert [status for status, _, _ in responses] == [200, 200, 200]
+        health, metrics, slow = (body for _, _, body in responses)
+        assert json.loads(health) == {"status": "ok"}
+        assert b"# TYPE" in metrics
+        assert json.loads(slow)["slow_queries"] == []
+
+    def test_an_insert_pipelined_before_a_query_is_seen_by_it(self, served):
+        # the insert's answer waits on a worker thread; the query behind it
+        # must not be read, let alone answered, before the insert applies
+        collection, _, client = served
+        port = client._port
+        before = _oracle(collection, 0, 10)
+        insert = json.dumps({"id": 90_000, "start": 5, "end": 9}).encode()
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+            raw.sendall(
+                b"GET /query?start=0&end=10 HTTP/1.1\r\n\r\n"
+                b"POST /insert HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+                b"GET /query?start=0&end=10 HTTP/1.1\r\n\r\n" % (len(insert), insert)
+            )
+            responses, _ = _read_responses(raw, 3)
+        assert [status for status, _, _ in responses] == [200, 200, 200]
+        first, inserted, second = (json.loads(body) for _, _, body in responses)
+        assert set(first["ids"]) == before
+        assert inserted["inserted"] == 90_000
+        assert set(second["ids"]) == before | {90_000}
+        assert second["generation"] > first["generation"]
+
+    @pytest.mark.parametrize("kind", SURFACES)
+    def test_a_framing_reject_behind_a_good_request(self, kind):
+        with _surface(kind) as (port, _):
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+                raw.sendall(
+                    b"GET /health HTTP/1.1\r\n\r\n"
+                    b"GET /health HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                    b"GET /health HTTP/1.1\r\n\r\n"
+                )
+                responses, rest = _read_responses(raw, 3)
+                assert raw.recv(65536) == b""  # then EOF
+        assert [status for status, _, _ in responses] == [200, 400]
+        assert b"Connection: close" not in responses[0][1]
+        assert b"\r\nConnection: close" in responses[1][1]
+        assert b"Transfer-Encoding" in responses[1][2]
+        assert rest == b""
+
+    def test_a_client_that_never_reads_cannot_grow_the_server_buffers(self):
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_opt")
+        handle = start_server_thread(store, cache=1024)
+        request = b"GET /query?start=0&end=10000 HTTP/1.1\r\n\r\n"  # ~1.5 KB answer
+        chunk = request * 1024
+        try:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=10) as raw:
+                raw.setblocking(False)
+                sent = 0
+                deadline = time.monotonic() + 20
+                while time.monotonic() < deadline:
+                    _, writable, _ = select.select([], [raw], [], 0.5)
+                    if not writable:
+                        break  # the server stopped reading
+                    sent += raw.send(chunk[sent % len(chunk) :])
+                else:
+                    pytest.fail("the server kept reading a client that never reads")
+                buffered = _on_loop(
+                    handle,
+                    lambda: [
+                        (len(c._buffer), c._transport.get_write_buffer_size())
+                        for c in handle.server._connections
+                    ],
+                )
+                with ServeClient(port=handle.port) as client:
+                    stats = client.stats()
+                    assert client.health() == {"status": "ok"}
+                # and stop() returns while that client is still connected
+                handle.stop(timeout=10)
+            # the server stalled with requests still queued in the socket...
+            assert stats["queries"] < sent // len(request)
+            # ...and holds at most one receive chunk of them and its
+            # transport's high-water mark of answers (plus one answer)
+            (reader,) = [entry for entry in buffered if entry[1] > 0]
+            assert reader[0] <= 256 * 1024 + len(request)
+            assert reader[1] <= 64 * 1024 + 2048
         finally:
             handle.stop()
             store.close()

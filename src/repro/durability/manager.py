@@ -250,6 +250,12 @@ class DurabilityManager:
         return self._writer.fsync_policy
 
     @property
+    def last_fsync_s(self) -> float:
+        """Seconds the WAL's previous append-path fsync took (0.0 before
+        the first, and under ``fsync="off"``)."""
+        return self._writer.last_fsync_s
+
+    @property
     def degraded(self) -> bool:
         return self._degraded
 

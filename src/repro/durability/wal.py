@@ -334,6 +334,10 @@ class WalWriter:
         self._seq = int(start_seq)
         self._handle = None
         self._last_sync = time.monotonic()
+        #: seconds the previous append-path flush + fsync took (0.0 before
+        #: the first): the query server applies an update on its event loop
+        #: only while the disk answers fast
+        self.last_fsync_s = 0.0
         self._open_segment()
 
     # ------------------------------------------------------------------ #
@@ -379,19 +383,21 @@ class WalWriter:
         faults.fire("append.after_write")
         self._size += len(frame)
         if self._fsync == "always":
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._last_sync = time.monotonic()
-            faults.fire("append.after_fsync")
+            self._append_fsync(time.monotonic())
         elif self._fsync == "interval":
             now = time.monotonic()
             if now - self._last_sync >= self._fsync_interval:
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._last_sync = now
-                faults.fire("append.after_fsync")
+                self._append_fsync(now)
         if self._size >= self._segment_bytes:
             self.rotate()
+
+    def _append_fsync(self, began: float) -> None:
+        """Flush + fsync an append; ``began`` is ``time.monotonic()`` before it."""
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+        self._last_sync = time.monotonic()
+        self.last_fsync_s = self._last_sync - began
+        faults.fire("append.after_fsync")
 
     def sync(self) -> None:
         """Force an fsync of the current segment (any policy)."""

@@ -21,10 +21,14 @@ all serve through :class:`HttpServer`, which owns what they share:
   out) and the per-request context, and returns ``(status, body)`` -- or,
   when it must wait (a worker-thread hop, a long-poll), an awaitable of
   that tuple.  A tuple is written at once, inside the callback that read the
-  request; for an awaitable the connection pauses reading, runs it as its
-  one task, writes the answer, resumes and goes on with the requests
-  already buffered.  A path off the table answers ``404``, a method its
-  route does not accept ``405``;
+  request -- the query server's lone ``/query``, ``/insert``, ``/delete``,
+  ``/stats`` and ``/unsubscribe`` answer so, as do ``/metrics``,
+  ``/slow-queries`` and ``/health`` here; for an awaitable (``/batch``,
+  ``/maintain``, ``/subscribe``, ``/poll-deltas``, an update that must
+  wait) the connection pauses reading, runs it as its one task, writes the
+  answer, resumes and goes on with the requests already buffered.  A path
+  off the table answers ``404``, a method its route does not accept
+  ``405``;
 * ``/metrics``, ``/slow-queries`` and liveness ``/health`` over the
   registry and slow log each server passes in;
 * :func:`run_in_thread` -- the daemon-thread event loop behind

@@ -10,10 +10,10 @@ Request lifecycle::
     client -> admission control -> result cache -> store (in the handler)
                    |                    |                    |
                  503 when          hit: respond with the   one store call per
-               max_pending         cached pre-encoded body /query (on the loop)
-              queries admitted     (updates evict by range) or /batch chunk
-                                                           (worker thread);
-                                                           fill cache
+               max_pending         cached pre-encoded body /query or update
+              queries admitted     (updates evict by range) (on the loop) or
+                                                           /batch chunk (worker
+                                                           thread); fill cache
 
 * **Admission control**: at most ``max_pending`` query requests may be
   admitted (executing) at once; beyond that the server answers ``503``
@@ -26,12 +26,20 @@ Request lifecycle::
   thread would cost more than the probe; a store that fans out to worker
   processes, whose reads wait on the pool and may build shards under the
   update lock, takes exactly one worker-thread hop instead.  ``/batch``
-  chunks (``max_batch`` queries each), updates, maintenance and subscribe
-  hop to a worker thread.  The trade: an inline query cannot be
-  preempted, so while a slow one runs the loop reads nothing else -- the
-  requests behind it (health checks included) wait for it instead of
-  being admitted or answered ``503``, and ``stop()`` starts draining only
+  chunks (``max_batch`` queries each), maintenance and subscribe hop to a
+  worker thread.  The trade: an inline query cannot be preempted, so
+  while a slow one runs the loop reads nothing else -- the requests
+  behind it (health checks included) wait for it instead of being
+  admitted or answered ``503``, and ``stop()`` starts draining only
   after it.
+* **Updates**: an ``/insert`` or ``/delete`` applies on the loop too --
+  WAL append, fsync, index apply, then the answer -- so under
+  ``fsync="always"`` the loop waits out the update's fsync.  It takes the
+  awaited path instead (one worker-thread hop under the server's update
+  lock, reads served meanwhile) when applying it now would wait on
+  another thread or a slow disk: a hopped ``/maintain``/``/subscribe``
+  holds the update lock, another thread holds ``store.updates.lock``, or
+  the WAL's previous fsync took longer than :data:`_SLOW_FSYNC_S`.
 * **Result cache**: hits are served straight off the event loop as
   pre-encoded bodies.  The cache watches ``store.updates``: an insert or
   delete evicts exactly the cached ranges it overlaps and an epoch
@@ -90,6 +98,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
+import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -124,6 +133,21 @@ _ENDPOINT_OPS = {
     "/delete": "update",
     "/maintain": "update",
 }
+
+#: an update is applied on the event loop only while the WAL's previous
+#: append-path fsync took at most this long (seconds); after a slower one
+#: the next update hops to a worker thread, so reads keep flowing beside a
+#: slow disk.  Fitted from two measurements on a 2-core VM (ext4 on a
+#: virtio disk; a durable 100k-interval 2-shard hybrid, ``fsync="always"``):
+#: the store's own fsync took p50 163-196 us, p90 210-291 us, p99 0.8-2.5 ms
+#: (5 x 6,000 updates); the awaited path costs the server ~275 us more CPU
+#: per update than applying it inline (605 against 330 us, medians of 9 x
+#: 4,000 updates a side, server and client on one core), CPU during which
+#: the loop serves nothing.  Inline wins while the fsync it waits for costs
+#: less than that hop; the limit sits at ~4x the hop, past this disk's p90,
+#: so a lone fsync spike does not push updates off the loop, while on a
+#: disk whose fsyncs take milliseconds every update hops.
+_SLOW_FSYNC_S = 0.001
 
 #: endpoints whose completed requests feed the slow-query log
 _SLOW_ENDPOINTS = frozenset(("/query", "/batch", "/shard-batch"))
@@ -187,6 +211,12 @@ class _RequestContext:
 
 class QueryServer(HttpServer):
     """Admission-controlled asyncio HTTP front door for one store.
+
+    The lone ``/query``, ``/insert`` and ``/delete`` are answered inside the
+    connection's protocol callback, on the event loop; an update falls
+    back to one worker-thread hop only when it would otherwise wait there
+    on another thread or a slow disk (see the module docstring).
+    ``/batch`` chunks, ``/maintain`` and ``/subscribe`` always hop.
 
     Args:
         store: the :class:`~repro.engine.store.IntervalStore` (or sharded
@@ -273,7 +303,11 @@ class QueryServer(HttpServer):
         self._hop_reads = _fans_out_to_processes(store)
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[int] = None  # threading.get_ident() of the loop
         self._update_lock: Optional[asyncio.Lock] = None
+        #: True while a hopped update (not /maintain or /subscribe) holds
+        #: _update_lock; the next update may still apply inline beside it
+        self._hopped_update = False
         self._idle: Optional[asyncio.Event] = None
         self._inflight = 0  # admitted query requests (loop thread only)
         self._draining = False
@@ -503,6 +537,7 @@ class QueryServer(HttpServer):
     async def start(self) -> None:
         """Bind the listener (call from the loop)."""
         self._loop = asyncio.get_running_loop()
+        self._loop_thread = threading.get_ident()
         self._update_lock = asyncio.Lock()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -856,7 +891,7 @@ class QueryServer(HttpServer):
         # answers hold per-query encoded bodies; splice them into one array
         return 200, b'{"results": [' + b", ".join(answers) + b"]}"
 
-    async def _handle_insert(self, payload: Dict[str, object], ctx: _RequestContext):
+    def _handle_insert(self, payload: Dict[str, object], ctx: _RequestContext):
         for field in ("id", "start", "end"):
             if field not in payload:
                 raise Reject(400, f"insert needs '{field}'")
@@ -865,44 +900,71 @@ class QueryServer(HttpServer):
             int_field(payload["start"], "start"),
             int_field(payload["end"], "end"),
         )
-        self._admit()
-        try:
-            async with self._update_lock:
-                await self._loop.run_in_executor(None, self._store.insert, interval)
-        except DurabilityDegradedError as exc:
-            # the WAL could not persist the record: refuse the write
-            # loudly (503, no Retry-After -- degraded does not self-heal)
-            # instead of acknowledging an update a crash would lose
-            raise Reject(503, str(exc)) from exc
-        finally:
-            self._release()
-        self._m_updates.inc()
-        return 200, encode(
-            {"inserted": interval.id, "generation": self._store.result_generation()}
+        return self._update(
+            self._store.insert, interval, lambda _: {"inserted": interval.id}
         )
 
-    async def _handle_delete(self, payload: Dict[str, object], ctx: _RequestContext):
+    def _handle_delete(self, payload: Dict[str, object], ctx: _RequestContext):
         if "id" not in payload:
             raise Reject(400, "delete needs 'id'")
         interval_id = int_field(payload["id"], "id")
+        return self._update(
+            self._store.delete,
+            interval_id,
+            lambda found: {"deleted": bool(found), "id": interval_id},
+        )
+
+    def _update(self, apply, argument, answer):
+        """Apply one insert/delete, answering ``answer(result)`` + generation.
+
+        The update runs right here, on the loop, holding its admission slot:
+        WAL append, fsync, index apply, then the answer -- no worker-thread
+        round trip.  It waits instead (:meth:`_update_later`) when applying
+        it now would wait on another thread or on a slow disk: a hopped
+        ``/maintain`` or ``/subscribe`` holds the update lock, another
+        thread holds ``store.updates.lock`` (a checkpoint, a lazy shard
+        build, an in-process writer), or the WAL's previous fsync took
+        longer than :data:`_SLOW_FSYNC_S`.  A hopped update holding the
+        update lock is no such reason: were it one, every update from
+        other connections would queue behind it, and with two or more
+        writers the hops would never stop.
+        """
         self._admit()
+        durability = getattr(self._store, "durability", None)
+        lock = self._store.updates.lock
+        if (
+            (self._update_lock.locked() and not self._hopped_update)
+            or (durability is not None and durability.last_fsync_s > _SLOW_FSYNC_S)
+            or not lock.acquire(blocking=False)
+        ):
+            return self._update_later(apply, argument, answer)
+        try:
+            result = _apply_update(apply, argument)
+        finally:
+            lock.release()
+            self._release()
+        return self._updated(answer(result))
+
+    async def _update_later(self, apply, argument, answer):
+        """:meth:`_update` off the loop: one worker-thread hop under the
+        update lock, so the loop keeps serving reads meanwhile."""
         try:
             async with self._update_lock:
-                found = await self._loop.run_in_executor(
-                    None, self._store.delete, interval_id
-                )
-        except DurabilityDegradedError as exc:
-            raise Reject(503, str(exc)) from exc
+                self._hopped_update = True
+                try:
+                    result = await self._loop.run_in_executor(
+                        None, _apply_update, apply, argument
+                    )
+                finally:
+                    self._hopped_update = False
         finally:
             self._release()
+        return self._updated(answer(result))
+
+    def _updated(self, body: Dict[str, object]):
         self._m_updates.inc()
-        return 200, encode(
-            {
-                "deleted": bool(found),
-                "id": interval_id,
-                "generation": self._store.result_generation(),
-            }
-        )
+        body["generation"] = self._store.result_generation()
+        return 200, encode(body)
 
     async def _handle_maintain(self, payload: Dict[str, object], ctx: _RequestContext):
         force = truthy(payload.get("force", False))
@@ -936,11 +998,16 @@ class QueryServer(HttpServer):
     def _on_deltas(self, subscription_id: int) -> None:
         """Delta-engine notifier: wake that subscription's parked pollers.
 
-        Fires on whatever thread ran the insert/delete; hop to the loop
-        thread (and swallow the race with loop shutdown).
+        Fires on whatever thread ran the insert/delete: on the loop thread
+        (an update applied inline) it wakes them at once; from any other
+        thread it hops to the loop (and swallows the race with loop
+        shutdown).
         """
         loop = self._loop
         if loop is None:
+            return
+        if threading.get_ident() == self._loop_thread:
+            self._wake_pollers(subscription_id)
             return
         try:
             loop.call_soon_threadsafe(self._wake_pollers, subscription_id)
@@ -1114,6 +1181,18 @@ def _fans_out_to_processes(store: IntervalStore) -> bool:
     return isinstance(store.executor, ProcessExecutor) or isinstance(
         getattr(store.index, "executor", None), ProcessExecutor
     )
+
+
+def _apply_update(apply, argument):
+    """``apply(argument)``; a 503 when the WAL could not persist the record.
+
+    The write is refused loudly (no Retry-After -- degraded does not
+    self-heal) instead of acknowledging an update a crash would lose.
+    """
+    try:
+        return apply(argument)
+    except DurabilityDegradedError as exc:
+        raise Reject(503, str(exc)) from exc
 
 
 def _query_pairs(raw: object) -> List[Query]:

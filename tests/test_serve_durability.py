@@ -249,8 +249,10 @@ def test_stream_client_resumes_from_ack_after_restart(tmp_path):
     store.maintain(force=True, checkpoint=True)
     store.insert(Interval(3001, 70, 80))
     store.delete(0)
+    client.close()
     handle.stop()
-    # no store.close(): fsync="always" already made every record durable
+    # no store.close() yet: fsync="always" already made every record
+    # durable, and the recovered store must not lean on a clean shutdown
 
     recovered = IntervalStore.open(
         _collection(), "hintm_hybrid", wal_dir=str(tmp_path), fsync="always"
@@ -289,3 +291,4 @@ def test_stream_client_resumes_from_ack_after_restart(tmp_path):
     finally:
         handle2.stop()
         recovered.close()
+        store.close()  # the crashed store's WAL handle, only now

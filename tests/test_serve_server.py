@@ -8,9 +8,11 @@ query server, a shard server and the router admin.
 import asyncio
 import contextlib
 import json
+import os
 import re
 import select
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -257,8 +259,8 @@ class TestAdmissionControl:
             assert all(
                 exc.payload.get("error") == "overloaded" for exc in rejected
             )
-            stats = ServeClient(port=handle.port).stats()
-            assert stats["rejected"] == len(rejected)
+            with ServeClient(port=handle.port) as client:
+                assert client.stats()["rejected"] == len(rejected)
         finally:
             gate.set()
             handle.stop()
@@ -277,13 +279,16 @@ class TestAdmissionControl:
         try:
             # the parked request is a /batch (worker thread), so the loop
             # stays free to reject the /query behind it
-            background = threading.Thread(
-                target=lambda: ServeClient(port=handle.port).batch([(0, 10)])
-            )
+            def parked():
+                with ServeClient(port=handle.port) as client:
+                    client.batch([(0, 10)])
+
+            background = threading.Thread(target=parked)
             background.start()
             time.sleep(0.1)
-            with pytest.raises(ServerOverloaded) as excinfo:
-                ServeClient(port=handle.port).query(0, 10)
+            with ServeClient(port=handle.port) as client:
+                with pytest.raises(ServerOverloaded) as excinfo:
+                    client.query(0, 10)
             assert excinfo.value.payload["retry_after"] == 1
             gate.set()
             background.join(timeout=10)
@@ -310,11 +315,11 @@ class TestLifecycle:
         answers = []
 
         def call():
-            client = ServeClient(port=handle.port)
-            if endpoint == "/query":
-                answers.append(client.query(0, 9_999))
-            else:
-                answers.extend(client.batch([(0, 9_999)]))
+            with ServeClient(port=handle.port) as client:
+                if endpoint == "/query":
+                    answers.append(client.query(0, 9_999))
+                else:
+                    answers.extend(client.batch([(0, 9_999)]))
 
         # a /batch parks in a worker thread while stop() drains; a lone
         # /query parks the event loop itself, so stop() starts once it has
@@ -394,8 +399,23 @@ class _CountingExecutor(ThreadPoolExecutor):
         return super().submit(*args, **kwargs)
 
 
+class _GatedExecutor(_CountingExecutor):
+    """A counting executor whose jobs start only once ``gate`` is set."""
+
+    def __init__(self, gate: threading.Event) -> None:
+        super().__init__()
+        self._gate = gate
+
+    def submit(self, fn, *args, **kwargs):
+        def gated():
+            self._gate.wait(timeout=10)
+            return fn(*args, **kwargs)
+
+        return super().submit(gated)
+
+
 class TestInlineExecution:
-    def test_lone_query_runs_on_the_loop_everything_else_hops(self):
+    def test_lone_query_and_updates_run_on_the_loop_the_rest_hops(self):
         store = IntervalStore.open(_collection(), "hintm_hybrid")
         handle = start_server_thread(store, cache=0)
         executor = _CountingExecutor()
@@ -419,12 +439,15 @@ class TestInlineExecution:
                 expected
             )
             assert executor.submitted == 0
+            # an update applies inside the callback too: no thread hop
+            assert client.insert(90_000, 5, 9)["inserted"] == 90_000
+            assert client.delete(90_000)["deleted"] is True
+            assert executor.submitted == 0
+            assert client.stats()["updates"] == 2
             client.batch([(0, 1_000)])
             assert executor.submitted == 1
-            client.insert(90_000, 5, 9)
-            assert executor.submitted == 2
             client.maintain(force=True)
-            assert executor.submitted == 3
+            assert executor.submitted == 2
         finally:
             client.close()
             handle.stop()
@@ -468,26 +491,281 @@ class TestInlineExecution:
         )[1]
         handle = start_server_thread(store, cache=0, max_pending=1)
         answers = []
+
+        def parked():
+            with ServeClient(port=handle.port) as client:
+                answers.append(client.query(0, 10))
+
         try:
-            background = threading.Thread(
-                target=lambda: answers.append(ServeClient(port=handle.port).query(0, 10))
-            )
+            background = threading.Thread(target=parked)
             background.start()
             time.sleep(0.1)
-            behind = ServeClient(port=handle.port, timeout=0.3, retries=0)
-            with pytest.raises(OSError):  # times out: nothing reads it
-                behind.health()
-            behind.close()
+            with ServeClient(port=handle.port, timeout=0.3, retries=0) as behind:
+                with pytest.raises(OSError):  # times out: nothing reads it
+                    behind.health()
             gate.set()
             background.join(timeout=10)
             assert set(answers[0]["ids"]) == _oracle(collection, 0, 10)
-            response = ServeClient(port=handle.port).query(0, 10)
-            assert set(response["ids"]) == _oracle(collection, 0, 10)
-            assert ServeClient(port=handle.port).stats()["rejected"] == 0
+            with ServeClient(port=handle.port) as client:
+                response = client.query(0, 10)
+                assert set(response["ids"]) == _oracle(collection, 0, 10)
+                assert client.stats()["rejected"] == 0
         finally:
             gate.set()
             handle.stop()
             store.close()
+
+
+class _SlowFsyncOs:
+    """``os`` for :mod:`repro.durability.wal` with a gated, slow ``fsync``.
+
+    Every fsync sleeps ``delay`` seconds; once :attr:`gate` is cleared, the
+    next one also sets :attr:`started` and waits for the gate to reopen.
+    """
+
+    def __init__(self, delay: float) -> None:
+        self.delay = delay
+        self.gate = threading.Event()
+        self.gate.set()
+        self.started = threading.Event()
+
+    def fsync(self, fd: int) -> None:
+        if not self.gate.is_set():
+            self.started.set()
+            self.gate.wait(timeout=10)
+        time.sleep(self.delay)
+        os.fsync(fd)
+
+    def __getattr__(self, name: str):
+        return getattr(os, name)
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a thread; returns ``(thread, results)``."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(fn()))
+    thread.start()
+    return thread, results
+
+
+class TestUpdatePath:
+    """An update applies on the loop unless that would wait on another
+    thread or a slow disk; then it waits off the loop and reads go on."""
+
+    def test_an_update_behind_a_hopped_maintain_waits_and_reads_go_on(self):
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_hybrid")
+        gate = threading.Event()
+        original = store.maintain
+
+        def gated_maintain(force=False, checkpoint=False):
+            gate.wait(timeout=10)
+            return original(force=force, checkpoint=checkpoint)
+
+        store.maintain = gated_maintain
+        handle = start_server_thread(store, cache=0)
+
+        def call(request):
+            with ServeClient(port=handle.port) as client:
+                return request(client)
+
+        try:
+            maintaining, _ = _in_thread(lambda: call(lambda c: c.maintain(force=True)))
+            time.sleep(0.1)  # /maintain holds the update lock, parked
+            inserting, inserted = _in_thread(
+                lambda: call(lambda c: c.insert(90_000, 5, 9))
+            )
+            time.sleep(0.2)
+            assert inserted == []  # no answer while maintenance runs
+            # ...while a read on a third connection is answered
+            assert call(lambda c: c.query(0, 10))["ids"] is not None
+            assert inserted == []
+            gate.set()
+            maintaining.join(timeout=10)
+            inserting.join(timeout=10)
+            assert inserted[0]["inserted"] == 90_000
+            ids = set(call(lambda c: c.query(0, 10))["ids"])
+            assert ids == _oracle(collection, 0, 10) | {90_000}
+        finally:
+            gate.set()
+            handle.stop()
+            store.close()
+
+    def test_after_a_slow_fsync_the_next_update_leaves_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durability import wal
+
+        collection = _collection()
+        store = IntervalStore.open(
+            collection, "hintm_hybrid", wal_dir=str(tmp_path), fsync="always"
+        )
+        slow = _SlowFsyncOs(delay=0.05)
+        monkeypatch.setattr(wal, "os", slow)
+        handle = start_server_thread(store, cache=0)
+        try:
+            with ServeClient(port=handle.port) as writer:
+                writer.insert(90_000, 5, 9)  # inline: the loop waits ~50 ms
+                assert store.durability.last_fsync_s >= 0.05
+                slow.gate.clear()  # the next fsync parks until the gate opens
+                updating, updated = _in_thread(lambda: writer.insert(90_001, 6, 8))
+                assert slow.started.wait(timeout=10)
+                # the update's fsync is running: a read on another
+                # connection is answered all the same
+                with ServeClient(port=handle.port, timeout=2, retries=0) as reader:
+                    ids = set(reader.query(0, 10)["ids"])
+                assert updated == []
+                slow.gate.set()
+                updating.join(timeout=10)
+            assert updated[0]["inserted"] == 90_001
+            assert 90_000 in ids
+            with ServeClient(port=handle.port) as reader:
+                assert {90_000, 90_001} <= set(reader.query(0, 10)["ids"])
+        finally:
+            slow.gate.set()
+            handle.stop()
+            store.close()
+
+    def test_an_update_blocked_on_the_store_lock_leaves_health_answered(self):
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_hybrid", num_shards=2)
+        handle = start_server_thread(store, cache=0)
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with store.updates.lock:  # e.g. a checkpoint on another thread
+                held.set()
+                release.wait(timeout=10)
+
+        holding = threading.Thread(target=holder)
+        holding.start()
+        try:
+            assert held.wait(timeout=10)
+
+            def insert():
+                with ServeClient(port=handle.port) as client:
+                    return client.insert(90_000, 5, 9)
+
+            inserting, inserted = _in_thread(insert)
+            time.sleep(0.1)
+            with ServeClient(port=handle.port, timeout=2, retries=0) as client:
+                assert client.health() == {"status": "ok"}
+            assert inserted == []
+            release.set()
+            inserting.join(timeout=10)
+            assert inserted[0]["inserted"] == 90_000
+        finally:
+            release.set()
+            holding.join(timeout=10)
+            handle.stop()
+            store.close()
+
+    def test_an_update_beside_a_hopped_one_still_applies_inline(self):
+        # a hopped update holds the server's update lock; it alone is no
+        # reason for the next update, on another connection, to queue
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_hybrid")
+        handle = start_server_thread(store, cache=0)
+        gate = threading.Event()
+        executor = _GatedExecutor(gate)
+        handle._loop.set_default_executor(executor)
+
+        def insert(interval_id):
+            with ServeClient(port=handle.port, timeout=2, retries=0) as client:
+                return client.insert(interval_id, 5, 9)
+
+        try:
+            with store.updates.lock:  # the first update cannot apply inline
+                hopping, hopped = _in_thread(lambda: insert(90_000))
+                time.sleep(0.2)
+            assert executor.submitted == 1  # ...so it hopped, and waits
+            assert insert(90_001)["inserted"] == 90_001  # inline, meanwhile
+            assert hopped == []
+            gate.set()
+            hopping.join(timeout=10)
+            assert hopped[0]["inserted"] == 90_000
+            assert executor.submitted == 1
+            with ServeClient(port=handle.port) as client:
+                ids = set(client.query(0, 10)["ids"])
+            assert ids == _oracle(collection, 0, 10) | {90_000, 90_001}
+        finally:
+            gate.set()
+            handle.stop()
+            store.close()
+
+    def test_inline_and_hopped_updates_interleave_without_loss(self, tmp_path):
+        # more writers than cores, a thread grabbing the store lock so some
+        # updates hop while others apply inline, and /maintain passes
+        # between them: every acknowledged update is in the index, counted
+        # once, and recovered from the WAL in the order it was applied
+        collection = _collection()
+        store = IntervalStore.open(
+            collection, "hintm_hybrid", num_shards=2,
+            wal_dir=str(tmp_path), fsync="always",
+        )
+        handle = start_server_thread(store, cache=64)
+        writers, per_writer = 4, 30
+        done = threading.Event()
+        errors = []
+
+        def write(writer):
+            try:
+                with ServeClient(port=handle.port) as client:
+                    for k in range(per_writer):
+                        interval_id = 100_000 + writer * 1_000 + k
+                        client.insert(interval_id, k * 10, k * 10 + 5)
+                        if k % 2:
+                            client.delete(interval_id)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def hold_the_lock():
+            while not done.is_set():
+                with store.updates.lock:
+                    time.sleep(0.001)
+                time.sleep(0.001)
+
+        def maintain():
+            with ServeClient(port=handle.port) as client:
+                while not done.is_set():
+                    client.maintain(force=True)
+                    time.sleep(0.01)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        helpers = [threading.Thread(target=hold_the_lock), threading.Thread(target=maintain)]
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        try:
+            for thread in helpers + threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            for thread in helpers:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in helpers + threads)
+            assert errors == []
+            expected = set(int(i) for i in collection.ids) | {
+                100_000 + w * 1_000 + k
+                for w in range(writers)
+                for k in range(0, per_writer, 2)
+            }
+            with ServeClient(port=handle.port) as client:
+                assert client.stats()["updates"] == writers * (per_writer + per_writer // 2)
+                served = set(client.query(-1, 1 << 40)["ids"])
+            assert served == expected
+        finally:
+            done.set()
+            sys.setswitchinterval(switch)
+            handle.stop()
+            store.close()
+        recovered = IntervalStore.open(
+            collection, "hintm_hybrid", num_shards=2, wal_dir=str(tmp_path)
+        )
+        try:
+            assert set(recovered.query().overlapping(-1, 1 << 40).ids().tolist()) == expected
+        finally:
+            recovered.close()
 
 
 class TestRequestLimits:
@@ -870,8 +1148,9 @@ class TestConnectionFraming:
         assert json.loads(slow)["slow_queries"] == []
 
     def test_an_insert_pipelined_before_a_query_is_seen_by_it(self, served):
-        # the insert's answer waits on a worker thread; the query behind it
-        # must not be read, let alone answered, before the insert applies
+        # the insert applies inside the callback that read it, before the
+        # query behind it is framed; were it to wait (see _update_later),
+        # the connection would read nothing more until it had applied
         collection, _, client = served
         port = client._port
         before = _oracle(collection, 0, 10)

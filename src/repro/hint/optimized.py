@@ -55,13 +55,16 @@ _TUPLE_BYTES = 40
 #: batches at least this long go through the vectorised traversal, shorter
 #: ones through the per-query loop.  The ``batch_crossover`` sweep of
 #: :mod:`repro.bench.experiments` (20k synthetic intervals at m = 12, the two
-#: paths timed in turn, medians of seven; CPython 3.11 on a 2-core x86-64 VM)
-#: puts the kernel at ~350-460 us per call plus ~17-20 us per query and the
-#: loop at ~57-75 us per query: over three runs loop / kernel was 0.96-0.99 at
-#: 8 queries and 1.48-1.56 at 16, and the same sweep over 6-12 queries gave
-#: 0.83-1.00 at 8 and 1.02-1.11 at 9.  Above 1, a lone query never enters
-#: the kernel
-_BATCH_CROSSOVER = 9
+#: paths timed in turn, medians of seven; CPython 3.11 on a 2-core x86-64 VM,
+#: the process pinned to one CPU) puts the kernel at ~305-375 us for a
+#: one-query call and the loop, which reads a class's partitions at a level
+#: as one run, at ~45-60 us per query: over three runs loop / kernel was
+#: 0.82-0.87 at 8 queries and 1.05-1.32 at 16, and the same interleaved
+#: timing over 9-14 queries (medians of nine, six runs) gave 0.74-0.91 at 9,
+#: 0.87-1.04 at 10, 0.99-1.09 at 11 and 1.08-1.30 at 12, the smallest size
+#: the kernel won in every run.  Above 1, a lone query never enters the
+#: kernel
+_BATCH_CROSSOVER = 12
 
 
 def _record_matches(
@@ -142,9 +145,12 @@ _CLASSES = (
 )
 
 #: the batch kernel's (entry, level) table: a (query, level)'s directory
-#: entries ``head .. run_lo`` (first partition), ``run_lo .. run_hi``
-#: (comparison-free middle run) and ``run_hi .. tail`` (last partition)
-_HEAD, _RUN_LO, _RUN_HI, _TAIL = range(4)
+#: entries ``first .. after_first`` (first partition, empty when it is
+#: absent) and ``last .. after_last`` (last partition, the first one again
+#: when they coincide; ``last == after_last`` when it is absent), and
+#: ``split``: ``after_first`` when the first partition needs the end test,
+#: else ``first``
+_FIRST, _AFTER_FIRST, _LAST, _AFTER_LAST, _SPLIT = range(5)
 #: ... and its (flag, level) table: no test; the start test of the first
 #: partition (when it is the last one too) and of the last partition; the
 #: end test of the first partition (Lemma 2)
@@ -336,10 +342,13 @@ class OptimizedHINTm(IntervalIndex):
         For the batch kernel, the same pairs as slot columns (see
         :meth:`_batch_segments`): ``(shifts, heap, below)`` as columns over
         the populated levels, top level first, then per slot the rows of the
-        (entry, level) table its run starts and ends at, the offset of its
-        class's row of the pointer table, and the rows of the (flag, level)
-        table its start and end tests read -- three slots per populated
-        original pair, one per populated replica pair.
+        (entry, level) table its run starts at, ends at and start-trims
+        from, the offset of its class's row of the pointer table, and the
+        rows of the (flag, level) table its start and end tests read -- the
+        runs :meth:`_segments` emits: one slot per populated ``o_aft`` or
+        replica pair, two per populated ``o_in`` pair -- 30-33 slots on the
+        ``core_scan`` benchmark data, where three per original pair made
+        47-53.
         """
         m = self._m
         cuts = self._level_cuts
@@ -356,24 +365,30 @@ class OptimizedHINTm(IntervalIndex):
             if not present:
                 continue
             shift = m - level
-            walk.append((1 << level, shift, (1 << shift) - 1, lo, hi, tuple(
-                (pointer_lists[index], index < 2, _CLASSES[index][2]) for index in present
-            )))
+            walk.append((
+                1 << level, shift, (1 << shift) - 1, lo, hi,
+                tuple((pointer_lists[index], _CLASSES[index][2]) for index in present if index > 1),
+                tuple((pointer_lists[index], _CLASSES[index][2]) for index in present if index < 2),
+            ))
             row = len(shifts)
             shifts.append(shift)
             for index in present:
+                # (class, level row, run from, run to, trim from, start test, end test)
+                if index == 0:  # o_aft: first partition through the last
+                    slots.append((index, row, _FIRST, _AFTER_LAST, _LAST, _COMP_LAST, _NEVER))
+                    continue
+                if index == 1:  # o_in: the first partition apart when it is end-tested
+                    slots.append((index, row, _FIRST, _SPLIT, _FIRST, _FIRST_START, _COMP_FIRST))
+                    slots.append((index, row, _SPLIT, _AFTER_LAST, _LAST, _COMP_LAST, _NEVER))
+                    continue
                 end_test = _COMP_FIRST if _CLASSES[index][2] else _NEVER
-                # (class, level row, run from, run to, start test, end test)
-                slots.append((index, row, _HEAD, _RUN_LO, _FIRST_START if index < 2 else _NEVER, end_test))
-                if index < 2:  # the originals' middle run and last partition
-                    slots.append((index, row, _RUN_LO, _RUN_HI, _NEVER, _NEVER))
-                    slots.append((index, row, _RUN_HI, _TAIL, _COMP_LAST, _NEVER))
+                slots.append((index, row, _FIRST, _AFTER_FIRST, _FIRST, _NEVER, end_test))
         walk.reverse()
         levels = len(shifts)
         shift_column = np.array(shifts, dtype=np.int64)[:, None]
-        classes, rows, run_from, run_to, start_test, end_test = (
+        classes, rows, run_from, run_to, trim_from, start_test, end_test = (
             np.array(column, dtype=np.int64).reshape(-1)
-            for column in (zip(*slots) if slots else [()] * 6)
+            for column in (zip(*slots) if slots else [()] * 7)
         )
         batch = (
             shift_column,
@@ -381,6 +396,7 @@ class OptimizedHINTm(IntervalIndex):
             (np.int64(1) << shift_column) - 1,
             run_from * levels + rows,
             run_to * levels + rows,
+            trim_from * levels + rows,
             classes * self._pointers.shape[1],
             start_test * levels + rows,
             end_test * levels + rows,
@@ -474,79 +490,117 @@ class OptimizedHINTm(IntervalIndex):
         return self._tally(query, stop_at_first=True) > 0
 
     def _segments(self, query: Query) -> List[tuple]:
-        """``(row_lo, row_hi, test_start, test_end, key)`` for every
-        non-empty run of the shared columns the query touches.
+        """``(row_lo, row_mid, row_cut, row_hi, test_start, test_end, key)``
+        for every non-empty run of the shared columns the query touches.
 
         This is the scalar encoding of the Section 4.2/4.3 traversal: which
-        partitions are relevant per level, how boundary partitions split off
-        from the comparison-free middle run, and how the Lemma 2 flags lower
+        partitions are relevant per level, and how the Lemma 2 flags lower
         the predicates level by level (:meth:`_batch_segments` is the same
         traversal for a whole batch, and reads the flags by the same
         formula).  Per level, one binary search in the directory finds the
         first relevant partition (a second one the last, when they differ),
-        and only the classes that store rows at the level are read.  ``key``
-        is the heap number of a boundary partition (``None`` for
-        comparison-free runs), used for the Lemma 4 counter.
+        and only the classes that store rows at the level are read.
+
+        A class's partitions sit side by side in the merged table (Section
+        4.2), so its first, comparison-free middle and last partitions are
+        one row range, and each populated (level, class) pair is one run
+        from the first partition through the last -- but an ``o_in`` first
+        partition that needs the end test is a run of its own, and a
+        replica class reads its first partition only.  Only the rows
+        ``row_cut:row_hi`` of a run are start-tested -- the last partition,
+        the whole run when it is the first one too -- and ``test_end``
+        applies to one-partition runs only.  ``row_lo:row_mid`` is a run's
+        first partition and ``row_mid:row_cut`` its middle (``row_lo ==
+        row_mid == row_cut`` for a one-partition run); the stats count
+        partitions from these bounds, and read ``key``, the heap number of
+        the run's tested partition, for the Lemma 4 counter.  On the
+        ``core_scan`` benchmark data (m = 13, seven seeds) that is 9.7-10.2
+        runs per query, where three runs per original class and level made
+        13.6-14.3, and a lone query runs 1.12-1.15x faster (timed
+        interleaved with that walk in one process, ``core_scan`` and
+        ``serve_uniform`` data).
         """
         mq_start = self._domain.map_value(query.start)
         mq_end = self._domain.map_value(query.end)
         keys = self._keys_list
         segments: List[tuple] = []
         add = segments.append
-        for heap, shift, below, dir_lo, dir_hi, classes in self._levels:
-            # heap numbers of the first and last relevant partitions
+        for heap, shift, below, dir_lo, dir_hi, replicas, originals in self._levels:
+            # heap number of the first relevant partition, and its entry
             first = heap + (mq_start >> shift)
-            last = heap + (mq_end >> shift)
-            # Lemma 2: the first (last) partition still needs its end (start)
-            # test iff the mapped start's (end's) bits below the level's
-            # prefix are all ones (all zeros)
-            comp_first = mq_start & below == below
-            comp_last = not mq_end & below
             lo = bisect_left(keys, first, dir_lo, dir_hi)
             head = lo < dir_hi and keys[lo] == first
+            if head:
+                # Lemma 2: the first (last) partition still needs its end
+                # (start) test iff the mapped start's (end's) bits below the
+                # level's prefix are all ones (all zeros)
+                comp_first = mq_start & below == below
+                for pointers, keeps_end in replicas:
+                    row_lo, row_hi = pointers[lo], pointers[lo + 1]
+                    if row_lo < row_hi:
+                        add((
+                            row_lo, row_lo, row_lo, row_hi, False, keeps_end and comp_first, first,
+                        ))
+            if not originals:
+                continue
+            last = heap + (mq_end >> shift)
+            comp_last = not mq_end & below
             if first == last:
                 if head:
-                    for pointers, original, keeps_end in classes:
+                    for pointers, keeps_end in originals:
                         row_lo, row_hi = pointers[lo], pointers[lo + 1]
                         if row_lo < row_hi:
                             add((
-                                row_lo, row_hi, original and comp_last,
+                                row_lo, row_lo, row_lo, row_hi, comp_last,
                                 keeps_end and comp_first, first,
                             ))
                 continue
             hi = bisect_right(keys, last, lo, dir_hi)
-            tail = hi > lo and keys[hi - 1] == last
-            middle_lo, middle_hi = lo + head, hi - tail
-            for pointers, original, keeps_end in classes:
-                # the end test applies to the classes that keep an end;
-                # replicas read their first partition only
-                if head and pointers[lo] < pointers[lo + 1]:
-                    add((pointers[lo], pointers[lo + 1], False, keeps_end and comp_first, first))
-                if not original:
-                    continue
-                if tail and pointers[hi - 1] < pointers[hi]:
-                    add((pointers[hi - 1], pointers[hi], comp_last, False, last))
-                if pointers[middle_lo] < pointers[middle_hi]:
-                    add((pointers[middle_lo], pointers[middle_hi], False, False, None))
+            middle_lo = lo + head
+            # the entry the last partition starts at (``hi`` when it is absent)
+            cut = hi - (hi > lo and keys[hi - 1] == last)
+            for pointers, keeps_end in originals:
+                row_lo = pointers[lo]
+                if keeps_end and head and comp_first:
+                    # an o_in first partition that needs the end test: apart
+                    row_mid = pointers[middle_lo]
+                    if row_lo < row_mid:
+                        add((row_lo, row_lo, row_lo, row_mid, False, True, first))
+                    row_lo = row_mid
+                row_hi = pointers[hi]
+                if row_lo < row_hi:
+                    add((
+                        row_lo, pointers[middle_lo], pointers[cut], row_hi, comp_last, False, last,
+                    ))
         return segments
 
-    def _passing(self, lo: int, hi: int, test_start: bool, test_end: bool, q_start, q_end):
-        """The rows of run ``lo:hi`` that pass the requested predicates, as
-        ``(lo, hi, mask)``: ``mask`` is None when rows ``lo:hi`` pass whole.
+    def _end_passing(self, lo: int, hi: int, q_start) -> Tuple[int, Optional[np.ndarray]]:
+        """The end test of one-partition run ``lo:hi``, as ``(lo, mask)``:
+        rows ``lo:hi`` pass where ``mask`` holds, or whole when it is None.
 
-        A boundary partition's run is sorted by its start (originals) or its
-        end (replicas), Section 4.1's sorting, so the test on that column
-        trims the run by binary search; only an original's end test reads
-        its rows.
+        A replica partition's rows are sorted by their end, Section 4.1's
+        sorting, so the test trims it by binary search; an original's (sorted
+        by its start) reads its rows.  The start test needs no helper: one
+        :func:`bisect_right` trims a run's last partition ``cut:hi``, which
+        is sorted by start.  (So is the whole run -- an original starts
+        inside its partition, and the partitions are in offset order -- but
+        only the last partition holds rows that can fail the test.)
         """
-        if test_start:
-            hi = bisect_right(self._starts, q_end, lo, hi)
-        if not test_end:
-            return lo, hi, None
         base = self._ends_base
         if lo >= self._replicas_base:
-            return bisect_left(self._ends, q_start, lo - base, hi - base) + base, hi, None
-        return lo, hi, self._ends[lo - base : hi - base] >= q_start
+            return bisect_left(self._ends, q_start, lo - base, hi - base) + base, None
+        return lo, self._ends[lo - base : hi - base] >= q_start
+
+    def _passing_records(
+        self, lo: int, cut: int, hi: int, test_start: bool, test_end: bool, q_start, q_end
+    ):
+        """The interleaved records of run ``lo:hi`` that pass, scanned row
+        by row: the ``columnar=False`` layout's predicates."""
+        records = self._records
+        yield from records[lo:cut]
+        for record in records[cut:hi]:
+            if _record_matches(record, test_start, test_end, q_start, q_end):
+                yield record
 
     def _answer(self, query: Query, stats: Optional[QueryStats] = None) -> np.ndarray:
         """The ids answering ``query`` as a fresh int64 array: the traversal,
@@ -554,37 +608,44 @@ class OptimizedHINTm(IntervalIndex):
         endpoint columns where the segment needs a predicate."""
         segments = self._segments(query)
         if stats is not None:
-            # distinct boundary partitions compared: what Lemma 4 bounds by
-            # four in expectation
+            # per partition, as a walk that read the first, middle and last
+            # partitions apart would count them; distinct boundary partitions
+            # compared are what Lemma 4 bounds by four in expectation
             compared = set()
-            for row_lo, row_hi, test_start, test_end, key in segments:
-                count = row_hi - row_lo
-                stats.partitions_accessed += 1
-                stats.candidates += count
-                if test_start or test_end:
+            for row_lo, row_mid, row_cut, row_hi, test_start, test_end, key in segments:
+                stats.partitions_accessed += (
+                    (row_mid > row_lo) + (row_cut > row_mid) + (row_hi > row_cut)
+                )
+                stats.candidates += row_hi - row_lo
+                tested = test_start * (row_hi - row_cut) + test_end * (row_hi - row_lo)
+                if tested:
                     compared.add(key)
-                    stats.comparisons += count * (test_start + test_end)
+                    stats.comparisons += tested
             stats.partitions_compared = len(compared)
         q_start, q_end = _exact_bounds(query)
         if self._columnar:
-            ids = self._ids
+            ids, starts = self._ids, self._starts
             pieces = []
-            for lo, hi, test_start, test_end, _key in segments:
-                if test_start or test_end:
-                    lo, hi, mask = self._passing(lo, hi, test_start, test_end, q_start, q_end)
-                    pieces.append(ids[lo:hi] if mask is None else ids[lo:hi][mask])
-                else:
-                    pieces.append(ids[lo:hi])
+            add = pieces.append
+            for lo, _mid, cut, hi, test_start, test_end, _key in segments:
+                if test_start:
+                    hi = bisect_right(starts, q_end, cut, hi)
+                if test_end:
+                    lo, mask = self._end_passing(lo, hi, q_start)
+                    if mask is not None:
+                        add(ids[lo:hi][mask])
+                        continue
+                add(ids[lo:hi])
             found = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
         else:
             # row-wise layout: interleaved records, scanned row by row
-            records = self._records
             found = np.fromiter(
                 (
                     record[0]
-                    for lo, hi, test_start, test_end, _key in segments
-                    for record in records[lo:hi]
-                    if _record_matches(record, test_start, test_end, q_start, q_end)
+                    for lo, _mid, cut, hi, test_start, test_end, _key in segments
+                    for record in self._passing_records(
+                        lo, cut, hi, test_start, test_end, q_start, q_end
+                    )
                 ),
                 dtype=np.int64,
             )
@@ -599,18 +660,20 @@ class OptimizedHINTm(IntervalIndex):
         """Results of ``query`` counted segment by segment, no id gathered;
         with ``stop_at_first`` the count stops at the first non-zero segment."""
         q_start, q_end = _exact_bounds(query)
+        starts, columnar = self._starts, self._columnar
         total = 0
-        for lo, hi, test_start, test_end, _key in self._segments(query):
-            if not (test_start or test_end):
-                total += hi - lo
-            elif self._columnar:
-                lo, hi, mask = self._passing(lo, hi, test_start, test_end, q_start, q_end)
-                total += hi - lo if mask is None else int(np.count_nonzero(mask))
+        for lo, _mid, cut, hi, test_start, test_end, _key in self._segments(query):
+            if not columnar:
+                passing = self._passing_records(lo, cut, hi, test_start, test_end, q_start, q_end)
+                total += sum(1 for _ in passing)
             else:
-                total += sum(
-                    _record_matches(record, test_start, test_end, q_start, q_end)
-                    for record in self._records[lo:hi]
-                )
+                if test_start:
+                    hi = bisect_right(starts, q_end, cut, hi)
+                if test_end:
+                    lo, mask = self._end_passing(lo, hi, q_start)
+                    if mask is not None:
+                        hi = lo + int(np.count_nonzero(mask))
+                total += hi - lo
             if stop_at_first and total:
                 break
         return total
@@ -656,8 +719,8 @@ class OptimizedHINTm(IntervalIndex):
 
     def _batch_segments(self, q_starts: np.ndarray, q_ends: np.ndarray):
         """The flat segment table of a batch: ``(query, row_lo, length,
-        test_start, test_end)`` columns, one entry per non-empty merged-table
-        run, in query-major order, rows in the shared row space.
+        row_cut, test_start, test_end)`` columns, one entry per non-empty
+        merged-table run, in query-major order, rows in the shared row space.
 
         :meth:`_segments` in closed form, over the plan both walks read
         (:meth:`_level_plan`).  At every populated level the first and last
@@ -669,45 +732,41 @@ class OptimizedHINTm(IntervalIndex):
         them all in the heap-numbered directory: its needles, level-major
         and each level's ordered by the mapped endpoint, are sorted, and
         the search runs ~2.5x faster on them than unordered.  Each query
-        then has three slots per populated (level, class) pair of an
-        original class (first partition, middle run, last partition) and
-        one per populated replica pair (first partition): 47-53 slots on the
-        ``core_scan`` benchmark data (m = 13), where one slot per class and
-        level made 112, and ~2.1-2.2 us per query for this stage there,
-        where that made ~4.3-4.5.
+        then has the runs :meth:`_segments` emits as slots: one per
+        populated ``o_aft`` or replica (level, class) pair, two per populated
+        ``o_in`` pair (its first partition when it is end-tested, then the
+        rest through the last): 30-33 slots on the ``core_scan`` benchmark
+        data (m = 13, seven seeds), where three per original pair made 47-53
+        and one per class and level 112.
         """
-        shifts, heap, below, run_from, run_to, bases, start_rows, end_rows = self._slots
+        shifts, heap, below, run_from, run_to, trim_from, bases, start_rows, end_rows = self._slots
         width = len(run_from)
         if not width:
             empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty.astype(bool), empty.astype(bool)
+            return empty, empty, empty, empty, empty.astype(bool), empty.astype(bool)
         levels, count = len(shifts), len(q_starts)
         mq_starts = self._domain.map_values(q_starts)
         mq_ends = self._domain.map_values(q_ends)
         keys = self._keys
-        entries = np.empty((4, levels, count), dtype=np.int64)
+        entries = np.empty((5, levels, count), dtype=np.int64)
         order = np.argsort(mq_starts)
         needles = heap + (mq_starts[order] >> shifts)
         found = np.searchsorted(keys, needles.reshape(-1), "left").reshape(levels, count)
-        entries[_HEAD][:, order] = found
-        entries[_RUN_LO][:, order] = found + (keys[np.minimum(found, len(keys) - 1)] == needles)
+        entries[_FIRST][:, order] = found
+        entries[_AFTER_FIRST][:, order] = found + (keys[np.minimum(found, len(keys) - 1)] == needles)
         order = np.argsort(mq_ends)
         needles = heap + (mq_ends[order] >> shifts)
         found = np.searchsorted(keys, needles.reshape(-1), "right").reshape(levels, count)
-        entries[_TAIL][:, order] = found
-        # the middle run ends where a last partition that is not the first
-        # one starts
-        last_found = np.empty((levels, count), dtype=bool)
-        last_found[:, order] = keys[np.maximum(found, 1) - 1] == needles
-        single = ((mq_starts ^ mq_ends) >> shifts) == 0
-        entries[_RUN_HI] = entries[_TAIL] - (last_found & ~single)
+        entries[_AFTER_LAST][:, order] = found
+        entries[_LAST][:, order] = found - (keys[np.maximum(found, 1) - 1] == needles)
         flags = np.empty((4, levels, count), dtype=bool)
         flags[_NEVER] = False
         flags[_COMP_LAST] = (mq_ends & below) == 0
-        flags[_FIRST_START] = single & flags[_COMP_LAST]
+        flags[_FIRST_START] = (((mq_starts ^ mq_ends) >> shifts) == 0) & flags[_COMP_LAST]
         flags[_COMP_FIRST] = (mq_starts & below) == below
+        entries[_SPLIT] = np.where(flags[_COMP_FIRST], entries[_AFTER_FIRST], entries[_FIRST])
         # (query, slot) tables: the row space bounds of every slot's run
-        by_query = entries.reshape(4 * levels, count).T
+        by_query = entries.reshape(5 * levels, count).T
         pointers = self._pointers.reshape(-1)
         seg_lo = pointers[by_query[:, run_from] + bases].reshape(-1)
         seg_len = pointers[by_query[:, run_to] + bases].reshape(-1) - seg_lo
@@ -718,6 +777,7 @@ class OptimizedHINTm(IntervalIndex):
             seg_query,
             seg_lo[kept],
             seg_len[kept],
+            pointers[by_query[seg_query, trim_from[slot]] + bases[slot]],
             flags[start_rows[slot], seg_query],
             flags[end_rows[slot], seg_query],
         )
@@ -726,20 +786,23 @@ class OptimizedHINTm(IntervalIndex):
         """Segment table of a batch with the predicates already decided.
 
         Returns ``(per-query counts, seg_lo, seg_len, flagged, failed)``:
-        the runs come trimmed as :meth:`_passing` trims them (by a
-        vectorised binary search), ``flagged`` indexes the runs that still
-        need an original's end test, and ``failed`` marks, among the rows of
-        those runs in order, the ones that do not qualify.  The ends column
-        is read for these rows only.
+        the runs come trimmed as the scalar walk trims them (by a vectorised
+        binary search over each start-tested run's last partition, and over
+        each end-tested replica partition), ``flagged`` indexes the runs that still need an
+        original's end test, and ``failed`` marks, among the rows of those
+        runs in order, the ones that do not qualify.  The ends column is
+        read for these rows only.
         """
         count = len(q_starts)
-        seg_query, seg_lo, seg_len, seg_start, seg_end = self._batch_segments(q_starts, q_ends)
+        seg_query, seg_lo, seg_len, seg_cut, seg_start, seg_end = self._batch_segments(
+            q_starts, q_ends
+        )
         seg_hi = seg_lo + seg_len
         base = self._ends_base
         replicas = seg_lo >= self._replicas_base
         trim = np.flatnonzero(seg_start)
         seg_hi[trim] = _bisect_runs(
-            self._starts, seg_lo[trim], seg_hi[trim], q_ends[seg_query[trim]], right=True
+            self._starts, seg_cut[trim], seg_hi[trim], q_ends[seg_query[trim]], right=True
         )
         trim = np.flatnonzero(seg_end & replicas)
         seg_lo[trim] = base + _bisect_runs(

@@ -39,7 +39,9 @@ Request lifecycle::
   lock, reads served meanwhile) when applying it now would wait on
   another thread or a slow disk: a hopped ``/maintain``/``/subscribe``
   holds the update lock, another thread holds ``store.updates.lock``, or
-  the WAL's previous fsync took longer than :data:`_SLOW_FSYNC_S`.
+  the WAL's previous fsync took longer than :data:`_SLOW_FSYNC_S`.  Once
+  it holds the update lock it checks again, and hops only if it still
+  cannot apply on the loop.
 * **Result cache**: hits are served straight off the event loop as
   pre-encoded bodies.  The cache watches ``store.updates``: an insert or
   delete evicts exactly the cached ranges it overlaps and an epoch
@@ -930,33 +932,49 @@ class QueryServer(HttpServer):
         writers the hops would never stop.
         """
         self._admit()
-        durability = getattr(self._store, "durability", None)
-        lock = self._store.updates.lock
-        if (
-            (self._update_lock.locked() and not self._hopped_update)
-            or (durability is not None and durability.last_fsync_s > _SLOW_FSYNC_S)
-            or not lock.acquire(blocking=False)
-        ):
+        if self._update_lock.locked() and not self._hopped_update:
             return self._update_later(apply, argument, answer)
         try:
-            result = _apply_update(apply, argument)
-        finally:
-            lock.release()
+            applied, result = self._apply_here(apply, argument)
+        except BaseException:
             self._release()
+            raise
+        if not applied:
+            return self._update_later(apply, argument, answer)
+        self._release()
         return self._updated(answer(result))
 
+    def _apply_here(self, apply, argument):
+        """``(True, result)`` with the update applied on the loop, or
+        ``(False, None)`` untouched when that would wait on a slow disk or
+        on another thread's hold of ``store.updates.lock``."""
+        durability = getattr(self._store, "durability", None)
+        if durability is not None and durability.last_fsync_s > _SLOW_FSYNC_S:
+            return False, None
+        lock = self._store.updates.lock
+        if not lock.acquire(blocking=False):
+            return False, None
+        try:
+            return True, _apply_update(apply, argument)
+        finally:
+            lock.release()
+
     async def _update_later(self, apply, argument, answer):
-        """:meth:`_update` off the loop: one worker-thread hop under the
-        update lock, so the loop keeps serving reads meanwhile."""
+        """:meth:`_update` once the update lock is free.  By its turn the
+        store lock may be free and the disk fast again: then the update
+        applies on the loop after all; else it takes one worker-thread hop,
+        and the loop keeps serving reads meanwhile."""
         try:
             async with self._update_lock:
-                self._hopped_update = True
-                try:
-                    result = await self._loop.run_in_executor(
-                        None, _apply_update, apply, argument
-                    )
-                finally:
-                    self._hopped_update = False
+                applied, result = self._apply_here(apply, argument)
+                if not applied:
+                    self._hopped_update = True
+                    try:
+                        result = await self._loop.run_in_executor(
+                            None, _apply_update, apply, argument
+                        )
+                    finally:
+                        self._hopped_update = False
         finally:
             self._release()
         return self._updated(answer(result))

@@ -359,12 +359,15 @@ def test_scalar_and_batch_walks_agree(walk_collection, m, sparse):
     queries = _walk_queries(walk_collection)
     totals = [0, 0, 0, 0]
     for query in queries:
-        scalar = {(lo, hi, bool(ts), bool(te)) for lo, hi, ts, te, _ in index._segments(query)}
-        _, seg_lo, seg_len, seg_start, seg_end = index._batch_segments(
+        scalar = {
+            (lo, cut, hi, bool(ts), bool(te)) for lo, _, cut, hi, ts, te, _ in index._segments(query)
+        }
+        _, seg_lo, seg_len, seg_cut, seg_start, seg_end = index._batch_segments(
             np.array([query.start]), np.array([query.end])
         )
         batch = set(zip(
-            seg_lo.tolist(), (seg_lo + seg_len).tolist(), seg_start.tolist(), seg_end.tolist()
+            seg_lo.tolist(), seg_cut.tolist(), (seg_lo + seg_len).tolist(), seg_start.tolist(),
+            seg_end.tolist(),
         ))
         assert scalar == batch, query
         _, stats = index.query_with_stats(query)
@@ -392,18 +395,19 @@ def test_scalar_and_batch_walks_agree(walk_collection, m, sparse):
 # one plan: the kernel reads only the populated (level, class) pairs
 # --------------------------------------------------------------------------- #
 def _populated_pairs(index):
-    """``(originals, replicas)``: how many (level, class) pairs the plan of
-    :meth:`OptimizedHINTm._level_plan` lists for the scalar walk."""
+    """``(originals, replicas, o_in pairs)``: how many (level, class) pairs
+    the plan of :meth:`OptimizedHINTm._level_plan` lists for the scalar walk."""
     walk, _ = index._level_plan()
-    original = [flag for *_, classes in walk for _, flag, _ in classes]
-    return sum(original), len(original) - sum(original)
+    originals = [keeps_end for *_, originals in walk for _, keeps_end in originals]
+    replicas = sum(len(replicas) for *_, replicas, _ in walk)
+    return len(originals), replicas, sum(originals)
 
 
 @pytest.mark.parametrize("sparse", [True, False])
 @pytest.mark.parametrize("m", [1, 4, 10, 16])
 def test_kernel_slots_are_the_populated_pairs(walk_collection, m, sparse):
     index = OptimizedHINTm(walk_collection, num_bits=m, sparse_directory=sparse)
-    originals, replicas = _populated_pairs(index)
+    originals, replicas, o_in = _populated_pairs(index)
     # the pairs the plan lists are exactly those that store rows
     cuts = index._level_cuts
     stored = [
@@ -414,12 +418,13 @@ def test_kernel_slots_are_the_populated_pairs(walk_collection, m, sparse):
     ]
     assert originals + replicas == len(stored)
     assert originals == sum(name.startswith("o_") for _, name in stored)
-    # what the kernel builds per query: three slots per original pair, one
-    # per replica pair
+    assert o_in == sum(name == "o_in" for _, name in stored)
+    # what the kernel builds per query: one slot per pair, and a second one
+    # per o_in pair (its first partition, read apart when it is end-tested)
     width = len(index._slots[3])
-    assert width == 3 * originals + replicas
+    assert width == originals + replicas + o_in
     queries = [q for q in _walk_queries(walk_collection) if isinstance(q.start, int)]
-    seg_query, _, seg_len, _, _ = index._batch_segments(
+    seg_query, _, seg_len, _, _, _ = index._batch_segments(
         np.array([q.start for q in queries]), np.array([q.end for q in queries])
     )
     assert np.all(seg_len > 0)
@@ -451,7 +456,7 @@ def test_layouts_with_empty_levels_and_classes(layout, sparse):
     collection = _collection(pairs)
     domain = None if bounds is None else Domain(num_bits=m, raw_min=bounds[0], raw_max=bounds[1])
     index = OptimizedHINTm(collection, num_bits=m, sparse_directory=sparse, domain=domain)
-    originals, replicas = _populated_pairs(index)
+    originals, replicas, _ = _populated_pairs(index)
     assert originals + replicas < 4 * (m + 1)
     if layout == "points only":
         assert replicas == 0

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the core index invariants."""
 
+from bisect import bisect_left
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +9,7 @@ from repro.baselines import Grid1D, IntervalTree, NaiveIndex, PeriodIndex, Timel
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import ShardedIndex
 from repro.hint import ComparisonFreeHINT, HINTm, OptimizedHINTm, SubdividedHINTm
+from repro.hint.optimized import _BATCH_CROSSOVER
 
 # strategy: a list of intervals over a small discrete domain plus a query;
 # small domains maximise boundary collisions (partition edges, equal
@@ -63,19 +66,104 @@ def test_subdivided_matches_oracle(pairs, query, m):
     assert sorted(index.query(query)) == _oracle_result(pairs, query)
 
 
-@common_settings
-@given(
-    pairs=intervals_strategy,
-    query=query_strategy,
-    m=st.integers(2, 8),
-    sparse=st.booleans(),
-    columnar=st.booleans(),
-)
-def test_optimized_matches_oracle(pairs, query, m, sparse, columnar):
-    index = OptimizedHINTm(
-        _collection(pairs), num_bits=m, sparse_directory=sparse, columnar=columnar
+# queries for the fully optimised index: bounds past the data on both sides,
+# float bounds, and int batches long enough to run the batch kernel
+_edge_bound = st.integers(-20, DOMAIN_MAX + 20)
+_edge_query = st.tuples(_edge_bound, _edge_bound).map(lambda t: Query(min(t), max(t)))
+_float_query = st.tuples(
+    st.floats(-20, DOMAIN_MAX + 20, allow_nan=False), st.floats(-20, DOMAIN_MAX + 20, allow_nan=False)
+).map(lambda t: Query(min(t), max(t)))
+
+#: what a merged run of :meth:`OptimizedHINTm._segments` can meet at a level
+#: that stores originals, and where the query's bounds can lie
+_MERGED_RUN_EDGES = frozenset((
+    "first == last", "no first partition", "no last partition", "Lemma 2 flags off",
+    "float bounds", "bounds past the data",
+))
+
+
+def _merged_run_edges(index, pairs, query):
+    """The edges of :data:`_MERGED_RUN_EDGES` that ``query`` reaches."""
+    edges = set()
+    if isinstance(query.start, float) or isinstance(query.end, float):
+        edges.add("float bounds")
+    if query.start < min(s for s, _ in pairs) or query.end > max(e for _, e in pairs):
+        edges.add("bounds past the data")
+    keys, originals = index._keys.tolist(), index._pointer_lists[:2]
+
+    def rows(heap):  # originals stored in partition ``heap``
+        j = bisect_left(keys, heap)
+        if j == len(keys) or keys[j] != heap:
+            return 0
+        return sum(pointers[j + 1] - pointers[j] for pointers in originals)
+
+    m = index.num_bits
+    mq_start, mq_end = index.domain.map_value(query.start), index.domain.map_value(query.end)
+    for level in range(m + 1):
+        shift, heap = m - level, 1 << level
+        below = (1 << shift) - 1
+        first, last = heap + (mq_start >> shift), heap + (mq_end >> shift)
+        if first == last:
+            if rows(first):
+                edges.add("first == last")
+            continue
+        if not sum(rows(key) for key in range(first, last + 1)):
+            continue
+        if not rows(first):
+            edges.add("no first partition")
+        if not rows(last):
+            edges.add("no last partition")
+        if mq_start & below != below and mq_end & below:
+            edges.add("Lemma 2 flags off")
+    return edges
+
+
+def test_optimized_matches_oracle():
+    """Every answer path of :class:`OptimizedHINTm` -- ids, count, exists,
+    the batch kernel -- equals the oracle, before and after tombstones, over
+    examples that reach every edge of a merged run (fixed examples, so the
+    coverage check cannot fail on luck)."""
+    reached = set()
+
+    @settings(common_settings, derandomize=True)
+    @given(
+        pairs=intervals_strategy,
+        batch=st.lists(_edge_query, min_size=_BATCH_CROSSOVER, max_size=_BATCH_CROSSOVER + 3),
+        floats=st.lists(_float_query, max_size=3),
+        m=st.integers(2, 8),
+        sparse=st.booleans(),
+        columnar=st.booleans(),
+        doomed=st.sets(st.integers(0, 59), max_size=12),
     )
-    assert sorted(index.query(query)) == _oracle_result(pairs, query)
+    def check(pairs, batch, floats, m, sparse, columnar, doomed):
+        index = OptimizedHINTm(
+            _collection(pairs), num_bits=m, sparse_directory=sparse, columnar=columnar
+        )
+        if columnar:  # a batch this long runs the kernel
+            assert index._batch_bounds(batch) is not None
+        live = set(range(len(pairs)))
+        for tombstoned in (False, True):
+            if tombstoned:
+                for interval_id in doomed & live:
+                    assert index.delete(interval_id)
+                live -= doomed
+            expected = {
+                query: [i for i in _oracle_result(pairs, query) if i in live]
+                for query in batch + floats
+            }
+            for query, ids in expected.items():
+                assert sorted(index.query(query)) == ids, (query, tombstoned)
+                assert index.query_count(query) == len(ids), (query, tombstoned)
+                assert index.query_exists(query) == bool(ids), (query, tombstoned)
+            want = [expected[query] for query in batch]
+            assert [sorted(ids) for ids in index.query_batch(batch)] == want, tombstoned
+            assert index.query_count_batch(batch) == [len(ids) for ids in want], tombstoned
+            assert index.query_exists_batch(batch) == [bool(ids) for ids in want], tombstoned
+        for query in batch + floats:
+            reached.update(_merged_run_edges(index, pairs, query))
+
+    check()
+    assert reached == _MERGED_RUN_EDGES
 
 
 @common_settings

@@ -693,6 +693,50 @@ class TestUpdatePath:
             handle.stop()
             store.close()
 
+    def test_a_queued_update_applies_inline_once_the_store_lock_is_free(self):
+        # an update that queued behind a hopped one, while another thread
+        # held the store lock, takes no hop of its own when that thread has
+        # let go by its turn
+        collection = _collection()
+        store = IntervalStore.open(collection, "hintm_hybrid")
+        handle = start_server_thread(store, cache=0)
+        gate = threading.Event()
+        executor = _GatedExecutor(gate)
+        handle._loop.set_default_executor(executor)
+        update_lock = handle.server._update_lock
+
+        def insert(interval_id):
+            with ServeClient(port=handle.port, timeout=5, retries=0) as client:
+                return client.insert(interval_id, 5, 9)
+
+        def waiting_on_the_update_lock():
+            return len(update_lock._waiters or ())
+
+        try:
+            with store.updates.lock:  # another thread's hold, as a checkpoint's
+                hopping, hopped = _in_thread(lambda: insert(90_000))
+                deadline = time.monotonic() + 10
+                while executor.submitted < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert executor.submitted == 1  # the first update hopped
+                queued, queued_answer = _in_thread(lambda: insert(90_001))
+                while waiting_on_the_update_lock() < 1 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert waiting_on_the_update_lock() == 1  # the second one queued
+            gate.set()  # the store lock is free before the queued update's turn
+            hopping.join(timeout=10)
+            queued.join(timeout=10)
+            assert hopped[0]["inserted"] == 90_000
+            assert queued_answer[0]["inserted"] == 90_001
+            assert executor.submitted == 1  # the queued update applied inline
+            with ServeClient(port=handle.port) as client:
+                ids = set(client.query(0, 10)["ids"])
+            assert ids == _oracle(collection, 0, 10) | {90_000, 90_001}
+        finally:
+            gate.set()
+            handle.stop()
+            store.close()
+
     def test_inline_and_hopped_updates_interleave_without_loss(self, tmp_path):
         # more writers than cores, a thread grabbing the store lock so some
         # updates hop while others apply inline, and /maintain passes

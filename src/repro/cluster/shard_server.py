@@ -53,6 +53,7 @@ from repro.serve.server import (
     QueryServer,
     _fans_out_to_processes,
     _query_pairs,
+    _rendered_index,
     start_server_thread,
 )
 
@@ -150,11 +151,13 @@ class ShardServer(QueryServer):
     def adopt_store(self, store: IntervalStore) -> IntervalStore:
         """Swap the served store (a follower re-bootstrapping after a
         ``resync_required``); the cache moves to the new store's update
-        feed (which clears it) and the starts cache is dropped, so no
+        feed (which clears it), the starts cache is dropped and a plain
+        ``/query`` slices from the new store's rendered ids, if any, so no
         answer from the abandoned store survives the swap."""
         previous = self._store
         self._store = store
         self._hop_reads = _fans_out_to_processes(store)
+        self._rendered = _rendered_index(store, self._hop_reads)
         self._stream = None  # subscriptions were against the old store
         if self._cache.enabled:
             self._cache.watch(store.updates)

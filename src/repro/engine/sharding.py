@@ -21,6 +21,7 @@ caller deduplicates ids when more than one shard answers.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -115,18 +116,18 @@ class ShardPlan:
         return lower, upper
 
     def shard_of(self, point: int) -> int:
-        """Index of the shard owning ``point``."""
-        return int(np.searchsorted(self._cut_array(), point, side="right"))
+        """Index of the shard owning ``point``: the cuts at or below it."""
+        return bisect_right(self.cuts, point)
 
     def shard_range(self, start: int, end: int) -> Tuple[int, int]:
-        """Inclusive ``(first, last)`` shard indices overlapping ``[start, end]``."""
-        cuts = self._cut_array()
-        first = int(np.searchsorted(cuts, start, side="right"))
-        last = int(np.searchsorted(cuts, end, side="right"))
-        return first, last
+        """Inclusive ``(first, last)`` shard indices overlapping ``[start, end]``.
 
-    def _cut_array(self) -> np.ndarray:
-        return np.asarray(self.cuts, dtype=np.int64)
+        Two :func:`bisect_right` calls over the ``cuts`` tuple, so a lone
+        query's routing builds no array: ~0.3 us a call against 3.4-5.7 us
+        for ``np.searchsorted`` over ``np.asarray(cuts)`` (timeit, one cut,
+        CPython 3.11 on a 2-core x86-64 VM).
+        """
+        return bisect_right(self.cuts, start), bisect_right(self.cuts, end)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ShardPlan(K={self.num_shards}, strategy={self.strategy!r})"

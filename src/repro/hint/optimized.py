@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +52,10 @@ __all__ = ["OptimizedHINTm"]
 #: tuple (measured, CPython 3.11): ``tolist()`` makes one int object per entry
 _INT_BYTES = 32
 _TUPLE_BYTES = 40
+
+#: ids rendered per step when the id column is rendered as text: one
+#: chunk's Python ints and strs at a time, never one per row of the index
+_RENDER_CHUNK = 8192
 
 #: batches at least this long go through the vectorised traversal, shorter
 #: ones through the per-query loop.  The ``batch_crossover`` sweep of
@@ -204,6 +209,10 @@ class OptimizedHINTm(IntervalIndex):
         self._domain = domain
         self._spans = SpanTable(collection)
         self._build(collection)
+        #: the id column rendered as text (see :meth:`render_ids`): each id
+        #: as ASCII decimal plus a comma, in row order, and the int64
+        #: offsets where each row's text starts (one more at the end)
+        self._id_text: Optional[Tuple[bytes, np.ndarray]] = None
 
     @classmethod
     def build(
@@ -454,8 +463,89 @@ class OptimizedHINTm(IntervalIndex):
     # updates
     # ------------------------------------------------------------------ #
     def delete(self, interval_id: int) -> bool:
-        """Logically delete ``interval_id`` with a tombstone."""
-        return self._spans.remove(interval_id) is not None
+        """Logically delete ``interval_id`` with a tombstone.
+
+        A tombstoned index answers only through :meth:`_answer`, which
+        filters the deleted ids, so the rendered id column goes with it.
+        """
+        if self._spans.remove(interval_id) is None:
+            return False
+        self._id_text = None
+        return True
+
+    # ------------------------------------------------------------------ #
+    # answers as text: the id column rendered once, then sliced
+    # ------------------------------------------------------------------ #
+    def render_ids(self) -> None:
+        """Render the id column as text once, for :meth:`ids_text`.
+
+        Each id becomes its ASCII decimal plus a comma, in row order, with
+        an int64 offset per row: a run of rows is then one slice of text.
+        The ids are rendered :data:`_RENDER_CHUNK` at a time, so no more
+        than one chunk of them exists as Python objects at once.  The
+        column costs its text (the digits and a comma: 6.4 bytes a row on
+        ids below 200k) plus 8 bytes a row, and :meth:`memory_bytes`
+        counts it.  Only a
+        server answering from this index renders it.  Nothing happens on
+        the row-wise layout or a tombstoned index, which never answer as
+        text, or when the column is already there.
+        """
+        if self._id_text is not None or not self._columnar or self._spans.removed:
+            return
+        ids = self._ids
+        text = b"".join(
+            (",".join(map(str, ids[lo : lo + _RENDER_CHUNK].tolist())) + ",").encode()
+            for lo in range(0, len(ids), _RENDER_CHUNK)
+        )
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        offsets[1:] = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord(",")) + 1
+        self._id_text = text, offsets
+
+    @property
+    def renders_ids(self) -> bool:
+        """True while :meth:`ids_text` answers: the column is rendered and
+        no id is tombstoned."""
+        return self._id_text is not None and not self._spans.removed
+
+    def ids_text(self, query: Query) -> Optional[Tuple[bytes, int]]:
+        """``(text, count)``: the ids answering ``query`` joined by commas,
+        in :meth:`query`'s order, and how many there are -- or None unless
+        :attr:`renders_ids`.
+
+        The walk is :meth:`_answer`'s over the same :meth:`_segments` runs,
+        but each run becomes text sliced from the rendered column instead
+        of a slice of the id column: a whole or start-trimmed run, or an
+        end-tested replica partition trimmed by bisection, is one slice;
+        an end-tested ``o_in`` partition, masked row by row, one slice per
+        passing row.  No id becomes a Python int.
+        """
+        rendered = self._id_text
+        if rendered is None or self._spans.removed:
+            return None
+        text, offsets = rendered[0], memoryview(rendered[1])  # int lookups
+        q_start, q_end = _exact_bounds(query)
+        starts = self._starts
+        pieces = []
+        add = pieces.append
+        count = 0
+        for lo, _mid, cut, hi, test_start, test_end, _key in self._segments(query):
+            if test_start:
+                hi = bisect_right(starts, q_end, cut, hi)
+            if test_end:
+                lo, mask = self._end_passing(lo, hi, q_start)
+                if mask is not None:
+                    passing = [
+                        text[offsets[row] : offsets[row + 1]]
+                        for row in compress(range(lo, hi), mask.tolist())
+                    ]
+                    pieces += passing
+                    count += len(passing)
+                    continue
+            if lo < hi:
+                add(text[offsets[lo] : offsets[hi]])
+                count += hi - lo
+        # every id's text ends in a comma: the answer's last one goes
+        return b"".join(pieces)[:-1], count
 
     # ------------------------------------------------------------------ #
     # queries: one scalar traversal, then whole-segment reads
@@ -856,6 +946,9 @@ class OptimizedHINTm(IntervalIndex):
         # the directory's list mirrors, which the scalar walk searches
         for mirror in (self._keys_list, *self._pointer_lists):
             total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
+        if self._id_text is not None:
+            text, offsets = self._id_text
+            total += len(text) + offsets.nbytes
         if self._records is not None:
             total += sys.getsizeof(self._records)
             for pointers, (_name, keep_starts, keep_ends) in zip(self._pointer_lists, _CLASSES):

@@ -20,8 +20,9 @@ Request lifecycle::
   with a ``Retry-After`` hint instead of queueing unboundedly -- under
   overload it degrades by rejecting, never by falling over.
 * **Execution**: every ``/query`` answers in the handler that parsed it,
-  with one store call -- ``store.run_batch`` on the one query, or the
-  fluent builder for a relation/``stats`` query.  On an in-process store
+  with one store call -- ``store.run_batch`` on the one query, the
+  fluent builder for a relation/``stats`` query, or a slice of rendered
+  id text (below).  On an in-process store
   that call runs on the event loop itself, since the hop to a worker
   thread would cost more than the probe; a store that fans out to worker
   processes, whose reads wait on the pool and may build shards under the
@@ -32,6 +33,21 @@ Request lifecycle::
   behind it (health checks included) wait for it instead of being
   admitted or answered ``503``, and ``stop()`` starts draining only
   after it.
+* **Answers sliced from text**: a plain ids ``/query`` (no
+  ``count_only``, ``relation`` or ``stats``) on a store whose index can
+  render its ids -- an unsharded ``hintm_opt`` read on the loop -- skips
+  ``run_batch`` and the JSON encoder.  :meth:`QueryServer.start` renders
+  the index's id column once (each id as ASCII decimal plus a comma, an
+  int64 offset per row: its text plus 8 bytes a row, ~3.0 MB on 200k
+  TAXIS-shaped intervals, counted by ``memory_bytes()``), and the answer
+  is sliced out of it run by run
+  (:meth:`~repro.hint.optimized.OptimizedHINTm.ids_text`) into a body
+  byte-identical to the encoded ids.  The fallback, one ``run_batch``
+  call as before, serves every other ``/query`` and every other store,
+  and a ``hintm_opt`` index from its first delete on (a tombstoned index
+  drops its column).  Both paths read the generation before the probe,
+  fill the cache, move the same counters and record the same
+  ``run_batch`` span for a traced request.
 * **Updates**: an ``/insert`` or ``/delete`` applies on the loop too --
   WAL append, fsync, index apply, then the answer -- so under
   ``fsync="always"`` the loop waits out the update's fsync.  It takes the
@@ -303,6 +319,9 @@ class QueryServer(HttpServer):
         self._max_poller_lag = max_poller_lag
         #: whether a /query hops to a worker thread (_fans_out_to_processes)
         self._hop_reads = _fans_out_to_processes(store)
+        #: the index a plain ids /query slices its answer from, once
+        #: :meth:`start` has rendered its id column (_rendered_index)
+        self._rendered = None
 
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[int] = None  # threading.get_ident() of the loop
@@ -351,10 +370,10 @@ class QueryServer(HttpServer):
         )
         self._m_batches = metrics.counter(
             "repro_batches_total",
-            "store.run_batch calls: one per plain /query, one per /batch chunk",
+            "store calls: one per plain /query, one per /batch chunk",
         )
         self._m_batched_queries = metrics.counter(
-            "repro_batched_queries_total", "queries executed through store.run_batch"
+            "repro_batched_queries_total", "queries executed by those store calls"
         )
         self._m_rejected = metrics.counter(
             "repro_rejected_total", "requests rejected by admission control (503)"
@@ -543,6 +562,7 @@ class QueryServer(HttpServer):
         self._update_lock = asyncio.Lock()
         self._idle = asyncio.Event()
         self._idle.set()
+        self._rendered = _rendered_index(self._store, self._hop_reads)
         await super().start()
         self._started_at = time.time()
         if self._stream is not None:
@@ -753,7 +773,14 @@ class QueryServer(HttpServer):
                 ctx.tags["cache"] = "hit"
                 return 200, cached
             ctx.tags["cache"] = "miss"
-        execute = tracing.bind(ctx.child(), self._execution(relation, with_stats))
+        if (
+            self._rendered is not None and self._rendered.renders_ids
+            and not count_only and relation is None and not with_stats
+        ):
+            run = self._execute_text  # a plain ids answer: rendered id text
+        else:
+            run = self._execution(relation, with_stats)
+        execute = tracing.bind(ctx.child(), run)
         self._admit()
         if self._hop_reads:
             return self._query_off_the_loop(execute, query, count_only, key)
@@ -819,6 +846,24 @@ class QueryServer(HttpServer):
                 stats["results"] = len(ids)
             answer["stats"] = stats
         return answer
+
+    def _execute_text(
+        self, queries: List[Query], count_only: bool
+    ) -> Tuple[int, List[Tuple[bytes, int]]]:
+        """:meth:`_execute_batch` for a plain ids /query, answered from the
+        rendered id column as ``(text, count)``: the same generation read
+        before the probe, the same counters, and the ``run_batch`` span a
+        traced request would see from ``store.run_batch``.  A tombstone
+        landing between the handler's check and the walk takes the
+        ``run_batch`` path after all."""
+        generation = self._store.result_generation()
+        with tracing.span("run_batch", queries=len(queries), count_only=count_only):
+            answer = self._rendered.ids_text(queries[0])
+        if answer is None:
+            return self._execute_batch(queries, count_only)
+        self._m_batches.inc()
+        self._m_batched_queries.inc()
+        return generation, [answer]
 
     def _execute_refined(
         self, queries: List[Query], count_only: bool, relation, with_stats: bool
@@ -1201,6 +1246,20 @@ def _fans_out_to_processes(store: IntervalStore) -> bool:
     )
 
 
+def _rendered_index(store: IntervalStore, hop_reads: bool):
+    """The store's index with its id column rendered as text, or None.
+
+    Only an index that can answer as text (:meth:`OptimizedHINTm.ids_text
+    <repro.hint.optimized.OptimizedHINTm.ids_text>`) and whose reads run on
+    the event loop is rendered; every other store keeps ``run_batch``.
+    """
+    render = getattr(store.index, "render_ids", None)
+    if render is None or hop_reads:
+        return None
+    render()
+    return store.index
+
+
 def _apply_update(apply, argument):
     """``apply(argument)``; a 503 when the WAL could not persist the record.
 
@@ -1233,8 +1292,12 @@ def _encode_answer(generation: int, value: object, count_only: bool) -> bytes:
 
     The generation rides on every answer: the cluster router keys its
     distributed cache off this token alone.  A refined answer arrives as
-    the full answer dict.
+    the full answer dict, an answer sliced from a rendered id column as
+    ``(text, count)``.
     """
+    if isinstance(value, tuple):
+        text, count = value
+        return b'{"ids":[%b],"count":%d,"generation":%d}' % (text, count, generation)
     if isinstance(value, dict):
         value["generation"] = generation
         return encode(value)

@@ -305,12 +305,20 @@ class TestLifecycle:
         store = IntervalStore.open(collection, "hintm_opt")
         release = threading.Event()
         original = store.run_batch
+        original_text = store.index.ids_text
 
         def slow_run_batch(queries, count_only=False):
             release.wait(timeout=10)
             return original(queries, count_only=count_only)
 
+        def slow_ids_text(query):
+            release.wait(timeout=10)
+            return original_text(query)
+
+        # a /batch parks in run_batch; a plain /query, sliced from the
+        # rendered id column, in the index's ids_text
         store.run_batch = slow_run_batch
+        store.index.ids_text = slow_ids_text
         handle = start_server_thread(store, cache=0)
         answers = []
 
@@ -484,11 +492,10 @@ class TestInlineExecution:
         collection = _collection()
         store = IntervalStore.open(collection, "hintm_opt")
         gate = threading.Event()
-        original = store.run_batch
-        store.run_batch = lambda q, count_only=False: (
-            gate.wait(10),
-            original(q, count_only=count_only),
-        )[1]
+        # a plain /query on hintm_opt is sliced from the rendered id column:
+        # the handler's one store-side call is the index's ids_text
+        original = store.index.ids_text
+        store.index.ids_text = lambda q: (gate.wait(10), original(q))[1]
         handle = start_server_thread(store, cache=0, max_pending=1)
         answers = []
 

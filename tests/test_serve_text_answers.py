@@ -1,0 +1,281 @@
+"""A plain ``/query`` on ``hintm_opt`` is answered from the rendered id column.
+
+The server renders the index's id column as text once, when it starts, and
+slices each plain ids answer out of it (``OptimizedHINTm.ids_text``).  The
+rest of a request is unchanged, so these tests pin what must not move:
+
+* the served body is byte-identical to what ``_encode_answer`` makes of the
+  index's ``query`` -- at several ``m``, on int and float bounds, stabbing
+  queries, empty answers and bounds past the data;
+* a tombstoned index (and every refined or count query) takes the
+  ``run_batch`` path and still answers what the oracle answers;
+* the same counters move and a traced request records the same spans;
+* in-process reads never build the column, and a started server's
+  ``memory_bytes()`` grows by exactly the column's bytes;
+* deletes on another thread (a hopped ``/delete``) racing text answers
+  leave every answer between the live sets before and after them.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.core.interval import IntervalCollection, Query
+from repro.engine import IntervalStore
+from repro.hint.optimized import OptimizedHINTm
+from repro.obs import tracing
+from repro.serve.client import ServeClient
+from repro.serve.server import _encode_answer, start_server_thread
+
+CARDINALITY = 4_000
+DOMAIN = 1_000_000
+
+
+def _collection(seed=23):
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, DOMAIN, CARDINALITY)
+    ends = starts + rng.lognormal(6, 2, CARDINALITY).astype(np.int64)
+    # ids are neither row positions nor sorted, and some are negative
+    ids = rng.permutation(CARDINALITY) * 7 - 1_000
+    return IntervalCollection(ids, starts, ends)
+
+
+def _oracle(collection, start, end):
+    hit = (collection.starts <= end) & (collection.ends >= start)
+    return sorted(collection.ids[hit].tolist())
+
+
+def _queries(seed=3):
+    rng = np.random.default_rng(seed)
+    ranges = [(int(a), int(a + w)) for a, w in zip(
+        rng.integers(-5_000, DOMAIN + 5_000, 60), rng.integers(0, 20_000, 60)
+    )]
+    stabs = [(int(p), int(p)) for p in rng.integers(0, DOMAIN, 20)]
+    beyond = [(3 * DOMAIN, 4 * DOMAIN), (-DOMAIN, -10), (0, 10 * DOMAIN)]
+    return ranges + stabs + beyond
+
+
+def _raw_query(client, start, end):
+    return client._request(
+        "POST", "/query", {"start": start, "end": end}, raw_body=True
+    ).encode()
+
+
+@pytest.mark.parametrize("num_bits", [1, 4, 9, 14])
+def test_text_answer_matches_the_encoded_ids_at_every_m(num_bits):
+    collection = _collection()
+    index = OptimizedHINTm(collection, num_bits=num_bits)
+    assert index.ids_text(Query(0, 10)) is None  # not rendered yet
+    index.render_ids()
+    queries = [Query(start, end) for start, end in _queries()]
+    rng = np.random.default_rng(num_bits)
+    queries += [
+        Query(float(a) + 0.5, float(a) + float(w) + 0.25)
+        for a, w in zip(rng.integers(0, DOMAIN, 30), rng.integers(0, 20_000, 30))
+    ]
+    queries += [Query(float(p) + 0.5, float(p) + 0.5) for p in rng.integers(0, DOMAIN, 10)]
+    for query in queries:
+        text, count = index.ids_text(query)
+        expected = index.query(query).tolist()
+        assert count == len(expected)
+        assert _encode_answer(5, (text, count), False) == _encode_answer(5, expected, False)
+
+
+@pytest.mark.parametrize("num_bits", [4, 11])
+def test_served_body_is_byte_identical(num_bits):
+    collection = _collection()
+    store = IntervalStore.open(collection, "hintm_opt", num_bits=num_bits)
+    index = store.index
+    handle = start_server_thread(store, cache=0)
+    calls = []
+    original = index.ids_text
+    index.ids_text = lambda query: calls.append(query) or original(query)
+    try:
+        with ServeClient(port=handle.port) as client:
+            for start, end in _queries():
+                body = _raw_query(client, start, end)
+                expected = _encode_answer(
+                    store.result_generation(), index.query(Query(start, end)).tolist(), False
+                )
+                assert body == expected
+            assert len(calls) == len(_queries())  # every one sliced as text
+            assert sorted(client.query(0, 50_000)["ids"]) == _oracle(collection, 0, 50_000)
+    finally:
+        handle.stop()
+        store.close()
+
+
+def test_a_delete_sends_query_back_to_run_batch():
+    collection = _collection()
+    store = IntervalStore.open(collection, "hintm_opt")
+    handle = start_server_thread(store, cache=0)
+    batches = []
+    original = store.run_batch
+    store.run_batch = lambda queries, count_only=False: (
+        batches.append(len(queries)) or original(queries, count_only=count_only)
+    )
+    try:
+        with ServeClient(port=handle.port) as client:
+            client.query(0, 100_000)
+            assert batches == []  # sliced from the column
+            victim = _oracle(collection, 0, 100_000)[0]
+            assert client.delete(victim)["deleted"] is True
+            assert not store.index.renders_ids
+            assert store.index.ids_text(Query(0, 100_000)) is None
+            live = IntervalCollection(
+                collection.ids[collection.ids != victim],
+                collection.starts[collection.ids != victim],
+                collection.ends[collection.ids != victim],
+            )
+            for start, end in _queries():
+                body = _raw_query(client, start, end)
+                assert body == _encode_answer(
+                    store.result_generation(),
+                    store.index.query(Query(start, end)).tolist(),
+                    False,
+                )
+                assert sorted(client.query(start, end)["ids"]) == _oracle(live, start, end)
+            assert batches == [1] * (2 * len(_queries()))
+    finally:
+        handle.stop()
+        store.close()
+
+
+def test_counters_and_spans_match_the_run_batch_path():
+    collection = _collection()
+    text_store = IntervalStore.open(collection, "hintm_opt")
+    batch_store = IntervalStore.open(collection, "hintm_opt")
+    text_handle = start_server_thread(text_store, cache=0, slow_threshold=0.0)
+    batch_handle = start_server_thread(batch_store, cache=0, slow_threshold=0.0)
+    batch_store.delete(int(collection.ids[0]))  # tombstoned: run_batch
+    headers = {tracing.TRACE_HEADER: "feedface", tracing.PARENT_HEADER: "caller"}
+    seen = []
+    try:
+        for handle in (text_handle, batch_handle):
+            with ServeClient(port=handle.port) as client:
+                before = client.stats()
+                client._request(
+                    "POST", "/query", {"start": 10_000, "end": 60_000}, headers=headers
+                )
+                after = client.stats()
+                (entry,) = client.slow_queries()["slow_queries"]
+            moved = {
+                name: after[name] - before[name]
+                for name in ("requests", "queries", "batches", "batched_queries", "errors")
+            }
+            (root,) = entry["trace"]
+            children = [(child["name"], child["tags"]) for child in root["children"]]
+            seen.append((moved, root["name"], children))
+        assert text_store.index.renders_ids and not batch_store.index.renders_ids
+        assert seen[0] == seen[1]
+        moved, name, children = seen[0]
+        # the /query itself and the second /stats
+        assert moved == {
+            "requests": 2, "queries": 1, "batches": 1, "batched_queries": 1, "errors": 0,
+        }
+        assert name == "server:/query"
+        assert children == [("run_batch", {"queries": 1, "count_only": False})]
+    finally:
+        text_handle.stop()
+        batch_handle.stop()
+        text_store.close()
+        batch_store.close()
+
+
+def test_in_process_reads_never_render(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the id column was rendered in process")
+
+    monkeypatch.setattr(OptimizedHINTm, "render_ids", refuse)
+    collection = _collection()
+    store = IntervalStore.open(collection, "hintm_opt")
+    before = store.memory_bytes()
+    assert sorted(store.query().overlapping(0, 90_000).ids().tolist()) == _oracle(
+        collection, 0, 90_000
+    )
+    assert store.query().overlapping(0, 90_000).count() == len(_oracle(collection, 0, 90_000))
+    store.run_batch([Query(0, 90_000), Query(5, 5)])
+    store.run_batch([Query(0, 90_000)] * 20)  # the batch kernel too
+    store.run_batch([Query(0, 90_000)], count_only=True)
+    assert store.index._id_text is None
+    assert not store.index.renders_ids
+    assert store.memory_bytes() == before
+    store.close()
+
+
+def test_a_started_server_counts_the_column_in_memory_bytes():
+    collection = _collection()
+    store = IntervalStore.open(collection, "hintm_opt")
+    before = store.memory_bytes()
+    handle = start_server_thread(store, cache=0)
+    try:
+        text, offsets = store.index._id_text
+        rows = len(store.index._ids)
+        assert len(text) == sum(len(str(i)) + 1 for i in store.index._ids.tolist())
+        assert offsets.dtype == np.int64 and len(offsets) == rows + 1
+        assert store.memory_bytes() - before == len(text) + offsets.nbytes
+    finally:
+        handle.stop()
+        store.close()
+
+
+@pytest.mark.parametrize("backend, shards", [("hintm_hybrid", 1), ("hintm_opt", 2)])
+def test_other_stores_keep_run_batch(backend, shards):
+    collection = _collection()
+    store = IntervalStore.open(collection, backend, num_shards=shards)
+    handle = start_server_thread(store, cache=0)
+    try:
+        assert handle.server._rendered is None
+        with ServeClient(port=handle.port) as client:
+            assert sorted(client.query(0, 70_000)["ids"]) == _oracle(collection, 0, 70_000)
+            assert client.stats()["batches"] == 1
+    finally:
+        handle.stop()
+        store.close()
+
+
+def test_deletes_racing_text_answers_stay_between_the_live_sets():
+    # a hopped /delete runs on a worker thread beside the loop's ids_text:
+    # each answer, text or fallback, holds every id live after the deletes
+    # and nothing that was never live, and the walk never trips on the
+    # column going away under it
+    collection = _collection()
+    index = OptimizedHINTm(collection, num_bits=9)
+    index.render_ids()
+    victims = _oracle(collection, 100_000, 300_000)[::3][:60]
+    before = set(_oracle(collection, 100_000, 300_000))
+    after = before - set(victims)
+    query = Query(100_000, 300_000)
+    failures = []
+    done = threading.Event()
+
+    def delete_all():
+        for victim in victims:
+            index.delete(victim)
+        done.set()
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    deleter = threading.Thread(target=delete_all)
+    try:
+        deleter.start()
+        answers = 0
+        while not done.is_set() or answers < 5:
+            answer = index.ids_text(query)
+            ids = (
+                {int(i) for i in answer[0].split(b",")}
+                if answer is not None
+                else set(index.query(query).tolist())
+            )
+            if not after <= ids <= before:
+                failures.append(len(ids))
+            answers += 1
+        deleter.join(timeout=10)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not deleter.is_alive()
+    assert not failures
+    assert index.ids_text(query) is None
+    assert set(index.query(query).tolist()) == after

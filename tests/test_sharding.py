@@ -93,6 +93,30 @@ class TestShardPlan:
         assert plan.shard_range(point, point) == (1, 1)
         assert plan.shard_range(point - 1, point) == (0, 1)
 
+    @pytest.mark.parametrize("cuts", [(), (50,), (-30, 0, 7, 1_000), (1, 2, 3)])
+    def test_routing_matches_the_searchsorted_rule(self, cuts):
+        # shard_range/shard_of bisect the cuts tuple; the rule they keep is
+        # np.searchsorted(cuts, bound, side="right") on the int64 cuts
+        plan = ShardPlan(cuts=cuts)
+        array = np.asarray(cuts, dtype=np.int64)
+        rng = np.random.default_rng(5)
+        bounds = (
+            rng.integers(-2_000, 2_000, 200).tolist()
+            + (rng.uniform(-2_000, 2_000, 200)).tolist()
+            + list(cuts)  # a bound equal to a cut
+            + [cut - 1 for cut in cuts] + [cut + 0.5 for cut in cuts] + [cut - 0.5 for cut in cuts]
+            + [10**6, 10**6 + 0.5, -(10**6), float("inf"), float("-inf")]  # past every cut
+        )
+        for bound in bounds:
+            expected = int(np.searchsorted(array, bound, side="right"))
+            assert plan.shard_of(bound) == expected, bound
+            assert plan.shard_range(bound, bound) == (expected, expected), bound
+        for start, end in zip(bounds, sorted(bounds)):
+            expected = tuple(
+                int(np.searchsorted(array, bound, side="right")) for bound in (start, end)
+            )
+            assert plan.shard_range(start, end) == expected, (start, end)
+
     def test_invalid_arguments(self, synthetic_collection):
         with pytest.raises(InvalidQueryError):
             ShardPlan.for_collection(synthetic_collection, 0)

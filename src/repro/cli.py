@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     executor_help = "; ".join(f"{name}: {blurb}" for name, blurb in EXECUTOR_KINDS)
 
     def add_execution_args(sub: argparse.ArgumentParser) -> None:
-        """--shards/--workers/--executor/..., shared by query/batch/bench/serve."""
+        """--shards/--workers/--executor/..., shared by query/batch/maintain/serve."""
         sub.add_argument("--shards", type=int, default=1, metavar="K",
                          help="split the data into K time-range shards (default: 1)")
         sub.add_argument("--workers", type=int, default=None, metavar="W",
@@ -183,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=123)
     bench.add_argument("--shards", type=int, nargs="+", default=[1, 2, 4], metavar="K",
                        help="shard counts to sweep (default: 1 2 4)")
-    bench.add_argument("--workers", type=int, default=None, metavar="W",
-                       help="accepted for symmetry with query/batch; bench rows "
-                            "time one query at a time in-process, so no pool runs")
-    bench.add_argument("--executor", choices=executor_names, default=None,
-                       help="accepted for symmetry with query/batch; bench rows "
-                            "always run serial")
     bench.add_argument("--shard-strategy", choices=PARTITION_STRATEGIES,
                        default="equi_width")
     add_maintenance_arg(bench)
@@ -254,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64, metavar="N",
                        help="/batch chunk size: queries per run_batch call, "
                             "each chunk one admission slot (default: %(default)s)")
-    serve.add_argument("--cache-ttl", type=float, default=None, metavar="S",
-                       help="expire cached bodies older than S seconds even "
-                            "when no update touched them (default: no TTL)")
     serve.add_argument("--max-poller-lag", type=int, default=None, metavar="N",
                        help="standing-query backpressure: a subscription whose "
                             "poller lags more than N retained delta records has "
@@ -339,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="range query start (use with --end)")
     route.add_argument("--end", type=int, help="range query end")
     route.add_argument("--count-only", action="store_true",
-                       help="sum per-shard home counts instead of shipping ids")
+                       help="sum per-shard counts instead of shipping ids: "
+                            "each later shard counts [cut, end] minus a stab "
+                            "at cut - 1, the residents starting in [cut, end]")
     route.add_argument("--repeat", type=int, default=1, metavar="N",
                        help="send the query N times (exercises the router "
                             "cache; default: 1)")
@@ -587,11 +580,6 @@ def _command_bench(args: argparse.Namespace) -> int:
             count=args.num_queries, extent_fraction=args.extent, seed=args.seed
         ),
     )
-    if args.executor == "processes":
-        # index.query runs in this process, so a pool would only be started
-        # for nothing, and a lazily built shard would be timed as query time
-        print("# bench times one query call at a time in-process; "
-              "--executor processes and --workers do not apply to its rows")
     rows = []
     for shards in args.shards:
         build_start = time.perf_counter()
@@ -713,7 +701,6 @@ def _print_maintenance_state(label: str, state: dict) -> None:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    from repro.serve.cache import ResultCache
     from repro.serve.server import QueryServer
 
     collection = _load(args.csv, args.header)
@@ -743,7 +730,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         store,
         host=args.host,
         port=args.port,
-        cache=ResultCache(capacity=args.cache_size, ttl=args.cache_ttl),
+        cache=args.cache_size,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         max_poller_lag=args.max_poller_lag,
@@ -1017,7 +1004,7 @@ def _command_list_backends(args: argparse.Namespace) -> int:
     for row in rows:
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
     print()
-    print("executors (--executor on query/batch/bench/maintain):")
+    print("executors (--executor on query/batch/maintain/serve):")
     for name, blurb in EXECUTOR_KINDS:
         print(f"  {name:<10s} {blurb}")
     print()

@@ -28,15 +28,14 @@ checkpoint and swaps the rebuilt store into its server atomically via
 
 The follower's store is in-memory: durability lives with the leader's WAL
 directory, which a promoted follower's operator re-attaches on the next
-restart.  ``on_applied`` exposes the applied generation after every batch
--- the failover soak uses it for semi-synchronous acks.
+restart.
 """
 
 from __future__ import annotations
 
 import base64
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.errors import ReproError
 from repro.cluster.shard_server import ShardServer
@@ -50,6 +49,9 @@ from repro.stream.deltas import StandingQueryManager
 
 __all__ = ["ClusterFollower"]
 
+#: seconds between reconnect attempts while the leader is unreachable
+_RETRY_DELAY_S = 0.2
+
 
 class ClusterFollower:
     """Warm standby for one shard: snapshot + continuous WAL replay.
@@ -61,11 +63,10 @@ class ClusterFollower:
         shard_id: topology shard this standby covers (echoed by its server).
         host / port: bind address of the follower's own read-only server.
         poll_timeout: long-poll window per ``/wal-feed`` round.
-        retry_delay: seconds between reconnect attempts while the leader
-            is unreachable (the follower keeps serving reads meanwhile).
-        on_applied: callback fired with the applied generation after every
-            applied feed batch (test/soak instrumentation).
         server_kwargs: extra :class:`ShardServer` keyword arguments.
+
+    While the leader is unreachable the follower keeps serving reads and
+    retries every :data:`_RETRY_DELAY_S` seconds.
     """
 
     def __init__(
@@ -78,8 +79,6 @@ class ClusterFollower:
         host: str = "127.0.0.1",
         port: int = 0,
         poll_timeout: float = 5.0,
-        retry_delay: float = 0.2,
-        on_applied: Optional[Callable[[int], None]] = None,
         **server_kwargs: object,
     ) -> None:
         self._leader = ServeClient(
@@ -90,8 +89,6 @@ class ClusterFollower:
         self._host = host
         self._port = port
         self._poll_timeout = float(poll_timeout)
-        self._retry_delay = max(0.01, float(retry_delay))
-        self._on_applied = on_applied
         self._server_kwargs = dict(server_kwargs)
 
         self._store: Optional[IntervalStore] = None
@@ -145,7 +142,6 @@ class ClusterFollower:
             port=self._port,
             shard_id=self._shard_id,
             role="follower",
-            read_only=True,
             promote_hook=self.promote,
             **self._server_kwargs,
         )
@@ -223,7 +219,7 @@ class ClusterFollower:
                 # leader down or briefly refusing: keep serving reads and
                 # keep retrying until promoted or stopped
                 self.feed_errors += 1
-                self._stop.wait(self._retry_delay)
+                self._stop.wait(_RETRY_DELAY_S)
                 continue
             if response.get("resync_required"):
                 self.resyncs += 1
@@ -231,7 +227,7 @@ class ClusterFollower:
                     fresh = self._bootstrap()
                 except (ServerUnavailableError, ServerError) as _exc:
                     self.feed_errors += 1
-                    self._stop.wait(self._retry_delay)
+                    self._stop.wait(_RETRY_DELAY_S)
                     continue
                 old = self._store
                 self._store = fresh
@@ -243,8 +239,6 @@ class ClusterFollower:
             records = response.get("records") or []
             if records:
                 self._apply(records)
-                if self._on_applied is not None:
-                    self._on_applied(self.applied_generation())
             self._segment = int(response["segment"])
             self._offset = int(response["offset"])
 

@@ -10,10 +10,13 @@ A :class:`ClusterRouter` gives clients the single-store query API over a
   keep-alive :class:`~repro.serve.client.ServeClient` connections
   (``/shard-batch``), and id answers merge with
   :func:`repro.engine.results.merge_unique_ids` -- the same first-seen,
-  domain-order dedup a local ``MergedResultSet`` applies.  Counts never
-  ship ids: the *first* overlapping shard counts every resident match and
-  each later shard ``j`` counts only intervals it is the home of
-  (``start >= cuts[j-1]``), so the per-shard counts sum exactly;
+  domain-order dedup a local ``MergedResultSet`` applies (a lone shard's
+  ids pass through).  Counts never ship ids: the first overlapping shard
+  counts the query as asked; each later shard ``j`` counts ``[cut, end]``
+  minus one stab at ``cut - 1`` per probe (``cut = cuts[j-1]``).  Every
+  resident of ``j`` starting before the cut reaches into ``j``, so it
+  contains ``cut - 1``: the difference is exactly the residents starting
+  in ``[cut, end]``, the intervals at home in ``j``, and the counts sum;
 * **failover** -- replicas of one shard are interchangeable.  Probes
   rotate round-robin; a connect failure, 503 or 5xx marks the replica
   failed for a cooldown (recorded as a :class:`ReplicaFailure` row) and
@@ -113,13 +116,13 @@ class ClusterRouter:
         cooldown: seconds a failed replica sits out before probes try it
             again (all-failed shards retry immediately -- a wrongly
             condemned replica must be able to resurrect).
-        max_workers: fan-out pool width; default covers every shard.
-        instrument: trace every routed query end to end (router root span,
-            per-shard probe spans, remote subtrees absorbed from the
-            ``/shard-batch`` responses) and feed the slow-query log.
         slow_threshold: seconds a routed batch must take to be recorded in
             the slow-query log (0 records everything).
-        slow_capacity: slow-query ring-buffer size.
+
+    Every routed batch is traced end to end (router root span, per-shard
+    probe spans, remote subtrees absorbed from the ``/shard-batch``
+    responses) and feeds the slow-query log; the fan-out pool has a
+    thread per shard.
     """
 
     def __init__(
@@ -130,10 +133,7 @@ class ClusterRouter:
         timeout: float = 30.0,
         retries: int = 1,
         cooldown: float = 5.0,
-        max_workers: Optional[int] = None,
-        instrument: bool = True,
         slow_threshold: float = 0.25,
-        slow_capacity: int = 64,
     ) -> None:
         self._topology = topology
         self._plan = topology.plan()
@@ -142,7 +142,7 @@ class ClusterRouter:
         self._retries = max(0, int(retries))
         self._cooldown = max(0.0, float(cooldown))
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers or max(2, topology.num_shards),
+            max_workers=max(2, topology.num_shards),
             thread_name_prefix="repro-router",
         )
         self._clients: Dict[Tuple[int, int], ServeClient] = {}
@@ -151,10 +151,9 @@ class ClusterRouter:
         self._failures: List[ReplicaFailure] = []
         #: highest generation seen per shard (from response piggybacks)
         self._generations: Dict[int, int] = {}
-        self._instrument = bool(instrument)
-        self.slow_log = SlowQueryLog(threshold=slow_threshold, capacity=slow_capacity)
-        #: the most recent routed query's trace (None until instrumented
-        #: traffic flows) -- tests and operators dump it via to_json()
+        self.slow_log = SlowQueryLog(threshold=slow_threshold)
+        #: the most recent routed query's trace (None until a query is
+        #: routed) -- tests and operators dump it via to_json()
         self.last_trace: Optional[tracing.Trace] = None
         self.metrics = MetricsRegistry(parent=global_registry())
         self._m_queries = self.metrics.counter(
@@ -232,7 +231,7 @@ class ClusterRouter:
         """Existence probe: true as soon as any overlapping shard matches."""
         shards = self._shards_for(start, end)
         responses = self._fanout(
-            shards, {shard: [[start, end]] for shard in shards}, "exists", None
+            shards, {shard: [[start, end]] for shard in shards}, "exists"
         )
         return any(response["results"][0] for response in responses.values())
 
@@ -244,16 +243,14 @@ class ClusterRouter:
         Queries fan out per shard in one ``/shard-batch`` round-trip per
         shard covering every cache-missed query that touches it.
 
-        When instrumented, every call originates a fresh trace -- a
-        ``router_batch`` root over ``plan``/``shard_probe``/``merge``
-        spans, with each probed shard's remote subtree absorbed from its
-        ``/shard-batch`` response body.  The completed trace lands on
-        :attr:`last_trace` and, past the threshold, in :attr:`slow_log`.
+        Every call originates a fresh trace -- a ``router_batch`` root
+        over ``plan``/``shard_probe``/``merge`` spans, with each probed
+        shard's remote subtree absorbed from its ``/shard-batch`` response
+        body.  The completed trace lands on :attr:`last_trace` and, past
+        the threshold, in :attr:`slow_log`.
         """
         kind = "count" if count_only else "ids"
         self._m_queries.inc(len(pairs))
-        if not self._instrument:
-            return self._route_batch(pairs, kind, count_only)
         trace = tracing.Trace()
         started = time.perf_counter()
         with tracing.start_span(
@@ -289,27 +286,30 @@ class ClusterRouter:
                     answers[position] = dict(cached)
                 else:
                     missed.append(position)
-            if plan_span is not None:
-                plan_span["tags"]["missed"] = len(missed)
+            plan_span["tags"]["missed"] = len(missed)  # batch() always traces
         if missed:
-            per_shard: Dict[int, List[Tuple[int, Optional[int]]]] = {}
+            # per shard: (position, later) rows, where ``later`` marks a
+            # count on a shard after the query's first
+            per_shard: Dict[int, List[Tuple[int, bool]]] = {}
             for position in missed:
-                start, end = pairs[position]
-                for order, shard in enumerate(plans[position]):
-                    home = None if order == 0 else int(self._plan.cuts[shard - 1])
-                    per_shard.setdefault(shard, []).append((position, home))
-            payload_queries = {
-                shard: [[int(pairs[p][0]), int(pairs[p][1])] for p, _ in rows]
-                for shard, rows in per_shard.items()
-            }
-            homes = (
-                {shard: [home for _, home in rows] for shard, rows in per_shard.items()}
-                if count_only
-                else None
-            )
-            responses = self._fanout(
-                sorted(per_shard), payload_queries, kind, homes
-            )
+                shards = plans[position]
+                for shard in shards:
+                    per_shard.setdefault(shard, []).append(
+                        (position, count_only and shard != shards[0])
+                    )
+            payload_queries: Dict[int, List[List[int]]] = {}
+            for shard, rows in per_shard.items():
+                cut = int(self._plan.cuts[shard - 1]) if shard else 0
+                queries = [
+                    [cut if later else int(pairs[p][0]), int(pairs[p][1])]
+                    for p, later in rows
+                ]
+                if any(later for _, later in rows):
+                    # [cut, end] minus this stab at cut - 1 counts the
+                    # residents starting in [cut, end] (module docstring)
+                    queries.append([cut - 1, cut - 1])
+                payload_queries[shard] = queries
+            responses = self._fanout(sorted(per_shard), payload_queries, kind)
             stamps = {
                 shard: int(response["generation"])
                 for shard, response in responses.items()
@@ -318,17 +318,19 @@ class ClusterRouter:
                 # per-query slices of each shard response, in shard order
                 slots: Dict[int, Dict[int, object]] = {p: {} for p in missed}
                 for shard, response in responses.items():
-                    for (position, _), value in zip(
-                        per_shard[shard], response["results"]
-                    ):
-                        slots[position][shard] = value
+                    results = response["results"]
+                    for (position, later), value in zip(per_shard[shard], results):
+                        slots[position][shard] = value - results[-1] if later else value
                 for position in missed:
                     shards = plans[position]
                     parts = [slots[position][shard] for shard in shards]
                     if count_only:
                         answer: Dict[str, object] = {"count": int(sum(parts))}
                     else:
-                        ids = merge_unique_ids(parts).tolist()
+                        ids = (
+                            parts[0] if len(parts) == 1
+                            else merge_unique_ids(parts).tolist()
+                        )
                         answer = {"ids": ids, "count": len(ids)}
                     answers[position] = answer
                     start, end = pairs[position]
@@ -469,7 +471,6 @@ class ClusterRouter:
         shards: Sequence[int],
         queries: Dict[int, List[List[int]]],
         kind: str,
-        homes: Optional[Dict[int, List[Optional[int]]]],
     ) -> Dict[int, Dict[str, object]]:
         """Probe every shard concurrently; responses keyed by shard."""
         # captured here, on the submitting thread -- probe() runs on pool
@@ -477,10 +478,9 @@ class ClusterRouter:
         ctx = tracing.current()
 
         def probe(shard: int) -> Dict[str, object]:
-            payload: Dict[str, object] = {"queries": queries[shard], "kind": kind}
-            if homes is not None:
-                payload["home_starts"] = homes[shard]
-            return self._probe_shard(shard, payload, ctx)
+            return self._probe_shard(
+                shard, {"queries": queries[shard], "kind": kind}, ctx
+            )
 
         if len(shards) == 1:
             return {shards[0]: probe(shards[0])}

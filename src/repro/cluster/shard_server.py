@@ -9,12 +9,11 @@ of the full single-node protocol it speaks the cluster protocol:
   queries answered as ids, counts or existence flags in one round-trip,
   with the response stamped by the shard's ``result_generation`` *read
   before the probes* (the same cache-safety discipline as ``/query`` and
-  ``/batch``).  Count probes carry an optional per-query ``home_start``:
-  intervals duplicated across a shard cut are counted only by the shard
-  that is their *home* (``interval.start >= home_start``), so the router
-  can sum per-shard counts without shipping ids (see
-  :meth:`_execute_shard_batch` for why a rank query over the resident
-  start points answers this exactly).
+  ``/batch``).  A count probe is one ``store.count_batch`` over the
+  queries as sent: the router counts a straddling interval once by
+  sending each later shard ``[cut, end]`` and a stab at ``cut - 1`` and
+  subtracting the two (see :mod:`repro.cluster.router`), so the shard
+  keeps no structure of its own for counting.
 * ``GET /cluster-info`` -- role, shard id, generation, sizes; the router
   and operators read this to see what a node thinks it is.
 * ``POST /checkpoint`` -- run the store's durability checkpoint and return
@@ -36,11 +35,8 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.interval import Query
 from repro.durability.checkpoint import checkpoint_path
@@ -50,6 +46,8 @@ from repro.engine.store import IntervalStore
 from repro.obs import tracing
 from repro.serve.http import POST, READ, Reject, ServerHandle, encode, int_field
 from repro.serve.server import (
+    _MAX_POLLERS,
+    _POLL_TIMEOUT_S,
     QueryServer,
     _fans_out_to_processes,
     _query_pairs,
@@ -72,9 +70,9 @@ class ShardServer(QueryServer):
         plan: the topology's :class:`ShardPlan` (optional; echoed by
             ``/cluster-info`` so operators can spot a node booted against
             the wrong cuts).
-        role: ``"leader"`` or ``"follower"`` (display + promotion state).
-        read_only: refuse mutations with 403 until promoted; a follower
-            must not accept writes its leader never shipped.
+        role: ``"leader"`` or ``"follower"``.  A follower is read-only:
+            it refuses mutations with 403 until promoted, since it must
+            not accept writes its leader never shipped.
         promote_hook: zero-argument callable flipping this node to leader
             (installed by :class:`~repro.cluster.follower.ClusterFollower`);
             ``/promote`` answers 409 without one.
@@ -91,7 +89,6 @@ class ShardServer(QueryServer):
         shard_id: int = 0,
         plan: Optional[ShardPlan] = None,
         role: str = "leader",
-        read_only: bool = False,
         promote_hook=None,
         **kwargs: object,
     ) -> None:
@@ -99,11 +96,8 @@ class ShardServer(QueryServer):
         self._shard_id = int(shard_id)
         self._plan = plan
         self._role = role
-        self._read_only = bool(read_only)
+        self._read_only = role == "follower"
         self._promote_hook = promote_hook
-        #: (generation, sorted resident starts) for home-start counting
-        self._starts_cache: Tuple[Optional[int], Optional[np.ndarray]] = (None, None)
-        self._starts_lock = threading.Lock()
         self._shard_batches = 0
         self._wal_polls = 0
         self.metrics.counter_function(
@@ -151,9 +145,9 @@ class ShardServer(QueryServer):
     def adopt_store(self, store: IntervalStore) -> IntervalStore:
         """Swap the served store (a follower re-bootstrapping after a
         ``resync_required``); the cache moves to the new store's update
-        feed (which clears it), the starts cache is dropped and a plain
-        ``/query`` slices from the new store's rendered ids, if any, so no
-        answer from the abandoned store survives the swap."""
+        feed (which clears it) and a plain ``/query`` slices from the new
+        store's rendered ids, if any, so no answer from the abandoned store
+        survives the swap."""
         previous = self._store
         self._store = store
         self._hop_reads = _fans_out_to_processes(store)
@@ -161,8 +155,6 @@ class ShardServer(QueryServer):
         self._stream = None  # subscriptions were against the old store
         if self._cache.enabled:
             self._cache.watch(store.updates)
-        with self._starts_lock:
-            self._starts_cache = (None, None)
         return previous
 
     def promote(self) -> Dict[str, object]:
@@ -220,14 +212,6 @@ class ShardServer(QueryServer):
             raise Reject(
                 400, f"unknown shard-batch kind {kind!r}; choose from {SHARD_BATCH_KINDS}"
             )
-        home_starts = payload.get("home_starts")
-        if home_starts is not None:
-            if not isinstance(home_starts, list) or len(home_starts) != len(queries):
-                raise Reject(400, "home_starts must align one-to-one with queries")
-            home_starts = [
-                None if home is None else int_field(home, "home_starts")
-                for home in home_starts
-            ]
         # admission weight mirrors what the same queries would cost as a
         # local /batch: one slot per max_batch-sized chunk
         weight = max(1, -(-len(queries) // self._max_batch))
@@ -242,7 +226,6 @@ class ShardServer(QueryServer):
                 tracing.bind(ctx.child(), self._execute_shard_batch),
                 queries,
                 kind,
-                home_starts,
             )
         finally:
             self._release(weight)
@@ -259,10 +242,7 @@ class ShardServer(QueryServer):
         return 200, encode(body)
 
     def _execute_shard_batch(
-        self,
-        queries: List[Query],
-        kind: str,
-        home_starts: Optional[Sequence[Optional[int]]],
+        self, queries: List[Query], kind: str
     ) -> Tuple[int, List[object]]:
         # generation before probes: a racing update stamps answers with the
         # pre-update token, never the other way around (see _execute_batch)
@@ -272,42 +252,7 @@ class ShardServer(QueryServer):
             return generation, [ids.tolist() for ids in result.ids]
         if kind == "exists":
             return generation, [bool(flag) for flag in self._store.exists_batch(queries)]
-        # counts with home-start dedup.  A query spanning shards f..l counts
-        # each interval exactly once: shard f counts every resident match
-        # (home_start None); shard j > f counts only residents with
-        # start >= cuts[j-1] -- those are precisely the intervals whose home
-        # shard is j, and since home_start > query.start, "start in
-        # [home_start, query.end]" already implies overlap, so the count is
-        # a pure rank query over the shard's sorted resident starts.
-        results: List[object] = [0] * len(queries)
-        if home_starts is None:
-            home_starts = [None] * len(queries)
-        plain = [i for i, home in enumerate(home_starts) if home is None]
-        if plain:
-            counts = self._store.count_batch([queries[i] for i in plain])
-            for position, count in zip(plain, counts):
-                results[position] = int(count)
-        homed = [i for i, home in enumerate(home_starts) if home is not None]
-        if homed:
-            starts = self._sorted_starts(generation)
-            for position in homed:
-                home = home_starts[position]
-                query = queries[position]
-                lo = int(np.searchsorted(starts, home, side="left"))
-                hi = int(np.searchsorted(starts, query.end, side="right"))
-                results[position] = max(0, hi - lo)
-        return generation, results
-
-    def _sorted_starts(self, generation: int) -> np.ndarray:
-        """Sorted resident start points, cached per generation."""
-        with self._starts_lock:
-            cached_generation, cached = self._starts_cache
-            if cached_generation == generation and cached is not None:
-                return cached
-        starts = np.sort(self._store.index.live_collection().starts)
-        with self._starts_lock:
-            self._starts_cache = (generation, starts)
-        return starts
+        return generation, [int(count) for count in self._store.count_batch(queries)]
 
     # ------------------------------------------------------------------ #
     # /checkpoint + /wal-feed: the replication feed
@@ -342,8 +287,8 @@ class ShardServer(QueryServer):
             timeout = float(payload.get("timeout", 10.0))
         except (TypeError, ValueError):
             timeout = 10.0
-        timeout = max(0.0, min(timeout, self._poll_timeout))
-        if self._pollers >= self._max_pollers:
+        timeout = max(0.0, min(timeout, _POLL_TIMEOUT_S))
+        if self._pollers >= _MAX_POLLERS:
             raise Reject(503, "too many pollers", retry_after=1)
         self._pollers += 1
         self._wal_polls += 1

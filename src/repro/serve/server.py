@@ -167,6 +167,18 @@ _ENDPOINT_OPS = {
 #: disk whose fsyncs take milliseconds every update hops.
 _SLOW_FSYNC_S = 0.001
 
+#: seconds :meth:`QueryServer.stop` waits for admitted requests to finish
+_DRAIN_TIMEOUT_S = 10.0
+
+#: most long-polls (``/poll-deltas``, ``/wal-feed``) parked at once: they
+#: wait on an event instead of holding admission slots, so they get their
+#: own bound (503 past it)
+_MAX_POLLERS = 256
+
+#: hard cap in seconds on one long-poll wait; clients ask for less via
+#: ``timeout``
+_POLL_TIMEOUT_S = 30.0
+
 #: endpoints whose completed requests feed the slow-query log
 _SLOW_ENDPOINTS = frozenset(("/query", "/batch", "/shard-batch"))
 
@@ -251,16 +263,10 @@ class QueryServer(HttpServer):
         max_batch: the ``/batch`` chunk size: a request's missed queries run
             ``max_batch`` at a time, each chunk one ``store.run_batch`` call
             holding one admission slot.
-        drain_timeout: seconds :meth:`stop` waits for admitted requests.
         stream: a :class:`~repro.stream.deltas.StandingQueryManager` to
             serve subscriptions from (pass the previous server's manager to
             survive a restart with exact catch-up); ``None`` creates one
             lazily on the first ``/subscribe``.
-        max_pollers: most ``/poll-deltas`` requests waiting at once -- they
-            park on an event instead of holding admission slots, so they
-            get their own bound (503 past it).
-        poll_timeout: hard cap in seconds on one long-poll wait; clients
-            ask for less via ``timeout``.
         max_poller_lag: backpressure bound handed to the lazily created
             :class:`~repro.stream.deltas.StandingQueryManager`: a
             subscription whose poller lags past this many retained records
@@ -271,7 +277,6 @@ class QueryServer(HttpServer):
             every completed request).  An untraced request lands with a
             one-node span tree; one that carried trace headers with its
             full tree.
-        slow_capacity: slow-query ring-buffer size.
     """
 
     def __init__(
@@ -283,27 +288,21 @@ class QueryServer(HttpServer):
         cache: "ResultCache | int | None" = None,
         max_pending: int = 64,
         max_batch: int = 64,
-        drain_timeout: float = 10.0,
         stream: "StandingQueryManager | None" = None,
-        max_pollers: int = 256,
-        poll_timeout: float = 30.0,
         max_poller_lag: Optional[int] = None,
         slow_threshold: float = 0.25,
-        slow_capacity: int = 64,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_pollers < 1:
-            raise ValueError(f"max_pollers must be >= 1, got {max_pollers}")
         super().__init__(
             host,
             port,
             # per-server registry chained to the process-global one, so one
             # scrape shows serving counters AND engine-wide state
             metrics=MetricsRegistry(parent=global_registry()),
-            slow_log=SlowQueryLog(threshold=slow_threshold, capacity=slow_capacity),
+            slow_log=SlowQueryLog(threshold=slow_threshold),
             methods=READ,
         )
         self._store = store
@@ -312,10 +311,7 @@ class QueryServer(HttpServer):
             self._cache.watch(store.updates)
         self._max_pending = max_pending
         self._max_batch = max_batch
-        self._drain_timeout = drain_timeout
         self._stream = stream
-        self._max_pollers = max_pollers
-        self._poll_timeout = poll_timeout
         self._max_poller_lag = max_poller_lag
         #: whether a /query hops to a worker thread (_fans_out_to_processes)
         self._hop_reads = _fans_out_to_processes(store)
@@ -576,7 +572,7 @@ class QueryServer(HttpServer):
 
         With ``drain`` (the default) new query/update requests are rejected
         with 503 while everything already admitted runs to completion (up to
-        ``drain_timeout`` seconds); without it, in-flight requests are
+        :data:`_DRAIN_TIMEOUT_S` seconds); without it, in-flight requests are
         abandoned with the connections.
         """
         self._draining = True
@@ -590,7 +586,7 @@ class QueryServer(HttpServer):
             self._stream.remove_notifier(self._on_deltas)
         if drain and self._inflight:
             try:
-                await asyncio.wait_for(self._idle.wait(), self._drain_timeout)
+                await asyncio.wait_for(self._idle.wait(), _DRAIN_TIMEOUT_S)
             except asyncio.TimeoutError:  # pragma: no cover - slow store
                 pass
         await super().stop()
@@ -1166,7 +1162,7 @@ class QueryServer(HttpServer):
         after = int_field(payload.get("after", -1), "after")
         try:
             timeout = min(
-                float(payload.get("timeout", self._poll_timeout)), self._poll_timeout
+                float(payload.get("timeout", _POLL_TIMEOUT_S)), _POLL_TIMEOUT_S
             )
         except (TypeError, ValueError) as exc:
             raise Reject(400, f"'timeout' must be a number: {exc}") from None
@@ -1178,7 +1174,7 @@ class QueryServer(HttpServer):
                     "resync_required": True,
                 }
             )
-        if self._pollers >= self._max_pollers:
+        if self._pollers >= _MAX_POLLERS:
             raise Reject(503, "too many pollers", retry_after=1)
         deadline = self._loop.time() + timeout
         self._pollers += 1

@@ -1,7 +1,7 @@
 """Front-tier routing oracle: fan-out/merge == one-store truth.
 
-Every routed answer -- ids, counts (home-start deduped), existence, and
-batches -- must be byte-equal to the same query against a single
+Every routed answer -- ids, counts (each later shard's [cut, end] count
+minus its stab at cut - 1), existence, and batches -- must be byte-equal to the same query against a single
 :class:`IntervalStore` over the whole collection, across backends, shard
 counts, replica kills mid-workload, and cache hits.  Also covers the
 distributed result cache's generation invalidation through router-side
@@ -104,6 +104,41 @@ def test_routed_queries_match_single_store(backend, num_shards):
             counted = cluster.router.query(start, end, count_only=True)
             assert counted["count"] == len(want), (start, end)
             assert cluster.router.exists(start, end) == bool(want)
+
+
+def test_routed_counts_match_single_store_through_updates():
+    """Later shards count [cut, end] minus one stab at cut - 1 per probe;
+    inserts and deletes straddling every cut must keep that exact."""
+    collection = _collection()
+    truth = _oracle(collection, "hintm_hybrid")
+    with _Cluster(collection, "hintm_hybrid", 4, cache=0) as cluster:
+        cuts = cluster.plan.cuts
+        assert len(cuts) == 3
+        lo, hi = (int(v) for v in collection.span())
+        inserts = [(lo - 50, hi + 50)]  # one interval over every shard
+        for cut in cuts:
+            inserts += [(cut - 1, cut), (cut - 40, cut + 40), (cut, cut + 3)]
+        for offset, (start, end) in enumerate(inserts):
+            cluster.router.insert(10_000 + offset, start, end)
+            truth.insert(Interval(10_000 + offset, start, end))
+        straddlers = [
+            int(i)
+            for i, start, end in zip(collection.ids, collection.starts, collection.ends)
+            if any(start < cut <= end for cut in cuts)
+        ]
+        assert len(straddlers) >= 6
+        for interval_id in straddlers[::3] + [10_001, 10_005]:
+            assert cluster.router.delete(interval_id)["deleted"]
+            assert truth.delete(interval_id)
+        pairs = _queries(collection) + [(cut - 1, cut) for cut in cuts]
+        want = [truth.query().overlapping(start, end).count() for start, end in pairs]
+        for (start, end), count in zip(pairs, want):
+            assert cluster.router.query(start, end, count_only=True)["count"] == count
+        probes = cluster.router.stats()["probes"]
+        answers = cluster.router.batch(pairs, count_only=True)
+        assert [answer["count"] for answer in answers] == want
+        # one probe per shard carries every query of the batch
+        assert cluster.router.stats()["probes"] - probes <= 4
 
 
 def test_batch_fanout_matches_and_caches():

@@ -1019,7 +1019,7 @@ class TestHttpContract:
     def test_read_only_shard_server_refuses_writes_with_403(self):
         store = IntervalStore.from_pairs([(1, 5), (3, 9)])
         handle = start_shard_server_thread(
-            store, shard_id=0, role="follower", read_only=True
+            store, shard_id=0, role="follower"
         )
         try:
             with ServeClient(port=handle.port) as client:
@@ -1049,12 +1049,7 @@ class TestHttpContract:
 
     @pytest.mark.parametrize(
         "shard, method, target, body, field",
-        [
-            *((shard, *case) for shard in (False, True) for case in _MALFORMED_NUMERIC),
-            (True, "POST", "/shard-batch",
-             {"queries": [[1, 5]], "kind": "count", "home_starts": ["x"]},
-             "home_starts"),
-        ],
+        [(shard, *case) for shard in (False, True) for case in _MALFORMED_NUMERIC],
     )
     def test_malformed_numeric_field_answers_400_and_keeps_alive(
         self, shard, method, target, body, field

@@ -28,6 +28,23 @@ class TestParser:
         args = parser.parse_args(["query", "x.csv", "--stab", "3", "--index", "interval-tree"])
         assert args.index == "interval-tree"
 
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--executor", "processes"]])
+    def test_bench_has_no_executor_or_workers_flag(self, flag):
+        # bench times one call at a time in-process; query keeps the pool flags
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "x.csv", *flag])
+        args = build_parser().parse_args(["query", "x.csv", "--stab", "3", *flag])
+        assert args.command == "query"
+
+    def test_only_route_takes_cache_ttl(self):
+        # the served cache is exact; only the router's cache needs a TTL
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "x.csv", "--cache-ttl", "5"])
+        args = build_parser().parse_args(
+            ["route", "t.json", "--stab", "3", "--cache-ttl", "5"]
+        )
+        assert args.cache_ttl == 5.0
+
 
 class TestQueryCommand:
     def test_range_query_prints_sorted_ids(self, csv_path, capsys, tiny_collection):

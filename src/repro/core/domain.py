@@ -86,7 +86,7 @@ class Domain:
             object.__setattr__(self, "raw_max", (1 << self.num_bits) - 1)
         if self.raw_max < self.raw_min:
             raise DomainError(f"raw_max ({self.raw_max}) < raw_min ({self.raw_min})")
-        # set once: map_value reads them for every endpoint it maps
+        # set once: read by :attr:`rescaling` and the partition arithmetic
         size = 1 << self.num_bits
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "max_value", size - 1)
@@ -117,16 +117,23 @@ class Domain:
     # mapping raw <-> discrete
     # ------------------------------------------------------------------ #
     @cached_property
-    def _scale(self) -> tuple[int, int]:
-        """``(shift, divisor)`` of the one rescaling formula
-        ``((x - raw_min) >> shift) * max_value // divisor``.
+    def rescaling(self) -> tuple[int, int, int, int, int]:
+        """``(low, high, shift, factor, divisor)`` of the one mapping formula
+        ``((clamp(x, low, high) - low) >> shift) * factor // divisor``.
 
-        ``shift`` is zero (the paper's ``f``, exactly) unless the product
-        could reach ``2^63``; then it is the number of bits by which it
-        would, so scalar Python ints and int64 arrays compute the same value.
+        The identity domain clamps only (``factor == divisor == 1``), and a
+        one-value domain maps everything to 0 (``factor == 0``).  Otherwise
+        it is the paper's ``f``, exactly, unless the product could reach
+        ``2^63``: then ``shift`` is the number of bits by which it would, so
+        scalar Python ints and int64 arrays compute the same value.  Plain
+        ints, so a caller mapping many scalars can keep the tuple.
         """
+        if self.is_identity:
+            return 0, self.max_value, 0, 1, 1
+        if self.raw_extent == 0:
+            return self.raw_min, self.raw_max, 0, 0, 1
         shift = max(0, self.raw_extent.bit_length() + self.num_bits - 63)
-        return shift, self.raw_extent >> shift
+        return self.raw_min, self.raw_max, shift, self.max_value, self.raw_extent >> shift
 
     def map_value(self, x: int | float) -> int:
         """Map a raw endpoint to the discrete domain (the ``f`` of Section 3.2).
@@ -135,25 +142,14 @@ class Domain:
         beyond the data span, and clamping them to the domain boundary yields
         exactly the partitions the in-domain part of the query overlaps.
         """
-        if self.is_identity:
-            value = int(x)
-            return min(max(value, 0), self.max_value)
-        if self.raw_extent == 0:
-            return 0
-        offset = int(min(max(x, self.raw_min), self.raw_max)) - self.raw_min
-        shift, divisor = self._scale
-        return (offset >> shift) * self.max_value // divisor
+        low, high, shift, factor, divisor = self.rescaling
+        return ((int(low if x < low else high if x > high else x) - low) >> shift) * factor // divisor
 
     def map_values(self, values: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`map_value`: the same formula on an int64 array."""
-        values = np.asarray(values, dtype=np.int64)
-        if self.is_identity:
-            return np.clip(values, 0, self.max_value)
-        if self.raw_extent == 0:
-            return np.zeros(len(values), dtype=np.int64)
-        offsets = np.clip(values, self.raw_min, self.raw_max) - self.raw_min
-        shift, divisor = self._scale
-        return (offsets >> shift) * self.max_value // divisor
+        low, high, shift, factor, divisor = self.rescaling
+        offsets = np.clip(np.asarray(values, dtype=np.int64), low, high) - low
+        return (offsets >> shift) * factor // divisor
 
     # ------------------------------------------------------------------ #
     # partition arithmetic

@@ -113,7 +113,7 @@ class ResultSet:
             found = np.asarray(self._fetch(), dtype=np.int64)
             if self._limit is not None and len(found) > self._limit:
                 found = found[: self._limit].copy()
-            found.flags.writeable = False
+            found.setflags(write=False)
             self._ids = found
         return self._ids
 

@@ -1157,6 +1157,9 @@ class ShardedStore(IntervalStore):
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
+    def _ids(self, query: Query) -> np.ndarray:
+        return self._result_set(query, None, None).ids()
+
     def _result_set(
         self,
         query: Query,

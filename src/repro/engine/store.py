@@ -96,8 +96,13 @@ class QueryBuilder:
         return self._store._result_set(self._query, self._relation, self._limit)
 
     def ids(self) -> np.ndarray:
-        """Materialised result ids (an int64 array)."""
-        return self.build().ids()
+        """Materialised result ids: the read-only int64 array
+        :meth:`ResultSet.ids` returns.  A plain range or stab skips the
+        handle, which only this call would ever read."""
+        query = self._query
+        if query is None or self._relation is not None or self._limit is not None:
+            return self.build().ids()
+        return self._store._ids(query)
 
     def count(self) -> int:
         """Result count via the backend's counting fast path."""
@@ -374,6 +379,13 @@ class IntervalStore:
         return ResultSet(
             self._index, query, relation=relation, limit=limit, backend=self._backend
         )
+
+    def _ids(self, query: Query) -> np.ndarray:
+        """What ``ResultSet(index, query).ids()`` returns, without the handle
+        (overridden by sharded stores, whose answer is a merge)."""
+        found = np.asarray(self._index.query(query), dtype=np.int64)
+        found.setflags(write=False)  # half the cost of ``flags.writeable``
+        return found
 
     def stab(self, point: int) -> np.ndarray:
         """Shorthand for ``store.query().stabbing(point).ids()``."""

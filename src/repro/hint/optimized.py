@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -207,6 +206,8 @@ class OptimizedHINTm(IntervalIndex):
                 f"domain has {domain.num_bits} bits but the index expects {num_bits}"
             )
         self._domain = domain
+        #: the domain's mapping as plain ints, which :meth:`_walk` inlines
+        self._rescaling = domain.rescaling
         self._spans = SpanTable(collection)
         self._build(collection)
         #: the id column rendered as text (see :meth:`render_ids`): each id
@@ -291,6 +292,7 @@ class OptimizedHINTm(IntervalIndex):
         self._ids = collection.ids[np.concatenate(orders)]
         self._starts = starts[np.concatenate(orders[0:2])]
         self._ends = ends[np.concatenate(orders[1:3])]
+        self._view_columns()
         #: row of ``_ends`` = row of ``_ids`` minus this (``o_aft`` keeps no end)
         self._ends_base = len(orders[0])
         #: where the replicas start in the row space
@@ -354,7 +356,7 @@ class OptimizedHINTm(IntervalIndex):
         (entry, level) table its run starts at, ends at and start-trims
         from, the offset of its class's row of the pointer table, and the
         rows of the (flag, level) table its start and end tests read -- the
-        runs :meth:`_segments` emits: one slot per populated ``o_aft`` or
+        runs :meth:`_walk` reads: one slot per populated ``o_aft`` or
         replica pair, two per populated ``o_in`` pair -- 30-33 slots on the
         ``core_scan`` benchmark data, where three per original pair made
         47-53.
@@ -411,6 +413,22 @@ class OptimizedHINTm(IntervalIndex):
             end_test * levels + rows,
         )
         return walk, batch
+
+    def _view_columns(self) -> None:
+        """Memoryviews of the starts, ends and ids columns, which the scalar
+        walk reads: :func:`bisect` and slicing get Python ints and bytes
+        from them, with no copy of a column."""
+        self._views = tuple(memoryview(column) for column in (self._starts, self._ends, self._ids))
+
+    def __getstate__(self) -> dict:
+        # a memoryview does not pickle: the copy makes its own
+        state = self.__dict__.copy()
+        del state["_views"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._view_columns()
 
     # ------------------------------------------------------------------ #
     # properties
@@ -510,45 +528,20 @@ class OptimizedHINTm(IntervalIndex):
     def ids_text(self, query: Query) -> Optional[Tuple[bytes, int]]:
         """``(text, count)``: the ids answering ``query`` joined by commas,
         in :meth:`query`'s order, and how many there are -- or None unless
-        :attr:`renders_ids`.
-
-        The walk is :meth:`_answer`'s over the same :meth:`_segments` runs,
-        but each run becomes text sliced from the rendered column instead
-        of a slice of the id column: a whole or start-trimmed run, or an
-        end-tested replica partition trimmed by bisection, is one slice;
-        an end-tested ``o_in`` partition, masked row by row, one slice per
-        passing row.  No id becomes a Python int.
+        :attr:`renders_ids`.  Each run of :meth:`_walk` is one slice of the
+        rendered column; no id becomes a Python int.
         """
         rendered = self._id_text
         if rendered is None or self._spans.removed:
             return None
         text, offsets = rendered[0], memoryview(rendered[1])  # int lookups
-        q_start, q_end = _exact_bounds(query)
-        starts = self._starts
-        pieces = []
-        add = pieces.append
-        count = 0
-        for lo, _mid, cut, hi, test_start, test_end, _key in self._segments(query):
-            if test_start:
-                hi = bisect_right(starts, q_end, cut, hi)
-            if test_end:
-                lo, mask = self._end_passing(lo, hi, q_start)
-                if mask is not None:
-                    passing = [
-                        text[offsets[row] : offsets[row + 1]]
-                        for row in compress(range(lo, hi), mask.tolist())
-                    ]
-                    pieces += passing
-                    count += len(passing)
-                    continue
-            if lo < hi:
-                add(text[offsets[lo] : offsets[hi]])
-                count += hi - lo
+        runs = self._walk(query)[0]
+        pieces = [text[offsets[lo] : offsets[hi]] for lo, hi, _, _ in runs]
         # every id's text ends in a comma: the answer's last one goes
-        return b"".join(pieces)[:-1], count
+        return b"".join(pieces)[:-1], sum([hi - lo for lo, hi, _, _ in runs])
 
     # ------------------------------------------------------------------ #
-    # queries: one scalar traversal, then whole-segment reads
+    # queries: one walk, then whole-run reads
     # ------------------------------------------------------------------ #
     def query(self, query: Query) -> np.ndarray:
         return self._answer(query)
@@ -561,60 +554,69 @@ class OptimizedHINTm(IntervalIndex):
 
     def query_count(self, query: Query) -> int:
         """Count results without gathering an id (Section 4.2/4.3 traversal,
-        aggregation-only).
-
-        Comparison-free runs contribute their length in O(1); boundary
-        partitions contribute a predicate count.  Tombstoned indexes gather
-        the ids, the only way to subtract deleted ones exactly.
-        """
+        aggregation-only): the runs' lengths.  Tombstoned indexes gather the
+        ids, the only way to subtract deleted ones exactly."""
         if self._spans.removed:
             return len(self._answer(query))
         return self._tally(query, stop_at_first=False)
 
     def query_exists(self, query: Query) -> bool:
-        """True iff any interval overlaps ``query``: any non-empty
-        comparison-free run proves it, and the scan stops at the first
-        segment with a match."""
+        """True iff any interval overlaps ``query``: any run proves it."""
         if self._spans.removed:
             return len(self._answer(query)) > 0
         return self._tally(query, stop_at_first=True) > 0
 
-    def _segments(self, query: Query) -> List[tuple]:
-        """``(row_lo, row_mid, row_cut, row_hi, test_start, test_end, key)``
-        for every non-empty run of the shared columns the query touches.
+    def _walk(self, query: Query, stats: Optional[QueryStats] = None) -> Tuple[list, object, object]:
+        """``(runs, q_start, q_end)``: ``(row_lo, row_hi, test_start,
+        test_end)`` for every non-empty run of the shared columns that holds
+        answers to ``query``, and its bounds as :func:`_exact_bounds` gives
+        them.  The one Section 4.2/4.3 traversal of a lone query; with
+        ``stats`` it fills the counters too.
 
-        This is the scalar encoding of the Section 4.2/4.3 traversal: which
-        partitions are relevant per level, and how the Lemma 2 flags lower
-        the predicates level by level (:meth:`_batch_segments` is the same
-        traversal for a whole batch, and reads the flags by the same
-        formula).  Per level, one binary search in the directory finds the
-        first relevant partition (a second one the last, when they differ),
-        and only the classes that store rows at the level are read.
+        Per level, one binary search in the directory finds the first
+        relevant partition (a second one the last, when they differ), and
+        only the classes that store rows at the level are read
+        (:meth:`_batch_segments` is the same traversal for a whole batch,
+        and reads the Lemma 2 flags by the same formula).  A class's
+        partitions sit side by side in the merged table (Section 4.2), so
+        its first, comparison-free middle and last partitions are one run --
+        but an ``o_in`` first partition that needs the end test is a run of
+        its own, and a replica class reads its first partition only.
 
-        A class's partitions sit side by side in the merged table (Section
-        4.2), so its first, comparison-free middle and last partitions are
-        one row range, and each populated (level, class) pair is one run
-        from the first partition through the last -- but an ``o_in`` first
-        partition that needs the end test is a run of its own, and a
-        replica class reads its first partition only.  Only the rows
-        ``row_cut:row_hi`` of a run are start-tested -- the last partition,
-        the whole run when it is the first one too -- and ``test_end``
-        applies to one-partition runs only.  ``row_lo:row_mid`` is a run's
-        first partition and ``row_mid:row_cut`` its middle (``row_lo ==
-        row_mid == row_cut`` for a one-partition run); the stats count
-        partitions from these bounds, and read ``key``, the heap number of
-        the run's tested partition, for the Lemma 4 counter.  On the
-        ``core_scan`` benchmark data (m = 13, seven seeds) that is 9.7-10.2
-        runs per query, where three runs per original class and level made
-        13.6-14.3, and a lone query runs 1.12-1.15x faster (timed
-        interleaved with that walk in one process, ``core_scan`` and
-        ``serve_uniform`` data).
+        On the columnar layout every run comes final, both flags False.  A
+        start test is one :func:`bisect_right` over the run's last partition
+        (the whole run when it is the first one too), sorted by start, and
+        a replica's end test one :func:`bisect_left` over its partition,
+        sorted by end (Section 4.1's sorting); both probe memoryviews of the
+        endpoint columns, which hand out Python ints where the arrays box a
+        NumPy scalar per probe.  An ``o_in`` partition is sorted by start
+        only, so its end test splits it at ``q_start``: on the ``core_scan``
+        and ``serve_uniform`` data (seed 7, 3,000 queries each) a query
+        meets 1.4-1.5 such partitions of 31-34 rows, 46-48 % of their rows
+        start at or after ``q_start`` and half fail, so one run and 1.0-1.4
+        single rows remain of each.  The row-wise layout gets its runs
+        untrimmed and flagged, a run's last partition apart when it is
+        start-tested, for the record scan.  The stats count partitions from
+        the untrimmed bounds, as a walk that read the first, middle and last
+        partitions apart would count them, and the boundary partitions
+        compared, which Lemma 4 bounds by four in expectation.
         """
-        mq_start = self._domain.map_value(query.start)
-        mq_end = self._domain.map_value(query.end)
+        q_start, q_end = _exact_bounds(query)
+        # the domain's mapping, inline (see Domain.rescaling)
+        low, high, scale_shift, factor, divisor = self._rescaling
+        x = query.start
+        mq_start = (int(low if x < low else high if x > high else x) - low) >> scale_shift
+        x = query.end
+        mq_end = (int(low if x < low else high if x > high else x) - low) >> scale_shift
+        mq_start, mq_end = mq_start * factor // divisor, mq_end * factor // divisor
         keys = self._keys_list
-        segments: List[tuple] = []
-        add = segments.append
+        starts, ends, _ = self._views
+        base, trim = self._ends_base, self._columnar
+        runs: List[tuple] = []
+        add = runs.append
+        # untrimmed (row_lo, row_mid, row_cut, row_hi, test_start, test_end,
+        # key of the tested partition) per run, for the stats
+        untrimmed = None if stats is None else []
         for heap, shift, below, dir_lo, dir_hi, replicas, originals in self._levels:
             # heap number of the first relevant partition, and its entry
             first = heap + (mq_start >> shift)
@@ -627,82 +629,76 @@ class OptimizedHINTm(IntervalIndex):
                 comp_first = mq_start & below == below
                 for pointers, keeps_end in replicas:
                     row_lo, row_hi = pointers[lo], pointers[lo + 1]
+                    if row_lo == row_hi:
+                        continue
+                    test_end = keeps_end and comp_first
+                    if untrimmed is not None:
+                        untrimmed.append((row_lo, row_lo, row_lo, row_hi, False, test_end, first))
+                    if test_end and trim:
+                        row_lo = bisect_left(ends, q_start, row_lo - base, row_hi - base) + base
+                        test_end = False
                     if row_lo < row_hi:
-                        add((
-                            row_lo, row_lo, row_lo, row_hi, False, keeps_end and comp_first, first,
-                        ))
+                        add((row_lo, row_hi, False, test_end))
             if not originals:
                 continue
             last = heap + (mq_end >> shift)
             comp_last = not mq_end & below
-            if first == last:
-                if head:
-                    for pointers, keeps_end in originals:
-                        row_lo, row_hi = pointers[lo], pointers[lo + 1]
-                        if row_lo < row_hi:
-                            add((
-                                row_lo, row_lo, row_lo, row_hi, comp_last,
-                                keeps_end and comp_first, first,
-                            ))
+            if first != last:
+                hi = bisect_right(keys, last, lo, dir_hi)
+                middle_lo = lo + head
+                # the entry the last partition starts at (``hi`` when it is absent)
+                cut = hi - (hi > lo and keys[hi - 1] == last)
+            elif head:
+                middle_lo, cut, hi = lo, lo, lo + 1  # one partition, first and last
+            else:
                 continue
-            hi = bisect_right(keys, last, lo, dir_hi)
-            middle_lo = lo + head
-            # the entry the last partition starts at (``hi`` when it is absent)
-            cut = hi - (hi > lo and keys[hi - 1] == last)
             for pointers, keeps_end in originals:
                 row_lo = pointers[lo]
-                if keeps_end and head and comp_first:
-                    # an o_in first partition that needs the end test: apart
-                    row_mid = pointers[middle_lo]
-                    if row_lo < row_mid:
-                        add((row_lo, row_lo, row_lo, row_mid, False, True, first))
+                if keeps_end and head and comp_first and row_lo < pointers[lo + 1]:
+                    # an o_in first partition that needs the end test: a run
+                    # apart, start-tested too when it is the last one as well
+                    row_mid = pointers[lo + 1]
+                    test_start = comp_last and first == last
+                    if untrimmed is not None:
+                        untrimmed.append((row_lo, row_lo, row_lo, row_mid, test_start, True, first))
+                    if not trim:
+                        add((row_lo, row_mid, test_start, True))
+                    else:
+                        row_end = row_mid
+                        if test_start:
+                            row_end = bisect_right(starts, q_end, row_lo, row_mid)
+                        # sorted by start: the rows that start at or after
+                        # q_start end there too, one run; only those before
+                        # it read their end, each passing one a run of its own
+                        split = bisect_left(starts, q_start, row_lo, row_end)
+                        for row in range(row_lo, split):
+                            if ends[row - base] >= q_start:
+                                add((row, row + 1, False, False))
+                        if split < row_end:
+                            add((split, row_end, False, False))
                     row_lo = row_mid
                 row_hi = pointers[hi]
-                if row_lo < row_hi:
-                    add((
-                        row_lo, pointers[middle_lo], pointers[cut], row_hi, comp_last, False, last,
+                if row_lo == row_hi:
+                    continue
+                row_cut = pointers[cut]
+                if untrimmed is not None:
+                    untrimmed.append((
+                        row_lo, pointers[middle_lo], row_cut, row_hi, comp_last, False, last,
                     ))
-        return segments
-
-    def _end_passing(self, lo: int, hi: int, q_start) -> Tuple[int, Optional[np.ndarray]]:
-        """The end test of one-partition run ``lo:hi``, as ``(lo, mask)``:
-        rows ``lo:hi`` pass where ``mask`` holds, or whole when it is None.
-
-        A replica partition's rows are sorted by their end, Section 4.1's
-        sorting, so the test trims it by binary search; an original's (sorted
-        by its start) reads its rows.  The start test needs no helper: one
-        :func:`bisect_right` trims a run's last partition ``cut:hi``, which
-        is sorted by start.  (So is the whole run -- an original starts
-        inside its partition, and the partitions are in offset order -- but
-        only the last partition holds rows that can fail the test.)
-        """
-        base = self._ends_base
-        if lo >= self._replicas_base:
-            return bisect_left(self._ends, q_start, lo - base, hi - base) + base, None
-        return lo, self._ends[lo - base : hi - base] >= q_start
-
-    def _passing_records(
-        self, lo: int, cut: int, hi: int, test_start: bool, test_end: bool, q_start, q_end
-    ):
-        """The interleaved records of run ``lo:hi`` that pass, scanned row
-        by row: the ``columnar=False`` layout's predicates."""
-        records = self._records
-        yield from records[lo:cut]
-        for record in records[cut:hi]:
-            if _record_matches(record, test_start, test_end, q_start, q_end):
-                yield record
-
-    def _answer(self, query: Query, stats: Optional[QueryStats] = None) -> np.ndarray:
-        """The ids answering ``query`` as a fresh int64 array: the traversal,
-        then per segment a slice of the id column, masked by slices of the
-        endpoint columns where the segment needs a predicate."""
-        segments = self._segments(query)
-        if stats is not None:
-            # per partition, as a walk that read the first, middle and last
-            # partitions apart would count them; distinct boundary partitions
-            # compared are what Lemma 4 bounds by four in expectation
+                if comp_last and not trim:
+                    # the record scan start-tests the last partition apart
+                    if row_lo < row_cut:
+                        add((row_lo, row_cut, False, False))
+                    if row_cut < row_hi:
+                        add((row_cut, row_hi, True, False))
+                    continue
+                if comp_last:
+                    row_hi = bisect_right(starts, q_end, row_cut, row_hi)
+                if row_lo < row_hi:
+                    add((row_lo, row_hi, False, False))
+        if untrimmed is not None:
             compared = set()
-            for row_lo, row_mid, row_cut, row_hi, test_start, test_end, key in segments:
+            for row_lo, row_mid, row_cut, row_hi, test_start, test_end, key in untrimmed:
                 stats.partitions_accessed += (
                     (row_mid > row_lo) + (row_cut > row_mid) + (row_hi > row_cut)
                 )
@@ -712,58 +708,52 @@ class OptimizedHINTm(IntervalIndex):
                     compared.add(key)
                     stats.comparisons += tested
             stats.partitions_compared = len(compared)
-        q_start, q_end = _exact_bounds(query)
+        return runs, q_start, q_end
+
+    def _passing_records(self, lo: int, hi: int, test_start: bool, test_end: bool, q_start, q_end):
+        """The interleaved records of run ``lo:hi`` that pass, scanned row
+        by row: the ``columnar=False`` layout's predicates."""
+        records = self._records[lo:hi]
+        if not (test_start or test_end):
+            return records
+        return [
+            record for record in records
+            if _record_matches(record, test_start, test_end, q_start, q_end)
+        ]
+
+    def _answer(self, query: Query, stats: Optional[QueryStats] = None) -> np.ndarray:
+        """The ids answering ``query`` as a fresh, owning int64 array,
+        without the tombstoned ones: on the columnar layout the bytes of
+        every run of :meth:`_walk` in the id column, joined and copied once
+        -- a memoryview slice costs a third of an array view, and the whole
+        gather ~0.65x of ``np.concatenate`` over views (11 runs, timeit)."""
+        runs, q_start, q_end = self._walk(query, stats)
         if self._columnar:
-            ids, starts = self._ids, self._starts
-            pieces = []
-            add = pieces.append
-            for lo, _mid, cut, hi, test_start, test_end, _key in segments:
-                if test_start:
-                    hi = bisect_right(starts, q_end, cut, hi)
-                if test_end:
-                    lo, mask = self._end_passing(lo, hi, q_start)
-                    if mask is not None:
-                        add(ids[lo:hi][mask])
-                        continue
-                add(ids[lo:hi])
-            found = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+            ids = self._views[2]
+            found = np.frombuffer(
+                b"".join([ids[lo:hi] for lo, hi, _, _ in runs]), dtype=np.int64
+            ).copy()
         else:
             # row-wise layout: interleaved records, scanned row by row
             found = np.fromiter(
                 (
                     record[0]
-                    for lo, _mid, cut, hi, test_start, test_end, _key in segments
-                    for record in self._passing_records(
-                        lo, cut, hi, test_start, test_end, q_start, q_end
-                    )
+                    for run in runs
+                    for record in self._passing_records(*run, q_start, q_end)
                 ),
                 dtype=np.int64,
             )
-        removed = self._spans.removed
-        if removed:
-            # probed in the set: its sorted array is rebuilt after every
-            # delete, which costs more than one query's few hundred lookups
-            found = found[[interval_id not in removed for interval_id in found.tolist()]]
-        return found
+        return self._spans.drop_removed(found)
 
     def _tally(self, query: Query, stop_at_first: bool) -> int:
-        """Results of ``query`` counted segment by segment, no id gathered;
-        with ``stop_at_first`` the count stops at the first non-zero segment."""
-        q_start, q_end = _exact_bounds(query)
-        starts, columnar = self._starts, self._columnar
+        """Results of ``query`` counted run by run, no id gathered; with
+        ``stop_at_first`` the count stops at the first non-empty run."""
+        runs, q_start, q_end = self._walk(query)
+        if self._columnar:  # final runs, none empty
+            return min(len(runs), 1) if stop_at_first else sum([hi - lo for lo, hi, _, _ in runs])
         total = 0
-        for lo, _mid, cut, hi, test_start, test_end, _key in self._segments(query):
-            if not columnar:
-                passing = self._passing_records(lo, cut, hi, test_start, test_end, q_start, q_end)
-                total += sum(1 for _ in passing)
-            else:
-                if test_start:
-                    hi = bisect_right(starts, q_end, cut, hi)
-                if test_end:
-                    lo, mask = self._end_passing(lo, hi, q_start)
-                    if mask is not None:
-                        hi = lo + int(np.count_nonzero(mask))
-                total += hi - lo
+        for run in runs:
+            total += len(self._passing_records(*run, q_start, q_end))
             if stop_at_first and total:
                 break
         return total
@@ -812,17 +802,17 @@ class OptimizedHINTm(IntervalIndex):
         row_cut, test_start, test_end)`` columns, one entry per non-empty
         merged-table run, in query-major order, rows in the shared row space.
 
-        :meth:`_segments` in closed form, over the plan both walks read
+        :meth:`_walk` in closed form, over the plan both walks read
         (:meth:`_level_plan`).  At every populated level the first and last
         relevant partitions of every query are shifts of its mapped
         endpoints; the Lemma 2 flag of the first (last) partition at a level
         still stands iff the bits of the mapped start (end) below the
-        level's prefix are all ones (all zeros), the formula :meth:`_segments`
+        level's prefix are all ones (all zeros), the formula :meth:`_walk`
         reads one level at a time.  One ``searchsorted`` per side locates
         them all in the heap-numbered directory: its needles, level-major
         and each level's ordered by the mapped endpoint, are sorted, and
         the search runs ~2.5x faster on them than unordered.  Each query
-        then has the runs :meth:`_segments` emits as slots: one per
+        then has the runs :meth:`_walk` reads as slots: one per
         populated ``o_aft`` or replica (level, class) pair, two per populated
         ``o_in`` pair (its first partition when it is end-tested, then the
         rest through the last): 30-33 slots on the ``core_scan`` benchmark

@@ -5,6 +5,7 @@ path and the linear-scan oracle answer, the vectorised build stores what
 Algorithm 1 assigns, and batch size alone decides which path runs.
 """
 
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -297,6 +298,28 @@ def test_counts_gather_no_ids_without_tombstones(synthetic_collection, synthetic
     assert index.query_count_batch(synthetic_queries[:64]) == expected
 
 
+@pytest.mark.parametrize("columnar", [True, False])
+def test_pickled_index_answers_as_the_original(synthetic_collection, synthetic_queries, columnar):
+    """A memoryview does not pickle, and ``execute_batch`` pickles
+    ``index.query_batch`` under a process executor: the copy makes its own
+    probes, and answers, counts and text as the original does -- with and
+    without tombstones."""
+    index = OptimizedHINTm(synthetic_collection, num_bits=10, columnar=columnar)
+    index.render_ids()
+    queries = synthetic_queries[:40]
+    for tombstoned in (False, True):
+        if tombstoned:
+            for interval_id in synthetic_collection.ids[::5].tolist():
+                index.delete(interval_id)
+        copy = pickle.loads(pickle.dumps(index))
+        columns = (copy._starts, copy._ends, copy._ids)
+        assert all(view.obj is column for view, column in zip(copy._views, columns))
+        assert _lists(copy.query(q) for q in queries) == _lists(index.query(q) for q in queries)
+        assert [copy.query_count(q) for q in queries] == [index.query_count(q) for q in queries]
+        assert _lists(copy.query_batch(queries)) == _lists(index.query_batch(queries))
+        assert [copy.ids_text(q) for q in queries] == [index.ids_text(q) for q in queries]
+
+
 def test_tombstone_array_is_cached_until_the_set_changes(synthetic_collection):
     index = OptimizedHINTm(synthetic_collection, num_bits=8)
     table = index._spans
@@ -314,7 +337,7 @@ def test_tombstone_array_is_cached_until_the_set_changes(synthetic_collection):
 
 
 # --------------------------------------------------------------------------- #
-# one traversal: the scalar walk and the batch kernel agree, run by run
+# one traversal: the scalar walk and the batch kernel trim alike, run by run
 # --------------------------------------------------------------------------- #
 #: per m, sparse or dense directory alike: totals over ``_walk_queries`` of
 #: (partitions_accessed, candidates, comparisons, partitions_compared).
@@ -359,17 +382,28 @@ def test_scalar_and_batch_walks_agree(walk_collection, m, sparse):
     queries = _walk_queries(walk_collection)
     totals = [0, 0, 0, 0]
     for query in queries:
-        scalar = {
-            (lo, cut, hi, bool(ts), bool(te)) for lo, _, cut, hi, ts, te, _ in index._segments(query)
-        }
-        _, seg_lo, seg_len, seg_cut, seg_start, seg_end = index._batch_segments(
+        runs = index._walk(query)[0]
+        assert not any(test_start or test_end for _, _, test_start, test_end in runs)
+        _, seg_lo, seg_len, flagged, failed = index._batch_plan(
             np.array([query.start]), np.array([query.end])
         )
-        batch = set(zip(
-            seg_lo.tolist(), seg_cut.tolist(), (seg_lo + seg_len).tolist(), seg_start.tolist(),
-            seg_end.tolist(),
-        ))
-        assert scalar == batch, query
+        bounds = list(zip(seg_lo.tolist(), (seg_lo + seg_len).tolist()))
+        tested = [bounds[k] for k in flagged.tolist()]
+        # the kernel's untested runs are the walk's runs, and the rows of its
+        # end-tested o_in runs that pass are the rows the walk hands out there
+        untested = sorted(bounds[k] for k in sorted(set(range(len(bounds))) - set(flagged.tolist())))
+        rows = [row for lo, hi in tested for row in range(lo, hi)]
+        passing = sorted(row for row, fails in zip(rows, failed.tolist()) if not fails)
+
+        def inside_tested(lo, hi):
+            return any(t_lo <= lo and hi <= t_hi for t_lo, t_hi in tested)
+
+        assert sorted(
+            (lo, hi) for lo, hi, _, _ in runs if not inside_tested(lo, hi)
+        ) == [(lo, hi) for lo, hi in untested if lo < hi], query
+        assert sorted(
+            row for lo, hi, _, _ in runs if inside_tested(lo, hi) for row in range(lo, hi)
+        ) == passing, query
         _, stats = index.query_with_stats(query)
         for i, value in enumerate((
             stats.partitions_accessed, stats.candidates, stats.comparisons,

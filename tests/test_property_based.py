@@ -74,7 +74,7 @@ _float_query = st.tuples(
     st.floats(-20, DOMAIN_MAX + 20, allow_nan=False), st.floats(-20, DOMAIN_MAX + 20, allow_nan=False)
 ).map(lambda t: Query(min(t), max(t)))
 
-#: what a merged run of :meth:`OptimizedHINTm._segments` can meet at a level
+#: what a merged run of :meth:`OptimizedHINTm._walk` can meet at a level
 #: that stores originals, and where the query's bounds can lie
 _MERGED_RUN_EDGES = frozenset((
     "first == last", "no first partition", "no last partition", "Lemma 2 flags off",

@@ -52,6 +52,11 @@ def _assert_same(table, model):
     live = table.collection()
     assert len(live) == len(model)
     assert {s.id: s for s in live} == model
+    # the dead-row mask filters base ids as the removed set does
+    base_ids = table._base.ids
+    assert table.drop_removed(base_ids).tolist() == [
+        i for i in base_ids.tolist() if i not in table.removed
+    ]
     probe = list(range(-1, 42))
     starts, ends, mask = table.gather(probe)
     for interval_id, start, end, is_live in zip(probe, starts, ends, mask):
@@ -94,6 +99,27 @@ def test_duplicate_build_ids_keep_the_last_row():
     assert sorted(table.collection().ids.tolist()) == [3, 5, 7]
     index = create_index("hintm_opt", collection, num_bits=4)
     assert len(index) == 3 and index._resolve_interval(7) == Interval(7, 20, 21)
+
+
+def test_dead_rows_follow_removes_and_re_adds():
+    """The mask is allocated by the first removal only, and a base id that
+    is removed, re-added and removed again drops out, comes back and drops
+    out of :meth:`SpanTable.drop_removed` -- with and without the id-sort
+    permutation."""
+    for ids in ([1, 2, 3, 4], [4, 2, 1, 3]):
+        table = SpanTable(IntervalCollection(ids, [0] * 4, [5] * 4))
+        answer = np.array([3, 2, 2, 4], dtype=np.int64)  # base ids, one repeated
+        assert table.drop_removed(answer) is answer and table._dead is None
+        table.add(Interval(9, 1, 2))
+        table.remove(9)  # an added id: no base row, no mask
+        assert table._dead is None
+        for step, want in (("remove", [3, 4]), ("add", [3, 2, 2, 4]), ("remove", [3, 4])):
+            if step == "remove":
+                assert table.remove(2) is not None
+            else:
+                table.add(Interval(2, 7, 8))
+            assert table.drop_removed(answer).tolist() == want, (ids, step)
+        assert table.nbytes >= table._dead.nbytes == len(ids)
 
 
 def test_untouched_table_shares_the_build_columns():

@@ -41,13 +41,11 @@ from repro.engine import (
     BatchResult,
     Executor,
     IntervalStore,
-    MergedResultSet,
     QueryBuilder,
     ResultSet,
     SerialExecutor,
     ShardPlan,
     ShardedIndex,
-    ShardedStore,
     available_backends,
     backend_specs,
     create_index,
@@ -129,7 +127,6 @@ __all__ = [
     "IntervalIndex",
     "IntervalStore",
     "IntervalTree",
-    "MergedResultSet",
     "NaiveIndex",
     "OptimizedHINTm",
     "PeriodIndex",
@@ -148,7 +145,6 @@ __all__ = [
     "ServerUnavailableError",
     "ShardPlan",
     "ShardedIndex",
-    "ShardedStore",
     "StandingQueryManager",
     "StreamClient",
     "SubdividedHINTm",

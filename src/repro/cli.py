@@ -67,6 +67,7 @@ import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.core.errors import InvalidQueryError
 from repro.core.interval import IntervalCollection, Query
 from repro.datasets.io import load_intervals_csv, save_intervals_csv
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
@@ -78,6 +79,7 @@ from repro.engine.maintenance import (
     REBUILD_MIN_DELTA,
     recommend_shard_count,
 )
+from repro.engine.sharded import ShardedIndex
 from repro.engine.sharding import PARTITION_STRATEGIES
 from repro.durability.wal import FSYNC_POLICIES
 from repro.hint.model import DatasetStatistics, estimate_m_opt, replication_factor
@@ -431,8 +433,8 @@ def _open_store(
 ) -> IntervalStore:
     """Build an :class:`IntervalStore`, auto-tuning ``m`` when not given.
 
-    ``shards > 1`` yields a
-    :class:`repro.engine.ShardedStore` over ``name``; ``executor`` names the
+    ``shards > 1`` wraps a :class:`repro.engine.ShardedIndex` over
+    ``name`` (``shards < 1`` exits with an error); ``executor`` names the
     execution strategy (serial/processes) and ``workers`` sizes the process
     pool.
     """
@@ -450,17 +452,20 @@ def _open_store(
             opts["num_bits"] = num_bits
     elif num_bits is not None:
         raise SystemExit(f"error: backend {name!r} does not take --num-bits")
-    return IntervalStore.open(
-        collection,
-        backend=name,
-        num_shards=shards,
-        strategy=shard_strategy,
-        workers=workers,
-        executor=executor,
-        wal_dir=str(wal_dir) if wal_dir is not None else None,
-        fsync=fsync,
-        **opts,
-    )
+    try:
+        return IntervalStore.open(
+            collection,
+            backend=name,
+            num_shards=shards,
+            strategy=shard_strategy,
+            workers=workers,
+            executor=executor,
+            wal_dir=str(wal_dir) if wal_dir is not None else None,
+            fsync=fsync,
+            **opts,
+        )
+    except InvalidQueryError as exc:  # --shards below 1
+        raise SystemExit(f"error: {exc}") from exc
 
 
 def _command_query(args: argparse.Namespace) -> int:
@@ -559,13 +564,9 @@ def _run_maintenance(store: IntervalStore, enabled: bool) -> Optional[str]:
 
 def _describe_store(store: IntervalStore) -> str:
     """Short execution description: backend plus sharding, when in play."""
-    from repro.engine.sharded import ShardedStore
-
-    if isinstance(store, ShardedStore):
-        return (
-            f"{store.shard_backend}[K={store.num_shards},"
-            f"{store.index.executor.name}]"
-        )
+    index = store.index
+    if isinstance(index, ShardedIndex):
+        return f"{index.backend}[K={index.num_shards},{index.executor.name}]"
     return store.backend
 
 

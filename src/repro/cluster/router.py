@@ -10,7 +10,7 @@ A :class:`ClusterRouter` gives clients the single-store query API over a
   keep-alive :class:`~repro.serve.client.ServeClient` connections
   (``/shard-batch``), and id answers merge with
   :func:`repro.engine.results.merge_unique_ids` -- the same first-seen,
-  domain-order dedup a local ``MergedResultSet`` applies (a lone shard's
+  domain-order dedup a local ``ShardedIndex`` applies (a lone shard's
   ids pass through).  Counts never ship ids: the first overlapping shard
   counts the query as asked; each later shard ``j`` counts ``[cut, end]``
   minus one stab at ``cut - 1`` per probe (``cut = cuts[j-1]``).  Every

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -74,49 +74,20 @@ class QueryStats:
     partitions_accessed: int = 0
     partitions_compared: int = 0
     candidates: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    #: ``extra`` columns that are point-in-time gauges rather than additive
-    #: counters (the sharded index's ingest/maintenance/serving state);
-    #: merging takes their max so ``sum(stats_list)`` over a workload stays
-    #: meaningful instead of reporting e.g. a snapshot generation that never
-    #: existed
-    GAUGE_EXTRAS = frozenset(
-        {
-            "ingest_pending",
-            "snapshot_generation",
-            "epoch",
-            "cache_hits",
-            "cache_size",
-            "subscriptions_active",
-            "deltas_emitted",
-            "deltas_coalesced",
-            "catchup_resyncs",
-            "fanout_disabled",
-            "kernel_retries",
-        }
-    )
 
     def merge(self, other: "QueryStats") -> "QueryStats":
         """Accumulate ``other``'s counters into this instance (and return it).
 
-        Composite indexes (the hybrid main+delta pair, sharded stores) answer
-        one query with several sub-queries; merging sums every counter,
-        including the free-form ``extra`` columns (gauges in
-        :attr:`GAUGE_EXTRAS` take the max instead).  ``results`` sums too --
-        a composite that deduplicates ids afterwards overwrites it with the
-        merged count.
+        Composite indexes (the hybrid main+delta pair, sharded indexes)
+        answer one query with several sub-queries; merging sums every
+        counter.  ``results`` sums too -- a composite that deduplicates ids
+        afterwards overwrites it with the merged count.
         """
         self.results += other.results
         self.comparisons += other.comparisons
         self.partitions_accessed += other.partitions_accessed
         self.partitions_compared += other.partitions_compared
         self.candidates += other.candidates
-        for key, value in other.extra.items():
-            if key in self.GAUGE_EXTRAS:
-                self.extra[key] = max(self.extra.get(key, value), value)
-            else:
-                self.extra[key] = self.extra.get(key, 0.0) + value
         return self
 
     def __add__(self, other: "QueryStats") -> "QueryStats":
@@ -128,7 +99,6 @@ class QueryStats:
             partitions_accessed=self.partitions_accessed,
             partitions_compared=self.partitions_compared,
             candidates=self.candidates,
-            extra=dict(self.extra),
         ).merge(other)
 
     def __radd__(self, other: object) -> "QueryStats":

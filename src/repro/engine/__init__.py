@@ -6,8 +6,8 @@
 * :mod:`repro.engine.store` -- the :class:`IntervalStore` facade and its
   fluent :class:`QueryBuilder`,
 * :mod:`repro.engine.results` -- lazy :class:`ResultSet` handles whose
-  ``count()``/``exists()`` avoid materialising id lists, and the sharded
-  :class:`MergedResultSet` union,
+  ``count()``/``exists()`` avoid materialising id lists, over every index
+  (sharded or not),
 * :mod:`repro.engine.batch` -- whole-workload execution
   (:func:`execute_batch`, :class:`BatchResult`),
 * :mod:`repro.engine.executor` -- pluggable executors
@@ -17,8 +17,8 @@
   (:mod:`repro.engine._procworker`),
 * :mod:`repro.engine.sharding` -- the domain partitioner
   (:class:`ShardPlan`, equi-width and balanced strategies),
-* :mod:`repro.engine.sharded` -- :class:`ShardedIndex`/:class:`ShardedStore`,
-  K time-range shards over any registered backend, with epoch-based read
+* :mod:`repro.engine.sharded` -- :class:`ShardedIndex`, K time-range
+  shards over any registered backend, with epoch-based read
   snapshots (:class:`Epoch`): queries pin one immutable generation of the
   partition state, maintenance publishes fresh generations atomically,
 * :mod:`repro.engine.maintenance` -- the index-lifecycle layer: buffered
@@ -55,8 +55,8 @@ from repro.engine.registry import (
     register_backend,
     resolve_backend,
 )
-from repro.engine.results import MergedResultSet, ResultSet
-from repro.engine.sharded import Epoch, ShardedIndex, ShardedStore
+from repro.engine.results import ResultSet
+from repro.engine.sharded import Epoch, ShardedIndex
 from repro.engine.sharding import PARTITION_STRATEGIES, ShardPlan, partition_collection
 from repro.engine.store import DEFAULT_BACKEND, IntervalStore, QueryBuilder
 
@@ -72,7 +72,6 @@ __all__ = [
     "MaintenanceConfig",
     "MaintenanceCoordinator",
     "MaintenanceReport",
-    "MergedResultSet",
     "PARTITION_STRATEGIES",
     "ProcessExecutor",
     "QueryBuilder",
@@ -80,7 +79,6 @@ __all__ = [
     "SerialExecutor",
     "ShardPlan",
     "ShardedIndex",
-    "ShardedStore",
     "available_backends",
     "available_cores",
     "backend_specs",

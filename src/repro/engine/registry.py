@@ -77,7 +77,7 @@ class BackendSpec:
         discrete_domain: True when endpoints must already lie in the discrete
             domain ``[0, 2^num_bits - 1]`` (the comparison-free HINT).
         composite: True for backends that wrap other registered backends
-            (the sharded store) rather than compete with them.
+            (the sharded index) rather than compete with them.
     """
 
     name: str

@@ -8,15 +8,14 @@ list.  :meth:`ResultSet.ids` materialises one read-only int64 array -- a
 backend that answers with a list has it converted once, here -- and caches
 it; every later accessor reuses it.
 
-:class:`MergedResultSet` is the sharded counterpart: the lazy union of one
-child :class:`ResultSet` per overlapping shard, deduplicated at merge time
-(shards duplicate long intervals), with ``exists()`` short-circuiting across
-shards and single-shard queries keeping every per-backend fast path.
+The same handle serves every index, sharded or not: a
+:class:`~repro.engine.sharded.ShardedIndex` merges its shards' ids, counts
+by home shard and short-circuits ``exists`` inside its own query methods.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from repro.core.base import IntervalIndex, QueryStats
 from repro.core.errors import UnsupportedQueryError
 from repro.core.interval import Query
 
-__all__ = ["MergedResultSet", "ResultSet", "merge_unique_ids"]
+__all__ = ["ResultSet", "merge_unique_ids"]
 
 
 def merge_unique_ids(id_lists: Iterable[Sequence[int]]) -> np.ndarray:
@@ -178,70 +177,3 @@ class ResultSet:
                 f"backend {self._backend!r} cannot answer "
                 f"{self._relation.name} relation queries"
             ) from exc
-
-
-class MergedResultSet(ResultSet):
-    """The lazy, deduplicated union of per-shard result sets.
-
-    Produced by :meth:`repro.engine.sharded.ShardedStore.query` -- one child
-    :class:`ResultSet` per shard the query overlaps.  Children carry the
-    query (and any relation refinement) but no limit; the limit is applied
-    to the merged ids.  Nothing touches any shard until a terminal accessor
-    runs, and:
-
-    * with a single overlapping shard every accessor delegates to the child,
-      keeping the backend's count/exists fast paths intact;
-    * ``exists()`` short-circuits across shards;
-    * ``ids()`` over several shards deduplicates by id, since the partitioner
-      duplicates intervals that span shard boundaries; ``count()`` instead
-      routes to the sharded index's home-shard counting, which never
-      materialises an id list.
-
-    Args:
-        index: the composite (sharded) index, used for ``stats()``.
-        query: the range/stabbing query.
-        children: one lazy :class:`ResultSet` per overlapping shard.
-        relation / limit / backend: as for :class:`ResultSet`.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(
-        self,
-        index: IntervalIndex,
-        query: Query,
-        children: Sequence[ResultSet],
-        relation: Optional[AllenRelation] = None,
-        limit: Optional[int] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        super().__init__(index, query, relation=relation, limit=limit, backend=backend)
-        self._children: List[ResultSet] = list(children)
-
-    @property
-    def children(self) -> List[ResultSet]:
-        """The per-shard result sets (one per overlapping shard)."""
-        return list(self._children)
-
-    def count(self) -> int:
-        if self._ids is not None:
-            return len(self._ids)
-        if self._relation is not None:
-            return len(self.ids())
-        if len(self._children) == 1:
-            total = self._children[0].count()
-        else:
-            # the sharded index answers multi-shard counts with home-shard
-            # sums (O(log n) per shard) -- no id list, no dedup set
-            total = self._index.query_count(self._query)
-        return min(total, self._limit) if self._limit is not None else total
-
-    def exists(self) -> bool:
-        if self._ids is not None:
-            return len(self._ids) > 0
-        return any(child.exists() for child in self._children)
-
-    def _fetch(self) -> np.ndarray:
-        if len(self._children) == 1:
-            return self._children[0].ids()
-        return merge_unique_ids(child.ids() for child in self._children)

@@ -77,10 +77,12 @@ the hooks it drives (:meth:`ShardedIndex.refresh_snapshot`,
 :meth:`ShardedIndex.repartition`, :attr:`ShardedIndex.ingest_journal`) live
 here.
 
-:class:`ShardedStore` is the :class:`repro.engine.store.IntervalStore`
-facade over a sharded index; its fluent queries yield
-:class:`repro.engine.results.MergedResultSet` handles that stay lazy per
-shard.
+``IntervalStore.open(num_shards=K)`` with K > 1 wraps a sharded index in
+the same :class:`repro.engine.store.IntervalStore` facade as any other
+backend: its lazy :class:`repro.engine.results.ResultSet` handles read the
+merged ids, the home-shard count and ``exists`` from this index's own query
+methods, and :meth:`IntervalIndex.query_relation` answers every Allen
+relation through the locator table.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.allen import RANGE_QUERY_RELATIONS, AllenRelation
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.errors import ReproError
 from repro.core.interval import (
@@ -113,12 +114,12 @@ from repro.engine._procworker import (
 from repro.engine.executor import Executor, ProcessExecutor, resolve_executor
 from repro.engine.maintenance import IngestJournal
 from repro.engine.registry import create_index, get_spec, register_backend, resolve_backend
-from repro.engine.results import MergedResultSet, ResultSet, merge_unique_ids
+from repro.engine.results import merge_unique_ids
 from repro.engine.sharding import ShardPlan, partition_collection, shard_mask
-from repro.engine.store import DEFAULT_BACKEND, IntervalStore
+from repro.engine.store import DEFAULT_BACKEND
 from repro.obs import global_registry, tracing
 
-__all__ = ["Epoch", "ShardedIndex", "ShardedStore"]
+__all__ = ["Epoch", "ShardedIndex"]
 
 #: process-unique source of residency tokens (see :mod:`repro.engine._procworker`)
 _TOKENS = itertools.count()
@@ -302,7 +303,7 @@ class ShardedIndex(IntervalIndex):
         #: after per-worker healing (respawn + retry) is exhausted
         self._fanout_disabled = False
         #: kernel tasks that failed once and were retried against a healed
-        #: pool (cumulative; surfaced in stats extras and /stats)
+        #: pool (cumulative; surfaced by ``maintenance_state`` and /stats)
         self.kernel_retries = 0
         #: error strings of the most recent worker-pool failures
         self._failures: Deque[str] = deque(maxlen=_FAILURE_HISTORY)
@@ -318,10 +319,6 @@ class ShardedIndex(IntervalIndex):
             "home_shard": 0,
             "journal_batch": 0,
         }
-        #: extra gauges merged into every instrumented query's stats; the
-        #: query server mirrors its cache counters here so
-        #: ``store.query(...).stats()`` surfaces serving state too
-        self.stats_extras: Dict[str, float] = {}
 
         self._shared: Optional[SharedCollectionBuffer] = None
         self._residency: Optional[ShardResidencySpec] = None
@@ -504,12 +501,6 @@ class ShardedIndex(IntervalIndex):
     def update_dirty(self) -> bool:
         """True when updates since the last publication staled the snapshot."""
         return self._dirty
-
-    def shards_for(self, query: Query) -> List[IntervalIndex]:
-        """The index of every shard whose domain range overlaps ``query``."""
-        epoch = self._epoch
-        first, last = epoch.plan.shard_range(query.start, query.end)
-        return [self._shard(epoch, shard) for shard in range(first, last + 1)]
 
     def recent_failures(self) -> List[str]:
         """Error strings of the most recent worker-pool failures, oldest first."""
@@ -954,8 +945,7 @@ class ShardedIndex(IntervalIndex):
         epoch = self._epoch
         first, last = epoch.plan.shard_range(query.start, query.end)
         if first == last:
-            results, stats = self._shard(epoch, first).query_with_stats(query)
-            return results, self._annotate_stats(epoch, stats)
+            return self._shard(epoch, first).query_with_stats(query)
         answers = [
             self._shard(epoch, shard).query_with_stats(query)
             for shard in range(first, last + 1)
@@ -965,20 +955,7 @@ class ShardedIndex(IntervalIndex):
             stats.merge(shard_stats)
         merged = merge_unique_ids(ids for ids, _ in answers)
         stats.results = len(merged)
-        return merged, self._annotate_stats(epoch, stats)
-
-    def _annotate_stats(self, epoch: Epoch, stats: QueryStats) -> QueryStats:
-        """Surface ingest/maintenance/serving state on every instrumented query."""
-        stats.extra["ingest_pending"] = (
-            float(sum(epoch.journal.pending_depths())) if epoch.journal else 0.0
-        )
-        stats.extra["snapshot_generation"] = float(self._generation)
-        stats.extra["epoch"] = float(epoch.epoch_id)
-        stats.extra["fanout_disabled"] = float(self._fanout_disabled)
-        stats.extra["kernel_retries"] = float(self.kernel_retries)
-        if self.stats_extras:
-            stats.extra.update(self.stats_extras)
-        return stats
+        return merged, stats
 
     # ------------------------------------------------------------------ #
     # updates (routed to the owning shards)
@@ -1080,108 +1057,3 @@ class ShardedIndex(IntervalIndex):
         if epoch.locator is not None:
             return epoch.locator
         return self._shard(epoch, 0)._span_table()
-
-
-class ShardedStore(IntervalStore):
-    """The :class:`IntervalStore` facade over a :class:`ShardedIndex`.
-
-    Fluent queries return :class:`MergedResultSet` handles -- one lazy child
-    per overlapping shard -- and ``run_batch`` goes through the index's
-    batch hooks (id batches fan out over its executor, count batches read
-    its journal).  Everything else (updates, introspection) inherits the
-    store API and routes through the sharded index.
-    """
-
-    def __init__(self, index: ShardedIndex, backend: Optional[str] = None) -> None:
-        if not isinstance(index, ShardedIndex):
-            raise TypeError(f"ShardedStore wraps a ShardedIndex, got {type(index).__name__}")
-        # batches already parallelise inside the sharded index; the
-        # store-level executor stays serial to avoid nesting pools
-        super().__init__(index, backend=backend or "sharded", executor=None)
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def open(
-        cls,
-        collection: IntervalCollection,
-        backend: str = DEFAULT_BACKEND,
-        *,
-        num_shards: int = 4,
-        strategy: str = "equi_width",
-        workers: "Executor | int | str | None" = None,
-        executor: "Executor | int | str | None" = None,
-        **opts,
-    ) -> "ShardedStore":
-        """Shard ``collection`` into ``num_shards`` time ranges of ``backend``.
-
-        ``executor`` selects the execution strategy by name (``"serial"``
-        or ``"processes"``) or instance; ``workers`` sizes the process pool.
-        """
-        index = ShardedIndex(
-            collection,
-            backend=backend,
-            num_shards=num_shards,
-            strategy=strategy,
-            executor=executor,
-            workers=workers,
-            **opts,
-        )
-        return cls(index)
-
-    # ------------------------------------------------------------------ #
-    # introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        """Actual shard count."""
-        return self.index.num_shards
-
-    @property
-    def shard_backend(self) -> str:
-        """Canonical registry name of the per-shard backend."""
-        return self.index.backend
-
-    @property
-    def plan(self) -> ShardPlan:
-        """The partitioning plan."""
-        return self.index.plan
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ShardedStore(backend={self.shard_backend!r}, K={self.num_shards}, "
-            f"n={len(self)})"
-        )
-
-    # ------------------------------------------------------------------ #
-    # queries
-    # ------------------------------------------------------------------ #
-    def _ids(self, query: Query) -> np.ndarray:
-        return self._result_set(query, None, None).ids()
-
-    def _result_set(
-        self,
-        query: Query,
-        relation: Optional[AllenRelation],
-        limit: Optional[int],
-    ) -> MergedResultSet:
-        index: ShardedIndex = self.index
-        # shard pruning is only sound for relations implied by range overlap;
-        # BEFORE/AFTER answers live in shards the query range never touches
-        if relation is None or relation in RANGE_QUERY_RELATIONS:
-            probed = index.shards_for(query)
-        else:
-            probed = index.shards
-        children = [
-            ResultSet(shard, query, relation=relation, backend=self.shard_backend)
-            for shard in probed
-        ]
-        return MergedResultSet(
-            index,
-            query,
-            children,
-            relation=relation,
-            limit=limit,
-            backend=self.backend,
-        )

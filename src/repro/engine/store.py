@@ -102,7 +102,9 @@ class QueryBuilder:
         query = self._query
         if query is None or self._relation is not None or self._limit is not None:
             return self.build().ids()
-        return self._store._ids(query)
+        found = np.asarray(self._store._index.query(query), dtype=np.int64)
+        found.setflags(write=False)  # half the cost of ``flags.writeable``
+        return found
 
     def count(self) -> int:
         """Result count via the backend's counting fast path."""
@@ -193,10 +195,11 @@ class IntervalStore:
         to override.
 
         With ``num_shards > 1`` the collection is split into time-range
-        shards (see :mod:`repro.engine.sharding`) and a
-        :class:`repro.engine.sharded.ShardedStore` is returned -- the
-        single-index store is just the K=1 degenerate case of the same
-        execution architecture.  ``num_shards="auto"`` routes the choice of
+        shards (see :mod:`repro.engine.sharding`) and the store wraps a
+        :class:`repro.engine.sharded.ShardedIndex` -- the same facade, the
+        same lazy :class:`ResultSet` handles, over a composite index.
+        ``num_shards`` below 1 raises :class:`InvalidQueryError`.
+        ``num_shards="auto"`` routes the choice of
         K through the extended Section 3.3 cost model
         (:func:`repro.engine.maintenance.recommend_shard_count`), which
         accounts for the backend's cost shape and the executor's
@@ -222,6 +225,8 @@ class IntervalStore:
         durability/throughput trade (``"always"``/``"interval"``/``"off"``,
         see :mod:`repro.durability.wal`).
         """
+        if not isinstance(num_shards, str) and num_shards < 1:
+            raise InvalidQueryError(f"num_shards must be >= 1, got {num_shards}")
         if wal_dir is not None:
             from repro.durability.manager import open_durable
 
@@ -253,16 +258,20 @@ class IntervalStore:
                 f"num_shards must be an int or 'auto', got {num_shards!r}"
             )
         if num_shards > 1:
-            from repro.engine.sharded import ShardedStore
+            from repro.engine.sharded import ShardedIndex
 
-            return ShardedStore.open(
-                collection,
-                backend,
-                num_shards=num_shards,
-                strategy=strategy,
-                workers=workers,
-                executor=executor,
-                **opts,
+            # batches parallelise inside the sharded index, over its own
+            # executor; the store's stays serial so pools never nest
+            return cls(
+                ShardedIndex(
+                    collection,
+                    backend=backend,
+                    num_shards=num_shards,
+                    strategy=strategy,
+                    executor=executor,
+                    workers=workers,
+                    **opts,
+                )
             )
         spec = get_spec(backend)
         if spec.tunable and "num_bits" not in opts:
@@ -375,17 +384,10 @@ class IntervalStore:
         relation: Optional[AllenRelation],
         limit: Optional[int],
     ) -> ResultSet:
-        """Build the lazy result handle for one query (overridden by sharded stores)."""
+        """The lazy result handle for one query."""
         return ResultSet(
             self._index, query, relation=relation, limit=limit, backend=self._backend
         )
-
-    def _ids(self, query: Query) -> np.ndarray:
-        """What ``ResultSet(index, query).ids()`` returns, without the handle
-        (overridden by sharded stores, whose answer is a merge)."""
-        found = np.asarray(self._index.query(query), dtype=np.int64)
-        found.setflags(write=False)  # half the cost of ``flags.writeable``
-        return found
 
     def stab(self, point: int) -> np.ndarray:
         """Shorthand for ``store.query().stabbing(point).ids()``."""

@@ -114,13 +114,13 @@ resync signal -- see :mod:`repro.stream`.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 import json
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.base import QueryStats
 from repro.core.errors import DurabilityDegradedError, ReproError
 from repro.core.interval import Interval, Query
 from repro.engine.executor import ProcessExecutor
@@ -633,7 +633,7 @@ class QueryServer(HttpServer):
         return ctx
 
     def _finish_request(self, ctx: _RequestContext, status: int) -> None:
-        """The single post-request hook: root span, latency, extras, slow log.
+        """The single post-request hook: root span, latency, slow log.
 
         Every request path funnels through here exactly once, after the
         response body is final.
@@ -641,7 +641,6 @@ class QueryServer(HttpServer):
         duration = time.perf_counter() - ctx.started
         ctx.finish_root(status)
         self._m_latency_ops[_ENDPOINT_OPS.get(ctx.endpoint, "other")].observe(duration)
-        self._publish_stats_extras()
         if ctx.endpoint in _SLOW_ENDPOINTS and duration >= self.slow_log.threshold:
             tags = dict(ctx.tags)
             tags["status"] = status
@@ -702,18 +701,6 @@ class QueryServer(HttpServer):
         if self._inflight <= 0:
             self._inflight = 0
             self._idle.set()
-
-    def _publish_stats_extras(self) -> None:
-        """Mirror cache gauges into the index's instrumented-query extras.
-
-        Runs on every request, so it reads the raw counters lock-free (they
-        are gauges; a torn read is impossible for ints under the GIL)
-        instead of building a full stats snapshot.
-        """
-        extras = getattr(self._store.index, "stats_extras", None)
-        if extras is not None:
-            extras["cache_hits"] = float(self._cache.hits)
-            extras["cache_size"] = float(len(self._cache))
 
     # ------------------------------------------------------------------ #
     # endpoints
@@ -835,7 +822,7 @@ class QueryServer(HttpServer):
         if relation is not None:
             answer["relation"] = relation.value
         if with_stats:
-            stats = _stats_dict(result.stats())
+            stats = dataclasses.asdict(result.stats())
             if relation is not None:
                 # the probe's counters stand, but "results" reports what
                 # this query answered -- the post-refinement ids
@@ -1300,18 +1287,6 @@ def _encode_answer(generation: int, value: object, count_only: bool) -> bytes:
     if count_only:
         return encode({"count": value, "generation": generation})
     return encode({"ids": value, "count": len(value), "generation": generation})
-
-
-def _stats_dict(stats: QueryStats) -> Dict[str, object]:
-    """JSON-friendly view of one query's :class:`QueryStats`."""
-    return {
-        "results": stats.results,
-        "comparisons": stats.comparisons,
-        "partitions_accessed": stats.partitions_accessed,
-        "partitions_compared": stats.partitions_compared,
-        "candidates": stats.candidates,
-        "extra": dict(stats.extra),
-    }
 
 
 # --------------------------------------------------------------------------- #

@@ -125,8 +125,6 @@ class StandingQueryManager:
         self._deltas_emitted = 0
         self._catchup_resyncs = 0
         self._coalesced_retired = 0  # coalesce ops of removed logs
-        self._coalesced_live = 0  # running sum over the live logs: the
-        # update path publishes gauges per op, so this must stay O(1)
         self.attach()
         # durable stores checkpoint the subscription registry: tell the
         # durability manager whose subscriptions to serialise
@@ -180,7 +178,6 @@ class StandingQueryManager:
                 log.mark_truncated(int(generation))
                 manager._logs[subscription.subscription_id] = log
             manager._seen_generation = max(manager._seen_generation, int(generation))
-            manager._publish_gauges_locked()
         return manager
 
     def note_generation(self, generation: int) -> None:
@@ -238,12 +235,10 @@ class StandingQueryManager:
                 log = self._logs.get(subscription.subscription_id)
                 if log is None:
                     continue
-                before = log.coalesce_ops
                 if op == "insert":
                     log.append(generation, (interval.id,), ())
                 else:
                     log.append(generation, (), (interval.id,))
-                self._coalesced_live += log.coalesce_ops - before
                 self._deltas_emitted += 1
                 if (
                     self._max_poller_lag is not None
@@ -255,8 +250,6 @@ class StandingQueryManager:
                     log.drop(generation)
                     self._backpressure_drops += 1
                 notify.append(subscription.subscription_id)
-            if affected:
-                self._publish_gauges_locked()
         for subscription_id in notify:
             for notifier in list(self._notifiers):
                 notifier(subscription_id)
@@ -299,7 +292,6 @@ class StandingQueryManager:
                 )
                 generation, ids = self._snapshot(subscription)
                 self._seen_generation = max(self._seen_generation, generation)
-                self._publish_gauges_locked()
         return SubscribeResult(subscription=subscription, generation=generation, ids=ids)
 
     def resync(self, subscription_id: int) -> SubscribeResult:
@@ -317,7 +309,6 @@ class StandingQueryManager:
                 old = self._logs.get(subscription_id)
                 if old is not None:
                     self._coalesced_retired += old.coalesce_ops
-                    self._coalesced_live -= old.coalesce_ops
                 self._logs[subscription_id] = DeltaLog(
                     capacity=self._log_capacity,
                     max_coalesced_ids=self._max_coalesced_ids,
@@ -349,10 +340,7 @@ class StandingQueryManager:
             log = self._logs.pop(subscription_id, None)
             if log is not None:
                 self._coalesced_retired += log.coalesce_ops
-                self._coalesced_live -= log.coalesce_ops
-            removed = self._registry.unregister(subscription_id)
-            self._publish_gauges_locked()
-            return removed
+            return self._registry.unregister(subscription_id)
 
     # ------------------------------------------------------------------ #
     # catch-up
@@ -373,7 +361,6 @@ class StandingQueryManager:
             records, resync = log.since(after_generation)
             if resync:
                 self._catchup_resyncs += 1
-                self._publish_gauges_locked()
                 return PollResult(
                     records=[], generation=after_generation, resync_required=True
                 )
@@ -400,13 +387,14 @@ class StandingQueryManager:
             return self._gauges_locked()
 
     def _gauges_locked(self) -> Dict[str, float]:
-        coalesced = self._coalesced_retired + self._coalesced_live
+        coalesced = self._coalesced_retired
         # per-poller backpressure: records still retained per subscription
         # = how far its consumer lags behind the head (acked records are
         # pruned on every poll, so an up-to-date poller holds zero)
         slowest = 0
         total_lag = 0
         for log in self._logs.values():
+            coalesced += log.coalesce_ops
             lag = len(log)
             total_lag += lag
             if lag > slowest:
@@ -420,11 +408,6 @@ class StandingQueryManager:
             "slowest_poller_lag": float(slowest),
             "backpressure_drops": float(self._backpressure_drops),
         }
-
-    def _publish_gauges_locked(self) -> None:
-        extras = getattr(getattr(self._store, "index", None), "stats_extras", None)
-        if extras is not None:
-            extras.update(self._gauges_locked())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -1,7 +1,7 @@
 """Ids are int64 arrays until they are written: the traps of that contract.
 
 A lone query answers one int64 array (``OptimizedHINTm.query``,
-``HybridHINTm.query``, ``ResultSet.ids()``, ``MergedResultSet.ids()``); ids
+``HybridHINTm.query``, ``ShardedIndex.query``, ``ResultSet.ids()``); ids
 become Python ints only where they are serialised or hashed.  Each test here
 is a place where an array behaves unlike a list: truth value, membership,
 slicing, deduplication, JSON.
@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.datasets.io import save_intervals_csv
-from repro.engine import IntervalStore, ShardedStore
+from repro.engine import IntervalStore
 from repro.serve.client import ServeClient
 from repro.serve.server import start_server_thread
 from repro.stream.deltas import StandingQueryManager
@@ -53,16 +53,17 @@ def test_iteration_yields_python_ints(collection):
     assert sorted(json.loads(json.dumps(list(results)))) == _oracle(collection, 2_000, 4_000)
 
 
-def test_single_shard_merge_shares_the_read_only_child_array(collection):
-    with ShardedStore.open(collection, "hintm_opt", num_shards=2) as store:
+def test_single_shard_answer_is_one_read_only_array(collection):
+    with IntervalStore.open(collection, "hintm_opt", num_shards=2) as store:
+        assert store.index.plan.shard_range(10, 20) == (0, 0)
         results = store.query().overlapping(10, 20).build()
-        assert len(results.children) == 1
         ids = results.ids()
-        assert ids is results.children[0].ids() and not ids.flags.writeable
-        count = results.count()
+        assert ids is results.ids() and not ids.flags.writeable
         with pytest.raises(ValueError):
             ids[:] = -1
-        assert results.children[0].count() == results.count() == count
+        shard = store.index.shards[0]
+        assert shard.query_count(Query(10, 20)) == results.count() == len(ids)
+        assert sorted(ids.tolist()) == _oracle(collection, 10, 20)
 
 
 def test_exists_and_bool_after_ids_materialised(collection):
@@ -100,12 +101,12 @@ def test_hybrid_answer_appends_the_delta_as_int64(collection):
     assert stats_ids.dtype == np.int64 and stats.results == len(ids)
 
 
-def test_merged_result_set_dedups_across_two_shards(collection):
-    with ShardedStore.open(collection, "hintm_hybrid", num_shards=2) as store:
-        cut = store.plan.cuts[0]
+def test_sharded_answer_dedups_across_two_shards(collection):
+    with IntervalStore.open(collection, "hintm_hybrid", num_shards=2) as store:
+        cut = store.index.plan.cuts[0]
         store.insert(Interval(9_000_001, cut - 50, cut + 50))  # stored in both shards
+        assert store.index.plan.shard_range(cut - 200, cut + 200) == (0, 1)
         results = store.query().overlapping(cut - 200, cut + 200).build()
-        assert len(results.children) == 2
         ids = results.ids()
         assert ids.dtype == np.int64
         assert len(ids) == len(set(ids.tolist()))

@@ -85,6 +85,12 @@ class TestQueryCommand:
         with pytest.raises(SystemExit):
             main(["query", str(empty), "--stab", "1"])
 
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_fewer_than_one_shard_rejected(self, csv_path, shards):
+        # the same check IntervalStore.open makes: no silent K = 1 fallback
+        with pytest.raises(SystemExit, match="num_shards must be >= 1"):
+            main(["query", str(csv_path), "--stab", "3", "--shards", shards])
+
 
 class TestListBackendsCommand:
     def test_lists_every_registered_backend(self, capsys):

@@ -86,7 +86,7 @@ class TestEpochMechanics:
         store = IntervalStore.open(
             collection, "hintm_hybrid", num_shards=4, strategy="equi_width"
         )
-        handle = store.query().overlapping(0, 20_500).build()  # lazy: pins shards
+        handle = store.query().overlapping(0, 20_500).build()  # lazy
         expected = set(
             int(i)
             for i, s, e in zip(collection.ids, collection.starts, collection.ends)
@@ -95,16 +95,6 @@ class TestEpochMechanics:
         store.index.repartition(strategy="balanced")
         assert set(handle.ids()) >= expected  # old-epoch shards, still complete
         store.close()
-
-    def test_epoch_in_query_stats(self):
-        index = ShardedIndex(_collection(), num_shards=2, backend="hintm_hybrid")
-        _, stats = index.query_with_stats(Query(0, 20_500))
-        assert stats.extra["epoch"] == 0.0
-        index.insert(Interval(10_000, 0, 50))
-        index.repartition(strategy="balanced")
-        _, stats = index.query_with_stats(Query(0, 20_500))
-        assert stats.extra["epoch"] == 1.0
-        index.close()
 
 
 # --------------------------------------------------------------------------- #

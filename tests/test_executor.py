@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main as cli_main
-from repro.engine import IntervalStore, ShardedStore, recommend_shard_count
+from repro.engine import IntervalStore, recommend_shard_count
 from repro.engine.batch import execute_batch
 from repro.engine.executor import (
     EXECUTOR_KINDS,
@@ -164,7 +164,7 @@ class TestRemovedSpellings:
             lambda c: resolve_executor(4),
             lambda c: resolve_executor(None, 4),
             lambda c: IntervalStore.open(c, "naive", workers=4),
-            lambda c: ShardedStore.open(c, "naive", num_shards=2, executor=2),
+            lambda c: IntervalStore.open(c, "naive", num_shards=2, executor=2),
             lambda c: recommend_shard_count(c, executor="threads"),
         ],
         ids=[

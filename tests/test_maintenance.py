@@ -17,7 +17,7 @@ import pytest
 
 from repro.baselines.naive import NaiveIndex
 from repro.core.interval import Interval, IntervalCollection, Query
-from repro.engine import IntervalStore, ShardedIndex, ShardedStore
+from repro.engine import IntervalStore, ShardedIndex
 from repro.engine.maintenance import (
     REBUILD_FRACTION,
     REBUILD_MIN_DELTA,
@@ -615,34 +615,15 @@ class TestCoordinator:
         assert not index.repartition()
         assert index.updates_since_partition == 0
 
-class TestQueryStatsSurface:
-    def test_sharded_stats_carry_ingest_state(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm_hybrid",
-                                  num_shards=4, num_bits=7)
-        lo, hi = synthetic_collection.span()
+class TestMaintenanceStateSurface:
+    def test_state_carries_ingest_state(self, synthetic_collection):
+        store = IntervalStore.open(synthetic_collection, "hintm_hybrid",
+                                   num_shards=4, num_bits=7)
+        lo, _ = synthetic_collection.span()
         store.insert(Interval(10**6, lo, lo + 1))
-        stats = store.query().overlapping(lo, hi).stats()
-        assert stats.extra["ingest_pending"] == 1.0
-        assert stats.extra["snapshot_generation"] == 0.0
-        # single-shard plans surface the same counters
-        narrow = store.query().overlapping(lo, lo).stats()
-        assert "ingest_pending" in narrow.extra
-
-    def test_ingest_gauges_merge_as_max_not_sum(self):
-        """Summing instrumented stats over a workload must not fabricate a
-        snapshot generation (gauges take max; real counters still sum)."""
-        from repro.core.base import QueryStats
-
-        rows = [
-            QueryStats(comparisons=5, extra={"snapshot_generation": 2.0,
-                                             "ingest_pending": 3.0, "x": 1.0})
-            for _ in range(4)
-        ]
-        total = sum(rows)
-        assert total.comparisons == 20
-        assert total.extra["snapshot_generation"] == 2.0
-        assert total.extra["ingest_pending"] == 3.0
-        assert total.extra["x"] == 4.0  # free-form extras keep summing
+        state = store.index.maintenance_state()
+        assert sum(state["pending_per_shard"]) == 1
+        assert state["snapshot_generation"] == 0
 
     def test_maintenance_state_shape(self, synthetic_collection):
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
@@ -685,13 +666,13 @@ class TestAdaptiveShardCount:
 
     def test_store_open_auto_shards(self, synthetic_collection):
         serial = IntervalStore.open(synthetic_collection, "hintm", num_shards="auto")
-        assert not isinstance(serial, ShardedStore)
+        assert not isinstance(serial.index, ShardedIndex)
         with IntervalStore.open(
             synthetic_collection, "hintm", num_shards="auto",
             executor="processes", workers=4,
         ) as store:
-            assert isinstance(store, ShardedStore)
-            assert store.num_shards == 4
+            assert isinstance(store.index, ShardedIndex)
+            assert store.index.num_shards == 4
 
     def test_store_open_rejects_other_strings(self, synthetic_collection):
         with pytest.raises(ValueError, match="auto"):

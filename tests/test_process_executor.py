@@ -29,7 +29,6 @@ from repro.engine import (
     IntervalStore,
     ProcessExecutor,
     ShardedIndex,
-    ShardedStore,
     available_backends,
     get_spec,
 )
@@ -67,12 +66,12 @@ def _workload(collection, rng, count=20):
 
 
 class TestProcessShardedEquivalence:
-    """ShardedStore under the process executor == the brute-force oracle."""
+    """A sharded store under the process executor == the brute-force oracle."""
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_every_backend_matches_oracle_at_k4(self, synthetic_collection, backend, rng, pool):
         kwargs = dict(SMALL_KWARGS.get(backend, {}))
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, backend, num_shards=4, executor=pool, **kwargs
         )
         lo, hi = synthetic_collection.span()
@@ -89,8 +88,11 @@ class TestProcessShardedEquivalence:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_shard_counts(self, synthetic_collection, k, rng, pool):
-        store = ShardedStore.open(
-            synthetic_collection, "hintm_opt", num_shards=k, executor=pool, num_bits=7
+        # a ShardedIndex at every K, K = 1 included
+        store = IntervalStore(
+            ShardedIndex(
+                synthetic_collection, "hintm_opt", num_shards=k, executor=pool, num_bits=7
+            )
         )
         queries = _workload(synthetic_collection, rng, count=25)
         batch = store.run_batch(queries)
@@ -106,7 +108,7 @@ class TestProcessShardedEquivalence:
             pytest.skip(f"start method {method!r} unavailable")
         with ProcessExecutor(2, start_method=method) as executor:
             assert executor.start_method == method
-            with ShardedStore.open(
+            with IntervalStore.open(
                 synthetic_collection, "naive", num_shards=4, executor=executor
             ) as store:
                 queries = _workload(synthetic_collection, rng, count=10)
@@ -117,7 +119,7 @@ class TestProcessShardedEquivalence:
                     )
 
     def test_batch_is_deterministic_across_runs(self, synthetic_collection, rng, pool):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "naive", num_shards=4, executor=pool
         )
         queries = _workload(synthetic_collection, rng, count=15)
@@ -127,7 +129,7 @@ class TestProcessShardedEquivalence:
 
     def test_updates_invalidate_the_worker_snapshot(self, synthetic_collection, rng, pool):
         """After an insert the process snapshot is stale; batches must still be right."""
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "hintm_hybrid", num_shards=4, executor=pool, num_bits=7
         )
         lo, hi = synthetic_collection.span()
@@ -246,7 +248,7 @@ class TestHomeShardCounting:
                 assert index.query_count(query) == want, (step, query)
 
     def test_fluent_count_uses_home_shard_path(self, books_like_collection):
-        store = ShardedStore.open(books_like_collection, "naive", num_shards=4)
+        store = IntervalStore.open(books_like_collection, "naive", num_shards=4)
         lo, hi = books_like_collection.span()
         before = dict(store.index.count_ops)
         total = store.query().overlapping(lo, hi).count()
@@ -359,7 +361,7 @@ class TestPickleAndSharedMemory:
 
 class TestExecutorLifecycle:
     def test_store_closes_executor_it_created(self, synthetic_collection):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "naive", num_shards=2, executor="processes", workers=2
         )
         executor = store.index.executor
@@ -369,7 +371,7 @@ class TestExecutorLifecycle:
         assert executor._pool is None
 
     def test_store_leaves_borrowed_executor_running(self, synthetic_collection, pool):
-        with ShardedStore.open(
+        with IntervalStore.open(
             synthetic_collection, "naive", num_shards=2, executor=pool
         ) as store:
             store.run_batch([Query(0, 10**6)])
@@ -377,7 +379,7 @@ class TestExecutorLifecycle:
 
     def test_batches_after_close_fall_back_locally(self, synthetic_collection, rng):
         """A closed store (snapshot unlinked) still answers, in-process."""
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "naive", num_shards=4, executor="processes", workers=2
         )
         queries = _workload(synthetic_collection, rng, count=6)
@@ -391,7 +393,7 @@ class TestExecutorLifecycle:
     def test_legacy_workers_instance_is_not_owned(self, synthetic_collection, pool):
         """An executor instance passed through the legacy workers= parameter
         belongs to the caller -- closing the store must not close it."""
-        store = ShardedStore.open(synthetic_collection, "naive", num_shards=2, workers=pool)
+        store = IntervalStore.open(synthetic_collection, "naive", num_shards=2, workers=pool)
         assert store.index.executor is pool
         store.run_batch([Query(0, 10**6)])
         store.close()

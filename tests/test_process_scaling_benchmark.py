@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.interval import Query
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
-from repro.engine import ShardedIndex, ShardedStore, create_index
+from repro.engine import IntervalStore, ShardedIndex, create_index
 from repro.queries.generator import QueryWorkloadConfig, generate_queries
 
 CARDINALITY = 100_000
@@ -37,7 +37,7 @@ def workload():
 def test_process_batch_runs_in_workers_on_multi_shard_hintm(workload):
     collection, queries = workload
     oracle = create_index("naive", collection)
-    with ShardedStore.open(
+    with IntervalStore.open(
         collection, "hintm", num_shards=4, executor="processes", workers=2
     ) as store:
         batch = store.run_batch(queries)
@@ -52,7 +52,7 @@ def test_process_executor_identical_to_unsharded_at_scale(workload):
     """The equivalence half of the acceptance bar, at full scale."""
     collection, queries = workload
     unsharded = create_index("naive", collection)
-    with ShardedStore.open(
+    with IntervalStore.open(
         collection, "naive", num_shards=4, executor="processes", workers=2
     ) as store:
         sample = queries[:: max(1, len(queries) // 100)]  # ~100 queries

@@ -205,13 +205,19 @@ class TestCacheIntegration:
         after = client.stats()["cache"]
         assert after["hits"] >= before["hits"] + 2
 
-    def test_cache_stats_mirrored_into_query_stats(self, served):
-        _, store, client = served
+    def test_cache_gauges_reported_by_stats(self, served):
+        _, _, client = served
         client.query(0, 3_333)
         client.query(0, 3_333)
-        stats = store.query().overlapping(0, 3_333).stats()
-        assert stats.extra["cache_hits"] >= 1.0
-        assert stats.extra["cache_size"] >= 1.0
+        cache = client.stats()["cache"]
+        assert cache["hits"] >= 1
+        assert cache["size"] >= 1
+        # an instrumented query carries the probe's counters only
+        stats = client.query(0, 3_333, stats=True)["stats"]
+        assert set(stats) == {
+            "results", "comparisons", "partitions_accessed",
+            "partitions_compared", "candidates",
+        }
 
 
 class TestAdmissionControl:

@@ -1,6 +1,6 @@
 """Acceptance checks for the sharded execution layer at benchmark scale.
 
-On a 100k-interval, 1k-query workload ``ShardedStore(K=4)`` answers
+On a 100k-interval, 1k-query workload a 4-shard ``IntervalStore`` answers
 identically to the unsharded store, and its speed-up on a scan-bound backend
 has one source, asserted here as the structure it is rather than as a
 wall-clock ratio: planning prunes every small query to the shards it
@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.interval import Query
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
-from repro.engine import ShardedIndex, ShardedStore, create_index
+from repro.engine import IntervalStore, ShardedIndex, create_index
 from repro.queries.generator import QueryWorkloadConfig, generate_queries
 
 CARDINALITY = 100_000
@@ -47,7 +47,7 @@ def test_sharded_ids_identical_to_unsharded_at_scale(workload):
     """Spot-check the equivalence half of the acceptance bar at full scale."""
     collection, queries = workload
     unsharded = create_index("naive", collection)
-    store = ShardedStore.open(collection, "naive", num_shards=4)
+    store = IntervalStore.open(collection, "naive", num_shards=4)
     sample = queries[:: max(1, len(queries) // 100)]  # ~100 queries
     batch = store.run_batch(sample)
     for query, ids in zip(sample, batch.ids):

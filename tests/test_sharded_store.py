@@ -1,23 +1,24 @@
-"""Sharded-vs-unsharded equivalence and the sharded execution facade.
+"""Sharded-vs-unsharded equivalence through the one store facade.
 
-The central property: a :class:`ShardedStore` is an *execution* detail --
+The central property: sharding is an *execution* detail --
+``IntervalStore.open(num_shards=K)`` wraps a :class:`ShardedIndex` in the
+same facade and the same lazy :class:`ResultSet` as any other backend, and
 for every registered backend, every shard count and both partitioning
-strategies, it must answer exactly like the unsharded store (whose oracle is
-the naive scan)."""
+strategies it must answer exactly like the naive scan, through updates."""
 
 import numpy as np
 import pytest
 
-from repro.core.allen import AllenRelation
+from repro.core.allen import AllenRelation, satisfies_relation
+from repro.core.base import IntervalIndex
 from repro.core.base import QueryStats
 from repro.core.errors import InvalidQueryError
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import (
     IntervalStore,
-    MergedResultSet,
     ProcessExecutor,
+    ResultSet,
     ShardedIndex,
-    ShardedStore,
     available_backends,
     create_index,
     get_spec,
@@ -60,29 +61,82 @@ def _random_workload(collection, rng, count=40, within_span=False):
     return queries
 
 
-class TestShardedEquivalence:
-    """Property-style: ShardedStore == naive oracle, for every backend/K/strategy."""
+def _assert_matches_live(store, live, workload):
+    """Every accessor of the store's fluent queries against a scan of ``live``."""
+    for query in workload:
+        want = sorted(i for i, iv in live.items() if iv.overlaps(query))
 
+        def builder():
+            return store.query().overlapping(query.start, query.end)
+
+        assert sorted(builder().ids().tolist()) == want, query
+        assert builder().count() == len(want), query
+        assert builder().exists() == bool(want), query
+        assert builder().stats().results == len(want), query
+        limited = builder().limit(3).ids().tolist()
+        assert len(limited) == min(3, len(want)) and set(limited) <= set(want)
+        assert builder().limit(3).count() == min(3, len(want)), query
+        for relation in AllenRelation:
+            related = sorted(
+                i for i, iv in live.items() if satisfies_relation(iv, query, relation)
+            )
+            got = builder().relation(relation).ids().tolist()
+            assert sorted(got) == related, (query, relation)
+            assert builder().relation(relation).count() == len(related)
+            assert builder().relation(relation).exists() == bool(related)
+
+
+class TestShardedEquivalence:
+    """Property-style: a sharded store == naive oracle, for every backend/K/strategy."""
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_every_backend_matches_oracle_at_k4(self, synthetic_collection, backend, rng):
+    def test_every_backend_matches_oracle(
+        self, synthetic_collection, backend, num_shards, rng
+    ):
+        """Ids, every Allen relation, limit, count, exists and stats, before
+        and after updates that straddle every cut (updatable backends)."""
         kwargs = dict(SMALL_KWARGS.get(backend, {}))
-        store = ShardedStore.open(
-            synthetic_collection, backend, num_shards=4, **kwargs
+        store = IntervalStore.open(
+            synthetic_collection, backend, num_shards=num_shards, **kwargs
         )
-        for query in _random_workload(synthetic_collection, rng, count=25, within_span=True):
-            got = sorted(store.query().overlapping(query.start, query.end).ids())
-            want = sorted(synthetic_collection.query_ids(query).tolist())
-            assert got == want, (backend, query)
+        assert type(store) is IntervalStore
+        assert isinstance(store.index, ShardedIndex)
+        assert store.index.num_shards == num_shards
+        live = {interval.id: interval for interval in synthetic_collection}
+        workload = _random_workload(
+            synthetic_collection, rng, count=8, within_span=True
+        )
+        _assert_matches_live(store, live, workload)
+        if get_spec(backend).cls.insert is IntervalIndex.insert:
+            return  # a static backend: nothing to update
+        next_id = 10_000_000
+        for cut in store.index.plan.cuts:
+            straddler = Interval(next_id, cut - 7, cut + 7)
+            store.insert(straddler)
+            live[straddler.id] = straddler
+            next_id += 1
+            old = next(i for i in live.values() if i.start < cut <= i.end)
+            assert store.delete(old.id)
+            del live[old.id]
+        # one inserted straddler goes again, so deletes hit journaled copies
+        assert store.delete(10_000_000)
+        del live[10_000_000]
+        _assert_matches_live(store, live, workload)
+        store.close()
 
     @pytest.mark.parametrize("strategy", ["equi_width", "balanced"])
     @pytest.mark.parametrize("k", [1, 2, 4, 7])
     def test_shard_counts_and_strategies(self, synthetic_collection, k, strategy, rng):
-        store = ShardedStore.open(
-            synthetic_collection,
-            "hintm_opt",
-            num_shards=k,
-            strategy=strategy,
-            num_bits=7,
+        # a ShardedIndex at every K, K = 1 included
+        store = IntervalStore(
+            ShardedIndex(
+                synthetic_collection,
+                "hintm_opt",
+                num_shards=k,
+                strategy=strategy,
+                num_bits=7,
+            )
         )
         for query in _random_workload(synthetic_collection, rng, count=30):
             builder = store.query().overlapping(query.start, query.end)
@@ -92,7 +146,7 @@ class TestShardedEquivalence:
             assert store.query().overlapping(query.start, query.end).exists() == bool(want)
 
     def test_skewed_data_balanced_strategy(self, taxis_like_collection, rng):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             taxis_like_collection, "grid1d", num_shards=4, strategy="balanced",
             num_partitions=64,
         )
@@ -102,7 +156,7 @@ class TestShardedEquivalence:
 
     def test_long_intervals_duplicated_not_double_reported(self, books_like_collection, rng):
         """BOOKS-like data: many intervals span shard cuts; dedup must hold."""
-        store = ShardedStore.open(books_like_collection, "interval_tree", num_shards=7)
+        store = IntervalStore.open(books_like_collection, "interval_tree", num_shards=7)
         for query in _random_workload(books_like_collection, rng, count=20):
             ids = store.query().overlapping(query.start, query.end).ids()
             assert len(ids) == len(set(ids))  # no duplicate reports
@@ -110,7 +164,7 @@ class TestShardedEquivalence:
 
     def test_batch_matches_unsharded(self, synthetic_collection, synthetic_queries):
         plain = IntervalStore.open(synthetic_collection, "hintm_opt", num_bits=8)
-        sharded = ShardedStore.open(
+        sharded = IntervalStore.open(
             synthetic_collection, "hintm_opt", num_shards=4, num_bits=8
         )
         expected = plain.run_batch(synthetic_queries)
@@ -121,7 +175,7 @@ class TestShardedEquivalence:
 
 class TestPooledExecution:
     def test_store_close_and_context_manager(self, synthetic_collection):
-        with ShardedStore.open(
+        with IntervalStore.open(
             synthetic_collection, "naive", num_shards=2, executor="processes", workers=2
         ) as store:
             store.run_batch([Query(0, 10**6)])
@@ -144,31 +198,33 @@ class TestPooledExecution:
             assert got == sorted(synthetic_collection.ids.tolist())
 
 
-class TestMergedResultSet:
-    def test_builder_returns_merged_lazy_handle(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
+class TestShardedResultSet:
+    def test_builder_returns_the_one_lazy_handle(self, synthetic_collection):
+        store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
         lo, hi = synthetic_collection.span()
         results = store.query().overlapping(lo, hi).build()
-        assert isinstance(results, MergedResultSet)
-        assert len(results.children) == store.num_shards  # all shards overlap
+        assert type(results) is ResultSet
         assert repr(results).endswith("lazy)")
         assert results.count() == len(synthetic_collection)
+        assert store.index.count_ops["home_shard"] == 1  # no id list built
 
-    def test_single_shard_query_has_one_child(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
-        point = int(store.plan.cuts[0]) + 1
+    def test_single_shard_query_keeps_backend_count_path(self, synthetic_collection):
+        store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
+        point = int(store.index.plan.cuts[0]) + 1
+        assert store.index.plan.shard_range(point, point) == (1, 1)
         results = store.query().stabbing(point).build()
-        assert len(results.children) == 1
+        assert results.count() == len(synthetic_collection.query_ids(Query.stabbing(point)))
+        assert store.index.count_ops["single_shard"] == 1
 
     def test_limit_applies_after_merge(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
+        store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
         lo, hi = synthetic_collection.span()
         ids = store.query().overlapping(lo, hi).limit(5).ids()
         assert len(ids) == len(set(ids)) == 5
         assert store.query().overlapping(lo, hi).limit(5).count() == 5
 
     def test_relation_refinement_across_shards(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm", num_shards=4, num_bits=7)
+        store = IntervalStore.open(synthetic_collection, "hintm", num_shards=4, num_bits=7)
         lo, hi = synthetic_collection.span()
         mid = (lo + hi) // 2
         query = Query(mid - 500, mid + 500)
@@ -190,7 +246,7 @@ class TestMergedResultSet:
     @pytest.mark.parametrize("relation", [AllenRelation.BEFORE, AllenRelation.AFTER])
     def test_non_overlap_relations_probe_all_shards(self, synthetic_collection, relation):
         """BEFORE/AFTER answers live in shards the query range never touches."""
-        store = ShardedStore.open(synthetic_collection, "naive", num_shards=4)
+        store = IntervalStore.open(synthetic_collection, "naive", num_shards=4)
         plain = IntervalStore.open(synthetic_collection, "naive")
         lo, hi = synthetic_collection.span()
         # a query pinned inside the last shard (BEFORE results are elsewhere)
@@ -204,8 +260,20 @@ class TestMergedResultSet:
         assert got == want
         assert store.query().overlapping(query.start, query.end).relation(relation).count() == len(want)
 
+    def test_exists_probes_past_an_empty_first_shard(self):
+        pairs = [(0, 1)] + [(start, start + 5) for start in range(5_000, 10_000, 10)]
+        store = IntervalStore.open(
+            IntervalCollection.from_pairs(pairs), "hintm_opt", num_shards=2
+        )
+        query = Query(10, 6_000)
+        first, last = store.index.plan.shard_range(query.start, query.end)
+        assert (first, last) == (0, 1)
+        assert store.query().overlapping(10, 4_000).count() == 0  # shard 0's part
+        assert store.query().overlapping(query.start, query.end).exists()
+        assert store.query().overlapping(query.start, query.end).count() == 101
+
     def test_exists_short_circuits_lazily(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
+        store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
         lo, hi = synthetic_collection.span()
         results = store.query().overlapping(lo, hi).build()
         assert results.exists()
@@ -214,10 +282,10 @@ class TestMergedResultSet:
 
 class TestShardRoutedUpdates:
     def test_insert_routes_to_owning_shard_delta(self, synthetic_collection):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "hintm_hybrid", num_shards=4, num_bits=7
         )
-        cuts = store.plan.cuts
+        cuts = store.index.plan.cuts
         inside_shard_2 = (cuts[1] + cuts[2]) // 2
         new = Interval(10_000_000, inside_shard_2, inside_shard_2 + 3)
         before = len(store)
@@ -229,10 +297,10 @@ class TestShardRoutedUpdates:
         assert 10_000_000 in store.query().stabbing(inside_shard_2 + 1).ids()
 
     def test_boundary_spanning_insert_lands_in_both_shards(self, synthetic_collection):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "hintm_hybrid", num_shards=4, num_bits=7
         )
-        cut = store.plan.cuts[0]
+        cut = store.index.plan.cuts[0]
         spanning = Interval(10_000_001, cut - 5, cut + 5)
         store.insert(spanning)
         deltas = [shard.delta_size for shard in store.index.shards]
@@ -242,10 +310,10 @@ class TestShardRoutedUpdates:
         assert ids.tolist().count(10_000_001) == 1
 
     def test_delete_tombstones_every_copy(self, synthetic_collection):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "hintm_hybrid", num_shards=4, num_bits=7
         )
-        cut = store.plan.cuts[1]
+        cut = store.index.plan.cuts[1]
         spanning = Interval(10_000_002, cut - 5, cut + 5)
         store.insert(spanning)
         before = len(store)
@@ -255,7 +323,7 @@ class TestShardRoutedUpdates:
         assert not store.delete(10_000_002)  # already gone
 
     def test_delete_preexisting_interval(self, synthetic_collection):
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "hintm_hybrid", num_shards=4, num_bits=7
         )
         victim = synthetic_collection[0]
@@ -264,7 +332,7 @@ class TestShardRoutedUpdates:
 
     def test_mixed_workload_matches_oracle(self, synthetic_collection, rng):
         """Interleaved inserts/deletes/queries stay equivalent to a live oracle."""
-        store = ShardedStore.open(
+        store = IntervalStore.open(
             synthetic_collection, "hintm_hybrid", num_shards=4, num_bits=7
         )
         live = {s.id: s for s in synthetic_collection}
@@ -357,7 +425,7 @@ class TestResultGeneration:
 
 class TestShardedStatsAndMemory:
     def test_query_stats_merge_across_shards(self, synthetic_collection):
-        store = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
+        store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
         lo, hi = synthetic_collection.span()
         stats = store.query().overlapping(lo, hi).stats()
         assert stats.results == len(synthetic_collection)
@@ -368,11 +436,10 @@ class TestShardedStatsAndMemory:
         assert stats.partitions_accessed == sum(s.partitions_accessed for s in per_shard)
 
     def test_query_stats_merge_and_add(self):
-        a = QueryStats(results=2, comparisons=5, candidates=3, extra={"x": 1.0})
-        b = QueryStats(results=1, comparisons=2, candidates=4, extra={"x": 0.5, "y": 2.0})
+        a = QueryStats(results=2, comparisons=5, candidates=3)
+        b = QueryStats(results=1, comparisons=2, candidates=4)
         total = a + b
         assert (total.results, total.comparisons, total.candidates) == (3, 7, 7)
-        assert total.extra == {"x": 1.5, "y": 2.0}
         # __add__ does not mutate its operands
         assert a.comparisons == 5 and b.comparisons == 2
         a += b
@@ -432,18 +499,31 @@ class TestShardedRegistryIntegration:
         with pytest.raises(ValueError):
             ShardedIndex(synthetic_collection, backend="sharded", num_shards=2)
 
-    def test_store_open_delegates_to_sharded(self, synthetic_collection):
+    def test_store_open_wraps_a_sharded_index(self, synthetic_collection):
         store = IntervalStore.open(synthetic_collection, num_shards=4)
-        assert isinstance(store, ShardedStore)
-        assert store.num_shards == 4
-        assert store.shard_backend == "hintm_opt"
+        assert type(store) is IntervalStore
+        assert isinstance(store.index, ShardedIndex)
+        assert store.backend == "sharded"
+        assert store.index.num_shards == 4
+        assert store.index.backend == "hintm_opt"
+        # batches parallelise inside the index; the store's executor is serial
+        assert store.executor.name == "serial"
         plain = IntervalStore.open(synthetic_collection, num_shards=1)
-        assert not isinstance(plain, ShardedStore)
+        assert not isinstance(plain.index, ShardedIndex)
+
+    @pytest.mark.parametrize("num_shards", [0, -3])
+    def test_store_open_rejects_fewer_than_one_shard(
+        self, synthetic_collection, num_shards
+    ):
+        with pytest.raises(InvalidQueryError, match="num_shards must be >= 1"):
+            IntervalStore.open(synthetic_collection, num_shards=num_shards)
 
     def test_k1_is_degenerate_single_index(self, synthetic_collection, rng):
         """K=1 sharded == the plain unsharded store, query for query."""
-        sharded = ShardedStore.open(synthetic_collection, "hintm_opt", num_shards=1, num_bits=7)
-        assert sharded.num_shards == 1
+        sharded = IntervalStore(
+            ShardedIndex(synthetic_collection, "hintm_opt", num_shards=1, num_bits=7)
+        )
+        assert sharded.index.num_shards == 1
         plain = IntervalStore.open(synthetic_collection, "hintm_opt", num_bits=7)
         for query in _random_workload(synthetic_collection, rng, count=15):
             assert sorted(sharded.query().overlapping(query.start, query.end).ids()) == sorted(
@@ -472,7 +552,7 @@ class TestShardedRegistryIntegration:
             )
 
     def test_empty_collection(self):
-        store = ShardedStore.open(IntervalCollection.empty(), "hintm_opt", num_shards=4)
+        store = IntervalStore.open(IntervalCollection.empty(), "hintm_opt", num_shards=4)
         assert len(store) == 0
         assert store.query().overlapping(0, 100).ids().tolist() == []
         assert store.query().stabbing(5).count() == 0

@@ -11,6 +11,7 @@ from repro.core.interval import Interval, IntervalCollection
 from repro.engine import IntervalStore
 from repro.serve.client import ServeClient, ServerError, StreamClient
 from repro.serve.server import start_server_thread
+from repro.stream.deltas import StandingQueryManager
 
 
 def _collection(n=200, seed=3):
@@ -104,10 +105,36 @@ class TestSubscribeEndpoints:
         stats = client.stats()
         assert stats["stream"]["subscriptions_active"] == 1.0
         assert stats["stream"]["deltas_emitted"] >= 1.0
-        # the gauges also surface through instrumented queries
-        response = client.query(1_000, 3_000, stats=True)
-        assert response["stats"]["extra"]["subscriptions_active"] == 1.0
         client.unsubscribe(sub["subscription_id"])
+
+    def test_updates_do_not_compute_gauges(self, monkeypatch):
+        """An affected update appends its delta and nothing else: the gauges
+        are computed when /stats or /metrics reads them, not per update."""
+        store = IntervalStore.open(_collection(), "hintm_hybrid", num_shards=2)
+        manager = StandingQueryManager(store)
+        manager.subscribe(1_000, 3_000)
+        calls = []
+        gauges_locked = manager._gauges_locked
+
+        def counting():
+            calls.append(1)
+            return gauges_locked()
+
+        monkeypatch.setattr(manager, "_gauges_locked", counting)
+        for offset in range(5):
+            store.insert(Interval(93_000 + offset, 2_000, 2_010))
+        assert calls == []
+        handle = start_server_thread(store, stream=manager)
+        client = ServeClient(port=handle.port)
+        try:
+            stream = client.stats()["stream"]
+            assert stream["subscriptions_active"] == 1.0
+            assert stream["deltas_emitted"] == 5.0
+        finally:
+            client.close()
+            handle.stop()
+            manager.close()
+            store.close()
 
 
     def test_subscribe_past_int64_keeps_subscribe_working(self, served):

@@ -1010,9 +1010,9 @@ def _command_list_backends(args: argparse.Namespace) -> int:
         print(f"  {name:<10s} {blurb}")
     print()
     print("maintenance (repro maintain, --maintenance on batch/bench):")
-    print(f"  rebuild    a hybrid shard rebuilds once its delta holds "
-          f"{REBUILD_FRACTION:.0%} of its main index and {REBUILD_MIN_DELTA}+ "
-          "intervals (--force: any delta)")
+    print(f"  rebuild    a hybrid shard rebuilds once its delta or its tombstones "
+          f"reach {REBUILD_FRACTION:.0%} of its main index and {REBUILD_MIN_DELTA}+ "
+          "intervals (--force: any of either)")
     print()
     print("serving (repro serve):")
     print("  cache        LRU keyed on the query; an update evicts the cached "

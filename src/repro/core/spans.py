@@ -5,8 +5,8 @@ build collection's three ``int64`` columns (shared with the caller, never
 copied), an id-sort permutation only when the ids are not already
 increasing, a plain dict for rows inserted since the build and the set of
 removed ids -- which is also the query-time tombstone filter of the backends
-that delete logically, with a per-base-row dead mask beside it once anything
-is removed.  It answers like the ``dict`` of id -> interval it
+that delete logically, except ``OptimizedHINTm``, which marks the deleted
+rows of its own row space.  It answers like the ``dict`` of id -> interval it
 replaces under any sequence of removes and (re-)adds of ids that are not
 live; a build collection that repeats an id keeps the last row, as the
 per-row dict fills did.
@@ -36,9 +36,7 @@ _REMOVED_ENTRY_BYTES = 32
 class SpanTable:
     """Live id -> ``(start, end)`` for one index."""
 
-    __slots__ = (
-        "_base", "_order", "_added", "removed", "_dead", "_changes", "_removed_cache", "_size",
-    )
+    __slots__ = ("_base", "_order", "_added", "removed", "_size")
 
     def __init__(self, collection: IntervalCollection) -> None:
         ids = collection.ids
@@ -58,15 +56,6 @@ class SpanTable:
         #: ids removed and not re-added since -- read by the owning index as
         #: its tombstone filter
         self.removed: set[int] = set()
-        #: per base row, True while its id is in :attr:`removed` -- what
-        #: :meth:`drop_removed` reads; allocated by the first removal
-        self._dead: Optional[np.ndarray] = None
-        #: bumped with every change of ``removed``; :meth:`removed_array` caches its
-        #: array beside the value it read *before* building, so a lock-free
-        #: reader racing an update can at worst cache an array that the next
-        #: read rebuilds -- never one that stays stale
-        self._changes = 0
-        self._removed_cache: Tuple[int, np.ndarray] = (0, np.empty(0, dtype=np.int64))
         self._size = len(collection)
 
     # ------------------------------------------------------------------ #
@@ -98,28 +87,6 @@ class SpanTable:
 
     def __len__(self) -> int:
         return self._size
-
-    def removed_array(self) -> np.ndarray:
-        """:attr:`removed` as a sorted int64 array, for vectorised tombstone
-        filters (``np.isin``); built once per change of the set, not per query."""
-        changes = self._changes
-        built_at, removed = self._removed_cache
-        if built_at != changes:
-            removed = np.fromiter(self.removed, dtype=np.int64)
-            removed.sort()
-            self._removed_cache = (changes, removed)
-        return removed
-
-    def drop_removed(self, ids: np.ndarray) -> np.ndarray:
-        """``ids``, each the id of a base row, without the removed ones: one
-        probe of the id column and a read of the dead-row mask -- 6.3 us
-        on a 110-id answer where a set lookup per id took 17.4 (5,000 of
-        50k rows removed, timeit)."""
-        dead = self._dead
-        if dead is None or not len(ids):
-            return ids
-        positions = self._base.ids.searchsorted(ids, sorter=self._order)
-        return ids[~dead[positions if self._order is None else self._order[positions]]]
 
     def gather(self, ids) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(starts, ends, live)`` for many ids in one vectorised pass.
@@ -174,10 +141,7 @@ class SpanTable:
         caller's contract throughout the library); re-adding a removed id is
         fine and shadows its base row.
         """
-        if interval.id in self.removed:
-            self.removed.discard(interval.id)
-            self._changes += 1
-            self._mark(interval.id, False)
+        self.removed.discard(interval.id)
         self._added[interval.id] = interval
         self._size += 1
 
@@ -187,30 +151,16 @@ class SpanTable:
         if found is not None:
             self._added.pop(interval_id, None)
             self.removed.add(interval_id)
-            self._changes += 1
             self._size -= 1
-            self._mark(interval_id, True)
         return found
-
-    def _mark(self, interval_id: int, dead: bool) -> None:
-        """Keep the dead-row mask in step with :attr:`removed` for one id."""
-        row = self._row(interval_id)
-        if row < 0 or (self._dead is None and not dead):
-            return
-        if self._dead is None:
-            self._dead = np.zeros(len(self._base), dtype=bool)
-        self._dead[row] = dead
 
     @property
     def nbytes(self) -> int:
-        """Bytes held: the three columns, the permutation, both overlays and
-        the dead-row mask."""
+        """Bytes held: the three columns, the permutation and both overlays."""
         base = self._base
         total = base.ids.nbytes + base.starts.nbytes + base.ends.nbytes
         if self._order is not None:
             total += self._order.nbytes
         total += sys.getsizeof(self._added) + _ADDED_ENTRY_BYTES * len(self._added)
         total += sys.getsizeof(self.removed) + _REMOVED_ENTRY_BYTES * len(self.removed)
-        if self._dead is not None:
-            total += self._dead.nbytes
         return total

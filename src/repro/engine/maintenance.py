@@ -30,8 +30,8 @@ Three pieces compose:
   :class:`~repro.engine.sharded.ShardedIndex` (or a plain hybrid index).
   Nothing runs in the background: each explicit
   :meth:`~MaintenanceCoordinator.maintain` call folds journals, rebuilds
-  every hybrid shard whose delta reached the rebuild rule (at least
-  :data:`REBUILD_FRACTION` of its main index and at least
+  every hybrid shard whose delta or tombstones reached the rebuild rule (at
+  least :data:`REBUILD_FRACTION` of its main index and at least
   :data:`REBUILD_MIN_DELTA` intervals), re-balances cuts when skew drifts
   past a threshold (**adaptive re-partitioning**), and republishes the
   shared-memory snapshot so a process executor regains fan-out
@@ -70,8 +70,9 @@ __all__ = [
     "recommend_shard_count",
 ]
 
-#: the rebuild rule: an unforced pass rebuilds a hybrid shard once its delta
-#: holds at least this fraction of the shard's main index ...
+#: the rebuild rule: an unforced pass rebuilds a hybrid shard once its delta's
+#: inserts, or its main index's tombstones, reach this fraction of the main
+#: index ...
 REBUILD_FRACTION = 0.1
 #: ... and at least this many intervals, so tiny shards do not churn
 REBUILD_MIN_DELTA = 64
@@ -420,15 +421,19 @@ class MaintenanceConfig:
 def _needs_rebuild(index, force: bool) -> bool:
     """The rebuild rule for one hybrid index (a shard, or a plain store's).
 
-    ``force`` rebuilds any non-empty delta.  Otherwise the delta must hold
-    at least :data:`REBUILD_FRACTION` of the main index's intervals and at
-    least :data:`REBUILD_MIN_DELTA` intervals.
+    Two things a rebuild clears pile up between rebuilds: the delta's
+    inserts and the main index's tombstones.  ``force`` rebuilds when either
+    is non-empty.  Otherwise one of them must reach
+    :data:`REBUILD_FRACTION` of the main index's live intervals and
+    :data:`REBUILD_MIN_DELTA` intervals.
     """
-    delta = index.delta_size
+    pending = (index.delta_size, index.tombstones)
     if force:
-        return delta > 0
-    live = len(index) - delta
-    return delta >= REBUILD_MIN_DELTA and delta >= REBUILD_FRACTION * max(live, 1)
+        return any(pending)
+    live = max(len(index) - index.delta_size, 1)
+    return any(
+        count >= REBUILD_MIN_DELTA and count >= REBUILD_FRACTION * live for count in pending
+    )
 
 
 @dataclass

@@ -25,7 +25,8 @@ Figure 12 ablation.
 The fully optimized index is query-optimized and static: single-interval
 insertion is not supported (Section 4.4); use
 :class:`repro.hint.updates.HybridHINTm` for mixed workloads.  Deletions are
-supported through tombstones.
+supported through tombstones: one byte per row of the merged tables, which
+every read drops inside the row ranges its walk already holds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
 from repro.core.errors import DomainError
-from repro.core.interval import IntervalCollection, Query
+from repro.core.interval import Interval, IntervalCollection, Query
 from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
@@ -113,6 +114,22 @@ def _expand(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     rows = np.repeat(first - (ends - lengths), lengths)
     rows += np.arange(total, dtype=np.int64)
     return rows
+
+
+def _live_runs(runs: List[tuple], dead: bytearray) -> List[tuple]:
+    """The final runs of a walk, each split where ``dead`` marks a row: the
+    runs of live rows, in order."""
+    live: List[tuple] = []
+    for lo, hi, _, _ in runs:
+        row = dead.find(1, lo, hi)
+        while row >= 0:
+            if lo < row:
+                live.append((lo, row, False, False))
+            lo = row + 1
+            row = dead.find(1, lo, hi)
+        if lo < hi:
+            live.append((lo, hi, False, False))
+    return live
 
 
 def _bisect_runs(
@@ -209,7 +226,13 @@ class OptimizedHINTm(IntervalIndex):
         #: the domain's mapping as plain ints, which :meth:`_walk` inlines
         self._rescaling = domain.rescaling
         self._spans = SpanTable(collection)
-        self._build(collection)
+        #: the tombstones: one byte per row of the shared row space, 1 where
+        #: the row's interval is deleted; None until the first delete
+        #: (see :meth:`delete`), so a tombstone-free read tests only that
+        self._dead: Optional[bytearray] = None
+        # the table's rows: the collection itself unless it repeats an id,
+        # whose last row is then the only one indexed, as the table keeps it
+        self._build(self._spans.collection())
         #: the id column rendered as text (see :meth:`render_ids`): each id
         #: as ASCII decimal plus a comma, in row order, and the int64
         #: offsets where each row's text starts (one more at the end)
@@ -417,13 +440,17 @@ class OptimizedHINTm(IntervalIndex):
     def _view_columns(self) -> None:
         """Memoryviews of the starts, ends and ids columns, which the scalar
         walk reads: :func:`bisect` and slicing get Python ints and bytes
-        from them, with no copy of a column."""
+        from them, with no copy of a column; and the tombstones as a bool
+        array, which the batch kernel reads."""
         self._views = tuple(memoryview(column) for column in (self._starts, self._ends, self._ids))
+        dead = self._dead
+        self._dead_rows = None if dead is None else np.frombuffer(dead, dtype=np.bool_)
 
     def __getstate__(self) -> dict:
-        # a memoryview does not pickle: the copy makes its own
+        # a memoryview does not pickle, and a view of the tombstones would
+        # pickle as a copy of them: the copy makes its own
         state = self.__dict__.copy()
-        del state["_views"]
+        del state["_views"], state["_dead_rows"]
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -481,15 +508,66 @@ class OptimizedHINTm(IntervalIndex):
     # updates
     # ------------------------------------------------------------------ #
     def delete(self, interval_id: int) -> bool:
-        """Logically delete ``interval_id`` with a tombstone.
+        """Logically delete ``interval_id``: a tombstone on every row that
+        holds it.
 
-        A tombstoned index answers only through :meth:`_answer`, which
-        filters the deleted ids, so the rendered id column goes with it.
+        The first delete allocates the tombstones, one byte per row.  A
+        reader loads them once, and an interval sits in at most one row a
+        query reads, so a racing reader sees each deleted id either live or
+        gone, never half of it.
         """
-        if self._spans.remove(interval_id) is None:
+        victim = self._spans.remove(interval_id)
+        if victim is None:
             return False
-        self._id_text = None
+        dead = self._dead
+        if dead is None:
+            dead = bytearray(len(self._ids))
+        for row in self._rows_of(victim):
+            dead[row] = 1
+        if self._dead is None:
+            self._dead_rows = np.frombuffer(dead, dtype=np.bool_)
+            self._dead = dead
         return True
+
+    def _rows_of(self, interval: Interval) -> List[int]:
+        """The rows of the shared row space that hold ``interval``.
+
+        Algorithm 1 on its mapped endpoints gives its partitions, as
+        :meth:`_build` assigned them; each is found in the directory and
+        holds the interval in one row.  A partition's run is sorted by its
+        class's sort column, ties in collection order, so one bisect on that
+        column and a scan over the ties give that row (an ``r_aft`` run has
+        no sort column: all its rows are ties).  No id column is probed.
+        """
+        m = self._m
+        mapped_start = self._domain.map_value(interval.start)
+        mapped_end = self._domain.map_value(interval.end)
+        keys, pointer_lists = self._keys_list, self._pointer_lists
+        starts, ends, ids = self._views
+        base = self._ends_base
+        found: List[int] = []
+        a, b = mapped_start, mapped_end
+        for level in range(m, -1, -1):
+            if a > b:
+                break
+            shift = m - level
+            for offset in [a] * (a & 1) + [b] * (1 - (b & 1)):
+                inside = mapped_end <= ((offset + 1) << shift) - 1
+                # storage order of _CLASSES: o_aft, o_in, r_in, r_aft
+                class_index = inside if offset == mapped_start >> shift else 3 - inside
+                pointers = pointer_lists[class_index]
+                entry = bisect_left(keys, (1 << level) + offset)
+                row_lo, row_hi = pointers[entry], pointers[entry + 1]
+                if class_index < 2:
+                    row_lo = bisect_left(starts, interval.start, row_lo, row_hi)
+                    row_hi = bisect_right(starts, interval.start, row_lo, row_hi)
+                elif class_index == 2:
+                    row_lo = bisect_left(ends, interval.end, row_lo - base, row_hi - base) + base
+                    row_hi = bisect_right(ends, interval.end, row_lo - base, row_hi - base) + base
+                found.append(row_lo + ids[row_lo:row_hi].tolist().index(interval.id))
+            a = (a + (a & 1)) >> 1
+            b = (b - (~b & 1)) >> 1
+        return found
 
     # ------------------------------------------------------------------ #
     # answers as text: the id column rendered once, then sliced
@@ -505,10 +583,11 @@ class OptimizedHINTm(IntervalIndex):
         ids below 200k) plus 8 bytes a row, and :meth:`memory_bytes`
         counts it.  Only a
         server answering from this index renders it.  Nothing happens on
-        the row-wise layout or a tombstoned index, which never answer as
-        text, or when the column is already there.
+        the row-wise layout, which never answers as text, or when the
+        column is already there.  Deletes keep it: a tombstoned row is a
+        cut between slices (see :meth:`ids_text`).
         """
-        if self._id_text is not None or not self._columnar or self._spans.removed:
+        if self._id_text is not None or not self._columnar:
             return
         ids = self._ids
         text = b"".join(
@@ -521,21 +600,24 @@ class OptimizedHINTm(IntervalIndex):
 
     @property
     def renders_ids(self) -> bool:
-        """True while :meth:`ids_text` answers: the column is rendered and
-        no id is tombstoned."""
-        return self._id_text is not None and not self._spans.removed
+        """True while :meth:`ids_text` answers: the column is rendered."""
+        return self._id_text is not None
 
     def ids_text(self, query: Query) -> Optional[Tuple[bytes, int]]:
         """``(text, count)``: the ids answering ``query`` joined by commas,
         in :meth:`query`'s order, and how many there are -- or None unless
         :attr:`renders_ids`.  Each run of :meth:`_walk` is one slice of the
-        rendered column; no id becomes a Python int.
+        rendered column, split where a tombstoned row sits; no id becomes a
+        Python int.
         """
         rendered = self._id_text
-        if rendered is None or self._spans.removed:
+        if rendered is None:
             return None
         text, offsets = rendered[0], memoryview(rendered[1])  # int lookups
         runs = self._walk(query)[0]
+        dead = self._dead
+        if dead is not None:
+            runs = _live_runs(runs, dead)
         pieces = [text[offsets[lo] : offsets[hi]] for lo, hi, _, _ in runs]
         # every id's text ends in a comma: the answer's last one goes
         return b"".join(pieces)[:-1], sum([hi - lo for lo, hi, _, _ in runs])
@@ -554,16 +636,12 @@ class OptimizedHINTm(IntervalIndex):
 
     def query_count(self, query: Query) -> int:
         """Count results without gathering an id (Section 4.2/4.3 traversal,
-        aggregation-only): the runs' lengths.  Tombstoned indexes gather the
-        ids, the only way to subtract deleted ones exactly."""
-        if self._spans.removed:
-            return len(self._answer(query))
+        aggregation-only): the runs' lengths, less their tombstoned rows."""
         return self._tally(query, stop_at_first=False)
 
     def query_exists(self, query: Query) -> bool:
-        """True iff any interval overlaps ``query``: any run proves it."""
-        if self._spans.removed:
-            return len(self._answer(query)) > 0
+        """True iff any interval overlaps ``query``: any run with a live row
+        proves it."""
         return self._tally(query, stop_at_first=True) > 0
 
     def _walk(self, query: Query, stats: Optional[QueryStats] = None) -> Tuple[list, object, object]:
@@ -712,8 +790,12 @@ class OptimizedHINTm(IntervalIndex):
 
     def _passing_records(self, lo: int, hi: int, test_start: bool, test_end: bool, q_start, q_end):
         """The interleaved records of run ``lo:hi`` that pass, scanned row
-        by row: the ``columnar=False`` layout's predicates."""
+        by row: the ``columnar=False`` layout's predicates, tombstoned rows
+        skipped."""
         records = self._records[lo:hi]
+        dead = self._dead
+        if dead is not None and dead.find(1, lo, hi) >= 0:
+            records = [record for record, gone in zip(records, dead[lo:hi]) if not gone]
         if not (test_start or test_end):
             return records
         return [
@@ -726,16 +808,13 @@ class OptimizedHINTm(IntervalIndex):
         without the tombstoned ones: on the columnar layout the bytes of
         every run of :meth:`_walk` in the id column, joined and copied once
         -- a memoryview slice costs a third of an array view, and the whole
-        gather ~0.65x of ``np.concatenate`` over views (11 runs, timeit)."""
+        gather ~0.65x of ``np.concatenate`` over views (11 runs, timeit).
+        On a tombstoned index the runs' tombstone bytes are joined the same
+        way, and the answer is filtered only when one of them is set."""
         runs, q_start, q_end = self._walk(query, stats)
-        if self._columnar:
-            ids = self._views[2]
-            found = np.frombuffer(
-                b"".join([ids[lo:hi] for lo, hi, _, _ in runs]), dtype=np.int64
-            ).copy()
-        else:
+        if not self._columnar:
             # row-wise layout: interleaved records, scanned row by row
-            found = np.fromiter(
+            return np.fromiter(
                 (
                     record[0]
                     for run in runs
@@ -743,14 +822,27 @@ class OptimizedHINTm(IntervalIndex):
                 ),
                 dtype=np.int64,
             )
-        return self._spans.drop_removed(found)
+        ids = self._views[2]
+        found = np.frombuffer(b"".join([ids[lo:hi] for lo, hi, _, _ in runs]), dtype=np.int64)
+        dead = self._dead
+        if dead is not None:
+            gone = b"".join([dead[lo:hi] for lo, hi, _, _ in runs])
+            if 1 in gone:
+                return found[~np.frombuffer(gone, dtype=np.bool_)]
+        return found.copy()
 
     def _tally(self, query: Query, stop_at_first: bool) -> int:
         """Results of ``query`` counted run by run, no id gathered; with
-        ``stop_at_first`` the count stops at the first non-empty run."""
+        ``stop_at_first`` the count stops at the first run with a live row.
+        Tombstoned rows are counted in the mask, never looked up."""
         runs, q_start, q_end = self._walk(query)
         if self._columnar:  # final runs, none empty
-            return min(len(runs), 1) if stop_at_first else sum([hi - lo for lo, hi, _, _ in runs])
+            dead = self._dead
+            if dead is None:
+                return min(len(runs), 1) if stop_at_first else sum([hi - lo for lo, hi, _, _ in runs])
+            if stop_at_first:
+                return int(any(dead.find(0, lo, hi) >= 0 for lo, hi, _, _ in runs))
+            return sum([hi - lo - dead.count(1, lo, hi) for lo, hi, _, _ in runs])
         total = 0
         for run in runs:
             total += len(self._passing_records(*run, q_start, q_end))
@@ -901,8 +993,9 @@ class OptimizedHINTm(IntervalIndex):
 
     def _batch_counts(self, q_starts: np.ndarray, q_ends: np.ndarray) -> np.ndarray:
         """Per-query result counts: segment lengths minus failed predicate
-        rows, no id gathered -- unless tombstones have to be subtracted."""
-        if self._spans.removed:
+        rows, no id gathered -- on a tombstoned index the rows are listed,
+        so their tombstones can be subtracted."""
+        if self._dead_rows is not None:
             return np.diff(self._batch_rows(q_starts, q_ends)[1])
         return self._batch_plan(q_starts, q_ends)[0]
 
@@ -917,11 +1010,12 @@ class OptimizedHINTm(IntervalIndex):
             keep = np.ones(len(rows), dtype=bool)
             keep[_expand(position[flagged], seg_len[flagged])[failed]] = False
             rows = rows[keep]
-        if self._spans.removed:
-            dead = np.isin(self._ids[rows], self._spans.removed_array())
+        dead = self._dead_rows
+        if dead is not None:
+            gone = dead[rows]
             owner = np.repeat(np.arange(len(counts)), counts)
-            counts -= np.bincount(owner[dead], minlength=len(counts))
-            rows = rows[~dead]
+            counts -= np.bincount(owner[gone], minlength=len(counts))
+            rows = rows[~gone]
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return rows, offsets
@@ -939,6 +1033,8 @@ class OptimizedHINTm(IntervalIndex):
         if self._id_text is not None:
             text, offsets = self._id_text
             total += len(text) + offsets.nbytes
+        if self._dead is not None:
+            total += len(self._dead)
         if self._records is not None:
             total += sys.getsizeof(self._records)
             for pointers, (_name, keep_starts, keep_ends) in zip(self._pointer_lists, _CLASSES):

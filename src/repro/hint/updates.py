@@ -126,14 +126,14 @@ class HybridHINTm(IntervalIndex):
         return self._components[0]
 
     @property
-    def delta_index(self) -> SubdividedHINTm:
-        """The update-friendly component absorbing recent insertions."""
-        return self._components[1]
-
-    @property
     def delta_size(self) -> int:
         """Number of live intervals currently in the delta index."""
         return len(self._components[1])
+
+    @property
+    def tombstones(self) -> int:
+        """Number of ids deleted from the main index since it was built."""
+        return len(self._components[0]._spans.removed)
 
     @property
     def rebuilds(self) -> int:

@@ -42,10 +42,10 @@ Request lifecycle::
   TAXIS-shaped intervals, counted by ``memory_bytes()``), and the answer
   is sliced out of it run by run
   (:meth:`~repro.hint.optimized.OptimizedHINTm.ids_text`) into a body
-  byte-identical to the encoded ids.  The fallback, one ``run_batch``
-  call as before, serves every other ``/query`` and every other store,
-  and a ``hintm_opt`` index from its first delete on (a tombstoned index
-  drops its column).  Both paths read the generation before the probe,
+  byte-identical to the encoded ids.  Deletes keep the column: a slice
+  is split where a tombstoned row sits.  The fallback, one ``run_batch``
+  call as before, serves every other ``/query`` and every other store.
+  Both paths read the generation before the probe,
   fill the cache, move the same counters and record the same
   ``run_batch`` span for a traced request.
 * **Updates**: an ``/insert`` or ``/delete`` applies on the loop too --
@@ -836,14 +836,10 @@ class QueryServer(HttpServer):
         """:meth:`_execute_batch` for a plain ids /query, answered from the
         rendered id column as ``(text, count)``: the same generation read
         before the probe, the same counters, and the ``run_batch`` span a
-        traced request would see from ``store.run_batch``.  A tombstone
-        landing between the handler's check and the walk takes the
-        ``run_batch`` path after all."""
+        traced request would see from ``store.run_batch``."""
         generation = self._store.result_generation()
         with tracing.span("run_batch", queries=len(queries), count_only=count_only):
             answer = self._rendered.ids_text(queries[0])
-        if answer is None:
-            return self._execute_batch(queries, count_only)
         self._m_batches.inc()
         self._m_batched_queries.inc()
         return generation, [answer]

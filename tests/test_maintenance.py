@@ -297,30 +297,32 @@ class TestDeleteAtomicity:
 
 
 class _HybridShape:
-    """Just the surface the rebuild rule reads: ``len``, ``delta_size`` and
-    ``rebuild()``, with ``live`` intervals in the main index."""
+    """Just the surface the rebuild rule reads: ``len``, ``delta_size``,
+    ``tombstones`` and ``rebuild()``, with ``live`` intervals in the main
+    index."""
 
     updates = None
 
-    def __init__(self, live, delta):
-        self.live, self.delta_size, self.rebuilds = live, delta, 0
+    def __init__(self, live, delta, tombstones=0):
+        self.live, self.delta_size, self.tombstones, self.rebuilds = live, delta, tombstones, 0
 
     def __len__(self):
         return self.live + self.delta_size
 
     def rebuild(self):
         self.live += self.delta_size
-        self.delta_size = 0
+        self.delta_size = self.tombstones = 0
         self.rebuilds += 1
 
 
 class TestPolicies:
     def test_threshold_policy(self):
-        """The one rule, at its edges: the delta must reach both the
-        fraction of the live main index and the absolute floor."""
+        """The one rule, at its edges: the delta, or the main index's
+        tombstones, must reach both the fraction of the live main index and
+        the absolute floor."""
 
-        def rebuilds(live, delta, force=False):
-            shape = _HybridShape(live, delta)
+        def rebuilds(live, delta, force=False, tombstones=0):
+            shape = _HybridShape(live, delta, tombstones)
             report = MaintenanceCoordinator(shape).maintain(force=force)
             assert shape.rebuilds == len(report.rebuilt_shards)
             return bool(shape.rebuilds)
@@ -335,6 +337,35 @@ class TestPolicies:
         # force rebuilds any non-empty delta, and only a non-empty one
         assert rebuilds(big, 1, force=True)
         assert not rebuilds(big, 0, force=True)
+        # tombstones count as the delta's inserts do, never summed with them
+        assert not rebuilds(big, at_fraction - 1, tombstones=at_fraction - 1)
+        assert rebuilds(big, 0, tombstones=at_fraction)
+        assert not rebuilds(0, 0, tombstones=REBUILD_MIN_DELTA - 1)
+        assert rebuilds(0, 0, tombstones=REBUILD_MIN_DELTA)
+        assert rebuilds(big, 0, force=True, tombstones=1)
+
+    def test_maintain_compacts_tombstones(self, synthetic_collection, synthetic_queries):
+        """A store that deleted 10 % of its main index and then maintained
+        holds no tombstones and answers as the oracle does; a forced pass
+        compacts a lone tombstone."""
+        store = IntervalStore.open(synthetic_collection, "hintm_hybrid", num_bits=8)
+        naive = NaiveIndex.build(synthetic_collection)
+        index = store.index
+        for interval_id in synthetic_collection.ids[::10].tolist():
+            assert store.delete(interval_id) and naive.delete(interval_id)
+        assert index.tombstones == len(synthetic_collection.ids[::10]) and not index.delta_size
+        assert store.maintain().rebuilt_shards == [0]
+        assert index.tombstones == 0 and index.main_index._dead is None
+        for query in synthetic_queries:
+            assert sorted(index.query(query).tolist()) == sorted(naive.query(query))
+        victim = int(synthetic_collection.ids[1])
+        assert store.delete(victim) and naive.delete(victim)
+        assert store.maintain().rebuilt_shards == []  # one tombstone is below the rule
+        assert store.maintain(force=True).rebuilt_shards == [0]
+        assert index.tombstones == 0
+        for query in synthetic_queries:
+            assert sorted(index.query(query).tolist()) == sorted(naive.query(query))
+        store.close()
 
 
 class TestCoordinator:

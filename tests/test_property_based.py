@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.baselines import Grid1D, IntervalTree, NaiveIndex, PeriodIndex, TimelineIndex
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import ShardedIndex
-from repro.hint import ComparisonFreeHINT, HINTm, OptimizedHINTm, SubdividedHINTm
+from repro.hint import ComparisonFreeHINT, HINTm, HybridHINTm, OptimizedHINTm, SubdividedHINTm
 from repro.hint.optimized import _BATCH_CROSSOVER
 
 # strategy: a list of intervals over a small discrete domain plus a query;
@@ -120,10 +120,14 @@ def _merged_run_edges(index, pairs, query):
 
 def test_optimized_matches_oracle():
     """Every answer path of :class:`OptimizedHINTm` -- ids, count, exists,
-    the batch kernel -- equals the oracle, before and after tombstones, over
-    examples that reach every edge of a merged run (fixed examples, so the
-    coverage check cannot fail on luck)."""
+    the batch kernel, the rendered text -- equals the oracle, before and
+    after tombstones, over examples that reach every edge of a merged run,
+    with a tombstoned answer among them at each edge (fixed examples, so the
+    coverage check cannot fail on luck).  A hybrid over the same intervals
+    answers as the oracle while one id is deleted from its main index,
+    re-inserted into its delta and deleted again."""
     reached = set()
+    reached_past_tombstones = set()
 
     @settings(common_settings, derandomize=True)
     @given(
@@ -141,6 +145,7 @@ def test_optimized_matches_oracle():
         )
         if columnar:  # a batch this long runs the kernel
             assert index._batch_bounds(batch) is not None
+            index.render_ids()
         live = set(range(len(pairs)))
         for tombstoned in (False, True):
             if tombstoned:
@@ -155,15 +160,38 @@ def test_optimized_matches_oracle():
                 assert sorted(index.query(query)) == ids, (query, tombstoned)
                 assert index.query_count(query) == len(ids), (query, tombstoned)
                 assert index.query_exists(query) == bool(ids), (query, tombstoned)
+                if columnar:
+                    text, count = index.ids_text(query)
+                    assert count == len(ids), (query, tombstoned)
+                    assert sorted(int(i) for i in text.split(b",") if i) == ids, (query, tombstoned)
             want = [expected[query] for query in batch]
             assert [sorted(ids) for ids in index.query_batch(batch)] == want, tombstoned
             assert index.query_count_batch(batch) == [len(ids) for ids in want], tombstoned
             assert index.query_exists_batch(batch) == [bool(ids) for ids in want], tombstoned
         for query in batch + floats:
-            reached.update(_merged_run_edges(index, pairs, query))
+            edges = _merged_run_edges(index, pairs, query)
+            reached.update(edges)
+            if doomed.intersection(_oracle_result(pairs, query)):
+                reached_past_tombstones.update(edges)
+
+        hybrid = HybridHINTm(_collection(pairs), num_bits=m)
+        present = set(range(len(pairs)))
+        for step in ("delete", "insert", "delete"):
+            if step == "delete":
+                assert hybrid.delete(0)
+                present.discard(0)
+            else:
+                hybrid.insert(Interval(0, *pairs[0]))
+                present.add(0)
+            want = [
+                [i for i in _oracle_result(pairs, query) if i in present] for query in batch + floats
+            ]
+            assert [sorted(hybrid.query(query)) for query in batch + floats] == want, step
+            assert [sorted(ids) for ids in hybrid.query_batch(batch)] == want[: len(batch)], step
 
     check()
     assert reached == _MERGED_RUN_EDGES
+    assert reached_past_tombstones == _MERGED_RUN_EDGES
 
 
 @common_settings

@@ -7,8 +7,9 @@ rest of a request is unchanged, so these tests pin what must not move:
 * the served body is byte-identical to what ``_encode_answer`` makes of the
   index's ``query`` -- at several ``m``, on int and float bounds, stabbing
   queries, empty answers and bounds past the data;
-* a tombstoned index (and every refined or count query) takes the
-  ``run_batch`` path and still answers what the oracle answers;
+* a tombstoned index keeps the text path, each slice split at its
+  tombstoned rows, and answers what the oracle answers; every refined or
+  count query takes the ``run_batch`` path;
 * the same counters move and a traced request records the same spans;
 * in-process reads never build the column, and a started server's
   ``memory_bytes()`` grows by exactly the column's bytes;
@@ -107,7 +108,7 @@ def test_served_body_is_byte_identical(num_bits):
         store.close()
 
 
-def test_a_delete_sends_query_back_to_run_batch():
+def test_a_delete_keeps_the_text_path_and_drops_the_deleted_id():
     collection = _collection()
     store = IntervalStore.open(collection, "hintm_opt")
     handle = start_server_thread(store, cache=0)
@@ -122,8 +123,10 @@ def test_a_delete_sends_query_back_to_run_batch():
             assert batches == []  # sliced from the column
             victim = _oracle(collection, 0, 100_000)[0]
             assert client.delete(victim)["deleted"] is True
-            assert not store.index.renders_ids
-            assert store.index.ids_text(Query(0, 100_000)) is None
+            assert store.index.renders_ids
+            text, count = store.index.ids_text(Query(0, 100_000))
+            assert victim not in {int(i) for i in text.split(b",")}
+            assert count == len(_oracle(collection, 0, 100_000)) - 1
             live = IntervalCollection(
                 collection.ids[collection.ids != victim],
                 collection.starts[collection.ids != victim],
@@ -137,7 +140,7 @@ def test_a_delete_sends_query_back_to_run_batch():
                     False,
                 )
                 assert sorted(client.query(start, end)["ids"]) == _oracle(live, start, end)
-            assert batches == [1] * (2 * len(_queries()))
+            assert batches == []  # every answer still sliced from the column
     finally:
         handle.stop()
         store.close()
@@ -149,7 +152,7 @@ def test_counters_and_spans_match_the_run_batch_path():
     batch_store = IntervalStore.open(collection, "hintm_opt")
     text_handle = start_server_thread(text_store, cache=0, slow_threshold=0.0)
     batch_handle = start_server_thread(batch_store, cache=0, slow_threshold=0.0)
-    batch_store.delete(int(collection.ids[0]))  # tombstoned: run_batch
+    batch_store.index._id_text = None  # no rendered column: run_batch
     headers = {tracing.TRACE_HEADER: "feedface", tracing.PARENT_HEADER: "caller"}
     seen = []
     try:
@@ -277,5 +280,5 @@ def test_deletes_racing_text_answers_stay_between_the_live_sets():
         sys.setswitchinterval(previous)
     assert not deleter.is_alive()
     assert not failures
-    assert index.ids_text(query) is None
+    assert {int(i) for i in index.ids_text(query)[0].split(b",")} == after
     assert set(index.query(query).tolist()) == after

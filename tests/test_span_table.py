@@ -7,8 +7,6 @@
 """
 
 import gc
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -52,11 +50,6 @@ def _assert_same(table, model):
     live = table.collection()
     assert len(live) == len(model)
     assert {s.id: s for s in live} == model
-    # the dead-row mask filters base ids as the removed set does
-    base_ids = table._base.ids
-    assert table.drop_removed(base_ids).tolist() == [
-        i for i in base_ids.tolist() if i not in table.removed
-    ]
     probe = list(range(-1, 42))
     starts, ends, mask = table.gather(probe)
     for interval_id, start, end, is_live in zip(probe, starts, ends, mask):
@@ -99,27 +92,6 @@ def test_duplicate_build_ids_keep_the_last_row():
     assert sorted(table.collection().ids.tolist()) == [3, 5, 7]
     index = create_index("hintm_opt", collection, num_bits=4)
     assert len(index) == 3 and index._resolve_interval(7) == Interval(7, 20, 21)
-
-
-def test_dead_rows_follow_removes_and_re_adds():
-    """The mask is allocated by the first removal only, and a base id that
-    is removed, re-added and removed again drops out, comes back and drops
-    out of :meth:`SpanTable.drop_removed` -- with and without the id-sort
-    permutation."""
-    for ids in ([1, 2, 3, 4], [4, 2, 1, 3]):
-        table = SpanTable(IntervalCollection(ids, [0] * 4, [5] * 4))
-        answer = np.array([3, 2, 2, 4], dtype=np.int64)  # base ids, one repeated
-        assert table.drop_removed(answer) is answer and table._dead is None
-        table.add(Interval(9, 1, 2))
-        table.remove(9)  # an added id: no base row, no mask
-        assert table._dead is None
-        for step, want in (("remove", [3, 4]), ("add", [3, 2, 2, 4]), ("remove", [3, 4])):
-            if step == "remove":
-                assert table.remove(2) is not None
-            else:
-                table.add(Interval(2, 7, 8))
-            assert table.drop_removed(answer).tolist() == want, (ids, step)
-        assert table.nbytes >= table._dead.nbytes == len(ids)
 
 
 def test_untouched_table_shares_the_build_columns():
@@ -176,36 +148,3 @@ def test_every_backend_counts_its_table_once(synthetic_collection):
         assert index.memory_bytes(memo) >= floor >= 24 * len(synthetic_collection)
         assert index.memory_bytes(memo) == 0
 
-
-def test_removed_array_never_stays_stale_under_racing_readers():
-    """Lock-free readers cache ``removed_array()`` while one writer removes
-    ids: whatever a reader cached mid-update, the first read after the last
-    update sees every removed id."""
-    table = SpanTable(_collection([(i, i, 1) for i in range(3_000)]))
-    stop = threading.Event()
-    unsorted = []
-
-    def read():
-        while not stop.is_set():
-            array = table.removed_array()
-            if not np.all(array[1:] > array[:-1]):
-                unsorted.append(array)
-
-    readers = [threading.Thread(target=read) for _ in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for reader in readers:
-            reader.start()
-        for interval_id in range(0, 3_000, 2):
-            table.remove(interval_id)
-            if interval_id % 64 == 0:
-                assert table.removed_array().tolist() == sorted(table.removed)
-    finally:
-        stop.set()
-        for reader in readers:
-            reader.join(timeout=10)
-        sys.setswitchinterval(interval)
-    assert not any(reader.is_alive() for reader in readers)
-    assert not unsorted
-    assert table.removed_array().tolist() == list(range(0, 3_000, 2))

@@ -64,8 +64,8 @@ class TestHybridBasics:
 
     def test_delete_reinsert_delete_keeps_the_dead_row(self, synthetic_collection):
         """A main id deleted, re-inserted through the delta and deleted
-        again: the main index's dead-row mask holds its row from the first
-        delete on, and every answer is the oracle's."""
+        again: the main index's tombstones hold its rows, and only its rows,
+        from the first delete on, and every answer is the oracle's."""
         hybrid = HybridHINTm(synthetic_collection, num_bits=8)
         naive = NaiveIndex.build(synthetic_collection)
         main = hybrid.main_index
@@ -75,16 +75,17 @@ class TestHybridBasics:
             Query(victim.start, victim.end), Query.stabbing(victim.start),
             Query(lo, lo + (hi - lo) // 7), Query(lo, hi),
         ]
-        assert main._spans._dead is None  # no delete, no mask
-        row = main._spans._row(victim.id)
+        assert main._dead is None  # no delete, no mask
+        rows = main._rows_of(victim)
+        assert rows and set(main._ids[rows].tolist()) == {victim.id}
         for step in ("delete", "insert", "delete"):
             for index in (hybrid, naive):
                 if step == "delete":
                     assert index.delete(victim.id)
                 else:
                     index.insert(victim)
-            assert main._spans._dead[row] and victim.id in main._spans.removed
-            assert main._spans._dead.sum() == 1
+            assert main._dead_rows[rows].all() and victim.id in main._spans.removed
+            assert main._dead.count(1) == len(rows)
             for q in queries:
                 assert victim.id not in main.query(q).tolist()
                 assert sorted(hybrid.query(q).tolist()) == sorted(naive.query(q)), (step, q)

@@ -181,10 +181,3 @@ class Grid1D(IntervalIndex):
                     stats.comparisons += 1
                 if cell_lo <= reference <= cell_hi:
                     yield sid
-
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        # 3 machine words per replicated entry plus one pointer word per cell
-        return self._spans_bytes(_memo) + self._replicas * 3 * 8 + self._p * 8

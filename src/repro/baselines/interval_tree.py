@@ -185,22 +185,6 @@ class IntervalTree(IntervalIndex):
         return results, stats
 
     # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        total = self._spans_bytes(_memo) + len(self._overflow) * 3 * 8
-        stack: List[Optional[_Node]] = [self._root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            # 5 machine words per node + 3 words per stored endpoint triple, twice
-            total += 5 * 8 + (len(node.by_start) + len(node.by_end)) * 3 * 8
-            stack.append(node.left)
-            stack.append(node.right)
-        return total
-
-    # ------------------------------------------------------------------ #
     # introspection used by tests
     # ------------------------------------------------------------------ #
     def height(self) -> int:

@@ -11,7 +11,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.core.base import IntervalIndex, QueryStats, count_once
+from repro.core.base import IntervalIndex, QueryStats
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine.registry import register_backend
 
@@ -82,18 +82,6 @@ class NaiveIndex(IntervalIndex):
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return int(self._live.sum())
-
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        # the columns may alias the source collection's arrays (np.asarray
-        # does not copy), so composites count each buffer once via the memo
-        return int(
-            count_once(_memo, self._ids, self._ids.nbytes)
-            + count_once(_memo, self._starts, self._starts.nbytes)
-            + count_once(_memo, self._ends, self._ends.nbytes)
-            + count_once(_memo, self._live, self._live.nbytes)
-        )
 
     def _interval_lookup(self) -> Dict[int, Interval]:
         return {

@@ -236,14 +236,3 @@ class PeriodIndex(IntervalIndex):
                             results.append(sid)
         stats.results = len(results)
         return results, stats
-
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        division_count = sum(
-            len(partition.levels[level])
-            for partition in self._partitions
-            for level in range(self._num_levels)
-        )
-        return self._spans_bytes(_memo) + self._replicas * 3 * 8 + division_count * 8

@@ -197,15 +197,6 @@ class TimelineIndex(IntervalIndex):
         return True
 
     # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        event_bytes = len(self._events) * 3 * 8
-        checkpoint_bytes = sum(len(s) for s in self._checkpoint_sets) * 8
-        checkpoint_bytes += len(self._checkpoint_times) * 2 * 8
-        return self._spans_bytes(_memo) + event_bytes + checkpoint_bytes
-
-    # ------------------------------------------------------------------ #
     # introspection used by tests
     # ------------------------------------------------------------------ #
     @property

@@ -196,10 +196,6 @@ class ClusterRouter:
         """Replica failures recorded during routing (newest last)."""
         return list(self._failures)
 
-    def known_generations(self) -> Dict[int, int]:
-        """Latest generation token seen from each shard."""
-        return dict(self._generations)
-
     def close(self) -> None:
         if self._admin is not None:
             self._admin.stop()

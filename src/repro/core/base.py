@@ -15,8 +15,8 @@ them interchangeably:
 * :meth:`IntervalIndex.insert` / :meth:`IntervalIndex.delete` -- updates,
 * :meth:`IntervalIndex.live_collection` -- the live rows, columnar (read from
   the index's one id -> span table, :mod:`repro.core.spans`),
-* :meth:`IntervalIndex.memory_bytes` -- an estimate of the index footprint
-  (used by the Table 8 experiment),
+* :meth:`IntervalIndex.memory_bytes` -- the bytes the index retains, measured
+  by one walk of its objects (used by the Table 8 experiment),
 * :meth:`IntervalIndex.query_with_stats` -- instrumented query evaluation that
   reports how many comparisons/partition accesses were performed (used to
   validate Lemma 4 and Table 7 without relying on wall-clock time).
@@ -25,7 +25,10 @@ them interchangeably:
 from __future__ import annotations
 
 import abc
+import mmap
 import sys
+import threading
+from concurrent.futures import Executor as _PoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -37,23 +40,7 @@ from repro.core.interval import Interval, IntervalCollection, Query
 from repro.core.spans import SpanTable
 from repro.core.updates import UpdateFeed
 
-__all__ = ["IntervalIndex", "QueryStats", "count_once"]
-
-
-def count_once(memo: "set[int] | None", obj: object, nbytes: int) -> int:
-    """Count ``nbytes`` for ``obj`` unless the id-memo already saw it.
-
-    Used by ``memory_bytes`` overrides for buffers that may be aliased across
-    the sub-indexes of a composite (e.g. two indexes built over the same
-    collection share its NumPy arrays).  With ``memo=None`` it degenerates to
-    plain counting.
-    """
-    if memo is None:
-        return nbytes
-    if id(obj) in memo:
-        return 0
-    memo.add(id(obj))
-    return nbytes
+__all__ = ["IntervalIndex", "QueryStats"]
 
 
 @dataclass
@@ -254,31 +241,17 @@ class IntervalIndex(abc.ABC):
         """Number of (live) intervals indexed: the table's row count."""
         return len(self._spans)
 
-    def memory_bytes(self, _memo: "set[int] | None" = None) -> int:
-        """Approximate memory footprint of the index structures in bytes.
+    def memory_bytes(self) -> int:
+        """Bytes the index retains: one walk of everything reachable from it.
 
-        The default walks the instance's attributes with ``sys.getsizeof``;
-        array-backed indexes override this with exact buffer sizes.
-
-        ``_memo`` is an id-memo shared by composite indexes (hybrid, sharded)
-        so that objects reachable from several sub-indexes -- a shared domain,
-        aliased NumPy buffers, or the same sub-index appearing twice -- are
-        counted exactly once across the whole composite.  Every override
-        honours the same contract: an index already recorded in the memo
-        reports 0 additional bytes.
+        Every backend is measured by the same rule, :func:`_deep_sizeof`,
+        so sizes compare across backends (Table 8): no backend prices its
+        own structures.  One walk shares one seen-set, so a composite's
+        components, and buffers they alias, are counted once.  The walk
+        iterates containers that updates mutate, so it stays off every
+        query and update path.
         """
-        # _deep_sizeof records this object in the memo itself, so already-seen
-        # indexes naturally report 0 here
-        return _deep_sizeof(self, _memo)
-
-    def _memo_seen(self, _memo: "set[int] | None") -> bool:
-        """Record this index in the shared id-memo; True when already counted."""
-        if _memo is None:
-            return False
-        if id(self) in _memo:
-            return True
-        _memo.add(id(self))
-        return False
+        return _deep_sizeof(self)
 
     # ------------------------------------------------------------------ #
     # id -> span: one table per index (see :mod:`repro.core.spans`)
@@ -300,10 +273,6 @@ class IntervalIndex(abc.ABC):
         # the lookup itself
         return SpanTable(IntervalCollection.from_intervals(self._interval_lookup().values()))
 
-    def _spans_bytes(self, _memo: "set[int] | None") -> int:
-        """The table's share of :meth:`memory_bytes` (counted once per memo)."""
-        return count_once(_memo, self._spans, self._spans.nbytes)
-
     def live_collection(self) -> IntervalCollection:
         """The live intervals as a columnar collection (one vectorised pass)."""
         return self._span_table().collection()
@@ -319,31 +288,52 @@ class IntervalIndex(abc.ABC):
         return self._span_table().get(interval_id)
 
 
-def _deep_sizeof(obj: object, _seen: set | None = None) -> int:
-    """Best-effort recursive ``sys.getsizeof`` that handles containers and numpy arrays."""
-    if _seen is None:
-        _seen = set()
-    obj_id = id(obj)
-    if obj_id in _seen:
-        return 0
-    _seen.add(obj_id)
+#: types with nothing reachable beyond their own ``getsizeof``
+_ATOMS = frozenset({int, float, bool, str, bytes, type(None)})
 
-    if isinstance(obj, np.ndarray):
-        # views share their base's buffer; count only owned data plus the header
-        owned = obj.base is None
-        return (int(obj.nbytes) if owned else 0) + 112
 
-    size = sys.getsizeof(obj)
-    if isinstance(obj, dict):
-        size += sum(_deep_sizeof(k, _seen) + _deep_sizeof(v, _seen) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        size += sum(_deep_sizeof(item, _seen) for item in obj)
-    elif hasattr(obj, "__dict__"):
-        size += _deep_sizeof(vars(obj), _seen)
-    elif hasattr(obj, "__slots__"):
-        size += sum(
-            _deep_sizeof(getattr(obj, slot), _seen)
-            for slot in obj.__slots__
-            if hasattr(obj, slot)
-        )
-    return size
+def _deep_sizeof(obj: object) -> int:
+    """``sys.getsizeof`` summed over everything reachable from ``obj``.
+
+    Each object counts once per walk (``seen`` holds the ids already
+    counted).  The walk follows dict items, list/tuple/set members and the
+    attributes of instances (``__dict__`` or ``__slots__``), with a stack of
+    pending objects rather than recursion.  Two leaves hold buffers
+    ``getsizeof`` does not see: a NumPy array counts its data when it owns
+    it (a view counts its header only), and an ``mmap`` counts its mapped
+    length.  A ``concurrent.futures`` pool and a thread count their header
+    only: they are execution machinery an index may share with other
+    indexes, and a pool's queues and futures change under its manager
+    thread while a batch runs.
+    """
+    seen = set()
+    pending = [obj]
+    total = 0
+    while pending:
+        obj = pending.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) in _ATOMS:
+            total += sys.getsizeof(obj)
+        elif isinstance(obj, np.ndarray):
+            # views share their base's buffer; count only owned data plus the header
+            total += (int(obj.nbytes) if obj.base is None else 0) + 112
+        else:
+            total += sys.getsizeof(obj)
+            if isinstance(obj, (list, tuple, set, frozenset)):
+                pending.extend(obj)
+            elif isinstance(obj, dict):
+                pending.extend(obj.keys())
+                pending.extend(obj.values())
+            elif isinstance(obj, mmap.mmap):
+                total += len(obj)
+            elif isinstance(obj, (_PoolExecutor, threading.Thread)):
+                pass
+            elif hasattr(obj, "__dict__"):
+                pending.append(vars(obj))
+            elif hasattr(obj, "__slots__"):
+                pending.extend(
+                    getattr(obj, slot) for slot in obj.__slots__ if hasattr(obj, slot)
+                )
+    return total

@@ -18,7 +18,6 @@ update lock.
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -26,11 +25,6 @@ import numpy as np
 from repro.core.interval import Interval, IntervalCollection
 
 __all__ = ["SpanTable"]
-
-#: what one overlay entry holds beyond its container's own table (measured,
-#: CPython 3.11): a slotted ``Interval`` plus its three ints / one int
-_ADDED_ENTRY_BYTES = 184
-_REMOVED_ENTRY_BYTES = 32
 
 
 class SpanTable:
@@ -153,14 +147,3 @@ class SpanTable:
             self.removed.add(interval_id)
             self._size -= 1
         return found
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held: the three columns, the permutation and both overlays."""
-        base = self._base
-        total = base.ids.nbytes + base.starts.nbytes + base.ends.nbytes
-        if self._order is not None:
-            total += self._order.nbytes
-        total += sys.getsizeof(self._added) + _ADDED_ENTRY_BYTES * len(self._added)
-        total += sys.getsizeof(self.removed) + _REMOVED_ENTRY_BYTES * len(self.removed)
-        return total

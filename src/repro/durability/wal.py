@@ -346,10 +346,6 @@ class WalWriter:
         return self._fsync
 
     @property
-    def current_seq(self) -> int:
-        return self._seq
-
-    @property
     def directory(self) -> Path:
         return self._directory
 

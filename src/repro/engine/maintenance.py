@@ -141,17 +141,6 @@ class CountColumns:
         """Number of interval copies the columns will hold after folding."""
         return len(self.starts) + len(self._add_starts) - len(self._del_starts)
 
-    @property
-    def nbytes(self) -> int:
-        """Footprint of the sorted columns plus the pending buffers."""
-        pending = 8 * (
-            len(self._add_starts)
-            + len(self._add_ends)
-            + len(self._del_starts)
-            + len(self._del_ends)
-        )
-        return int(self.starts.nbytes + self.ends.nbytes) + pending
-
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
@@ -242,10 +231,6 @@ class IngestJournal:
     @property
     def num_shards(self) -> int:
         return len(self._columns)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(column.nbytes for column in self._columns)
 
     def pending_depths(self) -> List[int]:
         """Buffered (unfolded) operation count per shard."""

@@ -1034,23 +1034,6 @@ class ShardedIndex(IntervalIndex):
         """Number of live *distinct* intervals (duplicates counted once)."""
         return self._size
 
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        # one id-memo across all shards: anything they share is counted once
-        memo = _memo if _memo is not None else set()
-        epoch = self._epoch
-        total = sum(
-            shard.memory_bytes(memo) for shard in epoch.shards if shard is not None
-        )
-        if epoch.journal is not None:  # count columns + pending buffers
-            total += epoch.journal.nbytes
-        if epoch.locator is not None:
-            total += epoch.locator.nbytes
-        if self._shared is not None:  # the published shared-memory snapshot
-            total += self._shared.nbytes
-        return total
-
     def _span_table(self) -> SpanTable:
         """K > 1 reads the locator; K == 1 delegates to the only shard."""
         epoch = self._epoch

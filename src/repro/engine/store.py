@@ -343,7 +343,7 @@ class IntervalStore:
         return f"IntervalStore(backend={self._backend!r}, n={len(self._index)})"
 
     def memory_bytes(self) -> int:
-        """Estimated footprint of the underlying index."""
+        """Bytes the underlying index retains (its :meth:`memory_bytes` walk)."""
         return self._index.memory_bytes()
 
     def close(self) -> None:

@@ -11,8 +11,8 @@ only the originals of every subsequent relevant partition are.
 Partitions therefore store only interval ids.  Two storage layouts are
 provided:
 
-* ``sparse=False`` -- a dense array of ``2^l`` partitions per level, exactly
-  as Section 3.1 describes;
+* ``sparse=False`` -- a dense array of ``2^l`` partitions per level, empty
+  ones included, exactly as Section 3.1 describes;
 * ``sparse=True`` -- the skewness & sparsity optimization of Section 4.2:
   only non-empty partitions are materialised, each level keeps a sorted
   directory of non-empty offsets, and query evaluation walks that directory
@@ -23,7 +23,7 @@ provided:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.domain import Domain
@@ -34,6 +34,24 @@ from repro.engine.registry import register_backend
 from repro.hint.partitioning import partition_assignments, relevant_offsets
 
 __all__ = ["ComparisonFreeHINT"]
+
+
+class _DenseLevel(list):
+    """One level of the dense layout: all ``2^l`` partitions, each an id
+    list, empty or not.  ``get`` and ``keys`` read it the way the sparse
+    layout's dicts are read."""
+
+    __slots__ = ()
+
+    def get(self, offset: int) -> List[int]:
+        return self[offset]
+
+    def keys(self) -> List[int]:
+        return [offset for offset, members in enumerate(self) if members]
+
+
+#: one level's partitions: offset -> ids, dense or only the non-empty ones
+_Level = Union[_DenseLevel, Dict[int, List[int]]]
 
 
 @register_backend(
@@ -72,12 +90,15 @@ class ComparisonFreeHINT(IntervalIndex):
         # originals[level][offset] -> list of ids; replicas likewise.
         # With sparse=True the inner mapping only holds non-empty offsets and
         # each level keeps a sorted directory of non-empty original offsets.
-        self._originals: List[Dict[int, List[int]]] = [{} for _ in range(num_bits + 1)]
-        self._replicas_parts: List[Dict[int, List[int]]] = [{} for _ in range(num_bits + 1)]
+        self._originals: List[_Level] = [self._level(l) for l in range(num_bits + 1)]
+        self._replicas_parts: List[_Level] = [self._level(l) for l in range(num_bits + 1)]
         self._original_dirs: List[List[int]] = [[] for _ in range(num_bits + 1)]
         self._dirs_dirty = False
         for interval in collection:
             self._place(interval)
+
+    def _level(self, level: int) -> _Level:
+        return {} if self._sparse else _DenseLevel([] for _ in range(1 << level))
 
     @classmethod
     def build(
@@ -114,7 +135,9 @@ class ComparisonFreeHINT(IntervalIndex):
         """Number of non-empty (originals or replicas) partitions."""
         count = 0
         for level in range(self.num_levels):
-            offsets = set(self._originals[level]) | set(self._replicas_parts[level])
+            offsets = set(self._originals[level].keys()) | set(
+                self._replicas_parts[level].keys()
+            )
             count += len(offsets)
         return count
 
@@ -137,8 +160,13 @@ class ComparisonFreeHINT(IntervalIndex):
     def _place(self, interval: Interval) -> None:
         self.validate(interval)
         for assignment in partition_assignments(self._m, interval.start, interval.end):
-            target = self._originals if assignment.is_original else self._replicas_parts
-            target[assignment.level].setdefault(assignment.offset, []).append(interval.id)
+            parts = (self._originals if assignment.is_original else self._replicas_parts)[
+                assignment.level
+            ]
+            members = parts.get(assignment.offset)
+            if members is None:
+                parts[assignment.offset] = members = []
+            members.append(interval.id)
             self._replicas += 1
         self._dirs_dirty = True
 
@@ -149,11 +177,13 @@ class ComparisonFreeHINT(IntervalIndex):
         if victim is None:
             return False
         for assignment in partition_assignments(self._m, victim.start, victim.end):
-            target = self._originals if assignment.is_original else self._replicas_parts
-            members = target[assignment.level][assignment.offset]
+            parts = (self._originals if assignment.is_original else self._replicas_parts)[
+                assignment.level
+            ]
+            members = parts[assignment.offset]
             members.remove(interval_id)
-            if not members:
-                del target[assignment.level][assignment.offset]
+            if not members and self._sparse:
+                del parts[assignment.offset]
                 self._dirs_dirty = True
             self._replicas -= 1
         return True
@@ -187,12 +217,12 @@ class ComparisonFreeHINT(IntervalIndex):
             first, last = relevant_offsets(self._m, level, q_start, q_end)
             # first relevant partition: report originals and replicas
             originals = self._originals[level].get(first)
-            if originals is not None:
+            if originals:
                 stats.partitions_accessed += 1
                 stats.candidates += len(originals)
                 results.extend(originals)
             replicas = self._replicas_parts[level].get(first)
-            if replicas is not None:
+            if replicas:
                 stats.partitions_accessed += 1
                 stats.candidates += len(replicas)
                 results.extend(replicas)
@@ -208,11 +238,9 @@ class ComparisonFreeHINT(IntervalIndex):
                         stats.candidates += len(originals)
                         results.extend(originals)
                 else:
-                    level_originals = self._originals[level]
-                    for offset in range(first + 1, last + 1):
+                    for originals in self._originals[level][first + 1 : last + 1]:
                         stats.partitions_accessed += 1
-                        originals = level_originals.get(offset)
-                        if originals is not None:
+                        if originals:
                             stats.candidates += len(originals)
                             results.extend(originals)
         tombstones = self._spans.removed
@@ -220,20 +248,3 @@ class ComparisonFreeHINT(IntervalIndex):
             results = [sid for sid in results if sid not in tombstones]
         stats.results = len(results)
         return results, stats
-
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        """Footprint estimate: one machine word per stored id plus directory overhead."""
-        if self._memo_seen(_memo):
-            return 0
-        total = self._spans_bytes(_memo)
-        for level in range(self.num_levels):
-            for ids in self._originals[level].values():
-                total += len(ids) * 8 + 8
-            for ids in self._replicas_parts[level].values():
-                total += len(ids) * 8 + 8
-            if self._sparse:
-                total += len(self._original_dirs[level]) * 8
-            else:
-                total += (1 << level) * 8  # dense directory of partition slots
-        return total

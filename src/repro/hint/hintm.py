@@ -412,16 +412,3 @@ class HINTm(IntervalIndex):
         if comp_last and last % 2 == 1:
             comp_last = False
         return comp_first, comp_last
-
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        """Footprint estimate: three machine words per stored entry plus directories."""
-        if self._memo_seen(_memo):
-            return 0
-        total = self._spans_bytes(_memo)
-        for level in range(self.num_levels):
-            for entries in self._originals[level].values():
-                total += len(entries) * 3 * 8 + 8
-            for entries in self._replicas[level].values():
-                total += len(entries) * 3 * 8 + 8
-        return total

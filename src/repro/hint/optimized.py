@@ -32,7 +32,6 @@ every read drops inside the row ranges its walk already holds.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,11 +46,6 @@ from repro.engine.registry import register_backend
 
 __all__ = ["OptimizedHINTm"]
 
-
-#: what one list or tuple entry holds beyond its 8-byte slot, and an empty
-#: tuple (measured, CPython 3.11): ``tolist()`` makes one int object per entry
-_INT_BYTES = 32
-_TUPLE_BYTES = 40
 
 #: ids rendered per step when the id column is rendered as text: one
 #: chunk's Python ints and strs at a time, never one per row of the index
@@ -1019,25 +1013,3 @@ class OptimizedHINTm(IntervalIndex):
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         return rows, offsets
-
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        total = self._spans_bytes(_memo)
-        for column in (self._ids, self._starts, self._ends, self._keys, self._pointers, *self._slots):
-            total += column.nbytes
-        # the directory's list mirrors, which the scalar walk searches
-        for mirror in (self._keys_list, *self._pointer_lists):
-            total += sys.getsizeof(mirror) + _INT_BYTES * len(mirror)
-        if self._id_text is not None:
-            text, offsets = self._id_text
-            total += len(text) + offsets.nbytes
-        if self._dead is not None:
-            total += len(self._dead)
-        if self._records is not None:
-            total += sys.getsizeof(self._records)
-            for pointers, (_name, keep_starts, keep_ends) in zip(self._pointer_lists, _CLASSES):
-                width = 1 + keep_starts + keep_ends
-                total += (pointers[-1] - pointers[0]) * (_TUPLE_BYTES + width * (8 + _INT_BYTES))
-        return total

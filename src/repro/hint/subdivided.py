@@ -99,10 +99,6 @@ class _Subdivision:
             self.ends = [self.ends[i] for i in order]
         self._sorted = True
 
-    def memory_bytes(self) -> int:
-        words = len(self.ids) + len(self.starts) + len(self.ends)
-        return words * 8
-
 
 class _Partition:
     """The four subdivisions of one HINT^m partition."""
@@ -513,16 +509,3 @@ class SubdividedHINTm(IntervalIndex):
         if comp_last and last % 2 == 1:
             comp_last = False
         return comp_first, comp_last
-
-    # ------------------------------------------------------------------ #
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        """Footprint: the columns actually stored, one machine word per value."""
-        if self._memo_seen(_memo):
-            return 0
-        total = self._spans_bytes(_memo)
-        for level in self._levels:
-            for partition in level.values():
-                for group in partition.subdivisions():
-                    total += group.memory_bytes()
-                total += 4 * 8  # partition directory entry
-        return total

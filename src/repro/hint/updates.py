@@ -218,15 +218,6 @@ class HybridHINTm(IntervalIndex):
         main, delta = self._components
         return len(main) + len(delta)
 
-    def memory_bytes(self, _memo: "set | None" = None) -> int:
-        if self._memo_seen(_memo):
-            return 0
-        # one id-memo across both components: objects they share (the domain,
-        # aliased buffers) are counted once for the whole composite
-        memo = _memo if _memo is not None else set()
-        main, delta = self._components
-        return main.memory_bytes(memo) + delta.memory_bytes(memo)
-
     def _span_table(self) -> "_HybridSpans":
         main, delta = self._components
         return _HybridSpans(main._spans, delta._spans)

@@ -134,11 +134,6 @@ class DeltaLog:
         """Generation of the newest retained record (-1 when empty)."""
         return self._records[-1].generation if self._records else -1
 
-    @property
-    def truncated_generation(self) -> int:
-        """Highest generation lost to truncation (-1: log is complete)."""
-        return self._truncated_generation
-
     # ------------------------------------------------------------------ #
     def append(
         self, generation: int, added: Tuple[int, ...], removed: Tuple[int, ...]

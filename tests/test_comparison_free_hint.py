@@ -116,6 +116,25 @@ class TestSparsityOptimization:
         dense = ComparisonFreeHINT(data, num_bits=14, sparse=False)
         assert sparse.memory_bytes() < dense.memory_bytes()
 
+    def test_dense_layout_allocates_every_slot(self, discrete_collection):
+        """Section 3.1's layout keeps all ``2^l`` partitions of a level,
+        empty ones included, and the same non-empty ones as the sparse one."""
+        sparse = ComparisonFreeHINT(discrete_collection, num_bits=10, sparse=True)
+        dense = ComparisonFreeHINT(discrete_collection, num_bits=10, sparse=False)
+        for parts in (dense._originals, dense._replicas_parts):
+            assert [len(level) for level in parts] == [1 << level for level in range(11)]
+        assert dense.nonempty_partitions() == sparse.nonempty_partitions()
+
+    def test_dense_delete_empties_the_slot(self):
+        data = IntervalCollection.from_intervals([Interval(1, 3, 3), Interval(2, 8, 11)])
+        index = ComparisonFreeHINT(data, num_bits=4, sparse=False)
+        assert index.delete(1) is True
+        assert index.nonempty_partitions() == 1
+        assert index._originals[4][3] == []
+        assert index.query(Query(0, 15)) == [2]
+        index.insert(Interval(1, 3, 3))
+        assert sorted(index.query(Query(0, 15))) == [1, 2]
+
     def test_nonempty_partitions_counted(self, discrete_collection):
         index = ComparisonFreeHINT(discrete_collection, num_bits=10)
         assert 0 < index.nonempty_partitions() <= 2 ** 11

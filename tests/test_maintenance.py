@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.naive import NaiveIndex
+from repro.core.base import _deep_sizeof
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore, ShardedIndex
 from repro.engine.maintenance import (
@@ -239,7 +240,11 @@ class TestShardedJournal:
     def test_memory_bytes_includes_journal(self, synthetic_collection):
         index = ShardedIndex(synthetic_collection, backend="hintm_opt",
                              num_shards=4, num_bits=7)
-        assert index.memory_bytes() >= index.ingest_journal.nbytes > 0
+        journal = index.ingest_journal
+        columns = sum(c.starts.nbytes + c.ends.nbytes for c in journal._columns)
+        assert index.memory_bytes() >= _deep_sizeof(journal) >= columns > 0
+        # the journal is inside the walk, once
+        assert _deep_sizeof((index, journal)) - index.memory_bytes() < 1024
 
 
 class TestDeleteAtomicity:

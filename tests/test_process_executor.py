@@ -358,6 +358,40 @@ class TestPickleAndSharedMemory:
             index.close()
             assert index._shared is None
 
+    def test_memory_bytes_counts_the_snapshot_by_its_mapped_length(self, synthetic_collection):
+        """The walk counts an ``mmap`` by its length: the published snapshot
+        adds its bytes plus under 4 KiB of the objects around the mapping."""
+        if not HAS_SHARED_MEMORY:
+            pytest.skip("no multiprocessing.shared_memory")
+        with ProcessExecutor(2) as executor:
+            index = ShardedIndex(
+                synthetic_collection, backend="naive", num_shards=4, executor=executor
+            )
+            shared = index._shared
+            with_snapshot = index.memory_bytes()
+            index._shared = None
+            try:
+                without = index.memory_bytes()
+            finally:
+                index._shared = shared
+            assert 0 <= with_snapshot - without - shared.nbytes < 4096
+            index.close()
+
+    def test_memory_bytes_leaves_the_shared_pool_out(self, synthetic_collection, rng):
+        """The pool an index runs on is not its bytes: starting it and
+        running a batch through it moves ``memory_bytes()`` by headers only."""
+        with ProcessExecutor(2) as executor:
+            store = IntervalStore(
+                ShardedIndex(
+                    synthetic_collection, backend="naive", num_shards=4, executor=executor
+                )
+            )
+            before = store.memory_bytes()
+            store.run_batch(_workload(synthetic_collection, rng, count=50))
+            assert executor._pool is not None
+            assert abs(store.memory_bytes() - before) < 1024
+            store.close()
+
 
 class TestExecutorLifecycle:
     def test_store_closes_executor_it_created(self, synthetic_collection):

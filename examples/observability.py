@@ -88,8 +88,8 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     # 4. tracing by hand: activate a Trace around a batch and print the
     #    tree (run_batch spans; an id batch over a process pool adds kernel
-    #    spans -- see tests/test_tracing.py -- while count_batch reads the
-    #    journal in this process and adds none)
+    #    spans -- see tests/test_tracing.py -- while count_batch bisects the
+    #    count columns in this process and adds none)
     # ------------------------------------------------------------------ #
     trace = Trace()
     with start_span(trace, "example_workload", queries=3):

@@ -71,7 +71,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------ #
-    # 5. maintenance under traffic: a forced pass folds the ingest journal
+    # 5. maintenance under traffic: a forced pass folds the pending counts
     #    and merges the insert's delta into its shard; a *fresh* query
     #    range (so the probe really hits the shards, not the result cache)
     #    answers exactly what the store itself says

@@ -84,7 +84,9 @@ def _worker_kill_soak(args) -> None:
         queries.append(Query(a, a + int(rng.integers(0, hi - lo))))
     expected = [_oracle_query(live, q) for q in queries]
     if store.count_batch(queries) != [len(ids) for ids in expected]:
-        raise SystemExit("worker-kill soak: journal counts diverged with updates pending")
+        raise SystemExit(
+            "worker-kill soak: count-pair counts diverged with updates pending"
+        )
     if not index.refresh_snapshot():
         raise SystemExit("worker-kill soak: snapshot refresh published nothing")
 
@@ -205,7 +207,8 @@ def main(argv=None) -> int:
         f"soak ok: {args.rounds} rounds, {total_ops} updates, "
         f"{args.rounds * args.checks_per_round} oracle checks in {elapsed:.1f}s; "
         f"{rule_rebuilds} shard rebuilds by unforced passes; "
-        f"final state: pending={state.get('pending_per_shard')}, "
+        f"final state: pending={state.get('pending')}, "
+        f"copies={state.get('copies_per_shard')}, "
         f"deltas={state.get('delta_per_shard')}, cuts={state.get('cuts')}"
     )
     store.close()

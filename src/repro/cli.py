@@ -135,8 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_maintenance_arg(sub: argparse.ArgumentParser) -> None:
         """--maintenance, shared by batch/bench: run a pass after the workload."""
         sub.add_argument("--maintenance", action="store_true",
-                         help="run an index-maintenance pass (journal folds, shard "
-                              "rebuilds, snapshot refresh) after the workload")
+                         help="run one maintenance pass after the workload: fold "
+                              "pending counts, rebuild hybrid indexes whose delta "
+                              "or tombstones reached the rebuild rule, re-balance "
+                              "skewed shard cuts, refresh the process snapshot")
 
     query = subparsers.add_parser("query", help="run a range or stabbing query over a CSV")
     query.add_argument("csv", type=Path, help="intervals file (id,start,end or start,end rows)")
@@ -681,7 +683,7 @@ def _command_maintain(args: argparse.Namespace) -> int:
 
 def _print_maintenance_state(label: str, state: dict) -> None:
     interesting = (
-        "pending_per_shard",
+        "pending",
         "delta_per_shard",
         "copies_per_shard",
         "cuts",

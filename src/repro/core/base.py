@@ -154,7 +154,8 @@ class IntervalIndex(abc.ABC):
 
         The default evaluates :meth:`query_count` one by one; composite
         indexes override with genuinely batched evaluation (the sharded
-        index answers with one vectorised pass over its ingest journal).
+        index answers with one vectorised bisection pair over its count
+        columns).
         """
         return [self.query_count(query) for query in queries]
 

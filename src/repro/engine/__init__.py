@@ -21,11 +21,11 @@
   shards over any registered backend, with epoch-based read
   snapshots (:class:`Epoch`): queries pin one immutable generation of the
   partition state, maintenance publishes fresh generations atomically,
-* :mod:`repro.engine.maintenance` -- the index-lifecycle layer: buffered
-  ingest journal, adaptive shard-count model and the
+* :mod:`repro.engine.maintenance` -- the index-lifecycle layer: the
+  sorted count columns, adaptive shard-count model and the
   :class:`MaintenanceCoordinator`, whose explicit ``maintain()`` folds
-  journals, rebuilds shards by the one delta-fraction rule, re-balances
-  cuts and refreshes the shared-memory snapshot.
+  pending counts, rebuilds shards by the one delta-fraction rule,
+  re-balances cuts and refreshes the shared-memory snapshot.
 """
 
 from repro.engine.batch import BatchResult, execute_batch
@@ -39,7 +39,6 @@ from repro.engine.executor import (
     split_chunks,
 )
 from repro.engine.maintenance import (
-    IngestJournal,
     MaintenanceConfig,
     MaintenanceCoordinator,
     MaintenanceReport,
@@ -67,7 +66,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "Epoch",
     "Executor",
-    "IngestJournal",
     "IntervalStore",
     "MaintenanceConfig",
     "MaintenanceCoordinator",

@@ -14,9 +14,9 @@ describe the queries routed to that shard; each is answered against the
 worker-built shard index.  Results travel back as compact ``int64`` id
 arrays -- no :class:`~repro.core.interval.Interval` objects, no index
 structures, no re-pickled collections ever cross the process boundary.
-Counts are not a worker's business: the parent reads them off its ingest
-journal (:meth:`repro.engine.maintenance.IngestJournal.count_overlaps`),
-so workers hold no count columns and nothing here depends on updates.
+Counts are not a worker's business: the parent bisects its one count pair
+(:class:`repro.engine.maintenance.CountColumns`), so workers hold no count
+columns and nothing here depends on updates.
 
 Everything here is module-level so that it imports cleanly under the
 ``spawn`` start method (workers re-import this module instead of inheriting

@@ -1,26 +1,17 @@
-"""Index-lifecycle maintenance: ingest journal, shard-count model, coordinator.
+"""Index-lifecycle maintenance: count columns, shard-count model, coordinator.
 
 The hybrid HINT^m of the paper (Sections 3.4/4.4) has one update rule: a
 delta index absorbs the inserts and the main index is rebuilt from time to
 time in one batch.  This module carries that rule across the shard
-boundary, where every insert/delete used to
+boundary.  Three pieces compose:
 
-* pay an O(shard size) ``np.insert``/``np.delete`` reallocation to keep the
-  home-shard counting columns sorted,
-* staleness-flag the shared-memory snapshot, permanently demoting a process
-  executor to in-process batches.
-
-Three pieces compose:
-
-* :class:`CountColumns` / :class:`IngestJournal` -- the **buffered ingest
-  journal**.  Inserts and deletes append to tiny per-shard pending buffers
-  (O(1) per op) and are folded into the sorted start/end count columns
-  *lazily*, on the next count that reads them or an explicit
-  :meth:`IngestJournal.fold` -- one vectorised merge instead of one
-  reallocation per operation.  The journal is the columns' only owner:
-  single multi-shard counts and whole count/exists batches
-  (:meth:`IngestJournal.count_overlaps`) are bisections over it in the
-  calling process, whatever the executor.
+* :class:`CountColumns` -- the sorted start and end columns of a sharded
+  index's distinct live intervals.  The count of intervals overlapping
+  ``[a, b]`` is ``#(start <= b) - #(end < a)``: two bisections, whatever the
+  shard layout.  Inserts and deletes append to a pending buffer (O(1) per
+  op) that is folded into the sorted columns *lazily*, on the next count or
+  an explicit :meth:`CountColumns.fold` -- one vectorised merge instead of
+  one ``np.insert`` reallocation per operation.
 * :func:`recommend_shard_count` -- the Section 3.3 cost model **extended to
   choose K**: scan-bound backends gain ~K from shard pruning even serially,
   traversal-bound backends (the HINT^m family) only win when a process
@@ -29,9 +20,9 @@ Three pieces compose:
 * :class:`MaintenanceCoordinator` -- owns the lifecycle of one
   :class:`~repro.engine.sharded.ShardedIndex` (or a plain hybrid index).
   Nothing runs in the background: each explicit
-  :meth:`~MaintenanceCoordinator.maintain` call folds journals, rebuilds
-  every hybrid shard whose delta or tombstones reached the rebuild rule (at
-  least :data:`REBUILD_FRACTION` of its main index and at least
+  :meth:`~MaintenanceCoordinator.maintain` call folds the count columns,
+  rebuilds every hybrid shard whose delta or tombstones reached the rebuild
+  rule (at least :data:`REBUILD_FRACTION` of its main index and at least
   :data:`REBUILD_MIN_DELTA` intervals), re-balances cuts when skew drifts
   past a threshold (**adaptive re-partitioning**), and republishes the
   shared-memory snapshot so a process executor regains fan-out
@@ -63,7 +54,6 @@ _MAINTENANCE_SECONDS = global_registry().histogram(
 
 __all__ = [
     "CountColumns",
-    "IngestJournal",
     "MaintenanceConfig",
     "MaintenanceCoordinator",
     "MaintenanceReport",
@@ -86,25 +76,26 @@ SCAN_BOUND_BACKENDS = frozenset({"naive", "grid1d"})
 
 
 # --------------------------------------------------------------------------- #
-# buffered ingest journal
+# count columns
 # --------------------------------------------------------------------------- #
 class CountColumns:
-    """One shard's sorted start/end count columns plus a pending journal.
+    """Sorted start/end columns of a set of intervals, plus a pending buffer.
 
-    The sorted columns answer the home-shard counting bisections
-    (``ends >= q.start`` in the query's first shard, ``start in
-    [cut, q.end]`` in later ones).  An update appends the affected values to
-    pending add/remove buffers -- O(1) -- and :meth:`fold` merges all of
-    them into the sorted columns in one vectorised pass; the counting
-    accessors fold first, so counts are always exact.
+    :meth:`overlaps` counts the intervals overlapping ``[lo, hi]`` as
+    ``#(start <= hi) - #(end < lo)``: an interval ending before ``lo``
+    starts before it too, so the difference is exactly the overlapping
+    ones.  An update appends its endpoints to pending add/remove buffers --
+    O(1) -- and :meth:`fold` merges all of them into the sorted columns in
+    one vectorised pass; :meth:`overlaps` folds first, so counts are always
+    exact.
 
-    Every mutation (recording, folding, and the fold step of the counting
-    accessors) serialises on a per-column lock: readers count from any
-    thread, and a maintenance pass on another thread (the query server runs
-    ``/maintain`` in its executor) folds concurrently with foreground
-    updates -- an unsynchronised snapshot-then-clear would lose or
-    double-apply journaled operations.  The bisections themselves run on
-    captured arrays outside the lock.
+    Every mutation (recording, folding, and the fold step of a count)
+    serialises on one lock: readers count from any thread, and a
+    maintenance pass on another thread (the query server runs ``/maintain``
+    in its executor) folds concurrently with foreground updates -- an
+    unsynchronised snapshot-then-clear would lose or double-apply recorded
+    operations.  The bisections themselves run on captured arrays outside
+    the lock.
     """
 
     __slots__ = (
@@ -135,11 +126,6 @@ class CountColumns:
     def pending_ops(self) -> int:
         """Buffered operations not yet folded into the sorted columns."""
         return len(self._add_starts) + len(self._del_starts)
-
-    @property
-    def live_size(self) -> int:
-        """Number of interval copies the columns will hold after folding."""
-        return len(self.starts) + len(self._add_starts) - len(self._del_starts)
 
     # ------------------------------------------------------------------ #
     # updates
@@ -191,112 +177,20 @@ class CountColumns:
         return column
 
     # ------------------------------------------------------------------ #
-    # counting accessors (fold lazily, then bisect)
+    # counting (fold lazily, then bisect)
     # ------------------------------------------------------------------ #
-    def folded(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The sorted ``(starts, ends)`` with every pending op folded in.
+    def overlaps(self, lo, hi):
+        """Number of intervals overlapping ``[lo, hi]``.
 
-        A stable capture: folds replace the arrays, never mutate them, so
-        callers bisect outside the lock.
+        ``lo`` and ``hi`` are scalars (the answer is a NumPy integer) or
+        equal-length ``int64`` arrays (one count per pair).  Pending ops
+        fold first, under the lock; folds replace the arrays, never mutate
+        them, so the bisections run on the captured pair outside it.
         """
         with self._lock:
             self._fold_locked()
-            return self.starts, self.ends
-
-    def count_ends_ge(self, value: int) -> int:
-        """Number of copies with ``end >= value``."""
-        _, ends = self.folded()
-        return int(len(ends) - np.searchsorted(ends, value, side="left"))
-
-    def count_starts_in(self, lo: int, hi: int) -> int:
-        """Number of copies with ``lo <= start <= hi``."""
-        starts, _ = self.folded()
-        first = int(np.searchsorted(starts, lo, side="left"))
-        last = int(np.searchsorted(starts, hi, side="right"))
-        return last - first
-
-
-class IngestJournal:
-    """The per-shard :class:`CountColumns` of one sharded index.
-
-    Args:
-        pieces: the partitioned sub-collections, in shard order (each shard's
-            columns start from its copies' endpoints).
-    """
-
-    def __init__(self, pieces: Sequence[IntervalCollection]) -> None:
-        self._columns = [CountColumns(p.starts, p.ends) for p in pieces]
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_shards(self) -> int:
-        return len(self._columns)
-
-    def pending_depths(self) -> List[int]:
-        """Buffered (unfolded) operation count per shard."""
-        return [column.pending_ops for column in self._columns]
-
-    def live_sizes(self) -> List[int]:
-        """Post-fold copy count per shard (duplication included)."""
-        return [column.live_size for column in self._columns]
-
-    # ------------------------------------------------------------------ #
-    def record_insert(self, first: int, last: int, start: int, end: int) -> None:
-        """Journal one insert into shards ``first..last`` (inclusive)."""
-        for shard in range(first, last + 1):
-            self._columns[shard].record_insert(start, end)
-
-    def record_delete(self, first: int, last: int, start: int, end: int) -> None:
-        """Journal one delete from shards ``first..last`` (inclusive)."""
-        for shard in range(first, last + 1):
-            self._columns[shard].record_delete(start, end)
-
-    def count_ends_ge(self, shard: int, value: int) -> int:
-        return self._columns[shard].count_ends_ge(value)
-
-    def count_starts_in(self, shard: int, lo: int, hi: int) -> int:
-        return self._columns[shard].count_starts_in(lo, hi)
-
-    def count_overlaps(
-        self, cuts: Sequence[int], q_starts: np.ndarray, q_ends: np.ndarray
-    ) -> np.ndarray:
-        """Overlap counts of a whole query batch: the home-shard rule, vectorised.
-
-        ``cuts`` are the plan's interior cut points and ``q_starts`` /
-        ``q_ends`` the batch's ``int64`` bounds; the result is one ``int64``
-        count per query (existence is ``> 0``).  Every copy is counted once,
-        in the first probed shard it is at home in: in a query's *first*
-        shard ``count(start <= b) - count(end < a)`` -- which on a
-        multi-shard plan is ``count(end >= a)``, every copy there starting
-        below the shard's upper cut ``<= b`` -- and in each *later* shard
-        ``count(cut <= start <= b)`` from that shard's lower cut.  Only the
-        shards the batch touches are folded, each once, under its column
-        lock; no shard index is consulted.
-        """
-        cuts = np.asarray(cuts, dtype=np.int64)
-        first = np.searchsorted(cuts, q_starts, side="right")
-        last = np.searchsorted(cuts, q_ends, side="right")
-        totals = np.zeros(len(q_starts), dtype=np.int64)
-        for shard, column in enumerate(self._columns):
-            own = first == shard
-            later = (first < shard) & (last >= shard)
-            has_own, has_later = own.any(), later.any()
-            if not (has_own or has_later):
-                continue
-            starts, ends = column.folded()
-            if has_own:
-                totals[own] = np.searchsorted(
-                    starts, q_ends[own], side="right"
-                ) - np.searchsorted(ends, q_starts[own], side="left")
-            if has_later:
-                totals[later] += np.searchsorted(
-                    starts, q_ends[later], side="right"
-                ) - np.searchsorted(starts, cuts[shard - 1], side="left")
-        return totals
-
-    def fold(self) -> int:
-        """Fold every shard's pending buffer; returns operations folded."""
-        return sum(column.fold() for column in self._columns)
+            starts, ends = self.starts, self.ends
+        return starts.searchsorted(hi, side="right") - ends.searchsorted(lo, side="left")
 
 
 # --------------------------------------------------------------------------- #
@@ -426,7 +320,7 @@ class MaintenanceReport:
     """What one :meth:`MaintenanceCoordinator.maintain` pass did.
 
     Attributes:
-        folded_ops: journal operations folded into the count columns.
+        folded_ops: pending updates folded into the count columns.
         rebuilt_shards: shard ids whose hybrid delta was merged into a fresh
             main index.
         repartitioned: True when cut skew triggered a re-balance.
@@ -533,7 +427,7 @@ class MaintenanceCoordinator:
         return list(self._reports)
 
     def _is_sharded(self) -> bool:
-        return hasattr(self._index, "plan") and hasattr(self._index, "ingest_journal")
+        return hasattr(self._index, "count_columns")
 
     def state(self) -> Dict[str, object]:
         """Maintenance/ingest state snapshot (the `repro maintain` display)."""
@@ -625,9 +519,9 @@ class MaintenanceCoordinator:
     def _maintain_sharded(self, report: MaintenanceReport, force: bool) -> None:
         index = self._index
         config = self._config
-        journal = index.ingest_journal
-        if journal is not None:
-            report.folded_ops = journal.fold()
+        counts = index.count_columns
+        if counts is not None:
+            report.folded_ops = counts.fold()
         # adaptive re-partitioning first: it rebuilds every shard from the
         # live collection anyway (folding all deltas), so per-shard rebuilds
         # in the same pass would be paid twice.  Rebalance only when shard
@@ -637,9 +531,9 @@ class MaintenanceCoordinator:
         # freshly re-balanced) index is never torn down by its first pass;
         # use ShardedIndex.repartition() directly to rebalance a static
         # build.
-        if config.repartition and index.num_shards > 1 and journal is not None:
-            sizes = journal.live_sizes()
-            mean = sum(sizes) / len(sizes) if sizes else 0.0
+        if config.repartition and counts is not None:
+            sizes = index.maintenance_state()["copies_per_shard"]
+            mean = sum(sizes) / len(sizes)
             report.skew = (max(sizes) / mean) if mean else 0.0
             drifted = getattr(index, "updates_since_partition", 0) > 0
             if drifted and report.skew >= config.skew_threshold:
@@ -669,8 +563,8 @@ class MaintenanceCoordinator:
                     self._last_rebuild[shard_id] = time.time()
                     report.rebuilt_shards.append(shard_id)
             # snapshot refresh: restore the process fan-out of id batches
-            # after updates (counts never left the journal, so nothing
-            # waits on this)
+            # after updates (counts never leave the count columns, so
+            # nothing waits on this)
             if index.update_dirty or force:
                 report.snapshot_refreshed = index.refresh_snapshot()
         report.generation = index.snapshot_generation

@@ -9,8 +9,9 @@ backend that answers with a list has it converted once, here -- and caches
 it; every later accessor reuses it.
 
 The same handle serves every index, sharded or not: a
-:class:`~repro.engine.sharded.ShardedIndex` merges its shards' ids, counts
-by home shard and short-circuits ``exists`` inside its own query methods.
+:class:`~repro.engine.sharded.ShardedIndex` merges its shards' ids and
+bisects its count columns for ``count`` and ``exists`` inside its own query
+methods.
 """
 
 from __future__ import annotations

@@ -23,36 +23,29 @@ shard's delta index), and a delete probes only the shards its span overlaps
 Three consistency/execution mechanisms deserve detail:
 
 **Epoch-based read snapshots.**  All partition-dependent state -- the plan,
-the per-shard indexes, the ingest journal and the locator table --
+the per-shard indexes, the count columns and the locator table --
 lives in one :class:`Epoch` object, and the index holds a single reference
 to the current epoch.  Every query pins that reference *once* on entry and
 runs entirely against the pinned epoch, so maintenance operations that
 replace partition state (:meth:`ShardedIndex.repartition`) build a complete
 fresh epoch off to the side and publish it with one atomic reference
 assignment.  Readers therefore never observe a half-installed plan (new cuts
-with old shards, or a journal that disagrees with the locator) and never
+with old shards, or count columns that disagree with the locator) and never
 take a lock: a query racing a repartition sees either the old epoch or the
 new one, both complete.  In-place updates (insert/delete) mutate the current
 epoch under the update lock; a reader pinned to that epoch sees them
 with the usual single-object update visibility, exactly as before.
 
-**Home-shard counting.**  Boundary-spanning intervals are duplicated, so a
-multi-shard count used to materialise ids and deduplicate.  Instead, the
-index keeps each shard's copy *starts* and *ends* sorted and applies the
-classic grid trick -- count every interval only in ``max(home, first)``
-where ``home`` is its first overlapping shard: in the query's first shard
-all copies with ``end >= q.start`` overlap (their starts precede the shard
-boundary, hence ``q.end``), and in every later shard ``j`` exactly the
-copies whose start lies in ``[cut[j-1], q.end]`` are home there.  Both are
-O(log n) bisections, so ``query_count`` over K shards costs O(K log n) and
-never builds an id list.  The sorted columns live in a **buffered ingest
-journal** (:class:`repro.engine.maintenance.IngestJournal`), their one
-owner: updates append to per-shard pending buffers in O(1) and fold into
-the columns lazily, on the next count that reads them.  Count and exists
-*batches* are that same rule as one vectorised pass over the pinned
-epoch's journal (:meth:`IngestJournal.count_overlaps`) in the calling
-process, under any executor -- they touch neither a shard index nor the
-pool.
+**One count pair.**  Boundary-spanning intervals are duplicated across
+shards, but a count is taken over the *distinct* intervals: at K > 1 the
+epoch keeps one :class:`repro.engine.maintenance.CountColumns` pair, the
+sorted starts and ends of its locator's rows, and every count of
+``[a, b]`` is ``#(start <= b) - #(end < a)`` -- two bisections, however many
+shards the query spans.  ``exists`` is that count ``> 0``, and count and
+exists *batches* are the same two bisections vectorised.  Updates record
+their span once in the pair's pending buffer (O(1)) and fold into the
+columns lazily, on the next count.  Counts run in the calling process
+under any executor and touch neither a shard index nor the pool.
 
 **Process fan-out: id batches.**  With a
 :class:`~repro.engine.executor.ProcessExecutor` the shard indexes live
@@ -68,19 +61,19 @@ and rebuild their residencies -- per-worker healing), and only when every
 worker path is exhausted does the task fall back to the epoch's in-process
 shard indexes and the index-wide fan-out flag trip until the next refresh.
 
-Maintenance -- folding journals, rebuilding hybrid shard deltas by the
+Maintenance -- folding the count columns, rebuilding hybrid shard deltas by the
 one rebuild rule, re-balancing cuts on skew and republishing the
 shared-memory snapshot so a process executor regains fan-out after
 updates -- runs only when
 :meth:`repro.engine.maintenance.MaintenanceCoordinator.maintain` is called;
 the hooks it drives (:meth:`ShardedIndex.refresh_snapshot`,
-:meth:`ShardedIndex.repartition`, :attr:`ShardedIndex.ingest_journal`) live
+:meth:`ShardedIndex.repartition`, :attr:`ShardedIndex.count_columns`) live
 here.
 
 ``IntervalStore.open(num_shards=K)`` with K > 1 wraps a sharded index in
 the same :class:`repro.engine.store.IntervalStore` facade as any other
 backend: its lazy :class:`repro.engine.results.ResultSet` handles read the
-merged ids, the home-shard count and ``exists`` from this index's own query
+merged ids, the count and ``exists`` from this index's own query
 methods, and :meth:`IntervalIndex.query_relation` answers every Allen
 relation through the locator table.
 """
@@ -112,7 +105,7 @@ from repro.engine._procworker import (
     run_kernel_task,
 )
 from repro.engine.executor import Executor, ProcessExecutor, resolve_executor
-from repro.engine.maintenance import IngestJournal
+from repro.engine.maintenance import CountColumns
 from repro.engine.registry import create_index, get_spec, register_backend, resolve_backend
 from repro.engine.results import merge_unique_ids
 from repro.engine.sharding import ShardPlan, partition_collection, shard_mask
@@ -173,8 +166,8 @@ class Epoch:
     """One complete, consistent generation of a sharded index's partition state.
 
     Everything a reader needs to answer a query against one version of the
-    partitioning -- the plan, the per-shard indexes, the ingest journal
-    backing home-shard counting and the locator table -- travels
+    partitioning -- the plan, the per-shard indexes, the count columns and
+    the locator table -- travels
     together in one object.  Queries pin the owning index's current epoch
     with a single reference read and never look back at the index for
     partition state, so maintenance replaces the whole epoch atomically
@@ -191,7 +184,9 @@ class Epoch:
             the shards it touches *before* applying, so an unbuilt slot has
             absorbed no update since the epoch was installed and the source
             still reproduces it exactly.
-        journal: the home-shard counting journal (``None`` when K == 1).
+        counts: the :class:`~repro.engine.maintenance.CountColumns` pair
+            over the locator's rows (``None`` at K == 1: the only shard
+            counts).
         locator: the :class:`~repro.core.spans.SpanTable` of every live
             interval (``None`` at K == 1: the only shard's own table serves).
         source: the collection this epoch's lazy shard builds draw from;
@@ -203,21 +198,21 @@ class Epoch:
             lifetime would be dead memory.
     """
 
-    __slots__ = ("epoch_id", "plan", "shards", "journal", "locator", "source")
+    __slots__ = ("epoch_id", "plan", "shards", "counts", "locator", "source")
 
     def __init__(
         self,
         epoch_id: int,
         plan: ShardPlan,
         shards: List[Optional[IntervalIndex]],
-        journal: Optional[IngestJournal],
+        counts: Optional[CountColumns],
         locator: Optional[SpanTable],
         source: Optional[IntervalCollection],
     ) -> None:
         self.epoch_id = epoch_id
         self.plan = plan
         self.shards = shards
-        self.journal = journal
+        self.counts = counts
         self.locator = locator
         self.source = source
 
@@ -310,16 +305,6 @@ class ShardedIndex(IntervalIndex):
         #: :func:`time.time` of the last snapshot publication, ``None``
         #: before the first one (surfaced by ``maintenance_state``)
         self.last_refresh: Optional[float] = None
-        #: how counts were answered: backend fast path vs home-shard sums
-        #: for single queries, queries answered by the journal's vectorised
-        #: pass for batches.  A diagnostic, not a synchronised counter --
-        #: increments can be lost between concurrent readers.
-        self.count_ops: Dict[str, int] = {
-            "single_shard": 0,
-            "home_shard": 0,
-            "journal_batch": 0,
-        }
-
         self._shared: Optional[SharedCollectionBuffer] = None
         self._residency: Optional[ShardResidencySpec] = None
         plan = ShardPlan.for_collection(collection, num_shards, strategy)
@@ -330,27 +315,28 @@ class ShardedIndex(IntervalIndex):
     ) -> None:
         """Build a complete fresh :class:`Epoch` for ``collection`` and publish it.
 
-        Shared by construction and :meth:`repartition`: the plan, the ingest
-        journal + locator bookkeeping, and the per-shard indexes -- built
+        Shared by construction and :meth:`repartition`: the plan, the count
+        columns + locator bookkeeping, and the per-shard indexes -- built
         here in-process, lazy (worker-resident over a fresh shared-memory
         snapshot) under a process executor -- are assembled
         off to the side and installed with one atomic reference assignment,
         so concurrent readers see either the previous epoch or this one,
-        never a mix.
+        never a mix.  At K > 1 the shards, the count pair and the snapshot
+        all draw from the locator's rows, so a build that repeats an id
+        keeps its last row everywhere.
         """
-        self._size = len(collection)
         #: updates absorbed since this partition was installed; skew-driven
         #: re-partitioning only triggers once this is non-zero (build-time
         #: skew reflects the caller's explicit strategy choice, drift does not)
         self.updates_since_partition = 0
-        pieces = partition_collection(collection, plan)
-
-        # --- home-shard counting + bounded-delete bookkeeping ---
-        journal: Optional[IngestJournal] = None
+        counts: Optional[CountColumns] = None
         locator: Optional[SpanTable] = None
         if plan.num_shards > 1:
-            journal = IngestJournal(pieces)
             locator = SpanTable(collection)
+            collection = locator.collection()
+            counts = CountColumns(collection.starts, collection.ends)
+        self._size = len(collection)
+        pieces = partition_collection(collection, plan)
 
         # --- shard construction: built here in-process, lazy for process fan-out ---
         lazy = isinstance(self._executor, ProcessExecutor)
@@ -369,7 +355,7 @@ class ShardedIndex(IntervalIndex):
             epoch_id=self._epochs_installed,
             plan=plan,
             shards=shards,
-            journal=journal,
+            counts=counts,
             locator=locator,
             # lazy builds draw from the source; an in-process install has no
             # lazy build left, so pinning the collection would be dead memory
@@ -472,9 +458,10 @@ class ShardedIndex(IntervalIndex):
         return self._executor
 
     @property
-    def ingest_journal(self) -> Optional[IngestJournal]:
-        """The buffered ingest journal backing home-shard counting (K > 1)."""
-        return self._epoch.journal
+    def count_columns(self) -> Optional[CountColumns]:
+        """The current epoch's count pair over its distinct live intervals
+        (``None`` at K == 1, where the only shard counts)."""
+        return self._epoch.counts
 
     @property
     def built_shards(self) -> List[Optional[IntervalIndex]]:
@@ -559,8 +546,8 @@ class ShardedIndex(IntervalIndex):
 
         Plans fresh cuts over the *live* data (default: the current K and
         strategy -- pass ``strategy="balanced"`` to rebalance skew), then
-        builds a complete fresh epoch from it: every shard, the ingest
-        journal and the locator.  Hybrid deltas are folded into the fresh
+        builds a complete fresh epoch from it: every shard, the count
+        columns and the locator.  Hybrid deltas are folded into the fresh
         shard builds, and under a process executor a new snapshot generation
         is published.  The new epoch is installed with one atomic reference
         assignment, so concurrent queries see either the old partition state
@@ -585,14 +572,30 @@ class ShardedIndex(IntervalIndex):
             return True
 
     def maintenance_state(self) -> Dict[str, object]:
-        """Ingest/maintenance snapshot: pending depths, deltas, generations."""
+        """Ingest/maintenance snapshot: pending updates, shard sizes, deltas,
+        generations.
+
+        ``pending`` is the updates not yet folded into the count pair when
+        the call began; ``copies_per_shard`` is each shard's interval
+        copies, read off the pair (folding it) as the count over the
+        shard's closed domain range.
+        """
         epoch = self._epoch
-        journal = epoch.journal
+        counts = epoch.counts
+        if counts is None:
+            pending, copies = 0, [len(self)]
+        else:
+            pending = counts.pending_ops
+            cuts = np.asarray(epoch.plan.cuts, dtype=np.int64)
+            limits = np.iinfo(np.int64)
+            copies = counts.overlaps(
+                np.append(limits.min, cuts), np.append(cuts - 1, limits.max)
+            ).tolist()
         return {
             "num_shards": epoch.plan.num_shards,
             "cuts": tuple(epoch.plan.cuts),
-            "pending_per_shard": journal.pending_depths() if journal else [],
-            "copies_per_shard": journal.live_sizes() if journal else [len(self)],
+            "pending": pending,
+            "copies_per_shard": copies,
             "delta_per_shard": [
                 int(getattr(shard, "delta_size", 0)) if shard is not None else None
                 for shard in self.built_shards
@@ -649,61 +652,34 @@ class ShardedIndex(IntervalIndex):
         )
 
     def query_count(self, query: Query) -> int:
-        return self._query_count_epoch(self._epoch, query)
-
-    def _query_count_epoch(self, epoch: Epoch, query: Query) -> int:
-        first, last = epoch.plan.shard_range(query.start, query.end)
-        if first == last:
-            # single-shard plans keep the backend's counting fast path
-            self.count_ops["single_shard"] += 1
-            return self._shard(epoch, first).query_count(query)
-        # home-shard counting: every duplicated interval is counted exactly
-        # once, in the first probed shard it is "at home" in -- no id list is
-        # materialised and no dedup set is built (see the module docstring).
-        # The journal folds any pending update buffers into the sorted
-        # columns here, lazily, so a burst of updates pays one vectorised
-        # merge instead of one reallocation per operation.
-        self.count_ops["home_shard"] += 1
-        total = epoch.journal.count_ends_ge(first, query.start)
-        cuts = epoch.plan.cuts
-        for shard in range(first + 1, last + 1):
-            total += epoch.journal.count_starts_in(shard, cuts[shard - 1], query.end)
-        return total
-
-    def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
-        """Batched counts: one vectorised pass over the pinned epoch's journal.
-
-        Runs in the calling process under every executor and touches no
-        shard index (see :meth:`IngestJournal.count_overlaps`); K == 1 has
-        no journal and delegates to the only shard's own batch hook.
-        """
-        workload = list(queries)
         epoch = self._epoch
-        if epoch.journal is None:
-            return self._shard(epoch, 0).query_count_batch(workload)
-        return self._journal_counts(epoch, workload).tolist()
-
-    def _journal_counts(self, epoch: Epoch, workload: List[Query]) -> np.ndarray:
-        self.count_ops["journal_batch"] += len(workload)
-        return epoch.journal.count_overlaps(epoch.plan.cuts, *_query_bounds(workload))
+        if epoch.counts is None:
+            return self._shard(epoch, 0).query_count(query)
+        return int(epoch.counts.overlaps(query.start, query.end))
 
     def query_exists(self, query: Query) -> bool:
-        return self._query_exists_epoch(self._epoch, query)
+        epoch = self._epoch
+        if epoch.counts is None:
+            return self._shard(epoch, 0).query_exists(query)
+        return bool(epoch.counts.overlaps(query.start, query.end) > 0)
 
-    def _query_exists_epoch(self, epoch: Epoch, query: Query) -> bool:
-        first, last = epoch.plan.shard_range(query.start, query.end)
-        return any(
-            self._shard(epoch, shard).query_exists(query)
-            for shard in range(first, last + 1)
-        )
-
-    def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
-        """Batched existence probes: the journal's batched counts, ``> 0``."""
+    def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
+        """Batched counts: one vectorised bisection pair over the pinned
+        epoch's count columns, in the calling process under every executor.
+        K == 1 delegates to the only shard's own batch hook."""
         workload = list(queries)
         epoch = self._epoch
-        if epoch.journal is None:
+        if epoch.counts is None:
+            return self._shard(epoch, 0).query_count_batch(workload)
+        return epoch.counts.overlaps(*_query_bounds(workload)).tolist()
+
+    def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
+        """Batched existence probes: the batched counts, ``> 0``."""
+        workload = list(queries)
+        epoch = self._epoch
+        if epoch.counts is None:
             return self._shard(epoch, 0).query_exists_batch(workload)
-        return (self._journal_counts(epoch, workload) > 0).tolist()
+        return (epoch.counts.overlaps(*_query_bounds(workload)) > 0).tolist()
 
     def _process_fanout_ready(self) -> bool:
         """True while worker-resident id batches are sound.
@@ -967,10 +943,10 @@ class ShardedIndex(IntervalIndex):
         index; static backends raise ``NotImplementedError`` as usual.
         A still-lazy owning shard is built first (from the epoch source,
         which still equals its live contents), so no shard is ever built
-        after an update it should hold.  Count-column bookkeeping is
-        journaled (O(1) appends, folded lazily) and is only committed --
-        together with the locator entry -- after every owning shard accepted
-        the copy, so a failing shard leaves the bookkeeping untouched.
+        after an update it should hold.  The span is recorded once in the
+        count columns (an O(1) append, folded lazily) and only -- together
+        with the locator entry -- after every owning shard accepted the
+        copy, so a failing shard leaves the bookkeeping untouched.
         Updates invalidate the process-executor snapshot: later batches run
         in-process until :meth:`refresh_snapshot` republishes it.
         """
@@ -984,8 +960,8 @@ class ShardedIndex(IntervalIndex):
             # locator or the count columns from the shard contents
             if epoch.locator is not None:
                 epoch.locator.add(interval)
-            if epoch.journal is not None:
-                epoch.journal.record_insert(first, last, interval.start, interval.end)
+            if epoch.counts is not None:
+                epoch.counts.record_insert(interval.start, interval.end)
             self._size += 1
             self._dirty = True
             self.updates_since_partition += 1
@@ -1004,8 +980,8 @@ class ShardedIndex(IntervalIndex):
         One table probe (the locator; at K == 1 the only shard's own table)
         resolves the victim's span, which bounds the delete to the owning
         shards instead of all K; an id the index never saw returns False
-        without touching any shard.  The locator entry and the count-column
-        journal are only mutated after every owning shard was probed, so a
+        without touching any shard.  The locator entry and the count columns
+        are only mutated after every owning shard was probed, so a
         shard raising mid-delete leaves the bookkeeping consistent and the
         delete retryable.  True when any copy was live.
         """
@@ -1021,8 +997,8 @@ class ShardedIndex(IntervalIndex):
             if found:
                 if epoch.locator is not None:
                     epoch.locator.remove(interval_id)
-                if epoch.journal is not None:
-                    epoch.journal.record_delete(first, last, victim.start, victim.end)
+                if epoch.counts is not None:
+                    epoch.counts.record_delete(victim.start, victim.end)
                 self._size -= 1
                 self._dirty = True
                 self.updates_since_partition += 1

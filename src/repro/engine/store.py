@@ -210,7 +210,7 @@ class IntervalStore:
 
         ``executor="processes"`` is meant for ``num_shards > 1``, where id
         batches run against worker-resident shards over shared-memory
-        columns (count batches are bisections over the parent's journal
+        columns (counts are bisections over the parent's count columns
         under either executor); on an unsharded store the process pool must
         be handed the whole pickled index per batch chunk, which is usually
         slower than serial -- prefer sharding when asking for processes.
@@ -408,7 +408,7 @@ class IntervalStore:
         """Per-query overlap counts for a workload, positionally aligned.
 
         Routes through the index's batched hook, so a sharded index answers
-        with one vectorised pass over its ingest journal.
+        with one vectorised bisection pair over its count columns.
         """
         return self._index.query_count_batch(list(queries))
 
@@ -491,13 +491,13 @@ class IntervalStore:
         return self.updates.generation
 
     # ------------------------------------------------------------------ #
-    # maintenance (journal folding, rebuilds, snapshot refresh)
+    # maintenance (count-column folds, rebuilds, snapshot refresh)
     # ------------------------------------------------------------------ #
     def maintenance(self, config=None):
         """This store's :class:`~repro.engine.maintenance.MaintenanceCoordinator`.
 
         Created lazily and cached; passing ``config`` replaces the cached
-        coordinator.  The coordinator folds ingest journals, rebuilds hybrid
+        coordinator.  The coordinator folds pending counts, rebuilds hybrid
         deltas by the one rebuild rule, re-balances skewed cuts and
         refreshes the process-executor snapshot -- see :meth:`maintain` for
         the one-call form.

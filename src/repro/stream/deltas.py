@@ -13,7 +13,7 @@ insert/delete into per-subscription deltas:
 3. registered notifiers (the query server's long-poll wakeups) fire for the
    affected subscription ids.
 
-Maintenance is the part that must *not* produce deltas: journal folds,
+Maintenance is the part that must *not* produce deltas: count-column folds,
 snapshot refreshes and re-partitions republish epoch state and may bump the
 result generation, but the queryable contents are unchanged -- the engine
 records the generation advance (``sync`` events) and emits nothing, so

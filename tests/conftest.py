@@ -99,3 +99,24 @@ def pending_updates(rng):
         ]
 
     return apply
+
+
+@pytest.fixture
+def forbid_shard_probes(monkeypatch):
+    """``forbid(index)``: make every probe of a sharded ``index``'s shard
+    backend, every shard access (probe or lazy build) and every pool
+    submission raise, so a count or exists that still answers touched
+    neither a shard index nor the pool.  ``monkeypatch`` undoes it."""
+    from repro.engine import ProcessExecutor, ShardedIndex, get_backend
+
+    def forbidden(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("a count reached a shard index or the pool")
+
+    def forbid(index):
+        for name in ("query", "query_count", "query_exists"):
+            monkeypatch.setattr(get_backend(index.backend), name, forbidden)
+        monkeypatch.setattr(ShardedIndex, "_shard", forbidden)
+        for name in ("submit", "map"):
+            monkeypatch.setattr(ProcessExecutor, name, forbidden)
+
+    return forbid

@@ -2,7 +2,8 @@
 
 * batched count/exists answers equal the brute-force oracle across
   backends, shard counts, both executors and both start methods --
-  including with pending updates, which the parent's journal folds;
+  including with pending updates, which the parent's count pair folds --
+  and at K > 1 touch neither a shard index nor the pool;
 * a killed worker degrades *per worker*: the pool respawns, the id batch
   retries and answers correctly, and the index-wide ``_fanout_disabled``
   flag only trips when every worker path is exhausted;
@@ -65,19 +66,24 @@ def _count_workload(collection, rng, count=40):
 class TestCountingKernelEquivalence:
     """Batched counts/exists == the brute-force oracle under either executor.
 
-    Counts are bisections over the parent's journal, so the answers must not
-    depend on the executor: every case runs serially and over the pool,
-    clean and with updates pending, for batch lengths 0, 1 and N.
+    Counts are bisections over the parent's count pair, so the answers must
+    not depend on the executor: every case runs serially and over the pool,
+    clean and with updates pending, for batch lengths 0, 1 and N.  At K > 1
+    each check runs with every shard probe and pool submission made to
+    raise.
     """
 
-    @staticmethod
-    def _check_batches(index, queries, expected):
-        before = index.count_ops["journal_batch"]
+    @pytest.fixture(autouse=True)
+    def _forbid(self, forbid_shard_probes, monkeypatch):
+        self.forbid, self.monkeypatch = forbid_shard_probes, monkeypatch
+
+    def _check_batches(self, index, queries, expected):
+        if index.num_shards > 1:
+            self.forbid(index)
         for batch, want in (([], []), (queries[:1], expected[:1]), (queries, expected)):
             assert index.query_count_batch(batch) == want, index.executor.name
             assert index.query_exists_batch(batch) == [c > 0 for c in want]
-        if index.num_shards > 1:
-            assert index.count_ops["journal_batch"] == before + 2 * (1 + len(queries))
+        self.monkeypatch.undo()
 
     def _check(self, index, collection, queries, pending_updates):
         self._check_batches(index, queries, [len(collection.query_ids(q)) for q in queries])
@@ -124,7 +130,7 @@ class TestCountingKernelEquivalence:
                 assert index.update_dirty  # id fan-out is stale, counts are not
                 assert index.query_count_batch(queries) == oracle(queries)
                 assert index.query_count_batch(queries) == [
-                    index._query_count_epoch(index._epoch, q) for q in queries
+                    index.query_count(q) for q in queries
                 ]
                 assert not index._fanout_disabled
             finally:
@@ -133,13 +139,13 @@ class TestCountingKernelEquivalence:
     def test_k1_delete_is_excluded_from_batch_counts(
         self, synthetic_collection, rng, pool
     ):
-        """K == 1 has no journal: batches go to the only shard's own hook,
-        which sees the delete."""
+        """K == 1 has no count pair: batches go to the only shard's own
+        hook, which sees the delete."""
         index = ShardedIndex(
             synthetic_collection, backend="naive", num_shards=1, executor=pool
         )
         try:
-            assert index._epoch.journal is None
+            assert index.count_columns is None
             victim = int(synthetic_collection.ids[0])
             assert index.delete(victim)
             queries = _count_workload(synthetic_collection, rng, count=10)
@@ -374,20 +380,21 @@ class TestKernelObservability:
         finally:
             index.close()
 
-    def test_store_count_batches_ride_kernels(self, synthetic_collection, rng, pool):
-        """Every store-level count surface is the journal's batched pass
-        (the test keeps the name it had when that pass ran in workers)."""
+    def test_store_count_batches_ride_kernels(
+        self, synthetic_collection, rng, pool, forbid_shard_probes
+    ):
+        """Every store-level count surface is the count pair's batched
+        bisections, with no shard probe and no pool submission (the test
+        keeps the name it had when that pass ran in workers)."""
         store = IntervalStore.open(
             synthetic_collection, "naive", num_shards=4, executor=pool
         )
         try:
             queries = _count_workload(synthetic_collection, rng, count=16)
-            before = store.index.count_ops["journal_batch"]
+            want = [len(synthetic_collection.query_ids(q)) for q in queries]
+            forbid_shard_probes(store.index)
             batch = store.run_batch(queries, count_only=True)
-            assert store.index.count_ops["journal_batch"] == before + len(queries)
-            assert batch.counts == [
-                len(synthetic_collection.query_ids(q)) for q in queries
-            ]
+            assert batch.counts == want
             # the convenience surfaces route the same way
             assert store.count_batch(queries) == batch.counts
             assert store.exists_batch(queries) == [c > 0 for c in batch.counts]

@@ -3,8 +3,8 @@
 Covers correctness of every override against the materialising path, that
 ``OptimizedHINTm``'s count on a 100k-result query builds no id answer (it
 sums partition-run lengths), and the sharded index's batched counts:
-bisections over the parent's journal that touch neither a shard index nor
-the worker pool.
+bisections over the parent's one count pair that touch neither a shard
+index nor the worker pool.
 """
 
 import multiprocessing
@@ -111,14 +111,14 @@ class TestShardedBatchCounts:
         self, fastpath_collection, fastpath_queries, pending_updates, monkeypatch, method
     ):
         """With 400 updates pending, count and exists batches equal the
-        brute-force oracle from the journal alone: one fold per touched
-        column, nothing submitted, no shard probed -- also once fan-out has
-        tripped and after ``close()``."""
+        brute-force oracle from the count pair alone: one fold of each of
+        its two columns, nothing submitted, no shard probed -- also once
+        fan-out has tripped and after ``close()``."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"start method {method!r} unavailable")
 
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("a count batch left the journal")
+            raise AssertionError("a count batch left the count pair")
 
         folds = []
 
@@ -149,7 +149,7 @@ class TestShardedBatchCounts:
             check()
             index.close()
             check()
-            assert len(folds) == 2 * index.num_shards  # starts + ends, once each
+            assert len(folds) == 2  # starts + ends, once each
 
 
 class TestCountPath:

@@ -3,7 +3,7 @@
 The contract under test: every query pins one :class:`repro.engine.sharded.Epoch`
 and runs entirely against it, so a query concurrent with ``repartition()``
 (or a full maintenance pass) sees either the old partition state or the new
-one -- never new cuts with old shards, or a journal that disagrees with the
+one -- never new cuts with old shards, or count columns that disagree with the
 locator.  The stress tests drive continuous readers against a live
 maintenance/update mix and assert every answer against a brute-force oracle
 over the untouched core of the data.
@@ -73,7 +73,7 @@ class TestEpochMechanics:
         pinned = index._epoch
         index.insert(Interval(10_000, 3, 20_400))
         assert index.repartition(strategy="balanced")
-        # the pinned epoch still has its own consistent plan/shards/journal;
+        # the pinned epoch still has its own consistent plan/shards/counts;
         # in-place updates that preceded the repartition are visible, the
         # new epoch's geometry is not
         got = index._query_epoch(pinned, query)
@@ -152,7 +152,7 @@ class TestReaderMaintenanceStress:
                             failures.append((query, "exists"))
                             stop.set()
                             return
-                    # the batched hooks read the pinned epoch's journal
+                    # the batched hooks read the pinned epoch's count columns
                     counts = store.index.query_count_batch(queries)
                     flags = store.index.query_exists_batch(queries)
                     for query, count, flag in zip(queries, counts, flags):

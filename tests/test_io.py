@@ -1,5 +1,6 @@
 """Unit tests for CSV interval I/O (repro.datasets.io)."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import InvalidIntervalError
@@ -81,6 +82,29 @@ class TestCsvRoundtrip:
         loaded = load_intervals_csv(path)
         assert list(loaded.ids) == [5, 6]
         assert list(loaded.ends) == [20, 40]
+
+    def test_repeated_id_raises_naming_the_id(self, tmp_path):
+        """Backends disagree on a repeated id (some answer both rows, some
+        the last), so the loader refuses it, sorted or not."""
+        path = tmp_path / "repeated.csv"
+        for text in ("1,0,5\n1,50,60\n2,10,20\n", "3,70,90\n1,0,5\n2,10,20\n1,50,60\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidIntervalError, match=r"repeated.csv: id 1 appears"):
+                load_intervals_csv(path)
+
+    def test_distinct_ids_load_and_increasing_ids_skip_the_sort(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "distinct.csv"
+        path.write_text("3,70,90\n1,0,5\n2,10,20\n")
+        assert list(load_intervals_csv(path).ids) == [3, 1, 2]
+
+        def no_sort(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("increasing ids were sorted")
+
+        path.write_text("1,0,5\n2,10,20\n3,70,90\n")
+        monkeypatch.setattr(np, "sort", no_sort)
+        assert list(load_intervals_csv(path).ids) == [1, 2, 3]
 
     def test_empty_file_is_an_empty_collection(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,7 +1,7 @@
-"""The maintenance subsystem: ingest journal, coordinator, adaptive K.
+"""The maintenance subsystem: count columns, coordinator, adaptive K.
 
-Covers the three pieces of :mod:`repro.engine.maintenance` -- the buffered
-count-column journal (lazy folds on multi-shard counts), the coordinator's
+Covers the three pieces of :mod:`repro.engine.maintenance` -- the sorted
+count columns with their pending buffer (lazy folds on counts), the coordinator's
 explicit maintain pass (folds, the one rebuild rule, skew-triggered
 re-partitioning, a pass on another thread beside updates) and the Section
 3.3 cost model extended to pick the shard count -- plus the
@@ -78,7 +78,6 @@ class TestCountColumns:
         assert column.pending_ops == 0
         assert column.starts.tolist() == sorted(s for s, _ in pairs)
         assert column.ends.tolist() == sorted(e for _, e in pairs)
-        assert column.live_size == len(pairs)
 
     def test_fold_exact_under_duplicates_and_cancellation(self):
         column = CountColumns([1, 5, 5, 9], [2, 6, 6, 10])
@@ -97,10 +96,22 @@ class TestCountColumns:
         column = CountColumns([1, 4, 8], [2, 6, 9])
         column.record_insert(5, 7)
         assert column.pending_ops == 1
-        # the counting accessor folds first, then bisects
-        assert column.count_ends_ge(6) == 3
+        # the count folds first, then bisects: [4, 6] and [5, 7] hold 6
+        assert column.overlaps(6, 6) == 2
         assert column.pending_ops == 0
-        assert column.count_starts_in(4, 5) == 2
+        assert column.overlaps(3, 4) == 1
+
+    def test_overlaps_takes_scalars_or_arrays(self, rng):
+        """One rule, ``#(start <= hi) - #(end < lo)``, equals the
+        brute-force overlap count for scalar and array bounds alike."""
+        starts = rng.integers(0, 1_000, size=300)
+        ends = starts + rng.integers(0, 60, size=300)
+        column = CountColumns(starts, ends)
+        lows = rng.integers(-50, 1_050, size=200)
+        highs = lows + rng.integers(0, 200, size=200)
+        want = [int(((starts <= b) & (ends >= a)).sum()) for a, b in zip(lows, highs)]
+        assert column.overlaps(lows, highs).tolist() == want
+        assert [int(column.overlaps(int(a), int(b))) for a, b in zip(lows, highs)] == want
 
     def test_journaled_ops_reallocate_nothing_until_one_fold(self, rng, monkeypatch):
         """The O(1)-per-op property, structurally: N recorded updates leave
@@ -135,7 +146,7 @@ class TestCountColumns:
         assert column.starts.tolist() == sorted(s for s, _ in live)
         assert column.ends.tolist() == sorted(e for _, e in live)
 
-class TestShardedJournal:
+class TestShardedCountColumns:
     def test_multi_shard_counts_exact_without_maintain(self, synthetic_collection, rng):
         """The acceptance property: counts fold pending updates lazily."""
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
@@ -153,7 +164,7 @@ class TestShardedJournal:
             else:
                 assert index.delete(payload)
                 del live[payload]
-        assert sum(index.ingest_journal.pending_depths()) > 0
+        assert index.count_columns.pending_ops == 300  # one record per update
         starts = np.array([s for s, _ in live.values()])
         ends = np.array([e for _, e in live.values()])
         lo, hi = synthetic_collection.span()
@@ -165,17 +176,17 @@ class TestShardedJournal:
             checked_multi += first < last
             assert index.query_count(Query(a, b)) == int(np.sum((starts <= b) & (a <= ends)))
         assert checked_multi > 0
-        # the first multi-shard count folded every probed shard's buffer
-        assert sum(index.ingest_journal.pending_depths()) == 0
+        # the first count folded the pair's buffer
+        assert index.count_columns.pending_ops == 0
 
-    def test_journaled_index_answers_like_the_naive_reference(
+    def test_sharded_index_answers_like_the_naive_reference(
         self, synthetic_collection, rng
     ):
-        journal = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
+        sharded = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
                                num_shards=4, num_bits=7)
         reference = NaiveIndex(synthetic_collection)
         for kind, payload in _random_updates(synthetic_collection, rng):
-            for index in (journal, reference):
+            for index in (sharded, reference):
                 if kind == "insert":
                     index.insert(payload)
                 else:
@@ -188,19 +199,19 @@ class TestShardedJournal:
 
         def check():
             for query in probes:
-                assert journal.query_count(query) == reference.query_count(query)
-                assert sorted(journal.query(query)) == sorted(reference.query(query))
+                assert sharded.query_count(query) == reference.query_count(query)
+                assert sorted(sharded.query(query)) == sorted(reference.query(query))
 
         check()
-        # a forced pass folds the journal and rebuilds every shard's hybrid
-        # delta; counts and ids must come out of it unchanged
-        MaintenanceCoordinator(journal).maintain(force=True)
-        assert sum(journal.ingest_journal.pending_depths()) == 0
+        # a forced pass folds the count columns and rebuilds every shard's
+        # hybrid delta; counts and ids must come out of it unchanged
+        MaintenanceCoordinator(sharded).maintain(force=True)
+        assert sharded.count_columns.pending_ops == 0
         check()
 
     def test_concurrent_folds_and_records_lose_nothing(self):
-        """Counting folds race recording updates across threads; the journal
-        lock must neither drop nor double-apply a journaled operation."""
+        """Counting folds race recording updates across threads; the column
+        lock must neither drop nor double-apply a recorded operation."""
         import threading
 
         collection = IntervalCollection.from_pairs(
@@ -216,7 +227,7 @@ class TestShardedJournal:
 
         def count_hammer(stop):
             while not stop.is_set():
-                column.count_ends_ge(0)  # folds under the lock
+                column.overlaps(0, 0)  # folds under the lock
 
         stop = threading.Event()
         counter = threading.Thread(target=count_hammer, args=(stop,))
@@ -237,14 +248,29 @@ class TestShardedJournal:
         assert len(column.ends) == expected
         assert column.starts.tolist() == sorted(column.starts.tolist())
 
-    def test_memory_bytes_includes_journal(self, synthetic_collection):
+    def test_memory_bytes_includes_count_columns(self, synthetic_collection):
         index = ShardedIndex(synthetic_collection, backend="hintm_opt",
                              num_shards=4, num_bits=7)
-        journal = index.ingest_journal
-        columns = sum(c.starts.nbytes + c.ends.nbytes for c in journal._columns)
-        assert index.memory_bytes() >= _deep_sizeof(journal) >= columns > 0
-        # the journal is inside the walk, once
-        assert _deep_sizeof((index, journal)) - index.memory_bytes() < 1024
+        counts = index.count_columns
+        # one pair over the distinct intervals, not one per shard's copies
+        columns = counts.starts.nbytes + counts.ends.nbytes
+        assert columns == 16 * len(synthetic_collection)
+        assert index.memory_bytes() >= _deep_sizeof(counts) >= columns
+        # the pair is inside the walk, once
+        assert _deep_sizeof((index, counts)) - index.memory_bytes() < 1024
+
+    def test_copies_per_shard_match_the_partition(self, synthetic_collection, rng):
+        """The skew rule's shard sizes, read off the one pair as the count
+        over each shard's closed range, equal the copies the partitioner
+        puts in each shard -- with updates pending."""
+        index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
+                             num_shards=4, num_bits=7)
+        _apply(index, _random_updates(synthetic_collection, rng, count=100))
+        pieces = partition_collection(index.live_collection(), index.plan)
+        state = index.maintenance_state()
+        assert state["pending"] == 100
+        assert state["copies_per_shard"] == [len(piece) for piece in pieces]
+        assert sum(state["copies_per_shard"]) > len(index)  # duplication counted
 
 
 class TestDeleteAtomicity:
@@ -383,8 +409,8 @@ class TestCoordinator:
             index, config=MaintenanceConfig(repartition=False)
         )
         _apply(index, _random_updates(synthetic_collection, rng, count=100))
-        pending = sum(index.ingest_journal.pending_depths())
-        assert pending > 0
+        pending = index.count_columns.pending_ops
+        assert pending == 100  # one record per update, however many shards it spans
         deltas_before = [s.delta_size for s in index.shards]
         assert any(deltas_before)
         report = coordinator.maintain(force=True)
@@ -396,7 +422,7 @@ class TestCoordinator:
             assert index.shards[shard_id].delta_size == 0
         assert coordinator.reports[-1] is report
         state = coordinator.state()
-        assert state["pending_per_shard"] == [0, 0, 0, 0]
+        assert state["pending"] == 0
         assert set(report.rebuilt_shards) <= set(state["last_rebuild"])
 
     def test_force_rebuilds_only_nonempty_deltas(self, synthetic_collection):
@@ -421,7 +447,7 @@ class TestCoordinator:
         )
         index = ShardedIndex(collection, backend="hintm_hybrid",
                              num_shards=4, num_bits=7, strategy="equi_width")
-        sizes = index.ingest_journal.live_sizes()
+        sizes = index.maintenance_state()["copies_per_shard"]
         assert max(sizes) / (sum(sizes) / len(sizes)) > 1.5
         coordinator = MaintenanceCoordinator(
             index, config=MaintenanceConfig(skew_threshold=1.5)
@@ -443,7 +469,7 @@ class TestCoordinator:
         assert report.repartitioned
         assert report.skew > 1.5
         assert report.cuts == index.plan.cuts
-        balanced = index.ingest_journal.live_sizes()
+        balanced = index.maintenance_state()["copies_per_shard"]
         assert max(balanced) / (sum(balanced) / len(balanced)) < 1.5
         for query, expected in oracle.items():
             assert index.query_count(query) == expected
@@ -658,7 +684,7 @@ class TestMaintenanceStateSurface:
         lo, _ = synthetic_collection.span()
         store.insert(Interval(10**6, lo, lo + 1))
         state = store.index.maintenance_state()
-        assert sum(state["pending_per_shard"]) == 1
+        assert state["pending"] == 1
         assert state["snapshot_generation"] == 0
 
     def test_maintenance_state_shape(self, synthetic_collection):
@@ -666,7 +692,8 @@ class TestMaintenanceStateSurface:
                              num_shards=4, num_bits=7)
         state = index.maintenance_state()
         assert state["num_shards"] == 4
-        assert len(state["pending_per_shard"]) == 4
+        assert state["pending"] == 0
+        assert len(state["copies_per_shard"]) == 4
         assert len(state["delta_per_shard"]) == 4
         assert state["snapshot_generation"] == 0
         assert not state["update_dirty"]

@@ -4,8 +4,9 @@ Covers the satellite matrix of the process-executor PR:
 
 * sharded-vs-oracle equivalence under the :class:`ProcessExecutor` across
   every registered backend and K in {1, 2, 4, 7} (and both start methods);
-* home-shard ``query_count`` against the dedup oracle on duplication-heavy
-  (long-interval) collections, including after inserts and deletes;
+* sharded ``query_count`` -- two bisections over the one count pair --
+  against the dedup oracle on duplication-heavy (long-interval)
+  collections, including after inserts and deletes;
 * pickle and shared-memory round-trips of the core value types;
 * executor lifecycle: pools the store created are closed with it, pools the
   caller passed in are not, and deletes probe only the owning shards.
@@ -188,34 +189,35 @@ class TestProcessShardedEquivalence:
                 )
 
 
-class TestHomeShardCounting:
-    """Multi-shard query_count == dedup oracle, without materialising ids."""
+class TestShardedCounting:
+    """Sharded query_count == dedup oracle, without materialising ids."""
 
     @pytest.mark.parametrize("k", [2, 4, 7])
-    def test_duplication_heavy_counts_match_oracle(self, books_like_collection, k, rng):
-        """BOOKS-like data: long intervals, so most intervals span shard cuts."""
+    def test_duplication_heavy_counts_match_oracle(
+        self, books_like_collection, k, rng, forbid_shard_probes
+    ):
+        """BOOKS-like data: long intervals, so most intervals span shard
+        cuts; every count answers with every shard probe made to raise."""
         index = ShardedIndex(books_like_collection, backend="naive", num_shards=k)
-        for query in _workload(books_like_collection, rng, count=30):
-            assert index.query_count(query) == len(
-                set(books_like_collection.query_ids(query).tolist())
-            ), (k, query)
-        assert index.count_ops["home_shard"] > 0
+        queries = _workload(books_like_collection, rng, count=30)
+        oracle = [len(set(books_like_collection.query_ids(q).tolist())) for q in queries]
+        forbid_shard_probes(index)
+        assert [index.query_count(q) for q in queries] == oracle, k
+        assert [index.query_exists(q) for q in queries] == [c > 0 for c in oracle]
 
-    def test_counts_never_call_query_on_multi_shard_plans(
+    def test_counts_never_call_query_single_or_multi_shard(
         self, books_like_collection, rng, monkeypatch
     ):
         index = ShardedIndex(books_like_collection, backend="naive", num_shards=4)
-        queries = [
-            q
-            for q in _workload(books_like_collection, rng, count=30)
-            if index.plan.shard_range(q.start, q.end)[0]
-            < index.plan.shard_range(q.start, q.end)[1]
-        ]
-        assert queries, "workload produced no multi-shard queries"
+        queries = _workload(books_like_collection, rng, count=30)
+        spans = [index.plan.shard_range(q.start, q.end) for q in queries]
+        assert any(first < last for first, last in spans), "no multi-shard query"
+        cut = int(index.plan.cuts[0])
+        queries.append(Query(cut, cut + 1))  # inside shard 1 alone
         oracle = [len(set(books_like_collection.query_ids(q).tolist())) for q in queries]
 
         def _boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("multi-shard query_count materialised an id list")
+            raise AssertionError("a sharded query_count materialised an id list")
 
         monkeypatch.setattr(ShardedIndex, "query", _boom)
         for shard in index.shards:
@@ -247,13 +249,14 @@ class TestHomeShardCounting:
                 want = sum(1 for s in live.values() if s.overlaps(query))
                 assert index.query_count(query) == want, (step, query)
 
-    def test_fluent_count_uses_home_shard_path(self, books_like_collection):
+    def test_fluent_count_reads_the_count_pair(
+        self, books_like_collection, forbid_shard_probes
+    ):
         store = IntervalStore.open(books_like_collection, "naive", num_shards=4)
         lo, hi = books_like_collection.span()
-        before = dict(store.index.count_ops)
-        total = store.query().overlapping(lo, hi).count()
-        assert total == len(books_like_collection)
-        assert store.index.count_ops["home_shard"] == before["home_shard"] + 1
+        forbid_shard_probes(store.index)
+        assert store.query().overlapping(lo, hi).count() == len(books_like_collection)
+        assert store.query().overlapping(lo, hi).exists()
 
     def test_stabbing_and_boundary_counts(self, synthetic_collection):
         index = ShardedIndex(synthetic_collection, backend="grid1d", num_shards=4,

@@ -8,15 +8,16 @@ On a 100k-interval TAXIS-scale collection with a 1k-query workload:
   like the oracle -- what that buys in wall-clock is recorded, not asserted,
   by ladder rung R3 (``engine.executor.processes.batch_us_per_query`` beside
   R2's serial number);
-* multi-shard ``query_count`` answers through home-shard sums -- identical
-  to the materialise-and-dedup oracle and never building an id list.
+* sharded counts and exists, single and batched, are bisections over the
+  one count pair -- identical to the brute-force oracle with updates
+  pending under the pool, and never probing a shard or reaching the pool.
 """
 
 import pytest
 
 from repro.core.interval import Query
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
-from repro.engine import IntervalStore, ShardedIndex, create_index
+from repro.engine import IntervalStore, create_index
 from repro.queries.generator import QueryWorkloadConfig, generate_queries
 
 CARDINALITY = 100_000
@@ -61,31 +62,28 @@ def test_process_executor_identical_to_unsharded_at_scale(workload):
             assert sorted(ids) == sorted(unsharded.query(Query(query.start, query.end)))
 
 
-def test_multi_shard_count_never_materialises_at_scale(workload, monkeypatch):
-    """Counting a duplication-heavy multi-shard workload touches no id lists."""
+def test_sharded_counts_never_probe_a_shard_at_scale(
+    workload, pending_updates, forbid_shard_probes
+):
+    """Counting a duplication-heavy workload, single- and multi-shard, with
+    deletes pending under a process pool: no shard probe, no submission."""
     collection, _ = workload
-    index = ShardedIndex(collection, backend="hintm_opt", num_shards=4)
-    lo, hi = collection.span()
-    step = max(1, (hi - lo) // 50)
-    broad = [Query(lo + i * step, lo + i * step + 3 * step) for i in range(40)]
-    oracle = [len(set(index.query(q))) for q in broad]
-
-    def _no_materialise(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("query_count materialised an id list")
-
-    before = dict(index.count_ops)
-    monkeypatch.setattr(type(index), "query", _no_materialise)
-    for shard in index.shards:
-        monkeypatch.setattr(type(shard), "query", _no_materialise, raising=False)
-    counts = [index.query_count(q) for q in broad]
-    monkeypatch.undo()
-    assert counts == oracle
-    multi_shard = sum(
-        1
-        for q in broad
-        if index.plan.shard_range(q.start, q.end)[0]
-        < index.plan.shard_range(q.start, q.end)[1]
-    )
-    assert multi_shard > 0
-    assert index.count_ops["home_shard"] - before["home_shard"] == multi_shard
-    index.close()
+    with IntervalStore.open(
+        collection, "hintm_opt", num_shards=4, executor="processes", workers=2
+    ) as store:
+        index = store.index
+        lo, hi = collection.span()
+        step = max(1, (hi - lo) // 50)
+        broad = [Query(lo + i * step, lo + i * step + 3 * step) for i in range(40)]
+        cut = int(index.plan.cuts[1])
+        broad.append(Query(cut, cut + step // 4))  # inside one shard
+        spans = [index.plan.shard_range(q.start, q.end) for q in broad]
+        assert any(first < last for first, last in spans)
+        assert any(first == last for first, last in spans)
+        oracle = pending_updates(index, collection)(broad)
+        assert index.count_columns.pending_ops > 0
+        forbid_shard_probes(index)
+        assert [index.query_count(q) for q in broad] == oracle
+        assert [index.query_exists(q) for q in broad] == [c > 0 for c in oracle]
+        assert store.count_batch(broad) == oracle
+        assert store.exists_batch(broad) == [c > 0 for c in oracle]

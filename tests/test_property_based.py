@@ -250,7 +250,7 @@ def test_period_index_matches_oracle(pairs, query, coarse, levels):
 )
 def test_update_sequences_match_oracle(pairs, extra, deletions, query, m, num_shards):
     """Random insert/delete sequences keep HINT^m -- and a K-shard index's
-    journal-batched counts -- equivalent to the oracle."""
+    batched counts -- equivalent to the oracle."""
     collection = _collection(pairs)
     hint = SubdividedHINTm(collection, num_bits=m)
     sharded = ShardedIndex(collection, backend="naive", num_shards=num_shards)

@@ -112,7 +112,7 @@ def test_cached_results_stay_oracle_correct_across_updates_and_maintenance():
                 del live[int(victim)]
             # ...every cached hot answer must reflect them immediately
             assert_served_fresh()
-            # maintenance (journal folds, rebuilds, possible repartition)
+            # maintenance (count folds, rebuilds, possible repartition)
             # must never resurrect a pre-maintenance cached answer either
             client.maintain(force=round_no % 2 == 0)
             assert_served_fresh()

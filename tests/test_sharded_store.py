@@ -118,7 +118,7 @@ class TestShardedEquivalence:
             old = next(i for i in live.values() if i.start < cut <= i.end)
             assert store.delete(old.id)
             del live[old.id]
-        # one inserted straddler goes again, so deletes hit journaled copies
+        # one inserted straddler goes again, so deletes hit recorded copies
         assert store.delete(10_000_000)
         del live[10_000_000]
         _assert_matches_live(store, live, workload)
@@ -198,22 +198,44 @@ class TestPooledExecution:
 
 
 class TestShardedResultSet:
-    def test_builder_returns_the_one_lazy_handle(self, synthetic_collection):
+    def test_builder_returns_the_one_lazy_handle(
+        self, synthetic_collection, forbid_shard_probes
+    ):
         store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
         lo, hi = synthetic_collection.span()
         results = store.query().overlapping(lo, hi).build()
         assert type(results) is ResultSet
         assert repr(results).endswith("lazy)")
+        forbid_shard_probes(store.index)  # no id list built, no shard probed
         assert results.count() == len(synthetic_collection)
-        assert store.index.count_ops["home_shard"] == 1  # no id list built
 
-    def test_single_shard_query_keeps_backend_count_path(self, synthetic_collection):
+    def test_single_shard_count_reads_the_count_pair(
+        self, synthetic_collection, forbid_shard_probes
+    ):
+        """A query inside one shard counts off the same pair as a query
+        spanning several: the shard's own count path is never taken."""
         store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
         point = int(store.index.plan.cuts[0]) + 1
         assert store.index.plan.shard_range(point, point) == (1, 1)
-        results = store.query().stabbing(point).build()
-        assert results.count() == len(synthetic_collection.query_ids(Query.stabbing(point)))
-        assert store.index.count_ops["single_shard"] == 1
+        want = len(synthetic_collection.query_ids(Query.stabbing(point)))
+        forbid_shard_probes(store.index)
+        assert store.query().stabbing(point).count() == want
+        assert store.query().stabbing(point).exists() == (want > 0)
+
+    def test_repeated_id_build_counts_what_it_answers(self):
+        """A build that repeats an id keeps the last row in the shards and
+        in the count pair alike, so every count equals its id answer."""
+        collection = IntervalCollection(
+            np.array([1, 1, 2, 3]), np.array([0, 50, 10, 70]), np.array([5, 60, 20, 90])
+        )
+        store = IntervalStore.open(collection, "hintm_opt", num_shards=2)
+        assert store.index.num_shards == 2 and len(store) == 3
+        assert sorted(store.query().overlapping(0, 100).ids().tolist()) == [1, 2, 3]
+        assert store.query().overlapping(0, 5).ids().tolist() == []  # the dropped row
+        for start in range(-5, 100, 5):
+            for end in range(start, 100, 5):
+                results = store.query().overlapping(start, end)
+                assert results.count() == len(results.ids()), (start, end)
 
     def test_limit_applies_after_merge(self, synthetic_collection):
         store = IntervalStore.open(synthetic_collection, "hintm_opt", num_shards=4, num_bits=7)
@@ -451,7 +473,7 @@ class TestShardedStatsAndMemory:
         index = create_index("sharded", synthetic_collection, backend="hintm_opt",
                              num_shards=4, num_bits=7)
         total = index.memory_bytes()
-        parts = (*index.shards, index.ingest_journal, index._epoch.locator)
+        parts = (*index.shards, index.count_columns, index._epoch.locator)
         assert 0 < total - _deep_sizeof(parts) < 16 * 1024
         # walking the parts (or the index) a second time adds only headers
         assert _deep_sizeof((index, parts)) - total < 1024

@@ -69,7 +69,7 @@ class Domain:
 
     num_bits: int
     raw_min: int = 0
-    raw_max: int = -1  # sentinel: defaults to 2^num_bits - 1
+    raw_max: int | None = None  # None: 2^num_bits - 1
     #: number of distinct values in the discrete domain (``2^num_bits``)
     size: int = field(init=False, repr=False, compare=False)
     #: largest discrete value (``2^num_bits - 1``)
@@ -82,7 +82,7 @@ class Domain:
     def __post_init__(self) -> None:
         if self.num_bits < 1:
             raise DomainError(f"num_bits must be >= 1, got {self.num_bits}")
-        if self.raw_max == -1:
+        if self.raw_max is None:
             object.__setattr__(self, "raw_max", (1 << self.num_bits) - 1)
         if self.raw_max < self.raw_min:
             raise DomainError(f"raw_max ({self.raw_max}) < raw_min ({self.raw_min})")

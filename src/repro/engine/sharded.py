@@ -154,6 +154,16 @@ def _merge_shard_answers(parts: List[Tuple[int, np.ndarray]]) -> np.ndarray:
     return merge_unique_ids(ids for _, ids in parts)
 
 
+def _render_shards(shards: List[Optional[IntervalIndex]]) -> bool:
+    """Render each built shard's id column; True when every shard then
+    answers as text (an unbuilt shard or a backend without text cannot)."""
+    for shard in shards:
+        render = getattr(shard, "render_ids", None)
+        if render is not None:
+            render()
+    return all(getattr(shard, "renders_ids", False) for shard in shards)
+
+
 def _query_bounds(workload: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
     """A batch's ``(starts, ends)`` as ``int64`` columns."""
     total = len(workload)
@@ -307,6 +317,9 @@ class ShardedIndex(IntervalIndex):
         self.last_refresh: Optional[float] = None
         self._shared: Optional[SharedCollectionBuffer] = None
         self._residency: Optional[ShardResidencySpec] = None
+        #: True once :meth:`render_ids` rendered every shard; each epoch
+        #: installed after it renders its fresh shards before publishing
+        self._renders_ids = False
         plan = ShardPlan.for_collection(collection, num_shards, strategy)
         self._install_partition(collection, plan)
 
@@ -351,6 +364,9 @@ class ShardedIndex(IntervalIndex):
             shards = self._executor.map(
                 lambda piece: create_index(self._backend, piece, **self._opts), pieces
             )
+        if self._renders_ids:
+            # before the publish: no reader finds a fresh shard without text
+            self._renders_ids = _render_shards(shards)
         epoch = Epoch(
             epoch_id=self._epochs_installed,
             plan=plan,
@@ -641,6 +657,34 @@ class ShardedIndex(IntervalIndex):
     # ------------------------------------------------------------------ #
     def query(self, query: Query) -> Sequence[int]:
         return self._query_epoch(self._epoch, query)
+
+    def render_ids(self) -> None:
+        """Render every shard's id column as text, for :meth:`ids_text`
+        (see :meth:`OptimizedHINTm.render_ids
+        <repro.hint.optimized.OptimizedHINTm.render_ids>`).  Shards a
+        process executor keeps worker-resident, and backends that cannot
+        render, leave :attr:`renders_ids` False."""
+        with self.updates.lock:  # not between a repartition's build and publish
+            self._renders_ids = _render_shards(self._epoch.shards)
+
+    @property
+    def renders_ids(self) -> bool:
+        """True while :meth:`ids_text` answers: every shard renders."""
+        return self._renders_ids
+
+    def ids_text(self, query: Query) -> Optional[Tuple[bytes, int]]:
+        """``(text, count)`` of :meth:`query`'s answer, in its order: the
+        text of the one shard the query overlaps, or the merged ids of the
+        shards it spans rendered here -- or None unless :attr:`renders_ids`."""
+        if not self._renders_ids:
+            return None
+        epoch = self._epoch
+        first, last = epoch.plan.shard_range(query.start, query.end)
+        if first == last:
+            shard = epoch.shards[first]
+            return None if shard is None else shard.ids_text(query)
+        ids = self._query_epoch(epoch, query)
+        return ",".join(map(str, ids.tolist())).encode(), len(ids)
 
     def _query_epoch(self, epoch: Epoch, query: Query) -> Sequence[int]:
         first, last = epoch.plan.shard_range(query.start, query.end)

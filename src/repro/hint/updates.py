@@ -170,6 +170,8 @@ class HybridHINTm(IntervalIndex):
                 collection.starts, collection.ends, self._m
             )
             main = OptimizedHINTm(collection, num_bits=self._m, domain=self._domain)
+            if self._main.renders_ids:
+                main.render_ids()  # before the swap: no reader finds it bare
             delta = SubdividedHINTm(
                 IntervalCollection.empty(),
                 num_bits=self._m,
@@ -212,6 +214,35 @@ class HybridHINTm(IntervalIndex):
             stats.merge(delta_stats)
         stats.results = len(results)
         return results, stats
+
+    # ------------------------------------------------------------------ #
+    # answers as text (see OptimizedHINTm.render_ids)
+    # ------------------------------------------------------------------ #
+    def render_ids(self) -> None:
+        """Render the main index's id column as text, for :meth:`ids_text`;
+        every later :meth:`rebuild` renders its fresh main index too."""
+        with self.updates.lock:  # not between a rebuild's check and its swap
+            self._main.render_ids()
+
+    @property
+    def renders_ids(self) -> bool:
+        """True while :meth:`ids_text` answers: the main index renders."""
+        return self._components[0].renders_ids
+
+    def ids_text(self, query: Query) -> Optional[Tuple[bytes, int]]:
+        """``(text, count)`` of :meth:`query`'s answer, in its order: the
+        main index's slices, then the delta's few ids rendered here -- or
+        None unless :attr:`renders_ids`."""
+        main, delta = self._components  # one load, as in :meth:`query`
+        answer = main.ids_text(query)
+        if answer is None or not len(delta):
+            return answer
+        recent = delta.query(query)
+        if not recent:
+            return answer
+        text, count = answer
+        tail = ",".join(map(str, recent)).encode()
+        return (text + b"," + tail if count else tail), count + len(recent)
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:

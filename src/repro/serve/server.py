@@ -34,18 +34,21 @@ Request lifecycle::
   admitted or answered ``503``, and ``stop()`` starts draining only
   after it.
 * **Answers sliced from text**: a plain ids ``/query`` (no
-  ``count_only``, ``relation`` or ``stats``) on a store whose index can
-  render its ids -- an unsharded ``hintm_opt`` read on the loop -- skips
-  ``run_batch`` and the JSON encoder.  :meth:`QueryServer.start` renders
-  the index's id column once (each id as ASCII decimal plus a comma, an
-  int64 offset per row: its text plus 8 bytes a row, ~3.0 MB on 200k
-  TAXIS-shaped intervals, counted by ``memory_bytes()``), and the answer
-  is sliced out of it run by run
+  ``count_only``, ``relation`` or ``stats``) on a HINT^m store read on
+  the loop -- ``hintm_opt`` or ``hintm_hybrid``, unsharded or sharded --
+  skips ``run_batch`` and the JSON encoder.  :meth:`QueryServer.start`
+  renders each optimized index's id column once (each id as ASCII
+  decimal plus a comma, an int64 offset per row: its text plus 8 bytes a
+  row, ~3.0 MB on 200k TAXIS-shaped intervals, counted by
+  ``memory_bytes()``), and the answer is sliced out of it run by run
   (:meth:`~repro.hint.optimized.OptimizedHINTm.ids_text`) into a body
   byte-identical to the encoded ids.  Deletes keep the column: a slice
-  is split where a tombstoned row sits.  The fallback, one ``run_batch``
-  call as before, serves every other ``/query`` and every other store.
-  Both paths read the generation before the probe,
+  is split where a tombstoned row sits.  A hybrid appends its delta's
+  few ids as text, a query that spans shards renders its merged ids, and
+  a rebuild or repartition renders its fresh indexes before it swaps
+  them in.  The fallback, one ``run_batch`` call as before, serves every
+  other ``/query``, every other store, and an answer the text does not
+  hold.  Both paths read the generation before the probe,
   fill the cache, move the same counters and record the same
   ``run_batch`` span for a traced request.
 * **Updates**: an ``/insert`` or ``/delete`` applies on the loop too --
@@ -840,6 +843,8 @@ class QueryServer(HttpServer):
         generation = self._store.result_generation()
         with tracing.span("run_batch", queries=len(queries), count_only=count_only):
             answer = self._rendered.ids_text(queries[0])
+        if answer is None:  # this answer is not in the text: the store call
+            return self._execute_batch(queries, count_only)
         self._m_batches.inc()
         self._m_batched_queries.inc()
         return generation, [answer]
@@ -1228,15 +1233,19 @@ def _fans_out_to_processes(store: IntervalStore) -> bool:
 def _rendered_index(store: IntervalStore, hop_reads: bool):
     """The store's index with its id column rendered as text, or None.
 
-    Only an index that can answer as text (:meth:`OptimizedHINTm.ids_text
-    <repro.hint.optimized.OptimizedHINTm.ids_text>`) and whose reads run on
-    the event loop is rendered; every other store keeps ``run_batch``.
+    Every in-process HINT^m store renders: ``hintm_opt``, the
+    ``hintm_hybrid`` main index, and the shards of either at K > 1 (each
+    has an ``ids_text``; see :meth:`OptimizedHINTm.ids_text
+    <repro.hint.optimized.OptimizedHINTm.ids_text>`).  The index keeps
+    rendering through its rebuilds and repartitions.  A store whose reads
+    hop to worker processes, or whose backend cannot render, keeps
+    ``run_batch``.
     """
     render = getattr(store.index, "render_ids", None)
     if render is None or hop_reads:
         return None
     render()
-    return store.index
+    return store.index if store.index.renders_ids else None
 
 
 def _apply_update(apply, argument):

@@ -83,6 +83,18 @@ class TestDomain:
         assert domain.raw_min == 10
         assert domain.raw_max == 90
 
+    def test_a_maximum_of_minus_one_is_kept(self):
+        # -1 is a real largest end, not "no maximum given"
+        for domain in (
+            Domain(num_bits=1, raw_min=-2, raw_max=-1),
+            Domain.for_collection(np.array([-2, -5]), np.array([-1, -3]), num_bits=1),
+        ):
+            assert domain.raw_max == -1
+            assert not domain.is_identity
+            assert domain.map_value(-1) == domain.max_value == 1
+            assert domain.map_values(np.array([-1])).tolist() == [1]
+        assert Domain(num_bits=3).raw_max == 7  # no maximum given: 2^m - 1
+
     def test_for_empty_collection(self):
         domain = Domain.for_collection(np.array([]), np.array([]), num_bits=4)
         assert domain.is_identity

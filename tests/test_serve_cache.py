@@ -339,16 +339,17 @@ def _collection(n=300, seed=5):
 
 
 def _spied_store(num_shards):
-    """A hybrid store whose ``run_batch`` calls are counted."""
+    """A hybrid store whose reads for a plain /query (its index's
+    ``ids_text``, the rendered text a server slices) are counted."""
     store = IntervalStore.open(_collection(), "hintm_hybrid", num_shards=num_shards)
     calls = []
-    real = store.run_batch
+    real = store.index.ids_text
 
-    def spy(queries, count_only=False):
-        calls.append(len(queries))
-        return real(queries, count_only=count_only)
+    def spy(query):
+        calls.append(1)
+        return real(query)
 
-    store.run_batch = spy
+    store.index.ids_text = spy
     return store, calls
 
 
@@ -422,19 +423,19 @@ class TestServedRangeEviction:
         assert seen == 1  # the far-away insert changed one of the two
 
     def test_fill_race_never_serves_the_stale_answer(self, spied):
-        # the store's batch call commits an overlapping insert mid-query:
-        # the pre-insert answer goes back to that caller, but the cache
-        # must refuse to keep it
+        # the store's read commits an overlapping insert mid-query: the
+        # pre-insert answer goes back to that caller, but the cache must
+        # refuse to keep it
         store, calls, client = spied
-        real = store.run_batch
+        real = store.index.ids_text
 
-        def racing(queries, count_only=False):
-            result = real(queries, count_only=count_only)
-            store.run_batch = real
+        def racing(query):
+            result = real(query)
+            store.index.ids_text = real
             store.insert(Interval(90_004, 2_050, 2_060))
             return result
 
-        store.run_batch = racing
+        store.index.ids_text = racing
         first = client.query(2_000, 2_100)
         assert 90_004 not in first["ids"]
         assert set(client.query(2_000, 2_100)["ids"]) == _ids(store, 2_000, 2_100)

@@ -1,8 +1,10 @@
-"""A plain ``/query`` on ``hintm_opt`` is answered from the rendered id column.
+"""A plain ``/query`` on a HINT^m store is answered from rendered id text.
 
 The server renders the index's id column as text once, when it starts, and
-slices each plain ids answer out of it (``OptimizedHINTm.ids_text``).  The
-rest of a request is unchanged, so these tests pin what must not move:
+slices each plain ids answer out of it (``OptimizedHINTm.ids_text``); a
+hybrid adds its delta's ids, a sharded index answers from the one shard a
+query overlaps or renders the merged ids of the shards it spans.  The rest
+of a request is unchanged, so these tests pin what must not move:
 
 * the served body is byte-identical to what ``_encode_answer`` makes of the
   index's ``query`` -- at several ``m``, on int and float bounds, stabbing
@@ -13,17 +15,25 @@ rest of a request is unchanged, so these tests pin what must not move:
 * the same counters move and a traced request records the same spans;
 * in-process reads never build the column, and a started server's
   ``memory_bytes()`` grows by the column's bytes and its headers;
+* hybrid and sharded answers equal ``query`` through inserts, deletes,
+  re-inserts, rebuilds and repartitions, which render their fresh indexes
+  and drop the old columns; served, they never call ``run_batch``, and a
+  backend that cannot render keeps it;
 * deletes on another thread (a hopped ``/delete``) racing text answers
   leave every answer between the live sets before and after them.
 """
 
+import gc
+import json
 import sys
 import threading
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.core.interval import IntervalCollection, Query
+from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore
 from repro.hint.optimized import OptimizedHINTm
 from repro.obs import tracing
@@ -225,16 +235,210 @@ def test_a_started_server_counts_the_column_in_memory_bytes():
         store.close()
 
 
-@pytest.mark.parametrize("backend, shards", [("hintm_hybrid", 1), ("hintm_opt", 2)])
-def test_other_stores_keep_run_batch(backend, shards):
+@pytest.mark.parametrize(
+    "backend, shards", [("hintm_hybrid", 1), ("hintm_opt", 2), ("hintm_hybrid", 2)]
+)
+def test_every_hintm_store_answers_without_run_batch(backend, shards):
     collection = _collection()
     store = IntervalStore.open(collection, backend, num_shards=shards)
     handle = start_server_thread(store, cache=0)
+
+    def refuse(queries, count_only=False):
+        raise AssertionError("a plain /query ran run_batch")
+
+    store.run_batch = refuse
+    try:
+        assert handle.server._rendered is store.index
+        assert store.index.renders_ids
+        with ServeClient(port=handle.port) as client:
+            for start, end in _queries():
+                assert sorted(client.query(start, end)["ids"]) == _oracle(collection, start, end)
+            assert client.stats()["batches"] == len(_queries())
+    finally:
+        handle.stop()
+        store.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_a_backend_that_cannot_render_keeps_run_batch(shards):
+    collection = _collection()
+    store = IntervalStore.open(collection, "naive", num_shards=shards)
+    handle = start_server_thread(store, cache=0)
+    batches = []
+    original = store.run_batch
+    store.run_batch = lambda queries, count_only=False: (
+        batches.append(len(queries)) or original(queries, count_only=count_only)
+    )
     try:
         assert handle.server._rendered is None
+        assert not getattr(store.index, "renders_ids", False)
         with ServeClient(port=handle.port) as client:
             assert sorted(client.query(0, 70_000)["ids"]) == _oracle(collection, 0, 70_000)
-            assert client.stats()["batches"] == 1
+        assert batches == [1]
+    finally:
+        handle.stop()
+        store.close()
+
+
+def _parsed(answer):
+    text, count = answer
+    ids = [int(i) for i in text.split(b",")] if text else []
+    assert count == len(ids)
+    return ids
+
+
+def _live_oracle(live, start, end):
+    return sorted(i for i, (s, e) in live.items() if s <= end and e >= start)
+
+
+def _check_text(index, live, queries):
+    """Every ``ids_text`` answer parses to ``query``'s ids and the oracle's."""
+    for query in queries:
+        ids = _parsed(index.ids_text(query))
+        assert Counter(ids) == Counter(index.query(query).tolist())
+        assert sorted(ids) == _live_oracle(live, query.start, query.end)
+
+
+def _mains(index):
+    """The optimized indexes that hold a hybrid or sharded index's text."""
+    parts = index.shards if hasattr(index, "shards") else [index]
+    return [getattr(part, "main_index", part) for part in parts]
+
+
+def _columns(index):
+    """The rendered id columns an index answers from."""
+    return [main._id_text for main in _mains(index)]
+
+
+def _column_bytes(index):
+    return sum(len(text) + offsets.nbytes for text, offsets in _columns(index))
+
+
+def _bytes_without_columns(store):
+    """``memory_bytes()`` with every rendered column set aside."""
+    mains = _mains(store.index)
+    saved = [main._id_text for main in mains]
+    for main in mains:
+        main._id_text = None
+    try:
+        return store.memory_bytes()
+    finally:
+        for main, column in zip(mains, saved):
+            main._id_text = column
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_hybrid_and_sharded_text_matches_query_through_updates(shards):
+    collection = _collection()
+    store = IntervalStore.open(collection, "hintm_hybrid", num_shards=shards)
+    index = store.index
+    live = {
+        int(i): (int(s), int(e))
+        for i, s, e in zip(collection.ids, collection.starts, collection.ends)
+    }
+    top = int(collection.ends.max())  # nothing lies past it
+    empty = Query(top + 1_000, top + 2_000)
+    assert index.ids_text(empty) is None  # not rendered yet
+    bare = store.memory_bytes()
+    index.render_ids()
+    assert index.renders_ids
+    assert 0 <= store.memory_bytes() - bare - _column_bytes(index) < 1024 * len(_columns(index))
+    queries = [Query(start, end) for start, end in _queries()]
+    _check_text(index, live, queries)
+
+    # both answers empty: the body's ids are []
+    assert index.ids_text(empty) == (b"", 0)
+    assert _encode_answer(3, index.ids_text(empty), False) == b'{"ids":[],"count":0,"generation":3}'
+
+    rng = np.random.default_rng(11)
+    victims = rng.choice(collection.ids, 300, replace=False).tolist()
+    for victim in victims:
+        assert store.delete(victim)
+        del live[victim]
+    for offset in range(200):
+        start = int(rng.integers(0, DOMAIN))
+        interval = Interval(50_000 + offset, start, start + int(rng.integers(0, 20_000)))
+        store.insert(interval)
+        live[interval.id] = (interval.start, interval.end)
+    # a deleted id comes back, elsewhere: the delta holds it, the main's
+    # row stays tombstoned
+    store.insert(Interval(victims[0], 500_000, 500_500))
+    live[victims[0]] = (500_000, 500_500)
+    # the main index answers nothing here, the delta one id
+    store.insert(Interval(60_000, top + 1_005, top + 1_010))
+    live[60_000] = (top + 1_005, top + 1_010)
+    assert index.ids_text(empty) == (b"60000", 1)
+    cut = int(index.plan.cuts[0]) if shards > 1 else DOMAIN // 2
+    # a long interval held by both shards, and queries spanning the cut
+    store.insert(Interval(60_001, cut - 5_000, cut + 5_000))
+    live[60_001] = (cut - 5_000, cut + 5_000)
+    around = [Query(cut - 100, cut + 100), Query(cut - 1, cut), Query(cut, cut)]
+    stabs = [Query(500_200, 500_200), Query(cut + 4_000, cut + 4_000)]
+    checked = queries + [empty] + around + stabs
+    _check_text(index, live, checked)
+    assert _parsed(index.ids_text(Query(500_000, 500_000))).count(victims[0]) == 1
+
+    old_columns = _columns(index)
+    if shards > 1:
+        epoch = index.epoch
+        assert index.repartition(strategy="balanced")  # fresh shards, new cut
+        assert index.epoch > epoch and index.renders_ids
+        cut = int(index.plan.cuts[0])
+        _check_text(index, live, checked + [Query(cut - 100, cut + 100), Query(cut, cut)])
+        store.insert(Interval(60_002, cut - 5_000, cut + 5_000))
+        live[60_002] = (cut - 5_000, cut + 5_000)
+        checked += [Query(cut - 100, cut + 100), Query(cut, cut)]
+        _check_text(index, live, checked)
+    store.maintain(force=True)  # rebuilds the main index (of each shard)
+    assert index.renders_ids
+    assert all(new is not old for new, old in zip(_columns(index), old_columns))
+    _check_text(index, live, checked)
+    # the new columns are counted, the old ones are no longer held
+    assert 0 <= store.memory_bytes() - _bytes_without_columns(store) - _column_bytes(index) < (
+        1024 * len(_columns(index))
+    )
+    gone = [weakref.ref(offsets) for _, offsets in old_columns]
+    del old_columns
+    gc.collect()
+    assert all(ref() is None for ref in gone)
+    store.close()
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_served_hybrid_answers_without_run_batch_across_maintain(shards):
+    collection = _collection()
+    store = IntervalStore.open(collection, "hintm_hybrid", num_shards=shards)
+    live = {
+        int(i): (int(s), int(e))
+        for i, s, e in zip(collection.ids, collection.starts, collection.ends)
+    }
+    handle = start_server_thread(store, cache=0)
+
+    def refuse(queries, count_only=False):
+        raise AssertionError("a plain /query ran run_batch")
+
+    store.run_batch = refuse
+    try:
+        with ServeClient(port=handle.port) as client:
+            def check():
+                for start, end in _queries():
+                    body = json.loads(_raw_query(client, start, end))
+                    assert sorted(body["ids"]) == _live_oracle(live, start, end)
+                    assert body["count"] == len(body["ids"])
+
+            check()
+            rng = np.random.default_rng(5)
+            for victim in rng.choice(collection.ids, 100, replace=False).tolist():
+                assert client.delete(victim)["deleted"]
+                del live[victim]
+            for offset in range(100):
+                start = int(rng.integers(0, DOMAIN))
+                client.insert(70_000 + offset, start, start + 5_000)
+                live[70_000 + offset] = (start, start + 5_000)
+            check()
+            client.maintain(force=True)
+            assert store.index.renders_ids
+            check()
     finally:
         handle.stop()
         store.close()

@@ -3,7 +3,7 @@
 Over real JSON-over-HTTP against a served store:
 
 * a cache hit does *no* store work -- zero ``store.run_batch`` /
-  ``store.query`` calls, the pre-encoded body is the answer -- and an
+  ``store.query`` / ``store.index.ids_text`` calls, the pre-encoded body is the answer -- and an
   overlapping update makes the next identical request a miss again.  That is
   the structural fact behind the cached path's throughput win; the win
   itself is measured by ``e2e_bench`` (``serve.cache.hit_rate`` and
@@ -31,14 +31,15 @@ def test_cached_serving_beats_uncached_5x(monkeypatch):
         backend="hintm_hybrid",
     )
     calls = collections.Counter()
-    for name in ("run_batch", "query"):
-        real = getattr(store, name)
+    # a plain /query on a hybrid reads the index's rendered text
+    for owner, name in ((store, "run_batch"), (store, "query"), (store.index, "ids_text")):
+        real = getattr(owner, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(store, name, spy)
+        monkeypatch.setattr(owner, name, spy)
 
     handle = start_server_thread(store, cache=64)
     client = ServeClient(port=handle.port)

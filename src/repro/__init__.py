@@ -39,11 +39,9 @@ from repro.core import (
 from repro.engine import (
     BackendSpec,
     BatchResult,
-    Executor,
     IntervalStore,
     QueryBuilder,
     ResultSet,
-    SerialExecutor,
     ShardPlan,
     ShardedIndex,
     available_backends,
@@ -54,7 +52,6 @@ from repro.engine import (
     partition_collection,
     register_backend,
     resolve_backend,
-    resolve_executor,
 )
 from repro.datasets import (
     REAL_DATASET_PROFILES,
@@ -118,7 +115,6 @@ __all__ = [
     "DurabilityDegradedError",
     "DurabilityError",
     "DurabilityManager",
-    "Executor",
     "Grid1D",
     "HINTm",
     "HybridHINTm",
@@ -139,7 +135,6 @@ __all__ = [
     "ReproError",
     "ResultCache",
     "ResultSet",
-    "SerialExecutor",
     "ServeClient",
     "ServerHandle",
     "ServerUnavailableError",
@@ -176,7 +171,6 @@ __all__ = [
     "load_intervals_csv",
     "partition_collection",
     "replication_factor",
-    "resolve_executor",
     "save_intervals_csv",
     "start_server_thread",
     "__version__",

@@ -73,7 +73,7 @@ from repro.datasets.io import load_intervals_csv, save_intervals_csv
 from repro.datasets.real_like import REAL_DATASET_PROFILES, generate_real_like
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic
 from repro.engine import IntervalStore, available_backends, backend_specs, get_spec
-from repro.engine.executor import EXECUTOR_KINDS, available_cores
+from repro.engine.executor import EXECUTOR_KINDS, _default_workers
 from repro.engine.maintenance import (
     REBUILD_FRACTION,
     REBUILD_MIN_DELTA,
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="split the data into K time-range shards (default: 1)")
         sub.add_argument("--workers", type=int, default=None, metavar="W",
                          help="size of the process pool; needs --executor "
-                              "processes (default: the executor's own default)")
+                              "processes (default: min(cores, 8))")
         sub.add_argument("--executor", choices=executor_names, default=None,
                          help=f"execution strategy -- {executor_help} "
                               "(default: serial)")
@@ -568,7 +568,8 @@ def _describe_store(store: IntervalStore) -> str:
     """Short execution description: backend plus sharding, when in play."""
     index = store.index
     if isinstance(index, ShardedIndex):
-        return f"{index.backend}[K={index.num_shards},{index.executor.name}]"
+        executor = "serial" if index.executor is None else index.executor.name
+        return f"{index.backend}[K={index.num_shards},{executor}]"
     return store.backend
 
 
@@ -621,7 +622,7 @@ def _command_maintain(args: argparse.Namespace) -> int:
 
     if args.recommend_only:
         print("model-recommended shard count (extended Section 3.3 cost model):")
-        cores = args.workers if args.workers is not None else available_cores()
+        cores = args.workers if args.workers is not None else _default_workers()
         for executor_name, _ in EXECUTOR_KINDS:
             recommended = recommend_shard_count(
                 collection, args.index, executor=executor_name, workers=cores

@@ -135,6 +135,20 @@ def interval_contains_point(start: int, end: int, point: int) -> bool:
     return start <= point <= end
 
 
+def _reject_repeated_ids(ids: np.ndarray, source: object) -> None:
+    """Raise :class:`InvalidIntervalError` naming the first repeated id of
+    ``source``; strictly increasing ids (a sorted file, ``np.arange``) cost
+    one comparison pass and no sort."""
+    if bool(np.all(ids[1:] > ids[:-1])):
+        return
+    ranked = np.sort(ids)
+    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
+    if len(repeated):
+        raise InvalidIntervalError(
+            f"{source}: id {int(repeated[0])} appears on more than one row"
+        )
+
+
 class IntervalCollection:
     """A collection of intervals stored columnarly.
 

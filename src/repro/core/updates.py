@@ -49,15 +49,6 @@ class UpdateFeed:
         self.generation = 0
         self._listeners: List[UpdateListener] = []
 
-    def __getstate__(self) -> dict:
-        # a copy in another process only reads: it takes no lock and has
-        # no one to tell, so neither crosses the pickle
-        return {"generation": self.generation}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__()
-        self.generation = state["generation"]
-
     @property
     def listening(self) -> bool:
         """True while anyone is subscribed (a delete resolves the victim's

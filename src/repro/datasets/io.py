@@ -14,7 +14,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from repro.core.errors import InvalidIntervalError
-from repro.core.interval import IntervalCollection
+from repro.core.interval import IntervalCollection, _reject_repeated_ids
 
 __all__ = ["load_intervals_csv", "save_intervals_csv"]
 
@@ -56,21 +56,8 @@ def load_intervals_csv(path: Union[str, Path], has_header: bool = False) -> Inte
     columns = rows.T.copy()  # contiguous columns, not strided views of the rows
     if width == 2:
         return IntervalCollection(np.arange(len(rows), dtype=np.int64), *columns)
-    _reject_repeated_ids(path, columns[0])
+    _reject_repeated_ids(columns[0], path)
     return IntervalCollection(*columns)
-
-
-def _reject_repeated_ids(path: Path, ids: np.ndarray) -> None:
-    """Raise on the first repeated id; strictly increasing ids (the common,
-    sorted file) cost one comparison pass and no sort."""
-    if bool(np.all(ids[1:] > ids[:-1])):
-        return
-    ranked = np.sort(ids)
-    repeated = ranked[1:][ranked[1:] == ranked[:-1]]
-    if len(repeated):
-        raise InvalidIntervalError(
-            f"{path}: id {int(repeated[0])} appears on more than one row"
-        )
 
 
 def _first_row(path: Path, skip: int) -> Tuple[int, int]:

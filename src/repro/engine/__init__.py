@@ -10,11 +10,10 @@
   (sharded or not),
 * :mod:`repro.engine.batch` -- whole-workload execution
   (:func:`execute_batch`, :class:`BatchResult`),
-* :mod:`repro.engine.executor` -- pluggable executors
-  (:class:`SerialExecutor`, :class:`ProcessExecutor`) that every
-  execution entry point routes through; the process executor pairs with
-  worker-resident shards and shared-memory columns
-  (:mod:`repro.engine._procworker`),
+* :mod:`repro.engine.executor` -- the :class:`ProcessExecutor` pool;
+  asking for processes always means a :class:`ShardedIndex` (one shard
+  included) whose shards live in the workers over shared-memory columns
+  (:mod:`repro.engine._procworker`), and everything else runs inline,
 * :mod:`repro.engine.sharding` -- the domain partitioner
   (:class:`ShardPlan`, equi-width and balanced strategies),
 * :mod:`repro.engine.sharded` -- :class:`ShardedIndex`, K time-range
@@ -29,15 +28,7 @@
 """
 
 from repro.engine.batch import BatchResult, execute_batch
-from repro.engine.executor import (
-    EXECUTOR_KINDS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    available_cores,
-    resolve_executor,
-    split_chunks,
-)
+from repro.engine.executor import EXECUTOR_KINDS, ProcessExecutor, available_cores
 from repro.engine.maintenance import (
     MaintenanceConfig,
     MaintenanceCoordinator,
@@ -65,7 +56,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "EXECUTOR_KINDS",
     "Epoch",
-    "Executor",
     "IntervalStore",
     "MaintenanceConfig",
     "MaintenanceCoordinator",
@@ -74,7 +64,6 @@ __all__ = [
     "ProcessExecutor",
     "QueryBuilder",
     "ResultSet",
-    "SerialExecutor",
     "ShardPlan",
     "ShardedIndex",
     "available_backends",
@@ -88,6 +77,4 @@ __all__ = [
     "recommend_shard_count",
     "register_backend",
     "resolve_backend",
-    "resolve_executor",
-    "split_chunks",
 ]

@@ -144,7 +144,7 @@ def resident_tokens(_: object = None) -> Tuple[str, ...]:
 
     A diagnostic for tests and the maintenance tooling: map it over a
     process pool to sample which snapshot generations the workers still
-    hold (the dummy argument exists so ``Executor.map`` can drive it).
+    hold (the dummy argument exists so ``ProcessExecutor.map`` can drive it).
     """
     return tuple(_RESIDENTS.keys())
 

@@ -7,15 +7,14 @@ Bulk API consumers hand the engine a whole workload at once;
 with wall-clock metrics, so the CLI and library users exercise the same
 entry point.
 
-Execution routes through a pluggable :class:`repro.engine.executor.Executor`:
-the serial executor (the default) evaluates the batch inline, while a
-parallel executor carves the workload into per-worker chunks and runs them
-concurrently, preserving result order.
+The batch runs in the calling thread.  Parallelism, when a store asked for
+a process pool, lives inside the index: a
+:class:`repro.engine.sharded.ShardedIndex` fans its ``query_batch`` out to
+worker-resident shards, so no index is ever shipped to a worker.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
@@ -24,14 +23,8 @@ import numpy as np
 
 from repro.core.base import IntervalIndex
 from repro.core.interval import Query
-from repro.engine.executor import Executor, split_chunks
 
 __all__ = ["BatchResult", "execute_batch"]
-
-
-def _count_chunk(index: IntervalIndex, chunk: List[Query]) -> List[int]:
-    """Per-worker count evaluation; module-level so process pools can pickle it."""
-    return index.query_count_batch(chunk)
 
 
 @dataclass
@@ -75,37 +68,22 @@ class BatchResult:
 
 
 def execute_batch(
-    index: IntervalIndex,
-    queries: Sequence[Query],
-    count_only: bool = False,
-    executor: Optional[Executor] = None,
+    index: IntervalIndex, queries: Sequence[Query], count_only: bool = False
 ) -> BatchResult:
     """Answer ``queries`` against ``index`` in one batched call.
 
-    With ``count_only`` the per-query ``query_count`` fast path runs instead
-    and no ids are materialised.  A parallel ``executor`` splits the
-    workload into per-worker chunks and evaluates them concurrently; results
-    stay positionally aligned with ``queries``.
+    With ``count_only`` the batched count hook runs instead and no ids are
+    materialised.  Results stay positionally aligned with ``queries``.
     """
     workload = list(queries)
-    parallel = executor is not None and executor.workers > 1 and len(workload) > 1
     start = time.perf_counter()
     if count_only:
         ids: Optional[List[np.ndarray]] = None
-        if parallel:
-            chunks = split_chunks(workload, executor.workers)
-            counted = executor.map(functools.partial(_count_chunk, index), chunks)
-            counts = [count for chunk in counted for count in chunk]
-        else:
-            # the batched hook, not a per-query loop: composite indexes
-            # (sharded) answer it in one vectorised pass
-            counts = index.query_count_batch(workload)
+        # the batched hook, not a per-query loop: composite indexes
+        # (sharded) answer it in one vectorised pass
+        counts = index.query_count_batch(workload)
     else:
-        if parallel:
-            chunks = split_chunks(workload, executor.workers)
-            ids = [result for chunk in executor.map(index.query_batch, chunks) for result in chunk]
-        else:
-            ids = index.query_batch(workload)
+        ids = index.query_batch(workload)
         counts = [len(result) for result in ids]
     elapsed = time.perf_counter() - start
     return BatchResult(queries=workload, ids=ids, counts=counts, seconds=elapsed)

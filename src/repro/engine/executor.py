@@ -1,28 +1,19 @@
-"""Pluggable query executors: how the engine runs work, not what it runs.
+"""The process pool behind a sharded index's worker-resident shards.
 
-Every execution entry point in the engine -- :class:`repro.engine.store.IntervalStore`
-batches and :class:`repro.engine.sharded.ShardedIndex` shard fan-out --
-routes through an :class:`Executor`.  An executor maps a function over a
-list of work items; the two implementations are
-
-* :class:`SerialExecutor` -- runs everything inline.  The single-index,
-  single-thread store is just this degenerate case, so adding parallelism
-  never forks the code path.
-* :class:`ProcessExecutor` -- a ``concurrent.futures.ProcessPoolExecutor``
-  with a lazy, reusable pool: the one way past the GIL for the pure-Python
-  backends.  The sharded layer pairs it with worker-resident shard indexes
-  and shared-memory columns (see :mod:`repro.engine._procworker`) so
-  per-task payloads stay tiny.
-
-:func:`resolve_executor` turns the user-facing spec (``None``, ``"serial"``,
-``"processes"`` sized by ``workers``, or an :class:`Executor` instance) into
-an executor, and :func:`split_chunks` is the shared helper for carving a
-workload into per-worker chunks without reordering it.
+HINT answers each query on one thread, so the engine runs inline unless a
+caller asks for processes, and then the pool has exactly one user:
+:class:`repro.engine.sharded.ShardedIndex`, whose shard indexes live inside
+the workers over shared-memory columns (see :mod:`repro.engine._procworker`),
+so per-task payloads stay tiny and no index is ever pickled.
+:class:`ProcessExecutor` is that pool: lazy, reusable across batches and
+healed per worker.  :func:`resolve_executor` turns the user-facing spec
+(``None``/``"serial"``, ``"processes"`` sized by ``workers``, or a
+:class:`ProcessExecutor` instance) into a pool, or ``None`` for inline
+execution.
 """
 
 from __future__ import annotations
 
-import abc
 import multiprocessing
 import os
 import threading
@@ -38,15 +29,7 @@ _POOL_RESPAWNS = global_registry().counter(
     "repro_pool_respawns_total", "worker pools replaced by per-worker healing"
 )
 
-__all__ = [
-    "EXECUTOR_KINDS",
-    "Executor",
-    "ProcessExecutor",
-    "SerialExecutor",
-    "available_cores",
-    "resolve_executor",
-    "split_chunks",
-]
+__all__ = ["EXECUTOR_KINDS", "ProcessExecutor", "available_cores", "resolve_executor"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -64,7 +47,7 @@ START_METHOD_ENV = "REPRO_MP_START_METHOD"
 #: CLI help and ``list-backends`` present them
 EXECUTOR_KINDS: Tuple[Tuple[str, str], ...] = (
     ("serial", "inline execution in the calling thread (the default)"),
-    ("processes", "process pool; multi-core scaling via worker-resident shards"),
+    ("processes", "process pool over worker-resident shards, one shard included"),
 )
 
 
@@ -73,8 +56,10 @@ def available_cores() -> int:
 
     ``os.cpu_count()`` reports the machine; containers and batch schedulers
     often pin processes to a subset, which is what parallel speedups are
-    bounded by.  Used by the executors' default worker counts and by the
-    adaptive shard-count model (:func:`repro.engine.maintenance.recommend_shard_count`).
+    bounded by.  It caps the pool's one default worker count,
+    :func:`_default_workers`, which the adaptive shard-count model
+    (:func:`repro.engine.maintenance.recommend_shard_count`) and the CLI's
+    ``maintain --recommend-only`` read too.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -83,6 +68,7 @@ def available_cores() -> int:
 
 
 def _default_workers() -> int:
+    """The pool's worker count when none is given: ``min(available_cores(), 8)``."""
     return min(available_cores(), _MAX_DEFAULT_WORKERS)
 
 
@@ -97,104 +83,23 @@ def _validated_workers(workers: Optional[int]) -> Optional[int]:
     return workers
 
 
-class Executor(abc.ABC):
-    """Strategy object deciding how a list of independent tasks is run."""
+class ProcessExecutor:
+    """A ``ProcessPoolExecutor`` with a lazy, reusable, healable pool.
 
-    #: human-readable name used in benchmark rows and reprs
-    name: str = "abstract"
+    The pool is created on first use and reused for the executor's
+    lifetime -- worker processes therefore *persist across batches*, which
+    is what makes worker-resident state (attached shared-memory columns,
+    cached shard indexes; see :mod:`repro.engine._procworker`) pay off: the
+    first task per shard builds the shard's index inside the worker, every
+    later task reuses it.
 
-    @property
-    def workers(self) -> int:
-        """Degree of parallelism (1 for serial execution)."""
-        return 1
-
-    @abc.abstractmethod
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item, preserving order."""
-
-    def submit(self, fn: Callable[[T], R], item: T) -> "Future[R]":
-        """Schedule one task and return its future.
-
-        The per-task entry point the sharded layer's kernel dispatcher
-        drives: unlike :meth:`map`, a failed task surfaces on *its own*
-        future, so the dispatcher can retry or fail over individual tasks
-        instead of losing the whole batch.  The default runs inline and
-        returns an already-completed future; pooled executors submit to
-        their pool.
-        """
-        future: "Future[R]" = Future()
-        try:
-            future.set_result(fn(item))
-        except BaseException as exc:  # the future carries it, mirroring pools
-            future.set_exception(exc)
-        return future
-
-    def pool_token(self) -> int:
-        """Opaque identity of the current pooled state.
-
-        Callers capture it before submitting work and hand it back to
-        :meth:`respawn` on failure, so healing can tell "my pool broke"
-        from "someone already replaced the pool while my batch was in
-        flight".  The default (poolless) executor never changes state.
-        """
-        return 0
-
-    def respawn(self, token: Optional[int] = None) -> None:
-        """Drop pooled workers so the next use starts fresh ones (idempotent).
-
-        The per-worker healing hook: after a worker process dies (killed,
-        OOM, broken pipe) the pool is unusable, but the *executor* is not --
-        respawning discards the broken pool and the next ``map``/``submit``
-        lazily brings up fresh workers, which rebuild their resident state
-        on demand.  ``token`` (from :meth:`pool_token`, captured before the
-        failed submit) coordinates healing on *shared* executors: when the
-        pool was already replaced since the token was read, the call is a
-        no-op -- the caller just retries on the fresh pool instead of
-        shutting down a pool other indexes are actively using.  The default
-        simply delegates to :meth:`close` (pools here are created lazily,
-        so a closed executor respawns on use).
-        """
-        self.close()
-
-    def close(self) -> None:
-        """Release any pooled resources (idempotent)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"{type(self).__name__}(workers={self.workers})"
-
-
-class SerialExecutor(Executor):
-    """Inline execution; the K=1, single-thread degenerate case."""
-
-    name = "serial"
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        return [fn(item) for item in items]
-
-
-class ProcessExecutor(Executor):
-    """A ``ProcessPoolExecutor``-backed parallel executor.
-
-    The pool is created lazily on first parallel ``map`` and reused for the
-    executor's lifetime -- worker processes therefore *persist across
-    batches*, which is what makes worker-resident state (attached
-    shared-memory columns, cached shard indexes; see
-    :mod:`repro.engine._procworker`) pay off: the first task per shard builds
-    the shard's index inside the worker, every later task reuses it.
-
-    Mapped functions and items must be picklable (module-level functions or
-    bound methods of picklable objects).  Prefer shipping *references* --
-    a :class:`repro.core.interval.SharedCollectionHandle` instead of a
-    collection -- so tasks stay small.
+    Submitted functions and items must be picklable (module-level
+    functions); tasks ship *references* -- a
+    :class:`repro.core.interval.SharedCollectionHandle` instead of a
+    collection -- so they stay small.
 
     Args:
-        workers: process count; defaults to ``min(cpu_count, 8)``.
+        workers: process count; defaults to ``min(available_cores(), 8)``.
         start_method: multiprocessing start method (``"fork"``, ``"spawn"``,
             ``"forkserver"``).  Defaults to the ``REPRO_MP_START_METHOD``
             environment variable, falling back to the platform default.
@@ -220,6 +125,7 @@ class ProcessExecutor(Executor):
 
     @property
     def workers(self) -> int:
+        """Degree of parallelism: the pool's process count."""
         return self._workers
 
     @property
@@ -228,21 +134,24 @@ class ProcessExecutor(Executor):
         return self._context.get_start_method()
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        """Apply ``fn`` to every item on the pool, preserving order (inline
+        for a one-worker pool or a single item)."""
         work = list(items)
         if self._workers == 1 or len(work) <= 1:
             return [fn(item) for item in work]
         return list(self._ensure_pool().map(fn, work))
 
     def submit(self, fn: Callable[[T], R], item: T) -> "Future[R]":
-        """Submit one task to the pool (inline only in the 1-worker case).
+        """Submit one task to the pool and return its future.
 
-        Unlike :meth:`map`'s trivial-work path, a lone submitted task still
-        goes to the pool: kernel tasks must run *in a worker* (that is
-        where the resident shard state lives), never build duplicate
-        residencies in the parent.
+        The per-task entry point the sharded layer's kernel dispatcher
+        drives: unlike :meth:`map`, a failed task surfaces on *its own*
+        future, so the dispatcher can retry or fail over individual tasks
+        instead of losing the whole batch.  A lone task still goes to the
+        pool: kernel tasks must run *in a worker* (that is where the
+        resident shard state lives), never build duplicate residencies in
+        the parent.
         """
-        if self._workers == 1:
-            return super().submit(fn, item)
         return self._ensure_pool().submit(fn, item)
 
     def _ensure_pool(self) -> _ProcessPool:
@@ -253,16 +162,27 @@ class ProcessExecutor(Executor):
         return self._pool
 
     def pool_token(self) -> int:
+        """Opaque identity of the current pool.
+
+        Callers capture it before submitting work and hand it back to
+        :meth:`respawn` on failure, so healing can tell "my pool broke"
+        from "someone already replaced the pool while my batch was in
+        flight".
+        """
         return self._pool_epoch
 
     def respawn(self, token: Optional[int] = None) -> None:
         """Replace the worker pool, coordinated across sharing indexes.
 
-        When ``token`` (the :meth:`pool_token` the caller read before its
-        failed submit) no longer matches, another user of this executor
-        already healed the pool -- skip the shutdown so their fresh workers
-        (and any in-flight batches) survive, and let the caller simply
-        retry.  Without a token the respawn is unconditional.
+        The per-worker healing hook: after a worker process dies (killed,
+        OOM, broken pipe) the pool is unusable, but the *executor* is not --
+        respawning discards the broken pool and the next submit lazily
+        brings up fresh workers, which rebuild their resident state on
+        demand.  When ``token`` (the :meth:`pool_token` the caller read
+        before its failed submit) no longer matches, another user of this
+        executor already healed the pool -- skip the shutdown so their fresh
+        workers (and any in-flight batches) survive, and let the caller
+        simply retry.  Without a token the respawn is unconditional.
         """
         with self._heal_lock:
             if token is not None and token != self._pool_epoch:
@@ -274,11 +194,22 @@ class ProcessExecutor(Executor):
             pool.shutdown(wait=True)
 
     def close(self) -> None:
+        """Shut the worker pool down (idempotent; a later use starts a
+        fresh one)."""
         with self._heal_lock:
             self._pool_epoch += 1
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+
+    def __enter__(self) -> "ProcessExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+        return f"ProcessExecutor(workers={self._workers})"
 
 
 def _not_an_executor(spec: object) -> ValueError:
@@ -290,77 +221,31 @@ def _not_an_executor(spec: object) -> ValueError:
 
 
 def resolve_executor(
-    spec: Union[Executor, int, str, None] = None,
-    workers: Union[int, str, "Executor", None] = None,
-) -> Executor:
-    """Turn a user-facing executor spec into an :class:`Executor`.
+    spec: Union[ProcessExecutor, str, None] = None, workers: Optional[int] = None
+) -> Optional[ProcessExecutor]:
+    """The process pool a user-facing executor spec names, or ``None``.
 
-    * ``None``/``"serial"``/``1`` -> :class:`SerialExecutor`;
-    * ``"processes"`` -> :class:`ProcessExecutor`, sized by ``workers``
-      (default worker count when omitted);
-    * an :class:`Executor` instance passes through unchanged.
+    * ``None``/``"serial"`` -> ``None``: run inline;
+    * ``"processes"`` -> a :class:`ProcessExecutor` sized by ``workers``
+      (the default worker count when omitted);
+    * a :class:`ProcessExecutor` instance passes through unchanged.
 
-    ``workers`` sizes the process pool and nothing else: a worker count
-    above 1 without ``executor="processes"`` is an error that names the
-    fix, as is any other executor name.
+    ``workers`` is an int that sizes the process pool and nothing else: a
+    worker count above 1 without ``executor="processes"`` is an error that
+    names the fix, as is any other executor spec.
     """
-    if spec is None and workers is not None:
-        # single-argument form: open(workers=pool) / open(workers="processes")
-        spec, workers = workers, None
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, Executor):
+    if isinstance(spec, ProcessExecutor):
         if workers is not None and workers != spec.workers:
             raise ValueError(
                 f"executor instance already has {spec.workers} workers; "
                 f"cannot resize it with workers={workers!r}"
             )
         return spec
-    if isinstance(spec, bool):  # guard: True would otherwise mean 1 worker
-        raise TypeError("executor spec must be an Executor, int, str or None")
-    if isinstance(spec, int):
-        if workers is not None and workers != spec:
-            raise ValueError(
-                f"conflicting worker counts: executor spec {spec} vs workers={workers!r}"
-            )
-        if _validated_workers(spec) != 1:
-            raise _not_an_executor(spec)
-        return SerialExecutor()
-    if isinstance(spec, str):
-        if spec not in ("serial", "processes"):
-            raise _not_an_executor(spec)
-        if isinstance(workers, (str, Executor)):
-            raise TypeError(
-                f"workers must be an int worker count when the executor is "
-                f"named by string, got {workers!r}"
-            )
-        count = _validated_workers(workers)
-        if spec == "processes":
-            return ProcessExecutor(count)
-        if count is not None and count != 1:
-            raise ValueError(
-                f"the serial executor is single-threaded; got workers={count}"
-            )
-        return SerialExecutor()
-    raise TypeError(f"executor spec must be an Executor, int, str or None, got {spec!r}")
-
-
-def split_chunks(items: Sequence[T], num_chunks: int) -> List[List[T]]:
-    """Carve ``items`` into at most ``num_chunks`` contiguous, near-equal chunks.
-
-    Order is preserved (concatenating the chunks restores the input) and no
-    chunk is empty, so ``executor.map(worker, split_chunks(queries, workers))``
-    keeps results positionally aligned.
-    """
-    work = list(items)
-    if not work:
-        return []
-    num_chunks = max(1, min(num_chunks, len(work)))
-    size, remainder = divmod(len(work), num_chunks)
-    chunks: List[List[T]] = []
-    start = 0
-    for i in range(num_chunks):
-        stop = start + size + (1 if i < remainder else 0)
-        chunks.append(work[start:stop])
-        start = stop
-    return chunks
+    if spec not in (None, "serial", "processes"):
+        raise _not_an_executor(spec)
+    count = _validated_workers(workers)
+    if spec == "processes":
+        return ProcessExecutor(count)
+    if count not in (None, 1):
+        raise ValueError(f'workers={count} sizes the process pool: add executor="processes"')
+    return None

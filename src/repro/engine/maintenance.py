@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.interval import IntervalCollection
-from repro.engine.executor import _not_an_executor, available_cores
+from repro.engine.executor import _default_workers, _not_an_executor
 from repro.engine.registry import resolve_backend
 from repro.obs import global_registry
 
@@ -222,9 +222,10 @@ def recommend_shard_count(
     replaces the top levels a shard's index no longer has) -- which barely
     shrinks with K, so serially the dispatch and duplication overheads win
     and the model prefers **K=1 for traversal-bound backends**.
-    A process executor divides the work term by ``min(K, workers)`` (worker-
+    A process pool divides the work term by ``min(K, workers)`` (worker-
     resident shards run truly in parallel), so there the model prefers
-    **K=cores**.
+    **K=workers**; ``workers`` defaults to the pool's own default,
+    ``min(available_cores(), 8)``.
 
     Returns the smallest candidate K (1, 2, 4, ... up to ``max_shards``,
     plus the worker count) with the lowest modeled cost.
@@ -236,8 +237,7 @@ def recommend_shard_count(
     backend = resolve_backend(backend)
     if executor not in ("serial", "processes"):
         raise _not_an_executor(executor)
-    cores = workers if workers is not None else available_cores()
-    cores = max(1, cores)
+    cores = max(1, workers if workers is not None else _default_workers())
     stats = DatasetStatistics.from_collection(collection)
     extent = max(1.0, query_extent_fraction * stats.domain_length)
     scan_bound = backend in SCAN_BOUND_BACKENDS

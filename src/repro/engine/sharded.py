@@ -10,8 +10,9 @@
   the optimized HINT^m with per-shard model-tuned ``m``) -- copies for
   availability are whole processes behind :mod:`repro.cluster`, not
   in-process state;
-* a pluggable **executor** (:mod:`repro.engine.executor`) runs id batches
-  inline or fans them out across worker *processes*.
+* an optional **process pool** (:mod:`repro.engine.executor`) fans id
+  batches out to worker-resident shards; without one everything runs
+  inline.
 
 Queries are *planned*: only the shards overlapping the query range are
 probed, and multi-shard answers are deduplicated by id.  Updates are
@@ -45,10 +46,11 @@ shards the query spans.  ``exists`` is that count ``> 0``, and count and
 exists *batches* are the same two bisections vectorised.  Updates record
 their span once in the pair's pending buffer (O(1)) and fold into the
 columns lazily, on the next count.  Counts run in the calling process
-under any executor and touch neither a shard index nor the pool.
+with or without a pool and touch neither a shard index nor the pool.
 
 **Process fan-out: id batches.**  With a
-:class:`~repro.engine.executor.ProcessExecutor` the shard indexes live
+:class:`~repro.engine.executor.ProcessExecutor` -- at any K, one shard
+included -- the shard indexes live
 inside the worker processes (:mod:`repro.engine._procworker`): the
 collection's columns are published once through
 ``multiprocessing.shared_memory``, each worker attaches and builds the
@@ -104,7 +106,7 @@ from repro.engine._procworker import (
     resident_summary,
     run_kernel_task,
 )
-from repro.engine.executor import Executor, ProcessExecutor, resolve_executor
+from repro.engine.executor import ProcessExecutor, resolve_executor
 from repro.engine.maintenance import CountColumns
 from repro.engine.registry import create_index, get_spec, register_backend, resolve_backend
 from repro.engine.results import merge_unique_ids
@@ -203,7 +205,7 @@ class Epoch:
             kept content-equivalent to the build state of the epoch (updates
             route through built shards, and snapshot refreshes replace it
             with the equivalent live collection).  ``None`` when every shard
-            was built at install (in-process executor) -- nothing would ever
+            was built at install (no pool) -- nothing would ever
             read it, and pinning the build collection for the index's
             lifetime would be dead memory.
     """
@@ -248,9 +250,10 @@ class ShardedIndex(IntervalIndex):
         num_shards: requested shard count K; degenerate domains may yield
             fewer (see :meth:`ShardPlan.for_collection`).
         strategy: ``"equi_width"`` or ``"balanced"`` cut selection.
-        executor: executor spec for building shards and running id batches
-            (``None``/``"serial"``, ``"processes"``, or an
-            :class:`repro.engine.executor.Executor` instance).
+        executor: ``None``/``"serial"`` builds and answers every shard in
+            this process; ``"processes"`` or a
+            :class:`repro.engine.executor.ProcessExecutor` instance keeps
+            the shards worker-resident and fans id batches out to them.
         workers: size of the process pool (``executor="processes",
             workers=4``).
         **opts: forwarded to every shard's backend constructor.
@@ -264,7 +267,7 @@ class ShardedIndex(IntervalIndex):
         backend: str = DEFAULT_BACKEND,
         num_shards: int = 4,
         strategy: str = "equi_width",
-        executor: "Executor | int | str | None" = None,
+        executor: "ProcessExecutor | str | None" = None,
         workers: "int | None" = None,
         **opts,
     ) -> None:
@@ -276,11 +279,9 @@ class ShardedIndex(IntervalIndex):
         if spec.tunable and "num_bits" not in opts:
             opts["num_bits"] = "auto"
         self._opts = opts
-        # a caller-supplied instance (through either parameter) stays the
-        # caller's to close; specs the index resolved itself are owned
-        self._owns_executor = not (
-            isinstance(executor, Executor) or isinstance(workers, Executor)
-        )
+        # a caller-supplied pool stays the caller's to close; one the index
+        # resolved from a spec is its own
+        self._owns_executor = not isinstance(executor, ProcessExecutor)
         self._executor = resolve_executor(executor, workers)
         #: the update contract (generation, listeners, write lock).  The
         #: lock serialises updates against maintenance operations that
@@ -352,7 +353,7 @@ class ShardedIndex(IntervalIndex):
         pieces = partition_collection(collection, plan)
 
         # --- shard construction: built here in-process, lazy for process fan-out ---
-        lazy = isinstance(self._executor, ProcessExecutor)
+        lazy = self._executor is not None
         if lazy:
             # shard indexes are built worker-resident on first task; the
             # parent keeps only a reference to the source collection (the
@@ -361,9 +362,7 @@ class ShardedIndex(IntervalIndex):
             # updates, stats)
             shards: List[Optional[IntervalIndex]] = [None] * plan.num_shards
         else:
-            shards = self._executor.map(
-                lambda piece: create_index(self._backend, piece, **self._opts), pieces
-            )
+            shards = [create_index(self._backend, piece, **self._opts) for piece in pieces]
         if self._renders_ids:
             # before the publish: no reader finds a fresh shard without text
             self._renders_ids = _render_shards(shards)
@@ -469,8 +468,8 @@ class ShardedIndex(IntervalIndex):
         return self._epoch.epoch_id
 
     @property
-    def executor(self) -> Executor:
-        """The executor running shard fan-out and batches."""
+    def executor(self) -> Optional[ProcessExecutor]:
+        """The process pool id batches fan out to (``None``: all inline)."""
         return self._executor
 
     @property
@@ -512,7 +511,7 @@ class ShardedIndex(IntervalIndex):
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ShardedIndex(backend={self._backend!r}, K={self.num_shards}, "
-            f"strategy={self.plan.strategy!r}, executor={self._executor.name!r}, "
+            f"strategy={self.plan.strategy!r}, executor={self._executor!r}, "
             f"n={self._size})"
         )
 
@@ -541,7 +540,7 @@ class ShardedIndex(IntervalIndex):
         residency.  True when a new snapshot was published (requires a
         process executor and platform shared memory); False otherwise.
         """
-        if not isinstance(self._executor, ProcessExecutor) or not HAS_SHARED_MEMORY:
+        if self._executor is None or not HAS_SHARED_MEMORY:
             return False
         with self.updates.lock:
             if self._closed:
@@ -633,13 +632,13 @@ class ShardedIndex(IntervalIndex):
     def close(self) -> None:
         """Release pooled workers (if owned) and the shared-memory snapshot.
 
-        Idempotent.  An executor that was *passed in* is left running --
-        its owner decides when to close it; one the index created itself
-        (from a worker count or a string spec) is shut down here.
+        Idempotent.  A pool that was *passed in* is left running -- its
+        owner decides when to close it; one the index created itself (from
+        ``executor="processes"``) is shut down here.
         """
         with self.updates.lock:
             self._closed = True
-            if self._owns_executor:
+            if self._owns_executor and self._executor is not None:
                 self._executor.close()
             if self._shared is not None:
                 self._shared.unlink()
@@ -709,7 +708,7 @@ class ShardedIndex(IntervalIndex):
 
     def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
         """Batched counts: one vectorised bisection pair over the pinned
-        epoch's count columns, in the calling process under every executor.
+        epoch's count columns, in the calling process, pool or not.
         K == 1 delegates to the only shard's own batch hook."""
         workload = list(queries)
         epoch = self._epoch
@@ -738,7 +737,7 @@ class ShardedIndex(IntervalIndex):
         exhausted).
         """
         return (
-            isinstance(self._executor, ProcessExecutor)
+            self._executor is not None
             and self._executor.workers > 1
             and not self._dirty
             and not self._fanout_disabled
@@ -750,9 +749,8 @@ class ShardedIndex(IntervalIndex):
         epoch = self._epoch
         if workload and self._process_fanout_ready():
             return self._query_batch_processes(epoch, workload)
-        # a process executor that cannot use the worker-resident path runs
-        # in-process -- shipping the whole index to the pool per chunk would
-        # cost more than it buys
+        # a pool that cannot use the worker-resident path runs in-process:
+        # no index is ever shipped to a worker
         return self._query_batch_local(epoch, workload)
 
     def _query_batch_local(self, epoch: Epoch, workload: List[Query]) -> List[np.ndarray]:
@@ -808,8 +806,8 @@ class ShardedIndex(IntervalIndex):
         re-attach the shared snapshot and rebuild their residencies on
         first use) and resubmits only the failed tasks; the index-wide
         fan-out flag trips only when the retry round fails too.  On a
-        *shared* executor the respawn is token-coordinated (see
-        :meth:`Executor.respawn`): if another index already replaced the
+        *shared* pool the respawn is token-coordinated (see
+        :meth:`ProcessExecutor.respawn`): if another index already replaced the
         pool while this batch was in flight -- which is exactly what made
         our submits fail -- we skip the redundant shutdown and just retry
         on the fresh pool, so sharing indexes heal each other instead of
@@ -944,14 +942,11 @@ class ShardedIndex(IntervalIndex):
         """Best-effort per-worker map of resident snapshot tokens, by pid.
 
         Samples the pool by mapping :func:`resident_summary` over more
-        items than there are workers; a non-process executor, a serial
-        pool, or a broken pool yields ``{}`` (observability must never
-        take the serving path down).
+        items than there are workers; no pool, a one-worker pool or a
+        broken pool yields ``{}`` (observability must never take the
+        serving path down).
         """
-        if (
-            not isinstance(self._executor, ProcessExecutor)
-            or self._executor.workers < 2
-        ):
+        if self._executor is None or self._executor.workers < 2:
             return {}
         try:
             samples = self._executor.map(

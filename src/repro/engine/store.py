@@ -26,10 +26,10 @@ import numpy as np
 from repro.core.allen import AllenRelation
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.errors import InvalidQueryError
-from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.interval import Interval, IntervalCollection, Query, _reject_repeated_ids
 from repro.core.updates import UpdateFeed, UpdateListener
 from repro.engine.batch import BatchResult, execute_batch
-from repro.engine.executor import Executor, resolve_executor
+from repro.engine.executor import ProcessExecutor, resolve_executor
 from repro.engine.registry import create_index, get_spec, resolve_backend
 from repro.engine.results import ResultSet
 from repro.obs import tracing
@@ -129,21 +129,9 @@ class IntervalStore:
         index: a pre-built index to wrap.
         backend: registry name for display/error messages (inferred from the
             index's own ``name`` when omitted).
-        executor: how ``run_batch`` executes workloads -- ``None`` or
-            ``"serial"``, ``"processes"`` for the process pool, or any
-            :class:`repro.engine.executor.Executor` instance.  An instance
-            the caller passes in stays the caller's to close; an executor
-            the store creates is closed by :meth:`close`.
-        workers: size of the process pool (``executor="processes"``).
     """
 
-    def __init__(
-        self,
-        index: IntervalIndex,
-        backend: Optional[str] = None,
-        executor: "Executor | int | str | None" = None,
-        workers: "int | None" = None,
-    ) -> None:
+    def __init__(self, index: IntervalIndex, backend: Optional[str] = None) -> None:
         self._index = index
         if backend is None:
             try:
@@ -151,12 +139,6 @@ class IntervalStore:
             except KeyError:
                 backend = index.name
         self._backend = backend
-        # a caller-supplied instance (through either parameter) stays the
-        # caller's to close; specs the store resolved itself are owned
-        self._owns_executor = not (
-            isinstance(executor, Executor) or isinstance(workers, Executor)
-        )
-        self._executor = resolve_executor(executor, workers)
         self._maintenance = None  # lazily created MaintenanceCoordinator
         #: the WAL/checkpoint manager of a durable store (``open(wal_dir=...)``)
         self._durability = None
@@ -182,13 +164,17 @@ class IntervalStore:
         *,
         num_shards: "int | str" = 1,
         strategy: str = "equi_width",
-        workers: "Executor | int | str | None" = None,
-        executor: "Executor | int | str | None" = None,
+        workers: "int | None" = None,
+        executor: "ProcessExecutor | str | None" = None,
         wal_dir: "str | None" = None,
         fsync: str = "interval",
         **opts,
     ) -> "IntervalStore":
         """Index ``collection`` with a registered backend.
+
+        A collection that repeats an id raises
+        :class:`~repro.core.errors.InvalidIntervalError` naming the id: the
+        backends would disagree on which rows answer it.
 
         On the HINT^m family, ``num_bits`` defaults to ``"auto"`` (the
         analytical model of Section 3.3 picks ``m``); pass an explicit value
@@ -199,21 +185,20 @@ class IntervalStore:
         :class:`repro.engine.sharded.ShardedIndex` -- the same facade, the
         same lazy :class:`ResultSet` handles, over a composite index.
         ``num_shards`` below 1 raises :class:`InvalidQueryError`.
-        ``num_shards="auto"`` routes the choice of
-        K through the extended Section 3.3 cost model
+        ``num_shards="auto"`` routes the choice of K through the extended
+        Section 3.3 cost model
         (:func:`repro.engine.maintenance.recommend_shard_count`), which
-        accounts for the backend's cost shape and the executor's
-        parallelism -- e.g. K=1 for a serially-driven HINT^m, K=cores under
-        a process executor.  ``executor`` names the execution strategy
-        (``"serial"`` or ``"processes"``); ``workers`` sizes the process
-        pool and means nothing without it.
+        accounts for the backend's cost shape and the pool's size -- e.g.
+        K=1 for a serially-driven HINT^m, K=workers with a process pool.
 
-        ``executor="processes"`` is meant for ``num_shards > 1``, where id
-        batches run against worker-resident shards over shared-memory
-        columns (counts are bisections over the parent's count columns
-        under either executor); on an unsharded store the process pool must
-        be handed the whole pickled index per batch chunk, which is usually
-        slower than serial -- prefer sharding when asking for processes.
+        ``executor="processes"`` (or a
+        :class:`~repro.engine.executor.ProcessExecutor` instance, which
+        stays the caller's to close) always means worker-resident shards:
+        the store wraps a :class:`~repro.engine.sharded.ShardedIndex` at
+        every K, one shard included, whose id batches run against shards
+        built inside the workers over shared-memory columns; counts stay
+        bisections in the calling process.  ``workers`` sizes that pool and
+        means nothing without it.  No index is ever pickled into the pool.
 
         ``wal_dir`` makes the store *durable*: every insert/delete is
         appended to a checksummed write-ahead log in that directory before
@@ -227,41 +212,57 @@ class IntervalStore:
         """
         if not isinstance(num_shards, str) and num_shards < 1:
             raise InvalidQueryError(f"num_shards must be >= 1, got {num_shards}")
+        _reject_repeated_ids(collection.ids, "the collection")
+        build_kwargs = dict(
+            num_shards=num_shards, strategy=strategy, workers=workers, executor=executor, **opts
+        )
         if wal_dir is not None:
             from repro.durability.manager import open_durable
 
             return open_durable(
-                cls.open,
+                cls._build,
                 collection,
                 backend,
                 wal_dir=wal_dir,
                 fsync=fsync,
-                open_kwargs=dict(
-                    num_shards=num_shards,
-                    strategy=strategy,
-                    workers=workers,
-                    executor=executor,
-                    **opts,
-                ),
+                open_kwargs=build_kwargs,
             )
+        return cls._build(collection, backend, **build_kwargs)
+
+    @classmethod
+    def _build(
+        cls,
+        collection: IntervalCollection,
+        backend: str,
+        *,
+        num_shards: "int | str",
+        strategy: str,
+        workers: "int | None",
+        executor: "ProcessExecutor | str | None",
+        **opts,
+    ) -> "IntervalStore":
+        """The store :meth:`open` describes, over ``collection`` as given: a
+        durable store recovers through here, so a log tail that re-inserted
+        a live id still opens."""
+        # validates the spec; a pool starts lazily, so this one starts nothing
+        pool = resolve_executor(executor, workers)
         if num_shards == "auto":
             from repro.engine.maintenance import recommend_shard_count
 
-            # probe the executor spec for its kind and parallelism; pools
-            # are lazy, so resolving (and dropping) one costs nothing
-            probe = resolve_executor(executor, workers)
             num_shards = recommend_shard_count(
-                collection, backend, executor=probe.name, workers=probe.workers
+                collection,
+                backend,
+                executor="serial" if pool is None else "processes",
+                workers=None if pool is None else pool.workers,
             )
         elif isinstance(num_shards, str):
             raise ValueError(
                 f"num_shards must be an int or 'auto', got {num_shards!r}"
             )
-        if num_shards > 1:
+        if num_shards > 1 or pool is not None:
             from repro.engine.sharded import ShardedIndex
 
-            # batches parallelise inside the sharded index, over its own
-            # executor; the store's stays serial so pools never nest
+            # the index resolves the spec again and so owns a pool it names
             return cls(
                 ShardedIndex(
                     collection,
@@ -276,12 +277,7 @@ class IntervalStore:
         spec = get_spec(backend)
         if spec.tunable and "num_bits" not in opts:
             opts["num_bits"] = "auto"
-        return cls(
-            create_index(backend, collection, **opts),
-            backend=spec.name,
-            executor=executor if executor is not None else workers,
-            workers=workers if executor is not None else None,
-        )
+        return cls(create_index(backend, collection, **opts), backend=spec.name)
 
     @classmethod
     def from_intervals(
@@ -317,11 +313,6 @@ class IntervalStore:
         return self._backend
 
     @property
-    def executor(self) -> Executor:
-        """The executor driving :meth:`run_batch`."""
-        return self._executor
-
-    @property
     def durability(self):
         """The :class:`~repro.durability.manager.DurabilityManager` of a
         durable store (``open(wal_dir=...)``), ``None`` otherwise."""
@@ -347,20 +338,19 @@ class IntervalStore:
         return self._index.memory_bytes()
 
     def close(self) -> None:
-        """Release the store's pooled executor and the index's resources.
+        """Release the durable log and the index's resources.
 
-        Long-lived applications that open many stores with a process pool
-        should close them (or use the store as a context manager) so idle
-        worker processes do not accumulate; queries after ``close()``
-        simply spin the pool up again.  An executor *instance*
-        the caller passed in is left running -- whoever created it owns its
-        lifecycle.  An index that owns resources (a sharded index's pooled
-        workers and shared-memory snapshot) is closed too.
+        An index that owns resources -- a sharded index's pooled workers
+        and shared-memory snapshot -- is closed too.  Long-lived
+        applications that open many stores with a process pool should close
+        them (or use the store as a context manager) so idle worker
+        processes do not accumulate; a closed pooled store still answers,
+        in-process.  A :class:`~repro.engine.executor.ProcessExecutor`
+        instance the caller passed in is left running -- whoever created it
+        owns its lifecycle.
         """
         if self._durability is not None:
             self._durability.close()
-        if self._owns_executor:
-            self._executor.close()
         close_index = getattr(self._index, "close", None)
         if close_index is not None:
             close_index()
@@ -396,13 +386,12 @@ class IntervalStore:
     def run_batch(
         self, queries: Sequence[Query], count_only: bool = False
     ) -> BatchResult:
-        """Answer a whole workload in one batched call (via the store's executor)."""
+        """Answer a whole workload in one batched call (a sharded index with a
+        process pool fans its id batches out to the workers)."""
         with tracing.span(
             "run_batch", queries=len(queries), count_only=count_only
         ):
-            return execute_batch(
-                self._index, queries, count_only=count_only, executor=self._executor
-            )
+            return execute_batch(self._index, queries, count_only=count_only)
 
     def count_batch(self, queries: Sequence[Query]) -> List[int]:
         """Per-query overlap counts for a workload, positionally aligned.
@@ -499,7 +488,7 @@ class IntervalStore:
         Created lazily and cached; passing ``config`` replaces the cached
         coordinator.  The coordinator folds pending counts, rebuilds hybrid
         deltas by the one rebuild rule, re-balances skewed cuts and
-        refreshes the process-executor snapshot -- see :meth:`maintain` for
+        refreshes the process pool's snapshot -- see :meth:`maintain` for
         the one-call form.
         """
         from repro.engine.maintenance import MaintenanceCoordinator

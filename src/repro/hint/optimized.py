@@ -224,6 +224,8 @@ class OptimizedHINTm(IntervalIndex):
         #: the row's interval is deleted; None until the first delete
         #: (see :meth:`delete`), so a tombstone-free read tests only that
         self._dead: Optional[bytearray] = None
+        #: the same bytes as a bool array, which the batch kernel reads
+        self._dead_rows: Optional[np.ndarray] = None
         # the table's rows: the collection itself unless it repeats an id,
         # whose last row is then the only one indexed, as the table keeps it
         self._build(self._spans.collection())
@@ -309,7 +311,10 @@ class OptimizedHINTm(IntervalIndex):
         self._ids = collection.ids[np.concatenate(orders)]
         self._starts = starts[np.concatenate(orders[0:2])]
         self._ends = ends[np.concatenate(orders[1:3])]
-        self._view_columns()
+        #: memoryviews of the three columns, which the scalar walk reads:
+        #: :func:`bisect` and slicing get Python ints and bytes from them,
+        #: with no copy of a column
+        self._views = tuple(memoryview(column) for column in (self._starts, self._ends, self._ids))
         #: row of ``_ends`` = row of ``_ids`` minus this (``o_aft`` keeps no end)
         self._ends_base = len(orders[0])
         #: where the replicas start in the row space
@@ -430,26 +435,6 @@ class OptimizedHINTm(IntervalIndex):
             end_test * levels + rows,
         )
         return walk, batch
-
-    def _view_columns(self) -> None:
-        """Memoryviews of the starts, ends and ids columns, which the scalar
-        walk reads: :func:`bisect` and slicing get Python ints and bytes
-        from them, with no copy of a column; and the tombstones as a bool
-        array, which the batch kernel reads."""
-        self._views = tuple(memoryview(column) for column in (self._starts, self._ends, self._ids))
-        dead = self._dead
-        self._dead_rows = None if dead is None else np.frombuffer(dead, dtype=np.bool_)
-
-    def __getstate__(self) -> dict:
-        # a memoryview does not pickle, and a view of the tombstones would
-        # pickle as a copy of them: the copy makes its own
-        state = self.__dict__.copy()
-        del state["_views"], state["_dead_rows"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._view_columns()
 
     # ------------------------------------------------------------------ #
     # properties

@@ -1219,15 +1219,14 @@ class QueryServer(HttpServer):
 # helpers
 # --------------------------------------------------------------------------- #
 def _fans_out_to_processes(store: IntervalStore) -> bool:
-    """True when the store's reads go through a worker-process pool.
+    """True when the store's reads go through a worker-process pool: its
+    index is a :class:`~repro.engine.sharded.ShardedIndex` holding one.
 
-    Such a read waits on pool futures (and respawns a failed pool), and a
-    sharded one may build a lazy shard under ``updates.lock`` -- held by an
-    update across its WAL fsync -- so it must never run on the event loop.
+    Such a read waits on pool futures (and respawns a failed pool), and it
+    may build a lazy shard under ``updates.lock`` -- held by an update
+    across its WAL fsync -- so it must never run on the event loop.
     """
-    return isinstance(store.executor, ProcessExecutor) or isinstance(
-        getattr(store.index, "executor", None), ProcessExecutor
-    )
+    return isinstance(getattr(store.index, "executor", None), ProcessExecutor)
 
 
 def _rendered_index(store: IntervalStore, hop_reads: bool):

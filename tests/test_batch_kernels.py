@@ -81,7 +81,7 @@ class TestCountingKernelEquivalence:
         if index.num_shards > 1:
             self.forbid(index)
         for batch, want in (([], []), (queries[:1], expected[:1]), (queries, expected)):
-            assert index.query_count_batch(batch) == want, index.executor.name
+            assert index.query_count_batch(batch) == want, index.executor
             assert index.query_exists_batch(batch) == [c > 0 for c in want]
         self.monkeypatch.undo()
 
@@ -157,19 +157,22 @@ class TestCountingKernelEquivalence:
             index.close()
 
 
+class _CountingPool(ProcessExecutor):
+    """A two-worker pool that counts the tasks submitted to it."""
+
+    def __init__(self):
+        super().__init__(workers=2)
+        self.submitted = 0
+
+    def submit(self, fn, item):
+        self.submitted += 1
+        return super().submit(fn, item)
+
+
 class TestMaterialisingKernels:
     """ids_batch via the kernel dispatcher, including the single-shard split."""
 
     def test_single_shard_batch_splits_across_workers(self, synthetic_collection, rng):
-        class _CountingPool(ProcessExecutor):
-            def __init__(self):
-                super().__init__(workers=2)
-                self.submitted = 0
-
-            def submit(self, fn, item):
-                self.submitted += 1
-                return super().submit(fn, item)
-
         executor = _CountingPool()
         index = ShardedIndex(
             synthetic_collection, backend="naive", num_shards=4, executor=executor
@@ -195,6 +198,26 @@ class TestMaterialisingKernels:
                 assert sorted(ids) == sorted(synthetic_collection.query_ids(q).tolist())
         finally:
             index.close()
+            executor.close()
+
+    @pytest.mark.parametrize("backend", ["naive", "hintm_opt"])
+    def test_k1_pooled_store_submits_its_id_batches(self, synthetic_collection, rng, backend):
+        """A K = 1 store asked for processes answers its id batches in the
+        workers, split across the pool -- not in the parent, and not by
+        shipping the index to the pool."""
+        executor = _CountingPool()
+        store = IntervalStore.open(synthetic_collection, backend, executor=executor)
+        try:
+            assert isinstance(store.index, ShardedIndex) and store.index.num_shards == 1
+            assert store.index.built_shards == [None]  # the shard lives in the workers
+            queries = _count_workload(synthetic_collection, rng, count=12)
+            batch = store.run_batch(queries)
+            assert executor.submitted >= 2
+            assert store.index.built_shards == [None]
+            for q, ids in zip(queries, batch.ids):
+                assert sorted(ids.tolist()) == sorted(synthetic_collection.query_ids(q).tolist())
+        finally:
+            store.close()
             executor.close()
 
     def test_multi_shard_merge_matches_serial_order(self, synthetic_collection, rng, pool):

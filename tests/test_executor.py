@@ -1,44 +1,10 @@
-"""Tests for the pluggable executor layer (repro.engine.executor)."""
+"""Tests for the process pool and its spec (repro.engine.executor)."""
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.engine import IntervalStore, recommend_shard_count
-from repro.engine.batch import execute_batch
-from repro.engine.executor import (
-    EXECUTOR_KINDS,
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    resolve_executor,
-    split_chunks,
-)
-from repro.engine.registry import create_index
-
-
-class TestSplitChunks:
-    def test_concatenation_restores_input(self):
-        items = list(range(103))
-        for n in (1, 2, 3, 7, 103, 500):
-            chunks = split_chunks(items, n)
-            assert [x for chunk in chunks for x in chunk] == items
-            assert all(chunk for chunk in chunks)  # no empty chunks
-            assert len(chunks) <= n
-
-    def test_near_equal_sizes(self):
-        sizes = [len(c) for c in split_chunks(list(range(10)), 3)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_empty_input(self):
-        assert split_chunks([], 4) == []
-
-
-class TestSerialExecutor:
-    def test_map_preserves_order(self):
-        assert SerialExecutor().map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
-
-    def test_workers_is_one(self):
-        assert SerialExecutor().workers == 1
+from repro.engine.executor import EXECUTOR_KINDS, ProcessExecutor, resolve_executor
 
 
 def _square(x):
@@ -85,16 +51,11 @@ class TestProcessExecutor:
 
 
 class TestResolveExecutor:
-    def test_defaults_to_serial(self):
-        assert isinstance(resolve_executor(None), SerialExecutor)
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor(1), SerialExecutor)
-
-    def test_worker_counts(self):
-        """``workers`` sizes the process pool; alone, only 1 (serial) is valid."""
-        assert isinstance(resolve_executor(None, 1), SerialExecutor)
-        assert isinstance(resolve_executor("serial", 1), SerialExecutor)
-        assert resolve_executor("processes", 3).workers == 3
+    def test_serial_is_no_pool(self):
+        assert resolve_executor(None) is None
+        assert resolve_executor("serial") is None
+        assert resolve_executor(None, 1) is None
+        assert resolve_executor("serial", 1) is None
 
     def test_processes_keyword(self):
         executor = resolve_executor("processes")
@@ -104,51 +65,68 @@ class TestResolveExecutor:
         assert isinstance(sized, ProcessExecutor)
         assert sized.workers == 3
 
-    def test_legacy_workers_argument(self):
-        """A spec passed through ``workers`` alone still resolves -- but a
-        bare count no longer means a pool."""
-        with pytest.raises(ValueError, match='executor="processes"'):
-            resolve_executor(None, 4)
-        assert isinstance(resolve_executor(None, "processes"), ProcessExecutor)
-        assert isinstance(resolve_executor(None, None), SerialExecutor)
-
     def test_instances_pass_through(self):
-        executor = SerialExecutor()
-        assert resolve_executor(executor) is executor
         sized = ProcessExecutor(3)
+        assert resolve_executor(sized) is sized
         assert resolve_executor(sized, 3) is sized  # matching size is fine
 
     def test_rejects_conflicting_worker_counts(self):
         with pytest.raises(ValueError, match="cannot resize"):
             resolve_executor(ProcessExecutor(3), 8)
-        with pytest.raises(ValueError, match="conflicting"):
-            resolve_executor(4, 8)
 
     def test_rejects_non_positive_worker_counts(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match=">= 1"):
-                resolve_executor(bad)
-            with pytest.raises(ValueError, match=">= 1"):
-                resolve_executor("processes", bad)
+        with pytest.raises(ValueError, match=">= 1"):
+            resolve_executor("processes", 0)
+        with pytest.raises(ValueError, match=">= 1"):
+            resolve_executor("processes", -1)
         with pytest.raises(ValueError):
             resolve_executor("serial", 4)  # serial is single-threaded
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            resolve_executor("fork-bomb")
-        with pytest.raises(TypeError):
-            resolve_executor(2.5)
-        with pytest.raises(TypeError):
-            resolve_executor(True)
+        for bad in ("fork-bomb", 1, 2.5, True):
+            with pytest.raises(ValueError, match="unknown executor"):
+                resolve_executor(bad)
 
-    def test_custom_executor_subclass(self):
-        class Doubler(Executor):
-            name = "doubler"
+    def test_workers_is_a_count_not_a_pool(self, synthetic_collection):
+        """A pool handed over as ``workers`` is a type error: a pool is
+        always the ``executor``."""
+        pool = ProcessExecutor(2)
+        with pytest.raises(TypeError, match="worker count must be an int"):
+            resolve_executor(None, pool)
+        with pytest.raises(TypeError, match="worker count must be an int"):
+            resolve_executor("processes", "processes")
+        for num_shards in (1, 2):
+            with pytest.raises(TypeError, match="worker count must be an int"):
+                IntervalStore.open(synthetic_collection, "naive", num_shards=num_shards, workers=pool)
+        assert pool._pool is None
 
-            def map(self, fn, items):
-                return [fn(item) for item in items]
 
-        assert resolve_executor(Doubler()).name == "doubler"
+class TestOneDefaultWorkerCount:
+    """The pool, the shard-count model and ``maintain --recommend-only``
+    size themselves by the one default, ``min(available_cores(), 8)``."""
+
+    def test_a_16_core_host_sizes_everything_at_8(
+        self, synthetic_collection, monkeypatch, tmp_path, capsys
+    ):
+        import repro.engine.executor as executor_module
+        from repro.datasets import save_intervals_csv
+
+        def no_process(self):  # pragma: no cover - failure path
+            raise AssertionError("sizing must start no process")
+
+        monkeypatch.setattr(executor_module, "available_cores", lambda: 16)
+        monkeypatch.setattr(ProcessExecutor, "_ensure_pool", no_process)
+        assert ProcessExecutor().workers == 8
+        # the model prices 8 workers: 16 shards would buy no more parallelism
+        assert recommend_shard_count(
+            synthetic_collection, "hintm_opt", executor="processes"
+        ) == recommend_shard_count(
+            synthetic_collection, "hintm_opt", executor="processes", workers=8
+        ) == 8
+        data = tmp_path / "data.csv"
+        save_intervals_csv(synthetic_collection, data)
+        assert cli_main(["maintain", str(data), "--index", "hintm_opt", "--recommend-only"]) == 0
+        assert "processes  K=8  (workers=8)" in capsys.readouterr().out
 
 
 class TestRemovedSpellings:
@@ -164,12 +142,14 @@ class TestRemovedSpellings:
             lambda c: resolve_executor(4),
             lambda c: resolve_executor(None, 4),
             lambda c: IntervalStore.open(c, "naive", workers=4),
+            lambda c: IntervalStore.open(c, "naive", executor=1),
             lambda c: IntervalStore.open(c, "naive", num_shards=2, executor=2),
             lambda c: recommend_shard_count(c, executor="threads"),
         ],
         ids=[
             "threads", "thread", "procs", "int", "workers-alone",
-            "store-workers", "sharded-executor-int", "recommend-threads",
+            "store-workers", "store-executor-int", "sharded-executor-int",
+            "recommend-threads",
         ],
     )
     def test_library_spellings_raise(self, synthetic_collection, call):
@@ -185,25 +165,3 @@ class TestRemovedSpellings:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["batch", str(data), str(queries), *flags])
         assert excinfo.value.code == 2
-
-
-class TestExecuteBatchWithExecutor:
-    def test_parallel_matches_serial(self, synthetic_collection, synthetic_queries):
-        index = create_index("hintm_opt", synthetic_collection, num_bits=8)
-        serial = execute_batch(index, synthetic_queries)
-        with ProcessExecutor(2) as executor:
-            parallel = execute_batch(index, synthetic_queries, executor=executor)
-        assert [sorted(ids) for ids in parallel.ids] == [
-            sorted(ids) for ids in serial.ids
-        ]
-        assert parallel.counts == serial.counts
-
-    def test_parallel_count_only(self, synthetic_collection, synthetic_queries):
-        index = create_index("grid1d", synthetic_collection, num_partitions=64)
-        serial = execute_batch(index, synthetic_queries, count_only=True)
-        with ProcessExecutor(2) as executor:
-            parallel = execute_batch(
-                index, synthetic_queries, count_only=True, executor=executor
-            )
-        assert parallel.ids is None
-        assert parallel.counts == serial.counts

@@ -5,7 +5,6 @@ path and the linear-scan oracle answer, the vectorised build stores what
 Algorithm 1 assigns, and batch size alone decides which path runs.
 """
 
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -296,30 +295,6 @@ def test_counts_gather_no_ids_without_tombstones(synthetic_collection, synthetic
     expected = [len(index.query(q)) for q in synthetic_queries[:64]]
     index._ids = None  # any id gather would fail
     assert index.query_count_batch(synthetic_queries[:64]) == expected
-
-
-@pytest.mark.parametrize("columnar", [True, False])
-def test_pickled_index_answers_as_the_original(synthetic_collection, synthetic_queries, columnar):
-    """A memoryview does not pickle, and ``execute_batch`` pickles
-    ``index.query_batch`` under a process executor: the copy makes its own
-    probes, and answers, counts and text as the original does -- with and
-    without tombstones."""
-    index = OptimizedHINTm(synthetic_collection, num_bits=10, columnar=columnar)
-    index.render_ids()
-    queries = synthetic_queries[:40]
-    for tombstoned in (False, True):
-        if tombstoned:
-            for interval_id in synthetic_collection.ids[::5].tolist():
-                index.delete(interval_id)
-        copy = pickle.loads(pickle.dumps(index))
-        columns = (copy._starts, copy._ends, copy._ids)
-        assert all(view.obj is column for view, column in zip(copy._views, columns))
-        if tombstoned:  # the kernel's view reads the copy's own tombstones
-            assert np.shares_memory(copy._dead_rows, np.frombuffer(copy._dead, dtype=np.bool_))
-        assert _lists(copy.query(q) for q in queries) == _lists(index.query(q) for q in queries)
-        assert [copy.query_count(q) for q in queries] == [index.query_count(q) for q in queries]
-        assert _lists(copy.query_batch(queries)) == _lists(index.query_batch(queries))
-        assert [copy.ids_text(q) for q in queries] == [index.ids_text(q) for q in queries]
 
 
 # --------------------------------------------------------------------------- #

@@ -9,7 +9,8 @@ Covers the satellite matrix of the process-executor PR:
   collections, including after inserts and deletes;
 * pickle and shared-memory round-trips of the core value types;
 * executor lifecycle: pools the store created are closed with it, pools the
-  caller passed in are not, and deletes probe only the owning shards.
+  caller passed in are not (at K = 1 too), and deletes probe only the
+  owning shards.
 """
 
 import multiprocessing
@@ -176,17 +177,51 @@ class TestProcessShardedEquivalence:
             index.close()
 
     def test_unsharded_store_accepts_processes(self, synthetic_collection, rng):
-        """The generic executor path: no shards, index shipped to the pool."""
+        """K = 1 with a pool is a one-shard index over worker-resident
+        shards, never an index shipped to the pool."""
         with IntervalStore.open(
             synthetic_collection, "naive", executor="processes", workers=2
         ) as store:
-            assert isinstance(store.executor, ProcessExecutor)
+            assert isinstance(store.index, ShardedIndex) and store.index.num_shards == 1
+            assert isinstance(store.index.executor, ProcessExecutor)
             queries = _workload(synthetic_collection, rng, count=8)
             batch = store.run_batch(queries)
             for query, ids in zip(queries, batch.ids):
                 assert sorted(ids) == sorted(
                     synthetic_collection.query_ids(query).tolist()
                 )
+
+
+class TestLadderProcessRung:
+    """The exact calls of the benchmark ladder's process rung (R3): a CSV
+    loaded from disk, a 2-shard store over a 2-worker pool, chunked
+    ``run_batch`` / ``count_batch`` and the ``kernel_retries`` read."""
+
+    @pytest.mark.parametrize("backend", ["hintm_opt", "hintm_hybrid"])
+    def test_rung_calls_answer_as_naive(self, synthetic_collection, rng, tmp_path, backend):
+        from repro.datasets import load_intervals_csv, save_intervals_csv
+
+        csv = tmp_path / "data.csv"
+        save_intervals_csv(synthetic_collection, csv)
+        queries = _workload(synthetic_collection, rng, count=40)
+        oracle = IntervalStore.open(load_intervals_csv(csv), "naive")
+        store = IntervalStore.open(
+            load_intervals_csv(csv), backend,
+            num_shards=2, executor="processes", workers=2,
+        )
+        try:
+            for lo in range(0, len(queries), 16):
+                part = queries[lo:lo + 16]
+                got = store.run_batch(part).ids
+                want = oracle.run_batch(part).ids
+                assert [sorted(ids.tolist()) for ids in got] == [
+                    sorted(ids.tolist()) for ids in want
+                ]
+                assert [int(c) for c in store.count_batch(part)] == oracle.count_batch(part)
+            retries = getattr(store.index, "kernel_retries")
+            assert isinstance(retries, int) and retries == 0
+        finally:
+            store.close()
 
 
 class TestShardedCounting:
@@ -427,21 +462,12 @@ class TestExecutorLifecycle:
         for query, ids in zip(queries, batch.ids):
             assert sorted(ids) == sorted(synthetic_collection.query_ids(query).tolist())
 
-    def test_legacy_workers_instance_is_not_owned(self, synthetic_collection, pool):
-        """An executor instance passed through the legacy workers= parameter
-        belongs to the caller -- closing the store must not close it."""
-        store = IntervalStore.open(synthetic_collection, "naive", num_shards=2, workers=pool)
-        assert store.index.executor is pool
-        store.run_batch([Query(0, 10**6)])
-        store.close()
-        assert pool._pool is not None
-        plain = IntervalStore.open(synthetic_collection, "naive", workers=pool)
-        plain.close()
-        assert pool._pool is not None
-
-    def test_plain_store_respects_ownership(self, synthetic_collection):
+    def test_k1_store_respects_ownership(self, synthetic_collection):
+        """At K = 1 too, a pool the caller passed in stays running after
+        the store closes, and one the store's index resolved is closed."""
         borrowed = ProcessExecutor(2)
-        with IntervalStore.open(synthetic_collection, "naive", workers=borrowed) as store:
+        with IntervalStore.open(synthetic_collection, "naive", executor=borrowed) as store:
+            assert store.index.executor is borrowed
             store.run_batch([Query(0, 10**6), Query(5, 50)])
         assert borrowed._pool is not None
         borrowed.close()
@@ -449,6 +475,7 @@ class TestExecutorLifecycle:
             synthetic_collection, "naive", executor="processes", workers=2
         )
         owned.run_batch([Query(0, 10**6), Query(5, 50)])
-        executor = owned.executor
+        executor = owned.index.executor
+        assert executor._pool is not None
         owned.close()
         assert executor._pool is None

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.allen import AllenRelation, satisfies_relation
 from repro.core.base import IntervalIndex, QueryStats, _deep_sizeof
-from repro.core.errors import InvalidQueryError
+from repro.core.errors import InvalidIntervalError, InvalidQueryError
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import (
     IntervalStore,
@@ -179,11 +179,15 @@ class TestPooledExecution:
         ) as store:
             store.run_batch([Query(0, 10**6)])
         assert store.index.executor._pool is None  # closed on exit
+        # at K = 1 a pool still means a (one-shard) sharded index, which
+        # owns the pool it resolved
         with IntervalStore.open(
             synthetic_collection, "naive", executor="processes", workers=2
         ) as plain:
+            assert isinstance(plain.index, ShardedIndex) and plain.index.num_shards == 1
             plain.run_batch([Query(0, 10**6), Query(5, 50)])
-        assert plain.executor._pool is None
+            assert plain.index.executor._pool is not None
+        assert plain.index.executor._pool is None
 
     def test_executor_shared_for_build_and_query(self, synthetic_collection):
         with ProcessExecutor(2) as executor:
@@ -222,13 +226,26 @@ class TestShardedResultSet:
         assert store.query().stabbing(point).count() == want
         assert store.query().stabbing(point).exists() == (want > 0)
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_store_open_refuses_a_repeated_id(self, backend, num_shards):
+        """The backends disagree on a repeated id (some answer both rows,
+        some the last), so the store refuses it up front, naming it."""
+        collection = IntervalCollection(
+            np.array([1, 1, 2, 3]), np.array([0, 50, 10, 70]), np.array([5, 60, 20, 90])
+        )
+        with pytest.raises(InvalidIntervalError, match="id 1 appears on more than one row"):
+            IntervalStore.open(collection, backend, num_shards=num_shards)
+
     def test_repeated_id_build_counts_what_it_answers(self):
         """A build that repeats an id keeps the last row in the shards and
         in the count pair alike, so every count equals its id answer."""
         collection = IntervalCollection(
             np.array([1, 1, 2, 3]), np.array([0, 50, 10, 70]), np.array([5, 60, 20, 90])
         )
-        store = IntervalStore.open(collection, "hintm_opt", num_shards=2)
+        # IntervalStore.open refuses the repeated id; the index built
+        # directly keeps the last row
+        store = IntervalStore(ShardedIndex(collection, backend="hintm_opt", num_shards=2))
         assert store.index.num_shards == 2 and len(store) == 3
         assert sorted(store.query().overlapping(0, 100).ids().tolist()) == [1, 2, 3]
         assert store.query().overlapping(0, 5).ids().tolist() == []  # the dropped row
@@ -528,8 +545,8 @@ class TestShardedRegistryIntegration:
         assert store.backend == "sharded"
         assert store.index.num_shards == 4
         assert store.index.backend == "hintm_opt"
-        # batches parallelise inside the index; the store's executor is serial
-        assert store.executor.name == "serial"
+        # no pool was asked for: every shard is built and answers in-process
+        assert store.index.executor is None
         plain = IntervalStore.open(synthetic_collection, num_shards=1)
         assert not isinstance(plain.index, ShardedIndex)
 

@@ -10,18 +10,16 @@ pin what that buys, beside the oracle checks of ``test_property_based.py``:
   ``memory_bytes()`` counts them;
 * a build that repeats an id indexes its last row only, as the span table
   keeps it, so a delete drops the id whole;
-* a tombstoned hybrid runs on the process pool: its update feed pickles
-  without its lock and listeners, and the copy answers as the original.
+* a tombstoned hybrid runs on the process pool -- as the one shard of a
+  sharded index, resident in the workers -- and answers as the serial
+  store through updates and ``maintain()``.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.base import _deep_sizeof
-from repro.core.interval import IntervalCollection, Query
-from repro.core.updates import UpdateFeed
+from repro.core.interval import Interval, IntervalCollection, Query
 from repro.engine import IntervalStore
 from repro.hint.optimized import _BATCH_CROSSOVER, OptimizedHINTm
 
@@ -137,35 +135,41 @@ def test_a_repeated_build_id_is_answered_and_deleted_once():
     assert index.query_count(everything) == 2 and index.query_count(Query(0, 1)) == 0
 
 
-def test_update_feed_pickles_without_its_lock_and_listeners():
-    feed = UpdateFeed()
-    feed.subscribe(lambda *event: None)
-    feed.commit("delete", None)
-    copy = pickle.loads(pickle.dumps(feed))
-    assert copy.generation == feed.generation == 1
-    assert not copy.listening and copy.lock is not feed.lock
-    with copy.lock:  # a working lock of its own
-        assert copy.commit("delete", None) == 2
-
-
 @pytest.mark.parametrize("tombstoned", [False, True])
 def test_a_hybrid_runs_in_the_process_pool(tombstoned):
+    """At K = 1 a pool means a one-shard index whose shard lives in the
+    workers: it answers as the serial store before and after updates and
+    after ``maintain()``, with no index pickled into the pool."""
     collection = _collection()
     queries = _queries()
     pooled = IntervalStore.open(collection, "hintm_hybrid", executor="processes", workers=2)
     serial = IntervalStore.open(collection, "hintm_hybrid")
-    try:
-        if tombstoned:
-            for store in (pooled, serial):
-                for interval_id in collection.ids[::9].tolist():
-                    assert store.delete(interval_id)
-            assert pooled.index.tombstones == serial.index.tombstones > 0
+
+    def answers_agree():
         answers = pooled.run_batch(queries)
         expected = serial.run_batch(queries)
         assert [sorted(ids.tolist()) for ids in answers.ids] == [
             sorted(ids.tolist()) for ids in expected.ids
         ]
         assert answers.counts == expected.counts
+        assert pooled.count_batch(queries) == serial.count_batch(queries)
+
+    try:
+        assert pooled.index.num_shards == 1
+        answers_agree()
+        if tombstoned:
+            for store in (pooled, serial):
+                for interval_id in collection.ids[::9].tolist():
+                    assert store.delete(interval_id)
+                for k in range(20):
+                    store.insert(Interval(10**6 + k, k * 9_000, k * 9_000 + 700))
+            assert pooled.index.shards[0].tombstones == serial.index.tombstones > 0
+            assert pooled.index.update_dirty  # answered in-process until maintain
+            answers_agree()
+        for store in (pooled, serial):
+            store.maintain(force=True)
+        assert not pooled.index.update_dirty  # the workers answer again
+        answers_agree()
     finally:
         pooled.close()
         serial.close()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.core.base import IntervalIndex, QueryStats
+from repro.core.base import IntervalIndex, QueryStats, _int64_bounds
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
@@ -122,18 +122,6 @@ class Grid1D(IntervalIndex):
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
         return self._query(query)
 
-    def query_count(self, query: Query) -> int:
-        """Count results without materialising the id list."""
-        count = 0
-        for _ in self._iter_results(query):
-            count += 1
-        return count
-
-    def query_exists(self, query: Query) -> bool:
-        for _ in self._iter_results(query):
-            return True
-        return False
-
     def _query(self, query: Query) -> tuple[List[int], QueryStats]:
         stats = QueryStats()
         results = list(self._iter_results(query, stats))
@@ -145,12 +133,19 @@ class Grid1D(IntervalIndex):
         once (reference-value dedup included), optionally filling ``stats``.
 
         :meth:`query`/:meth:`query_with_stats` materialise the stream;
-        :meth:`query_count`/:meth:`query_exists` only consume it.
+        counts never walk the grid (they read the span table's count pair,
+        see :meth:`IntervalIndex.query_count
+        <repro.core.base.IntervalIndex.query_count>`).
         """
+        bounds = _int64_bounds(query)
+        if bounds is None:
+            return
+        q_start, q_end = bounds
         tombstones = self._spans.removed
         grid_max = self._lo + self._p * self._width - 1
-        first = self._cell_of(query.start)
-        last = self._cell_of(query.end)
+        # a reference point is never below q_start, which passes q_end by
+        # one when the query holds no integer
+        first, last = self._cell_of(q_start), self._cell_of(max(q_start, q_end))
         for cell in range(first, last + 1):
             entries = self._cells[cell]
             if stats is not None:
@@ -158,7 +153,7 @@ class Grid1D(IntervalIndex):
             if not entries:
                 continue
             cell_lo, cell_hi = self.cell_bounds(cell)
-            boundary = not (query.start <= cell_lo and cell_hi <= query.end)
+            boundary = not (q_start <= cell_lo and cell_hi <= q_end)
             if boundary and stats is not None:
                 stats.partitions_compared += 1
             for start, end, sid in entries:
@@ -169,13 +164,13 @@ class Grid1D(IntervalIndex):
                 if boundary:
                     if stats is not None:
                         stats.comparisons += 2
-                    if not (start <= query.end and query.start <= end):
+                    if not (start <= q_end and q_start <= end):
                         continue
                 # reference-value duplicate elimination: report s only in the
                 # cell containing max(s.st, q.st).  The reference is clamped
                 # to the grid extent so results are not lost when intervals or
                 # queries protrude beyond the grid's build-time span.
-                reference = max(start, query.start)
+                reference = max(start, q_start)
                 reference = min(max(reference, self._lo), grid_max)
                 if stats is not None:
                     stats.comparisons += 1

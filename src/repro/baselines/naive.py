@@ -7,12 +7,13 @@ against in the test suite, and the sanity floor for benchmark numbers.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.core.base import IntervalIndex, QueryStats
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
 
 __all__ = ["NaiveIndex"]
@@ -45,12 +46,10 @@ class NaiveIndex(IntervalIndex):
         return self._ids[mask].tolist()
 
     def query_count(self, query: Query) -> int:
+        """A mask count of its own: the oracle the span tables' count pairs
+        are checked against."""
         mask = self._live & (self._starts <= query.end) & (query.start <= self._ends)
         return int(np.count_nonzero(mask))
-
-    def query_exists(self, query: Query) -> bool:
-        mask = self._live & (self._starts <= query.end) & (query.start <= self._ends)
-        return bool(mask.any())
 
     def query_with_stats(self, query: Query) -> tuple[List[int], QueryStats]:
         results = self.query(query)
@@ -83,9 +82,8 @@ class NaiveIndex(IntervalIndex):
     def __len__(self) -> int:
         return int(self._live.sum())
 
-    def _interval_lookup(self) -> Dict[int, Interval]:
-        return {
-            int(sid): Interval(int(sid), int(st), int(en))
-            for sid, st, en, live in zip(self._ids, self._starts, self._ends, self._live)
-            if live
-        }
+    def _span_table(self) -> SpanTable:
+        """A throwaway table over the live rows, one vectorised pass."""
+        live = self._live
+        rows = IntervalCollection(self._ids[live], self._starts[live], self._ends[live])
+        return SpanTable(rows)

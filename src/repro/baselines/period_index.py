@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.base import IntervalIndex, QueryStats
+from repro.core.base import IntervalIndex, QueryStats, _int64_bounds
 from repro.core.interval import Interval, IntervalCollection, Query
 from repro.core.spans import SpanTable
 from repro.engine.registry import register_backend
@@ -194,9 +194,15 @@ class PeriodIndex(IntervalIndex):
     def _query(self, query: Query, min_duration: int) -> tuple[List[int], QueryStats]:
         results: List[int] = []
         stats = QueryStats()
+        bounds = _int64_bounds(query)
+        if bounds is None:
+            return results, stats
+        q_start, q_end = bounds
+        # a reference point is never below q_start, which passes q_end by
+        # one when the query holds no integer
+        q_top = max(q_start, q_end)
         tombstones = self._spans.removed
-        first = self._coarse_of(query.start)
-        last = self._coarse_of(query.end)
+        first, last = self._coarse_of(q_start), self._coarse_of(q_top)
         grid_max = self._lo + self._p * self._width - 1
         for coarse in range(first, last + 1):
             partition = self._partitions[coarse]
@@ -210,13 +216,13 @@ class PeriodIndex(IntervalIndex):
                     and partition.division_widths[level] <= min_duration
                 ):
                     continue
-                for division in partition.divisions_for(level, query.start, query.end):
+                for division in partition.divisions_for(level, q_start, q_top):
                     entries = partition.levels[level][division]
                     stats.partitions_accessed += 1
                     if not entries:
                         continue
                     div_lo, div_hi = partition.division_bounds(level, division)
-                    contained = query.start <= div_lo and div_hi <= query.end
+                    contained = q_start <= div_lo and div_hi <= q_end
                     if not contained:
                         stats.partitions_compared += 1
                     for start, end, sid in entries:
@@ -227,9 +233,9 @@ class PeriodIndex(IntervalIndex):
                             continue
                         if not contained:
                             stats.comparisons += 2
-                            if not (start <= query.end and query.start <= end):
+                            if not (start <= q_end and q_start <= end):
                                 continue
-                        reference = max(start, query.start)
+                        reference = max(start, q_start)
                         reference = min(max(reference, self._lo), grid_max)
                         stats.comparisons += 1
                         if div_lo <= reference <= div_hi:

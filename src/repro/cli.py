@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_maintenance_arg(sub: argparse.ArgumentParser) -> None:
         """--maintenance, shared by batch/bench: run a pass after the workload."""
         sub.add_argument("--maintenance", action="store_true",
-                         help="run one maintenance pass after the workload: fold "
-                              "pending counts, rebuild hybrid indexes whose delta "
+                         help="run one maintenance pass after the workload: "
+                              "rebuild hybrid indexes whose delta "
                               "or tombstones reached the rebuild rule, re-balance "
                               "skewed shard cuts, refresh the process snapshot")
 

@@ -6,10 +6,12 @@ them interchangeably:
 
 * :meth:`IntervalIndex.query` -- ids of all intervals overlapping a range query,
 * :meth:`IntervalIndex.stab` -- ids of all intervals containing a point,
-* :meth:`IntervalIndex.query_count` / :meth:`IntervalIndex.query_exists` --
-  aggregate forms of the range query; the defaults materialise the id list,
-  backends with cheaper paths (counting partition runs, vectorised masks)
-  override them so ``store.query(...).count()`` never builds a result list,
+* :meth:`IntervalIndex.query_count` / :meth:`IntervalIndex.query_exists` and
+  their batch forms -- aggregate forms of the range query, answered for
+  every backend by one mechanism: two bisections over the count pair of
+  the index's id -> span table (:mod:`repro.core.spans`), so
+  ``store.query(...).count()`` never builds a result list or walks an
+  index (``NaiveIndex``, the oracle, keeps a mask count of its own),
 * :meth:`IntervalIndex.query_batch` -- answer many queries in one call, one
   int64 id array per query (the entry point of batched execution),
 * :meth:`IntervalIndex.insert` / :meth:`IntervalIndex.delete` -- updates,
@@ -25,12 +27,13 @@ them interchangeably:
 from __future__ import annotations
 
 import abc
+import math
 import mmap
 import sys
 import threading
 from concurrent.futures import Executor as _PoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +44,30 @@ from repro.core.spans import SpanTable
 from repro.core.updates import UpdateFeed
 
 __all__ = ["IntervalIndex", "QueryStats"]
+
+_LOWEST, _HIGHEST = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _int64_bounds(query: Query) -> Optional[Tuple[int, int]]:
+    """``(lo, hi)`` in the int64 range such that an interval with int64
+    endpoints overlaps ``query`` iff ``start <= hi`` and ``end >= lo`` --
+    or None when ``query`` lies wholly past that range.
+
+    ``end >= q.start`` iff ``end >= ceil(q.start)`` and ``start <= q.end``
+    iff ``start <= floor(q.end)`` (so ``lo`` passes ``hi`` by one when the
+    query holds no integer), and a bound past the int64 range (an
+    infinity, a wider int) clamps to its limit, which every int64 endpoint
+    already satisfies.  Python compares the raw bounds with
+    the limits exactly, and only floats are rounded (a NumPy integer would
+    round through float64).  Counts bisect int64 columns with these bounds,
+    and the backends that compute cells from a query's bounds read them too.
+    """
+    lo, hi = query.start, query.end
+    if lo > _HIGHEST or hi < _LOWEST:
+        return None
+    lo = _LOWEST if lo < _LOWEST else math.ceil(lo) if isinstance(lo, float) else lo
+    hi = _HIGHEST if hi > _HIGHEST else math.floor(hi) if isinstance(hi, float) else hi
+    return lo, hi
 
 
 @dataclass
@@ -138,30 +165,38 @@ class IntervalIndex(abc.ABC):
         return self.query(Query.stabbing(point))
 
     def query_count(self, query: Query) -> int:
-        """Number of intervals overlapping ``query``.
-
-        The default materialises the id list; backends with a cheaper path
-        (summing partition-run lengths, vectorised masks) override it.
-        """
-        return len(self.query(query))
+        """Number of live intervals overlapping ``query``: two bisections
+        over the span table's count pair (see :meth:`SpanTable.count
+        <repro.core.spans.SpanTable.count>`), no id gathered."""
+        bounds = _int64_bounds(query)
+        return 0 if bounds is None else int(self._span_table().count(*bounds))
 
     def query_exists(self, query: Query) -> bool:
         """True iff at least one interval overlaps ``query``."""
         return self.query_count(query) > 0
 
     def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
-        """Per-query overlap counts for a whole workload, in order.
-
-        The default evaluates :meth:`query_count` one by one; composite
-        indexes override with genuinely batched evaluation (the sharded
-        index answers with one vectorised bisection pair over its count
-        columns).
-        """
-        return [self.query_count(query) for query in queries]
+        """Per-query overlap counts for a whole workload, in order: the
+        same two bisections, vectorised over the batch."""
+        return self._count_batch(queries).tolist()
 
     def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
         """Per-query existence probes for a whole workload, in order."""
-        return [self.query_exists(query) for query in queries]
+        return (self._count_batch(queries) > 0).tolist()
+
+    def _count_batch(self, queries: Sequence[Query]) -> np.ndarray:
+        lo = np.array([query.start for query in queries])
+        hi = np.array([query.end for query in queries])
+        if lo.dtype == hi.dtype == np.int64:  # int64 bounds are exact as they are
+            return self._span_table().count(lo, hi)
+        bounds = [_int64_bounds(query) for query in queries]
+        empty = [position for position, pair in enumerate(bounds) if pair is None]
+        lo, hi = np.array(
+            [pair or (0, 0) for pair in bounds], dtype=np.int64
+        ).reshape(-1, 2).T
+        counts = self._span_table().count(lo, hi)
+        counts[empty] = 0
+        return counts
 
     def query_batch(self, queries: Sequence[Query]) -> List[np.ndarray]:
         """Answer many range queries in one call.
@@ -260,19 +295,15 @@ class IntervalIndex(abc.ABC):
     #: the index's :class:`~repro.core.spans.SpanTable`: every backend that
     #: retains its intervals builds it over its collection, mutates it in
     #: ``insert``/``delete`` and reads ``_spans.removed`` as its tombstone
-    #: filter.  Composites leave it ``None`` and override :meth:`_span_table`.
+    #: filter.  Composites leave it ``None`` and override :meth:`_span_table`,
+    #: as does the ``NaiveIndex`` reference, which keeps rows of its own.
     _spans: "SpanTable | None" = None
 
     def _span_table(self) -> SpanTable:
-        """What every id -> span read below goes through."""
-        if self._spans is not None:
-            return self._spans
-        if type(self)._interval_lookup is IntervalIndex._interval_lookup:
+        """What every id -> span read and every count goes through."""
+        if self._spans is None:
             raise NotImplementedError(f"{type(self).__name__} retains no intervals")
-        # an index that keeps rows of its own (the NaiveIndex reference)
-        # overrides _interval_lookup: a throwaway table over it, O(n) like
-        # the lookup itself
-        return SpanTable(IntervalCollection.from_intervals(self._interval_lookup().values()))
+        return self._spans
 
     def live_collection(self) -> IntervalCollection:
         """The live intervals as a columnar collection (one vectorised pass)."""

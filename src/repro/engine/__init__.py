@@ -21,10 +21,9 @@
   snapshots (:class:`Epoch`): queries pin one immutable generation of the
   partition state, maintenance publishes fresh generations atomically,
 * :mod:`repro.engine.maintenance` -- the index-lifecycle layer: the
-  sorted count columns, adaptive shard-count model and the
-  :class:`MaintenanceCoordinator`, whose explicit ``maintain()`` folds
-  pending counts, rebuilds shards by the one delta-fraction rule,
-  re-balances cuts and refreshes the shared-memory snapshot.
+  adaptive shard-count model and the :class:`MaintenanceCoordinator`,
+  whose explicit ``maintain()`` rebuilds shards by the one delta-fraction
+  rule, re-balances cuts and refreshes the shared-memory snapshot.
 """
 
 from repro.engine.batch import BatchResult, execute_batch

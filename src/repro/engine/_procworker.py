@@ -6,17 +6,19 @@ shared-memory columns once, builds the shard indexes it is asked about
 once, and caches them for the lifetime of the pool.  A task is one shard's
 slice of a materialising batch
 
-    ``(spec, shard_id, positions, query_starts, query_ends)``
+    ``(spec, shard_id, positions, queries)``
 
 where ``spec`` is a ~100-byte :class:`ShardResidencySpec` (a shared-memory
-handle plus the shard plan and backend configuration) and the arrays
-describe the queries routed to that shard; each is answered against the
-worker-built shard index.  Results travel back as compact ``int64`` id
-arrays -- no :class:`~repro.core.interval.Interval` objects, no index
-structures, no re-pickled collections ever cross the process boundary.
-Counts are not a worker's business: the parent bisects its one count pair
-(:class:`repro.engine.maintenance.CountColumns`), so workers hold no count
-columns and nothing here depends on updates.
+handle plus the shard plan and backend configuration), ``positions`` the
+batch positions of the queries routed to that shard and ``queries`` those
+:class:`~repro.core.interval.Query` objects, their bounds as given; each is
+answered against the worker-built shard index.  Results travel back as
+compact ``int64`` id arrays -- no :class:`~repro.core.interval.Interval`
+objects, no index structures, no re-pickled collections ever cross the
+process boundary.
+Counts are not a worker's business: the parent bisects the count pair of
+its locator table (:class:`repro.core.spans.CountPair`), so a worker never
+counts and nothing here depends on updates.
 
 Everything here is module-level so that it imports cleanly under the
 ``spawn`` start method (workers re-import this module instead of inheriting
@@ -33,7 +35,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.interval import Query, SharedCollectionHandle, attach_shared_collection
+from repro.core.interval import SharedCollectionHandle, attach_shared_collection
 from repro.obs import tracing
 
 __all__ = [
@@ -163,24 +165,21 @@ def resident_summary(_: object = None) -> Tuple[int, Tuple[str, ...]]:
 def run_kernel_task(task: Tuple) -> Tuple:
     """Answer one shard's slice of a materialising batch inside a worker.
 
-    ``task`` is ``(spec, shard_id, positions, query_starts, query_ends)``;
-    ``positions`` are the batch positions of the routed queries.  Returns
+    ``task`` is ``(spec, shard_id, positions, queries)``; ``positions``
+    are the batch positions of the routed ``queries``.  Returns
     ``(shard_id, positions, id_arrays)`` with one compact ``int64`` array of
     result ids per routed query, from the worker-built shard index (the
     parent never routes a batch here while the snapshot is update-dirty).
 
-    A traced task carries an optional 6th element ``(trace_id,
+    A traced task carries an optional 5th element ``(trace_id,
     parent_span_id)``; the worker then returns ``(shard_id, positions,
     id_arrays, span_record)`` -- the span is built locally and shipped back
     in the result, so fork and spawn pools trace identically.
     """
-    spec, shard_id, positions, query_starts, query_ends = task[:5]
-    trace_ctx = task[5] if len(task) > 5 else None
+    spec, shard_id, positions, queries = task[:4]
+    trace_ctx = task[4] if len(task) > 4 else None
     started = time.perf_counter()
-    index = _residency_for(spec).shard_index(shard_id)
-    answers = index.query_batch(
-        [Query(int(start), int(end)) for start, end in zip(query_starts, query_ends)]
-    )
+    answers = _residency_for(spec).shard_index(shard_id).query_batch(queries)
     if trace_ctx is None:
         return shard_id, positions, answers
     trace_id, parent_id = trace_ctx

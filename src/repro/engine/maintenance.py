@@ -1,17 +1,10 @@
-"""Index-lifecycle maintenance: count columns, shard-count model, coordinator.
+"""Index-lifecycle maintenance: shard-count model, coordinator.
 
 The hybrid HINT^m of the paper (Sections 3.4/4.4) has one update rule: a
 delta index absorbs the inserts and the main index is rebuilt from time to
 time in one batch.  This module carries that rule across the shard
-boundary.  Three pieces compose:
+boundary.  Two pieces compose:
 
-* :class:`CountColumns` -- the sorted start and end columns of a sharded
-  index's distinct live intervals.  The count of intervals overlapping
-  ``[a, b]`` is ``#(start <= b) - #(end < a)``: two bisections, whatever the
-  shard layout.  Inserts and deletes append to a pending buffer (O(1) per
-  op) that is folded into the sorted columns *lazily*, on the next count or
-  an explicit :meth:`CountColumns.fold` -- one vectorised merge instead of
-  one ``np.insert`` reallocation per operation.
 * :func:`recommend_shard_count` -- the Section 3.3 cost model **extended to
   choose K**: scan-bound backends gain ~K from shard pruning even serially,
   traversal-bound backends (the HINT^m family) only win when a process
@@ -20,13 +13,17 @@ boundary.  Three pieces compose:
 * :class:`MaintenanceCoordinator` -- owns the lifecycle of one
   :class:`~repro.engine.sharded.ShardedIndex` (or a plain hybrid index).
   Nothing runs in the background: each explicit
-  :meth:`~MaintenanceCoordinator.maintain` call folds the count columns,
-  rebuilds every hybrid shard whose delta or tombstones reached the rebuild
-  rule (at least :data:`REBUILD_FRACTION` of its main index and at least
+  :meth:`~MaintenanceCoordinator.maintain` call rebuilds every hybrid
+  shard whose delta or tombstones reached the rebuild rule (at least
+  :data:`REBUILD_FRACTION` of its main index and at least
   :data:`REBUILD_MIN_DELTA` intervals), re-balances cuts when skew drifts
   past a threshold (**adaptive re-partitioning**), and republishes the
   shared-memory snapshot so a process executor regains fan-out
   (**snapshot refresh**).
+
+Counts need no pass: every index counts through the count pair of its id
+-> span table (:class:`repro.core.spans.CountPair`), which folds its own
+buffered updates once the buffer is full.
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.interval import IntervalCollection
 from repro.engine.executor import _default_workers, _not_an_executor
@@ -53,7 +48,6 @@ _MAINTENANCE_SECONDS = global_registry().histogram(
 )
 
 __all__ = [
-    "CountColumns",
     "MaintenanceConfig",
     "MaintenanceCoordinator",
     "MaintenanceReport",
@@ -73,124 +67,6 @@ REBUILD_MIN_DELTA = 64
 #: per-query cost barely shrinks with shard size, so sharding only pays when
 #: an executor adds real parallelism.
 SCAN_BOUND_BACKENDS = frozenset({"naive", "grid1d"})
-
-
-# --------------------------------------------------------------------------- #
-# count columns
-# --------------------------------------------------------------------------- #
-class CountColumns:
-    """Sorted start/end columns of a set of intervals, plus a pending buffer.
-
-    :meth:`overlaps` counts the intervals overlapping ``[lo, hi]`` as
-    ``#(start <= hi) - #(end < lo)``: an interval ending before ``lo``
-    starts before it too, so the difference is exactly the overlapping
-    ones.  An update appends its endpoints to pending add/remove buffers --
-    O(1) -- and :meth:`fold` merges all of them into the sorted columns in
-    one vectorised pass; :meth:`overlaps` folds first, so counts are always
-    exact.
-
-    Every mutation (recording, folding, and the fold step of a count)
-    serialises on one lock: readers count from any thread, and a
-    maintenance pass on another thread (the query server runs ``/maintain``
-    in its executor) folds concurrently with foreground updates -- an
-    unsynchronised snapshot-then-clear would lose or double-apply recorded
-    operations.  The bisections themselves run on captured arrays outside
-    the lock.
-    """
-
-    __slots__ = (
-        "starts",
-        "ends",
-        "_lock",
-        "_add_starts",
-        "_add_ends",
-        "_del_starts",
-        "_del_ends",
-    )
-
-    def __init__(
-        self,
-        starts: "Sequence[int] | np.ndarray",
-        ends: "Sequence[int] | np.ndarray",
-    ) -> None:
-        self.starts = np.sort(np.asarray(starts, dtype=np.int64))
-        self.ends = np.sort(np.asarray(ends, dtype=np.int64))
-        self._lock = threading.Lock()
-        self._add_starts: List[int] = []
-        self._add_ends: List[int] = []
-        self._del_starts: List[int] = []
-        self._del_ends: List[int] = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def pending_ops(self) -> int:
-        """Buffered operations not yet folded into the sorted columns."""
-        return len(self._add_starts) + len(self._del_starts)
-
-    # ------------------------------------------------------------------ #
-    # updates
-    # ------------------------------------------------------------------ #
-    def record_insert(self, start: int, end: int) -> None:
-        with self._lock:
-            self._add_starts.append(start)
-            self._add_ends.append(end)
-
-    def record_delete(self, start: int, end: int) -> None:
-        with self._lock:
-            self._del_starts.append(start)
-            self._del_ends.append(end)
-
-    def fold(self) -> int:
-        """Merge every pending value into the sorted columns.
-
-        Adds are applied before removes, so a value inserted and deleted
-        between folds cancels correctly.  Returns the number of operations
-        folded.
-        """
-        with self._lock:
-            return self._fold_locked()
-
-    def _fold_locked(self) -> int:
-        folded = len(self._add_starts) + len(self._del_starts)
-        if not folded:
-            return 0
-        self.starts = self._fold_column(self.starts, self._add_starts, self._del_starts)
-        self.ends = self._fold_column(self.ends, self._add_ends, self._del_ends)
-        self._add_starts, self._add_ends = [], []
-        self._del_starts, self._del_ends = [], []
-        return folded
-
-    @staticmethod
-    def _fold_column(
-        column: np.ndarray, adds: List[int], removes: List[int]
-    ) -> np.ndarray:
-        if adds:
-            values = np.sort(np.asarray(adds, dtype=np.int64))
-            column = np.insert(column, np.searchsorted(column, values), values)
-        if removes:
-            values = np.sort(np.asarray(removes, dtype=np.int64))
-            first = np.searchsorted(column, values, side="left")
-            # duplicates among the removed values map to consecutive copies:
-            # offset each by its rank within its equal-value group
-            rank = np.arange(len(values)) - np.searchsorted(values, values, side="left")
-            column = np.delete(column, first + rank)
-        return column
-
-    # ------------------------------------------------------------------ #
-    # counting (fold lazily, then bisect)
-    # ------------------------------------------------------------------ #
-    def overlaps(self, lo, hi):
-        """Number of intervals overlapping ``[lo, hi]``.
-
-        ``lo`` and ``hi`` are scalars (the answer is a NumPy integer) or
-        equal-length ``int64`` arrays (one count per pair).  Pending ops
-        fold first, under the lock; folds replace the arrays, never mutate
-        them, so the bisections run on the captured pair outside it.
-        """
-        with self._lock:
-            self._fold_locked()
-            starts, ends = self.starts, self.ends
-        return starts.searchsorted(hi, side="right") - ends.searchsorted(lo, side="left")
 
 
 # --------------------------------------------------------------------------- #
@@ -320,7 +196,6 @@ class MaintenanceReport:
     """What one :meth:`MaintenanceCoordinator.maintain` pass did.
 
     Attributes:
-        folded_ops: pending updates folded into the count columns.
         rebuilt_shards: shard ids whose hybrid delta was merged into a fresh
             main index.
         repartitioned: True when cut skew triggered a re-balance.
@@ -337,7 +212,6 @@ class MaintenanceReport:
         seconds: wall-clock duration of the pass.
     """
 
-    folded_ops: int = 0
     rebuilt_shards: List[int] = field(default_factory=list)
     repartitioned: bool = False
     cuts: Tuple[int, ...] = ()
@@ -353,8 +227,7 @@ class MaintenanceReport:
     def actions(self) -> int:
         """Number of maintenance actions the pass performed."""
         return (
-            (1 if self.folded_ops else 0)
-            + len(self.rebuilt_shards)
+            len(self.rebuilt_shards)
             + (1 if self.repartitioned else 0)
             + (1 if self.snapshot_refreshed else 0)
             + (1 if self.checkpointed else 0)
@@ -362,7 +235,7 @@ class MaintenanceReport:
 
     def summary(self) -> str:
         """One-line human-readable description of the pass."""
-        parts = [f"folded {self.folded_ops} ops"]
+        parts = []
         if self.rebuilt_shards:
             parts.append(f"rebuilt shards {self.rebuilt_shards}")
         if self.repartitioned:
@@ -374,7 +247,7 @@ class MaintenanceReport:
                 f"checkpointed @ generation {self.checkpoint_generation} "
                 f"({self.wal_segments_truncated} WAL segments truncated)"
             )
-        if len(parts) == 1 and not self.folded_ops:
+        if not parts:
             parts = ["nothing to do"]
         return "; ".join(parts) + f" in {self.seconds * 1000:.1f}ms"
 
@@ -427,7 +300,7 @@ class MaintenanceCoordinator:
         return list(self._reports)
 
     def _is_sharded(self) -> bool:
-        return hasattr(self._index, "count_columns")
+        return hasattr(self._index, "maintenance_state")
 
     def state(self) -> Dict[str, object]:
         """Maintenance/ingest state snapshot (the `repro maintain` display)."""
@@ -473,7 +346,7 @@ class MaintenanceCoordinator:
             else:
                 self._maintain_plain(report, force)
             # tell update listeners the pass finished -- a "sync", never a
-            # delta: folds, rebuilds and refreshes reorganise state without
+            # delta: rebuilds and refreshes reorganise state without
             # changing the queryable contents, but standing-query clients
             # long-polling the serving tier want the wakeup so their acked
             # generation can advance past any epoch publication the pass
@@ -519,9 +392,6 @@ class MaintenanceCoordinator:
     def _maintain_sharded(self, report: MaintenanceReport, force: bool) -> None:
         index = self._index
         config = self._config
-        counts = index.count_columns
-        if counts is not None:
-            report.folded_ops = counts.fold()
         # adaptive re-partitioning first: it rebuilds every shard from the
         # live collection anyway (folding all deltas), so per-shard rebuilds
         # in the same pass would be paid twice.  Rebalance only when shard
@@ -531,7 +401,7 @@ class MaintenanceCoordinator:
         # freshly re-balanced) index is never torn down by its first pass;
         # use ShardedIndex.repartition() directly to rebalance a static
         # build.
-        if config.repartition and counts is not None:
+        if config.repartition and index.num_shards > 1:
             sizes = index.maintenance_state()["copies_per_shard"]
             mean = sum(sizes) / len(sizes)
             report.skew = (max(sizes) / mean) if mean else 0.0
@@ -563,7 +433,7 @@ class MaintenanceCoordinator:
                     self._last_rebuild[shard_id] = time.time()
                     report.rebuilt_shards.append(shard_id)
             # snapshot refresh: restore the process fan-out of id batches
-            # after updates (counts never leave the count columns, so
+            # after updates (counts read the locator's count pair, so
             # nothing waits on this)
             if index.update_dirty or force:
                 report.snapshot_refreshed = index.refresh_snapshot()

@@ -2,16 +2,17 @@
 
 A :class:`ResultSet` is a handle on the answer of one query: nothing touches
 the index until a terminal accessor runs, and aggregate accessors
-(:meth:`ResultSet.count`, :meth:`ResultSet.exists`) go through the backend's
-``query_count``/``query_exists`` fast paths instead of materialising an id
-list.  :meth:`ResultSet.ids` materialises one read-only int64 array -- a
-backend that answers with a list has it converted once, here -- and caches
-it; every later accessor reuses it.
+(:meth:`ResultSet.count`, :meth:`ResultSet.exists`) go through the index's
+``query_count``/``query_exists`` instead of materialising an id list.
+:meth:`ResultSet.ids` materialises one read-only int64 array -- a backend
+that answers with a list has it converted once, here -- and caches it;
+every later accessor reuses it.
 
 The same handle serves every index, sharded or not: a
-:class:`~repro.engine.sharded.ShardedIndex` merges its shards' ids and
-bisects its count columns for ``count`` and ``exists`` inside its own query
-methods.
+:class:`~repro.engine.sharded.ShardedIndex` merges its shards' ids inside
+its own query method, and every index answers ``count`` and ``exists``
+with two bisections over its id -> span table's count pair
+(:meth:`repro.core.spans.SpanTable.count`).
 """
 
 from __future__ import annotations
@@ -118,10 +119,10 @@ class ResultSet:
         return self._ids
 
     def count(self) -> int:
-        """Number of results, via the backend's counting fast path.
-
-        Backends that override :meth:`IntervalIndex.query_count` answer this
-        without building an id list.
+        """Number of results: the ids already fetched, else the index's
+        :meth:`~repro.core.base.IntervalIndex.query_count` (two bisections
+        over its span table's count pair, no id list).  A refined query (an
+        Allen relation) counts its ids; a ``limit`` caps the count.
         """
         if self._ids is not None:
             return len(self._ids)

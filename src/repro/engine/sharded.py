@@ -24,29 +24,28 @@ shard's delta index), and a delete probes only the shards its span overlaps
 Three consistency/execution mechanisms deserve detail:
 
 **Epoch-based read snapshots.**  All partition-dependent state -- the plan,
-the per-shard indexes, the count columns and the locator table --
+the per-shard indexes and the locator table --
 lives in one :class:`Epoch` object, and the index holds a single reference
 to the current epoch.  Every query pins that reference *once* on entry and
 runs entirely against the pinned epoch, so maintenance operations that
 replace partition state (:meth:`ShardedIndex.repartition`) build a complete
 fresh epoch off to the side and publish it with one atomic reference
 assignment.  Readers therefore never observe a half-installed plan (new cuts
-with old shards, or count columns that disagree with the locator) and never
+with old shards, or a locator that disagrees with the shards) and never
 take a lock: a query racing a repartition sees either the old epoch or the
 new one, both complete.  In-place updates (insert/delete) mutate the current
 epoch under the update lock; a reader pinned to that epoch sees them
 with the usual single-object update visibility, exactly as before.
 
-**One count pair.**  Boundary-spanning intervals are duplicated across
-shards, but a count is taken over the *distinct* intervals: at K > 1 the
-epoch keeps one :class:`repro.engine.maintenance.CountColumns` pair, the
-sorted starts and ends of its locator's rows, and every count of
-``[a, b]`` is ``#(start <= b) - #(end < a)`` -- two bisections, however many
-shards the query spans.  ``exists`` is that count ``> 0``, and count and
-exists *batches* are the same two bisections vectorised.  Updates record
-their span once in the pair's pending buffer (O(1)) and fold into the
-columns lazily, on the next count.  Counts run in the calling process
-with or without a pool and touch neither a shard index nor the pool.
+**Counts read the locator.**  Boundary-spanning intervals are duplicated
+across shards, but a count is taken over the *distinct* intervals: the
+index has no count methods of its own, and the base class's count reads
+:meth:`ShardedIndex._span_table` -- at K > 1 the locator, whose one count
+pair (:class:`repro.core.spans.CountPair`, built on the first count)
+answers ``[a, b]`` with two bisections however many shards the query
+spans; at K == 1 the only shard's own table.  Counts run in the calling
+process with or without a pool and, at K > 1, touch neither a shard index
+nor the pool.
 
 **Process fan-out: id batches.**  With a
 :class:`~repro.engine.executor.ProcessExecutor` -- at any K, one shard
@@ -63,21 +62,20 @@ and rebuild their residencies -- per-worker healing), and only when every
 worker path is exhausted does the task fall back to the epoch's in-process
 shard indexes and the index-wide fan-out flag trip until the next refresh.
 
-Maintenance -- folding the count columns, rebuilding hybrid shard deltas by the
-one rebuild rule, re-balancing cuts on skew and republishing the
-shared-memory snapshot so a process executor regains fan-out after
-updates -- runs only when
+Maintenance -- rebuilding hybrid shard deltas by the one rebuild rule,
+re-balancing cuts on skew and republishing the shared-memory snapshot so a
+process executor regains fan-out after updates -- runs only when
 :meth:`repro.engine.maintenance.MaintenanceCoordinator.maintain` is called;
 the hooks it drives (:meth:`ShardedIndex.refresh_snapshot`,
-:meth:`ShardedIndex.repartition`, :attr:`ShardedIndex.count_columns`) live
-here.
+:meth:`ShardedIndex.repartition`, :meth:`ShardedIndex.maintenance_state`)
+live here.
 
 ``IntervalStore.open(num_shards=K)`` with K > 1 wraps a sharded index in
 the same :class:`repro.engine.store.IntervalStore` facade as any other
 backend: its lazy :class:`repro.engine.results.ResultSet` handles read the
-merged ids, the count and ``exists`` from this index's own query
-methods, and :meth:`IntervalIndex.query_relation` answers every Allen
-relation through the locator table.
+merged ids from this index's own query methods, the count and
+``exists`` from the locator, and :meth:`IntervalIndex.query_relation`
+answers every Allen relation through the locator table.
 """
 
 from __future__ import annotations
@@ -107,7 +105,6 @@ from repro.engine._procworker import (
     run_kernel_task,
 )
 from repro.engine.executor import ProcessExecutor, resolve_executor
-from repro.engine.maintenance import CountColumns
 from repro.engine.registry import create_index, get_spec, register_backend, resolve_backend
 from repro.engine.results import merge_unique_ids
 from repro.engine.sharding import ShardPlan, partition_collection, shard_mask
@@ -166,20 +163,12 @@ def _render_shards(shards: List[Optional[IntervalIndex]]) -> bool:
     return all(getattr(shard, "renders_ids", False) for shard in shards)
 
 
-def _query_bounds(workload: Sequence[Query]) -> Tuple[np.ndarray, np.ndarray]:
-    """A batch's ``(starts, ends)`` as ``int64`` columns."""
-    total = len(workload)
-    starts = np.fromiter((q.start for q in workload), dtype=np.int64, count=total)
-    ends = np.fromiter((q.end for q in workload), dtype=np.int64, count=total)
-    return starts, ends
-
-
 class Epoch:
     """One complete, consistent generation of a sharded index's partition state.
 
     Everything a reader needs to answer a query against one version of the
-    partitioning -- the plan, the per-shard indexes, the count columns and
-    the locator table -- travels
+    partitioning -- the plan, the per-shard indexes and the locator table
+    -- travels
     together in one object.  Queries pin the owning index's current epoch
     with a single reference read and never look back at the index for
     partition state, so maintenance replaces the whole epoch atomically
@@ -196,11 +185,9 @@ class Epoch:
             the shards it touches *before* applying, so an unbuilt slot has
             absorbed no update since the epoch was installed and the source
             still reproduces it exactly.
-        counts: the :class:`~repro.engine.maintenance.CountColumns` pair
-            over the locator's rows (``None`` at K == 1: the only shard
-            counts).
         locator: the :class:`~repro.core.spans.SpanTable` of every live
-            interval (``None`` at K == 1: the only shard's own table serves).
+            interval, and the owner of the epoch's count pair (``None`` at
+            K == 1: the only shard's own table serves).
         source: the collection this epoch's lazy shard builds draw from;
             kept content-equivalent to the build state of the epoch (updates
             route through built shards, and snapshot refreshes replace it
@@ -210,21 +197,19 @@ class Epoch:
             lifetime would be dead memory.
     """
 
-    __slots__ = ("epoch_id", "plan", "shards", "counts", "locator", "source")
+    __slots__ = ("epoch_id", "plan", "shards", "locator", "source")
 
     def __init__(
         self,
         epoch_id: int,
         plan: ShardPlan,
         shards: List[Optional[IntervalIndex]],
-        counts: Optional[CountColumns],
         locator: Optional[SpanTable],
         source: Optional[IntervalCollection],
     ) -> None:
         self.epoch_id = epoch_id
         self.plan = plan
         self.shards = shards
-        self.counts = counts
         self.locator = locator
         self.source = source
 
@@ -329,26 +314,24 @@ class ShardedIndex(IntervalIndex):
     ) -> None:
         """Build a complete fresh :class:`Epoch` for ``collection`` and publish it.
 
-        Shared by construction and :meth:`repartition`: the plan, the count
-        columns + locator bookkeeping, and the per-shard indexes -- built
+        Shared by construction and :meth:`repartition`: the plan, the
+        locator, and the per-shard indexes -- built
         here in-process, lazy (worker-resident over a fresh shared-memory
         snapshot) under a process executor -- are assembled
         off to the side and installed with one atomic reference assignment,
         so concurrent readers see either the previous epoch or this one,
-        never a mix.  At K > 1 the shards, the count pair and the snapshot
-        all draw from the locator's rows, so a build that repeats an id
-        keeps its last row everywhere.
+        never a mix.  At K > 1 the shards, the locator's count pair and the
+        snapshot all draw from the locator's rows, so a build that repeats
+        an id keeps its last row everywhere.
         """
         #: updates absorbed since this partition was installed; skew-driven
         #: re-partitioning only triggers once this is non-zero (build-time
         #: skew reflects the caller's explicit strategy choice, drift does not)
         self.updates_since_partition = 0
-        counts: Optional[CountColumns] = None
         locator: Optional[SpanTable] = None
         if plan.num_shards > 1:
             locator = SpanTable(collection)
             collection = locator.collection()
-            counts = CountColumns(collection.starts, collection.ends)
         self._size = len(collection)
         pieces = partition_collection(collection, plan)
 
@@ -370,7 +353,6 @@ class ShardedIndex(IntervalIndex):
             epoch_id=self._epochs_installed,
             plan=plan,
             shards=shards,
-            counts=counts,
             locator=locator,
             # lazy builds draw from the source; an in-process install has no
             # lazy build left, so pinning the collection would be dead memory
@@ -473,12 +455,6 @@ class ShardedIndex(IntervalIndex):
         return self._executor
 
     @property
-    def count_columns(self) -> Optional[CountColumns]:
-        """The current epoch's count pair over its distinct live intervals
-        (``None`` at K == 1, where the only shard counts)."""
-        return self._epoch.counts
-
-    @property
     def built_shards(self) -> List[Optional[IntervalIndex]]:
         """Per-shard indexes already built in this process (``None`` = lazy).
 
@@ -561,8 +537,8 @@ class ShardedIndex(IntervalIndex):
 
         Plans fresh cuts over the *live* data (default: the current K and
         strategy -- pass ``strategy="balanced"`` to rebalance skew), then
-        builds a complete fresh epoch from it: every shard, the count
-        columns and the locator.  Hybrid deltas are folded into the fresh
+        builds a complete fresh epoch from it: every shard and the
+        locator.  Hybrid deltas are folded into the fresh
         shard builds, and under a process executor a new snapshot generation
         is published.  The new epoch is installed with one atomic reference
         assignment, so concurrent queries see either the old partition state
@@ -590,22 +566,22 @@ class ShardedIndex(IntervalIndex):
         """Ingest/maintenance snapshot: pending updates, shard sizes, deltas,
         generations.
 
-        ``pending`` is the updates not yet folded into the count pair when
-        the call began; ``copies_per_shard`` is each shard's interval
-        copies, read off the pair (folding it) as the count over the
-        shard's closed domain range.
+        ``copies_per_shard`` is each shard's interval copies, read off the
+        locator's count pair (building it on first use) as the count over
+        the shard's closed domain range; ``pending`` is the updates then
+        buffered in that pair, not yet folded into its sorted columns.
         """
         epoch = self._epoch
-        counts = epoch.counts
-        if counts is None:
+        locator = epoch.locator
+        if locator is None:
             pending, copies = 0, [len(self)]
         else:
-            pending = counts.pending_ops
             cuts = np.asarray(epoch.plan.cuts, dtype=np.int64)
             limits = np.iinfo(np.int64)
-            copies = counts.overlaps(
+            copies = locator.count(
                 np.append(limits.min, cuts), np.append(cuts - 1, limits.max)
             ).tolist()
+            pending = locator.pair.used
         return {
             "num_shards": epoch.plan.num_shards,
             "cuts": tuple(epoch.plan.cuts),
@@ -693,36 +669,6 @@ class ShardedIndex(IntervalIndex):
             self._shard(epoch, shard).query(query)
             for shard in range(first, last + 1)
         )
-
-    def query_count(self, query: Query) -> int:
-        epoch = self._epoch
-        if epoch.counts is None:
-            return self._shard(epoch, 0).query_count(query)
-        return int(epoch.counts.overlaps(query.start, query.end))
-
-    def query_exists(self, query: Query) -> bool:
-        epoch = self._epoch
-        if epoch.counts is None:
-            return self._shard(epoch, 0).query_exists(query)
-        return bool(epoch.counts.overlaps(query.start, query.end) > 0)
-
-    def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
-        """Batched counts: one vectorised bisection pair over the pinned
-        epoch's count columns, in the calling process, pool or not.
-        K == 1 delegates to the only shard's own batch hook."""
-        workload = list(queries)
-        epoch = self._epoch
-        if epoch.counts is None:
-            return self._shard(epoch, 0).query_count_batch(workload)
-        return epoch.counts.overlaps(*_query_bounds(workload)).tolist()
-
-    def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
-        """Batched existence probes: the batched counts, ``> 0``."""
-        workload = list(queries)
-        epoch = self._epoch
-        if epoch.counts is None:
-            return self._shard(epoch, 0).query_exists_batch(workload)
-        return (epoch.counts.overlaps(*_query_bounds(workload)) > 0).tolist()
 
     def _process_fanout_ready(self) -> bool:
         """True while worker-resident id batches are sound.
@@ -818,8 +764,8 @@ class ShardedIndex(IntervalIndex):
         """
         results: List[Optional[Tuple]] = [None] * len(tasks)
         pending = list(range(len(tasks)))
-        # trace context at submit time: tasks stay 5-tuples in `tasks` (the
-        # failed-task fallback unpacks them), the optional 6th element rides
+        # trace context at submit time: tasks stay 4-tuples in `tasks` (the
+        # failed-task fallback unpacks them), the optional 5th element rides
         # only on the submitted copy.  The retry round gets its own
         # "kernel_retry" parent span, so a SIGKILLed worker's resubmission
         # shows up as a distinct subtree in the query's trace.
@@ -892,14 +838,13 @@ class ShardedIndex(IntervalIndex):
         """Fan a materialising batch out as worker-resident kernel tasks.
 
         Queries are grouped by the shard they overlap; each task ships only
-        ``(spec, shard_id, positions, starts, ends)`` and returns compact
+        ``(spec, shard_id, positions, queries)`` and returns compact
         id arrays, merged per query by :func:`_merge_shard_answers`.  Tasks
         that exhaust every worker path (see :meth:`_dispatch_kernel_tasks`)
         fall back per (query, shard) to the epoch's in-process shard
         indexes: the batch still answers, degraded only where the pool
         failed.
         """
-        starts, ends = _query_bounds(workload)
         per_shard = _route(epoch, workload)
         spec = self._residency_spec(epoch)
         # split each shard's slice so there is work for every pool worker
@@ -911,7 +856,7 @@ class ShardedIndex(IntervalIndex):
             pos = np.asarray(positions, dtype=np.int64)
             for piece in np.array_split(pos, min(slices_per_shard, len(pos))):
                 if len(piece):
-                    tasks.append((spec, shard, piece, starts[piece], ends[piece]))
+                    tasks.append((spec, shard, piece, [workload[p] for p in piece.tolist()]))
         if len(tasks) <= 1 and len(workload) <= 1:
             # a lone single-shard query is not worth a pool round trip; the
             # local shards answer it with no transport at all.  A lone task
@@ -930,9 +875,9 @@ class ShardedIndex(IntervalIndex):
         for task_index in failed:
             # every worker path was exhausted for this slice: answer its
             # (query, shard) pairs against the epoch's in-process shards
-            _, shard, positions, piece_starts, piece_ends = tasks[task_index]
-            for position, q_start, q_end in zip(positions, piece_starts, piece_ends):
-                ids = self._shard(epoch, shard).query(Query(int(q_start), int(q_end)))
+            _, shard, positions, queries = tasks[task_index]
+            for position, query in zip(positions, queries):
+                ids = self._shard(epoch, shard).query(query)
                 per_query[int(position)].append(
                     (shard, np.asarray(ids, dtype=np.int64))
                 )
@@ -982,10 +927,10 @@ class ShardedIndex(IntervalIndex):
         index; static backends raise ``NotImplementedError`` as usual.
         A still-lazy owning shard is built first (from the epoch source,
         which still equals its live contents), so no shard is ever built
-        after an update it should hold.  The span is recorded once in the
-        count columns (an O(1) append, folded lazily) and only -- together
-        with the locator entry -- after every owning shard accepted the
-        copy, so a failing shard leaves the bookkeeping untouched.
+        after an update it should hold.  The locator entry (and with it the
+        count pair's O(1) record) is made once, and only after every owning
+        shard accepted the copy, so a failing shard leaves the bookkeeping
+        untouched.
         Updates invalidate the process-executor snapshot: later batches run
         in-process until :meth:`refresh_snapshot` republishes it.
         """
@@ -996,11 +941,9 @@ class ShardedIndex(IntervalIndex):
                 self._shard(epoch, shard).insert(interval)
             # bookkeeping only after *all* owning shards took the copy: a
             # raise above (static backend, bad interval) must not desync the
-            # locator or the count columns from the shard contents
+            # locator from the shard contents
             if epoch.locator is not None:
                 epoch.locator.add(interval)
-            if epoch.counts is not None:
-                epoch.counts.record_insert(interval.start, interval.end)
             self._size += 1
             self._dirty = True
             self.updates_since_partition += 1
@@ -1019,8 +962,8 @@ class ShardedIndex(IntervalIndex):
         One table probe (the locator; at K == 1 the only shard's own table)
         resolves the victim's span, which bounds the delete to the owning
         shards instead of all K; an id the index never saw returns False
-        without touching any shard.  The locator entry and the count columns
-        are only mutated after every owning shard was probed, so a
+        without touching any shard.  The locator entry is only removed
+        after every owning shard was probed, so a
         shard raising mid-delete leaves the bookkeeping consistent and the
         delete retryable.  True when any copy was live.
         """
@@ -1036,8 +979,6 @@ class ShardedIndex(IntervalIndex):
             if found:
                 if epoch.locator is not None:
                     epoch.locator.remove(interval_id)
-                if epoch.counts is not None:
-                    epoch.counts.record_delete(victim.start, victim.end)
                 self._size -= 1
                 self._dirty = True
                 self.updates_since_partition += 1

@@ -396,8 +396,8 @@ class IntervalStore:
     def count_batch(self, queries: Sequence[Query]) -> List[int]:
         """Per-query overlap counts for a workload, positionally aligned.
 
-        Routes through the index's batched hook, so a sharded index answers
-        with one vectorised bisection pair over its count columns.
+        Routes through the index's batched hook: one vectorised bisection
+        pair over its span table's count pair.
         """
         return self._index.query_count_batch(list(queries))
 
@@ -480,13 +480,13 @@ class IntervalStore:
         return self.updates.generation
 
     # ------------------------------------------------------------------ #
-    # maintenance (count-column folds, rebuilds, snapshot refresh)
+    # maintenance (rebuilds, re-partitions, snapshot refresh)
     # ------------------------------------------------------------------ #
     def maintenance(self, config=None):
         """This store's :class:`~repro.engine.maintenance.MaintenanceCoordinator`.
 
         Created lazily and cached; passing ``config`` replaces the cached
-        coordinator.  The coordinator folds pending counts, rebuilds hybrid
+        coordinator.  The coordinator rebuilds hybrid
         deltas by the one rebuild rule, re-balances skewed cuts and
         refreshes the process pool's snapshot -- see :meth:`maintain` for
         the one-call form.

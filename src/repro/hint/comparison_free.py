@@ -25,7 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.core.base import IntervalIndex, QueryStats
+import numpy as np
+
+from repro.core.base import IntervalIndex, QueryStats, _int64_bounds
 from repro.core.domain import Domain
 from repro.core.errors import DomainError
 from repro.core.interval import Interval, IntervalCollection, Query
@@ -205,10 +207,17 @@ class ComparisonFreeHINT(IntervalIndex):
         return self._query(query)
 
     def _query(self, query: Query) -> tuple[List[int], QueryStats]:
-        q_start = min(max(query.start, 0), self._domain.max_value)
-        q_end = min(max(query.end, 0), self._domain.max_value)
-        if q_end < q_start:
-            return [], QueryStats()
+        bounds = _int64_bounds(query)
+        top = self._domain.max_value
+        if bounds is None or bounds[1] < 0 or bounds[0] > top:
+            return [], QueryStats()  # no point of the discrete domain
+        q_start, q_end = max(bounds[0], 0), min(bounds[1], top)
+        if q_start > q_end:  # no integer inside: the intervals holding both neighbours
+            ids, stats = self._query(Query(q_end, q_start))
+            starts, ends, _ = self._spans.gather(ids)
+            results = np.asarray(ids, dtype=np.int64)[(starts <= q_end) & (ends >= q_start)]
+            stats.results = len(results)
+            return results.tolist(), stats
         stats = QueryStats()
         results: List[int] = []
         if self._sparse and self._dirs_dirty:

@@ -613,16 +613,6 @@ class OptimizedHINTm(IntervalIndex):
         stats.results = len(results)
         return results, stats
 
-    def query_count(self, query: Query) -> int:
-        """Count results without gathering an id (Section 4.2/4.3 traversal,
-        aggregation-only): the runs' lengths, less their tombstoned rows."""
-        return self._tally(query, stop_at_first=False)
-
-    def query_exists(self, query: Query) -> bool:
-        """True iff any interval overlaps ``query``: any run with a live row
-        proves it."""
-        return self._tally(query, stop_at_first=True) > 0
-
     def _walk(self, query: Query, stats: Optional[QueryStats] = None) -> Tuple[list, object, object]:
         """``(runs, q_start, q_end)``: ``(row_lo, row_hi, test_start,
         test_end)`` for every non-empty run of the shared columns that holds
@@ -810,25 +800,6 @@ class OptimizedHINTm(IntervalIndex):
                 return found[~np.frombuffer(gone, dtype=np.bool_)]
         return found.copy()
 
-    def _tally(self, query: Query, stop_at_first: bool) -> int:
-        """Results of ``query`` counted run by run, no id gathered; with
-        ``stop_at_first`` the count stops at the first run with a live row.
-        Tombstoned rows are counted in the mask, never looked up."""
-        runs, q_start, q_end = self._walk(query)
-        if self._columnar:  # final runs, none empty
-            dead = self._dead
-            if dead is None:
-                return min(len(runs), 1) if stop_at_first else sum([hi - lo for lo, hi, _, _ in runs])
-            if stop_at_first:
-                return int(any(dead.find(0, lo, hi) >= 0 for lo, hi, _, _ in runs))
-            return sum([hi - lo - dead.count(1, lo, hi) for lo, hi, _, _ in runs])
-        total = 0
-        for run in runs:
-            total += len(self._passing_records(*run, q_start, q_end))
-            if stop_at_first and total:
-                break
-        return total
-
     # ------------------------------------------------------------------ #
     # batched queries: the same traversal, one array pass per batch
     # ------------------------------------------------------------------ #
@@ -842,18 +813,6 @@ class OptimizedHINTm(IntervalIndex):
         ids = self._ids
         cuts = offsets.tolist()
         return [ids[rows[lo:hi]] for lo, hi in zip(cuts, cuts[1:])]
-
-    def query_count_batch(self, queries: Sequence[Query]) -> List[int]:
-        bounds = self._batch_bounds(queries)
-        if bounds is None:
-            return [self.query_count(query) for query in queries]
-        return self._batch_counts(*bounds).tolist()
-
-    def query_exists_batch(self, queries: Sequence[Query]) -> List[bool]:
-        bounds = self._batch_bounds(queries)
-        if bounds is None:
-            return [self.query_exists(query) for query in queries]
-        return (self._batch_counts(*bounds) > 0).tolist()
 
     def _batch_bounds(self, queries: Sequence[Query]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The batch's endpoints as two int64 columns -- or None when it
@@ -969,14 +928,6 @@ class OptimizedHINTm(IntervalIndex):
         failed = self._ends[rows - base] < q_starts[owner]
         counts -= np.bincount(owner[failed], minlength=count)
         return counts, seg_lo, seg_len, flagged, failed
-
-    def _batch_counts(self, q_starts: np.ndarray, q_ends: np.ndarray) -> np.ndarray:
-        """Per-query result counts: segment lengths minus failed predicate
-        rows, no id gathered -- on a tombstoned index the rows are listed,
-        so their tombstones can be subtracted."""
-        if self._dead_rows is not None:
-            return np.diff(self._batch_rows(q_starts, q_ends)[1])
-        return self._batch_plan(q_starts, q_ends)[0]
 
     def _batch_rows(self, q_starts: np.ndarray, q_ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, offsets)``: query ``k`` of the batch is answered by the

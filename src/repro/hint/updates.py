@@ -274,3 +274,8 @@ class _HybridSpans(NamedTuple):
 
     def collection(self) -> IntervalCollection:
         return self.main.collection().extend(self.delta.collection())
+
+    def count(self, lo, hi):
+        # the two live sets are disjoint, so their counts add
+        count = self.main.count(lo, hi)
+        return count + self.delta.count(lo, hi) if len(self.delta) else count

@@ -4,7 +4,7 @@ These cooperating parts turn the engine into something that can hold up
 under concurrent traffic (see the README's "Serving" section):
 
 * **epoch-based read snapshots** -- queries pin one immutable
-  ``(plan, shards, count columns)`` generation, so maintenance publishes new
+  ``(plan, shards, locator)`` generation, so maintenance publishes new
   partition state atomically instead of mutating under readers
   (:class:`repro.engine.sharded.Epoch`);
 * an **admission-controlled asyncio query server** -- JSON-over-HTTP with a

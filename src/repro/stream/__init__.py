@@ -9,7 +9,7 @@ The streaming subsystem turns the one-shot query engine into a push system
   the candidates (:mod:`repro.stream.registry`);
 * an **incremental delta engine** -- update listeners on the engine emit
   exact ``(generation, added_ids, removed_ids)`` records per subscription;
-  maintenance (folds, refreshes, re-partitions) advances the generation
+  maintenance (rebuilds, refreshes, re-partitions) advances the generation
   without emitting, so replay is exact across it
   (:mod:`repro.stream.deltas`);
 * a **bounded per-subscription delta log** -- sequence-numbered records

@@ -13,11 +13,11 @@ insert/delete into per-subscription deltas:
 3. registered notifiers (the query server's long-poll wakeups) fire for the
    affected subscription ids.
 
-Maintenance is the part that must *not* produce deltas: count-column folds,
+Maintenance is the part that must *not* produce deltas: hybrid rebuilds,
 snapshot refreshes and re-partitions republish epoch state and may bump the
 result generation, but the queryable contents are unchanged -- the engine
 records the generation advance (``sync`` events) and emits nothing, so
-replaying a subscription's deltas across a fold/repartition neither
+replaying a subscription's deltas across a rebuild/repartition neither
 duplicates nor drops a change.
 
 Exactness contract: folding a subscription's deltas up to generation ``g``

@@ -139,13 +139,13 @@ class TestCountingKernelEquivalence:
     def test_k1_delete_is_excluded_from_batch_counts(
         self, synthetic_collection, rng, pool
     ):
-        """K == 1 has no count pair: batches go to the only shard's own
-        hook, which sees the delete."""
+        """K == 1 has no locator: batches count through the only shard's
+        own span table, which sees the delete."""
         index = ShardedIndex(
             synthetic_collection, backend="naive", num_shards=1, executor=pool
         )
         try:
-            assert index.count_columns is None
+            assert index._epoch.locator is None
             victim = int(synthetic_collection.ids[0])
             assert index.delete(victim)
             queries = _count_workload(synthetic_collection, rng, count=10)

@@ -1,8 +1,9 @@
-"""The maintenance subsystem: count columns, coordinator, adaptive K.
+"""The maintenance subsystem: count pair, coordinator, adaptive K.
 
-Covers the three pieces of :mod:`repro.engine.maintenance` -- the sorted
-count columns with their pending buffer (lazy folds on counts), the coordinator's
-explicit maintain pass (folds, the one rebuild rule, skew-triggered
+Covers the span table's count pair with its buffer of pending updates
+(:class:`repro.core.spans.CountPair`, which folds only when the buffer is
+full), the two pieces of :mod:`repro.engine.maintenance` -- the
+coordinator's explicit maintain pass (the one rebuild rule, skew-triggered
 re-partitioning, a pass on another thread beside updates) and the Section
 3.3 cost model extended to pick the shard count -- plus the
 locator-atomicity regression for deletes of duplicated ids.
@@ -18,11 +19,11 @@ import pytest
 from repro.baselines.naive import NaiveIndex
 from repro.core.base import _deep_sizeof
 from repro.core.interval import Interval, IntervalCollection, Query
+from repro.core.spans import CountPair, SpanTable
 from repro.engine import IntervalStore, ShardedIndex
 from repro.engine.maintenance import (
     REBUILD_FRACTION,
     REBUILD_MIN_DELTA,
-    CountColumns,
     MaintenanceConfig,
     MaintenanceCoordinator,
     MaintenanceReport,
@@ -61,96 +62,113 @@ def _apply(index, stream):
     return live_delta
 
 
-class TestCountColumns:
+def _table(pairs, first_id=0):
+    """A span table over ``pairs``, ids counting up from ``first_id``."""
+    return SpanTable(IntervalCollection(
+        ids=np.arange(first_id, first_id + len(pairs)),
+        starts=[s for s, _ in pairs],
+        ends=[e for _, e in pairs],
+    ))
+
+
+class TestCountPair:
     def test_fold_matches_recomputed_sort(self, rng):
         pairs = [(int(v), int(v) + int(rng.integers(0, 50))) for v in rng.integers(0, 10_000, 200)]
-        column = CountColumns([s for s, _ in pairs], [e for _, e in pairs])
+        table = _table(pairs)
+        table.count(0, 0)  # builds the pair
+        live = dict(enumerate(pairs))
+        next_id = len(pairs)
         for _ in range(150):
-            if rng.random() < 0.6 or not pairs:
+            if rng.random() < 0.6 or not live:
                 start = int(rng.integers(0, 10_000))
-                end = start + int(rng.integers(0, 50))
-                column.record_insert(start, end)
-                pairs.append((start, end))
+                table.add(Interval(next_id, start, start + int(rng.integers(0, 50))))
+                live[next_id] = (start, table.get(next_id).end)
+                next_id += 1
             else:
-                start, end = pairs.pop(int(rng.integers(0, len(pairs))))
-                column.record_delete(start, end)
-        column.fold()
-        assert column.pending_ops == 0
-        assert column.starts.tolist() == sorted(s for s, _ in pairs)
-        assert column.ends.tolist() == sorted(e for _, e in pairs)
+                victim = list(live)[int(rng.integers(0, len(live)))]
+                assert table.remove(victim) is not None
+                del live[victim]
+        table.pair.fold()
+        assert table.pair.used == 0
+        assert table.pair.starts.tolist() == sorted(s for s, _ in live.values())
+        assert table.pair.ends.tolist() == sorted(e for _, e in live.values())
 
     def test_fold_exact_under_duplicates_and_cancellation(self):
-        column = CountColumns([1, 5, 5, 9], [2, 6, 6, 10])
-        column.record_insert(5, 6)       # duplicate of an existing value
-        column.record_insert(3, 4)
-        column.record_insert(3, 4)       # duplicate among the pending adds
-        column.record_delete(5, 6)       # cancels one of the three 5s
-        column.record_delete(3, 4)       # cancels a value added this batch
-        assert column.pending_ops == 5
-        column.fold()
-        assert column.pending_ops == 0
-        assert column.starts.tolist() == [1, 3, 5, 5, 9]
-        assert column.ends.tolist() == [2, 4, 6, 6, 10]
+        # 25 rows: a buffer of isqrt(25) = 5 slots, which the fifth record fills
+        starts = [1, 5, 5, 9] + [100] * 21
+        pair = CountPair(np.array(starts), np.array(starts) + 1)
+        pair.record(1, 5, 6)       # duplicate of an existing value
+        pair.record(1, 3, 4)
+        pair.record(1, 3, 4)       # duplicate among the pending adds
+        pair.record(-1, 5, 6)      # cancels one of the three 5s
+        assert pair.used == 4
+        pair.record(-1, 3, 4)      # cancels a value added this round; folds
+        assert pair.used == 0
+        assert pair.starts.tolist() == [1, 3, 5, 5, 9] + [100] * 21
+        assert pair.ends.tolist() == [2, 4, 6, 6, 10] + [101] * 21
 
-    def test_counts_fold_lazily(self):
-        column = CountColumns([1, 4, 8], [2, 6, 9])
-        column.record_insert(5, 7)
-        assert column.pending_ops == 1
-        # the count folds first, then bisects: [4, 6] and [5, 7] hold 6
-        assert column.overlaps(6, 6) == 2
-        assert column.pending_ops == 0
-        assert column.overlaps(3, 4) == 1
+    def test_counts_never_fold(self):
+        table = _table([(1, 2), (4, 6), (8, 9)] * 3)  # a 3-slot buffer
+        assert table.count(6, 6) == 3
+        table.add(Interval(100, 5, 7))
+        assert table.pair.used == 1
+        # the count scans the buffer beside its bisections: [4, 6] x3 and [5, 7]
+        assert table.count(6, 6) == 4
+        assert table.pair.used == 1
+        assert table.count(3, 4) == 3
 
-    def test_overlaps_takes_scalars_or_arrays(self, rng):
-        """One rule, ``#(start <= hi) - #(end < lo)``, equals the
-        brute-force overlap count for scalar and array bounds alike."""
+    def test_count_takes_scalars_or_arrays(self, rng):
+        """One rule, ``#(start <= hi) - #(end < lo)`` plus the buffered
+        updates, equals the brute-force overlap count for scalar and array
+        bounds alike."""
         starts = rng.integers(0, 1_000, size=300)
         ends = starts + rng.integers(0, 60, size=300)
-        column = CountColumns(starts, ends)
+        table = _table(list(zip(starts.tolist(), ends.tolist())))
+        table.count(0, 0)
+        for victim in range(0, 20, 2):
+            table.remove(victim)
+        table.add(Interval(1_000, 500, 700))
+        assert 0 < table.pair.used < table.pair.state[2].shape[1]
+        live = table.collection()
         lows = rng.integers(-50, 1_050, size=200)
         highs = lows + rng.integers(0, 200, size=200)
-        want = [int(((starts <= b) & (ends >= a)).sum()) for a, b in zip(lows, highs)]
-        assert column.overlaps(lows, highs).tolist() == want
-        assert [int(column.overlaps(int(a), int(b))) for a, b in zip(lows, highs)] == want
+        want = [int(((live.starts <= b) & (live.ends >= a)).sum()) for a, b in zip(lows, highs)]
+        assert table.count(lows, highs).tolist() == want
+        assert [int(table.count(int(a), int(b))) for a, b in zip(lows, highs)] == want
 
-    def test_journaled_ops_reallocate_nothing_until_one_fold(self, rng, monkeypatch):
-        """The O(1)-per-op property, structurally: N recorded updates leave
-        the sorted columns the very same arrays, and one fold replaces each
-        column exactly once -- whatever the wall clock says."""
-        values = rng.integers(0, 1_000, size=50)
-        column = CountColumns(values, values + 2)
-        starts, ends = column.starts, column.ends
-        live = [(int(v), int(v) + 2) for v in values]
-        for _ in range(40):
-            start = int(rng.integers(0, 1_000))
-            column.record_insert(start, start + 1)
-            live.append((start, start + 1))
-        for _ in range(10):
-            column.record_delete(*live.pop(int(rng.integers(0, len(live)))))
-        assert column.starts is starts and column.ends is ends
-        assert column.pending_ops == 50
+    def test_buffered_ops_reallocate_nothing_until_the_buffer_fills(self, rng, monkeypatch):
+        """The O(1)-per-op property, structurally: updates that fit the
+        buffer leave the sorted columns the very same arrays, and the one
+        that fills it folds once."""
+        values = rng.integers(0, 1_000, size=2_500)  # a 50-slot buffer
+        table = _table(list(zip(values.tolist(), (values + 2).tolist())))
+        table.count(0, 0)
+        pair = table.pair
+        starts, ends = pair.starts, pair.ends
+        folds = []
+        fold = CountPair.fold
+        monkeypatch.setattr(CountPair, "fold", lambda self: folds.append(self) or fold(self))
+        for offset in range(40):
+            table.add(Interval(10_000 + offset, offset, offset + 1))
+        for victim in range(9):
+            assert table.remove(victim) is not None
+        assert pair.starts is starts and pair.ends is ends
+        assert pair.used == 49 and folds == []
+        assert table.remove(9) is not None  # the 50th op fills the buffer
+        assert folds == [pair] and pair.used == 0
+        assert pair.starts is not starts and pair.ends is not ends
+        live = table.collection()
+        assert pair.starts.tolist() == sorted(live.starts.tolist())
+        assert pair.ends.tolist() == sorted(live.ends.tolist())
 
-        folded = []
-        fold_column = CountColumns._fold_column
 
-        def spy(column_array, adds, removes):
-            folded.append(column_array)
-            return fold_column(column_array, adds, removes)
-
-        monkeypatch.setattr(CountColumns, "_fold_column", staticmethod(spy))
-        assert column.fold() == 50
-        assert len(folded) == 2 and folded[0] is starts and folded[1] is ends
-        assert column.starts is not starts and column.ends is not ends
-        assert column.pending_ops == 0
-        # ... and the fold lands on the brute-force reference
-        assert column.starts.tolist() == sorted(s for s, _ in live)
-        assert column.ends.tolist() == sorted(e for _, e in live)
-
-class TestShardedCountColumns:
+class TestShardedCountPair:
     def test_multi_shard_counts_exact_without_maintain(self, synthetic_collection, rng):
-        """The acceptance property: counts fold pending updates lazily."""
+        """The acceptance property: counts are exact with updates buffered."""
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
                              num_shards=4, num_bits=7)
+        index.query_count(Query(0, 0))  # builds the locator's pair
+        pair = index._epoch.locator.pair
         live = {
             int(i): (int(s), int(e))
             for i, s, e in zip(synthetic_collection.ids,
@@ -164,7 +182,9 @@ class TestShardedCountColumns:
             else:
                 assert index.delete(payload)
                 del live[payload]
-        assert index.count_columns.pending_ops == 300  # one record per update
+        # one record per update: 300 of them over a 54-slot buffer
+        assert pair.used == 300 % 54
+        used = pair.used
         starts = np.array([s for s, _ in live.values()])
         ends = np.array([e for _, e in live.values()])
         lo, hi = synthetic_collection.span()
@@ -176,8 +196,8 @@ class TestShardedCountColumns:
             checked_multi += first < last
             assert index.query_count(Query(a, b)) == int(np.sum((starts <= b) & (a <= ends)))
         assert checked_multi > 0
-        # the first count folded the pair's buffer
-        assert index.count_columns.pending_ops == 0
+        # counts scan the buffer, they never fold it
+        assert pair.used == used
 
     def test_sharded_index_answers_like_the_naive_reference(
         self, synthetic_collection, rng
@@ -203,31 +223,27 @@ class TestShardedCountColumns:
                 assert sorted(sharded.query(query)) == sorted(reference.query(query))
 
         check()
-        # a forced pass folds the count columns and rebuilds every shard's
-        # hybrid delta; counts and ids must come out of it unchanged
+        # a forced pass rebuilds every shard's hybrid delta; counts and ids
+        # must come out of it unchanged
         MaintenanceCoordinator(sharded).maintain(force=True)
-        assert sharded.count_columns.pending_ops == 0
         check()
 
-    def test_concurrent_folds_and_records_lose_nothing(self):
-        """Counting folds race recording updates across threads; the column
-        lock must neither drop nor double-apply a recorded operation."""
-        import threading
-
-        collection = IntervalCollection.from_pairs(
-            [(i * 10, i * 10 + 5) for i in range(100)]
-        )
-        column = CountColumns(collection.starts, collection.ends)
+    def test_concurrent_records_and_counts_lose_nothing(self):
+        """Writers add to one span table from three threads while another
+        thread counts; the table's lock must neither drop nor double-apply
+        a recorded operation, through the buffer's folds."""
+        table = _table([(i * 10, i * 10 + 5) for i in range(100)])
+        table.count(0, 0)
         inserts_per_thread = 500
         writers = 3
 
         def write(offset):
             for i in range(inserts_per_thread):
-                column.record_insert(offset + i, offset + i + 1)
+                table.add(Interval(offset + i, offset + i, offset + i + 1))
 
         def count_hammer(stop):
             while not stop.is_set():
-                column.overlaps(0, 0)  # folds under the lock
+                table.count(0, 10**9)
 
         stop = threading.Event()
         counter = threading.Thread(target=count_hammer, args=(stop,))
@@ -242,33 +258,41 @@ class TestShardedCountColumns:
             thread.join()
         stop.set()
         counter.join()
-        column.fold()
-        expected = len(collection) + writers * inserts_per_thread
-        assert len(column.starts) == expected
-        assert len(column.ends) == expected
-        assert column.starts.tolist() == sorted(column.starts.tolist())
+        expected = 100 + writers * inserts_per_thread
+        assert table.count(-1, 10**9) == expected
+        table.pair.fold()
+        assert len(table.pair.starts) == len(table.pair.ends) == expected
+        assert table.pair.starts.tolist() == sorted(table.pair.starts.tolist())
 
-    def test_memory_bytes_includes_count_columns(self, synthetic_collection):
+    def test_memory_bytes_grow_by_the_pair_on_the_first_count(self, synthetic_collection):
         index = ShardedIndex(synthetic_collection, backend="hintm_opt",
                              num_shards=4, num_bits=7)
-        counts = index.count_columns
+        locator = index._epoch.locator
+        before = index.memory_bytes()
+        assert locator.pair is None  # nothing is sorted until a count asks
+        index.query(Query(0, 10_000))
+        assert index.memory_bytes() == before
+        index.query_count(Query(0, 10_000))
+        pair = locator.pair
         # one pair over the distinct intervals, not one per shard's copies
-        columns = counts.starts.nbytes + counts.ends.nbytes
+        columns = pair.starts.nbytes + pair.ends.nbytes
         assert columns == 16 * len(synthetic_collection)
-        assert index.memory_bytes() >= _deep_sizeof(counts) >= columns
+        grown = index.memory_bytes() - before
+        assert columns <= grown <= _deep_sizeof(pair) + 256
         # the pair is inside the walk, once
-        assert _deep_sizeof((index, counts)) - index.memory_bytes() < 1024
+        assert _deep_sizeof((index, pair)) - index.memory_bytes() < 1024
 
     def test_copies_per_shard_match_the_partition(self, synthetic_collection, rng):
-        """The skew rule's shard sizes, read off the one pair as the count
-        over each shard's closed range, equal the copies the partitioner
-        puts in each shard -- with updates pending."""
+        """The skew rule's shard sizes, read off the locator's pair as the
+        count over each shard's closed range, equal the copies the
+        partitioner puts in each shard -- with updates buffered."""
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
                              num_shards=4, num_bits=7)
-        _apply(index, _random_updates(synthetic_collection, rng, count=100))
+        index.query_count(Query(0, 0))
+        _apply(index, _random_updates(synthetic_collection, rng, count=40))
         pieces = partition_collection(index.live_collection(), index.plan)
         state = index.maintenance_state()
-        assert state["pending"] == 100
+        assert state["pending"] == 40 == index._epoch.locator.pair.used
         assert state["copies_per_shard"] == [len(piece) for piece in pieces]
         assert sum(state["copies_per_shard"]) > len(index)  # duplication counted
 
@@ -400,7 +424,7 @@ class TestPolicies:
 
 
 class TestCoordinator:
-    def test_maintain_folds_and_rebuilds_hybrid_shards(self, synthetic_collection, rng):
+    def test_maintain_rebuilds_hybrid_shards(self, synthetic_collection, rng):
         index = ShardedIndex(synthetic_collection, backend="hintm_hybrid",
                              num_shards=4, num_bits=7)
         # repartition off: this test isolates the per-shard rebuild path (a
@@ -409,12 +433,9 @@ class TestCoordinator:
             index, config=MaintenanceConfig(repartition=False)
         )
         _apply(index, _random_updates(synthetic_collection, rng, count=100))
-        pending = index.count_columns.pending_ops
-        assert pending == 100  # one record per update, however many shards it spans
         deltas_before = [s.delta_size for s in index.shards]
         assert any(deltas_before)
         report = coordinator.maintain(force=True)
-        assert report.folded_ops == pending
         assert report.rebuilt_shards == [
             shard for shard, delta in enumerate(deltas_before) if delta
         ]
@@ -422,7 +443,6 @@ class TestCoordinator:
             assert index.shards[shard_id].delta_size == 0
         assert coordinator.reports[-1] is report
         state = coordinator.state()
-        assert state["pending"] == 0
         assert set(report.rebuilt_shards) <= set(state["last_rebuild"])
 
     def test_force_rebuilds_only_nonempty_deltas(self, synthetic_collection):
@@ -682,6 +702,7 @@ class TestMaintenanceStateSurface:
         store = IntervalStore.open(synthetic_collection, "hintm_hybrid",
                                    num_shards=4, num_bits=7)
         lo, _ = synthetic_collection.span()
+        store.query().overlapping(lo, lo).count()  # builds the locator's pair
         store.insert(Interval(10**6, lo, lo + 1))
         state = store.index.maintenance_state()
         assert state["pending"] == 1
@@ -745,14 +766,14 @@ class TestAdaptiveShardCount:
 class TestReportSummary:
     def test_summary_mentions_every_action(self):
         report = MaintenanceReport(
-            folded_ops=12, rebuilt_shards=[1, 3], repartitioned=True,
+            rebuilt_shards=[1, 3], repartitioned=True,
             cuts=(10, 20), skew=2.5, snapshot_refreshed=True, generation=2,
             seconds=0.01,
         )
         text = report.summary()
-        assert "12" in text and "[1, 3]" in text
+        assert "[1, 3]" in text
         assert "re-partitioned" in text and "generation 2" in text
-        assert report.actions == 5
+        assert report.actions == 4
         idle = MaintenanceReport()
         assert "nothing to do" in idle.summary()
         assert idle.actions == 0

@@ -191,11 +191,10 @@ class TestResidencyCacheEviction:
                 backend="naive", uid="idx-r", generation=1,
             )
             positions = np.array([0], dtype=np.int64)
-            starts = np.array([0], dtype=np.int64)
-            ends = np.array([100], dtype=np.int64)
-            _, _, before = run_kernel_task((spec_old, 0, positions, starts, ends))
+            queries = [Query(0, 100)]
+            _, _, before = run_kernel_task((spec_old, 0, positions, queries))
             assert before[0].tolist() == [0]
-            _, _, after = run_kernel_task((spec_new, 0, positions, starts, ends))
+            _, _, after = run_kernel_task((spec_new, 0, positions, queries))
             assert sorted(after[0].tolist()) == [0, 1]
             assert set(_RESIDENTS) == {"idx-r:g1"}
         finally:
